@@ -1,16 +1,20 @@
 // Shared plumbing for the figure/table reproduction binaries: flag parsing
-// (--csv emits machine-readable rows), headline printing, and the demand
-// helpers that turn measured op counts into MVA station demands.
+// (--csv emits machine-readable rows), headline printing, the sample
+// quantile, and the demand helpers that turn measured op counts into MVA
+// station demands.
 #pragma once
 
-#include <cstdlib>
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "sim/calib.hpp"
+#include "sim/check.hpp"
 #include "sim/mva.hpp"
 #include "sim/table.hpp"
 #include "sim/time.hpp"
@@ -20,16 +24,13 @@ namespace dpc::bench {
 // ------------------------------------------------------------ determinism
 //
 // Every micro-bench registration is *pinned*: fixed iteration count, fixed
-// repetition count. Two runs therefore execute byte-identical work (all
-// data is seeded from fixed sim::Rng seeds), and the regress gate
-// (bench/regress) compares the best-of-repetitions (min time / max rate)
-// against a committed baseline instead of trusting gbench's adaptive
-// sampling, which varies the iteration count run-to-run. Best-of is the
-// noise-robust statistic for wall-clock benches on a shared machine: the
-// minimum converges to the true cost as repetitions grow, while the median
-// still moves with background load.
+// repetition count, all data seeded from fixed sim::Rng seeds. Two hand
+// runs therefore do identical work, so their times compare directly —
+// unlike gbench's adaptive sampling, which varies the iteration count
+// run-to-run. Compare best-of-repetitions: on a shared machine the minimum
+// converges to the true cost, while the median moves with background load.
 
-/// Repetitions per pinned benchmark; regress compares the best repetition.
+/// Repetitions per pinned benchmark.
 inline constexpr int kBenchRepetitions = 5;
 /// Iteration tiers by per-op cost. Pick the tier that keeps one repetition
 /// at tens of milliseconds or more — a repetition short enough to fit in a
@@ -45,29 +46,13 @@ inline constexpr std::int64_t kItersSlow = 512;     ///< ≥100 µs ops
 /// declaration that cannot be wrapped; expands to ->Apply(...), so it only
 /// references gbench types at the expansion site.
 // DisplayAggregatesOnly keeps the console readable but still writes every
-// repetition to --benchmark_out, which is where regress takes its min.
+// repetition to --benchmark_out.
 #define DPC_BENCH_PIN(iters)                           \
   ->Apply(+[](::benchmark::internal::Benchmark* b) {   \
     b->Iterations(iters)                               \
         ->Repetitions(::dpc::bench::kBenchRepetitions) \
         ->DisplayAggregatesOnly(true);                 \
   })
-
-/// Deliberate-slowdown hook for validating the regress gate: when the
-/// DPC_BENCH_SABOTAGE env var is set to N (>1), participating benchmarks
-/// run their measured body N times per iteration, so time/iter grows ~N×
-/// and `bench/regress` MUST fail against a clean baseline. Unset (the
-/// default and the only configuration baselines may be recorded under)
-/// this returns 1 and the loop is a plain single pass.
-inline int sabotage_factor() {
-  static const int factor = [] {
-    const char* env = std::getenv("DPC_BENCH_SABOTAGE");
-    if (env == nullptr) return 1;
-    const int n = std::atoi(env);
-    return n > 1 ? n : 1;
-  }();
-  return factor;
-}
 
 struct BenchArgs {
   bool csv = false;
@@ -108,6 +93,19 @@ inline void emit_metrics_json(const obs::Registry& reg,
   reg.to_json(out);
   out << '\n';
   std::cout << "[metrics] wrote " << path << '\n';
+}
+
+/// Exact floor-rank quantile of a sample: the element of rank
+/// floor(q * (n - 1)) in sorted order, q in [0, 1]. Benches that keep raw
+/// per-op samples use this; sim::Histogram's bucketed percentile is for
+/// registry instruments.
+inline std::int64_t quantile(std::vector<std::int64_t> v, double q) {
+  DPC_CHECK(!v.empty() && q >= 0.0 && q <= 1.0);
+  const auto rank =
+      static_cast<std::size_t>(static_cast<double>(v.size() - 1) * q);
+  const auto nth = v.begin() + static_cast<std::ptrdiff_t>(rank);
+  std::nth_element(v.begin(), nth, v.end());
+  return *nth;
 }
 
 /// Modelled cost of `dma_ops` link transactions moving `bytes` of payload:

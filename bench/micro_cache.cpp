@@ -52,11 +52,7 @@ void BM_HostCacheHitRead(benchmark::State& state) {
   std::vector<std::byte> page(4096, std::byte{1});
   rig.plane.write(1, 0, page);
   std::vector<std::byte> out(4096);
-  const int sabotage = dpc::bench::sabotage_factor();
-  for (auto _ : state) {
-    for (int s = 0; s < sabotage; ++s)
-      benchmark::DoNotOptimize(rig.plane.read(1, 0, out));
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(rig.plane.read(1, 0, out));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           4096);
 }

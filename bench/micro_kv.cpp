@@ -25,13 +25,10 @@ void BM_KvPutGet(benchmark::State& state) {
   kv::KvStore kv;
   const auto val = bytes(static_cast<std::size_t>(state.range(0)), 1);
   std::uint64_t i = 0;
-  const int sabotage = dpc::bench::sabotage_factor();
   for (auto _ : state) {
-    for (int s = 0; s < sabotage; ++s) {
-      const std::string key = "k" + std::to_string(i++ % 1024);
-      kv.put(key, val);
-      benchmark::DoNotOptimize(kv.get(key));
-    }
+    const std::string key = "k" + std::to_string(i++ % 1024);
+    kv.put(key, val);
+    benchmark::DoNotOptimize(kv.get(key));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));

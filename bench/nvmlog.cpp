@@ -69,18 +69,10 @@ struct ArmResult {
   std::uint64_t fallbacks = 0;
 };
 
-std::int64_t percentile(std::vector<std::int64_t>& v, double q) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(v.size() - 1) + 0.5);
-  return v[std::min(idx, v.size() - 1)];
-}
-
 ArmResult finish_arm(core::DpcSystem& sys, std::vector<std::int64_t>& lat) {
   ArmResult r;
-  r.p50_ns = percentile(lat, 0.50);
-  r.p99_ns = percentile(lat, 0.99);
+  r.p50_ns = bench::quantile(lat, 0.50);
+  r.p99_ns = bench::quantile(lat, 0.99);
   r.wal_appends = sys.metrics().counter("wal/appends").value();
   r.fast_acks = sys.dispatch_stats().wal_fast_acks.load();
   r.fallbacks = sys.dispatch_stats().wal_fallbacks.load();

@@ -99,14 +99,6 @@ struct ArmResult {
   std::uint64_t antagonist_ops = 0;
 };
 
-std::int64_t percentile_ns(std::vector<std::int64_t>& v, double p) {
-  DPC_CHECK(!v.empty());
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(v.size() - 1) / 100.0);
-  return v[idx];
-}
-
 ArmResult run_arm(Isolation iso, Antagonist antagonist) {
   const bool scrub = antagonist == Antagonist::kScrubBitrot;
   core::DpcSystem sys(make_opts(iso, scrub));
@@ -210,8 +202,8 @@ ArmResult run_arm(Isolation iso, Antagonist antagonist) {
   sys.stop_dpu();
 
   ArmResult r;
-  r.p99_ns = percentile_ns(costs, 99.0);
-  r.p50_ns = percentile_ns(costs, 50.0);
+  r.p99_ns = bench::quantile(costs, 0.99);
+  r.p50_ns = bench::quantile(costs, 0.50);
   r.throttled = sys.metrics().counter("qos/throttled").load();
   r.shed = sys.metrics().counter("qos/shed").load();
   r.scrub_yields = sys.metrics().counter("scrub/yields").load();

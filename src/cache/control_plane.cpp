@@ -244,7 +244,7 @@ DpuCacheControl::PassResult DpuCacheControl::flush_pass(int max_pages) {
       continue;
     }
     // "DPU temporarily pulls the data to its DRAM by DMA transmission".
-    res.cost += dma_->read_host(layout_->page_off(i), scratch_,  // dpc-lint: ok(lock-across-wait) pass_mu_ exists to cover the whole DMA pass
+    res.cost += dma_->read_host(layout_->page_off(i), scratch_,
                                 pcie::DmaClass::kData);
     // "…and performs relevant computing operations (e.g., compression,
     // DIF, EC, etc.)". The DIF stamp is taken at the pull — it is the
@@ -438,7 +438,7 @@ DpuCacheControl::PassResult DpuCacheControl::prefetch(std::uint64_t inode,
 
     // Walk the bucket (one chunked DMA): skip if present, find a free slot.
     std::vector<CacheEntry> entries(epb);
-    res.cost += dma_->read_host(  // dpc-lint: ok(lock-across-wait) pass_mu_ exists to cover the whole DMA pass
+    res.cost += dma_->read_host(
         layout_->entry_off(layout_->bucket_head_entry(bucket)),
         std::as_writable_bytes(std::span{entries.data(), epb}),
         pcie::DmaClass::kDescriptor);
@@ -628,7 +628,7 @@ DpuCacheControl::PassResult DpuCacheControl::rebuild() {
   constexpr std::uint32_t kChunk = 128;  // entries per DMA
   for (std::uint32_t at = 0; at < total; at += kChunk) {
     const std::uint32_t n = std::min(kChunk, total - at);
-    res.cost += dma_->read_host(  // dpc-lint: ok(lock-across-wait) pass_mu_ exists to cover the whole DMA pass
+    res.cost += dma_->read_host(
         layout_->entry_off(at),
         std::as_writable_bytes(std::span{entries.data() + at, n}),
         pcie::DmaClass::kDescriptor);

@@ -195,10 +195,9 @@ void scenario_sq_submit_abort(ModelSched& sched) {
 
   std::atomic<bool> done{false};
   auto req = [](std::uint64_t off) {
-    nvme::IniDriver::Request r;
+    nvme::IniDriver::Request r(/*tenant=*/0);  // single-tenant scenario
     r.inode = 42;
     r.offset = off;
-    r.tenant = 0;  // deliberately single-tenant scenario
     return r;
   };
 

@@ -472,9 +472,8 @@ std::string DpcSystem::latency_summary() const {
 Io DpcSystem::header_call(nvme::DispatchTarget target, const FileRequest& req,
                           FileResponse* out) {
   const auto enc = req.encode();
-  nvme::IniDriver::Request r;
+  nvme::IniDriver::Request r(thread_tenant());
   r.target = target;
-  r.tenant = thread_tenant();
   r.inline_op = nvme::InlineOp::kNone;
   r.write_hdr = enc;
   r.read_hdr_cap = static_cast<std::uint16_t>(
@@ -727,9 +726,8 @@ Io DpcSystem::read(std::uint64_t ino, std::uint64_t offset,
     }
   }
 
-  nvme::IniDriver::Request r;
+  nvme::IniDriver::Request r(thread_tenant());
   r.target = nvme::DispatchTarget::kStandalone;
-  r.tenant = thread_tenant();
   r.inline_op = nvme::InlineOp::kRead;
   r.inode = ino;
   r.offset = offset;
@@ -832,9 +830,8 @@ Io DpcSystem::write(std::uint64_t ino, std::uint64_t offset,
     // Cache full — the DPU is evicting; fall through to write-through.
   }
 
-  nvme::IniDriver::Request r;
+  nvme::IniDriver::Request r(thread_tenant());
   r.target = nvme::DispatchTarget::kStandalone;
-  r.tenant = thread_tenant();
   r.inline_op = nvme::InlineOp::kWrite;
   r.inode = ino;
   r.offset = offset;
@@ -880,9 +877,8 @@ Io DpcSystem::truncate(std::uint64_t ino, std::uint64_t new_size) {
     sim::LockGuard lock(size_mu_);
     size_cache_[ino] = new_size;
   }
-  nvme::IniDriver::Request r;
+  nvme::IniDriver::Request r(thread_tenant());
   r.target = nvme::DispatchTarget::kStandalone;
-  r.tenant = thread_tenant();
   r.inline_op = nvme::InlineOp::kTruncate;
   r.inode = ino;
   r.offset = new_size;
@@ -898,9 +894,8 @@ Io DpcSystem::truncate(std::uint64_t ino, std::uint64_t new_size) {
 }
 
 Io DpcSystem::fsync(std::uint64_t ino) {
-  nvme::IniDriver::Request r;
+  nvme::IniDriver::Request r(thread_tenant());
   r.target = nvme::DispatchTarget::kStandalone;
-  r.tenant = thread_tenant();
   r.inline_op = nvme::InlineOp::kFsync;
   r.inode = ino;
   const auto res = call(r, 0);
@@ -935,9 +930,8 @@ Io DpcSystem::dfs_open(const std::string& path) {
 
 Io DpcSystem::dfs_read(std::uint64_t ino, std::uint64_t offset,
                        std::span<std::byte> dst) {
-  nvme::IniDriver::Request r;
+  nvme::IniDriver::Request r(thread_tenant());
   r.target = nvme::DispatchTarget::kDistributed;
-  r.tenant = thread_tenant();
   r.inline_op = nvme::InlineOp::kRead;
   r.inode = ino;
   r.offset = offset;
@@ -966,9 +960,8 @@ Io DpcSystem::dfs_read(std::uint64_t ino, std::uint64_t offset,
 
 Io DpcSystem::dfs_write(std::uint64_t ino, std::uint64_t offset,
                         std::span<const std::byte> src) {
-  nvme::IniDriver::Request r;
+  nvme::IniDriver::Request r(thread_tenant());
   r.target = nvme::DispatchTarget::kDistributed;
-  r.tenant = thread_tenant();
   r.inline_op = nvme::InlineOp::kWrite;
   r.inode = ino;
   r.offset = offset;

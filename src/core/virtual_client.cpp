@@ -76,8 +76,7 @@ NvmeRawHarness::NvmeRawHarness(const Options& opts)
 
 bool NvmeRawHarness::do_write(int q, std::span<const std::byte> payload) {
   nvme::IniDriver& ini = *inis_[static_cast<std::size_t>(q)];
-  nvme::IniDriver::Request r;
-  r.tenant = 0;  // raw harness is single-tenant
+  nvme::IniDriver::Request r(/*tenant=*/0);  // single-tenant harness
   r.inline_op = nvme::InlineOp::kWrite;
   r.write_data = payload;
   const auto sub = ini.submit(r);
@@ -95,8 +94,7 @@ bool NvmeRawHarness::do_write(int q, std::span<const std::byte> payload) {
 
 bool NvmeRawHarness::do_read(int q, std::span<std::byte> dst) {
   nvme::IniDriver& ini = *inis_[static_cast<std::size_t>(q)];
-  nvme::IniDriver::Request r;
-  r.tenant = 0;  // raw harness is single-tenant
+  nvme::IniDriver::Request r(/*tenant=*/0);  // single-tenant harness
   r.inline_op = nvme::InlineOp::kRead;
   r.read_data_cap = static_cast<std::uint32_t>(dst.size());
   const auto sub = ini.submit(r);
@@ -123,8 +121,7 @@ bool NvmeRawHarness::do_write_batch(int q, int n,
   // queue's depth-1 cid pool would park submit_batch on free_cv_ with
   // nobody left to pump.
   DPC_CHECK(n < static_cast<int>(opts_.depth));
-  nvme::IniDriver::Request r;
-  r.tenant = 0;  // raw harness is single-tenant
+  nvme::IniDriver::Request r(/*tenant=*/0);  // single-tenant harness
   r.inline_op = nvme::InlineOp::kWrite;
   r.write_data = payload;
   const std::vector<nvme::IniDriver::Request> reqs(

@@ -9,9 +9,10 @@
 // `persist_fence()` cost charged at every ordering point, (b) the
 // `nvm.dev/write_fail` fault site (media error → the write never lands) and
 // (c) the WAL-level torn-append site that cuts a write short exactly where
-// an untimely power cut would. The lint rule `wal-commit-order` enforces
-// the ordering discipline statically (commit-word store must be preceded by
-// a fence on the payload).
+// an untimely power cut would. dpc_check's `wal_append` scenario enforces
+// the ordering discipline (commit-word store must be preceded by a fence on
+// the payload): its crash exploration turns a dropped fence into a caught,
+// replayable corrupt frame.
 //
 // All latencies are modelled time from calib §NVM — DRAM-class read/write
 // plus an explicit CLWB+SFENCE-class persistence fence — accumulated into

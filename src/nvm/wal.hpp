@@ -206,8 +206,8 @@ class WriteAheadLog {
   /// latches it on a failed header write. Pre-condition: nothing live.
   bool checkpoint_locked(sim::Nanos& cost) REQUIRES(mu_);
   /// Stores the frame's commit record (the payload CRC). Must be preceded
-  /// by a persistence fence on the payload — enforced by the
-  /// `wal-commit-order` lint rule.
+  /// by a persistence fence on the payload — enforced by dpc_check's
+  /// `wal_append` scenario and its `wal-commit-order` mutation.
   bool publish_commit_word(std::uint64_t off, std::uint32_t commit,
                            sim::Nanos& cost);
   bool write_header(std::uint64_t epoch, std::uint64_t start_seq,

@@ -3,6 +3,7 @@
 #include <thread>
 
 #include "ec/crc32c.hpp"
+#include "sim/lockrank.hpp"
 #include "sim/schedhook.hpp"
 
 namespace dpc::nvme {
@@ -231,6 +232,8 @@ std::optional<Completion> IniDriver::poll() {
 
 Completion IniDriver::wait(std::uint16_t cid) {
   DPC_CHECK(cid < qp_->depth());
+  // The fs-adapter size view is the one lock designed to span a round trip.
+  sim::lockrank::require_none_below(sim::LockRank::kAdapter, "nvme.ini.wait");
   for (;;) {
     {
       sim::LockGuard lock(mu_);
@@ -248,6 +251,8 @@ Completion IniDriver::wait(std::uint16_t cid) {
 
 std::optional<Completion> IniDriver::try_take(std::uint16_t cid) {
   DPC_CHECK(cid < qp_->depth());
+  sim::lockrank::require_none_below(sim::LockRank::kAdapter,
+                                    "nvme.ini.try_take");
   sim::LockGuard lock(mu_);
   drain_locked();
   return done_[cid];

@@ -40,11 +40,15 @@ class IniDriver {
 
   /// Everything needed to issue one nvme-fs command. Payload spans may be
   /// empty. `write_hdr` and `write_data` are copied back-to-back into the
-  /// slot's write buffer (WH_len = write_hdr.size()).
+  /// slot's write buffer (WH_len = write_hdr.size()). The tenant is the one
+  /// required field: a command built without it would bill its I/O to
+  /// tenant 0 and escape QoS accounting, so that is a compile error.
   struct Request {
+    explicit Request(TenantId t) : tenant(t) {}
+
     DispatchTarget target = DispatchTarget::kStandalone;
     InlineOp inline_op = InlineOp::kNone;
-    TenantId tenant = 0;  ///< issuing tenant, carried in DW10[31:24]
+    TenantId tenant;  ///< issuing tenant, carried in DW10[31:24]
     std::uint64_t inode = 0;
     std::uint64_t offset = 0;
     std::span<const std::byte> write_hdr{};
@@ -82,10 +86,13 @@ class IniDriver {
   std::optional<Completion> poll();
 
   /// Spins until command `cid` completes (reaping others along the way).
+  /// The caller may hold no lock ranked below kAdapter: the completion
+  /// comes from another thread, which may need that lock to produce it.
   Completion wait(std::uint16_t cid);
 
   /// Non-blocking: reaps ready CQEs, then reports `cid`'s completion if it
-  /// has been recorded (by this or any other caller's poll).
+  /// has been recorded (by this or any other caller's poll). Callers poll
+  /// it in a loop, so it carries wait()'s lock precondition.
   std::optional<Completion> try_take(std::uint16_t cid);
 
   /// View of the read buffer payload after completion (`n` bytes).

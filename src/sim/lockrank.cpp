@@ -241,6 +241,19 @@ void reset_for_test() {
 
 std::size_t held_count() { return t_held.size(); }
 
+void require_none_below(LockRank floor, const char* site) {
+  for (const Held& h : t_held) {
+    if (static_cast<int>(h.rank) >= static_cast<int>(floor)) continue;
+    std::ostringstream os;
+    os << "lockrank: \"" << h.name << "\" rank=" << lockrank_name(h.rank)
+       << '(' << static_cast<int>(h.rank) << ") held at wait point \"" << site
+       << "\", which allows only rank >= " << lockrank_name(floor) << '('
+       << static_cast<int>(floor) << ").\nheld locks:\n"
+       << describe(t_held);
+    fail(os.str());
+  }
+}
+
 }  // namespace dpc::sim::lockrank
 
 #endif  // DPC_LOCKRANK_ENABLED

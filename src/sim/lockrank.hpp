@@ -108,6 +108,12 @@ void reset_for_test();
 /// Number of locks the calling thread currently holds (test introspection).
 std::size_t held_count();
 
+/// Wait-point check: throws LockOrderError, naming `site` and the held set,
+/// if the calling thread holds any lock ranked below `floor`. A thread that
+/// spins on work another thread must finish may not hold state that thread
+/// could need.
+void require_none_below(LockRank floor, const char* site);
+
 }  // namespace lockrank
 
 #else  // !DPC_LOCKRANK_ENABLED
@@ -117,6 +123,7 @@ inline void acquire(const void*, LockRank, const char*, bool = false) {}
 inline void release(const void*) {}
 inline void reset_for_test() {}
 inline std::size_t held_count() { return 0; }
+inline void require_none_below(LockRank, const char*) {}
 }  // namespace lockrank
 
 #endif  // DPC_LOCKRANK_ENABLED

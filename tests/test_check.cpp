@@ -1,12 +1,14 @@
 // ModelSched unit tests: the scheduler's exploration mechanics on small
-// synthetic scenarios with known interleaving counts, plus smoke runs of
-// the product scenario catalog (the full tiers run via dpc_check in CI's
-// check stage — these keep the harness itself honest under ctest).
+// synthetic scenarios with known interleaving counts, smoke runs of the
+// product scenario catalog, and the full mutation sweep (the same check as
+// `dpc_check --mutate all`). The larger clean tiers run via dpc_check in
+// CI's check stage.
 #include "check/model_sched.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 
 #include "check/scenarios.hpp"
 #include "sim/schedhook.hpp"
@@ -197,31 +199,34 @@ TEST(Scenarios, WalAppendCleanExhaustive) {
   EXPECT_EQ(r.truncated, 0u);
 }
 
-// Mutation sensitivity: arming the paired DPC_CHECK_MUTATE site must
-// produce a violation, and the schedule must replay deterministically.
-// (The full 6-mutation sweep runs via `dpc_check --mutate all` in CI.)
-TEST(Scenarios, WalEarlyCheckpointMutationIsCaught) {
-  const Scenario* s = find_scenario("wal_fsync_flush");
-  ASSERT_NE(s, nullptr);
-  const auto r = explore_exhaustive(s->fn, s->mutation, s->max_schedules,
-                                    s->max_steps);
+// Mutation sensitivity, over the whole catalog: arming each scenario's
+// paired DPC_CHECK_MUTATE site must produce a violation in the scenario's
+// own tier (exhaustive, or its PCT seed budget), and the recorded schedule
+// must replay to the identical violation.
+class MutationSweep : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MutationSweep, MutationIsCaughtAndReplays) {
+  const Scenario& s = scenarios()[GetParam()];
+  const auto r =
+      s.exhaustive
+          ? explore_exhaustive(s.fn, s.mutation, s.max_schedules, s.max_steps)
+          : explore_pct(s.fn, s.mutation, /*seed_base=*/1, s.mutate_seeds,
+                        /*depth=*/3, s.max_steps);
   ASSERT_TRUE(r.violation.has_value())
-      << "checker is blind to " << s->mutation;
+      << "checker is blind to " << s.mutation;
   const auto rep =
-      replay_run(s->fn, s->mutation, r.violation->choices, s->max_steps);
-  ASSERT_TRUE(rep.violation.has_value());
+      replay_run(s.fn, s.mutation, r.violation->choices, s.max_steps);
+  ASSERT_TRUE(rep.violation.has_value())
+      << s.mutation << " caught but the schedule did not replay";
   EXPECT_EQ(rep.violation->message, r.violation->message);
 }
 
-TEST(Scenarios, DrrClassOrderMutationIsCaught) {
-  const Scenario* s = find_scenario("drr_dispatch");
-  ASSERT_NE(s, nullptr);
-  const auto r = explore_exhaustive(s->fn, s->mutation, s->max_schedules,
-                                    s->max_steps);
-  ASSERT_TRUE(r.violation.has_value())
-      << "checker is blind to " << s->mutation;
-  EXPECT_NE(r.violation->message.find("best-effort"), std::string::npos);
-}
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, MutationSweep,
+    ::testing::Range<std::size_t>(0, scenarios().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return std::string(scenarios()[info.param].name);
+    });
 
 // PCT smoke of the two big scenarios (a couple of seeds; the full sweep is
 // CI's job). Clean code: no violation.

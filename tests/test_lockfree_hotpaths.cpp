@@ -289,7 +289,7 @@ TEST(NvmeBatchSubmit, BatchWiderThanQueuePublishesPrefixAndStaysLive) {
     }
   });
 
-  nvme::IniDriver::Request r;
+  nvme::IniDriver::Request r(/*tenant=*/0);
   r.inline_op = nvme::InlineOp::kWrite;
   r.write_data = payload;
   const std::vector<nvme::IniDriver::Request> reqs(kTotal, r);

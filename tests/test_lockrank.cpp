@@ -14,6 +14,9 @@
 #include "sim/thread_annotations.hpp"
 
 #include "core/dpc_system.hpp"
+#include "nvme/ini.hpp"
+#include "nvme/queue_pair.hpp"
+#include "pcie/dma.hpp"
 
 namespace dpc::sim {
 namespace {
@@ -137,6 +140,38 @@ TEST_F(LockRankFixture, PumpLocksUnderRestartFollowIndexOrder) {
   }
 }
 
+TEST_F(LockRankFixture, NvmeCompletionWaitRejectsLowRankedLocks) {
+  // A thread polling for an NVMe completion may hold the fs-adapter size
+  // view (kAdapter, designed to span a round trip) and nothing ranked
+  // below it: the DPU side may need that lock to post the completion.
+  pcie::MemoryRegion host("host", 8 << 20);
+  pcie::RegionAllocator halloc(host);
+  pcie::MemoryRegion dpu("dpu", 1 << 20);
+  pcie::RegionAllocator dalloc(dpu);
+  pcie::DmaEngine dma(host, dpu);
+  nvme::QpConfig qc;
+  qc.depth = 4;
+  nvme::QueuePair qp(qc, halloc, dalloc);
+  nvme::IniDriver ini(dma, qp);
+
+  AnnotatedMutex adapter{"t.adapter", LockRank::kAdapter};
+  AnnotatedMutex shard{"t.shard", LockRank::kShard};
+  {
+    LockGuard a(adapter);
+    EXPECT_FALSE(ini.try_take(0).has_value());
+  }
+  LockGuard s(shard);
+  try {
+    (void)ini.try_take(0);
+    FAIL() << "kShard lock held at a completion wait not detected";
+  } catch (const LockOrderError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("nvme.ini.try_take"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("t.shard"), std::string::npos) << msg;
+  }
+  EXPECT_THROW(ini.wait(0), LockOrderError);
+}
+
 TEST_F(LockRankFixture, RecursiveAcquisitionThrows) {
   AnnotatedMutex m{"t.rec", LockRank::kDriver};
   m.lock();
@@ -165,6 +200,7 @@ TEST_F(LockRankFixture, CompiledOutInRelease) {
   {
     LockGuard ly(y);
     LockGuard lx(x);  // reverse order — must not throw
+    lockrank::require_none_below(LockRank::kAdapter, "t.wait");  // silent
   }
 }
 

@@ -45,7 +45,7 @@ TEST(NvmeIniStress, SubmitBlocksOnCidExhaustionUntilRelease) {
                       },
                       &traces);
 
-  nvme::IniDriver::Request req;
+  nvme::IniDriver::Request req(/*tenant=*/0);
   req.inline_op = nvme::InlineOp::kFsync;
   const auto s1 = ini.submit(req);
   const auto s2 = ini.submit(req);
@@ -110,7 +110,7 @@ TEST(NvmeIniStress, ResetAbortsInflightAndRingsRestartClean) {
                       },
                       &traces);
 
-  nvme::IniDriver::Request req;
+  nvme::IniDriver::Request req(/*tenant=*/0);
   req.inline_op = nvme::InlineOp::kFsync;
   const auto s1 = ini.submit(req);
   const auto s2 = ini.submit(req);
@@ -226,7 +226,7 @@ TEST(NvmeIniStress, BatchSubmitRacesAbortKeepsCidsClean) {
                       },
                       &traces, &fi);
 
-  nvme::IniDriver::Request req;
+  nvme::IniDriver::Request req(/*tenant=*/0);
   req.inline_op = nvme::InlineOp::kFsync;
 
   // s1's CQE is dropped on the floor (the only way a command times out

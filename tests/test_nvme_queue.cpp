@@ -147,7 +147,7 @@ TEST(NvmeQueue, SqeFetchedFromHostMemoryVerbatim) {
                         return nvme::HandlerResult{};
                       });
 
-  nvme::IniDriver::Request req;
+  nvme::IniDriver::Request req(/*tenant=*/0);
   req.inline_op = nvme::InlineOp::kTruncate;
   req.inode = 0xABCD;
   req.offset = 0x1234567;
@@ -210,7 +210,7 @@ TEST(NvmeQueue, InflightAccounting) {
                         return nvme::HandlerResult{};
                       });
   EXPECT_EQ(ini.inflight(), 0);
-  nvme::IniDriver::Request req;
+  nvme::IniDriver::Request req(/*tenant=*/0);
   req.inline_op = nvme::InlineOp::kFsync;
   const auto s1 = ini.submit(req);
   const auto s2 = ini.submit(req);
