@@ -1,8 +1,9 @@
 // kvfsck — offline consistency check of a KVFS keyspace.
 //
 // Builds a file system, takes a healthy fsck baseline, then injects the
-// kinds of damage a crashed client could leave behind and shows the
-// checker pinpointing each one.
+// kinds of damage a crashed client could leave behind, shows the checker
+// pinpointing each one, and repairs the keyspace. Exits nonzero if the
+// damage goes unseen or repair does not converge.
 //
 //   $ ./kvfsck
 #include <iostream>
@@ -57,9 +58,10 @@ int main() {
 
   std::cout << "\n== injecting damage ==\n";
   // 1. Lose the big file's second block (simulated lost KV).
-  const auto obj = decode_file_object(*store.get(big_object_key(dataset)));
-  store.erase(block_key(obj.blocks[1]));
-  std::cout << "  erased block " << obj.blocks[1] << " of dataset.bin\n";
+  const ExtentPage page0 =
+      decode_extent_page(*store.get(extent_page_key(dataset, 0)));
+  store.erase(block_key(page0[1]));
+  std::cout << "  erased block " << page0[1] << " of dataset.bin\n";
   // 2. Drop notes.md's attribute → its dentry dangles.
   store.erase(attr_key(notes));
   std::cout << "  erased the attribute KV of notes.md\n";
@@ -68,6 +70,15 @@ int main() {
   std::cout << "  planted an orphan small-file KV (ino 31337)\n";
 
   std::cout << "\n== fsck after damage ==\n";
+  const FsckReport damaged = fsck(store);
+  print_report(damaged);
+
+  std::cout << "\n== fsck_repair ==\n";
+  const FsckRepairReport rep = fsck_repair(store);
+  std::cout << "  " << rep.repairs << " repairs in " << rep.passes
+            << " passes\n";
   print_report(fsck(store));
-  return 0;
+  // Exit status doubles as a smoke check: the damage must be seen, and
+  // repair must converge to a clean keyspace.
+  return !damaged.clean() && rep.clean ? 0 : 1;
 }

@@ -69,7 +69,8 @@ FsckReport fsck(const kv::KvStore& store) {
   };
   std::vector<Dentry> dentries;
   std::map<Ino, std::uint64_t> small_sizes;
-  std::map<Ino, FileObject> objects;
+  // Each file's extent index, assembled from its pages.
+  std::map<Ino, std::map<std::uint32_t, ExtentPage>> pages;
   std::map<std::uint64_t, std::uint64_t> block_sizes;  // id -> bytes
 
   store.scan_prefix("A", [&](std::string_view key, const kv::Bytes& v) {
@@ -86,7 +87,8 @@ FsckReport fsck(const kv::KvStore& store) {
     return true;
   });
   store.scan_prefix("O", [&](std::string_view key, const kv::Bytes& v) {
-    objects.emplace(id_of_tagged_key(key), decode_file_object(v));
+    pages[id_of_tagged_key(key)].emplace(page_of_extent_key(key),
+                                         decode_extent_page(v));
     return true;
   });
   store.scan_prefix("B", [&](std::string_view key, const kv::Bytes& v) {
@@ -144,10 +146,13 @@ FsckReport fsck(const kv::KvStore& store) {
   std::set<std::uint64_t> referenced_blocks;
   for (const auto& [ino, attr] : attrs) {
     const bool has_small = small_sizes.contains(ino);
-    const bool has_object = objects.contains(ino);
+    const auto pages_it = pages.find(ino);
+    const bool has_pages = pages_it != pages.end();
+    // Page 0 is the promotion commit point: it alone makes a file big.
+    const bool has_page0 = has_pages && pages_it->second.contains(0);
     if (attr.type == FileType::kDirectory) {
       ++report.directories;
-      if (has_small || has_object)
+      if (has_small || has_pages)
         add(FsckIssueKind::kDirectoryHasData, ino, "data KVs on a directory");
       const std::uint32_t expect =
           2 + (subdir_count.contains(ino) ? subdir_count.at(ino) : 0);
@@ -166,9 +171,9 @@ FsckReport fsck(const kv::KvStore& store) {
         add(FsckIssueKind::kBadSymlink, ino,
             "symlink target data missing or size mismatch");
       }
-      if (has_object)
+      if (has_pages)
         add(FsckIssueKind::kConflictingData, ino,
-            "file object attached to a symlink");
+            "extent pages attached to a symlink");
       const std::uint32_t lrefs =
           ref_count.contains(ino) ? ref_count.at(ino) : 0;
       if (attr.nlink != lrefs) {
@@ -188,29 +193,34 @@ FsckReport fsck(const kv::KvStore& store) {
          << " directory entries reference it";
       add(FsckIssueKind::kBadLinkCount, ino, os.str()).aux = refs;
     }
-    if (has_small && has_object)
+    if (has_small && has_pages)
       add(FsckIssueKind::kConflictingData, ino,
-          "both small-file KV and big-file object present");
-    else if (has_object && !attr.big_file)
+          "both small-file KV and extent pages present");
+    else if (has_pages && !attr.big_file)
       add(FsckIssueKind::kConflictingData, ino,
-          "file object present but big_file flag clear");
+          "extent pages present but big_file flag clear");
     else if (has_small && attr.big_file)
       add(FsckIssueKind::kConflictingData, ino,
           "small-file KV present but big_file flag set");
     if (attr.big_file) {
       ++report.big_files;
-      if (!has_object) {
+      if (!has_page0) {
         add(FsckIssueKind::kMissingObject, ino,
-            "big_file set but no file object");
+            "big_file set but no extent page 0");
         continue;
       }
-      for (const std::uint64_t id : objects.at(ino).blocks) {
-        if (id == 0) continue;  // hole
-        referenced_blocks.insert(id);
-        if (!block_sizes.contains(id)) {
-          add(FsckIssueKind::kMissingBlock, ino,
-              "block " + std::to_string(id) + " referenced but absent")
-              .aux = id;
+      for (const auto& [page, ids] : pages_it->second) {
+        for (const std::uint64_t id : ids) {
+          if (id == 0) continue;  // hole
+          referenced_blocks.insert(id);
+          if (!block_sizes.contains(id)) {
+            FsckIssue& is =
+                add(FsckIssueKind::kMissingBlock, ino,
+                    "block " + std::to_string(id) + " in extent page " +
+                        std::to_string(page) + " referenced but absent");
+            is.aux = id;
+            is.page = page;
+          }
         }
       }
     } else {
@@ -234,13 +244,12 @@ FsckReport fsck(const kv::KvStore& store) {
     if (!attrs.contains(ino))
       add(FsckIssueKind::kOrphanData, ino, "small-file KV without attribute");
   }
-  for (const auto& [ino, obj] : objects) {
-    (void)obj;
+  // Blocks of attribute-less pages stay unreferenced → reported below.
+  for (const auto& [ino, file_pages] : pages) {
     if (!attrs.contains(ino))
-      add(FsckIssueKind::kOrphanData, ino, "file object without attribute");
-    else
-      // Blocks of attribute-less objects stay unreferenced → reported below.
-      (void)0;
+      add(FsckIssueKind::kOrphanData, ino,
+          std::to_string(file_pages.size()) +
+              " extent page(s) without attribute");
   }
   for (const auto& [id, bytes] : block_sizes) {
     (void)bytes;
@@ -277,14 +286,24 @@ struct Fixer {
     rep.cost += kv::RemoteKv::op_cost(false, 0);
     if (kv.erase(key)) ++rep.repairs;
   }
-  /// Drops the object KV and every block it references.
+  /// The file's extent pages, keyed by KV key (one scan round trip).
+  std::vector<std::pair<std::string, ExtentPage>> pages(Ino ino) {
+    std::vector<std::pair<std::string, ExtentPage>> out;
+    kv.scan_prefix(extent_page_prefix(ino),
+                   [&](std::string_view key, const kv::Bytes& v) {
+                     out.emplace_back(std::string(key), decode_extent_page(v));
+                     return true;
+                   });
+    rep.cost += kv::RemoteKv::op_cost(true, out.size() * sizeof(ExtentPage));
+    return out;
+  }
+  /// Drops every extent page of the file and every block they reference.
   void erase_object(Ino ino) {
-    rep.cost += kv::RemoteKv::op_cost(true, 0);
-    const auto v = kv.get(big_object_key(ino));
-    if (!v) return;
-    for (const std::uint64_t b : decode_file_object(*v).blocks)
-      if (b != 0) erase(block_key(b));
-    erase(big_object_key(ino));
+    for (const auto& [key, ids] : pages(ino)) {
+      for (const std::uint64_t b : ids)
+        if (b != 0) erase(block_key(b));
+      erase(key);
+    }
   }
 };
 
@@ -338,7 +357,7 @@ void apply_fix(Fixer& fx, const FsckIssue& is,
       if (referenced.contains(is.ino)) return;
       const bool empty_file = a->type == FileType::kRegular && a->size == 0 &&
                               !kv.contains(small_key(is.ino)) &&
-                              !kv.contains(big_object_key(is.ino));
+                              fx.pages(is.ino).empty();
       if (empty_file) {
         fx.erase(attr_key(is.ino));
         return;
@@ -369,28 +388,34 @@ void apply_fix(Fixer& fx, const FsckIssue& is,
 
     case FsckIssueKind::kMissingObject: {
       auto a = fx.attr(is.ino);
-      if (!a || !a->big_file || kv.contains(big_object_key(is.ino))) return;
+      if (!a || !a->big_file || kv.contains(extent_page_key(is.ino, 0)))
+        return;
+      // Without page 0 the file is not big: drop the index remnant and the
+      // blocks it names, which are unreachable anyway.
+      fx.erase_object(is.ino);
       a->big_file = 0;
-      a->size = 0;  // extent index gone: the data is unreachable anyway
+      a->size = 0;
       fx.put_attr(*a);
       return;
     }
 
     case FsckIssueKind::kMissingBlock: {
-      fx.rep.cost += kv::RemoteKv::op_cost(true, 0);
-      const auto v = kv.get(big_object_key(is.ino));
+      // Rewrites only the page that holds the dead id.
+      const std::string key = extent_page_key(is.ino, is.page);
+      fx.rep.cost += kv::RemoteKv::op_cost(true, sizeof(ExtentPage));
+      const auto v = kv.get(key);
       if (!v || kv.contains(block_key(is.aux))) return;
-      FileObject obj = decode_file_object(*v);
+      ExtentPage ids = decode_extent_page(*v);
       bool changed = false;
-      for (auto& b : obj.blocks) {
+      for (auto& b : ids) {
         if (b == is.aux) {
           b = 0;  // dead reference becomes a hole (reads as zeros)
           changed = true;
         }
       }
       if (!changed) return;
-      fx.rep.cost += kv::RemoteKv::op_cost(false, v->size());
-      kv.put(big_object_key(is.ino), encode_file_object(obj));
+      fx.rep.cost += kv::RemoteKv::op_cost(false, sizeof(ExtentPage));
+      kv.put(key, encode_extent_page(ids));
       ++fx.rep.repairs;
       return;
     }
@@ -406,17 +431,12 @@ void apply_fix(Fixer& fx, const FsckIssue& is,
       // `ino` holds the block id for this kind. A same-pass fix can
       // resurrect references (the conflicting-data fix completing an
       // interrupted promotion re-arms the owner's big_file flag), so
-      // re-probe the live object space before erasing.
+      // re-probe the live extent pages before erasing.
       bool referenced = false;
       kv.scan_prefix("O", [&](std::string_view, const kv::Bytes& v) {
-        const FileObject obj = decode_file_object(v);
-        for (const std::uint64_t id : obj.blocks) {
-          if (id == is.ino) {
-            referenced = true;
-            return false;
-          }
-        }
-        return true;
+        const ExtentPage ids = decode_extent_page(v);
+        referenced = std::find(ids.begin(), ids.end(), is.ino) != ids.end();
+        return !referenced;
       });
       fx.rep.cost += kv::RemoteKv::op_cost(true, 0);
       if (!referenced) fx.erase(block_key(is.ino));
@@ -443,25 +463,28 @@ void apply_fix(Fixer& fx, const FsckIssue& is,
       auto a = fx.attr(is.ino);
       if (!a) return;
       const bool has_small = kv.contains(small_key(is.ino));
-      const bool has_object = kv.contains(big_object_key(is.ino));
+      const bool has_page0 = kv.contains(extent_page_key(is.ino, 0));
+      const bool has_pages = has_page0 || !fx.pages(is.ino).empty();
       fx.rep.cost += kv::RemoteKv::op_cost(true, 0) * 2;
       if (a->type == FileType::kSymlink) {
-        if (has_object) fx.erase_object(is.ino);  // never legal on symlinks
+        if (has_pages) fx.erase_object(is.ino);  // never legal on symlinks
         return;
       }
-      if (has_small && has_object) {
+      if (has_small && has_pages) {
         // Both present: the big_file flag says which one readers use; the
         // other is shadowed garbage.
         if (a->big_file)
           fx.erase(small_key(is.ino));
         else
           fx.erase_object(is.ino);
-      } else if (has_object && !a->big_file) {
-        // Tail of an interrupted promotion: the object took over but the
-        // flag flip never landed. Flip it (the small KV is already gone).
+      } else if (has_page0 && !a->big_file) {
+        // Tail of an interrupted promotion: page 0 took over but the flag
+        // flip never landed. Flip it (the small KV is already gone).
         a->big_file = 1;
         fx.put_attr(*a);
-      } else if (has_small && a->big_file && !has_object) {
+      } else if (has_pages && !a->big_file) {
+        fx.erase_object(is.ino);  // pages without a commit point: garbage
+      } else if (has_small && a->big_file && !has_page0) {
         // Promotion that never built its object: the small KV is still
         // the only data. Un-promote.
         a->big_file = 0;

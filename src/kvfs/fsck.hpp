@@ -1,7 +1,7 @@
 // Offline consistency checker for a KVFS keyspace.
 //
 // KVFS spreads one file system across four KV flavors (inode / attribute /
-// small-file / big-file-object + block KVs); a crash mid-operation or a
+// small-file / big-file extent pages + block KVs); a crash mid-operation or a
 // buggy client can leave them disagreeing. Fsck cross-checks every
 // invariant the §3.4 layout implies:
 //
@@ -9,10 +9,10 @@
 //   * every attribute except the root is reachable from the root directory
 //     (no orphaned inodes / disconnected subtrees);
 //   * regular files have exactly the data KVs their `big_file` flag says
-//     (small-file KV xor big-file object), and small files respect the
-//     8 KB limit;
-//   * every block id in a file object resolves to a block KV, and no block
-//     or data KV exists without an owner;
+//     (small-file KV xor extent pages, page 0 always present for a big
+//     file), and small files respect the 8 KB limit;
+//   * every block id in an extent page resolves to a block KV, and no
+//     block, page or data KV exists without an owner;
 //   * directories carry no data KVs, and their link counts match their
 //     subdirectory counts.
 #pragma once
@@ -32,12 +32,12 @@ enum class FsckIssueKind : std::uint8_t {
   kDanglingDentry,   ///< inode KV names an ino with no attribute KV
   kUnreachableInode, ///< attribute exists but no path from the root
   kMissingSmallData, ///< (informational) small file > 0 bytes with no KV
-  kMissingObject,    ///< big_file attr without a file-object KV
-  kMissingBlock,     ///< file object references a block KV that is gone
-  kOrphanData,       ///< small/object KV without a matching attribute
-  kOrphanBlock,      ///< block KV no file object references
+  kMissingObject,    ///< big_file attr without extent page 0
+  kMissingBlock,     ///< extent page references a block KV that is gone
+  kOrphanData,       ///< small KV / extent pages without an attribute
+  kOrphanBlock,      ///< block KV no extent page references
   kBadSmallSize,     ///< small file larger than the 8 KB limit
-  kConflictingData,  ///< both small KV and object KV present
+  kConflictingData,  ///< small KV and extent pages disagree with the flag
   kDirectoryHasData, ///< data KVs attached to a directory inode
   kBadLinkCount,     ///< directory nlink != 2 + subdirectories
   kBadSymlink,       ///< symlink without / with inconsistent target data
@@ -54,6 +54,7 @@ struct FsckIssue {
   Ino parent = 0;          ///< dangling dentry: directory holding the entry
   std::string name;        ///< dangling dentry: entry name
   std::uint64_t aux = 0;   ///< expected nlink / referenced block id / size
+  std::uint32_t page = 0;  ///< missing block: extent page holding the id
 };
 
 struct FsckReport {
@@ -89,10 +90,11 @@ struct FsckRepairReport {
 ///   * unreachable subtree roots are reattached under /lost+found (created
 ///     on demand); unreachable *empty* regular files are reaped;
 ///   * missing data is neutralized (zero-fill small files, clear big_file /
-///     zero dead block ids) and orphan data/blocks are erased;
-///   * conflicting data trusts the big_file flag — except an object with
-///     the flag still clear, which is the tail of an interrupted promotion
-///     and gets the flag set (the small KV was already superseded);
+///     zero a dead block id in the one page holding it) and orphan
+///     data/pages/blocks are erased;
+///   * conflicting data trusts the big_file flag — except page 0 with the
+///     flag still clear, which is the tail of an interrupted promotion and
+///     gets the flag set (the small KV was already superseded);
 ///   * link counts are recomputed, symlink sizes resynced (target-less
 ///     symlinks are reaped).
 /// Fixes are re-guarded against the live keyspace before applying, so the

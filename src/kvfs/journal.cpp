@@ -1,6 +1,7 @@
 #include "kvfs/journal.hpp"
 
 #include <cstring>
+#include <map>
 
 #include "ec/crc32c.hpp"
 #include "nvm/wal.hpp"
@@ -127,6 +128,8 @@ std::optional<JournalRecord> decode_journal_record(const kv::Bytes& v) {
   if (!r.ok || r.at != v.size()) return std::nullopt;
   if (rec.op < JournalOp::kCreate || rec.op > JournalOp::kExtent)
     return std::nullopt;
+  if (rec.op == JournalOp::kExtent && rec.blocks.size() % 2 != 0)
+    return std::nullopt;  // (logical, id) pairs only
   return rec;
 }
 
@@ -227,17 +230,29 @@ struct Raw {
     cost += kv::RemoteKv::op_cost(false, 0);
     kv.erase(key);
   }
+  /// Collects every value under `prefix` (one round trip for the batch).
+  std::vector<std::pair<std::string, kv::Bytes>> scan(
+      const std::string& prefix) {
+    std::vector<std::pair<std::string, kv::Bytes>> out;
+    std::uint64_t payload = 0;
+    kv.scan_prefix(prefix, [&](std::string_view key, const kv::Bytes& v) {
+      payload += key.size() + v.size();
+      out.emplace_back(std::string(key), v);
+      return true;
+    });
+    cost += kv::RemoteKv::op_cost(true, payload);
+    return out;
+  }
 };
 
-/// Drops every data KV an inode may own (small value, extent object and its
-/// blocks). Used when replay must finish a half-done delete.
+/// Drops every data KV an inode may own (small value, extent pages and
+/// their blocks). Used when replay must finish a half-done delete.
 void purge_data(Raw& raw, Ino ino) {
   raw.erase(small_key(ino));
-  if (const auto obj = raw.get(big_object_key(ino))) {
-    const FileObject fo = decode_file_object(*obj);
-    for (const std::uint64_t b : fo.blocks)
+  for (const auto& [key, value] : raw.scan(extent_page_prefix(ino))) {
+    for (const std::uint64_t b : decode_extent_page(value))
       if (b != 0) raw.erase(block_key(b));
-    raw.erase(big_object_key(ino));
+    raw.erase(key);
   }
 }
 
@@ -322,10 +337,11 @@ bool replay_one(Raw& raw, const JournalRecord& rec) {
     }
 
     case JournalOp::kPromote: {
-      // Mutation order was block data → object put → small erase → flag set.
-      // The object put is the commit point: present means the extent index
-      // took over, absent means the small value is still authoritative.
-      if (raw.contains(big_object_key(rec.ino))) {
+      // Mutation order was block data → page-0 put → small erase → flag
+      // set. The page-0 put is the commit point: present means the extent
+      // index took over, absent means the small value is still
+      // authoritative.
+      if (raw.contains(extent_page_key(rec.ino, 0))) {
         raw.erase(small_key(rec.ino));
         if (const auto av = raw.get(attr_key(rec.ino))) {
           Attr a = decode_attr(*av);
@@ -342,26 +358,44 @@ bool replay_one(Raw& raw, const JournalRecord& rec) {
     }
 
     case JournalOp::kExtent: {
-      // Pre-allocated block ids for one big-file write. The object put is
-      // again the commit point; an object referencing the new ids means the
-      // write landed, otherwise the ids are orphan blocks to reclaim.
-      bool referenced = false;
-      if (const auto ov = raw.get(big_object_key(rec.ino))) {
-        const FileObject fo = decode_file_object(*ov);
-        for (const std::uint64_t want : rec.blocks) {
-          for (const std::uint64_t have : fo.blocks) {
-            if (want != 0 && want == have) {
-              referenced = true;
-              break;
-            }
-          }
-          if (referenced) break;
+      // The (logical, id) pairs of one big-file write. All block data landed
+      // before the first page put, which is the commit point: if any named
+      // id sits in its page, the write committed and every pair is installed
+      // (the crash may have cut off later page puts); otherwise the ids are
+      // orphan blocks to reclaim. Only the pages the record names are read.
+      // A slot already holding another id is left alone: that block was
+      // reallocated by a later write, and the named one is fsck's orphan.
+      std::map<std::uint32_t, ExtentPage> pages;  // absent page = all holes
+      bool committed = false;
+      for (std::size_t i = 0; i + 1 < rec.blocks.size(); i += 2) {
+        const std::uint64_t logical = rec.blocks[i];
+        const auto [it, fresh] = pages.try_emplace(page_of_block(logical));
+        if (fresh) {
+          if (const auto v = raw.get(extent_page_key(rec.ino, it->first)))
+            it->second = decode_extent_page(*v);
         }
+        committed = committed ||
+                    it->second[slot_of_block(logical)] == rec.blocks[i + 1];
       }
-      if (referenced) return true;
-      for (const std::uint64_t b : rec.blocks)
-        if (b != 0) raw.erase(block_key(b));
-      return false;
+      if (!committed) {
+        for (std::size_t i = 1; i < rec.blocks.size(); i += 2)
+          if (rec.blocks[i] != 0) raw.erase(block_key(rec.blocks[i]));
+        return false;
+      }
+      for (auto& [page, ids] : pages) {
+        bool changed = false;
+        for (std::size_t i = 0; i + 1 < rec.blocks.size(); i += 2) {
+          const std::uint64_t logical = rec.blocks[i];
+          if (page_of_block(logical) != page) continue;
+          std::uint64_t& slot = ids[slot_of_block(logical)];
+          if (slot != 0) continue;
+          slot = rec.blocks[i + 1];
+          changed = true;
+        }
+        if (changed)
+          raw.put(extent_page_key(rec.ino, page), encode_extent_page(ids));
+      }
+      return true;
     }
   }
   return false;

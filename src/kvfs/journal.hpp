@@ -49,7 +49,7 @@ enum class JournalOp : std::uint8_t {
   kRemove = 2,  ///< unlink / rmdir
   kRename = 3,
   kPromote = 4,  ///< small→big promotion (§3.4)
-  kExtent = 5,   ///< big-file extent update: new blocks added to the object
+  kExtent = 5,   ///< big-file extent update: new blocks added to the index
 };
 
 /// One intent record. Field use by op:
@@ -58,7 +58,9 @@ enum class JournalOp : std::uint8_t {
 ///   kRename : ino (source), parent (old), name (old), new_parent,
 ///             name2 (new), replaced_ino (+replaced_big) if dst was purged
 ///   kPromote: ino, blocks = {the single data block} (empty if file empty)
-///   kExtent : ino, blocks = block ids newly allocated for this write
+///   kExtent : ino, blocks = the (logical block, block id) pair of each
+///             block newly allocated for this write, flattened (an odd
+///             count does not decode)
 struct JournalRecord {
   JournalOp op = JournalOp::kCreate;
   FileType type = FileType::kRegular;

@@ -591,19 +591,39 @@ bool Kvfs::dir_empty(Ino dir, sim::Nanos& cost) {
 }
 
 void Kvfs::purge_data(const Attr& a, sim::Nanos& cost) {
-  if (a.big_file) {
-    auto obj_v = store_->get(big_object_key(a.ino));
-    cost += obj_v.cost;
-    if (obj_v.value) {
-      const FileObject obj = decode_file_object(*obj_v.value);
-      for (const std::uint64_t id : obj.blocks) {
-        if (id != 0) cost += store_->erase(block_key(id)).cost;
-      }
-    }
-    cost += store_->erase(big_object_key(a.ino)).cost;
-  } else {
+  if (!a.big_file) {
     cost += store_->erase(small_key(a.ino)).cost;
+    return;
   }
+  // Snapshot the file's index pages first: scan_prefix holds shard locks
+  // during the visit. A failed scan leaves the pages for fsck to reap as
+  // orphan data once the attribute is gone.
+  std::vector<std::string> pages;
+  std::vector<std::uint64_t> blocks;
+  auto scan = store_->scan_prefix(
+      extent_page_prefix(a.ino), [&](std::string_view key, const kv::Bytes& v) {
+        pages.emplace_back(key);
+        for (const std::uint64_t id : decode_extent_page(v))
+          if (id != 0) blocks.push_back(id);
+        return true;
+      });
+  cost += scan.cost;
+  for (const std::uint64_t id : blocks)
+    cost += store_->erase(block_key(id)).cost;
+  for (const std::string& key : pages) cost += store_->erase(key).cost;
+}
+
+bool Kvfs::load_page(Ino ino, std::uint32_t page, ExtentPage& out,
+                     sim::Nanos& cost) {
+  auto r = store_->get(extent_page_key(ino, page));
+  cost += r.cost;
+  if (!r.ok()) return false;
+  if (r.value) {
+    out = decode_extent_page(*r.value);
+  } else {
+    out.fill(0);  // never-written page: all holes
+  }
+  return true;
 }
 
 Result<Unit> Kvfs::remove_node(Ino parent, std::string_view name, bool dir) {
@@ -1007,14 +1027,10 @@ Result<std::uint32_t> Kvfs::read_impl(Ino ino, std::uint64_t offset,
     return res;
   }
 
-  auto obj_v = store_->get(big_object_key(ino));
-  res.cost += obj_v.cost;
-  if (!obj_v.value) {
-    res.err = EIO;
-    return res;
-  }
-  const FileObject obj = decode_file_object(*obj_v.value);
-
+  // One index page per 4 MiB of the range: an 8 KiB read fetches one page
+  // whatever the file size.
+  ExtentPage page;
+  std::uint64_t loaded = ~std::uint64_t{0};
   std::uint32_t done = 0;
   while (done < n) {
     const std::uint64_t pos = offset + done;
@@ -1022,7 +1038,14 @@ Result<std::uint32_t> Kvfs::read_impl(Ino ino, std::uint64_t offset,
     const std::uint32_t in_block = static_cast<std::uint32_t>(pos % kBigBlock);
     const std::uint32_t chunk =
         std::min<std::uint32_t>(n - done, kBigBlock - in_block);
-    const std::uint64_t id = obj.block_id(logical);
+    if (page_of_block(logical) != loaded) {
+      loaded = page_of_block(logical);
+      if (!load_page(ino, page_of_block(logical), page, res.cost)) {
+        res.err = EIO;
+        return res;
+      }
+    }
+    const std::uint64_t id = page[slot_of_block(logical)];
     if (id == 0) {
       std::memset(dst.data() + done, 0, chunk);  // hole
     } else {
@@ -1054,15 +1077,16 @@ bool Kvfs::promote_to_big(Attr& a, sim::Nanos& cost,
   if (r.value) small = std::move(*r.value);
 
   // Allocate the landing block first (a burned counter value is harmless),
-  // then journal the intent: replay treats the object put as the commit
-  // point — object present rolls forward (erase small, set the flag),
-  // absent rolls back (reclaim the block).
-  FileObject obj;
+  // then journal the intent: replay treats the page-0 put as the commit
+  // point — page 0 present rolls forward (erase small, set the flag),
+  // absent rolls back (reclaim the block). Page 0 is written even for an
+  // empty file, so "big file <=> page 0 present" always holds.
+  ExtentPage page0{};
   std::uint64_t block_id = 0;
   if (!small.empty()) {
     block_id = alloc_block(cost);
     if (block_id == 0) return false;
-    obj.set_block(0, block_id);
+    page0[0] = block_id;
   }
   if (journal_ != nullptr) {
     JournalRecord rec;
@@ -1073,7 +1097,7 @@ bool Kvfs::promote_to_big(Attr& a, sim::Nanos& cost,
     if (journal_rec == 0) return false;
   }
   // Failures from here on return with the record still open; the next
-  // recovery rolls the half-promotion back (or forward past the object
+  // recovery rolls the half-promotion back (or forward past the page-0
   // put). The caller commits `journal_rec` only after storing the attr
   // with big_file set, so a crash before that still flips the flag.
 
@@ -1083,12 +1107,12 @@ bool Kvfs::promote_to_big(Attr& a, sim::Nanos& cost,
     if (!blk.ok()) return false;
     fault::crash_point(opts_.fault, "kvfs.promote/crash_after_block");
   }
-  auto put = store_->put(big_object_key(a.ino), encode_file_object(obj));
+  auto put = store_->put(extent_page_key(a.ino, 0), encode_extent_page(page0));
   cost += put.cost;
   if (!put.ok()) return false;
   fault::crash_point(opts_.fault, "kvfs.promote/crash_after_object");
   // A failed erase only leaves the (now shadowed) small KV as garbage; the
-  // big object is already authoritative, so the promotion stands.
+  // extent index is already authoritative, so the promotion stands.
   cost += store_->erase(small_key(a.ino)).cost;
   a.big_file = 1;
   stats_.promotions.fetch_add(1, std::memory_order_relaxed);
@@ -1157,48 +1181,61 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
       return res;
     }
 
-    auto obj_v = store_->get(big_object_key(ino));
-    res.cost += obj_v.cost;
-    if (!obj_v.ok() || !obj_v.value.has_value()) {
-      res.err = EIO;
-      return res;
-    }
-    FileObject obj = decode_file_object(*obj_v.value);
-
-    // Pre-allocate every block the range is missing, then journal the whole
-    // extent update as one intent *before* any data lands. Replay treats
-    // the object put below as the commit point: an object referencing the
-    // new ids rolls forward, otherwise the ids are reclaimed. (Data writes
-    // into pre-existing blocks are in-place and per-8 KB-block atomic — the
-    // documented crash granularity for overwrites.)
+    // Fetch each index page the range touches, allocate every block the
+    // range is missing, then journal the new (logical, id) pairs as one
+    // intent *before* any data lands. Replay treats the first page put
+    // below as the commit point: a page holding any new id rolls the whole
+    // update forward, otherwise the ids are reclaimed. (Data writes into
+    // pre-existing blocks are in-place and per-8 KB-block atomic — the
+    // documented crash granularity for overwrites.) An overwrite thus costs
+    // one page get and no index put.
     const auto n = static_cast<std::uint32_t>(src.size());
-    std::vector<std::uint64_t> new_blocks;
-    for (std::uint64_t logical = offset / kBigBlock;
-         logical <= (offset + n - 1) / kBigBlock; ++logical) {
-      if (obj.block_id(logical) != 0) continue;
-      const std::uint64_t id = alloc_block(res.cost);
-      if (id == 0) {
+    const std::uint64_t first = offset / kBigBlock;
+    const std::uint64_t last = (offset + n - 1) / kBigBlock;
+    const std::uint32_t first_page = page_of_block(first);
+    struct TouchedPage {
+      bool dirty = false;
+      ExtentPage ids;
+    };
+    std::vector<TouchedPage> pages(page_of_block(last) - first_page + 1);
+    for (std::uint32_t i = 0; i < pages.size(); ++i) {
+      if (!load_page(ino, first_page + i, pages[i].ids, res.cost)) {
+        res.err = EIO;
+        return res;
+      }
+    }
+    const auto page_at = [&](std::uint64_t logical) -> TouchedPage& {
+      return pages[page_of_block(logical) - first_page];
+    };
+    std::vector<std::uint64_t> new_extents;  // flattened (logical, id) pairs
+    for (std::uint64_t logical = first; logical <= last; ++logical) {
+      TouchedPage& pg = page_at(logical);
+      std::uint64_t& slot = pg.ids[slot_of_block(logical)];
+      if (slot != 0) continue;
+      slot = alloc_block(res.cost);
+      if (slot == 0) {
         res.err = EIO;  // nothing mutated yet; burned ids are harmless
         return res;
       }
-      obj.set_block(logical, id);
-      new_blocks.push_back(id);
+      pg.dirty = true;
+      new_extents.push_back(logical);
+      new_extents.push_back(slot);
     }
-    const bool obj_changed = !new_blocks.empty();
-    if (journal_ != nullptr && obj_changed) {
+    if (journal_ != nullptr && !new_extents.empty()) {
       JournalRecord rec;
       rec.op = JournalOp::kExtent;
       rec.ino = ino;
-      rec.blocks = new_blocks;
+      rec.blocks = new_extents;
       extent_rec = journal_->begin(rec, res.cost);
       if (extent_rec == 0) {
         res.err = EIO;
         return res;
       }
     }
-    const auto is_new = [&](std::uint64_t id) {
-      return std::find(new_blocks.begin(), new_blocks.end(), id) !=
-             new_blocks.end();
+    const auto is_new = [&](std::uint64_t logical) {
+      for (std::size_t i = 0; i < new_extents.size(); i += 2)
+        if (new_extents[i] == logical) return true;
+      return false;
     };
 
     std::uint32_t done = 0;
@@ -1208,8 +1245,8 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
       const auto in_block = static_cast<std::uint32_t>(pos % kBigBlock);
       const std::uint32_t chunk =
           std::min<std::uint32_t>(n - done, kBigBlock - in_block);
-      const std::uint64_t id = obj.block_id(logical);
-      if (in_block != 0 && is_new(id)) {
+      const std::uint64_t id = page_at(logical).ids[slot_of_block(logical)];
+      if (in_block != 0 && is_new(logical)) {
         // Materialize the leading hole bytes of the fresh block.
         const kv::Bytes zeros(in_block, std::byte{0});
         auto z = store_->write_sub(block_key(id), 0, zeros);
@@ -1234,13 +1271,21 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
       done += chunk;
     }
     fault::crash_point(opts_.fault, "kvfs.write/crash_after_blocks");
-    if (obj_changed) {
-      auto put = store_->put(big_object_key(ino), encode_file_object(obj));
+    bool committed = false;
+    for (std::uint32_t i = 0; i < pages.size(); ++i) {
+      if (!pages[i].dirty) continue;
+      if (committed)
+        fault::crash_point(opts_.fault, "kvfs.write/crash_between_pages");
+      auto put = store_->put(extent_page_key(ino, first_page + i),
+                             encode_extent_page(pages[i].ids));
       res.cost += put.cost;
       if (!put.ok()) {
-        res.err = EIO;  // fresh blocks leak until recovery reclaims them
+        // Before the first put the fresh blocks leak until recovery
+        // reclaims them; after it, recovery installs the remaining pairs.
+        res.err = EIO;
         return res;
       }
+      committed = true;
     }
   }
 
@@ -1299,44 +1344,54 @@ Result<Unit> Kvfs::truncate(Ino ino, std::uint64_t new_size) {
   }
   if (attr->big_file && new_size < attr->size) {
     // Drop whole blocks past the new end (a file once big stays big — the
-    // paper defines promotion only; we document the asymmetry).
-    auto obj_v = store_->get(big_object_key(ino));
-    res.cost += obj_v.cost;
-    if (!obj_v.ok()) {
+    // paper defines promotion only; we document the asymmetry). Pages wholly
+    // past the end are erased, except page 0, which marks the file big; the
+    // boundary page is rewritten without the dropped ids. The scan starts
+    // at the page of the last kept block, which names the boundary block.
+    const std::uint64_t keep_blocks = (new_size + kBigBlock - 1) / kBigBlock;
+    const std::uint32_t from =
+        page_of_block(keep_blocks == 0 ? 0 : keep_blocks - 1);
+    std::vector<std::pair<std::uint32_t, ExtentPage>> tail_pages;
+    auto scan = store_->scan_prefix(
+        extent_page_prefix(ino), [&](std::string_view key, const kv::Bytes& v) {
+          const std::uint32_t p = page_of_extent_key(key);
+          if (p >= from) tail_pages.emplace_back(p, decode_extent_page(v));
+          return true;
+        });
+    res.cost += scan.cost;
+    if (!scan.ok()) {
       res.err = EIO;  // don't record the shrink without dropping blocks
       return res;
     }
-    if (obj_v.value) {
-      FileObject obj = decode_file_object(*obj_v.value);
-      const std::uint64_t keep_blocks =
-          (new_size + kBigBlock - 1) / kBigBlock;
+    std::uint64_t boundary_id = 0;
+    for (auto& [p, ids] : tail_pages) {
+      const std::uint64_t base = std::uint64_t{p} * kExtentPageSlots;
       bool changed = false;
-      for (std::uint64_t b = keep_blocks; b < obj.blocks.size(); ++b) {
-        if (obj.blocks[b] != 0) {
-          res.cost += store_->erase(block_key(obj.blocks[b])).cost;
-          obj.blocks[b] = 0;
-          changed = true;
-        }
+      for (std::size_t s = 0; s < kExtentPageSlots; ++s) {
+        if (ids[s] == 0) continue;
+        if (base + s + 1 == keep_blocks) boundary_id = ids[s];
+        if (base + s < keep_blocks) continue;
+        res.cost += store_->erase(block_key(ids[s])).cost;
+        ids[s] = 0;
+        changed = true;
       }
-      if (changed) {
-        obj.blocks.resize(keep_blocks, 0);
+      if (p != 0 && base >= keep_blocks) {
+        res.cost += store_->erase(extent_page_key(ino, p)).cost;
+      } else if (changed) {
         res.cost +=
-            store_->put(big_object_key(ino), encode_file_object(obj)).cost;
+            store_->put(extent_page_key(ino, p), encode_extent_page(ids)).cost;
       }
-      // POSIX: the tail of the boundary block must read as zeros if the
-      // file grows again later.
-      const auto tail = static_cast<std::uint32_t>(new_size % kBigBlock);
-      if (tail != 0) {
-        const std::uint64_t id = obj.block_id(new_size / kBigBlock);
-        if (id != 0) {
-          const kv::Bytes zeros(kBigBlock - tail, std::byte{0});
-          auto z = store_->write_sub(block_key(id), tail, zeros);
-          res.cost += z.cost;
-          if (!z.ok()) {
-            res.err = EIO;  // retrying the truncate re-zeroes the tail
-            return res;
-          }
-        }
+    }
+    // POSIX: the tail of the boundary block must read as zeros if the file
+    // grows again later.
+    const auto tail = static_cast<std::uint32_t>(new_size % kBigBlock);
+    if (tail != 0 && boundary_id != 0) {
+      const kv::Bytes zeros(kBigBlock - tail, std::byte{0});
+      auto z = store_->write_sub(block_key(boundary_id), tail, zeros);
+      res.cost += z.cost;
+      if (!z.ok()) {
+        res.err = EIO;  // retrying the truncate re-zeroes the tail
+        return res;
       }
     }
   }

@@ -5,8 +5,9 @@
 // Layout rules (paper):
 //   * path resolution walks inode KVs from root inode 0 by p_ino + name;
 //   * files ≤ 8 KB live in a small-file KV rewritten whole on update;
-//   * larger files promote to a big-file KV: an extent-indexed file object
-//     whose 8 KB blocks are updated in place;
+//   * larger files promote to a big-file KV: an extent index of fixed 4 KiB
+//     pages (512 block ids each) whose 8 KB blocks are updated in place, so
+//     a read or overwrite fetches one page whatever the file size;
 //   * directory listing is a prefix scan over the parent's inode-KV prefix;
 //   * an inode (attribute) cache and dentry cache accelerate lookups.
 //
@@ -219,13 +220,19 @@ class Kvfs {
   Result<Ino> make_node(Ino parent, std::string_view name, FileType type,
                         std::uint32_t mode, std::string_view symlink_target);
   Result<Unit> remove_node(Ino parent, std::string_view name, bool dir);
-  /// Deletes all data KVs of a regular file.
+  /// Deletes all data KVs of a regular file (its extent pages and blocks,
+  /// or its small-file KV).
   void purge_data(const Attr& a, sim::Nanos& cost);
+  /// Fetches extent page `page` of `ino` into `out`; an absent page reads
+  /// as all holes. False only when the KV get failed.
+  bool load_page(Ino ino, std::uint32_t page, ExtentPage& out,
+                 sim::Nanos& cost);
   /// Replays the NVM write-ahead log (recover() step 1; opts_.wal != null).
   WalReplayReport replay_wal();
-  /// Moves a small file's bytes into a big-file object (§3.4 promotion).
-  /// Returns false if a transient KV failure aborted the promotion before
-  /// the big object existed (the small KV is still authoritative). On
+  /// Moves a small file's bytes into a big-file KV (§3.4 promotion): one
+  /// block plus extent page 0. Returns false if a transient KV failure
+  /// aborted the promotion before page 0 existed (the small KV is still
+  /// authoritative). On
   /// success `journal_rec` holds the open kPromote record id (0 when
   /// journaling is off); the caller commits it after storing the attr with
   /// big_file set, so replay can finish the flag flip.

@@ -74,7 +74,20 @@ std::string block_counter_key() { return "C.block"; }
 
 std::string attr_key(Ino ino) { return tagged_key('A', ino); }
 std::string small_key(Ino ino) { return tagged_key('S', ino); }
-std::string big_object_key(Ino ino) { return tagged_key('O', ino); }
+std::string extent_page_prefix(Ino ino) { return tagged_key('O', ino); }
+std::string extent_page_key(Ino ino, std::uint32_t page) {
+  std::string k = extent_page_prefix(ino);
+  for (int shift = 24; shift >= 0; shift -= 8)
+    k.push_back(static_cast<char>((page >> shift) & 0xFF));
+  return k;
+}
+std::uint32_t page_of_extent_key(std::string_view key) {
+  DPC_CHECK(key.size() == 13 && key[0] == 'O');
+  std::uint32_t page = 0;
+  for (std::size_t i = 9; i < key.size(); ++i)
+    page = (page << 8) | static_cast<std::uint8_t>(key[i]);
+  return page;
+}
 std::string block_key(std::uint64_t block_id) {
   return tagged_key('B', block_id);
 }
@@ -110,32 +123,18 @@ Attr decode_attr(const kv::Bytes& v) {
   return a;
 }
 
-void FileObject::set_block(std::uint64_t logical, std::uint64_t id) {
-  if (logical >= blocks.size()) blocks.resize(logical + 1, 0);
-  blocks[logical] = id;
-}
-
-kv::Bytes encode_file_object(const FileObject& obj) {
-  const std::uint64_t n = obj.blocks.size();
-  kv::Bytes v(sizeof(std::uint64_t) * (1 + n));
-  std::memcpy(v.data(), &n, sizeof(n));
-  if (n > 0)
-    std::memcpy(v.data() + sizeof(n), obj.blocks.data(),
-                n * sizeof(std::uint64_t));
+kv::Bytes encode_extent_page(const ExtentPage& page) {
+  kv::Bytes v(sizeof(ExtentPage));
+  std::memcpy(v.data(), page.data(), sizeof(ExtentPage));
   return v;
 }
 
-FileObject decode_file_object(const kv::Bytes& v) {
-  DPC_CHECK(v.size() >= sizeof(std::uint64_t));
-  std::uint64_t n;
-  std::memcpy(&n, v.data(), sizeof(n));
-  DPC_CHECK(v.size() == sizeof(std::uint64_t) * (1 + n));
-  FileObject obj;
-  obj.blocks.resize(n);
-  if (n > 0)
-    std::memcpy(obj.blocks.data(), v.data() + sizeof(n),
-                n * sizeof(std::uint64_t));
-  return obj;
+ExtentPage decode_extent_page(const kv::Bytes& v) {
+  DPC_CHECK_MSG(v.size() == sizeof(ExtentPage),
+                "extent page has " << v.size() << " bytes");
+  ExtentPage page;
+  std::memcpy(page.data(), v.data(), sizeof(ExtentPage));
+  return page;
 }
 
 }  // namespace dpc::kvfs

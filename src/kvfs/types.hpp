@@ -6,15 +6,21 @@
 //   Attribute KV [key: ino; value: 256-byte attribute]
 //   Small-file KV[key: ino; value: ≤ 8 KB of data] — rewritten whole on
 //         update; promoted to a big-file KV when the file outgrows 8 KB.
-//   Big-file KV  [key: ino; value: file object] — an extent index mapping
-//         the file's contiguous logical space onto discrete 8 KB physical
-//         blocks, updated in place at 8 KB granularity.
+//   Big-file KV  [key: ino + page; value: extent page] — the file object's
+//         extent index, mapping the file's contiguous logical space onto
+//         discrete 8 KB physical blocks (tag 'B' + be64 id) that are updated
+//         in place at 8 KB granularity. The index is split into fixed
+//         pages of kExtentPageSlots block ids (4 KiB, covering 4 MiB of
+//         file) so a read or overwrite fetches one page whatever the file
+//         size. An absent page is all holes; page 0 always exists once a
+//         file is big (promotion writes it: the promotion commit point).
 //
 // The store is one keyspace, so each flavor carries a one-byte tag prefix;
 // integer key components are big-endian so lexicographic order matches
 // numeric order (required for clean prefix scans).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -31,6 +37,8 @@ inline constexpr Ino kRootIno = 0;
 inline constexpr std::uint32_t kSmallFileMax = 8 * 1024;
 /// In-place update granularity of big-file KVs.
 inline constexpr std::uint32_t kBigBlock = 8 * 1024;
+/// Block ids per extent-index page: a 4 KiB value covering 4 MiB of file.
+inline constexpr std::uint64_t kExtentPageSlots = 512;
 /// "we have limited the length of the file or directory name to 1024 bytes"
 inline constexpr std::size_t kMaxNameLen = 1024;
 
@@ -73,8 +81,12 @@ std::string_view name_of_inode_key(std::string_view key);
 std::string attr_key(Ino ino);
 /// Small-file KV key: tag 'S' + big-endian ino.
 std::string small_key(Ino ino);
-/// Big-file object (extent index) key: tag 'O' + big-endian ino.
-std::string big_object_key(Ino ino);
+/// Extent-index page key: tag 'O' + big-endian ino + big-endian page.
+std::string extent_page_key(Ino ino, std::uint32_t page);
+/// Prefix covering every extent page of one file, in page order.
+std::string extent_page_prefix(Ino ino);
+/// Recovers the page number of an extent-page key.
+std::uint32_t page_of_extent_key(std::string_view key);
 /// Physical 8 KB block key: tag 'B' + big-endian block id.
 std::string block_key(std::uint64_t block_id);
 /// Intent-journal record key: tag 'J' + big-endian record id. Record ids
@@ -88,7 +100,8 @@ std::string journal_key_prefix();
 std::string ino_counter_key();
 std::string block_counter_key();
 
-/// Recovers the integer component of a tagged key ('A'/'S'/'O'/'B' + be64).
+/// Recovers the integer component of a tagged key ('A'/'S'/'O'/'B' + be64;
+/// the ino of an extent-page key).
 std::uint64_t id_of_tagged_key(std::string_view key);
 /// Recovers the parent ino of an inode-KV key ('D' + be64 + name).
 Ino parent_of_inode_key(std::string_view key);
@@ -99,19 +112,21 @@ Ino decode_ino(const kv::Bytes& v);
 kv::Bytes encode_attr(const Attr& a);
 Attr decode_attr(const kv::Bytes& v);
 
-/// Big-file object: dense logical-block → physical-block-id table
-/// (0 = hole). Serialized as a count-prefixed array of 64-bit ids.
-struct FileObject {
-  std::vector<std::uint64_t> blocks;
+/// One extent-index page: the physical block ids of logical blocks
+/// [page * kExtentPageSlots, (page + 1) * kExtentPageSlots), 0 = hole.
+/// Serialized as the dense array itself, no header.
+using ExtentPage = std::array<std::uint64_t, kExtentPageSlots>;
+static_assert(sizeof(ExtentPage) == 4096, "extent page value is 4 KiB");
 
-  std::uint64_t block_id(std::uint64_t logical) const {
-    return logical < blocks.size() ? blocks[logical] : 0;
-  }
-  void set_block(std::uint64_t logical, std::uint64_t id);
-};
+inline std::uint32_t page_of_block(std::uint64_t logical) {
+  return static_cast<std::uint32_t>(logical / kExtentPageSlots);
+}
+inline std::size_t slot_of_block(std::uint64_t logical) {
+  return static_cast<std::size_t>(logical % kExtentPageSlots);
+}
 
-kv::Bytes encode_file_object(const FileObject& obj);
-FileObject decode_file_object(const kv::Bytes& v);
+kv::Bytes encode_extent_page(const ExtentPage& page);
+ExtentPage decode_extent_page(const kv::Bytes& v);
 
 /// One readdir result row.
 struct DirEntry {

@@ -65,6 +65,7 @@ constexpr std::string_view kCrashSites[] = {
     "kvfs.promote/crash_after_block",
     "kvfs.promote/crash_after_object",
     "kvfs.write/crash_after_blocks",
+    "kvfs.write/crash_between_pages",
     cache::kFaultFlushCrashBeforeClean,
     nvme::kFaultTgtCrashBeforeCqe,
 };
@@ -99,7 +100,15 @@ struct State {
   std::uint64_t pending_ino = 0;
   std::uint64_t pending_off = 0;
   std::vector<std::byte> pending_data;
+  /// Whether the workload grows a file past the first 4 MiB extent page.
+  /// Worker-mode runs turn it off: they keep a 20 ms command deadline so a
+  /// dead DPU is detected cheaply, and verifying a multi-MiB file under
+  /// TSan outruns it. Pump mode sweeps every crash site with it on.
+  bool straddle_pages = true;
 };
+
+void recover_if_crashed(State& st);
+constexpr int kMaxAttempts = 8;
 
 /// Invariant (b): every acknowledged byte reads back exactly — except
 /// inside the range of the one unacknowledged in-flight write, where each
@@ -107,7 +116,13 @@ struct State {
 void verify_golden(State& st, bool direct) {
   for (const auto& [ino, data] : st.golden) {
     std::vector<std::byte> out(data.size());
-    const Io r = st.sys.read(ino, 0, out, direct);
+    Io r = st.sys.read(ino, 0, out, direct);
+    // A crash armed deep into the workload can fire inside this read (a
+    // multi-MiB file spans many nvme-fs commands): recover and re-read.
+    for (int a = 1; a < kMaxAttempts && !r.ok() && st.fi.crashed(); ++a) {
+      recover_if_crashed(st);
+      r = st.sys.read(ino, 0, out, direct);
+    }
     ASSERT_TRUE(r.ok()) << "read failed, ino " << ino << ", err " << r.err
                         << ", restarts " << st.restarts;
     if (ino != st.pending_ino) {
@@ -153,8 +168,6 @@ Io attempt(State& st, Fn&& op) {
   recover_if_crashed(st);
   return r;
 }
-
-constexpr int kMaxAttempts = 8;
 
 /// Crash-aware lookup for post-op verification: a crash can fire during
 /// the verification command itself, so retry through recovery until the
@@ -300,7 +313,8 @@ void chaos_fsync(State& st, std::uint64_t ino) {
 /// The mixed workload. Reaches every crash site at least once: journaled
 /// namespace ops (create/mkdir/symlink/rename/unlink, plus a rename over
 /// an existing destination — the only path that purges a replaced file),
-/// a small->big promotion plus in-place big-file extents, buffered pages
+/// a small->big promotion plus in-place and page-straddling big-file
+/// extents, buffered pages
 /// flushed by fsync, and plenty of nvme-fs commands for the transport
 /// site.
 void run_crash_workload(State& st, std::uint64_t seed) {
@@ -318,13 +332,19 @@ void run_crash_workload(State& st, std::uint64_t seed) {
   }
 
   // Small file grown past kSmallFileMax: promotion to the big-file KV
-  // (crash sites between block writes, object store, and the flag flip),
-  // then an in-place extent update inside the promoted object.
+  // (crash sites between block writes, page-0 store, and the flag flip),
+  // then an in-place extent update inside the promoted file, then an
+  // allocating write straddling the first 4 MiB index-page boundary (crash
+  // site between its two page puts).
   const auto big = chaos_create(st, dir, "big");
   ASSERT_NE(big, 0u);
   chaos_write(st, big, 0, bytes(4096, seed ^ 100), true);
   chaos_write(st, big, 0, bytes(24 * 1024, seed ^ 101), true);
   chaos_write(st, big, 8192, bytes(4096, seed ^ 102), true);
+  if (st.straddle_pages) {
+    chaos_write(st, big, kvfs::kExtentPageSlots * kvfs::kBigBlock - 4096,
+                bytes(8192, seed ^ 103), true);
+  }
 
   chaos_symlink(st, "d/f0", dir, "ln");
   chaos_rename(st, dir, "f1", "f1-renamed", files[1]);
@@ -437,6 +457,7 @@ TEST(CrashChaos, WorkerModeCrashAndRestart) {
   DpcSystem sys(opts);
   sys.start_dpu();
   State st{sys, fi, {}, 0, false, 0, 0, {}};
+  st.straddle_pages = false;
 
   fi.arm_crash(nvme::kFaultTgtCrashBeforeCqe, /*skip=*/3);
   run_crash_workload(st, chaos_seed() ^ 0x777);
@@ -583,6 +604,7 @@ TEST(CrashChaosWal, WorkerModeCrashAndRestart) {
   DpcSystem sys(opts);
   sys.start_dpu();
   State st{sys, fi, {}, 0, false, 0, 0, {}};
+  st.straddle_pages = false;
 
   fi.arm_crash(nvme::kFaultTgtCrashBeforeCqe, /*skip=*/3);
   run_crash_workload(st, chaos_seed() ^ 0x717);

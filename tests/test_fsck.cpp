@@ -88,20 +88,42 @@ TEST_F(FsckFixture, UnreachableInodeDetected) {
 
 TEST_F(FsckFixture, MissingObjectDetected) {
   const auto h = populate();
-  store.erase(big_object_key(h.big));
+  store.erase(extent_page_key(h.big, 0));
   const auto report = fsck(store);
   EXPECT_EQ(report.count(FsckIssueKind::kMissingObject), 1u);
   // Its blocks become orphans too.
   EXPECT_GE(report.count(FsckIssueKind::kOrphanBlock), 3u);
 }
 
+TEST_F(FsckFixture, BigFileWithoutPageZeroIsMissingObject) {
+  // Later pages do not make a file big: page 0 is the promotion commit
+  // point, so a big file that lost it is kMissingObject even though the
+  // rest of its index survives.
+  const auto h = populate();
+  ASSERT_TRUE(fs.write(h.big, kExtentPageSlots * kBigBlock,
+                       bytes(kBigBlock, 3)).ok());
+  ASSERT_TRUE(store.contains(extent_page_key(h.big, 1)));
+  store.erase(extent_page_key(h.big, 0));
+  const auto report = fsck(store);
+  EXPECT_EQ(report.count(FsckIssueKind::kMissingObject), 1u);
+  EXPECT_EQ(report.issues[0].ino, h.big);
+}
+
 TEST_F(FsckFixture, MissingBlockDetected) {
   const auto h = populate();
-  const auto obj =
-      decode_file_object(*store.get(big_object_key(h.big)));
-  store.erase(block_key(obj.blocks[1]));
+  const auto page0 = decode_extent_page(*store.get(extent_page_key(h.big, 0)));
+  store.erase(block_key(page0[1]));
   const auto report = fsck(store);
   EXPECT_EQ(report.count(FsckIssueKind::kMissingBlock), 1u);
+}
+
+TEST_F(FsckFixture, PageWithoutAttrIsOrphanData) {
+  populate();
+  ExtentPage ids{};
+  store.put(extent_page_key(31337, 2), encode_extent_page(ids));
+  const auto report = fsck(store);
+  EXPECT_EQ(report.count(FsckIssueKind::kOrphanData), 1u);
+  EXPECT_EQ(report.issues[0].ino, 31337u);
 }
 
 TEST_F(FsckFixture, OrphanDataDetected) {
@@ -280,17 +302,59 @@ TEST_F(FsckRepairTest, MissingSmallDataZeroFilled) {
 
 TEST_F(FsckRepairTest, MissingObjectNeutralized) {
   const auto h = populate();
-  store.erase(big_object_key(h.big));
+  store.erase(extent_page_key(h.big, 0));
   repair();
   const auto attr = decode_attr(*store.get(attr_key(h.big)));
   EXPECT_EQ(attr.big_file, 0u);
   EXPECT_EQ(attr.size, 0u);
 }
 
+TEST_F(FsckRepairTest, MissingPageZeroDropsTheRestOfTheIndex) {
+  const auto h = populate();
+  ASSERT_TRUE(fs.write(h.big, kExtentPageSlots * kBigBlock,
+                       bytes(kBigBlock, 3)).ok());
+  store.erase(extent_page_key(h.big, 0));
+  repair();
+  EXPECT_FALSE(store.contains(extent_page_key(h.big, 1)));
+  EXPECT_EQ(decode_attr(*store.get(attr_key(h.big))).big_file, 0u);
+}
+
+TEST_F(FsckRepairTest, OrphanPageErased) {
+  const auto h = populate();
+  // The orphan page's own block goes with it; the live file's blocks stay.
+  ExtentPage ids{};
+  ids[0] = decode_extent_page(*store.get(extent_page_key(h.big, 0)))[0] + 1000;
+  store.put(block_key(ids[0]), kv::to_bytes("orphan"));
+  store.put(extent_page_key(31337, 0), encode_extent_page(ids));
+  repair();
+  EXPECT_FALSE(store.contains(extent_page_key(31337, 0)));
+  EXPECT_FALSE(store.contains(block_key(ids[0])));
+  std::vector<std::byte> buf(3 * kBigBlock);
+  ASSERT_TRUE(fs.read(h.big, 0, buf).ok());
+  EXPECT_EQ(buf, bytes(3 * kBigBlock, 2));
+}
+
+TEST_F(FsckRepairTest, MissingBlockFixRewritesOnlyItsPage) {
+  const auto h = populate();
+  const std::uint64_t page1 = kExtentPageSlots * kBigBlock;
+  ASSERT_TRUE(fs.write(h.big, page1, bytes(kBigBlock, 3)).ok());
+  const auto page0_before = *store.get(extent_page_key(h.big, 0));
+  auto ids = decode_extent_page(*store.get(extent_page_key(h.big, 1)));
+  store.erase(block_key(ids[0]));
+  repair();
+  // The dead id became a hole in page 1; page 0 is byte-identical.
+  EXPECT_EQ(*store.get(extent_page_key(h.big, 0)), page0_before);
+  ids = decode_extent_page(*store.get(extent_page_key(h.big, 1)));
+  EXPECT_EQ(ids[0], 0u);
+  std::vector<std::byte> buf(kBigBlock);
+  ASSERT_TRUE(fs.read(h.big, page1, buf).ok());
+  EXPECT_EQ(buf, std::vector<std::byte>(kBigBlock));
+}
+
 TEST_F(FsckRepairTest, MissingBlockZeroedInObject) {
   const auto h = populate();
-  const auto obj = decode_file_object(*store.get(big_object_key(h.big)));
-  store.erase(block_key(obj.blocks[1]));
+  const auto page0 = decode_extent_page(*store.get(extent_page_key(h.big, 0)));
+  store.erase(block_key(page0[1]));
   repair();
   // The dead reference is gone; the untouched blocks still read back.
   std::vector<std::byte> buf(3 * kBigBlock);
@@ -330,7 +394,7 @@ TEST_F(FsckRepairTest, ConflictingDataTrustsFlag) {
   store.put(small_key(h.big), kv::to_bytes("stale"));
   repair();
   EXPECT_FALSE(store.contains(small_key(h.big)));
-  EXPECT_TRUE(store.contains(big_object_key(h.big)));
+  EXPECT_TRUE(store.contains(extent_page_key(h.big, 0)));
 }
 
 TEST_F(FsckRepairTest, InterruptedPromotionCompleted) {

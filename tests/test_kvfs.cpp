@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <thread>
 
@@ -72,7 +73,7 @@ TEST_F(KvfsFixture, SmallFileWholeKvRewrite) {
   // §3.4: small files are one KV rewritten whole.
   EXPECT_EQ(fs.stats().small_rewrites.load(), 1u);
   EXPECT_TRUE(store.contains(small_key(ino)));
-  EXPECT_FALSE(store.contains(big_object_key(ino)));
+  EXPECT_FALSE(store.contains(extent_page_key(ino, 0)));
 
   std::vector<std::byte> out(100);
   const auto r = fs.read(ino, 0, out);
@@ -96,11 +97,12 @@ TEST_F(KvfsFixture, PromotionAt8K) {
   ASSERT_TRUE(fs.write(ino, 0, small).ok());
   EXPECT_EQ(fs.stats().promotions.load(), 0u);  // exactly 8K stays small
 
-  // One more byte → promote: small KV deleted, big object created (§3.4).
+  // One more byte → promote: small KV deleted, big-file KV created (§3.4);
+  // promotion always writes extent page 0.
   ASSERT_TRUE(fs.write(ino, kSmallFileMax, bytes(1, 4)).ok());
   EXPECT_EQ(fs.stats().promotions.load(), 1u);
   EXPECT_FALSE(store.contains(small_key(ino)));
-  EXPECT_TRUE(store.contains(big_object_key(ino)));
+  EXPECT_TRUE(store.contains(extent_page_key(ino, 0)));
   EXPECT_EQ(fs.getattr(ino).value.big_file, 1u);
 
   // Original bytes survive the promotion.
@@ -186,7 +188,7 @@ TEST_F(KvfsFixture, UnlinkRemovesAllKvs) {
   ASSERT_TRUE(fs.unlink(kRootIno, "gone").ok());
   EXPECT_EQ(fs.lookup(kRootIno, "gone").err, ENOENT);
   EXPECT_EQ(fs.getattr(ino).err, ENOENT);
-  // Every KV (inode, attr, object, blocks) is gone: only the root attr and
+  // Every KV (inode, attr, extent page, blocks) is gone: only the root attr and
   // the two allocation counters remain.
   EXPECT_EQ(store.size(), 3u);
 }
@@ -344,21 +346,73 @@ TEST_F(KvfsFixture, KeyEncodingsAreOrderedAndTagged) {
   EXPECT_EQ(name_of_inode_key(inode_key(7, "abc")), "abc");
   // Tags keep the four KV spaces disjoint.
   EXPECT_NE(attr_key(5)[0], small_key(5)[0]);
-  EXPECT_NE(small_key(5)[0], big_object_key(5)[0]);
-  EXPECT_NE(big_object_key(5)[0], block_key(5)[0]);
+  EXPECT_NE(small_key(5)[0], extent_page_key(5, 0)[0]);
+  EXPECT_NE(extent_page_key(5, 0)[0], block_key(5)[0]);
+  // Extent pages: the ino prefix lists a file's pages in page order, and
+  // the tagged-key decoder still yields the ino.
+  const std::string k = extent_page_key(7, 300);
+  EXPECT_EQ(k.rfind(extent_page_prefix(7), 0), 0u);
+  EXPECT_EQ(id_of_tagged_key(k), 7u);
+  EXPECT_EQ(page_of_extent_key(k), 300u);
+  EXPECT_LT(extent_page_key(7, 255), extent_page_key(7, 256));
+  EXPECT_NE(extent_page_key(7, 0).rfind(extent_page_prefix(8), 0), 0u);
 }
 
-TEST_F(KvfsFixture, FileObjectCodecRoundTrip) {
-  FileObject obj;
-  obj.set_block(0, 11);
-  obj.set_block(5, 22);
-  const auto enc = encode_file_object(obj);
-  const auto back = decode_file_object(enc);
-  ASSERT_EQ(back.blocks.size(), 6u);
-  EXPECT_EQ(back.block_id(0), 11u);
-  EXPECT_EQ(back.block_id(3), 0u);
-  EXPECT_EQ(back.block_id(5), 22u);
-  EXPECT_EQ(back.block_id(99), 0u);
+TEST_F(KvfsFixture, ExtentPageCodecRoundTrip) {
+  ExtentPage page{};
+  page[0] = 11;
+  page[5] = 22;
+  page[kExtentPageSlots - 1] = 33;
+  const auto enc = encode_extent_page(page);
+  EXPECT_EQ(enc.size(), 4096u);  // dense, no header
+  EXPECT_EQ(decode_extent_page(enc), page);
+  EXPECT_EQ(page_of_block(kExtentPageSlots - 1), 0u);
+  EXPECT_EQ(page_of_block(kExtentPageSlots), 1u);
+  EXPECT_EQ(slot_of_block(kExtentPageSlots + 3), 3u);
+}
+
+TEST_F(KvfsFixture, JournalRecordCodecRoundTrip) {
+  JournalRecord rec;
+  rec.op = JournalOp::kRename;
+  rec.type = FileType::kDirectory;
+  rec.ino = 7;
+  rec.parent = 1;
+  rec.new_parent = 2;
+  rec.replaced_ino = 9;
+  rec.nlink_before = 3;
+  rec.big_file = 1;
+  rec.replaced_big = 1;
+  rec.name = "old";
+  rec.name2 = "new";
+  auto back = decode_journal_record(encode_journal_record(rec));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->op, rec.op);
+  EXPECT_EQ(back->type, rec.type);
+  EXPECT_EQ(back->ino, rec.ino);
+  EXPECT_EQ(back->parent, rec.parent);
+  EXPECT_EQ(back->new_parent, rec.new_parent);
+  EXPECT_EQ(back->replaced_ino, rec.replaced_ino);
+  EXPECT_EQ(back->nlink_before, rec.nlink_before);
+  EXPECT_EQ(back->big_file, rec.big_file);
+  EXPECT_EQ(back->replaced_big, rec.replaced_big);
+  EXPECT_EQ(back->name, rec.name);
+  EXPECT_EQ(back->name2, rec.name2);
+
+  // kExtent carries (logical block, block id) pairs, flattened.
+  JournalRecord ext;
+  ext.op = JournalOp::kExtent;
+  ext.ino = 7;
+  ext.blocks = {511, 40, 512, 41, std::uint64_t{1} << 27, 42};
+  back = decode_journal_record(encode_journal_record(ext));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->blocks, ext.blocks);
+  // An odd count is not a list of pairs: rejected, not half-parsed.
+  ext.blocks.pop_back();
+  EXPECT_FALSE(decode_journal_record(encode_journal_record(ext)).has_value());
+  // A flipped payload bit fails the CRC.
+  auto enc = encode_journal_record(rec);
+  enc.back() ^= std::byte{1};
+  EXPECT_FALSE(decode_journal_record(enc).has_value());
 }
 
 TEST_F(KvfsFixture, HardLinkSharesData) {
@@ -435,6 +489,170 @@ TEST_F(KvfsFixture, DanglingSymlinkResolvesToEnoent) {
   // Unlinking a symlink removes it and its target data KV.
   ASSERT_TRUE(fs.unlink(kRootIno, "dangling").ok());
   EXPECT_EQ(store.size(), 2u);  // root attr + the ino counter
+}
+
+// ------------------------------------------------- paged extent index
+//
+// The big-file extent index is split into 4 KiB pages of kExtentPageSlots
+// block ids, so per-op cost does not depend on file size.
+
+constexpr std::uint64_t kMiB = 1 << 20;
+
+std::size_t count_prefix(const kv::KvStore& store, std::string_view prefix) {
+  return store.scan_prefix(
+      prefix, [](std::string_view, const kv::Bytes&) { return true; });
+}
+
+/// An 8 KiB read and an 8 KiB overwrite of an allocated block cost the same
+/// modelled time and the same number of KV ops on a 1 MiB file, a sparse
+/// 256 MiB file and a sparse 1 TiB file: one index page get each, whatever
+/// the size.
+TEST(KvfsSizeIndependence, ReadAndOverwriteCostIsFlat) {
+  struct Probe {
+    sim::Nanos read_cost, write_cost;
+    std::uint64_t read_ops = 0, write_ops = 0;
+  };
+  const auto probe = [](std::uint64_t file_bytes) {
+    kv::KvStore store;
+    fault::FaultInjector fi(1);
+    // A site that never fires: its draw counter counts remote KV ops.
+    fi.arm(kv::RemoteKv::kFaultSite, 1e-12);
+    kv::RemoteKv remote(store, &fi);
+    Kvfs fs(remote);
+    const Ino ino = fs.create(kRootIno, "f", 0644).value;
+    const std::uint64_t last = file_bytes - kBigBlock;
+    std::vector<std::byte> data(file_bytes <= kMiB ? file_bytes : 2 * kBigBlock,
+                                std::byte{0x5a});
+    EXPECT_TRUE(fs.write(ino, 0, data).ok());
+    std::vector<std::byte> block(kBigBlock, std::byte{0xa5});
+    if (file_bytes > kMiB) {
+      // Sparse: one block at the end. It stores one index page, not a
+      // table covering every block before it.
+      const std::uint64_t stored = store.bytes_stored();
+      EXPECT_TRUE(fs.write(ino, last, block).ok());
+      EXPECT_LT(store.bytes_stored() - stored, 4 * kBigBlock);
+      EXPECT_EQ(count_prefix(store, extent_page_prefix(ino)), 2u);
+      EXPECT_TRUE(store.contains(
+          extent_page_key(ino, page_of_block(last / kBigBlock))));
+    }
+    EXPECT_EQ(fs.getattr(ino).value.size, file_bytes);
+
+    Probe p;
+    const std::uint64_t ops0 = fi.draws(kv::RemoteKv::kFaultSite);
+    const auto r = fs.read(ino, last, block);
+    EXPECT_TRUE(r.ok() && r.value == kBigBlock);
+    const std::uint64_t ops1 = fi.draws(kv::RemoteKv::kFaultSite);
+    const auto w = fs.write(ino, last, block);
+    EXPECT_TRUE(w.ok());
+    const std::uint64_t ops2 = fi.draws(kv::RemoteKv::kFaultSite);
+    p.read_cost = r.cost;
+    p.write_cost = w.cost;
+    p.read_ops = ops1 - ops0;
+    p.write_ops = ops2 - ops1;
+    return p;
+  };
+
+  const Probe small = probe(kMiB);
+  // Read: page get + block read_sub. Overwrite: page get + block write_sub
+  // + attr put; no index put (attr comes from the cache both times).
+  EXPECT_EQ(small.read_ops, 2u);
+  EXPECT_EQ(small.write_ops, 3u);
+  for (const std::uint64_t size : {256 * kMiB, kMiB << 20}) {
+    const Probe big = probe(size);
+    EXPECT_EQ(big.read_cost.ns, small.read_cost.ns) << size;
+    EXPECT_EQ(big.write_cost.ns, small.write_cost.ns) << size;
+    EXPECT_EQ(big.read_ops, small.read_ops) << size;
+    EXPECT_EQ(big.write_ops, small.write_ops) << size;
+  }
+}
+
+/// Shrinking a 256 MiB file drops every page past the cut (page 0 stays)
+/// and the dropped ids from the boundary page; growing it again exposes
+/// zeros. The file is dense over its first 12 MiB and sparse after.
+TEST_F(KvfsFixture, TruncateBigFileDropsPagesAndZeroesPastTheCut) {
+  const Ino ino = fs.create(kRootIno, "t256", 0644).value;
+  const auto head = bytes(12 * kMiB, 30);
+  ASSERT_TRUE(fs.write(ino, 0, head).ok());
+  const std::uint64_t page_bytes = kExtentPageSlots * kBigBlock;
+  for (std::uint64_t off = 12 * kMiB; off < 256 * kMiB; off += page_bytes)
+    ASSERT_TRUE(fs.write(ino, off, bytes(kBigBlock, off)).ok());
+  ASSERT_TRUE(fs.write(ino, 256 * kMiB - kBigBlock, bytes(kBigBlock, 31)).ok());
+  ASSERT_EQ(fs.getattr(ino).value.size, 256 * kMiB);
+  ASSERT_EQ(count_prefix(store, extent_page_prefix(ino)), 64u);
+
+  const std::uint64_t cut = 5 * kMiB + 100;
+  ASSERT_TRUE(fs.truncate(ino, cut).ok());
+  ASSERT_TRUE(fs.truncate(ino, 9 * kMiB).ok());
+  EXPECT_EQ(fs.getattr(ino).value.size, 9 * kMiB);
+
+  std::vector<std::byte> out(9 * kMiB);
+  const auto r = fs.read(ino, 0, out);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r.value, 9 * kMiB);
+  EXPECT_TRUE(std::equal(out.begin(), out.begin() + cut, head.begin()));
+  EXPECT_TRUE(std::all_of(out.begin() + cut, out.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+
+  const auto report = fsck(store);
+  EXPECT_TRUE(report.clean())
+      << (report.issues.empty() ? "" : report.issues[0].detail);
+  // Page 0 and the boundary page remain, holding exactly the kept blocks.
+  EXPECT_EQ(count_prefix(store, extent_page_prefix(ino)), 2u);
+  EXPECT_EQ(count_prefix(store, "B"), (cut + kBigBlock - 1) / kBigBlock);
+}
+
+/// Crash atomicity across pages: an allocating write that straddles a page
+/// boundary puts two index pages, the first being the commit point.
+struct KvfsPageCrash : ::testing::Test {
+  kv::KvStore store;
+  kv::RemoteKv remote{store};
+  fault::FaultInjector fi{1};
+  /// The last block of page 0 and the first of page 1.
+  const std::uint64_t off = kExtentPageSlots * kBigBlock - kBigBlock;
+  const std::vector<std::byte> data = std::vector<std::byte>(2 * kBigBlock,
+                                                             std::byte{0x77});
+  Ino ino = 0;
+
+  /// Promotes a file, then crashes the straddling write at `site`.
+  void crash_write_at(std::string_view site) {
+    KvfsOptions opts;
+    opts.fault = &fi;
+    Kvfs fs(remote, opts);
+    ino = fs.create(kRootIno, "straddle", 0644).value;
+    ASSERT_TRUE(fs.write(ino, 0, std::vector<std::byte>(2 * kBigBlock)).ok());
+    fi.arm_crash(site);
+    EXPECT_THROW((void)fs.write(ino, off, data), fault::CrashException);
+    fi.disarm_crash(site);
+    fi.clear_crash();
+  }
+};
+
+TEST_F(KvfsPageCrash, CrashBetweenPagePutsRollsForward) {
+  crash_write_at("kvfs.write/crash_between_pages");
+  ASSERT_FALSE(store.contains(extent_page_key(ino, 1)));
+  Kvfs fs(remote);  // remount: the open kExtent record replays
+  EXPECT_EQ(fs.mount_replay().rolled_forward, 1u);
+  // Page 0 held a new id, so both new blocks are installed.
+  ASSERT_TRUE(store.contains(extent_page_key(ino, 1)));
+  EXPECT_NE(decode_extent_page(*store.get(extent_page_key(ino, 1)))[0], 0u);
+  EXPECT_TRUE(fsck(store).clean());
+  // The unacknowledged write's retry lands in place: no new blocks.
+  const auto blocks = count_prefix(store, "B");
+  ASSERT_TRUE(fs.write(ino, off, data).ok());
+  EXPECT_EQ(count_prefix(store, "B"), blocks);
+  std::vector<std::byte> out(data.size());
+  ASSERT_TRUE(fs.read(ino, off, out).ok());
+  EXPECT_EQ(out, data);
+}
+
+TEST_F(KvfsPageCrash, CrashBeforeFirstPagePutRollsBack) {
+  crash_write_at("kvfs.write/crash_after_blocks");
+  EXPECT_EQ(count_prefix(store, "B"), 4u);  // 2 promoted + 2 unreferenced
+  Kvfs fs(remote);
+  EXPECT_EQ(fs.mount_replay().rolled_back, 1u);
+  EXPECT_EQ(count_prefix(store, "B"), 2u);  // the fresh ids were reclaimed
+  EXPECT_FALSE(store.contains(extent_page_key(ino, 1)));
+  EXPECT_TRUE(fsck(store).clean());
 }
 
 }  // namespace
