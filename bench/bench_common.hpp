@@ -21,39 +21,6 @@
 
 namespace dpc::bench {
 
-// ------------------------------------------------------------ determinism
-//
-// Every micro-bench registration is *pinned*: fixed iteration count, fixed
-// repetition count, all data seeded from fixed sim::Rng seeds. Two hand
-// runs therefore do identical work, so their times compare directly —
-// unlike gbench's adaptive sampling, which varies the iteration count
-// run-to-run. Compare best-of-repetitions: on a shared machine the minimum
-// converges to the true cost, while the median moves with background load.
-
-/// Repetitions per pinned benchmark.
-inline constexpr int kBenchRepetitions = 5;
-/// Iteration tiers by per-op cost. Pick the tier that keeps one repetition
-/// at tens of milliseconds or more — a repetition short enough to fit in a
-/// scheduler quantum can lose *entirely* to background load, defeating the
-/// best-of-repetitions statistic.
-inline constexpr std::int64_t kItersFast = 524288;  ///< sub-µs ops
-inline constexpr std::int64_t kItersMid = 16384;    ///< ~1–20 µs ops
-inline constexpr std::int64_t kItersSlow = 512;     ///< ≥100 µs ops
-
-/// Pins a registration; chain it after BENCHMARK(...)->Arg(...):
-///   BENCHMARK(BM_X)->Arg(4096) DPC_BENCH_PIN(dpc::bench::kItersMid);
-/// A macro (not a function) because BENCHMARK() expands to a static
-/// declaration that cannot be wrapped; expands to ->Apply(...), so it only
-/// references gbench types at the expansion site.
-// DisplayAggregatesOnly keeps the console readable but still writes every
-// repetition to --benchmark_out.
-#define DPC_BENCH_PIN(iters)                           \
-  ->Apply(+[](::benchmark::internal::Benchmark* b) {   \
-    b->Iterations(iters)                               \
-        ->Repetitions(::dpc::bench::kBenchRepetitions) \
-        ->DisplayAggregatesOnly(true);                 \
-  })
-
 struct BenchArgs {
   bool csv = false;
 

@@ -12,16 +12,6 @@ function(dpc_bench name)
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
 
-function(dpc_microbench name)
-  add_executable(${name} ${CMAKE_CURRENT_SOURCE_DIR}/bench/${name}.cpp)
-  target_link_libraries(${name} PRIVATE
-    dpc_core dpc_dfs dpc_hostfs dpc_kvfs dpc_cache dpc_dpu dpc_kv dpc_ssd
-    dpc_ec dpc_virtio dpc_nvme dpc_pcie dpc_fault dpc_obs dpc_sim
-    benchmark::benchmark benchmark::benchmark_main Threads::Threads)
-  set_target_properties(${name} PROPERTIES
-    RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-endfunction()
-
 dpc_bench(fig1_motivation)
 dpc_bench(fig2_fig4_dma_count)
 dpc_bench(fig6_raw_transmission)
@@ -30,10 +20,6 @@ dpc_bench(fig8_hybrid_cache)
 dpc_bench(table2_bandwidth)
 dpc_bench(fig9_dfs)
 
-dpc_microbench(micro_rings)
-dpc_microbench(micro_ec)
-dpc_microbench(micro_kv)
-dpc_microbench(micro_cache)
 dpc_bench(ablation_offload)
 dpc_bench(chaos_recovery)
 dpc_bench(qos_antagonist)

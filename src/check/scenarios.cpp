@@ -382,6 +382,60 @@ void scenario_restart_vs_pump(ModelSched& sched) {
                 "(the all-queue pump freeze was not held)");
 }
 
+// ---------------------------------------------------------------------------
+// writethrough_vs_prefetch — a buffered write that finds its cache bucket
+// full falls through to a write-through command, racing a DPU prefetch of
+// the same page. If the prefetch reads the backend before the write lands
+// there, it publishes the old bytes as a clean page; the write-through then
+// invalidates the cached copy, so a later buffered read misses and fetches
+// the new bytes. Mutation `writethrough-invalidate` skips that
+// invalidation: the read then hits the stale prefetched page.
+
+void scenario_writethrough_vs_prefetch(ModelSched& sched) {
+  core::DpcOptions o;
+  o.queues = 1;
+  o.queue_depth = 8;
+  o.max_io = 64 * 1024;
+  // One bucket of two entries: two clean pages fill it, so a buffered write
+  // of a third page finds no free entry.
+  o.cache_geo = {4096, cache::CacheMode::kWrite, 2, 1};
+  // No reclaim: neither to a low-water mark the two-page cache would always
+  // be under, nor on the writer's need-evict flag. A prefetched page then
+  // survives to the final read, as it does whenever the evictor's victims
+  // are other pages.
+  o.cache_ctl.evict_low_water = 0;
+  o.cache_ctl.evict_batch = 0;
+  o.with_dfs = false;
+  o.dpu_workers = 0;  // pump mode: the writer services the TGT inline
+  core::DpcSystem sys(o);
+
+  const auto ino = sys.create(kvfs::kRootIno, "f").ino;
+  sched.require(ino != 0, "writethrough_vs_prefetch: create failed");
+  constexpr std::uint64_t kPage = 4096;
+  const auto old_bytes = fill(3 * kPage, 0x11);
+  sched.require(sys.write(ino, 0, old_bytes, /*direct=*/true).ok(),
+                "writethrough_vs_prefetch: seed write failed");
+  // Non-adjacent misses cache pages 0 and 2 clean without starting a
+  // sequential stream, so no prefetch runs before the race.
+  std::vector<std::byte> page(kPage);
+  for (const std::uint64_t lpn : {0, 2})
+    sched.require(sys.read(ino, lpn * kPage, page).ok(),
+                  "writethrough_vs_prefetch: warm-up read failed");
+
+  const auto new_bytes = fill(kPage, 0x22);
+  core::Io wr{};
+  sched.spawn([&] { wr = sys.write(ino, kPage, new_bytes); });
+  // The control plane's readahead, reduced to its action on page 1.
+  sched.spawn([&] { (void)sys.cache_control()->prefetch(ino, 1, 1); });
+  sched.run();
+
+  sched.require(wr.ok(), "writethrough_vs_prefetch: buffered write failed");
+  const auto rd = sys.read(ino, kPage, page);
+  sched.require(rd.ok() && page == new_bytes,
+                "a buffered read returned bytes older than an acked write: "
+                "a prefetched page survived the write-through it raced");
+}
+
 }  // namespace
 
 const std::vector<Scenario>& scenarios() {
@@ -412,6 +466,11 @@ const std::vector<Scenario>& scenarios() {
        "restart_dpu vs pump-mode callers: freeze isolates the queue rewind",
        "restart-no-freeze", /*exhaustive=*/false, /*max_steps=*/200000,
        /*max_schedules=*/0, /*mutate_seeds=*/128, scenario_restart_vs_pump},
+      {"writethrough_vs_prefetch",
+       "buffered write-through vs DPU prefetch: no stale page stays cached",
+       "writethrough-invalidate", /*exhaustive=*/false, /*max_steps=*/200000,
+       /*max_schedules=*/0, /*mutate_seeds=*/32,
+       scenario_writethrough_vs_prefetch},
   };
   return kScenarios;
 }

@@ -854,8 +854,17 @@ Io DpcSystem::write(std::uint64_t ino, std::uint64_t offset,
     auto& known = size_cache_[ino];
     known = std::max(known, offset + src.size());
   }
-  if (direct && host_cache_ && page_aligned) {
-    // Keep the cache coherent with direct writes.
+  // DPC_CHECK_MUTATE writethrough-invalidate: skip the invalidation below;
+  // dpc_check arms this and must observe a stale cached page.
+  if (host_cache_ && page_aligned &&
+      !sim::schedhook::mutate("writethrough-invalidate")) {
+    // Keep the cache coherent with the backend. A direct write bypasses the
+    // cache; a buffered write lands here only when its bucket had no free
+    // entry, and a DPU prefetch may have filled the page from the backend
+    // after that check but before this write reached the backend. Either
+    // way a cached copy is now older than the backend. A prefetch that
+    // read the backend before the write holds the bucket lock until it
+    // publishes, so this invalidation always sees (and drops) its page.
     for (std::uint64_t at = 0; at < src.size(); at += kCachePage)
       host_cache_->invalidate(ino, (offset + at) / kCachePage);
   }

@@ -17,8 +17,9 @@ namespace dpc::ec {
 /// Computes CRC32C over `data`, seeded by `crc` (pass 0 to start; chain
 /// calls with the previous return value to checksum in pieces).
 /// Runtime-dispatched: uses the SSE4.2 `crc32` instruction when the CPU has
-/// it (detected once, at first use), else the slice-by-8 table fold. All
-/// backends produce bit-identical results.
+/// it (detected once, at first use; three interleaved instruction chains
+/// over large inputs), else the slice-by-8 table fold. All backends produce
+/// bit-identical results.
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t crc = 0);
 
 /// Name of the backend crc32c() dispatched to: "sse4.2" (hardware) or
@@ -33,8 +34,7 @@ std::uint32_t crc32c_slice8(std::span<const std::byte> data,
                             std::uint32_t crc = 0);
 
 /// Reference byte-at-a-time implementation. Same result as crc32c(); kept
-/// for the micro-bench (quantifies the slice-by-8/SIMD speedup that bounds
-/// scrub overhead) and for cross-checking in tests.
+/// as the oracle the tests check every other backend against.
 std::uint32_t crc32c_bytewise(std::span<const std::byte> data,
                               std::uint32_t crc = 0);
 

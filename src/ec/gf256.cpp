@@ -2,11 +2,55 @@
 
 #include "sim/check.hpp"
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define DPC_GF256_AVX2 1
+#include <immintrin.h>
+#endif
+
 namespace dpc::ec {
 
 namespace {
 constexpr unsigned kPoly = 0x11D;  // x^8 + x^4 + x^3 + x^2 + 1
+
+#ifdef DPC_GF256_AVX2
+// dst[i] (^)= c * src[i] over whole 32-byte chunks; returns the bytes done
+// so the caller's table loop finishes the tail. Compiled with a
+// per-function target attribute so the translation unit itself stays
+// baseline; only runtime detection may select it.
+template <bool kAcc>
+__attribute__((target("avx2"))) std::size_t mul_avx2(
+    std::byte* dst, const std::byte* src, std::size_t n,
+    const std::uint8_t* lo, const std::uint8_t* hi) {
+  const __m256i tlo = _mm256_load_si256(reinterpret_cast<const __m256i*>(lo));
+  const __m256i thi = _mm256_load_si256(reinterpret_cast<const __m256i*>(hi));
+  const __m256i mask = _mm256_set1_epi8(0x0F);
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    // Unaligned loads and stores: shard spans carry no alignment guarantee.
+    const __m256i s =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
+    const __m256i s_lo = _mm256_and_si256(s, mask);
+    const __m256i s_hi = _mm256_and_si256(_mm256_srli_epi64(s, 4), mask);
+    __m256i p = _mm256_xor_si256(_mm256_shuffle_epi8(tlo, s_lo),
+                                 _mm256_shuffle_epi8(thi, s_hi));
+    if constexpr (kAcc) {
+      p = _mm256_xor_si256(
+          p, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i)));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), p);
+  }
+  return i;
 }
+#endif
+
+bool detect_avx2() {
+#ifdef DPC_GF256_AVX2
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+}  // namespace
 
 const Gf256& Gf256::instance() {
   static const Gf256 g;
@@ -30,6 +74,17 @@ Gf256::Gf256() {
           (c == 0 || v == 0)
               ? 0
               : exp_[(log_[c] + log_[v]) % 255];
+
+  for (unsigned c = 0; c < 256; ++c)
+    for (unsigned i = 0; i < 32; ++i) {
+      nib_lo_[c][i] = mul_table_[c][i & 0xF];
+      nib_hi_[c][i] = mul_table_[c][(i & 0xF) << 4];
+    }
+  avx2_ = detect_avx2();
+}
+
+const char* gf256_backend() {
+  return Gf256::instance().avx2_ ? "avx2" : "table";
 }
 
 std::uint8_t Gf256::div(std::uint8_t a, std::uint8_t b) const {
@@ -53,8 +108,15 @@ void Gf256::mul_acc(std::span<std::byte> dst, std::span<const std::byte> src,
                     std::uint8_t c) const {
   DPC_CHECK(dst.size() == src.size());
   if (c == 0) return;
+  std::size_t i = 0;
+#ifdef DPC_GF256_AVX2
+  if (avx2_) {
+    i = mul_avx2<true>(dst.data(), src.data(), dst.size(), nib_lo_[c].data(),
+                       nib_hi_[c].data());
+  }
+#endif
   const auto& tbl = mul_table_[c];
-  for (std::size_t i = 0; i < dst.size(); ++i) {
+  for (; i < dst.size(); ++i) {
     dst[i] ^= static_cast<std::byte>(
         tbl[static_cast<std::uint8_t>(src[i])]);
   }
@@ -63,8 +125,15 @@ void Gf256::mul_acc(std::span<std::byte> dst, std::span<const std::byte> src,
 void Gf256::mul_set(std::span<std::byte> dst, std::span<const std::byte> src,
                     std::uint8_t c) const {
   DPC_CHECK(dst.size() == src.size());
+  std::size_t i = 0;
+#ifdef DPC_GF256_AVX2
+  if (avx2_) {
+    i = mul_avx2<false>(dst.data(), src.data(), dst.size(),
+                        nib_lo_[c].data(), nib_hi_[c].data());
+  }
+#endif
   const auto& tbl = mul_table_[c];
-  for (std::size_t i = 0; i < dst.size(); ++i) {
+  for (; i < dst.size(); ++i) {
     dst[i] = static_cast<std::byte>(tbl[static_cast<std::uint8_t>(src[i])]);
   }
 }

@@ -1,5 +1,12 @@
 // GF(2^8) arithmetic with the AES/Rijndael-compatible polynomial 0x11D,
 // table-driven (exp/log), used by the Reed–Solomon codec.
+//
+// The bulk multiply (mul_acc/mul_set) is runtime-dispatched: an AVX2
+// split-nibble kernel (c*x = c*(x & 0xF) ^ c*(x & 0xF0), each half one
+// 16-entry `vpshufb` lookup, 32 bytes per step) when the CPU has AVX2,
+// else the 256-entry product-table loop. Both backends produce
+// bit-identical results; the table loop also finishes the vector kernel's
+// sub-32-byte tail.
 #pragma once
 
 #include <array>
@@ -28,8 +35,7 @@ class Gf256 {
   /// Generator element (2) raised to the i-th power.
   std::uint8_t exp(unsigned i) const { return exp_[i % 255]; }
 
-  /// dst[i] ^= c * src[i] — the workhorse of RS encoding, written over raw
-  /// byte spans so it vectorizes.
+  /// dst[i] ^= c * src[i] — the workhorse of RS encoding.
   void mul_acc(std::span<std::byte> dst, std::span<const std::byte> src,
                std::uint8_t c) const;
   /// dst[i] = c * src[i].
@@ -42,7 +48,21 @@ class Gf256 {
   std::array<std::uint8_t, 256> log_{};  // log_[exp_[i]] = i
   // Per-coefficient 256-entry product tables: mul_table_[c][x] = c*x.
   std::array<std::array<std::uint8_t, 256>, 256> mul_table_{};
+  // Split-nibble tables for the vector kernel: nib_lo_[c][i] = c*i and
+  // nib_hi_[c][i] = c*(i << 4) for i < 16, each row repeated in both
+  // 16-byte lanes of a 256-bit register (vpshufb looks up per lane).
+  using NibbleRow = std::array<std::uint8_t, 32>;
+  alignas(32) std::array<NibbleRow, 256> nib_lo_{};
+  alignas(32) std::array<NibbleRow, 256> nib_hi_{};
+  bool avx2_ = false;  // detected once, in the constructor
+
+  friend const char* gf256_backend();
 };
+
+/// Name of the backend mul_acc/mul_set dispatch to: "avx2" (vector
+/// split-nibble kernel) or "table" (portable product-table loop). For
+/// tests that want to know whether the vector path is actually under test.
+const char* gf256_backend();
 
 /// Square matrix over GF(2^8) with Gauss-Jordan inversion — used to build
 /// the decode matrix when reconstructing from erasures.

@@ -1,5 +1,6 @@
 #include "sim/histogram.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -29,16 +30,6 @@ std::int64_t Histogram::bucket_upper(int idx) {
   return base + (base >> kSubBits) * (sub + 1) - 1;
 }
 
-std::int64_t Histogram::bucket_mid(int idx) {
-  if (idx < kSub) return idx;
-  const int octave = idx / kSub;
-  const int sub = idx % kSub;
-  if (octave >= 62) return INT64_MAX / 2;
-  const std::int64_t base = std::int64_t{1} << octave;
-  const std::int64_t step = base >> kSubBits;
-  return base + step * sub + step / 2;
-}
-
 void Histogram::record(Nanos v) { record_n(v, 1); }
 
 void Histogram::record_n(Nanos v, std::uint64_t n) {
@@ -47,6 +38,8 @@ void Histogram::record_n(Nanos v, std::uint64_t n) {
   buckets_[static_cast<std::size_t>(idx)].fetch_add(n,
                                                     std::memory_order_relaxed);
   total_.fetch_add(n, std::memory_order_relaxed);
+  sum_.fetch_add(v.ns * static_cast<std::int64_t>(n),
+                 std::memory_order_relaxed);
   // min/max via CAS loops; contention here is cold relative to recording.
   std::int64_t cur = min_.load(std::memory_order_relaxed);
   while (v.ns < cur &&
@@ -71,13 +64,8 @@ Nanos Histogram::max() const {
 Nanos Histogram::mean() const {
   const std::uint64_t n = count();
   if (n == 0) return Nanos{0};
-  unsigned __int128 sum = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    const auto c = buckets_[static_cast<std::size_t>(i)].load(
-        std::memory_order_relaxed);
-    if (c != 0) sum += static_cast<unsigned __int128>(c) * bucket_mid(i);
-  }
-  return Nanos{static_cast<std::int64_t>(sum / n)};
+  return Nanos{sum_.load(std::memory_order_relaxed) /
+               static_cast<std::int64_t>(n)};
 }
 
 Nanos Histogram::percentile(double p) const {
@@ -94,7 +82,9 @@ Nanos Histogram::percentile(double p) const {
   for (int i = 0; i < kBuckets; ++i) {
     seen += buckets_[static_cast<std::size_t>(i)].load(
         std::memory_order_relaxed);
-    if (seen >= target) return Nanos{bucket_upper(i)};
+    if (seen >= target) {
+      return Nanos{std::clamp(bucket_upper(i), min().ns, max().ns)};
+    }
   }
   return max();
 }
@@ -109,6 +99,8 @@ void Histogram::merge(const Histogram& other) {
   }
   total_.fetch_add(other.total_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
+  sum_.fetch_add(other.sum_.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
   const auto omin = other.min_.load(std::memory_order_relaxed);
   std::int64_t cur = min_.load(std::memory_order_relaxed);
   while (omin < cur &&
@@ -124,6 +116,7 @@ void Histogram::merge(const Histogram& other) {
 void Histogram::reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   total_.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
   min_.store(INT64_MAX, std::memory_order_relaxed);
   max_.store(INT64_MIN, std::memory_order_relaxed);
 }

@@ -35,10 +35,12 @@ class Histogram {
   }
   Nanos min() const;
   Nanos max() const;
-  /// Arithmetic mean of recorded values (bucket-midpoint approximation).
+  /// Arithmetic mean of recorded values: exact (a running sum), rounded
+  /// toward zero.
   Nanos mean() const;
   /// p in [0,100]. Returns the upper edge of the bucket containing the
-  /// p-th percentile sample.
+  /// p-th percentile sample, clamped to [min(), max()] so no quantile lies
+  /// outside the recorded values.
   Nanos percentile(double p) const;
 
   void merge(const Histogram& other);
@@ -47,10 +49,10 @@ class Histogram {
  private:
   static int bucket_index(std::int64_t ns);
   static std::int64_t bucket_upper(int idx);
-  static std::int64_t bucket_mid(int idx);
 
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> total_{0};
+  std::atomic<std::int64_t> sum_{0};  // exact sum of recorded ns
   std::atomic<std::int64_t> min_{INT64_MAX};
   std::atomic<std::int64_t> max_{INT64_MIN};
 };

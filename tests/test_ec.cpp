@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <memory>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "sim/check.hpp"
 #include "sim/rng.hpp"
@@ -56,6 +61,48 @@ TEST(Gf256, MulAccDistributes) {
   gf.mul_acc(dst, src, 3);
   // x ^ x = 0.
   for (auto b : dst) EXPECT_EQ(b, std::byte{0});
+}
+
+TEST(Gf256, BulkKernelsMatchScalarMulForEveryCoefficient) {
+  // mul_acc/mul_set against per-byte mul() for every coefficient, at
+  // lengths around the 32-byte vector step (whole chunks, tails, empty)
+  // and with unaligned source and destination starts. The destination
+  // buffer runs 3 bytes past the span, so a write outside it shows too.
+  const auto& gf = Gf256::instance();
+  constexpr std::size_t kPad = 3;
+  sim::Rng rng(11);
+  std::vector<std::byte> src(8193 + kPad), init(8193 + 2 * kPad);
+  for (auto& b : src) b = static_cast<std::byte>(rng.next_below(256));
+  for (auto& b : init) b = static_cast<std::byte>(rng.next_below(256));
+  for (unsigned c = 0; c < 256; ++c) {
+    const auto uc = static_cast<std::uint8_t>(c);
+    std::array<std::byte, 256> row{};
+    for (unsigned x = 0; x < 256; ++x)
+      row[x] = static_cast<std::byte>(gf.mul(uc, static_cast<std::uint8_t>(x)));
+    for (const std::size_t len :
+         {0, 1, 31, 32, 33, 63, 64, 65, 8191, 8192, 8193}) {
+      for (const std::size_t so : {0, 1, 3}) {
+        for (const std::size_t d_off : {0, 1, 3}) {
+          const auto s = std::span<const std::byte>(src).subspan(so, len);
+          std::vector<std::byte> acc(init.begin(),
+                                     init.begin() + static_cast<std::ptrdiff_t>(
+                                                        len + 2 * kPad));
+          std::vector<std::byte> set = acc, want_acc = acc, want_set = acc;
+          for (std::size_t i = 0; i < len; ++i) {
+            const std::byte prod = row[static_cast<std::uint8_t>(s[i])];
+            want_acc[d_off + i] ^= prod;
+            want_set[d_off + i] = prod;
+          }
+          gf.mul_acc(std::span<std::byte>(acc).subspan(d_off, len), s, uc);
+          gf.mul_set(std::span<std::byte>(set).subspan(d_off, len), s, uc);
+          ASSERT_TRUE(acc == want_acc) << "mul_acc c=" << c << " len=" << len
+                                       << " src+" << so << " dst+" << d_off;
+          ASSERT_TRUE(set == want_set) << "mul_set c=" << c << " len=" << len
+                                       << " src+" << so << " dst+" << d_off;
+        }
+      }
+    }
+  }
 }
 
 TEST(GfMatrix, InverseRoundTrip) {
@@ -164,37 +211,110 @@ TEST(ReedSolomon, TooManyErasuresRejected) {
   EXPECT_THROW(rs.reconstruct(views, present), dpc::CheckFailure);
 }
 
+// Geometries and shard lengths for the whole-stripe contracts below: the
+// DFS default RS(4,2) plus wider codes, at the 8 KiB shard of a 32 KiB
+// stripe and at a length that leaves a sub-vector tail.
+constexpr std::array<std::pair<int, int>, 3> kGeometries = {
+    {{4, 2}, {6, 3}, {10, 4}}};
+constexpr std::array<std::size_t, 2> kShardLens = {8192, 1000};
+
+std::vector<std::vector<std::byte>> random_shards(int count, std::size_t len,
+                                                  sim::Rng& rng) {
+  std::vector<std::vector<std::byte>> shards(static_cast<std::size_t>(count),
+                                             std::vector<std::byte>(len));
+  for (auto& s : shards)
+    for (auto& b : s) b = static_cast<std::byte>(rng.next_below(256));
+  return shards;
+}
+
+// Parity of `data` computed one byte at a time with mul(), independent of
+// the bulk kernels.
+std::vector<std::vector<std::byte>> scalar_parity(
+    const ReedSolomon& rs, const std::vector<std::vector<std::byte>>& data,
+    int m) {
+  const auto& gf = Gf256::instance();
+  const std::size_t len = data[0].size();
+  std::vector<std::vector<std::byte>> parity(static_cast<std::size_t>(m),
+                                             std::vector<std::byte>(len));
+  for (int p = 0; p < m; ++p)
+    for (std::size_t d = 0; d < data.size(); ++d) {
+      const std::uint8_t c = rs.coeff(p, static_cast<int>(d));
+      for (std::size_t i = 0; i < len; ++i)
+        parity[static_cast<std::size_t>(p)][i] ^= static_cast<std::byte>(
+            gf.mul(c, static_cast<std::uint8_t>(data[d][i])));
+    }
+  return parity;
+}
+
+std::vector<std::vector<std::byte>> encoded(
+    const ReedSolomon& rs, const std::vector<std::vector<std::byte>>& data,
+    int m) {
+  std::vector<std::vector<std::byte>> parity(
+      static_cast<std::size_t>(m), std::vector<std::byte>(data[0].size()));
+  std::vector<std::span<const std::byte>> dv(data.begin(), data.end());
+  std::vector<std::span<std::byte>> pv(parity.begin(), parity.end());
+  rs.encode(dv, pv);
+  return parity;
+}
+
+TEST(ReedSolomon, EveryErasureSetRoundTrips) {
+  // Encode, then erase every set of at most m shards (data and parity
+  // alike) and reconstruct: each must restore the stripe bit for bit.
+  sim::Rng rng(21);
+  for (const auto& [k, m] : kGeometries) {
+    const ReedSolomon rs(k, m);
+    const auto total = static_cast<unsigned>(k + m);
+    for (const std::size_t len : kShardLens) {
+      auto golden = random_shards(k, len, rng);
+      const auto parity = encoded(rs, golden, m);
+      ASSERT_EQ(parity, scalar_parity(rs, golden, m)) << k << "+" << m;
+      golden.insert(golden.end(), parity.begin(), parity.end());
+      std::vector<std::span<const std::byte>> all(golden.begin(),
+                                                  golden.end());
+      ASSERT_TRUE(rs.verify(all));
+
+      for (unsigned lost = 0; lost < (1u << total); ++lost) {
+        if (std::popcount(lost) > m) continue;
+        auto shards = golden;
+        std::unique_ptr<bool[]> present(new bool[total]);
+        for (unsigned i = 0; i < total; ++i) {
+          present[i] = !((lost >> i) & 1);
+          if (!present[i])
+            std::fill(shards[i].begin(), shards[i].end(), std::byte{0xEE});
+        }
+        std::vector<std::span<std::byte>> views(shards.begin(), shards.end());
+        rs.reconstruct(views, std::span<const bool>(present.get(), total));
+        ASSERT_EQ(shards, golden)
+            << "RS(" << k << "," << m << ") len=" << len << " lost=0x"
+            << std::hex << lost;
+      }
+    }
+  }
+}
+
 TEST(ReedSolomon, DeltaParityMatchesFullReencode) {
   // Paper path: an 8K write touches one shard; parity is updated via
-  // delta. Must equal re-encoding the full stripe.
-  ReedSolomon rs(4, 2);
-  const std::size_t len = 512;
+  // delta. Must equal re-encoding the full stripe, for every data shard.
   sim::Rng rng(99);
-  std::vector<std::vector<std::byte>> data(4, std::vector<std::byte>(len));
-  for (auto& s : data)
-    for (auto& b : s) b = static_cast<std::byte>(rng.next_below(256));
-  std::vector<std::vector<std::byte>> parity(2, std::vector<std::byte>(len));
-  {
-    std::vector<std::span<const std::byte>> dv(data.begin(), data.end());
-    std::vector<std::span<std::byte>> pv(parity.begin(), parity.end());
-    rs.encode(dv, pv);
+  for (const auto& [k, m] : kGeometries) {
+    const ReedSolomon rs(k, m);
+    for (const std::size_t len : kShardLens) {
+      auto data = random_shards(k, len, rng);
+      auto parity = encoded(rs, data, m);
+      for (int d = 0; d < k; ++d) {
+        const auto di = static_cast<std::size_t>(d);
+        const auto updated = random_shards(1, len, rng)[0];
+        std::vector<std::byte> delta(len);
+        for (std::size_t i = 0; i < len; ++i)
+          delta[i] = data[di][i] ^ updated[i];
+        data[di] = updated;
+        for (int p = 0; p < m; ++p)
+          rs.apply_delta(parity[static_cast<std::size_t>(p)], p, d, delta);
+        ASSERT_EQ(parity, encoded(rs, data, m))
+            << "RS(" << k << "," << m << ") len=" << len << " shard " << d;
+      }
+    }
   }
-
-  // Mutate shard 2, apply delta to both parities.
-  std::vector<std::byte> updated(len);
-  for (auto& b : updated) b = static_cast<std::byte>(rng.next_below(256));
-  std::vector<std::byte> delta(len);
-  for (std::size_t i = 0; i < len; ++i) delta[i] = data[2][i] ^ updated[i];
-  data[2] = updated;
-  for (int p = 0; p < 2; ++p) rs.apply_delta(parity[static_cast<std::size_t>(p)], p, 2, delta);
-
-  std::vector<std::vector<std::byte>> expect(2, std::vector<std::byte>(len));
-  {
-    std::vector<std::span<const std::byte>> dv(data.begin(), data.end());
-    std::vector<std::span<std::byte>> pv(expect.begin(), expect.end());
-    rs.encode(dv, pv);
-  }
-  EXPECT_EQ(parity, expect);
 }
 
 TEST(ReedSolomon, CostModelFavorsDpu) {
@@ -235,15 +355,33 @@ TEST(Crc32c, BackendNameIsKnown) {
   EXPECT_TRUE(name == "sse4.2" || name == "slice8") << name;
 }
 
+TEST(KernelBackends, VectorPathSelectedWhenCpuHasIt) {
+  // A silent fallback to a portable loop would keep every result correct
+  // and only show as lost throughput; pin the dispatch instead.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  if (__builtin_cpu_supports("avx2")) {
+    EXPECT_STREQ(gf256_backend(), "avx2");
+  }
+  if (__builtin_cpu_supports("sse4.2")) {
+    EXPECT_STREQ(crc32c_backend(), "sse4.2");
+  }
+#endif
+  const std::string gf = gf256_backend();
+  EXPECT_TRUE(gf == "avx2" || gf == "table") << gf;
+}
+
 TEST(Crc32c, AllBackendsAgreeAcrossSizesAndSeeds) {
   // Cross-check the dispatched backend (hardware when the CPU has SSE4.2)
-  // against both software paths, across every 8-byte-remainder class, with
-  // unaligned starts and nonzero seeds.
+  // against both software paths, across every 8-byte-remainder class and
+  // around the hardware path's 3 x 256 and 3 x 2048-byte stream blocks,
+  // with unaligned starts and nonzero seeds.
   sim::Rng rng(7);
-  std::vector<std::byte> buf(4096 + 64);
+  std::vector<std::byte> buf(16384 + 64);
   for (auto& b : buf) b = static_cast<std::byte>(rng.next_below(256));
-  const std::size_t sizes[] = {0, 1, 2, 3, 7, 8, 9, 15, 16, 17,
-                               63, 64, 65, 511, 512, 1000, 4096};
+  const std::size_t sizes[] = {0,    1,    2,    3,    7,    8,    9,
+                               15,   16,   17,   63,   64,   65,   511,
+                               512,  767,  768,  769,  1000, 1535, 1536,
+                               4096, 6143, 6144, 6145, 8192, 8200, 16384};
   for (const std::size_t size : sizes) {
     for (const std::size_t align : {std::size_t{0}, std::size_t{1},
                                     std::size_t{3}, std::size_t{5}}) {

@@ -96,6 +96,8 @@ TEST(Histogram, ConcurrentRecording) {
   }
   for (auto& t : ts) t.join();
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+  // Each thread records 100 full cycles of 1..100 µs: mean 50.5 µs.
+  EXPECT_EQ(h.mean().ns, 50500);
 }
 
 TEST(Histogram, ZeroAndNegativeClampToOne) {
@@ -104,6 +106,30 @@ TEST(Histogram, ZeroAndNegativeClampToOne) {
   h.record(nanos(-5));
   EXPECT_EQ(h.count(), 2u);
   EXPECT_LE(h.percentile(100).ns, 2);
+}
+
+TEST(Histogram, MeanIsExactAndQuantilesStayWithinMinMax) {
+  // Two samples in one ~4 KiB-wide bucket [90112, 94207]: a bucket-midpoint
+  // mean (92160) would fall below the min and the bucket's upper edge above
+  // the max.
+  Histogram h;
+  h.record(nanos(93467));
+  h.record_n(nanos(94000), 3);
+  EXPECT_EQ(h.mean().ns, (93467 + 3 * 94000) / 4);
+  for (const double p : {0.0, 1.0, 50.0, 99.0, 100.0}) {
+    EXPECT_GE(h.percentile(p).ns, h.min().ns) << "p" << p;
+    EXPECT_LE(h.percentile(p).ns, h.max().ns) << "p" << p;
+  }
+  EXPECT_EQ(h.percentile(100).ns, 94000);
+
+  // merge() folds the exact sum; reset() clears it.
+  Histogram other;
+  other.record(micros(1));
+  h.merge(other);
+  EXPECT_EQ(h.mean().ns, (93467 + 3 * 94000 + 1000) / 5);
+  h.reset();
+  h.record(nanos(10));
+  EXPECT_EQ(h.mean().ns, 10);
 }
 
 class HistogramAccuracy : public ::testing::TestWithParam<std::int64_t> {};
