@@ -49,7 +49,7 @@ Rates run_functional() {
     o.queue_depth = 8;
     o.max_io = 64 * 1024;
     o.with_dfs = false;
-    o.cache_geo = {4096, cache::CacheMode::kWrite, 4096, 256};  // 16 MB
+    o.cache_geo = {4096, 256};  // 16 MB
     core::DpcSystem sys(o);
     sys.start_dpu();
     const auto ino = sys.create(kvfs::kRootIno, "f").ino;

@@ -52,7 +52,7 @@ core::DpcOptions make_opts(bool wal_on) {
   opts.queues = 1;
   opts.queue_depth = 8;
   opts.max_io = 128 * 1024;
-  opts.cache_geo = {kPage, cache::CacheMode::kWrite, 64, 8};
+  opts.cache_geo = {64, 8};
   // Disable the opportunistic background drain so each fsync meets its
   // dirty page — both arms, so the comparison isolates the ack path.
   opts.cache_ctl.evict_batch = 0;

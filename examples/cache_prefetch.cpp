@@ -14,7 +14,7 @@ int main() {
   using namespace dpc;
 
   core::DpcOptions opts;
-  opts.cache_geo = {4096, cache::CacheMode::kWrite, 2048, 128};  // 8 MB
+  opts.cache_geo = {2048, 128};  // 8 MB
   core::DpcSystem dpc(opts);
   dpc.start_dpu();
 

@@ -1,6 +1,5 @@
 #include "cache/control_plane.hpp"
 
-#include "dpu/compress.hpp"
 #include "dpu/qos.hpp"
 #include "ec/crc32c.hpp"
 #include "nvm/wal.hpp"
@@ -33,12 +32,13 @@ namespace dpc::cache {
 namespace {
 constexpr auto kLockNone = static_cast<std::uint32_t>(LockState::kNone);
 constexpr auto kLockWrite = static_cast<std::uint32_t>(LockState::kWrite);
+/// Maximum readahead window in cache pages (kernel-readahead scale).
+constexpr std::uint32_t kPrefetchMaxWindow = 256;
 }  // namespace
 
 DpuCacheControl::DpuCacheControl(pcie::DmaEngine& dma,
                                  const CacheLayout& layout,
                                  CacheBackend& backend,
-                                 std::unique_ptr<EvictionPolicy> policy,
                                  const ControlPlaneConfig& cfg,
                                  obs::Registry* registry,
                                  fault::FaultInjector* fault)
@@ -46,7 +46,6 @@ DpuCacheControl::DpuCacheControl(pcie::DmaEngine& dma,
       layout_(&layout),
       backend_(&backend),
       fault_(fault),
-      policy_(std::move(policy)),
       cfg_(cfg),
       owned_registry_(registry == nullptr ? std::make_unique<obs::Registry>()
                                           : nullptr),
@@ -54,10 +53,8 @@ DpuCacheControl::DpuCacheControl(pcie::DmaEngine& dma,
       stats_(*registry_),
       flush_pass_ns_(&registry_->histogram("cache.ctl/flush_pass_ns")),
       prefetch_pass_ns_(&registry_->histogram("cache.ctl/prefetch_pass_ns")),
-      prefetcher_(cfg.prefetch_max_window),
-      scratch_(layout.geometry().page_size) {
-  DPC_CHECK(policy_ != nullptr);
-}
+      prefetcher_(kPrefetchMaxWindow),
+      scratch_(kPageSize) {}
 
 CacheEntry DpuCacheControl::fetch_entry(std::uint32_t index,
                                         sim::Nanos& cost) {
@@ -249,11 +246,8 @@ DpuCacheControl::PassResult DpuCacheControl::flush_pass(int max_pages) {
     // "…and performs relevant computing operations (e.g., compression,
     // DIF, EC, etc.)". The DIF stamp is taken at the pull — it is the
     // checksum of the host-DRAM truth the DMA engine carried over.
-    std::uint32_t dif_stamp = 0;
-    if (cfg_.dif_enabled) {
-      dif_stamp = ec::crc32c(scratch_);
-      ++stats_.dif_checksums;
-    }
+    const std::uint32_t dif_stamp = ec::crc32c(scratch_);
+    ++stats_.dif_checksums;
     // Injection: the DPU-DRAM copy is damaged after the pull (DMA glitch
     // or DRAM bit flip) — the window the DIF verify below closes.
     if (fault_ != nullptr) {
@@ -265,27 +259,13 @@ DpuCacheControl::PassResult DpuCacheControl::flush_pass(int max_pages) {
             std::byte{static_cast<unsigned char>(1u << (bit % 8))};
       }
     }
-    if (cfg_.dif_enabled && ec::crc32c(scratch_) != dif_stamp) {
+    if (ec::crc32c(scratch_) != dif_stamp) {
       // The copy about to hit the backend is provably not what the host
       // wrote. Never flush it: leave the page dirty — the next pass pulls
       // a fresh (intact) copy from host DRAM, so recovery is free.
       ++stats_.flush_integrity_fails;
       read_unlock(i, res.cost);
       continue;
-    }
-    if (cfg_.compress_enabled) {
-      // Compress for the network hop to the disaggregated store, verify
-      // the round trip, and account the wire savings.
-      std::vector<std::byte> packed;
-      const auto packed_size = dpu::lz_compress(scratch_, packed);
-      std::vector<std::byte> unpacked;
-      const auto back =
-          dpu::lz_decompress(packed, unpacked, scratch_.size());
-      DPC_CHECK_MSG(back.has_value() && unpacked == scratch_,
-                    "flush compression round trip failed");
-      stats_.compress_in_bytes += scratch_.size();
-      stats_.compress_out_bytes += packed_size;
-      res.cost += dpu::dpu_compress_cost(scratch_.size());
     }
     const bool flushed =
         !(fault_ != nullptr && fault_->should_fail(kFaultFlushWritePage)) &&
@@ -401,7 +381,7 @@ DpuCacheControl::PassResult DpuCacheControl::evict(std::uint32_t target_free) {
 
   auto status = snapshot_status(res.cost);
   std::vector<std::uint32_t> victims;
-  policy_->pick_victims(status, target_free - free_now, victims);
+  clock_.pick_victims(status, target_free - free_now, victims);
   for (const std::uint32_t i : victims) {
     if (!try_write_lock(i, res.cost)) continue;  // in use; skip
     const CacheEntry e = fetch_entry(i, res.cost);

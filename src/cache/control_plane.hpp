@@ -9,8 +9,8 @@
 //     the paper lists "compression, DIF, EC, etc."), write them to the
 //     backend, then release the locks and mark the entries clean;
 //   * replacement — reclaim clean pages when the host raises the
-//     need-evict flag (or free falls below the low-water mark), victim
-//     selection delegated to the EvictionPolicy;
+//     need-evict flag (or free falls below the low-water mark), victims
+//     picked by the ClockEviction sweep;
 //   * prefetch — populate pages the SequentialPrefetcher predicts, claiming
 //     free entries through the same bucket/entry lock protocol the host
 //     uses (bucket locks taken with PCIe atomics from this side).
@@ -53,10 +53,10 @@ inline constexpr std::string_view kFaultFlushCrashBeforeClean =
     "cache.flush/crash_before_clean";
 /// Data-corruption site: one draw per flushed page; a hit flips one bit in
 /// the DPU-DRAM copy after the pull — damage in the DMA or in DPU DRAM.
-/// With dif_enabled the stamp-then-verify pair catches it and the page
-/// stays dirty (a later pass re-pulls the intact host copy); with DIF off
-/// the damage would reach the backend, which is exactly the exposure the
-/// DIF step exists to close.
+/// The DIF stamp-then-verify pair catches it and the page stays dirty (a
+/// later pass re-pulls the intact host copy); without DIF the damage would
+/// reach the backend, which is exactly the exposure the DIF step exists to
+/// close.
 inline constexpr std::string_view kFaultFlushCorruptPage =
     "cache.flush/corrupt_page";
 
@@ -64,13 +64,6 @@ struct ControlPlaneConfig {
   /// Refill eviction until at least this many pages are free.
   std::uint32_t evict_low_water = 16;
   std::uint32_t evict_batch = 32;
-  /// Verify flushed pages with CRC32C (the DIF step).
-  bool dif_enabled = true;
-  /// Compress pages on the flush path before they cross the network to the
-  /// disaggregated store (§3.3 lists compression among the flush compute).
-  bool compress_enabled = false;
-  /// Maximum readahead window in 4K pages (kernel-readahead scale).
-  std::uint32_t prefetch_max_window = 256;
 };
 
 /// DPU control-plane counters, registry-backed ("cache.ctl/…") so every
@@ -82,8 +75,6 @@ struct ControlPlaneStats {
         pages_prefetched(reg.counter("cache.ctl/pages_prefetched")),
         flush_lock_conflicts(reg.counter("cache.ctl/flush_lock_conflicts")),
         dif_checksums(reg.counter("cache.ctl/dif_checksums")),
-        compress_in_bytes(reg.counter("cache.ctl/compress_in_bytes")),
-        compress_out_bytes(reg.counter("cache.ctl/compress_out_bytes")),
         flush_fails(reg.counter("cache.ctl/flush_fails")),
         flush_integrity_fails(
             reg.counter("cache.ctl/flush_integrity_fails")),
@@ -95,9 +86,6 @@ struct ControlPlaneStats {
   obs::Counter& pages_prefetched;
   obs::Counter& flush_lock_conflicts;
   obs::Counter& dif_checksums;
-  /// Flush-path compression accounting (bytes before/after).
-  obs::Counter& compress_in_bytes;
-  obs::Counter& compress_out_bytes;
   /// Backend write_page failures — the page stays dirty and is re-queued.
   obs::Counter& flush_fails;
   /// DIF verification failures on the flush path: the DPU-DRAM copy no
@@ -116,9 +104,7 @@ class DpuCacheControl {
   /// `registry` hosts the control-plane counters and the flush/prefetch
   /// pass-cost histograms; when null a private registry is created.
   DpuCacheControl(pcie::DmaEngine& dma, const CacheLayout& layout,
-                  CacheBackend& backend,
-                  std::unique_ptr<EvictionPolicy> policy,
-                  const ControlPlaneConfig& cfg = {},
+                  CacheBackend& backend, const ControlPlaneConfig& cfg = {},
                   obs::Registry* registry = nullptr,
                   fault::FaultInjector* fault = nullptr);
 
@@ -231,7 +217,7 @@ class DpuCacheControl {
   dpu::QosManager* qos_ = nullptr;  ///< per-tenant prefetch attribution
   nvm::WriteAheadLog* wal_ = nullptr;  ///< durability spine (may be null)
   /// Consulted only inside an eviction pass (replacement is single-flight).
-  std::unique_ptr<EvictionPolicy> policy_ PT_GUARDED_BY(pass_mu_);
+  ClockEviction clock_ GUARDED_BY(pass_mu_);
   ControlPlaneConfig cfg_;
   std::unique_ptr<obs::Registry> owned_registry_;  // when none was supplied
   obs::Registry* registry_;

@@ -296,7 +296,7 @@ HostCachePlane::FastRead HostCachePlane::try_read_lockfree(
 
 bool HostCachePlane::read(std::uint64_t inode, std::uint64_t lpn,
                           std::span<std::byte> dst) {
-  DPC_CHECK(dst.size() <= layout_->geometry().page_size);
+  DPC_CHECK(dst.size() <= kPageSize);
   const std::uint32_t bucket = layout_->bucket_of(inode, lpn);
   // dpc-lint: lockfree-begin(cache-read)
   for (int attempt = 0; attempt < kLockFreeReadAttempts; ++attempt) {
@@ -353,7 +353,7 @@ bool HostCachePlane::read(std::uint64_t inode, std::uint64_t lpn,
 
 HostCachePlane::WriteResult HostCachePlane::write(
     std::uint64_t inode, std::uint64_t lpn, std::span<const std::byte> src) {
-  DPC_CHECK(src.size() <= layout_->geometry().page_size);
+  DPC_CHECK(src.size() <= kPageSize);
   const std::uint32_t bucket = layout_->bucket_of(inode, lpn);
   lock_bucket(bucket);
 
@@ -401,9 +401,9 @@ HostCachePlane::WriteResult HostCachePlane::write(
   copy_page_in(*host_, layout_->page_off(entry), src);
   // Pad the remainder of a partial page write with zeros so flushes are
   // whole-page.
-  if (src.size() < layout_->geometry().page_size) {
+  if (src.size() < kPageSize) {
     host_->fill_bytes(layout_->page_off(entry) + src.size(),
-                      layout_->geometry().page_size - src.size(),
+                      kPageSize - src.size(),
                       std::byte{0});
   }
   const PageStatus prev = status_of(entry);  // stable: we hold the lock
@@ -424,7 +424,7 @@ HostCachePlane::WriteResult HostCachePlane::write(
 
 void HostCachePlane::fill_clean(std::uint64_t inode, std::uint64_t lpn,
                                 std::span<const std::byte> src) {
-  DPC_CHECK(src.size() <= layout_->geometry().page_size);
+  DPC_CHECK(src.size() <= kPageSize);
   const std::uint32_t bucket = layout_->bucket_of(inode, lpn);
   lock_bucket(bucket);
   if (find_locked(bucket, inode, lpn)) {
@@ -454,9 +454,9 @@ void HostCachePlane::fill_clean(std::uint64_t inode, std::uint64_t lpn,
   unlock_bucket(bucket);
 
   copy_page_in(*host_, layout_->page_off(entry), src);
-  if (src.size() < layout_->geometry().page_size) {
+  if (src.size() < kPageSize) {
     host_->fill_bytes(layout_->page_off(entry) + src.size(),
-                      layout_->geometry().page_size - src.size(),
+                      kPageSize - src.size(),
                       std::byte{0});
   }
   set_status(entry, PageStatus::kClean);
@@ -493,8 +493,7 @@ bool HostCachePlane::invalidate(std::uint64_t inode, std::uint64_t lpn) {
 
 void HostCachePlane::zero_tail(std::uint64_t inode, std::uint64_t lpn,
                                std::uint32_t from) {
-  const std::uint32_t page = layout_->geometry().page_size;
-  DPC_CHECK(from < page);
+  DPC_CHECK(from < kPageSize);
   const std::uint32_t bucket = layout_->bucket_of(inode, lpn);
   lock_bucket(bucket);
   const auto found = find_locked(bucket, inode, lpn);
@@ -508,7 +507,7 @@ void HostCachePlane::zero_tail(std::uint64_t inode, std::uint64_t lpn,
   const PageStatus st = status_of(entry);
   if (st == PageStatus::kClean || st == PageStatus::kDirty) {
     seq_write_begin(entry);
-    host_->fill_bytes(layout_->page_off(entry) + from, page - from,
+    host_->fill_bytes(layout_->page_off(entry) + from, kPageSize - from,
                       std::byte{0});
     seq_write_end(entry);
   }

@@ -90,7 +90,7 @@ class HostCachePlane {
   /// coherence). Scans the whole meta area; truncate is rare.
   std::uint32_t invalidate_above(std::uint64_t inode, std::uint64_t first_lpn);
 
-  /// Zeroes bytes [from, page_size) of the cached page, if present —
+  /// Zeroes bytes [from, kPageSize) of the cached page, if present —
   /// truncate's boundary-page coherence (the backend zeroes its copy too,
   /// so the entry's clean/dirty status is preserved).
   void zero_tail(std::uint64_t inode, std::uint64_t lpn, std::uint32_t from);

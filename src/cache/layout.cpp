@@ -19,7 +19,6 @@ static_assert(offsetof(CacheEntry, seq) == CacheLayout::EntryField::kSeq);
 CacheLayout::CacheLayout(const CacheGeometry& geo,
                          pcie::RegionAllocator& host_alloc)
     : geo_(geo) {
-  DPC_CHECK(geo.page_size >= 512 && (geo.page_size & (geo.page_size - 1)) == 0);
   DPC_CHECK(geo.total_pages >= 1 && geo.buckets >= 1);
   DPC_CHECK_MSG(geo.total_pages % geo.buckets == 0,
                 "each bucket must own the same number of entries (§3.3)");
@@ -29,9 +28,9 @@ CacheLayout::CacheLayout(const CacheGeometry& geo,
   bucket_locks_ = host_alloc.alloc(std::uint64_t{geo.buckets} * 4, 64);
   meta_ = host_alloc.alloc(std::uint64_t{geo.total_pages} * sizeof(CacheEntry),
                            64);
-  data_ = host_alloc.alloc(
-      std::uint64_t{geo.total_pages} * geo.page_size, geo.page_size);
-  total_bytes_ = data_ + std::uint64_t{geo.total_pages} * geo.page_size - base_;
+  data_ = host_alloc.alloc(std::uint64_t{geo.total_pages} * kPageSize,
+                           kPageSize);
+  total_bytes_ = data_ + std::uint64_t{geo.total_pages} * kPageSize - base_;
 
   format(host_alloc.region());
 }
@@ -39,9 +38,8 @@ CacheLayout::CacheLayout(const CacheGeometry& geo,
 void CacheLayout::format(pcie::MemoryRegion& region) const {
   // Initialize header.
   region.store<std::uint32_t>(header_field(HeaderOffsets::kPageSize),
-                              geo_.page_size);
-  region.store<std::uint32_t>(header_field(HeaderOffsets::kMode),
-                              static_cast<std::uint32_t>(geo_.mode));
+                              kPageSize);
+  region.store<std::uint32_t>(header_field(HeaderOffsets::kMode), 1);
   region.store<std::uint32_t>(header_field(HeaderOffsets::kTotal),
                               geo_.total_pages);
   region.store<std::uint32_t>(header_field(HeaderOffsets::kFree),
@@ -77,7 +75,7 @@ std::uint64_t CacheLayout::entry_off(std::uint32_t index) const {
 
 std::uint64_t CacheLayout::page_off(std::uint32_t index) const {
   DPC_CHECK(index < geo_.total_pages);
-  return data_ + std::uint64_t{index} * geo_.page_size;
+  return data_ + std::uint64_t{index} * kPageSize;
 }
 
 std::uint32_t CacheLayout::bucket_of(std::uint64_t inode,

@@ -5,8 +5,9 @@
 //
 //   [ header | bucket locks | meta area (cache entries) | data area ]
 //
-// header     — pagesize, mode (0 = read cache, 1 = write cache), total page
-//              count, free page count.
+// header     — pagesize, mode (the paper's 0 = read cache, 1 = write
+//              cache; always 1 here, and nothing reads it back), total
+//              page count, free page count.
 //   meta area — a hash table of fixed-size cache entries; entries are
 //              grouped into equal-sized buckets and linked by `next`.
 //              Each entry i describes data page i:
@@ -47,8 +48,6 @@ enum class PageStatus : std::uint32_t {
   kInvalid = 3,
 };
 
-enum class CacheMode : std::uint32_t { kRead = 0, kWrite = 1 };
-
 /// On-"wire" cache entry — one 64-byte cache line in the meta area.
 ///
 /// Grown from 32 to 64 bytes for the lock-free read path: `seq` is the
@@ -70,9 +69,12 @@ static_assert(sizeof(CacheEntry) == 64);
 
 inline constexpr std::uint32_t kEndOfList = 0xFFFFFFFFu;
 
+/// Cache page size: one data-area page per entry. The fs-adapter maps file
+/// offset `lpn × kPageSize` onto cache page `lpn`, so both sides share this
+/// one constant.
+inline constexpr std::uint32_t kPageSize = 4096;
+
 struct CacheGeometry {
-  std::uint32_t page_size = 4096;
-  CacheMode mode = CacheMode::kWrite;
   std::uint32_t total_pages = 1024;
   std::uint32_t buckets = 64;
 };
@@ -80,7 +82,7 @@ struct CacheGeometry {
 /// Field offsets inside the header block.
 struct HeaderOffsets {
   static constexpr std::uint64_t kPageSize = 0;
-  static constexpr std::uint64_t kMode = 4;
+  static constexpr std::uint64_t kMode = 4;       // always 1: write cache
   static constexpr std::uint64_t kTotal = 8;
   static constexpr std::uint64_t kFree = 12;      // atomic
   static constexpr std::uint64_t kBuckets = 16;

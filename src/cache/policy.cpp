@@ -23,33 +23,6 @@ void ClockEviction::pick_victims(const std::vector<PageStatus>& status,
   }
 }
 
-void BucketPressureEviction::pick_victims(
-    const std::vector<PageStatus>& status, std::uint32_t want,
-    std::vector<std::uint32_t>& out) {
-  DPC_CHECK(epb_ >= 1);
-  const auto n = static_cast<std::uint32_t>(status.size());
-  const std::uint32_t buckets = n / epb_;
-  // Score each bucket by its free-entry count (ascending = most pressured).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> score;  // (free, b)
-  score.reserve(buckets);
-  for (std::uint32_t b = 0; b < buckets; ++b) {
-    std::uint32_t free = 0;
-    for (std::uint32_t i = b * epb_; i < (b + 1) * epb_; ++i)
-      if (status[i] == PageStatus::kFree) ++free;
-    score.emplace_back(free, b);
-  }
-  std::sort(score.begin(), score.end());
-  for (const auto& [free, b] : score) {
-    if (want == 0) break;
-    for (std::uint32_t i = b * epb_; i < (b + 1) * epb_ && want > 0; ++i) {
-      if (status[i] == PageStatus::kClean) {
-        out.push_back(i);
-        --want;
-      }
-    }
-  }
-}
-
 SequentialPrefetcher::SequentialPrefetcher(std::uint32_t max_window,
                                            std::size_t tracked_streams)
     : max_window_(max_window), capacity_(tracked_streams) {

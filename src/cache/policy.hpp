@@ -1,9 +1,7 @@
-// Pluggable cache-management policies for the DPU control plane.
-//
-// §3.3 argues that offloading the control plane "enables the flexibility of
-// customized cache replacement and prefetching algorithms"; this header is
-// that extension point. Two eviction policies (clock-sweep and
-// bucket-pressure) and a sequential prefetcher ship with the repo.
+// Cache-management policies the DPU control plane runs (§3.3): the clock
+// sweep that picks eviction victims and the sequential prefetcher. §3.3
+// argues that offloading the control plane is what makes such policies
+// easy to customize; a second policy belongs here once a workload needs it.
 #pragma once
 
 #include <cstdint>
@@ -15,46 +13,18 @@
 
 namespace dpc::cache {
 
-/// Chooses which clean entries to reclaim. The control plane feeds it the
-/// candidate view of the meta area; implementations must not block.
-class EvictionPolicy {
- public:
-  virtual ~EvictionPolicy() = default;
-
-  /// Given the per-entry statuses, appends up to `want` victim entry
-  /// indices (clean pages only) to `out`.
-  virtual void pick_victims(const std::vector<PageStatus>& status,
-                            std::uint32_t want,
-                            std::vector<std::uint32_t>& out) = 0;
-  virtual const char* name() const = 0;
-};
-
 /// Clock sweep: a rotating cursor over the meta area, reclaiming clean
 /// pages in scan order — approximates LRU without per-hit bookkeeping,
 /// which matters because hits happen on the host without DPU involvement.
-class ClockEviction final : public EvictionPolicy {
+class ClockEviction {
  public:
+  /// Given the per-entry statuses, appends up to `want` victim entry
+  /// indices (clean pages only) to `out`.
   void pick_victims(const std::vector<PageStatus>& status, std::uint32_t want,
-                    std::vector<std::uint32_t>& out) override;
-  const char* name() const override { return "clock"; }
+                    std::vector<std::uint32_t>& out);
 
  private:
   std::uint32_t hand_ = 0;
-};
-
-/// Bucket-pressure: reclaims from the buckets with the fewest free entries
-/// first, so hash-skewed workloads don't stall on one hot bucket while the
-/// rest of the cache is idle.
-class BucketPressureEviction final : public EvictionPolicy {
- public:
-  explicit BucketPressureEviction(std::uint32_t entries_per_bucket)
-      : epb_(entries_per_bucket) {}
-  void pick_victims(const std::vector<PageStatus>& status, std::uint32_t want,
-                    std::vector<std::uint32_t>& out) override;
-  const char* name() const override { return "bucket-pressure"; }
-
- private:
-  std::uint32_t epb_;
 };
 
 /// Detects per-inode sequential read streams from the misses the DPU sees

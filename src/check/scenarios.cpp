@@ -39,7 +39,7 @@ std::vector<std::byte> fill(std::size_t n, std::uint8_t v) {
 void scenario_seqlock_entry(ModelSched& sched) {
   pcie::MemoryRegion host("host", 1 << 20);
   pcie::RegionAllocator alloc(host);
-  cache::CacheLayout layout({4096, cache::CacheMode::kWrite, 8, 2}, alloc);
+  cache::CacheLayout layout({8, 2}, alloc);
   cache::HostCachePlane plane(host, layout);
 
   const auto a = fill(4096, 0xAA);
@@ -341,7 +341,7 @@ void scenario_restart_vs_pump(ModelSched& sched) {
   o.queues = 1;
   o.queue_depth = 8;
   o.max_io = 64 * 1024;
-  o.cache_geo = {4096, cache::CacheMode::kWrite, 16, 4};
+  o.cache_geo = {16, 4};
   o.with_dfs = false;
   o.dpu_workers = 0;  // pump mode: callers service the TGT inline
   o.nvme_retry.max_attempts = 8;
@@ -398,7 +398,7 @@ void scenario_writethrough_vs_prefetch(ModelSched& sched) {
   o.max_io = 64 * 1024;
   // One bucket of two entries: two clean pages fill it, so a buffered write
   // of a third page finds no free entry.
-  o.cache_geo = {4096, cache::CacheMode::kWrite, 2, 1};
+  o.cache_geo = {2, 1};
   // No reclaim: neither to a low-water mark the two-page cache would always
   // be under, nor on the writer's need-evict flag. A prefetched page then
   // survives to the final read, as it does whenever the evictor's victims

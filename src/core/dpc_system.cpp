@@ -13,7 +13,8 @@ namespace dpc::core {
 
 namespace {
 
-constexpr std::uint32_t kCachePage = 4096;
+/// The fs-adapter maps file offset `lpn × kCachePage` onto cache page `lpn`.
+constexpr std::uint32_t kCachePage = cache::kPageSize;
 
 /// Tenant identity of this host thread, stamped into every Request it
 /// builds. Thread-local (not per-call) so the fs-adapter API stays
@@ -36,7 +37,7 @@ std::size_t host_region_size(const DpcOptions& o) {
   if (o.enable_cache) {
     total += 64 + std::uint64_t{o.cache_geo.buckets} * 4 +
              std::uint64_t{o.cache_geo.total_pages} *
-                 (sizeof(cache::CacheEntry) + o.cache_geo.page_size);
+                 (sizeof(cache::CacheEntry) + kCachePage);
   }
   return total + (8 << 20);  // slack
 }
@@ -90,6 +91,13 @@ DpcSystem::DpcSystem(const DpcOptions& opts)
           &registry_.counter("nvme.host/integrity_errors")),
       pump_conflicts_(&registry_.counter("core/pump_conflicts")) {
   DPC_CHECK(opts.queues >= 1 && opts.queue_depth >= 2);
+  // Segmentation steps by max_io, and one command's payload plus its header
+  // page and CRC trailer must fit the INI's one-page PRP list.
+  DPC_CHECK(opts.max_io >= 1 &&
+            std::uint64_t{opts.max_io} + nvme::kPageSize +
+                    nvme::kPayloadCrcBytes <=
+                std::uint64_t{nvme::kPageSize / sizeof(std::uint64_t)} *
+                    nvme::kPageSize);
 
   if (opts.qos.enabled)
     qos_ = std::make_unique<dpu::QosManager>(opts.qos, registry_);
@@ -112,7 +120,7 @@ DpcSystem::DpcSystem(const DpcOptions& opts)
 
   // Backends.
   if (opts.shared_store == nullptr) {
-    kv_store_ = std::make_unique<kv::KvStore>(opts.kv_shards);
+    kv_store_ = std::make_unique<kv::KvStore>();
   }
   kv::KvStore& store =
       opts.shared_store != nullptr ? *opts.shared_store : *kv_store_;
@@ -122,10 +130,8 @@ DpcSystem::DpcSystem(const DpcOptions& opts)
     kv_store_->attach_fault(opts.fault);
   remote_kv_ = std::make_unique<kv::RemoteKv>(store, opts.fault, &registry_,
                                               opts.kv_retry, opts.kv_breaker);
-  kvfs::KvfsOptions kvfs_opts = opts.kvfs;
-  if (kvfs_opts.fault == nullptr) kvfs_opts.fault = opts.fault;
-  if (wal_) kvfs_opts.wal = wal_.get();
-  kvfs_ = std::make_unique<kvfs::Kvfs>(*remote_kv_, kvfs_opts, &registry_);
+  kvfs_ = std::make_unique<kvfs::Kvfs>(
+      *remote_kv_, kvfs::KvfsOptions{opts.fault, wal_.get()}, &registry_);
   if (qos_) kvfs_->attach_qos(qos_.get());
   if (opts.with_dfs) {
     mds_ = std::make_unique<dfs::MdsCluster>();
@@ -144,8 +150,7 @@ DpcSystem::DpcSystem(const DpcOptions& opts)
         *host_mem_, *cache_layout_, &registry_);
     cache_backend_ = std::make_unique<KvfsCacheBackend>(*kvfs_);
     cache_ctl_ = std::make_unique<cache::DpuCacheControl>(
-        *dma_, *cache_layout_, *cache_backend_,
-        std::make_unique<cache::ClockEviction>(), opts.cache_ctl, &registry_,
+        *dma_, *cache_layout_, *cache_backend_, opts.cache_ctl, &registry_,
         opts.fault);
     if (qos_) cache_ctl_->attach_qos(qos_.get());
     if (wal_) cache_ctl_->attach_wal(wal_.get());

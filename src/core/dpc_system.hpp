@@ -55,10 +55,8 @@ struct DpcOptions {
   std::uint16_t queue_depth = 16;
   std::uint32_t max_io = 1 << 20;   ///< per-command payload cap (1 MB)
   bool enable_cache = true;
-  cache::CacheGeometry cache_geo{4096, cache::CacheMode::kWrite, 4096, 256};
+  cache::CacheGeometry cache_geo{4096, 256};  ///< 16 MiB
   cache::ControlPlaneConfig cache_ctl{};
-  kvfs::KvfsOptions kvfs{};
-  int kv_shards = 0;  // 0 = per-core (see KvStore)
   bool with_dfs = true;
   int dpu_workers = 2;
   /// Mount against an existing disaggregated KV store instead of creating
@@ -205,7 +203,6 @@ class DpcSystem {
   pcie::DmaCounters& dma_counters() { return dma_->counters(); }
   const cache::HostCacheStats* cache_stats() const;
   const cache::ControlPlaneStats* control_stats() const;
-  const kvfs::KvfsStats& kvfs_stats() const { return kvfs_->stats(); }
   const DispatchStats& dispatch_stats() const { return dispatch_->stats(); }
   sim::Nanos mean_backend_cost() const {
     return dispatch_->mean_backend_cost();
@@ -217,11 +214,8 @@ class DpcSystem {
   cache::DpuCacheControl* cache_control() { return cache_ctl_.get(); }
   /// Null unless options.enable_scrubber.
   dpu::Scrubber* scrubber() { return scrubber_.get(); }
-  /// Null unless options.qos.enabled.
-  dpu::QosManager* qos_manager() { return qos_.get(); }
   /// Null unless options.enable_nvm_wal.
   nvm::WriteAheadLog* wal() { return wal_.get(); }
-  nvm::NvmDevice* nvm_device() { return nvm_dev_.get(); }
 
   /// Pump-mode internals exposed for the lockrank/model-check harnesses:
   /// the per-queue pump lock (tests acquire them out of order to prove the

@@ -30,7 +30,7 @@ DpfsSystem::DpfsSystem(const DpfsOptions& opts) : opts_(opts) {
   dpu_ = std::make_unique<dpu::Dpu>();
   dma_ = std::make_unique<pcie::DmaEngine>(*host_mem_, dpu_->bar());
 
-  kv_store_ = std::make_unique<kv::KvStore>(opts.kv_shards);
+  kv_store_ = std::make_unique<kv::KvStore>();
   remote_kv_ = std::make_unique<kv::RemoteKv>(*kv_store_);
   kvfs_ = std::make_unique<kvfs::Kvfs>(*remote_kv_);
 

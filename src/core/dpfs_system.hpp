@@ -26,7 +26,6 @@ struct DpfsOptions {
   std::uint16_t queue_size = 512;
   std::uint16_t request_slots = 64;
   std::uint32_t max_io = 1 << 20;
-  int kv_shards = 0;  // 0 = per-core (see KvStore)
 };
 
 /// Result of one DPFS call (mirrors core::Io for easy comparison).

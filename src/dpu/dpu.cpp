@@ -2,10 +2,12 @@
 
 namespace dpc::dpu {
 
-Dpu::Dpu(const DpuConfig& cfg)
-    : cfg_(cfg), bar_("dpu-bar", cfg.bar_size), bar_alloc_(bar_) {
-  DPC_CHECK(cfg.cores >= 1);
-}
+namespace {
+/// Size of the doorbell/BAR + scratch region.
+constexpr std::size_t kBarSize = 16ULL << 20;
+}  // namespace
+
+Dpu::Dpu() : bar_("dpu-bar", kBarSize), bar_alloc_(bar_) {}
 
 sim::Nanos Dpu::sched_overhead(int client_threads) {
   using namespace sim::calib;

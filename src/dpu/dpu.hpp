@@ -17,16 +17,11 @@
 
 namespace dpc::dpu {
 
-struct DpuConfig {
-  int cores = sim::calib::kDpuCores;
-  std::size_t bar_size = 16ULL << 20;  ///< doorbell/BAR + scratch region
-};
-
 class Dpu {
  public:
-  explicit Dpu(const DpuConfig& cfg = {});
+  Dpu();
 
-  int cores() const { return cfg_.cores; }
+  static int cores() { return sim::calib::kDpuCores; }
   pcie::MemoryRegion& bar() { return bar_; }
   pcie::RegionAllocator& bar_alloc() { return bar_alloc_; }
 
@@ -36,7 +31,6 @@ class Dpu {
   static sim::Nanos sched_overhead(int client_threads);
 
  private:
-  DpuConfig cfg_;
   pcie::MemoryRegion bar_;
   pcie::RegionAllocator bar_alloc_;
 };

@@ -22,6 +22,8 @@ constexpr sim::Nanos kVerifyCost = sim::micros(2.0);
 /// Decorrelates the scrubber's pacing jitter from retriers using the same
 /// hash family.
 constexpr std::uint64_t kPaceSalt = 0x5c52'5542'4245'5221ULL;  // "SCRUBBER!"
+/// Pacing jitter fraction (ScrubberConfig::pace ± 50%).
+constexpr double kPaceJitter = 0.5;
 
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -60,7 +62,7 @@ int Scrubber::poll() {
   const PassOutcome out = pass(cfg_.items_per_pass);
   next_due_ns_ =
       now +
-      fault::jittered(cfg_.pace, cfg_.pace_jitter, pace_step_++, kPaceSalt)
+      fault::jittered(cfg_.pace, kPaceJitter, pace_step_++, kPaceSalt)
           .ns;
   return out.scanned;
 }

@@ -44,11 +44,11 @@ class QosManager;
 struct ScrubberConfig {
   /// Items (blocks / values / shards) verified per pass — the rate knob.
   std::uint32_t items_per_pass = 64;
-  /// Wall-clock spacing between passes; jittered so a fleet of scrubbers
-  /// (or one scrubber and the flusher it shares a worker with) don't beat
-  /// in lockstep. Pacing only applies to poll(); scrub_pass() is immediate.
+  /// Wall-clock spacing between passes; jittered ±50% so a fleet of
+  /// scrubbers (or one scrubber and the flusher it shares a worker with)
+  /// don't beat in lockstep. Pacing only applies to poll(); scrub_pass() is
+  /// immediate.
   sim::Nanos pace = sim::millis(1.0);
-  double pace_jitter = 0.5;
 };
 
 class Scrubber {

@@ -19,16 +19,11 @@ HealthBoard::HealthBoard(std::string_view group, int peers, HealthConfig cfg,
                          obs::Registry* registry)
     : cfg_(cfg), group_(group) {
   DPC_CHECK(peers >= 1);
-  DPC_CHECK(cfg_.ewma_alpha > 0.0 && cfg_.ewma_alpha <= 1.0);
   DPC_CHECK(cfg_.deadline_floor.ns <= cfg_.deadline_ceiling.ns);
   DPC_CHECK(cfg_.slow_strikes >= 1);
   DPC_CHECK(cfg_.probe_interval >= 1);
   DPC_CHECK(cfg_.reintegrate_successes >= 1);
-  DPC_CHECK(cfg_.quantile_window >= 2);
-  DPC_CHECK(cfg_.quantile_refresh >= 1);
   peers_v_.resize(static_cast<std::size_t>(peers));
-  for (auto& p : peers_v_)
-    p.ring.resize(static_cast<std::size_t>(cfg_.quantile_window));
   if (registry != nullptr) {
     score_gauges_.reserve(static_cast<std::size_t>(peers));
     ewma_gauges_.reserve(static_cast<std::size_t>(peers));
@@ -122,12 +117,11 @@ void HealthBoard::record(int peer, sim::Nanos observed, bool ok) {
   if (ok) {
     p.ewma_ns = p.ewma_ns < 0.0
                     ? obs
-                    : cfg_.ewma_alpha * obs +
-                          (1.0 - cfg_.ewma_alpha) * p.ewma_ns;
+                    : kEwmaAlpha * obs + (1.0 - kEwmaAlpha) * p.ewma_ns;
     p.ring[static_cast<std::size_t>(p.ring_pos)] = observed.ns;
-    p.ring_pos = (p.ring_pos + 1) % cfg_.quantile_window;
-    p.ring_count = std::min(p.ring_count + 1, cfg_.quantile_window);
-    if (++p.since_refresh >= cfg_.quantile_refresh || p.cached_p99_ns == 0) {
+    p.ring_pos = (p.ring_pos + 1) % kQuantileWindow;
+    p.ring_count = std::min(p.ring_count + 1, kQuantileWindow);
+    if (++p.since_refresh >= kQuantileRefresh || p.cached_p99_ns == 0) {
       p.since_refresh = 0;
       refresh_p99_locked(p);
     }
@@ -145,7 +139,7 @@ void HealthBoard::record(int peer, sim::Nanos observed, bool ok) {
       // Drop the limp-era window: the reintegrated peer's deadline/score
       // must reflect its probed (healthy) latency, not its quarantined past.
       p.ring[0] = observed.ns;
-      p.ring_pos = 1 % cfg_.quantile_window;
+      p.ring_pos = 1;
       p.ring_count = 1;
       p.since_refresh = 0;
       p.cached_p99_ns = observed.ns;
@@ -177,7 +171,7 @@ sim::Nanos HealthBoard::deadline() const {
   sim::LockGuard lock(mu_);
   const std::int64_t q = cohort_p99_locked();
   if (q == 0) return cfg_.deadline_ceiling;  // unmeasured: be generous
-  return sim::Nanos{clamp_ns(cfg_.deadline_scale * static_cast<double>(q),
+  return sim::Nanos{clamp_ns(kDeadlineScale * static_cast<double>(q),
                              cfg_.deadline_floor, cfg_.deadline_ceiling)};
 }
 
@@ -185,8 +179,8 @@ sim::Nanos HealthBoard::hedge_delay() const {
   sim::LockGuard lock(mu_);
   const std::int64_t q = cohort_p99_locked();
   if (q == 0) return cfg_.deadline_ceiling;
-  return sim::Nanos{clamp_ns(cfg_.hedge_scale * static_cast<double>(q),
-                             cfg_.hedge_floor, cfg_.deadline_ceiling)};
+  return sim::Nanos{clamp_ns(kHedgeScale * static_cast<double>(q),
+                             kHedgeFloor, cfg_.deadline_ceiling)};
 }
 
 double HealthBoard::score(int peer) const {

@@ -22,6 +22,7 @@
 // fixed fault seed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -33,19 +34,13 @@
 namespace dpc::fault {
 
 struct HealthConfig {
-  /// EWMA smoothing factor for per-peer observed latency.
-  double ewma_alpha = 0.25;
-
-  /// deadline() = clamp(deadline_scale × healthy-cohort p99, floor, ceiling).
-  double deadline_scale = 3.0;
+  /// deadline() = clamp(3 × healthy-cohort p99, floor, ceiling).
   sim::Nanos deadline_floor = sim::micros(150.0);
   sim::Nanos deadline_ceiling = sim::millis(20.0);
 
-  /// hedge_delay() = clamp(hedge_scale × healthy-cohort p99, floor, the
-  /// deadline ceiling). The floor sits far below the deadline floor: hedging
-  /// fires on "lagging the cohort", long before "declared dead".
-  double hedge_scale = 1.5;
-  sim::Nanos hedge_floor = sim::micros(20.0);
+  // hedge_delay() = clamp(1.5 × healthy-cohort p99, 20 µs, the deadline
+  // ceiling). Its floor sits far below the deadline floor: hedging fires on
+  // "lagging the cohort", long before "declared dead".
 
   /// Quarantine trigger: a peer strikes when an observation times out, or —
   /// with ≥ 4 peers, where a median is meaningful — when its EWMA exceeds
@@ -65,11 +60,6 @@ struct HealthConfig {
   double hedge_budget = 0.10;
   /// Token cap — a long healthy stretch must not bank an unbounded burst.
   double hedge_token_cap = 16.0;
-
-  /// Streaming-quantile ring: per-peer window of recent observations, with
-  /// the cached p99 recomputed every `quantile_refresh` records.
-  int quantile_window = 128;
-  int quantile_refresh = 8;
 };
 
 class HealthBoard {
@@ -123,9 +113,18 @@ class HealthBoard {
   std::uint64_t reintegrations() const;
 
  private:
+  static constexpr double kEwmaAlpha = 0.25;  ///< per-peer EWMA smoothing
+  static constexpr double kDeadlineScale = 3.0;
+  static constexpr double kHedgeScale = 1.5;
+  static constexpr sim::Nanos kHedgeFloor = sim::micros(20.0);
+  /// Streaming-quantile ring: per-peer window of recent observations, with
+  /// the cached p99 recomputed every kQuantileRefresh records.
+  static constexpr int kQuantileWindow = 128;
+  static constexpr int kQuantileRefresh = 8;
+
   struct Peer {
     double ewma_ns = -1.0;  // < 0: no data yet
-    std::vector<std::int64_t> ring;
+    std::array<std::int64_t, kQuantileWindow> ring{};
     int ring_pos = 0;
     int ring_count = 0;
     int since_refresh = 0;

@@ -19,6 +19,8 @@ constexpr std::uint32_t kDirentSize = 264;
 // that lets a mount distinguish live records from stale or torn ones.
 constexpr char kJournalMagic[4] = {'D', 'P', 'C', 'J'};
 constexpr std::size_t kJournalRecSize = 64;
+/// Journal ring length in blocks.
+constexpr std::uint32_t kJournalBlocks = 256;
 
 void seal_journal_record(std::span<std::byte, kJournalRecSize> rec,
                          std::uint64_t seq) {
@@ -95,7 +97,7 @@ Ext4like::Ext4like(ssd::SsdModel& disk, const Ext4likeOptions& opts)
   bitmap_start_ = 1;
   itable_start_ = bitmap_start_ + bitmap_blocks;
   journal_start_ = itable_start_ + itable_blocks;
-  data_start_ = journal_start_ + opts.journal_blocks;
+  data_start_ = journal_start_ + kJournalBlocks;
   DPC_CHECK_MSG(data_start_ < opts.total_blocks, "device too small");
 
   block_bitmap_.assign(div_ceil(opts.total_blocks, 64), 0);
@@ -107,7 +109,7 @@ Ext4like::Ext4like(ssd::SsdModel& disk, const Ext4likeOptions& opts)
   // highest survivor so new records always supersede old ones.
   if (opts.journal_enabled) {
     std::vector<std::byte> block(kBlockSize);
-    for (std::uint32_t j = 0; j < opts.journal_blocks; ++j) {
+    for (std::uint32_t j = 0; j < kJournalBlocks; ++j) {
       disk_->read_block(journal_start_ + j, block);
       const auto seq = check_journal_record(
           std::span<const std::byte, kJournalRecSize>{block.data(),
@@ -191,7 +193,7 @@ void Ext4like::journal(OpCost& c) {
   seal_journal_record(std::span<std::byte, kJournalRecSize>{rec},
                       journal_seq_++);
   const std::uint64_t lba = journal_start_ + journal_cursor_;
-  journal_cursor_ = (journal_cursor_ + 1) % opts_.journal_blocks;
+  journal_cursor_ = (journal_cursor_ + 1) % kJournalBlocks;
   dev_write(lba, rec, c);
 }
 

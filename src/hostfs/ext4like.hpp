@@ -56,7 +56,6 @@ struct DirEntry {
 struct Ext4likeOptions {
   std::uint64_t total_blocks = 1 << 20;  ///< 4 GiB device by default
   std::uint32_t max_inodes = 1 << 16;
-  std::uint32_t journal_blocks = 256;
   std::uint32_t page_cache_pages = 16384;
   bool journal_enabled = true;
 };

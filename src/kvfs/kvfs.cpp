@@ -39,19 +39,17 @@ Kvfs::Kvfs(kv::RemoteKv& store, const KvfsOptions& opts,
                                           : nullptr),
       registry_(registry != nullptr ? registry : owned_registry_.get()),
       stats_(*registry_),
+      journal_(store, *registry_, opts_.fault),
+      // Mount-time replay: roll any interrupted mutation (ours from a prior
+      // incarnation, or a crashed peer's) forward or backward before
+      // serving. The NVM log is node-local and freshly constructed at
+      // mount, so only the KV-resident records (degraded-mode appends,
+      // crashed peers) exist here; recover() handles the WAL after a DPU
+      // restart.
+      mount_replay_(IntentJournal::replay(store.store(), registry_)),
       cache_shards_(cache_shard_count()),
       cache_shard_mask_(cache_shards_.size() - 1) {
-  if (opts_.journal) {
-    journal_ = std::make_unique<IntentJournal>(store, *registry_,
-                                               opts_.fault);
-    if (opts_.wal != nullptr) journal_->attach_wal(opts_.wal);
-    // Mount-time replay: roll any interrupted mutation (ours from a prior
-    // incarnation, or a crashed peer's) forward or backward before serving.
-    // The NVM log is node-local and freshly constructed at mount, so only
-    // the KV-resident records (degraded-mode appends, crashed peers) exist
-    // here; recover() handles the WAL after a DPU restart.
-    mount_replay_ = IntentJournal::replay(store.store(), registry_);
-  }
+  if (opts_.wal != nullptr) journal_.attach_wal(opts_.wal);
   // Install the root directory's attribute if this is a fresh store.
   sim::Nanos cost{};
   if (!load_attr(kRootIno, cost)) {
@@ -72,9 +70,7 @@ Kvfs::RecoveryReport Kvfs::recover() {
   // post-recovery read refetches truth.
   drop_caches();
   if (opts_.wal != nullptr) rep.wal = replay_wal();
-  if (journal_ != nullptr)
-    rep.journal =
-        IntentJournal::replay(store_->store(), registry_, opts_.fault);
+  rep.journal = IntentJournal::replay(store_->store(), registry_, opts_.fault);
   rep.fsck = fsck_repair(store_->store(), registry_);
   rep.cost = rep.wal.cost + rep.journal.cost + rep.fsck.cost;
   return rep;
@@ -323,28 +319,25 @@ Kvfs::CacheShard& Kvfs::attr_shard(Ino ino) {
                        cache_shard_mask_];
 }
 
-std::size_t Kvfs::cache_shard_cap(std::size_t total_entries) const {
-  return std::max<std::size_t>(1, total_entries / cache_shards_.size());
+std::size_t Kvfs::cache_shard_cap() const {
+  return std::max<std::size_t>(1, kCacheEntries / cache_shards_.size());
 }
 
 void Kvfs::cache_dentry(Ino parent, std::string_view name, Ino ino) {
-  if (!opts_.enable_caches) return;
   CacheShard& sh = dentry_shard(parent, name);
   sim::LockGuard lock(sh.mu);
-  if (sh.dentry.size() >= cache_shard_cap(opts_.dentry_cache_entries))
+  if (sh.dentry.size() >= cache_shard_cap())
     sh.dentry.clear();  // wholesale per-shard drop: simple and rare
   sh.dentry[inode_key(parent, name)] = ino;
 }
 
 void Kvfs::uncache_dentry(Ino parent, std::string_view name) {
-  if (!opts_.enable_caches) return;
   CacheShard& sh = dentry_shard(parent, name);
   sim::LockGuard lock(sh.mu);
   sh.dentry.erase(inode_key(parent, name));
 }
 
 std::optional<Ino> Kvfs::cached_dentry(Ino parent, std::string_view name) {
-  if (!opts_.enable_caches) return std::nullopt;
   CacheShard& sh = dentry_shard(parent, name);
   sim::SharedLockGuard lock(sh.mu);
   const auto it = sh.dentry.find(inode_key(parent, name));
@@ -353,23 +346,20 @@ std::optional<Ino> Kvfs::cached_dentry(Ino parent, std::string_view name) {
 }
 
 void Kvfs::cache_attr(const Attr& a) {
-  if (!opts_.enable_caches) return;
   CacheShard& sh = attr_shard(a.ino);
   sim::LockGuard lock(sh.mu);
-  if (sh.attr.size() >= cache_shard_cap(opts_.attr_cache_entries))
+  if (sh.attr.size() >= cache_shard_cap())
     sh.attr.clear();
   sh.attr[a.ino] = a;
 }
 
 void Kvfs::uncache_attr(Ino ino) {
-  if (!opts_.enable_caches) return;
   CacheShard& sh = attr_shard(ino);
   sim::LockGuard lock(sh.mu);
   sh.attr.erase(ino);
 }
 
 std::optional<Attr> Kvfs::cached_attr(Ino ino) {
-  if (!opts_.enable_caches) return std::nullopt;
   CacheShard& sh = attr_shard(ino);
   sim::SharedLockGuard lock(sh.mu);
   const auto it = sh.attr.find(ino);
@@ -414,24 +404,19 @@ Result<Ino> Kvfs::make_node(Ino parent, std::string_view name, FileType type,
 
   // Write-ahead intent: if the record can't be made durable, abort before
   // anything mutates.
-  std::uint64_t rec_id = 0;
-  if (journal_ != nullptr) {
-    JournalRecord rec;
-    rec.op = JournalOp::kCreate;
-    rec.type = type;
-    rec.ino = ino;
-    rec.parent = parent;
-    rec.name = name;
-    rec.name2 = symlink_target;
-    rec_id = journal_->begin(rec, res.cost);
-    if (rec_id == 0) {
-      res.err = EIO;
-      return res;
-    }
+  JournalRecord rec;
+  rec.op = JournalOp::kCreate;
+  rec.type = type;
+  rec.ino = ino;
+  rec.parent = parent;
+  rec.name = name;
+  rec.name2 = symlink_target;
+  const std::uint64_t rec_id = journal_.begin(rec, res.cost);
+  if (rec_id == 0) {
+    res.err = EIO;
+    return res;
   }
-  const auto commit = [&] {
-    if (journal_ != nullptr) journal_->commit(rec_id, res.cost);
-  };
+  const auto commit = [&] { journal_.commit(rec_id, res.cost); };
 
   // put_if_absent on the inode KV is the existence check and the insert in
   // one atomic step.
@@ -661,21 +646,18 @@ Result<Unit> Kvfs::remove_node(Ino parent, std::string_view name, bool dir) {
 
   // Write-ahead intent: nlink_before and big_file let replay finish a
   // half-done removal (decrement exactly once, or purge the right flavor).
-  std::uint64_t rec_id = 0;
-  if (journal_ != nullptr) {
-    JournalRecord rec;
-    rec.op = JournalOp::kRemove;
-    rec.type = attr->type;
-    rec.ino = *ino;
-    rec.parent = parent;
-    rec.name = name;
-    rec.nlink_before = attr->nlink;
-    rec.big_file = static_cast<std::uint8_t>(attr->big_file != 0);
-    rec_id = journal_->begin(rec, res.cost);
-    if (rec_id == 0) {
-      res.err = EIO;
-      return res;
-    }
+  JournalRecord rec;
+  rec.op = JournalOp::kRemove;
+  rec.type = attr->type;
+  rec.ino = *ino;
+  rec.parent = parent;
+  rec.name = name;
+  rec.nlink_before = attr->nlink;
+  rec.big_file = static_cast<std::uint8_t>(attr->big_file != 0);
+  const std::uint64_t rec_id = journal_.begin(rec, res.cost);
+  if (rec_id == 0) {
+    res.err = EIO;
+    return res;
   }
 
   // Remove the namespace entry first so concurrent lookups fail fast. If
@@ -684,7 +666,7 @@ Result<Unit> Kvfs::remove_node(Ino parent, std::string_view name, bool dir) {
   auto del = store_->erase(inode_key(parent, name));
   res.cost += del.cost;
   if (!del.ok()) {
-    if (journal_ != nullptr) journal_->commit(rec_id, res.cost);
+    journal_.commit(rec_id, res.cost);
     res.err = EIO;
     return res;
   }
@@ -717,7 +699,7 @@ Result<Unit> Kvfs::remove_node(Ino parent, std::string_view name, bool dir) {
     if (dir && p.nlink > 2) --p.nlink;
     store_attr(p, res.cost);
   }
-  if (journal_ != nullptr) journal_->commit(rec_id, res.cost);
+  journal_.commit(rec_id, res.cost);
   return res;
 }
 
@@ -777,25 +759,22 @@ Result<Unit> Kvfs::rename(Ino old_parent, std::string_view old_name,
   // destination purge may have started, completing the move is the only
   // consistent end state. On a mid-op transient failure below, the record
   // is deliberately left open so the next recovery finishes the move.
-  std::uint64_t rec_id = 0;
-  if (journal_ != nullptr) {
-    JournalRecord rec;
-    rec.op = JournalOp::kRename;
-    rec.type = src_attr->type;
-    rec.ino = *src;
-    rec.parent = old_parent;
-    rec.name = old_name;
-    rec.new_parent = new_parent;
-    rec.name2 = new_name;
-    if (dst_attr) {
-      rec.replaced_ino = dst_attr->ino;
-      rec.replaced_big = static_cast<std::uint8_t>(dst_attr->big_file != 0);
-    }
-    rec_id = journal_->begin(rec, res.cost);
-    if (rec_id == 0) {
-      res.err = EIO;
-      return res;
-    }
+  JournalRecord rec;
+  rec.op = JournalOp::kRename;
+  rec.type = src_attr->type;
+  rec.ino = *src;
+  rec.parent = old_parent;
+  rec.name = old_name;
+  rec.new_parent = new_parent;
+  rec.name2 = new_name;
+  if (dst_attr) {
+    rec.replaced_ino = dst_attr->ino;
+    rec.replaced_big = static_cast<std::uint8_t>(dst_attr->big_file != 0);
+  }
+  const std::uint64_t rec_id = journal_.begin(rec, res.cost);
+  if (rec_id == 0) {
+    res.err = EIO;
+    return res;
   }
 
   if (dst_attr) {
@@ -832,7 +811,7 @@ Result<Unit> Kvfs::rename(Ino old_parent, std::string_view old_name,
       store_attr(p, res.cost);
     }
   }
-  if (journal_ != nullptr) journal_->commit(rec_id, res.cost);
+  journal_.commit(rec_id, res.cost);
   return res;
 }
 
@@ -948,35 +927,6 @@ Result<Attr> Kvfs::getattr(Ino ino) {
   return res;
 }
 
-Result<Unit> Kvfs::chmod(Ino ino, std::uint32_t mode) {
-  Result<Unit> res;
-  sim::LockGuard lock(inode_lock(ino));
-  auto attr = load_attr(ino, res.cost);
-  if (!attr) {
-    res.err = ENOENT;
-    return res;
-  }
-  attr->mode = mode;
-  attr->ctime = now();
-  store_attr(*attr, res.cost);
-  return res;
-}
-
-Result<Unit> Kvfs::chown(Ino ino, std::uint32_t uid, std::uint32_t gid) {
-  Result<Unit> res;
-  sim::LockGuard lock(inode_lock(ino));
-  auto attr = load_attr(ino, res.cost);
-  if (!attr) {
-    res.err = ENOENT;
-    return res;
-  }
-  attr->uid = uid;
-  attr->gid = gid;
-  attr->ctime = now();
-  store_attr(*attr, res.cost);
-  return res;
-}
-
 // -------------------------------------------------------------------- data
 
 Result<std::uint32_t> Kvfs::read(Ino ino, std::uint64_t offset,
@@ -1088,14 +1038,12 @@ bool Kvfs::promote_to_big(Attr& a, sim::Nanos& cost,
     if (block_id == 0) return false;
     page0[0] = block_id;
   }
-  if (journal_ != nullptr) {
-    JournalRecord rec;
-    rec.op = JournalOp::kPromote;
-    rec.ino = a.ino;
-    if (block_id != 0) rec.blocks.push_back(block_id);
-    journal_rec = journal_->begin(rec, cost);
-    if (journal_rec == 0) return false;
-  }
+  JournalRecord rec;
+  rec.op = JournalOp::kPromote;
+  rec.ino = a.ino;
+  if (block_id != 0) rec.blocks.push_back(block_id);
+  journal_rec = journal_.begin(rec, cost);
+  if (journal_rec == 0) return false;
   // Failures from here on return with the record still open; the next
   // recovery rolls the half-promotion back (or forward past the page-0
   // put). The caller commits `journal_rec` only after storing the attr
@@ -1221,12 +1169,12 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
       new_extents.push_back(logical);
       new_extents.push_back(slot);
     }
-    if (journal_ != nullptr && !new_extents.empty()) {
+    if (!new_extents.empty()) {
       JournalRecord rec;
       rec.op = JournalOp::kExtent;
       rec.ino = ino;
       rec.blocks = new_extents;
-      extent_rec = journal_->begin(rec, res.cost);
+      extent_rec = journal_.begin(rec, res.cost);
       if (extent_rec == 0) {
         res.err = EIO;
         return res;
@@ -1292,10 +1240,8 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
   attr->size = new_size;
   attr->mtime = now();
   store_attr(*attr, res.cost);
-  if (journal_ != nullptr) {
-    if (extent_rec != 0) journal_->commit(extent_rec, res.cost);
-    if (promote_rec != 0) journal_->commit(promote_rec, res.cost);
-  }
+  if (extent_rec != 0) journal_.commit(extent_rec, res.cost);
+  if (promote_rec != 0) journal_.commit(promote_rec, res.cost);
   res.value = static_cast<std::uint32_t>(src.size());
   return res;
 }
@@ -1400,8 +1346,7 @@ Result<Unit> Kvfs::truncate(Ino ino, std::uint64_t new_size) {
   attr->size = new_size;
   attr->mtime = now();
   store_attr(*attr, res.cost);
-  if (journal_ != nullptr && promote_rec != 0)
-    journal_->commit(promote_rec, res.cost);
+  if (promote_rec != 0) journal_.commit(promote_rec, res.cost);
   if (opts_.wal != nullptr && new_size < old_size) {
     // Shrink marker in the durability spine: replay must not resurrect
     // logged pages this truncate cut off. A failed append is tolerated —
@@ -1411,19 +1356,6 @@ Result<Unit> Kvfs::truncate(Ino ino, std::uint64_t new_size) {
     (void)opts_.wal->append_truncate(ino, new_size, c);
     res.cost += c;
   }
-  return res;
-}
-
-Result<Kvfs::StatFs> Kvfs::statfs() {
-  Result<StatFs> res;
-  auto scan = store_->scan_prefix(
-      "A", [&](std::string_view, const kv::Bytes& v) {
-        ++res.value.inodes;
-        res.value.data_bytes += decode_attr(v).size;
-        return true;
-      });
-  res.cost += scan.cost;
-  res.value.kv_count = store_->store().size();
   return res;
 }
 

@@ -9,7 +9,11 @@
 //     pages (512 block ids each) whose 8 KB blocks are updated in place, so
 //     a read or overwrite fetches one page whatever the file size;
 //   * directory listing is a prefix scan over the parent's inode-KV prefix;
-//   * an inode (attribute) cache and dentry cache accelerate lookups.
+//   * an inode (attribute) cache and dentry cache accelerate lookups;
+//   * every multi-KV mutation (create/remove/rename/promote/extent update)
+//     logs a write-ahead intent record first (journal.hpp), and mount
+//     replays survivors. `truncate` and `link` are NOT journaled (documented
+//     limitation) — fsck repair normalizes what they can tear.
 //
 // Thread safety: operations take a striped per-inode lock; name-space
 // operations (create/unlink/rename/...) additionally serialize on the
@@ -60,16 +64,8 @@ struct Result {
 
 struct Unit {};
 
+/// KVFS dependencies; both optional.
 struct KvfsOptions {
-  bool enable_caches = true;  ///< dentry + inode(attr) caches
-  std::size_t dentry_cache_entries = 8192;
-  std::size_t attr_cache_entries = 8192;
-  /// Write-ahead intent journaling for multi-KV mutations (crash
-  /// consistency; see journal.hpp). On by default: every create/remove/
-  /// rename/promote/extent-update logs an intent record first, and mount
-  /// replays survivors. `truncate` and `link` are NOT journaled (documented
-  /// limitation) — fsck repair normalizes what they can tear.
-  bool journal = true;
   /// Crash-point injector for the DPU-side mutation paths (null = no crash
   /// points, zero overhead).
   fault::FaultInjector* fault = nullptr;
@@ -131,8 +127,6 @@ class Kvfs {
 
   // ------------------------------------------------------------ attributes
   Result<Attr> getattr(Ino ino);
-  Result<Unit> chmod(Ino ino, std::uint32_t mode);
-  Result<Unit> chown(Ino ino, std::uint32_t uid, std::uint32_t gid);
 
   // ------------------------------------------------------------------ data
   /// Returns bytes read (short reads at EOF; holes read as zeros).
@@ -147,14 +141,6 @@ class Kvfs {
                               nvme::TenantId tenant = 0);
   Result<Unit> truncate(Ino ino, std::uint64_t new_size);
   Result<Unit> fsync(Ino ino);
-
-  /// Filesystem-wide usage summary (scans the keyspace).
-  struct StatFs {
-    std::uint64_t inodes = 0;
-    std::uint64_t data_bytes = 0;
-    std::uint64_t kv_count = 0;
-  };
-  Result<StatFs> statfs();
 
   // ------------------------------------------------------------- recovery
   /// Outcome of replaying the NVM write-ahead log: the data pages and
@@ -188,8 +174,8 @@ class Kvfs {
   /// recover() converges from.
   RecoveryReport recover();
 
-  /// What mount-time journal replay found (every ctor replays when
-  /// journaling is enabled — a crashed peer's records roll on our mount).
+  /// What mount-time journal replay found (every ctor replays — a crashed
+  /// peer's records roll on our mount).
   const JournalReplayReport& mount_replay() const { return mount_replay_; }
 
   const KvfsStats& stats() const { return stats_; }
@@ -232,10 +218,9 @@ class Kvfs {
   /// Moves a small file's bytes into a big-file KV (§3.4 promotion): one
   /// block plus extent page 0. Returns false if a transient KV failure
   /// aborted the promotion before page 0 existed (the small KV is still
-  /// authoritative). On
-  /// success `journal_rec` holds the open kPromote record id (0 when
-  /// journaling is off); the caller commits it after storing the attr with
-  /// big_file set, so replay can finish the flag flip.
+  /// authoritative). On success `journal_rec` holds the open kPromote
+  /// record id; the caller commits it after storing the attr with big_file
+  /// set, so replay can finish the flag flip.
   bool promote_to_big(Attr& a, sim::Nanos& cost, std::uint64_t& journal_rec);
   bool dir_empty(Ino dir, sim::Nanos& cost);
 
@@ -258,7 +243,7 @@ class Kvfs {
   obs::Registry* registry_;                        // whichever is active
   KvfsStats stats_;
   dpu::QosManager* qos_ = nullptr;  ///< per-tenant byte attribution
-  std::unique_ptr<IntentJournal> journal_;  // null when opts_.journal off
+  IntentJournal journal_;
   JournalReplayReport mount_replay_;
 
   std::atomic<std::uint64_t> logical_time_{1};
@@ -275,7 +260,8 @@ class Kvfs {
   /// mutex (leaf rank: taken under a stripe on every cached lookup, never
   /// holds anything itself). Cache-line aligned so hot shard locks on
   /// neighbouring shards never false-share. Capacity caps and wholesale
-  /// drops apply per shard.
+  /// drops apply per shard: each of the two caches holds up to
+  /// kCacheEntries in total.
   struct alignas(64) CacheShard {
     mutable sim::AnnotatedSharedMutex mu{"kvfs.cache", sim::LockRank::kLeaf};
     std::unordered_map<std::string, Ino> dentry GUARDED_BY(mu);
@@ -283,7 +269,8 @@ class Kvfs {
   };
   CacheShard& dentry_shard(Ino parent, std::string_view name);
   CacheShard& attr_shard(Ino ino);
-  std::size_t cache_shard_cap(std::size_t total_entries) const;
+  static constexpr std::size_t kCacheEntries = 8192;
+  std::size_t cache_shard_cap() const;
 
   std::vector<CacheShard> cache_shards_;
   std::size_t cache_shard_mask_ = 0;  ///< size - 1 (power-of-two count)

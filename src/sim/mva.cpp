@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/calib.hpp"
 #include "sim/check.hpp"
 
 namespace dpc::sim {
@@ -20,11 +19,6 @@ int ClosedNetwork::add_queueing(std::string name, int servers, Nanos demand) {
 
 int ClosedNetwork::add_delay(std::string name, Nanos demand) {
   return add(Station{std::move(name), StationKind::kDelay, 1, demand});
-}
-
-int ClosedNetwork::add_nvm(std::string name, std::uint64_t bytes_per_op) {
-  return add_queueing(std::move(name), 1,
-                      calib::nvm_persist_cost(bytes_per_op));
 }
 
 const Station& ClosedNetwork::station(int i) const {

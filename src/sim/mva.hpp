@@ -70,11 +70,6 @@ class ClosedNetwork {
   int add_queueing(std::string name, int servers, Nanos demand);
   /// Convenience: add a pure-delay station.
   int add_delay(std::string name, Nanos demand);
-  /// Convenience: add the PMEM/NVM write-ahead-log station — a single-server
-  /// queueing station (the log tail serializes appenders) whose per-op
-  /// demand is the calibrated persist cost of one `bytes_per_op` append:
-  /// media write + streaming transfer + persistence fence (calib §NVM).
-  int add_nvm(std::string name, std::uint64_t bytes_per_op);
 
   /// Client think time between ops (Z). Zero for the paper's closed-loop
   /// saturation tests.

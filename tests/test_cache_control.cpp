@@ -56,10 +56,9 @@ struct ControlFixture : ::testing::Test {
         alloc(host),
         dpu("dpu", 1 << 20),
         dma(host, dpu),
-        layout(CacheGeometry{4096, CacheMode::kWrite, 64, 8}, alloc),
+        layout(CacheGeometry{64, 8}, alloc),
         plane(host, layout),
-        ctl(dma, layout, backend, std::make_unique<ClockEviction>(),
-            ControlPlaneConfig{4, 8, true}) {}
+        ctl(dma, layout, backend, ControlPlaneConfig{4, 8}) {}
 
   std::vector<std::byte> page(std::uint8_t fill) {
     return std::vector<std::byte>(4096, static_cast<std::byte>(fill));
@@ -90,6 +89,29 @@ TEST_F(ControlFixture, FlushWritesDirtyPagesToBackend) {
   std::vector<std::byte> out(4096);
   EXPECT_TRUE(plane.read(1, 0, out));
   EXPECT_EQ(ctl.flush_pass().pages, 0);
+}
+
+// DIF has no off switch: a page damaged in DPU DRAM after the pull never
+// reaches the backend, stays dirty, and the next pass flushes the intact
+// host copy.
+TEST_F(ControlFixture, FlushDifBlocksCorruptedPull) {
+  fault::FaultInjector fi;
+  DpuCacheControl guarded(dma, layout, backend, ControlPlaneConfig{4, 8},
+                          nullptr, &fi);
+  ASSERT_EQ(plane.write(1, 0, page(0xCC)), HostCachePlane::WriteResult::kOk);
+  fi.arm(kFaultFlushCorruptPage, 1.0);
+  EXPECT_EQ(guarded.flush_pass().pages, 0);
+  EXPECT_EQ(guarded.stats().dif_checksums, 1u);
+  EXPECT_EQ(guarded.stats().flush_integrity_fails, 1u);
+  EXPECT_EQ(backend.count(), 0u);
+
+  fi.disarm(kFaultFlushCorruptPage);
+  EXPECT_EQ(guarded.flush_pass().pages, 1);
+  EXPECT_EQ(guarded.stats().flush_integrity_fails, 1u);
+  std::vector<std::byte> out(4096);
+  sim::Nanos cost{};
+  ASSERT_TRUE(backend.read_page(1, 0, out, cost));
+  EXPECT_EQ(out, page(0xCC));
 }
 
 TEST_F(ControlFixture, FlushUsesPcieAtomicsForLocks) {

@@ -13,7 +13,7 @@ struct HostPlaneFixture : ::testing::Test {
   HostPlaneFixture()
       : host("host", 64 << 20),
         alloc(host),
-        layout(CacheGeometry{4096, CacheMode::kWrite, 64, 8}, alloc),
+        layout(CacheGeometry{64, 8}, alloc),
         plane(host, layout) {}
 
   std::vector<std::byte> page(std::uint8_t fill) {

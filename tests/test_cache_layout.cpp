@@ -12,7 +12,7 @@ namespace {
 TEST(CacheLayout, HeaderInitialized) {
   pcie::MemoryRegion host("host", 64 << 20);
   pcie::RegionAllocator alloc(host);
-  CacheGeometry geo{4096, CacheMode::kWrite, 256, 16};
+  CacheGeometry geo{256, 16};
   CacheLayout layout(geo, alloc);
 
   EXPECT_EQ(host.load<std::uint32_t>(
@@ -33,7 +33,7 @@ TEST(CacheLayout, HeaderInitialized) {
 TEST(CacheLayout, BucketListsLinkTheirEntries) {
   pcie::MemoryRegion host("host", 64 << 20);
   pcie::RegionAllocator alloc(host);
-  CacheGeometry geo{4096, CacheMode::kWrite, 64, 8};
+  CacheGeometry geo{64, 8};
   CacheLayout layout(geo, alloc);
 
   for (std::uint32_t b = 0; b < geo.buckets; ++b) {
@@ -54,14 +54,14 @@ TEST(CacheLayout, EntryAndPageCorrespond) {
   // locating the cache page" — entry i ↔ page i, both computable.
   pcie::MemoryRegion host("host", 64 << 20);
   pcie::RegionAllocator alloc(host);
-  CacheGeometry geo{4096, CacheMode::kWrite, 128, 8};
+  CacheGeometry geo{128, 8};
   CacheLayout layout(geo, alloc);
   for (std::uint32_t i : {0u, 1u, 64u, 127u}) {
     EXPECT_EQ(layout.entry_off(i) - layout.entry_off(0),
               std::uint64_t{i} * sizeof(CacheEntry));
     EXPECT_EQ(layout.page_off(i) - layout.page_off(0),
-              std::uint64_t{i} * geo.page_size);
-    EXPECT_EQ(layout.page_off(i) % geo.page_size, 0u);
+              std::uint64_t{i} * kPageSize);
+    EXPECT_EQ(layout.page_off(i) % kPageSize, 0u);
   }
   EXPECT_THROW(layout.entry_off(128), dpc::CheckFailure);
 }
@@ -69,7 +69,7 @@ TEST(CacheLayout, EntryAndPageCorrespond) {
 TEST(CacheLayout, HashCoversAllBuckets) {
   pcie::MemoryRegion host("host", 64 << 20);
   pcie::RegionAllocator alloc(host);
-  CacheGeometry geo{4096, CacheMode::kWrite, 256, 32};
+  CacheGeometry geo{256, 32};
   CacheLayout layout(geo, alloc);
   std::set<std::uint32_t> buckets;
   for (std::uint64_t ino = 1; ino <= 8; ++ino)
@@ -84,10 +84,10 @@ TEST(CacheLayout, GeometryValidation) {
   pcie::MemoryRegion host("host", 64 << 20);
   pcie::RegionAllocator alloc(host);
   // Buckets must divide pages evenly (§3.3: equal-sized buckets).
-  CacheGeometry bad{4096, CacheMode::kWrite, 100, 32};
+  CacheGeometry bad{100, 32};
   EXPECT_THROW(CacheLayout(bad, alloc), dpc::CheckFailure);
-  CacheGeometry bad_page{1000, CacheMode::kWrite, 64, 8};
-  EXPECT_THROW(CacheLayout(bad_page, alloc), dpc::CheckFailure);
+  CacheGeometry no_buckets{64, 0};
+  EXPECT_THROW(CacheLayout(no_buckets, alloc), dpc::CheckFailure);
 }
 
 TEST(CacheLayout, ReadLockWordEncoding) {
@@ -102,7 +102,7 @@ TEST(CacheLayout, ReadLockWordEncoding) {
 TEST(CacheLayout, FootprintAccounts) {
   pcie::MemoryRegion host("host", 64 << 20);
   pcie::RegionAllocator alloc(host);
-  CacheGeometry geo{4096, CacheMode::kWrite, 1024, 64};
+  CacheGeometry geo{1024, 64};
   CacheLayout layout(geo, alloc);
   // At least pages + meta.
   EXPECT_GE(layout.footprint(),

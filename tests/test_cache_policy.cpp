@@ -48,21 +48,6 @@ TEST(ClockEviction, EmptyStatusNoVictims) {
   EXPECT_TRUE(victims.empty());
 }
 
-TEST(BucketPressureEviction, PrefersFullBuckets) {
-  // Two buckets of 4: bucket 0 has 0 free, bucket 1 has 3 free.
-  BucketPressureEviction policy(4);
-  const auto status = make_status(
-      {PageStatus::kClean, PageStatus::kClean, PageStatus::kClean,
-       PageStatus::kDirty,  // bucket 0: no free
-       PageStatus::kClean, PageStatus::kFree, PageStatus::kFree,
-       PageStatus::kFree});  // bucket 1: 3 free
-  std::vector<std::uint32_t> victims;
-  policy.pick_victims(status, 2, victims);
-  ASSERT_EQ(victims.size(), 2u);
-  EXPECT_LT(victims[0], 4u);  // both victims from the pressured bucket
-  EXPECT_LT(victims[1], 4u);
-}
-
 TEST(SequentialPrefetcher, RampWindowGrows) {
   SequentialPrefetcher pf(64);
   EXPECT_EQ(pf.on_miss(1, 0).pages, 0u);  // first touch

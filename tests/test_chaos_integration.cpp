@@ -37,7 +37,7 @@ DpcOptions chaos_opts(fault::FaultInjector* fi) {
   o.queues = 2;
   o.queue_depth = 8;
   o.max_io = 128 * 1024;
-  o.cache_geo = {4096, cache::CacheMode::kWrite, 64, 8};
+  o.cache_geo = {64, 8};
   o.cache_ctl.evict_low_water = 4;
   o.cache_ctl.evict_batch = 8;
   o.with_dfs = false;

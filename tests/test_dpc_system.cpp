@@ -16,7 +16,7 @@ DpcOptions small_opts(bool with_cache = true) {
   o.queue_depth = 8;
   o.max_io = 128 * 1024;
   o.enable_cache = with_cache;
-  o.cache_geo = {4096, cache::CacheMode::kWrite, 64, 8};
+  o.cache_geo = {64, 8};
   o.cache_ctl.evict_low_water = 4;
   o.cache_ctl.evict_batch = 8;
   o.with_dfs = true;
@@ -169,7 +169,7 @@ TEST(DpcSystem, UnalignedIoBypassesCache) {
 
 TEST(DpcSystem, CachePressureFallsBackToWriteThrough) {
   auto o = small_opts();
-  o.cache_geo = {4096, cache::CacheMode::kWrite, 16, 2};  // tiny cache
+  o.cache_geo = {16, 2};  // tiny cache
   DpcSystem sys(o);
   const auto c = sys.create(kvfs::kRootIno, "pressure");
   // Write far more pages than the cache holds; all writes must succeed.
@@ -292,31 +292,6 @@ TEST(DpcSystem, DispatchStatsAccumulate) {
   EXPECT_GT(sys.mean_backend_cost().ns, 0);
 }
 
-TEST(DpcSystem, FlushCompressionAccountsWireSavings) {
-  auto o = small_opts();
-  o.cache_ctl.compress_enabled = true;
-  DpcSystem sys(o);
-  const auto c = sys.create(kvfs::kRootIno, "compressible");
-  // Highly compressible pages (repeated text).
-  std::vector<std::byte> page(8192);
-  const char* phrase = "offload the file stack to the DPU ";
-  for (std::size_t i = 0; i < page.size(); ++i)
-    page[i] = static_cast<std::byte>(phrase[i % 34]);
-  for (int i = 0; i < 8; ++i)
-    ASSERT_TRUE(sys.write(c.ino, static_cast<std::uint64_t>(i) * 8192, page,
-                          false)
-                    .ok());
-  ASSERT_TRUE(sys.fsync(c.ino).ok());
-  const auto* ctl = sys.control_stats();
-  EXPECT_GT(ctl->compress_in_bytes, 0u);
-  EXPECT_LT(ctl->compress_out_bytes, ctl->compress_in_bytes / 4)
-      << "repetitive pages must compress well on the flush path";
-  // And the data survives the compress/verify/flush pipeline.
-  std::vector<std::byte> out(8192);
-  ASSERT_TRUE(sys.read(c.ino, 0, out, /*direct=*/true).ok());
-  EXPECT_EQ(out, page);
-}
-
 TEST(DpcSystem, LargeSegmentedIo) {
   auto o = small_opts();
   o.max_io = 64 * 1024;
@@ -336,6 +311,31 @@ TEST(DpcSystem, LargeSegmentedIo) {
   const auto rt = sys.read(c.ino, 200 * 1024, tail, true);
   ASSERT_TRUE(rt.ok());
   EXPECT_EQ(rt.bytes, 100u * 1024);
+}
+
+TEST(DpcSystem, MaxIoValidatedAtConstruction) {
+  // The largest max_io whose command plus header page and CRC trailer still
+  // fits the INI's one-page PRP list (512 entries).
+  constexpr std::uint32_t kLargest =
+      512 * nvme::kPageSize - nvme::kPageSize - nvme::kPayloadCrcBytes;
+  auto o = small_opts(/*with_cache=*/false);
+  o.queues = 1;
+  o.queue_depth = 2;
+  o.max_io = 0;  // the segmentation loops would step by zero forever
+  EXPECT_THROW(DpcSystem{o}, CheckFailure);
+  o.max_io = kLargest + 1;  // the first full-size op would overflow the list
+  EXPECT_THROW(DpcSystem{o}, CheckFailure);
+
+  o.max_io = kLargest;
+  DpcSystem sys(o);
+  const auto c = sys.create(kvfs::kRootIno, "full");
+  const auto data = bytes(kLargest, 80);
+  ASSERT_TRUE(sys.write(c.ino, 0, data, true).ok());
+  std::vector<std::byte> out(kLargest);
+  const auto r = sys.read(c.ino, 0, out, true);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.bytes, kLargest);
+  EXPECT_EQ(out, data);
 }
 
 TEST(DpcSystem, HardLinkOverNvmeFs) {
@@ -368,17 +368,6 @@ TEST(DpcSystem, SymlinkOverNvmeFs) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ino, f.ino);
   EXPECT_EQ(sys.readlink(f.ino, &target).err, EINVAL);
-}
-
-TEST(DpcSystem, StatfsThroughKvfs) {
-  DpcSystem sys(small_opts());
-  const auto c = sys.create(kvfs::kRootIno, "f");
-  ASSERT_TRUE(sys.write(c.ino, 0, bytes(10000, 71), true).ok());
-  auto st = sys.kvfs().statfs();
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(st.value.inodes, 2u);  // root + f
-  EXPECT_EQ(st.value.data_bytes, 10000u);
-  EXPECT_GT(st.value.kv_count, 3u);
 }
 
 TEST(DpcSystem, LatencyHistogramsRecordPerClass) {

@@ -27,7 +27,7 @@ core::DpcOptions dpc_opts() {
   o.queues = 2;
   o.queue_depth = 8;
   o.max_io = 128 * 1024;
-  o.cache_geo = {4096, cache::CacheMode::kWrite, 128, 16};
+  o.cache_geo = {128, 16};
   return o;
 }
 
@@ -87,7 +87,7 @@ TEST(Integration, DpcBufferedEqualsDirectAfterFsync) {
 
 TEST(Integration, SequentialReadTriggersDpuPrefetch) {
   auto o = dpc_opts();
-  o.cache_geo = {4096, cache::CacheMode::kWrite, 256, 16};
+  o.cache_geo = {256, 16};
   core::DpcSystem sys(o);
   const auto f = sys.create(kvfs::kRootIno, "stream");
   ASSERT_TRUE(sys.write(f.ino, 0, bytes(256 * 1024, 3), true).ok());

@@ -253,16 +253,6 @@ TEST_F(KvfsFixture, SmallTruncatePromotes) {
   EXPECT_EQ(fs.getattr(ino).value.size, 100u * 1024);
 }
 
-TEST_F(KvfsFixture, ChmodChown) {
-  const auto ino = fs.create(kRootIno, "perm", 0644).value;
-  ASSERT_TRUE(fs.chmod(ino, 0600).ok());
-  ASSERT_TRUE(fs.chown(ino, 1000, 100).ok());
-  const auto a = fs.getattr(ino).value;
-  EXPECT_EQ(a.mode, 0600u);
-  EXPECT_EQ(a.uid, 1000u);
-  EXPECT_EQ(a.gid, 100u);
-}
-
 TEST_F(KvfsFixture, DentryAndAttrCachesHit) {
   const auto ino = fs.create(kRootIno, "cached", 0644).value;
   (void)fs.lookup(kRootIno, "cached");
@@ -413,6 +403,36 @@ TEST_F(KvfsFixture, JournalRecordCodecRoundTrip) {
   auto enc = encode_journal_record(rec);
   enc.back() ^= std::byte{1};
   EXPECT_FALSE(decode_journal_record(enc).has_value());
+}
+
+// The intent journal has no off switch: a Kvfs built with default options
+// logs one intent per name-space mutation and commits it, and no record
+// outlives its op.
+TEST(KvfsJournal, DefaultOptionsJournalEveryNamespaceMutation) {
+  kv::KvStore store;
+  kv::RemoteKv remote(store);
+  obs::Registry reg;
+  Kvfs fs(remote, {}, &reg);
+  const auto& appends = reg.counter("kvfs.journal/appends");
+  const auto& commits = reg.counter("kvfs.journal/commits");
+  const auto step = [&](auto&& op) {
+    const auto a = appends.value();
+    const auto c = commits.value();
+    ASSERT_TRUE(op().ok());
+    EXPECT_EQ(appends.value(), a + 1);
+    EXPECT_EQ(commits.value(), c + 1);
+  };
+  step([&] { return fs.mkdir(kRootIno, "d", 0755); });
+  const auto d = fs.lookup(kRootIno, "d").value;
+  step([&] { return fs.create(d, "f", 0644); });
+  step([&] { return fs.rename(d, "f", kRootIno, "g"); });
+  step([&] { return fs.unlink(kRootIno, "g"); });
+  step([&] { return fs.rmdir(kRootIno, "d"); });
+  EXPECT_EQ(store.scan_prefix(journal_key_prefix(),
+                              [](std::string_view, const kv::Bytes&) {
+                                return true;
+                              }),
+            0u);
 }
 
 TEST_F(KvfsFixture, HardLinkSharesData) {

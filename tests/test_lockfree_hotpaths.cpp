@@ -28,7 +28,6 @@ namespace {
 
 using cache::CacheGeometry;
 using cache::CacheLayout;
-using cache::CacheMode;
 using cache::HostCachePlane;
 
 std::vector<std::byte> page(std::uint8_t fill) {
@@ -39,7 +38,7 @@ struct CacheRig {
   CacheRig()
       : host("host", 64 << 20),
         alloc(host),
-        layout(CacheGeometry{4096, CacheMode::kWrite, 64, 8}, alloc),
+        layout(CacheGeometry{64, 8}, alloc),
         plane(host, layout) {}
 
   /// Walks the bucket chain to the entry holding <inode, lpn>.

@@ -19,7 +19,7 @@ DpcOptions mount_opts(kv::KvStore* store) {
   o.queue_depth = 8;
   o.max_io = 64 * 1024;
   o.with_dfs = false;
-  o.cache_geo = {4096, cache::CacheMode::kWrite, 64, 8};
+  o.cache_geo = {64, 8};
   o.shared_store = store;
   // Cross-mount visibility requires bypassing the per-mount caches for the
   // checks below; tests drop caches explicitly where needed.

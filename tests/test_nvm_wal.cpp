@@ -338,7 +338,7 @@ core::DpcOptions wal_system_opts(fault::FaultInjector* fi) {
   o.queues = 1;
   o.queue_depth = 8;
   o.max_io = 128 * 1024;
-  o.cache_geo = {4096, cache::CacheMode::kWrite, 64, 8};
+  o.cache_geo = {64, 8};
   // Disable the opportunistic background drain (poll flushes up to
   // evict_batch pages whenever anything is dirty): these tests need dirty
   // pages to still be pending when fsync arrives.

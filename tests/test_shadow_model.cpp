@@ -133,7 +133,7 @@ TEST_P(DpcShadow, RandomOpsMatchReference) {
   o.queue_depth = 8;
   o.max_io = 128 * 1024;
   o.with_dfs = false;
-  o.cache_geo = {4096, cache::CacheMode::kWrite, 128, 16};
+  o.cache_geo = {128, 16};
   core::DpcSystem sys(o);
   const bool buffered = GetParam() % 2 == 0;
 
