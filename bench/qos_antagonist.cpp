@@ -64,9 +64,7 @@ core::DpcOptions make_opts(Isolation iso, bool scrubber) {
   opts.scrub.items_per_pass = 32;
   opts.scrub.pace = sim::micros(50.0);
   // The DPU runs as an independent agent (worker pool) so real staging
-  // backlog forms between its passes; generous wall deadline for the
-  // oversubscribed bench box.
-  opts.nvme_timeout_ms = 2000;
+  // backlog forms between its passes.
 
   opts.qos.enabled = true;
   auto& victim = opts.qos.tenants[dpu::QosManager::slot(kVictim)];

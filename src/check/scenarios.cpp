@@ -12,6 +12,7 @@
 #include "cache/layout.hpp"
 #include "core/dpc_system.hpp"
 #include "dpu/qos.hpp"
+#include "fault/injector.hpp"
 #include "kvfs/kvfs.hpp"
 #include "nvm/device.hpp"
 #include "nvm/wal.hpp"
@@ -203,10 +204,13 @@ void scenario_sq_submit_abort(ModelSched& sched) {
 
   sched.spawn([&] {  // TGT pump
     while (!done.load(std::memory_order_acquire)) {
-      // Re-check `done` right before blocking: there is no yield point
-      // between the check and spin(), so the submitter cannot finish in
-      // the gap and strand this thread in a false deadlock.
-      if (tgt.process_available().processed == 0 &&
+      // Pass only when the doorbell shows work: an idle pass is a decision
+      // point, so idling through passes would read as progress and keep a
+      // stuck submitter from ever parking. Re-check `done` right before
+      // blocking: there is no yield point between the check and spin(), so
+      // the submitter cannot finish in the gap and strand this thread in a
+      // false deadlock.
+      if ((!tgt.has_work() || tgt.process_available().processed == 0) &&
           !done.load(std::memory_order_acquire)) {
         sim::schedhook::spin("check.tgt_idle");
       }
@@ -436,6 +440,66 @@ void scenario_writethrough_vs_prefetch(ModelSched& sched) {
                 "a prefetched page survived the write-through it raced");
 }
 
+// ---------------------------------------------------------------------------
+// idle_pass_loss — a worker-mode caller (it yields, never pumps) waiting on
+// a TGT that a separate thread drives pass by pass, as a DPU worker does.
+// The fault injector drops the first command's CQE. The caller declares a
+// command lost only after two idle TGT passes since its doorbell: the drop
+// is detected and the retry succeeds, and a live command is never aborted
+// however long the schedule holds the TGT back — so "timeouts" counts the
+// drop alone and no CQE lands on a reclaimed cid. Mutation
+// `loss-one-idle-pass` declares loss after one idle pass, which a pass that
+// checked for work just before the doorbell can supply.
+
+void scenario_idle_pass_loss(ModelSched& sched) {
+  obs::Registry fault_reg;
+  fault::FaultInjector fi(1, &fault_reg);
+  core::DpcOptions o;
+  o.queues = 1;
+  o.queue_depth = 4;
+  o.max_io = 16 * 1024;
+  o.enable_cache = false;
+  o.with_dfs = false;
+  o.fault = &fi;
+  core::DpcSystem sys(o);
+
+  const auto ino = sys.create(kvfs::kRootIno, "f").ino;
+  sched.require(ino != 0, "idle_pass_loss: create failed");
+  const auto data = fill(4096, 0x3C);
+  obs::Counter& dropped = sys.metrics().counter("nvme.tgt/dropped_cqes");
+  fi.arm(nvme::kFaultTgtDropCqe, 1.0);
+  sys.hand_tgts_to_test();
+
+  std::atomic<bool> done{false};
+  core::Io wr{};
+  sched.spawn([&] {  // worker-mode caller
+    wr = sys.write(ino, 0, data, /*direct=*/true);
+    done.store(true, std::memory_order_release);
+  });
+  sched.spawn([&] {  // the DPU worker's TGT poller
+    while (!done.load(std::memory_order_acquire)) {
+      const int n = sys.pump_for_test(0);
+      if (dropped.value() > 0) fi.disarm(nvme::kFaultTgtDropCqe);
+      if (n == 0 && !done.load(std::memory_order_acquire))
+        sim::schedhook::spin("check.tgt_idle");
+    }
+  });
+  sched.run();
+  sys.stop_dpu();
+
+  sched.require(dropped.value() == 1,
+                "idle_pass_loss: the first command's CQE was not dropped");
+  sched.require(wr.ok(), "a dropped CQE was not recovered by the retry");
+  sched.require(sys.metrics().counter("nvme.ini/timeouts").value() == 1,
+                "a live command was declared lost: the caller aborted a "
+                "command the TGT had not yet consumed");
+  sched.require(sys.metrics().counter("nvme.ini/late_cqes").value() == 0,
+                "a CQE arrived for a cid the caller had already reclaimed");
+  std::vector<std::byte> out(data.size());
+  sched.require(sys.read(ino, 0, out, /*direct=*/true).ok() && out == data,
+                "idle_pass_loss: the retried write is not readable");
+}
+
 }  // namespace
 
 const std::vector<Scenario>& scenarios() {
@@ -471,6 +535,10 @@ const std::vector<Scenario>& scenarios() {
        "writethrough-invalidate", /*exhaustive=*/false, /*max_steps=*/200000,
        /*max_schedules=*/0, /*mutate_seeds=*/32,
        scenario_writethrough_vs_prefetch},
+      {"idle_pass_loss",
+       "worker-mode loss detection: only two idle TGT passes declare loss",
+       "loss-one-idle-pass", /*exhaustive=*/false, /*max_steps=*/200000,
+       /*max_schedules=*/0, /*mutate_seeds=*/16, scenario_idle_pass_loss},
   };
   return kScenarios;
 }

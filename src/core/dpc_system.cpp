@@ -1,7 +1,6 @@
 #include "core/dpc_system.hpp"
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -201,9 +200,11 @@ void DpcSystem::start_dpu() {
     dpu::QosManager* q = qos_.get();
     workers_->set_background_gate([q] { return q->overloaded(); });
   }
-  for (auto& tgt : tgts_) {
-    nvme::TgtDriver* t = tgt.get();
-    workers_->add_poller([t] { return t->process_available(64).processed; });
+  for (std::size_t q = 0; q < tgts_.size(); ++q) {
+    workers_->add_poller([this, q] {
+      sim::LockGuard lock(*pump_mu_[q]);
+      return tgts_[q]->process_available(64).processed;
+    });
   }
   if (cache_ctl_) {
     cache::DpuCacheControl* ctl = cache_ctl_.get();
@@ -263,9 +264,10 @@ DpcSystem::RestartReport DpcSystem::restart_dpu() NO_THREAD_SAFETY_ANALYSIS {
   const bool was_running = workers_running_.load(std::memory_order_acquire);
   stop_dpu();
   {
-    // Freeze pump-mode callers for the whole power cycle. Without this, a
-    // pump-mode caller could drive its TgtDriver mid-reset and replay
-    // stale SQEs against a half-rewound ring. DPC_CHECK_MUTATE
+    // Freeze every TGT consumer for the whole power cycle. The workers are
+    // stopped, but a caller waiting out the stop pumps inline; without the
+    // freeze it could drive its TgtDriver mid-reset and replay stale SQEs
+    // against a half-rewound ring. DPC_CHECK_MUTATE
     // restart-no-freeze skips the freeze so dpc_check can prove the race
     // is real (a pump caller observes a half-rewound ring).
     std::optional<PumpFreeze> freeze;
@@ -361,6 +363,7 @@ DpcSystem::CallResult DpcSystem::call(const nvme::IniDriver::Request& req,
                                       std::uint32_t read_copy_bytes) {
   const int q = queue_for_this_thread();
   nvme::IniDriver& ini = *inis_[static_cast<std::size_t>(q)];
+  const nvme::TgtDriver& tgt = *tgts_[static_cast<std::size_t>(q)];
 
   CallResult out;
   out.cost += sim::calib::kSyscallVfs + sim::calib::kFsAdapterOp;
@@ -369,37 +372,41 @@ DpcSystem::CallResult DpcSystem::call(const nvme::IniDriver::Request& req,
   for (int attempt = 1;; ++attempt) {
     const auto submitted = ini.submit(req);
     out.cost += submitted.cost;
+    // The fence orders the doorbell store before the idle_passes() read, a
+    // store-buffering pair with the fence after TgtDriver's bump: the
+    // second pass counted from `idle0` began after the doorbell.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    const std::uint64_t idle0 = tgt.idle_passes();
 
-    // Synchronous completion: poll with a deadline; pump the DPU inline
-    // when no workers run.
-    const bool workers = workers_running_.load(std::memory_order_acquire);
+    // Synchronous completion, one loss rule for both modes: the command is
+    // lost once its queue's TGT has finished two idle passes since the
+    // doorbell (the first may have checked for work before it). The
+    // mode is re-read each round, so a caller waiting across stop_dpu()
+    // pumps for itself; the pump lock keeps it off a worker's TGT.
+    // DPC_CHECK_MUTATE loss-one-idle-pass: trust one idle pass, which may
+    // have checked for work before the doorbell; dpc_check must catch it.
+    const std::uint64_t lost_after =
+        sim::schedhook::mutate("loss-one-idle-pass") ? 1 : 2;
     std::optional<nvme::Completion> got;
-    if (!workers) {
-      // Inline pump: this thread services the TGT itself. Once the SQ
-      // drains with the completion still absent, the CQE was dropped on
-      // the device — deterministic loss detection, no wall clock needed.
-      int idle = 0;
-      while (idle < 2) {
-        if ((got = ini.try_take(submitted.cid))) break;
-        idle = pump(q) == 0 ? idle + 1 : 0;
+    for (;;) {
+      if ((got = ini.try_take(submitted.cid))) break;
+      if (tgt.idle_passes() - idle0 >= lost_after) {
+        got = ini.try_take(submitted.cid);
+        break;
       }
-      if (!got) got = ini.try_take(submitted.cid);
-    } else {
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::milliseconds(opts_.nvme_timeout_ms);
-      for (;;) {
-        if ((got = ini.try_take(submitted.cid))) break;
-        if (std::chrono::steady_clock::now() >= deadline) break;
+      if (workers_running_.load(std::memory_order_acquire)) {
+        sim::schedhook::spin("core.call_wait");
         std::this_thread::yield();
+      } else if (pump(q) == 0) {
+        sim::schedhook::spin("core.call_wait");
       }
     }
 
-    // Timed out / lost: reclaim the CID. abort() returns a completion that
-    // raced in, else synthesizes kAbortedByRequest; any CQE landing after
-    // that is discarded by the driver's late-CQE guard, so releasing the
-    // CID below cannot mis-deliver a stale completion (the sim TGT either
-    // posts promptly or drops permanently).
+    // Lost: reclaim the CID. abort() returns a completion that raced in,
+    // else synthesizes kAbortedByRequest. The loss rule only fires once the
+    // TGT holds nothing of this command, so no CQE for it can follow; the
+    // driver's late-CQE guard ("nvme.ini/late_cqes") stays as the backstop
+    // that would keep such a CQE off the reused CID.
     const nvme::Completion done = got ? *got : ini.abort(submitted.cid);
     if (!got) out.cost += sim::calib::kNvmeCommandTimeout;
 

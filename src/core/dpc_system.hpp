@@ -69,12 +69,9 @@ struct DpcOptions {
   /// drop/error, remote-KV timeouts, data-server shard faults, cache-flush
   /// failures). Must outlive the system.
   fault::FaultInjector* fault = nullptr;
-  /// Retry budget for NVMe commands that time out or complete with a
-  /// retryable status (kAbortedByRequest / kDataTransferError).
+  /// Retry budget for NVMe commands that are declared lost or complete
+  /// with a retryable status (kAbortedByRequest / kDataTransferError).
   fault::RetryPolicy nvme_retry{};
-  /// Wall-clock deadline per NVMe command when DPU workers run (the pump
-  /// path detects loss deterministically and ignores this).
-  int nvme_timeout_ms = 100;
   /// Retry/backoff policy for remote-KV ops and the KV circuit breaker.
   fault::RetryPolicy kv_retry{};
   fault::CircuitBreaker::Config kv_breaker{};
@@ -225,6 +222,13 @@ class DpcSystem {
   /// One bare pump pass, as a pump-mode caller would issue inline — lets
   /// the model checker drive a poller straight at the restart freeze.
   int pump_for_test(int q) { return pump(q); }
+  /// Worker mode without the pool: callers wait as they do while workers
+  /// run (yield, never pump) and the test runs every TGT pass itself via
+  /// pump_for_test(). stop_dpu() ends it; restart_dpu() must not run
+  /// meanwhile (it would start a real pool).
+  void hand_tgts_to_test() {
+    workers_running_.store(true, std::memory_order_release);
+  }
 
   /// Tenant identity stamped into every nvme-fs command this thread issues
   /// (SQE DW10[31:24]); sticky until changed, default 0. Workload threads
@@ -295,9 +299,12 @@ class DpcSystem {
   std::vector<std::unique_ptr<obs::QueueTraces>> qtraces_;
   std::vector<std::unique_ptr<nvme::IniDriver>> inis_;
   std::vector<std::unique_ptr<nvme::TgtDriver>> tgts_;
-  /// Per-queue pump locks (pump-mode only): serialize inline TGT servicing
-  /// for one queue. restart_dpu() holds all of them, in index order, for
-  /// the whole power cycle (same rank, consistent order — acyclic).
+  /// Per-queue pump locks: whoever runs a TGT pass holds its queue's lock —
+  /// a pump-mode caller inline, or the worker poller — so the single-
+  /// consumer TgtDriver never has two drivers, even while a caller crosses
+  /// a stop_dpu()/start_dpu() edge. restart_dpu() holds all of them, in
+  /// index order, for the whole power cycle (same rank, consistent order —
+  /// acyclic).
   std::vector<std::unique_ptr<sim::AnnotatedMutex>> pump_mu_;
 
   // Backends.

@@ -99,13 +99,15 @@ class IniDriver {
   std::span<const std::byte> read_payload(std::uint16_t cid,
                                           std::size_t n) const;
 
-  /// Host-side abort of a command that never completed (deadline expired).
-  /// If a completion raced in, it is returned unchanged; otherwise a
-  /// synthetic kAbortedByRequest completion is recorded for the cid so the
-  /// normal release() path reclaims the slot. In this reproduction the TGT
-  /// either posts a CQE or drops it permanently — a dropped command's CQE
-  /// can never arrive later — so reclaiming the cid here is safe; the
-  /// "nvme.ini/late_cqes" counter guards that invariant.
+  /// Host-side abort of a command declared lost. If a completion raced in,
+  /// it is returned unchanged; otherwise a synthetic kAbortedByRequest
+  /// completion is recorded for the cid so the normal release() path
+  /// reclaims the slot. Reclaiming is safe only once the TGT holds nothing
+  /// of the command: DpcSystem::call aborts after two idle TGT passes
+  /// since its doorbell, and a controller reset rewinds the TGT first. A
+  /// CQE that still arrived for the cid would be counted in
+  /// "nvme.ini/late_cqes" and dropped, never delivered to the cid's next
+  /// command.
   Completion abort(std::uint16_t cid);
 
   /// Returns the cid's slot to the free pool and wakes one queue-full

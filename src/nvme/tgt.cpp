@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "ec/crc32c.hpp"
+#include "sim/schedhook.hpp"
 
 namespace dpc::nvme {
 
@@ -176,6 +177,18 @@ TgtDriver::ProcessStats TgtDriver::process_available(int max) {
 
     if (!progressed) break;
   }
+  if (total.processed == 0 &&
+      ((fault_ != nullptr && fault_->crashed()) || !has_work())) {
+    // Decision point between the idle check and the bump: the checker can
+    // land a host doorbell here, so one idle pass may straddle it.
+    sim::schedhook::point("nvme.tgt.idle_pass");
+    idle_passes_.fetch_add(1);
+    // Store-buffering pair with the fence DpcSystem::call issues after its
+    // doorbell: a caller that read the count from before this bump is
+    // ordered before this fence, so the next pass's doorbell load sees
+    // that caller's command.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+  }
   return total;
 }
 
@@ -224,8 +237,9 @@ TgtDriver::ProcessStats TgtDriver::execute_one(const dpu::StagedCmd& staged,
 
   // Injection: lose the command after the SQE fetch. The handler never
   // runs and no CQE is ever posted for this cid, so the host's only way
-  // out is a timeout + abort — exactly the failure a dead link produces.
-  // Because the handler is skipped, a host resubmit cannot double-apply.
+  // out is loss detection + abort — exactly the failure a dead link
+  // produces. Because the handler is skipped, a host resubmit cannot
+  // double-apply.
   if (fault_ != nullptr && fault_->should_fail(kFaultTgtDropCqe)) {
     if (dropped_cqes_ != nullptr) dropped_cqes_->add();
     st.processed = 1;

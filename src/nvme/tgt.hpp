@@ -24,6 +24,7 @@
 // CQE contents — is bit-identical to the pre-QoS driver.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -42,8 +43,8 @@ namespace dpc::nvme {
 
 /// Fault-injection sites in the TGT command path (see src/fault/).
 /// drop_cqe: command vanishes after SQE fetch — no handler run, no CQE ever
-/// posted; the host must time out and abort. error_cqe: command fails before
-/// the handler with a retryable kDataTransferError completion.
+/// posted; the host must declare it lost and abort. error_cqe: command
+/// fails before the handler with a retryable kDataTransferError completion.
 inline constexpr std::string_view kFaultTgtDropCqe = "nvme.tgt/drop_cqe";
 inline constexpr std::string_view kFaultTgtErrorCqe = "nvme.tgt/error_cqe";
 /// Crash point between the handler finishing (op applied, payload DMA'd
@@ -102,7 +103,17 @@ class TgtDriver {
   /// executes nothing. A CrashException escaping the handler (or the
   /// crash-before-CQE site) is absorbed here: the in-progress command dies
   /// without a CQE, exactly like a controller losing power mid-op.
+  /// Single consumer: callers serialize passes on one driver.
   ProcessStats process_available(int max = 1 << 30);
+
+  /// Passes of process_available() that ended idle: nothing processed, and
+  /// either the DPU is crashed or has_work() is false. A pass that stopped
+  /// on a full CQ still has staged work, so it is not idle. Monotonic
+  /// (reset() leaves it alone) and readable from any thread: a host caller
+  /// that saw the count advance by two after its doorbell knows a pass
+  /// began after the doorbell and found nothing — its command was consumed
+  /// and, if no CQE came back, lost (DpcSystem::call).
+  std::uint64_t idle_passes() const { return idle_passes_.load(); }
 
   /// True if the SQ doorbell indicates pending work, or commands are
   /// staged/awaiting a throttle completion from an earlier ingest.
@@ -159,6 +170,8 @@ class TgtDriver {
     std::uint32_t retry_after_ns = 0;
   };
   std::deque<ThrottleCqe> throttled_;
+  /// Own cache line: waiting callers poll it while the TGT runs passes.
+  alignas(64) std::atomic<std::uint64_t> idle_passes_{0};
 };
 
 }  // namespace dpc::nvme

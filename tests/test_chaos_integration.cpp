@@ -142,8 +142,8 @@ TEST(ChaosIntegration, KvfsSurvivesFaultsAtEverySitePumpMode) {
   fault::FaultInjector fi(chaos_seed(), &fault_reg);
   DpcSystem sys(chaos_opts(&fi));
   // Arm only after construction so mkfs/root setup runs clean. Dropped
-  // CQEs are wall-clock-free in pump mode (SQ-drain loss detection), so a
-  // beefy rate is fine — and guarantees the abort path runs per seed.
+  // CQEs are wall-clock-free (idle-pass loss detection), so a beefy rate
+  // is fine — and guarantees the abort path runs per seed.
   fi.arm(nvme::kFaultTgtDropCqe, 0.05);
   fi.arm(nvme::kFaultTgtErrorCqe, 0.02);
   fi.arm(kv::RemoteKv::kFaultSite, 0.03);
@@ -164,9 +164,6 @@ TEST(ChaosIntegration, KvfsSurvivesFaultsWorkerMode) {
   fault::FaultInjector fi(chaos_seed() ^ 0x777, &fault_reg);
   auto opts = chaos_opts(&fi);
   opts.dpu_workers = 2;
-  // Real wall-clock deadline per command: keep it short so dropped CQEs
-  // cost ~20 ms each, not the 100 ms production default.
-  opts.nvme_timeout_ms = 20;
   DpcSystem sys(opts);
   sys.start_dpu();
   fi.arm(nvme::kFaultTgtDropCqe, 0.02);
@@ -279,7 +276,6 @@ TEST(ChaosIntegration, ZeroSilentCorruptionWorkerMode) {
   fault::FaultInjector fi(chaos_seed() ^ 0xc1, &fault_reg);
   auto opts = chaos_opts(&fi);
   opts.dpu_workers = 2;
-  opts.nvme_timeout_ms = 20;
   opts.enable_scrubber = true;
   opts.scrub.items_per_pass = 64;
   opts.scrub.pace = sim::micros(200.0);

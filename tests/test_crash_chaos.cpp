@@ -20,10 +20,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "cache/control_plane.hpp"
@@ -100,11 +105,6 @@ struct State {
   std::uint64_t pending_ino = 0;
   std::uint64_t pending_off = 0;
   std::vector<std::byte> pending_data;
-  /// Whether the workload grows a file past the first 4 MiB extent page.
-  /// Worker-mode runs turn it off: they keep a 20 ms command deadline so a
-  /// dead DPU is detected cheaply, and verifying a multi-MiB file under
-  /// TSan outruns it. Pump mode sweeps every crash site with it on.
-  bool straddle_pages = true;
 };
 
 void recover_if_crashed(State& st);
@@ -341,10 +341,8 @@ void run_crash_workload(State& st, std::uint64_t seed) {
   chaos_write(st, big, 0, bytes(4096, seed ^ 100), true);
   chaos_write(st, big, 0, bytes(24 * 1024, seed ^ 101), true);
   chaos_write(st, big, 8192, bytes(4096, seed ^ 102), true);
-  if (st.straddle_pages) {
-    chaos_write(st, big, kvfs::kExtentPageSlots * kvfs::kBigBlock - 4096,
-                bytes(8192, seed ^ 103), true);
-  }
+  chaos_write(st, big, kvfs::kExtentPageSlots * kvfs::kBigBlock - 4096,
+              bytes(8192, seed ^ 103), true);
 
   chaos_symlink(st, "d/f0", dir, "ln");
   chaos_rename(st, dir, "f1", "f1-renamed", files[1]);
@@ -445,19 +443,17 @@ TEST(CrashChaos, RepeatedCrashesDeeperIntoWorkload) {
   EXPECT_TRUE(kvfs::fsck(sys.kv_store()).clean());
 }
 
-/// Worker-mode smoke: real DPU poller threads, a crash mid-run, wall-clock
-/// timeouts detecting the dead controller, and a restart that brings the
+/// Worker-mode smoke: real DPU poller threads, a crash mid-run, idle TGT
+/// passes detecting the dead controller, and a restart that brings the
 /// worker pool back.
 TEST(CrashChaos, WorkerModeCrashAndRestart) {
   obs::Registry fault_reg;
   fault::FaultInjector fi(chaos_seed() ^ 0x777, &fault_reg);
   auto opts = crash_opts(&fi);
   opts.dpu_workers = 2;
-  opts.nvme_timeout_ms = 20;  // keep dead-DPU detection cheap in the test
   DpcSystem sys(opts);
   sys.start_dpu();
   State st{sys, fi, {}, 0, false, 0, 0, {}};
-  st.straddle_pages = false;
 
   fi.arm_crash(nvme::kFaultTgtCrashBeforeCqe, /*skip=*/3);
   run_crash_workload(st, chaos_seed() ^ 0x777);
@@ -473,6 +469,91 @@ TEST(CrashChaos, WorkerModeCrashAndRestart) {
   EXPECT_EQ(out, post);
   sys.stop_dpu();
   EXPECT_TRUE(kvfs::fsck(sys.kv_store()).clean());
+}
+
+/// Two worker-mode callers loop an 8 KiB DIRECT_IO write and read-verify,
+/// each on its own file, while the main thread runs `cycle` 20 times, 2 ms
+/// apart. No fault is armed: every op must succeed, every read must return
+/// the bytes last written, and no CQE may arrive for a reclaimed cid.
+void run_live_worker_callers(DpcSystem& sys,
+                             const std::function<void()>& cycle) {
+  std::uint64_t inos[2];
+  for (int t = 0; t < 2; ++t) {
+    inos[t] = sys.create(kvfs::kRootIno, "live" + std::to_string(t)).ino;
+    ASSERT_NE(inos[t], 0u);
+  }
+  sys.start_dpu();
+  std::atomic<bool> stop{false};
+  std::atomic<int> failed_ops{0};
+  std::atomic<int> bad_reads{0};
+  std::atomic<int> rounds{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&, t] {
+      std::vector<std::byte> data(8192);
+      std::vector<std::byte> out(data.size());
+      for (unsigned i = 0; !stop.load(std::memory_order_acquire); ++i) {
+        for (std::size_t k = 0; k < data.size(); ++k)
+          data[k] = static_cast<std::byte>((k * 131 + i * 7 + t * 97) & 0xFF);
+        std::memcpy(data.data(), &i, sizeof(i));
+        if (!sys.write(inos[t], 0, data, /*direct=*/true).ok() ||
+            !sys.read(inos[t], 0, out, /*direct=*/true).ok()) {
+          failed_ops.fetch_add(1);
+          continue;
+        }
+        if (out != data) bad_reads.fetch_add(1);
+        rounds.fetch_add(1);
+      }
+    });
+  }
+  for (int i = 0; i < 20; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    cycle();
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& th : callers) th.join();
+  sys.stop_dpu();
+
+  EXPECT_GT(rounds.load(), 0);
+  EXPECT_EQ(failed_ops.load(), 0);
+  EXPECT_EQ(bad_reads.load(), 0) << "a read returned bytes other than the "
+                                    "ones last written";
+  EXPECT_EQ(sys.metrics().counter("nvme.ini/late_cqes").value(), 0u)
+      << "a CQE arrived for a cid the host had already reclaimed";
+  EXPECT_TRUE(kvfs::fsck(sys.kv_store()).clean());
+}
+
+DpcOptions live_worker_opts() {
+  DpcOptions o = crash_opts(nullptr);
+  o.dpu_workers = 2;
+  // Each restart aborts every in-flight command once; leave room for an op
+  // whose attempts straddle several.
+  o.nvme_retry.max_attempts = 8;
+  return o;
+}
+
+/// restart_dpu() under live worker-mode callers: a caller that falls back
+/// to pumping inside the restart's stop_dpu() window must never share the
+/// TGT with the restarted workers. The only aborts are the restart's own.
+TEST(CrashChaos, RestartUnderLiveWorkerCallers) {
+  DpcSystem sys(live_worker_opts());
+  std::uint64_t aborted = 0;
+  run_live_worker_callers(
+      sys, [&] { aborted += sys.restart_dpu().aborted_cids; });
+  EXPECT_EQ(sys.metrics().counter("nvme.ini/timeouts").value(), aborted)
+      << "a live command was declared lost outside the restarts";
+}
+
+/// stop_dpu()/start_dpu() under live worker-mode callers: a caller waiting
+/// across the stop pumps for itself, and no command is ever declared lost.
+TEST(CrashChaos, StopStartUnderLiveWorkerCallers) {
+  DpcSystem sys(live_worker_opts());
+  run_live_worker_callers(sys, [&] {
+    sys.stop_dpu();
+    sys.start_dpu();
+  });
+  EXPECT_EQ(sys.metrics().counter("nvme.ini/timeouts").value(), 0u)
+      << "a live command was declared lost";
 }
 
 // ===================================================== NVM-WAL chaos =====
@@ -600,11 +681,9 @@ TEST(CrashChaosWal, WorkerModeCrashAndRestart) {
   fault::FaultInjector fi(chaos_seed() ^ 0x717, &fault_reg);
   auto opts = wal_chaos_opts(&fi);
   opts.dpu_workers = 2;
-  opts.nvme_timeout_ms = 20;
   DpcSystem sys(opts);
   sys.start_dpu();
   State st{sys, fi, {}, 0, false, 0, 0, {}};
-  st.straddle_pages = false;
 
   fi.arm_crash(nvme::kFaultTgtCrashBeforeCqe, /*skip=*/3);
   run_crash_workload(st, chaos_seed() ^ 0x717);
