@@ -1,5 +1,9 @@
 #include "cache/control_plane.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+
 #include "dpu/qos.hpp"
 #include "ec/crc32c.hpp"
 #include "nvm/wal.hpp"
@@ -54,6 +58,7 @@ DpuCacheControl::DpuCacheControl(pcie::DmaEngine& dma,
       flush_pass_ns_(&registry_->histogram("cache.ctl/flush_pass_ns")),
       prefetch_pass_ns_(&registry_->histogram("cache.ctl/prefetch_pass_ns")),
       prefetcher_(kPrefetchMaxWindow),
+      bitmap_(layout.dirty_words()),
       scratch_(kPageSize) {}
 
 CacheEntry DpuCacheControl::fetch_entry(std::uint32_t index,
@@ -194,120 +199,172 @@ void DpuCacheControl::bump_free(std::int32_t delta, sim::Nanos& cost) {
   cost += sim::calib::kPcieAtomic;
 }
 
-std::vector<PageStatus> DpuCacheControl::snapshot_status(sim::Nanos& cost) {
-  const auto entries = snapshot_meta(cost);
-  std::vector<PageStatus> status(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i)
-    status[i] = static_cast<PageStatus>(entries[i].status);
-  return status;
+void DpuCacheControl::ingest_dirty(sim::Nanos& cost) {
+  cost += dma_->read_host(layout_->dirty_word_off(0),
+                          std::as_writable_bytes(std::span{bitmap_}),
+                          pcie::DmaClass::kDescriptor);
+  for (std::uint32_t w = 0; w < bitmap_.size(); ++w) {
+    const std::uint32_t bits = bitmap_[w];
+    if (bits == 0) continue;
+    // Clear exactly the bits read; one the host sets meanwhile stays for the
+    // next drain. Only this side clears bits (under pass_mu_), so every bit
+    // read is still set here.
+    cost += dma_->atomic_and_host(layout_->dirty_word_off(w), ~bits).cost;
+    for (std::uint32_t rest = bits; rest != 0; rest &= rest - 1) {
+      const std::uint32_t i = w * 32 + static_cast<std::uint32_t>(
+                                           std::countr_zero(rest));
+      // The host set the bit after the dirty mark, and this probe follows
+      // the clear: a page still dirty is indexed under its current inode; one
+      // already cleaned or freed drops out, and dirtying it again sets the
+      // bit again.
+      const CacheEntry e = fetch_entry(i, cost);
+      if (static_cast<PageStatus>(e.status) == PageStatus::kDirty) {
+        index_dirty(i, e.inode);
+      } else {
+        unindex_dirty(i);
+      }
+    }
+  }
 }
 
-std::vector<CacheEntry> DpuCacheControl::snapshot_meta(sim::Nanos& cost) {
-  const std::uint32_t total = layout_->geometry().total_pages;
-  // Chunked DMA of the whole meta area (entries are contiguous).
-  std::vector<CacheEntry> entries(total);
-  constexpr std::uint32_t kChunk = 128;  // entries per DMA
-  for (std::uint32_t at = 0; at < total; at += kChunk) {
-    const std::uint32_t n = std::min(kChunk, total - at);
-    cost += dma_->read_host(
-        layout_->entry_off(at),
-        std::as_writable_bytes(std::span{entries.data() + at, n}),
-        pcie::DmaClass::kDescriptor);
+void DpuCacheControl::index_dirty(std::uint32_t entry, std::uint64_t inode) {
+  const auto [it, fresh] = dirty_.try_emplace(entry, inode);
+  if (!fresh) {
+    if (it->second == inode) return;
+    dirty_by_ino_.erase({it->second, entry});  // entry reused by another file
+    it->second = inode;
   }
-  return entries;
+  dirty_by_ino_.insert({inode, entry});
+}
+
+void DpuCacheControl::unindex_dirty(std::uint32_t entry) {
+  const auto it = dirty_.find(entry);
+  if (it == dirty_.end()) return;
+  dirty_by_ino_.erase({it->second, entry});
+  dirty_.erase(it);
+}
+
+std::vector<std::uint32_t> DpuCacheControl::dirty_entries_of(
+    std::uint64_t inode) const {
+  std::vector<std::uint32_t> out;
+  for (auto it = dirty_by_ino_.lower_bound({inode, 0});
+       it != dirty_by_ino_.end() && it->first == inode; ++it)
+    out.push_back(it->second);
+  return out;
 }
 
 DpuCacheControl::PassResult DpuCacheControl::flush_pass(int max_pages) {
   if (fault_ != nullptr && fault_->crashed()) return {};
   sim::LockGuard lock(pass_mu_);
   PassResult res;
-  auto status = snapshot_status(res.cost);
-  for (std::uint32_t i = 0; i < status.size() && res.pages < max_pages; ++i) {
-    if (status[i] != PageStatus::kDirty) continue;
-    // §3.3: "safely flush the selected dirty pages by adding the read locks
-    // for them" — a host writer holding the write lock makes us skip.
-    if (!try_read_lock(i, res.cost)) {
-      ++stats_.flush_lock_conflicts;
-      continue;
-    }
-    // The backend write below and the crash point after it may throw
-    // CrashException while this entry's read lock is held.
-    ReleaseRecordOnUnwind rank_record{word_key(
-        dma_->host(),
-        layout_->entry_field_off(i, CacheLayout::EntryField::kLock))};
-    const CacheEntry e = fetch_entry(i, res.cost);
-    if (static_cast<PageStatus>(e.status) != PageStatus::kDirty) {
-      read_unlock(i, res.cost);  // raced with an invalidate
-      continue;
-    }
-    // "DPU temporarily pulls the data to its DRAM by DMA transmission".
-    res.cost += dma_->read_host(layout_->page_off(i), scratch_,
-                                pcie::DmaClass::kData);
-    // "…and performs relevant computing operations (e.g., compression,
-    // DIF, EC, etc.)". The DIF stamp is taken at the pull — it is the
-    // checksum of the host-DRAM truth the DMA engine carried over.
-    const std::uint32_t dif_stamp = ec::crc32c(scratch_);
-    ++stats_.dif_checksums;
-    // Injection: the DPU-DRAM copy is damaged after the pull (DMA glitch
-    // or DRAM bit flip) — the window the DIF verify below closes.
-    if (fault_ != nullptr) {
-      std::uint64_t entropy = 0;
-      if (fault_->should_fail(kFaultFlushCorruptPage, &entropy) &&
-          !scratch_.empty()) {
-        const std::uint64_t bit = entropy % (scratch_.size() * 8);
-        scratch_[bit / 8] ^=
-            std::byte{static_cast<unsigned char>(1u << (bit % 8))};
-      }
-    }
-    if (ec::crc32c(scratch_) != dif_stamp) {
-      // The copy about to hit the backend is provably not what the host
-      // wrote. Never flush it: leave the page dirty — the next pass pulls
-      // a fresh (intact) copy from host DRAM, so recovery is free.
-      ++stats_.flush_integrity_fails;
-      read_unlock(i, res.cost);
-      continue;
-    }
-    const bool flushed =
-        !(fault_ != nullptr && fault_->should_fail(kFaultFlushWritePage)) &&
-        backend_->write_page(e.inode, e.lpn, scratch_, res.cost);
-    if (!flushed) {
-      // Transient backend failure: drop the read lock but leave the page
-      // dirty — it is re-queued, never lost, and a later pass retries it.
-      ++stats_.flush_fails;
-      read_unlock(i, res.cost);
-      continue;
-    }
-    // Crash window: the backend write is durable but the meta still says
-    // dirty and this side still holds the read lock. Propagates — the TGT
-    // absorbs it on the fsync path, poll() absorbs it on the flusher path.
-    fault::crash_point(fault_, kFaultFlushCrashBeforeClean);
-    // "After completing flushing, DPU releases the read locks … and updates
-    // their status to clean".
-    set_status(i, PageStatus::kClean, res.cost);
-    dma_->atomic_fadd_host(layout_->header_field(HeaderOffsets::kDirty),
-                           static_cast<std::uint32_t>(-1));
-    res.cost += sim::calib::kPcieAtomic;
-    if (wal_ != nullptr && wal_->has_pending(e.inode, e.lpn)) {
-      // This is the WAL drain: the backend now holds the bytes, so a
-      // marker supersedes the logged copies. A crash in between (or right
-      // after — the crash point below) replays the logged copy over the
-      // identical backend bytes: idempotent, never lost.
-      wal_->note_drained(e.inode, e.lpn, res.cost);
-      fault::crash_point(fault_, nvm::kCrashWalAfterDrain);
-    }
-    read_unlock(i, res.cost);
-    ++res.pages;
-    ++stats_.pages_flushed;
+  ingest_dirty(res.cost);
+  for (auto it = dirty_.begin(); it != dirty_.end() && res.pages < max_pages;) {
+    const std::uint32_t i = (it++)->first;  // step first: i may be dropped
+    if (!flush_entry(i, res)) unindex_dirty(i);
   }
+  finish_flush(res);
+  return res;
+}
+
+DpuCacheControl::PassResult DpuCacheControl::flush_inode(std::uint64_t inode) {
+  if (fault_ != nullptr && fault_->crashed()) return {};
+  sim::LockGuard lock(pass_mu_);
+  PassResult res;
+  ingest_dirty(res.cost);
+  for (const std::uint32_t i : dirty_entries_of(inode)) {
+    if (!flush_entry(i, res)) unindex_dirty(i);
+  }
+  finish_flush(res);
+  return res;
+}
+
+bool DpuCacheControl::flush_entry(std::uint32_t i, PassResult& res) {
+  // §3.3: "safely flush the selected dirty pages by adding the read locks
+  // for them" — a host writer holding the write lock makes us skip.
+  if (!try_read_lock(i, res.cost)) {
+    ++stats_.flush_lock_conflicts;
+    return true;
+  }
+  // The backend write below and the crash point after it may throw
+  // CrashException while this entry's read lock is held.
+  ReleaseRecordOnUnwind rank_record{word_key(
+      dma_->host(),
+      layout_->entry_field_off(i, CacheLayout::EntryField::kLock))};
+  const CacheEntry e = fetch_entry(i, res.cost);
+  if (static_cast<PageStatus>(e.status) != PageStatus::kDirty) {
+    read_unlock(i, res.cost);  // raced with an invalidate
+    return false;
+  }
+  // "DPU temporarily pulls the data to its DRAM by DMA transmission".
+  res.cost += dma_->read_host(layout_->page_off(i), scratch_,
+                              pcie::DmaClass::kData);
+  // "…and performs relevant computing operations (e.g., compression,
+  // DIF, EC, etc.)". The DIF stamp is taken at the pull — it is the
+  // checksum of the host-DRAM truth the DMA engine carried over.
+  const std::uint32_t dif_stamp = ec::crc32c(scratch_);
+  ++stats_.dif_checksums;
+  // Injection: the DPU-DRAM copy is damaged after the pull (DMA glitch
+  // or DRAM bit flip) — the window the DIF verify below closes.
+  if (fault_ != nullptr) {
+    std::uint64_t entropy = 0;
+    if (fault_->should_fail(kFaultFlushCorruptPage, &entropy) &&
+        !scratch_.empty()) {
+      const std::uint64_t bit = entropy % (scratch_.size() * 8);
+      scratch_[bit / 8] ^=
+          std::byte{static_cast<unsigned char>(1u << (bit % 8))};
+    }
+  }
+  if (ec::crc32c(scratch_) != dif_stamp) {
+    // The copy about to hit the backend is provably not what the host
+    // wrote. Never flush it: leave the page dirty — the next pass pulls
+    // a fresh (intact) copy from host DRAM, so recovery is free.
+    ++stats_.flush_integrity_fails;
+    read_unlock(i, res.cost);
+    return true;
+  }
+  const bool flushed =
+      !(fault_ != nullptr && fault_->should_fail(kFaultFlushWritePage)) &&
+      backend_->write_page(e.inode, e.lpn, scratch_, res.cost);
+  if (!flushed) {
+    // Transient backend failure: drop the read lock but leave the page
+    // dirty — it is re-queued, never lost, and a later pass retries it.
+    ++stats_.flush_fails;
+    read_unlock(i, res.cost);
+    return true;
+  }
+  // Crash window: the backend write is durable but the meta still says
+  // dirty and this side still holds the read lock. Propagates — the TGT
+  // absorbs it on the fsync path, poll() absorbs it on the flusher path.
+  fault::crash_point(fault_, kFaultFlushCrashBeforeClean);
+  // "After completing flushing, DPU releases the read locks … and updates
+  // their status to clean".
+  set_status(i, PageStatus::kClean, res.cost);
+  dma_->atomic_fadd_host(layout_->header_field(HeaderOffsets::kDirty),
+                         static_cast<std::uint32_t>(-1));
+  res.cost += sim::calib::kPcieAtomic;
+  if (wal_ != nullptr && wal_->has_pending(e.inode, e.lpn)) {
+    // This is the WAL drain: the backend now holds the bytes, so a
+    // marker supersedes the logged copies. A crash in between (or right
+    // after — the crash point below) replays the logged copy over the
+    // identical backend bytes: idempotent, never lost.
+    wal_->note_drained(e.inode, e.lpn, res.cost);
+    fault::crash_point(fault_, nvm::kCrashWalAfterDrain);
+  }
+  read_unlock(i, res.cost);
+  ++res.pages;
+  ++stats_.pages_flushed;
+  return false;
+}
+
+void DpuCacheControl::finish_flush(PassResult& res) {
   if (wal_ != nullptr && (res.pages > 0 || wal_->degraded())) {
     // The pass may have drained the last pending page: checkpoint-truncate
     // (which doubles as the degraded-mode recovery probe).
     wal_->maybe_checkpoint(res.cost);
   }
   // Idle poller passes that flushed nothing would drown the distribution in
-  // snapshot-scan costs; record only passes that moved pages.
+  // bitmap-drain costs; record only passes that moved pages.
   if (res.pages > 0) flush_pass_ns_->record(res.cost);
-  return res;
 }
 
 DpuCacheControl::WalLogResult DpuCacheControl::wal_log_pass(
@@ -316,16 +373,8 @@ DpuCacheControl::WalLogResult DpuCacheControl::wal_log_pass(
   if (wal_ == nullptr || (fault_ != nullptr && fault_->crashed())) return res;
   sim::LockGuard lock(pass_mu_);
   res.complete = true;
-  // Full-entry snapshot: the ino filter below reads inode/status straight
-  // from the chunked meta DMA instead of paying a probe DMA per dirty
-  // page, so this pass stays O(snapshot) + O(this ino's pages) even when
-  // the cache is full of other tenants' dirt. The under-lock re-fetch
-  // below still validates against the live entry.
-  const auto meta = snapshot_meta(res.cost);
-  for (std::uint32_t i = 0; i < meta.size(); ++i) {
-    if (static_cast<PageStatus>(meta[i].status) != PageStatus::kDirty ||
-        meta[i].inode != inode)
-      continue;
+  ingest_dirty(res.cost);
+  for (const std::uint32_t i : dirty_entries_of(inode)) {
     // Same read-lock discipline as the flush: a host writer mid-update
     // means the page bytes are not provably stable — no WAL ack for it.
     if (!try_read_lock(i, res.cost)) {
@@ -339,7 +388,8 @@ DpuCacheControl::WalLogResult DpuCacheControl::wal_log_pass(
     const CacheEntry e = fetch_entry(i, res.cost);
     if (e.inode != inode ||
         static_cast<PageStatus>(e.status) != PageStatus::kDirty) {
-      read_unlock(i, res.cost);  // raced with an invalidate/flush
+      read_unlock(i, res.cost);  // raced with an invalidate
+      unindex_dirty(i);
       continue;
     }
     res.cost += dma_->read_host(layout_->page_off(i), scratch_,
@@ -361,12 +411,16 @@ DpuCacheControl::WalLogResult DpuCacheControl::wal_log_pass(
 int DpuCacheControl::dirty_pages(std::uint64_t inode, sim::Nanos& cost) {
   if (fault_ != nullptr && fault_->crashed()) return 0;
   sim::LockGuard lock(pass_mu_);
-  const auto meta = snapshot_meta(cost);
+  ingest_dirty(cost);
   int n = 0;
-  for (const auto& e : meta) {
+  for (const std::uint32_t i : dirty_entries_of(inode)) {
+    const CacheEntry e = fetch_entry(i, cost);
     if (e.inode == inode &&
-        static_cast<PageStatus>(e.status) == PageStatus::kDirty)
+        static_cast<PageStatus>(e.status) == PageStatus::kDirty) {
       ++n;
+    } else {
+      unindex_dirty(i);
+    }
   }
   return n;
 }
@@ -379,9 +433,19 @@ DpuCacheControl::PassResult DpuCacheControl::evict(std::uint32_t target_free) {
   res.cost += sim::calib::kDmaSetup;  // header read
   if (free_now >= target_free) return res;
 
-  auto status = snapshot_status(res.cost);
+  std::array<CacheEntry, ClockEviction::kChunk> chunk;
   std::vector<std::uint32_t> victims;
-  clock_.pick_victims(status, target_free - free_now, victims);
+  clock_.pick_victims(
+      layout_->geometry().total_pages, target_free - free_now,
+      [&](std::uint32_t first, std::span<PageStatus> status) {
+        const std::span<CacheEntry> entries{chunk.data(), status.size()};
+        res.cost += dma_->read_host(layout_->entry_off(first),
+                                    std::as_writable_bytes(entries),
+                                    pcie::DmaClass::kDescriptor);
+        for (std::size_t k = 0; k < status.size(); ++k)
+          status[k] = static_cast<PageStatus>(entries[k].status);
+      },
+      victims);
   for (const std::uint32_t i : victims) {
     if (!try_write_lock(i, res.cost)) continue;  // in use; skip
     const CacheEntry e = fetch_entry(i, res.cost);
@@ -602,8 +666,9 @@ DpuCacheControl::PassResult DpuCacheControl::rebuild() {
   PassResult res;
   const std::uint32_t total = layout_->geometry().total_pages;
   // The data plane (meta + pages) lives in host DRAM and survives the DPU
-  // dying; everything DPU-side (lock holdings, cached counts, prefetch
-  // cursor) is gone. Scan the surviving meta area and rebuild from it.
+  // dying; everything DPU-side (lock holdings, cached counts, the dirty
+  // index, prefetch cursor) is gone. Scan the surviving meta area and
+  // rebuild from it.
   std::vector<CacheEntry> entries(total);
   constexpr std::uint32_t kChunk = 128;  // entries per DMA
   for (std::uint32_t at = 0; at < total; at += kChunk) {
@@ -617,6 +682,8 @@ DpuCacheControl::PassResult DpuCacheControl::rebuild() {
   std::uint32_t free_count = 0;
   std::uint32_t dirty_count = 0;
   std::uint32_t survivors = 0;
+  dirty_.clear();
+  dirty_by_ino_.clear();
   for (std::uint32_t i = 0; i < total; ++i) {
     // The dead DPU (or a host thread it stranded) may still hold this
     // entry's lock; both planes are quiesced now, so force it open.
@@ -642,6 +709,7 @@ DpuCacheControl::PassResult DpuCacheControl::rebuild() {
       case PageStatus::kDirty:
         ++dirty_count;
         ++survivors;
+        index_dirty(i, entries[i].inode);
         break;
       default:
         ++survivors;
@@ -653,6 +721,12 @@ DpuCacheControl::PassResult DpuCacheControl::rebuild() {
         .store(0, std::memory_order_release);
   }
   res.cost += sim::calib::kPcieAtomic;  // bucket sweep, one posted batch
+  // The scan indexed every dirty entry, so the bits announcing them are
+  // spent; no host write is in flight to set a new one.
+  std::fill(bitmap_.begin(), bitmap_.end(), 0u);
+  res.cost += dma_->write_host(layout_->dirty_word_off(0),
+                               std::as_bytes(std::span{bitmap_}),
+                               pcie::DmaClass::kDescriptor);
   // Recompute the header's shadow registers from ground truth and drop any
   // pre-crash eviction request (poll() re-derives it from the counts).
   host.atomic_u32(layout_->header_field(HeaderOffsets::kFree))

@@ -1,24 +1,31 @@
 // DPU-side control plane of the hybrid cache (§3.3).
 //
 // Runs on the DPU: every touch of the cache (which lives in host memory)
-// goes through the DmaEngine — meta-area scans are chunked DMA reads, page
-// pulls are data DMAs, and all lock manipulation uses PCIe atomics. Duties:
+// goes through the DmaEngine — the dirty-bitmap drain, entry probes and
+// eviction chunks are descriptor DMAs, page pulls are data DMAs, and all
+// lock manipulation uses PCIe atomics. Duties:
 //
-//   * flushing — periodically scan the meta hash table, read-lock dirty
-//     pages, pull them to DPU DRAM, run the compute hooks (DIF checksum —
-//     the paper lists "compression, DIF, EC, etc."), write them to the
-//     backend, then release the locks and mark the entries clean;
+//   * flushing — drain the host's dirty bitmap into a DPU-resident dirty
+//     index (entry → inode, and each inode's dirty entries), read-lock the
+//     indexed dirty pages, pull them to DPU DRAM, run the compute hooks
+//     (DIF checksum — the paper lists "compression, DIF, EC, etc."), write
+//     them to the backend, then release the locks and mark the entries
+//     clean. A pass costs what its dirt costs, not what the cache size does;
 //   * replacement — reclaim clean pages when the host raises the
 //     need-evict flag (or free falls below the low-water mark), victims
-//     picked by the ClockEviction sweep;
+//     picked by the ClockEviction sweep, which DMAs meta chunks from its
+//     hand only until it has them;
 //   * prefetch — populate pages the SequentialPrefetcher predicts, claiming
 //     free entries through the same bucket/entry lock protocol the host
 //     uses (bucket locks taken with PCIe atomics from this side).
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cache/backend.hpp"
@@ -108,12 +115,17 @@ class DpuCacheControl {
                   obs::Registry* registry = nullptr,
                   fault::FaultInjector* fault = nullptr);
 
-  /// One flusher iteration: flush up to `max_pages` dirty pages.
+  /// One flusher iteration: flush up to `max_pages` dirty pages, in
+  /// ascending entry order.
   struct PassResult {
     int pages = 0;
     sim::Nanos cost{};
   };
   PassResult flush_pass(int max_pages = 1 << 30);
+
+  /// The synchronous fsync's flush: flushes every dirty page of `inode`
+  /// and no other inode's.
+  PassResult flush_inode(std::uint64_t inode);
 
   /// Evicts clean pages until `target_free` are free (or candidates run
   /// out). Dirty candidates are skipped — flush first.
@@ -168,14 +180,15 @@ class DpuCacheControl {
   int poll();
 
   /// Crash-recovery: rebuilds the DPU-side view of the cache by scanning
-  /// the surviving host-DRAM meta area. Clears every entry and bucket lock
-  /// word the dead DPU may still hold, recomputes the header's free/dirty
-  /// counts from entry status, drops a pending need-evict request, and
-  /// resyncs the readahead-hint cursor. Returns the number of non-free
-  /// pages adopted ("cache.ctl/rebuild_pages"). Run only while both planes
-  /// are quiesced (DPU pollers stopped, host threads blocked on aborted
-  /// NVMe commands); the caller re-flushes dirty pages afterwards with
-  /// flush_pass().
+  /// the surviving host-DRAM meta area — the one pass that reads all of it.
+  /// Clears every entry and bucket lock word the dead DPU may still hold,
+  /// recomputes the header's free/dirty counts from entry status, rebuilds
+  /// the dirty index and zeroes the host's dirty bitmap, drops a pending
+  /// need-evict request, and resyncs the readahead-hint cursor. Returns the
+  /// number of non-free pages adopted ("cache.ctl/rebuild_pages"). Run
+  /// only while both planes are quiesced (DPU pollers stopped, host threads
+  /// blocked on aborted NVMe commands); the caller re-flushes dirty pages
+  /// afterwards with flush_pass().
   PassResult rebuild();
 
   const ControlPlaneStats& stats() const { return stats_; }
@@ -184,13 +197,23 @@ class DpuCacheControl {
  private:
   int poll_impl();
 
-  /// DMA-reads the status word of every entry (chunked) for policy input.
-  std::vector<PageStatus> snapshot_status(sim::Nanos& cost);
-
-  /// DMA-reads the whole meta area (chunked): full entries, not just
-  /// status. Lets ino-filtered passes (wal_log_pass) skip the per-entry
-  /// probe DMA — one setup per chunk instead of one per dirty page.
-  std::vector<CacheEntry> snapshot_meta(sim::Nanos& cost);
+  /// Drains the host's dirty bitmap into the dirty index: one descriptor
+  /// DMA of the bitmap, one PCIe fetch-and per nonzero word clearing
+  /// exactly the bits read, and one probe of each entry those bits name.
+  /// Runs at the start of every pass that consults the index.
+  void ingest_dirty(sim::Nanos& cost) REQUIRES(pass_mu_);
+  void index_dirty(std::uint32_t entry, std::uint64_t inode)
+      REQUIRES(pass_mu_);
+  void unindex_dirty(std::uint32_t entry) REQUIRES(pass_mu_);
+  /// The indexed dirty entries of `inode`, ascending.
+  std::vector<std::uint32_t> dirty_entries_of(std::uint64_t inode) const
+      REQUIRES(pass_mu_);
+  /// Flushes entry `index` if it is dirty. True while the page stays dirty
+  /// (lock conflict, DIF or backend failure), so it stays indexed; false
+  /// once it is clean or was found not dirty.
+  bool flush_entry(std::uint32_t index, PassResult& res) REQUIRES(pass_mu_);
+  /// WAL checkpoint probe and pass-cost sample after a flush.
+  void finish_flush(PassResult& res) REQUIRES(pass_mu_);
 
   CacheEntry fetch_entry(std::uint32_t index, sim::Nanos& cost);
   // Entry/bucket lock words are PCIe atomics, not mutexes; successful
@@ -229,6 +252,15 @@ class DpuCacheControl {
   /// flushes may come from different DPU workers.
   sim::AnnotatedMutex pass_mu_{"cache.pass", sim::LockRank::kCachePass};
   SequentialPrefetcher prefetcher_ GUARDED_BY(pass_mu_);
+  /// DPU-resident dirty index: every entry the drained bitmap named and the
+  /// probe found dirty, with its inode, and the same pairs keyed by inode.
+  /// A superset hint — every visit re-validates the live entry, and a dirty
+  /// page is always either indexed or has its bitmap bit set.
+  std::map<std::uint32_t, std::uint64_t> dirty_ GUARDED_BY(pass_mu_);
+  std::set<std::pair<std::uint64_t, std::uint32_t>> dirty_by_ino_
+      GUARDED_BY(pass_mu_);
+  /// DPU-DRAM copy of the host's dirty bitmap, one drain at a time.
+  std::vector<std::uint32_t> bitmap_ GUARDED_BY(pass_mu_);
   /// One page of DPU DRAM, used only inside a pass.
   std::vector<std::byte> scratch_ GUARDED_BY(pass_mu_);
   /// Last readahead-hint sequence consumed (hint loss is benign).

@@ -227,6 +227,15 @@ std::optional<std::uint32_t> HostCachePlane::find_free_locked(
   return std::nullopt;
 }
 
+void HostCachePlane::publish_dirty(std::uint32_t entry) {
+  // A host-local atomic on host DRAM: no link transaction. Release orders
+  // the dirty mark before the bit, so the DPU drain's acquiring fetch_and
+  // that clears the bit is followed by a probe that sees the page dirty.
+  host_->atomic_u32(layout_->dirty_word_off(entry / 32))
+      .fetch_or(1u << (entry % 32), std::memory_order_release);
+  sim::schedhook::point("cache.dirty_publish");
+}
+
 void HostCachePlane::post_readahead_hint(std::uint64_t inode,
                                          std::uint64_t lpn) {
   // Relaxed word stores — concurrent readers may interleave pairs; seq
@@ -407,8 +416,18 @@ HostCachePlane::WriteResult HostCachePlane::write(
                       std::byte{0});
   }
   const PageStatus prev = status_of(entry);  // stable: we hold the lock
+  const bool turns_dirty = prev != PageStatus::kDirty;
+  // DPC_CHECK_MUTATE dirty-publish-order: set the dirty bit *before* the
+  // dirty mark. A DPU drain in between clears the bit, probes a page that
+  // is not dirty yet and drops it, so the page ends up in neither the
+  // bitmap nor the DPU's dirty index. dpc_check arms this and must observe
+  // a dirty page that is neither flushed nor logged.
+  const bool bit_first =
+      turns_dirty && sim::schedhook::mutate("dirty-publish-order");
+  if (bit_first) publish_dirty(entry);
   set_status(entry, PageStatus::kDirty);
-  if (prev != PageStatus::kDirty) {
+  if (turns_dirty) {
+    if (!bit_first) publish_dirty(entry);
     host_->atomic_u32(layout_->header_field(HeaderOffsets::kDirty))
         .fetch_add(1, std::memory_order_acq_rel);
   }

@@ -8,7 +8,8 @@
 //
 // Front-end write (paper §3.3): hash <inode,lpn> → bucket, find/claim an
 // entry, write-lock it atomically, copy the data into the corresponding
-// page, release the lock and mark the entry dirty. If no free entry can be
+// page, release the lock and mark the entry dirty (a clean→dirty transition
+// also sets the entry's dirty-bitmap bit for the DPU). If no free entry can be
 // claimed, the host "notifies the DPU to perform cache replacement" — here
 // by raising the header's need-evict flag and reporting kNoFreeEntry.
 #pragma once
@@ -125,6 +126,11 @@ class HostCachePlane {
   enum class FastRead { kHit, kMiss, kRetry, kRetryBlocked };
   FastRead try_read_lockfree(std::uint32_t bucket, std::uint64_t inode,
                              std::uint64_t lpn, std::span<std::byte> dst);
+
+  /// Sets the entry's dirty-bitmap bit: the clean→dirty transition the DPU
+  /// drains into its dirty index. Called after the dirty mark, with the
+  /// entry write lock held.
+  void publish_dirty(std::uint32_t entry);
 
   /// Posts the consumed <inode,lpn> readahead hint for the DPU poller.
   void post_readahead_hint(std::uint64_t inode, std::uint64_t lpn);

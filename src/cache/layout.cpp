@@ -16,6 +16,38 @@ static_assert(offsetof(CacheEntry, lpn) == CacheLayout::EntryField::kLpn);
 static_assert(offsetof(CacheEntry, inode) == CacheLayout::EntryField::kInode);
 static_assert(offsetof(CacheEntry, seq) == CacheLayout::EntryField::kSeq);
 
+namespace {
+
+constexpr std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
+  return (v + a - 1) / a * a;
+}
+
+/// Area offsets relative to the header, and the total size.
+struct AreaOffsets {
+  std::uint64_t bucket_locks;
+  std::uint64_t meta;
+  std::uint64_t bitmap;
+  std::uint64_t data;
+  std::uint64_t end;
+};
+
+AreaOffsets areas_of(const CacheGeometry& geo) {
+  AreaOffsets a{};
+  a.bucket_locks = HeaderOffsets::kSize;
+  a.meta = align_up(a.bucket_locks + std::uint64_t{geo.buckets} * 4, 64);
+  a.bitmap = a.meta + std::uint64_t{geo.total_pages} * sizeof(CacheEntry);
+  a.data = align_up(
+      a.bitmap + std::uint64_t{(geo.total_pages + 31) / 32} * 4, kPageSize);
+  a.end = a.data + std::uint64_t{geo.total_pages} * kPageSize;
+  return a;
+}
+
+}  // namespace
+
+std::uint64_t CacheLayout::footprint_for(const CacheGeometry& geo) {
+  return areas_of(geo).end;
+}
+
 CacheLayout::CacheLayout(const CacheGeometry& geo,
                          pcie::RegionAllocator& host_alloc)
     : geo_(geo) {
@@ -24,13 +56,12 @@ CacheLayout::CacheLayout(const CacheGeometry& geo,
                 "each bucket must own the same number of entries (§3.3)");
   epb_ = geo.total_pages / geo.buckets;
 
-  base_ = host_alloc.alloc(HeaderOffsets::kSize, 64);
-  bucket_locks_ = host_alloc.alloc(std::uint64_t{geo.buckets} * 4, 64);
-  meta_ = host_alloc.alloc(std::uint64_t{geo.total_pages} * sizeof(CacheEntry),
-                           64);
-  data_ = host_alloc.alloc(std::uint64_t{geo.total_pages} * kPageSize,
-                           kPageSize);
-  total_bytes_ = data_ + std::uint64_t{geo.total_pages} * kPageSize - base_;
+  const AreaOffsets a = areas_of(geo);
+  base_ = host_alloc.alloc(a.end, kPageSize);
+  bucket_locks_ = base_ + a.bucket_locks;
+  meta_ = base_ + a.meta;
+  bitmap_ = base_ + a.bitmap;
+  data_ = base_ + a.data;
 
   format(host_alloc.region());
 }
@@ -52,9 +83,12 @@ void CacheLayout::format(pcie::MemoryRegion& region) const {
   region.store<std::uint64_t>(header_field(HeaderOffsets::kRaInode), 0);
   region.store<std::uint64_t>(header_field(HeaderOffsets::kRaLpn), 0);
 
-  // Zero bucket locks; link each bucket's entries into its list.
+  // Zero bucket locks and the dirty bitmap; link each bucket's entries
+  // into its list.
   for (std::uint32_t b = 0; b < geo_.buckets; ++b)
     region.store<std::uint32_t>(bucket_lock_off(b), 0);
+  for (std::uint32_t w = 0; w < dirty_words(); ++w)
+    region.store<std::uint32_t>(dirty_word_off(w), 0);
   for (std::uint32_t i = 0; i < geo_.total_pages; ++i) {
     CacheEntry e;
     const std::uint32_t in_bucket = i % epb_;
@@ -71,6 +105,11 @@ std::uint64_t CacheLayout::bucket_lock_off(std::uint32_t bucket) const {
 std::uint64_t CacheLayout::entry_off(std::uint32_t index) const {
   DPC_CHECK(index < geo_.total_pages);
   return meta_ + std::uint64_t{index} * sizeof(CacheEntry);
+}
+
+std::uint64_t CacheLayout::dirty_word_off(std::uint32_t word) const {
+  DPC_CHECK(word < dirty_words());
+  return bitmap_ + std::uint64_t{word} * 4;
 }
 
 std::uint64_t CacheLayout::page_off(std::uint32_t index) const {

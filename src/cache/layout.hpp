@@ -3,7 +3,8 @@
 // The cache is one contiguous block of *host* memory, registered with the
 // DPU at mount time:
 //
-//   [ header | bucket locks | meta area (cache entries) | data area ]
+//   [ header | bucket locks | meta area (cache entries) | dirty bitmap |
+//     data area ]
 //
 // header     — pagesize, mode (the paper's 0 = read cache, 1 = write
 //              cache; always 1 here, and nothing reads it back), total
@@ -16,6 +17,11 @@
 //                next   : next entry in the bucket's list
 //                lpn    : logical page number within the file
 //                inode  : owning file
+//   dirty bitmap — one bit per entry, in u32 words (entry i is bit i % 32
+//              of word i / 32). The host sets an entry's bit when it turns
+//              the page dirty, after the dirty mark; the DPU control plane
+//              drains the words into its DPU-resident dirty index, so no
+//              pass has to scan the meta area to find dirt.
 //   data area — `total` pages; entry i ↔ page i, so locating the entry
 //              locates the page.
 //
@@ -123,6 +129,10 @@ class CacheLayout {
   }
   std::uint64_t page_off(std::uint32_t index) const;
 
+  /// Dirty-bitmap words: entry i is bit (i % 32) of word (i / 32).
+  std::uint32_t dirty_words() const { return (geo_.total_pages + 31) / 32; }
+  std::uint64_t dirty_word_off(std::uint32_t word) const;
+
   /// Entry-field byte offsets within a CacheEntry.
   struct EntryField {
     static constexpr std::uint64_t kLock = 0;
@@ -137,14 +147,17 @@ class CacheLayout {
   std::uint32_t bucket_of(std::uint64_t inode, std::uint64_t lpn) const;
   std::uint32_t bucket_head_entry(std::uint32_t bucket) const;
 
-  /// Total bytes the cache occupies in the host region.
-  std::uint64_t footprint() const { return total_bytes_; }
+  /// Host bytes a cache of `geo` occupies, header through data area, bitmap
+  /// included — the one sizing formula both the layout and the host-region
+  /// budget use. The block itself is allocated page-aligned.
+  static std::uint64_t footprint_for(const CacheGeometry& geo);
+  std::uint64_t footprint() const { return footprint_for(geo_); }
 
   /// (Re-)initializes the region to an empty cache: header rewritten,
-  /// bucket locks zeroed, every entry free and relinked into its bucket
-  /// list. The constructor calls this once; tests call it again to model a
-  /// host power loss (all cached pages gone). Callers must quiesce both
-  /// planes first.
+  /// bucket locks and dirty bitmap zeroed, every entry free and relinked
+  /// into its bucket list. The constructor calls this once; tests call it
+  /// again to model a host power loss (all cached pages gone). Callers must
+  /// quiesce both planes first.
   void format(pcie::MemoryRegion& region) const;
 
  private:
@@ -153,8 +166,8 @@ class CacheLayout {
   std::uint64_t base_ = 0;
   std::uint64_t bucket_locks_ = 0;
   std::uint64_t meta_ = 0;
+  std::uint64_t bitmap_ = 0;
   std::uint64_t data_ = 0;
-  std::uint64_t total_bytes_ = 0;
 };
 
 /// Read-lock encoding helpers: kRead with N holders is (N << 2) | kRead.

@@ -6,23 +6,6 @@
 
 namespace dpc::cache {
 
-void ClockEviction::pick_victims(const std::vector<PageStatus>& status,
-                                 std::uint32_t want,
-                                 std::vector<std::uint32_t>& out) {
-  const auto n = static_cast<std::uint32_t>(status.size());
-  if (n == 0) return;
-  if (hand_ >= n) hand_ = 0;
-  std::uint32_t scanned = 0;
-  while (want > 0 && scanned < n) {
-    if (status[hand_] == PageStatus::kClean) {
-      out.push_back(hand_);
-      --want;
-    }
-    hand_ = (hand_ + 1) % n;
-    ++scanned;
-  }
-}
-
 SequentialPrefetcher::SequentialPrefetcher(std::uint32_t max_window,
                                            std::size_t tracked_streams)
     : max_window_(max_window), capacity_(tracked_streams) {

@@ -4,8 +4,11 @@
 // easy to customize; a second policy belongs here once a workload needs it.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <list>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -16,12 +19,39 @@ namespace dpc::cache {
 /// Clock sweep: a rotating cursor over the meta area, reclaiming clean
 /// pages in scan order — approximates LRU without per-hit bookkeeping,
 /// which matters because hits happen on the host without DPU involvement.
+/// The statuses arrive a chunk at a time, so a sweep reads only as far past
+/// the hand as it needs to find its victims.
 class ClockEviction {
  public:
-  /// Given the per-entry statuses, appends up to `want` victim entry
-  /// indices (clean pages only) to `out`.
-  void pick_victims(const std::vector<PageStatus>& status, std::uint32_t want,
-                    std::vector<std::uint32_t>& out);
+  /// Entries per status chunk (one 8 KiB descriptor DMA of the meta area).
+  static constexpr std::uint32_t kChunk = 128;
+
+  /// Sweeps at most once around `total` entries from the hand, appending up
+  /// to `want` clean entry indices to `out` in hand order. Statuses come
+  /// from `read_chunk(first, status)`, which fills `status` for entries
+  /// [first, first + status.size()): at most kChunk of them, never wrapping
+  /// past the last entry. No chunk is read once `want` victims are found.
+  template <typename ReadChunk>
+  void pick_victims(std::uint32_t total, std::uint32_t want,
+                    ReadChunk&& read_chunk, std::vector<std::uint32_t>& out) {
+    if (total == 0) return;
+    if (hand_ >= total) hand_ = 0;
+    std::array<PageStatus, kChunk> status;
+    std::uint32_t scanned = 0;
+    while (want > 0 && scanned < total) {
+      const std::uint32_t n =
+          std::min({kChunk, total - hand_, total - scanned});
+      read_chunk(hand_, std::span<PageStatus>{status.data(), n});
+      for (std::uint32_t k = 0; k < n && want > 0; ++k) {
+        if (status[k] == PageStatus::kClean) {
+          out.push_back(hand_);
+          --want;
+        }
+        hand_ = hand_ + 1 == total ? 0 : hand_ + 1;
+        ++scanned;
+      }
+    }
+  }
 
  private:
   std::uint32_t hand_ = 0;

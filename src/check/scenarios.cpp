@@ -5,9 +5,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "cache/backend.hpp"
+#include "cache/control_plane.hpp"
 #include "cache/host_plane.hpp"
 #include "cache/layout.hpp"
 #include "core/dpc_system.hpp"
@@ -500,6 +504,68 @@ void scenario_idle_pass_loss(ModelSched& sched) {
                 "idle_pass_loss: the retried write is not readable");
 }
 
+// ---------------------------------------------------------------------------
+// dirty_publish — a host buffered write that turns a clean page dirty races
+// a DPU flush pass, whose bitmap drain can land between the host's dirty
+// mark and its dirty bit; then the fsync fast path logs the inode. The page
+// must end up flushed with its final bytes or logged: a dirty page is never
+// missing from both the host's dirty bitmap and the DPU's dirty index.
+// Mutation `dirty-publish-order` sets the bit before the dirty mark, so a
+// drain in between probes a page that is not dirty yet and forgets it.
+
+/// Backend of flushed pages, for the cache control plane.
+class PageMapBackend final : public cache::CacheBackend {
+ public:
+  bool read_page(std::uint64_t, std::uint64_t, std::span<std::byte>,
+                 sim::Nanos&) override {
+    return false;
+  }
+  bool write_page(std::uint64_t inode, std::uint64_t lpn,
+                  std::span<const std::byte> src, sim::Nanos&) override {
+    pages[{inode, lpn}].assign(src.begin(), src.end());
+    return true;
+  }
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<std::byte>>
+      pages;
+};
+
+void scenario_dirty_publish(ModelSched& sched) {
+  pcie::MemoryRegion host("host", 1 << 20);
+  pcie::RegionAllocator alloc(host);
+  pcie::MemoryRegion dpu("dpu", 64 << 10);
+  pcie::DmaEngine dma(host, dpu);
+  cache::CacheLayout layout({8, 2}, alloc);
+  cache::HostCachePlane plane(host, layout);
+  PageMapBackend backend;
+  obs::Registry reg;
+  nvm::NvmDevice dev(64 << 10, nullptr, &reg);
+  nvm::WriteAheadLog wal(dev, reg);
+  cache::DpuCacheControl ctl(dma, layout, backend, {}, &reg);
+  ctl.attach_wal(&wal);
+
+  // Seed: the page is cached and clean, so the racing write is a
+  // clean→dirty transition.
+  const auto a = fill(4096, 0xA1);
+  const auto b = fill(4096, 0xB2);
+  sched.require(plane.write(5, 0, a) == cache::HostCachePlane::WriteResult::kOk,
+                "dirty_publish: seed write failed");
+  sched.require(ctl.flush_pass().pages == 1,
+                "dirty_publish: seed flush failed");
+
+  sched.spawn([&] { (void)plane.write(5, 0, b); });
+  sched.spawn([&] { (void)ctl.flush_pass(); });
+  sched.run();
+
+  const auto logged = ctl.wal_log_pass(5);
+  sched.require(logged.complete, "dirty_publish: the WAL pass was incomplete");
+  const auto flushed = backend.pages.find({5, 0});
+  sched.require(
+      (flushed != backend.pages.end() && flushed->second == b) ||
+          wal.has_pending(5, 0),
+      "a dirty page was neither flushed nor logged: it was missing from both "
+      "the dirty bitmap and the DPU's dirty index");
+}
+
 }  // namespace
 
 const std::vector<Scenario>& scenarios() {
@@ -539,6 +605,10 @@ const std::vector<Scenario>& scenarios() {
        "worker-mode loss detection: only two idle TGT passes declare loss",
        "loss-one-idle-pass", /*exhaustive=*/false, /*max_steps=*/200000,
        /*max_schedules=*/0, /*mutate_seeds=*/16, scenario_idle_pass_loss},
+      {"dirty_publish",
+       "host dirty mark + bit vs DPU bitmap drain: no dirty page is lost",
+       "dirty-publish-order", /*exhaustive=*/false, /*max_steps=*/20000,
+       /*max_schedules=*/0, /*mutate_seeds=*/64, scenario_dirty_publish},
   };
   return kScenarios;
 }

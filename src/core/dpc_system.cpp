@@ -33,11 +33,8 @@ std::size_t host_region_size(const DpcOptions& o) {
                         o.queue_depth * slot;
   total += std::uint64_t{static_cast<std::uint64_t>(o.queues)} *
            (o.queue_depth * 64ULL + o.queue_depth * 16ULL + 8192);
-  if (o.enable_cache) {
-    total += 64 + std::uint64_t{o.cache_geo.buckets} * 4 +
-             std::uint64_t{o.cache_geo.total_pages} *
-                 (sizeof(cache::CacheEntry) + kCachePage);
-  }
+  if (o.enable_cache)
+    total += cache::CacheLayout::footprint_for(o.cache_geo);
   return total + (8 << 20);  // slack
 }
 

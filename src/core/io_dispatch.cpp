@@ -138,13 +138,14 @@ nvme::HandlerResult IoDispatch::handle_standalone_inline(
         // the synchronous rung of the ladder.
         stats_.wal_fallbacks.fetch_add(1, std::memory_order_relaxed);
       }
-      // Push dirty hybrid-cache pages down first, then barrier the store.
+      // Push this inode's dirty hybrid-cache pages down first, then barrier
+      // the store.
       sim::Nanos sync_cost{};
       if (cache_ctl_ != nullptr) {
         const auto& cstats = cache_ctl_->stats();
         const std::uint64_t fails_before =
             cstats.flush_fails.load() + cstats.flush_integrity_fails.load();
-        sync_cost += cache_ctl_->flush_pass().cost;
+        sync_cost += cache_ctl_->flush_inode(cmd.inode).cost;
         // A failed flush re-queues the page dirty; fsync must NOT report
         // success while such pages of this inode remain dirty — the bytes
         // are not durable yet. (Pages re-dirtied by a concurrent writer

@@ -127,4 +127,12 @@ std::uint32_t DmaEngine::atomic_fadd_host(std::uint64_t host_off,
   return old;
 }
 
+DmaEngine::AtomicResult DmaEngine::atomic_and_host(std::uint64_t host_off,
+                                                   std::uint32_t mask) {
+  auto word = host_->atomic_u32(host_off);
+  const std::uint32_t old = word.fetch_and(mask, std::memory_order_acq_rel);
+  count(DmaClass::kAtomic, sizeof(std::uint32_t));
+  return {true, old, sim::calib::kPcieAtomic};
+}
+
 }  // namespace dpc::pcie

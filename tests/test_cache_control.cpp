@@ -5,6 +5,7 @@
 
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 namespace dpc::cache {
@@ -252,6 +253,99 @@ TEST_F(ControlFixture, HostReadersNeverBlockFlushIndefinitely) {
   stop.store(true);
   reader.join();
   EXPECT_EQ(flushed, 1);
+}
+
+// The host publishes each clean→dirty transition as one bitmap bit; a pass
+// drains the bits it read into the DPU's dirty index and clears them.
+TEST_F(ControlFixture, DrainMovesDirtyBitsIntoIndex) {
+  const auto bit_set = [&](std::uint64_t ino, std::uint64_t lpn) {
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      const auto e = host.load<CacheEntry>(layout.entry_off(i));
+      if (e.status != static_cast<std::uint32_t>(PageStatus::kFree) &&
+          e.inode == ino && e.lpn == lpn)
+        return (host.load<std::uint32_t>(layout.dirty_word_off(i / 32)) >>
+                (i % 32)) & 1u;
+    }
+    ADD_FAILURE() << "page not cached";
+    return 0u;
+  };
+  ASSERT_EQ(plane.write(1, 0, page(1)), HostCachePlane::WriteResult::kOk);
+  EXPECT_EQ(bit_set(1, 0), 1u);
+  EXPECT_EQ(ctl.flush_pass(0).pages, 0);  // drains, flushes nothing
+  EXPECT_EQ(bit_set(1, 0), 0u);
+  // Rewriting a dirty page is no transition: no bit, still indexed.
+  ASSERT_EQ(plane.write(1, 0, page(2)), HostCachePlane::WriteResult::kOk);
+  EXPECT_EQ(bit_set(1, 0), 0u);
+  sim::Nanos cost{};
+  EXPECT_EQ(ctl.dirty_pages(1, cost), 1);
+  EXPECT_EQ(ctl.flush_pass().pages, 1);
+  EXPECT_EQ(backend.first_byte(1, 0), std::byte{2});
+  EXPECT_EQ(ctl.dirty_pages(1, cost), 0);
+  // Clean again, so the next write is a transition and sets the bit.
+  ASSERT_EQ(plane.write(1, 0, page(3)), HostCachePlane::WriteResult::kOk);
+  EXPECT_EQ(bit_set(1, 0), 1u);
+}
+
+// An indexed entry that the host frees and another file reuses moves to
+// that file in the index: neither inode's flush or count sees the other's
+// page.
+TEST_F(ControlFixture, DirtyIndexFollowsEntryReuse) {
+  const std::uint32_t bucket = layout.bucket_of(1, 0);
+  std::uint64_t lpn2 = 0;
+  while (layout.bucket_of(2, lpn2) != bucket) ++lpn2;
+  ASSERT_EQ(plane.write(1, 0, page(1)), HostCachePlane::WriteResult::kOk);
+  sim::Nanos cost{};
+  ASSERT_EQ(ctl.dirty_pages(1, cost), 1);  // drained: indexed under inode 1
+  ASSERT_TRUE(plane.invalidate(1, 0));
+  // The bucket's first free entry is the one inode 1 just gave up.
+  ASSERT_EQ(plane.write(2, lpn2, page(2)), HostCachePlane::WriteResult::kOk);
+  EXPECT_EQ(ctl.dirty_pages(1, cost), 0);
+  EXPECT_EQ(ctl.flush_inode(1).pages, 0);
+  EXPECT_EQ(ctl.dirty_pages(2, cost), 1);
+  EXPECT_EQ(ctl.flush_inode(2).pages, 1);
+  EXPECT_EQ(backend.first_byte(2, lpn2), std::byte{2});
+  EXPECT_FALSE(backend.first_byte(1, 0).has_value());
+}
+
+// Eviction reads the meta area a chunk at a time from the clock hand: on a
+// cache full of clean pages, one batch of victims costs one chunk DMA plus
+// a probe per victim, whatever the cache size.
+TEST(ControlPlaneScaling, EvictReadsOneChunkAtEverySize) {
+  constexpr std::uint32_t kBatch = 32;
+  std::optional<sim::Nanos> first_cost;
+  for (const std::uint32_t pages : {256u, 4096u, 65536u}) {
+    const CacheGeometry geo{pages, pages / 16};
+    pcie::MemoryRegion host("host",
+                            CacheLayout::footprint_for(geo) + kPageSize);
+    pcie::RegionAllocator alloc(host);
+    pcie::MemoryRegion dpu("dpu", 1 << 20);
+    pcie::DmaEngine dma(host, dpu);
+    CacheLayout layout(geo, alloc);
+    MapBackend backend;
+    DpuCacheControl ctl(dma, layout, backend, ControlPlaneConfig{16, kBatch});
+    // Every entry clean, none free.
+    for (std::uint32_t i = 0; i < pages; ++i) {
+      auto e = host.load<CacheEntry>(layout.entry_off(i));
+      e.status = static_cast<std::uint32_t>(PageStatus::kClean);
+      e.inode = 1;
+      e.lpn = i;
+      host.store(layout.entry_off(i), e);
+    }
+    host.store<std::uint32_t>(layout.header_field(HeaderOffsets::kFree), 0);
+
+    const auto desc_ops = dma.counters().ops(pcie::DmaClass::kDescriptor);
+    const auto desc_bytes = dma.counters().bytes(pcie::DmaClass::kDescriptor);
+    const auto res = ctl.evict(kBatch);
+    EXPECT_EQ(res.pages, static_cast<int>(kBatch)) << pages;
+    EXPECT_EQ(dma.counters().ops(pcie::DmaClass::kDescriptor) - desc_ops,
+              1u + kBatch)
+        << pages;
+    EXPECT_EQ(dma.counters().bytes(pcie::DmaClass::kDescriptor) - desc_bytes,
+              (ClockEviction::kChunk + kBatch) * sizeof(CacheEntry))
+        << pages;
+    if (!first_cost) first_cost = res.cost;
+    EXPECT_EQ(res.cost.ns, first_cost->ns) << pages;
+  }
 }
 
 }  // namespace

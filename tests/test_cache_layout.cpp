@@ -109,5 +109,28 @@ TEST(CacheLayout, FootprintAccounts) {
             1024ull * 4096 + 1024ull * sizeof(CacheEntry));
 }
 
+// One sizing formula: the layout occupies exactly footprint_for(geo), and
+// the dirty bitmap (one bit per entry) sits between the meta and data areas.
+TEST(CacheLayout, FootprintMatchesFormula) {
+  for (const CacheGeometry geo : {CacheGeometry{1, 1}, CacheGeometry{64, 8},
+                                  CacheGeometry{1000, 10}}) {
+    pcie::MemoryRegion host("host", 8 << 20);
+    pcie::RegionAllocator alloc(host);
+    alloc.alloc(100);  // an unaligned cursor: the block aligns itself
+    CacheLayout layout(geo, alloc);
+    EXPECT_EQ(layout.footprint(), CacheLayout::footprint_for(geo));
+    EXPECT_EQ(alloc.used(), layout.header_off() + layout.footprint());
+    EXPECT_EQ(layout.page_off(geo.total_pages - 1) + kPageSize,
+              alloc.used());
+    EXPECT_EQ(layout.dirty_words(), (geo.total_pages + 31) / 32);
+    EXPECT_GE(layout.dirty_word_off(0),
+              layout.entry_off(geo.total_pages - 1) + sizeof(CacheEntry));
+    EXPECT_LE(layout.dirty_word_off(layout.dirty_words() - 1) + 4,
+              layout.page_off(0));
+    for (std::uint32_t w = 0; w < layout.dirty_words(); ++w)
+      EXPECT_EQ(host.load<std::uint32_t>(layout.dirty_word_off(w)), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace dpc::cache

@@ -673,6 +673,59 @@ TEST(CrashChaosWal, CrashDuringJournalReplayConverges) {
   EXPECT_TRUE(kvfs::fsck(sys.kv_store()).clean());
 }
 
+/// The flusher dies at crash_before_clean after its drain has cleared the
+/// dirty bits of every page it read, so those pages live only in the
+/// DPU-side dirty index, which dies with it. restart_dpu() must rebuild the
+/// index from the meta scan: the reflush finds the crashed page, and a
+/// later WAL-on fsync still logs pre-crash dirt whose bits are gone.
+TEST(CrashChaos, FlushCrashAfterDrainRebuildsDirtyIndex) {
+  obs::Registry fault_reg;
+  fault::FaultInjector fi(chaos_seed() ^ 0xd1, &fault_reg);
+  DpcSystem sys(wal_chaos_opts(&fi));
+  const auto a = sys.create(kvfs::kRootIno, "a").ino;
+  const auto b = sys.create(kvfs::kRootIno, "b").ino;
+  ASSERT_NE(a, 0u);
+  ASSERT_NE(b, 0u);
+  const auto flush_crash = [&] {
+    fi.arm_crash(cache::kFaultFlushCrashBeforeClean, /*skip=*/0);
+    EXPECT_THROW(sys.cache_control()->flush_pass(), fault::CrashException);
+    ASSERT_TRUE(fi.crashed());
+  };
+
+  // Crash 1: the reflush after the restart finds the page anyway.
+  const auto a_data = bytes(4096, chaos_seed() ^ 0xa);
+  ASSERT_TRUE(sys.write(a, 0, a_data, false).ok());
+  flush_crash();
+  const auto rep1 = sys.restart_dpu();
+  EXPECT_TRUE(rep1.clean());
+  EXPECT_GE(rep1.reflushed_pages, 1);
+  std::vector<std::byte> out(a_data.size());
+  ASSERT_TRUE(sys.read(a, 0, out, /*direct=*/true).ok());
+  EXPECT_EQ(out, a_data) << "the reflush did not write the last bytes";
+
+  // Crash 2: every flush write fails across the restart, so the rebuilt
+  // index alone carries B's pages to the WAL-on fsync.
+  const auto b_data = bytes(8192, chaos_seed() ^ 0xb);
+  ASSERT_TRUE(sys.write(b, 0, b_data, false).ok());
+  flush_crash();
+  fi.arm(cache::kFaultFlushWritePage, 1.0);
+  const auto rep2 = sys.restart_dpu();
+  fi.disarm(cache::kFaultFlushWritePage);
+  EXPECT_TRUE(rep2.clean());
+  EXPECT_EQ(rep2.reflushed_pages, 0);
+  const std::uint64_t logged = sys.control_stats()->wal_pages_logged.load();
+  ASSERT_TRUE(sys.fsync(b).ok());
+  EXPECT_EQ(sys.control_stats()->wal_pages_logged.load() - logged, 2u)
+      << "a WAL-on fsync acked without logging pre-crash dirty pages";
+  out.resize(b_data.size());
+  ASSERT_TRUE(sys.read(b, 0, out, /*direct=*/false).ok());
+  EXPECT_EQ(out, b_data);
+  EXPECT_EQ(sys.cache_control()->flush_pass().pages, 2);
+  ASSERT_TRUE(sys.read(b, 0, out, /*direct=*/true).ok());
+  EXPECT_EQ(out, b_data);
+  EXPECT_TRUE(kvfs::fsck(sys.kv_store()).clean());
+}
+
 /// Worker mode with the durability tier on: real poller threads (the
 /// background flusher drains the WAL concurrently), a crash mid-run, and a
 /// restart that recovers through the log.

@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstdlib>
+#include <optional>
 #include <thread>
+
+#include "cache/control_plane.hpp"
+#include "pcie/dma.hpp"
+#include "sim/calib.hpp"
 
 #include "sim/rng.hpp"
 
@@ -114,6 +120,68 @@ TEST(DpcSystem, FsyncFlushesDirtyPagesToKvfs) {
   std::vector<std::byte> out(4096);
   ASSERT_TRUE(sys.read(c.ino, 0, out, /*direct=*/true).ok());
   EXPECT_EQ(out, data);
+}
+
+// The synchronous fsync (WAL off) flushes only its own inode: another
+// inode's dirt stays dirty, and the fsync's DMA count does not depend on how
+// much of it there is.
+TEST(DpcSystem, FsyncFlushesOnlyItsOwnInode) {
+  std::vector<std::uint64_t> fsync_dma_ops;
+  for (const int b_pages : {1, 8}) {
+    auto o = small_opts();
+    o.with_dfs = false;
+    o.cache_geo = {1024, 64};
+    o.cache_ctl.evict_batch = 0;  // the poller drains bits, flushes nothing
+    DpcSystem sys(o);
+    const auto a = sys.create(kvfs::kRootIno, "a").ino;
+    const auto b = sys.create(kvfs::kRootIno, "b").ino;
+    ASSERT_TRUE(
+        sys.write(b, 0, bytes(4096 * static_cast<std::size_t>(b_pages), 5),
+                  false)
+            .ok());
+    // A flusher pass has already drained B's dirty bits into the index.
+    ASSERT_EQ(sys.cache_control()->flush_pass(0).pages, 0);
+    ASSERT_TRUE(sys.write(a, 0, bytes(4096, 6), false).ok());
+
+    const pcie::DmaScope scope(sys.dma_counters());
+    ASSERT_TRUE(sys.fsync(a).ok());
+    fsync_dma_ops.push_back(scope.ops());
+    sim::Nanos cost{};
+    EXPECT_EQ(sys.cache_control()->dirty_pages(a, cost), 0);
+    EXPECT_EQ(sys.cache_control()->dirty_pages(b, cost), b_pages);
+  }
+  EXPECT_EQ(fsync_dma_ops[0], fsync_dma_ops[1]);
+}
+
+// A one-page fsync costs the same DMA count at every cache size, WAL on or
+// off; its modelled cost differs by no more than the dirty-bitmap read.
+TEST(DpcSystem, OnePageFsyncCostIndependentOfCacheSize) {
+  for (const bool wal : {false, true}) {
+    std::optional<std::uint64_t> small_ops;
+    sim::Nanos small_cost{};
+    for (const std::uint32_t pages : {256u, 4096u, 65536u}) {
+      auto o = small_opts();
+      o.with_dfs = false;
+      o.enable_nvm_wal = wal;
+      o.cache_geo = {pages, pages / 16};
+      DpcSystem sys(o);
+      const auto ino = sys.create(kvfs::kRootIno, "f").ino;
+      ASSERT_TRUE(sys.write(ino, 0, bytes(4096, 9), false).ok());
+      const pcie::DmaScope scope(sys.dma_counters());
+      const Io f = sys.fsync(ino);
+      ASSERT_TRUE(f.ok());
+      if (!small_ops) {
+        small_ops = scope.ops();
+        small_cost = f.cost;
+        continue;
+      }
+      EXPECT_EQ(scope.ops(), *small_ops)
+          << pages << " pages, WAL " << (wal ? "on" : "off");
+      EXPECT_LE(std::abs((f.cost - small_cost).ns),
+                sim::calib::pcie_transfer(pages / 8).ns)
+          << pages << " pages, WAL " << (wal ? "on" : "off");
+    }
+  }
 }
 
 TEST(DpcSystem, ReadMissFillsCacheClean) {
