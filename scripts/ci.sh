@@ -17,7 +17,8 @@
 #   tsan   — ThreadSanitizer build + full test suite. DPC_LOCKRANK defaults
 #            on under TSan, so this leg also runs the runtime lock-order
 #            detector across every test.
-#   ubsan  — UndefinedBehaviorSanitizer build + full test suite.
+#   asan   — AddressSanitizer + UndefinedBehaviorSanitizer build + full
+#            test suite (UB stays fatal: -fno-sanitize-recover=all).
 #   chaos  — fault-injection tests swept over several seeds (plain + tsan).
 #   crash  — crash-point chaos over a wider seed set (plain + tsan), plus
 #            the crash-restart recovery bench (BENCH_crash_recovery.json).
@@ -95,10 +96,10 @@ echo "--- dpc_check PCT sweep (tsan) ---"
 # race detector watching the same interleavings the checker drives.
 ./build-tsan/src/check/dpc_check --tier pct --seeds 8
 
-echo "=== ubsan build ==="
-cmake -B build-ubsan -S . -DDPC_SANITIZE=undefined >/dev/null
-cmake --build build-ubsan -j "$JOBS"
-ctest --test-dir build-ubsan --output-on-failure -j "$JOBS"
+echo "=== asan+ubsan build ==="
+cmake -B build-asan -S . -DDPC_SANITIZE=address,undefined >/dev/null
+cmake --build build-asan -j "$JOBS"
+ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 echo "=== chaos stage ==="
 for seed in "${CHAOS_SEEDS[@]}"; do

@@ -1,6 +1,6 @@
-// Per-tenant QoS for the DPU-side nvme-fs path (ROADMAP item 1: one DPU
-// fronting many mounts, where a noisy neighbor must not take down the
-// rest — the bbThemis shared-FS interference problem).
+// Per-tenant QoS for the DPU-side nvme-fs path: one DPU fronting many
+// mounts, where a noisy neighbor must not take down the rest — the
+// bbThemis shared-FS interference problem.
 //
 // Three cooperating mechanisms, all keyed on the tenant id every SQE now
 // carries in DW10[31:24]:

@@ -163,6 +163,16 @@ std::optional<std::size_t> KvStore::read_sub_checked(std::string_view key,
 
 void KvStore::write_sub(std::string_view key, std::uint64_t offset,
                         std::span<const std::byte> src) {
+  (void)write_sub_impl(key, offset, src, /*create=*/true);
+}
+
+bool KvStore::write_sub_if_present(std::string_view key, std::uint64_t offset,
+                                   std::span<const std::byte> src) {
+  return write_sub_impl(key, offset, src, /*create=*/false);
+}
+
+bool KvStore::write_sub_impl(std::string_view key, std::uint64_t offset,
+                             std::span<const std::byte> src, bool create) {
   std::uint64_t tear = 0;
   std::size_t persisted = src.size();
   if (fault_ != nullptr && !src.empty() &&
@@ -174,7 +184,12 @@ void KvStore::write_sub(std::string_view key, std::uint64_t offset,
       fault_ != nullptr && fault_->should_fail(kFaultKvBitRot, &rot);
   Shard& sh = shard_for(key);
   sim::LockGuard lock(sh.mu);
-  Value& v = sh.data[std::string(key)];
+  auto it = sh.data.find(key);
+  if (it == sh.data.end()) {
+    if (!create) return false;
+    it = sh.data.emplace(std::string(key), Value{}).first;
+  }
+  Value& v = it->second;
   if (v.data.size() < offset + src.size()) v.data.resize(offset + src.size());
   // The stamp covers the *intended* value; a torn write persists only a
   // prefix of the payload after the CRC was cut, so verification fails.
@@ -189,6 +204,7 @@ void KvStore::write_sub(std::string_view key, std::uint64_t offset,
     const std::uint64_t bit = rot % (v.data.size() * 8);
     v.data[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
   }
+  return true;
 }
 
 ValueCheck KvStore::verify_value(std::string_view key) const {

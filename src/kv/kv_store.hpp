@@ -76,6 +76,11 @@ class KvStore {
   /// if absent. This is the primitive behind big-file KV updates.
   void write_sub(std::string_view key, std::uint64_t offset,
                  std::span<const std::byte> src);
+  /// write_sub() that never creates: returns false, storing nothing, if
+  /// the key is absent. An in-place update through a possibly stale index
+  /// must not resurrect a block another client erased.
+  bool write_sub_if_present(std::string_view key, std::uint64_t offset,
+                            std::span<const std::byte> src);
 
   // ---- integrity ----------------------------------------------------
   /// get() + CRC verification under one lock. nullopt with
@@ -127,6 +132,8 @@ class KvStore {
     std::map<std::string, Value, std::less<>> data GUARDED_BY(mu);
   };
   Shard& shard_for(std::string_view key) const;
+  bool write_sub_impl(std::string_view key, std::uint64_t offset,
+                      std::span<const std::byte> src, bool create);
 
   std::vector<Shard> shards_storage_;
   std::size_t shard_mask_ = 0;  ///< shards_storage_.size() - 1 (pow2 count)

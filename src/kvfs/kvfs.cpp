@@ -70,8 +70,11 @@ Kvfs::RecoveryReport Kvfs::recover() {
   // post-recovery read refetches truth.
   drop_caches();
   if (opts_.wal != nullptr) rep.wal = replay_wal();
+  // Journal replay and fsck rewrite attrs and extent pages straight in the
+  // raw store, behind the caches the WAL replay's writes refilled.
   rep.journal = IntentJournal::replay(store_->store(), registry_, opts_.fault);
   rep.fsck = fsck_repair(store_->store(), registry_);
+  drop_caches();
   rep.cost = rep.wal.cost + rep.journal.cost + rep.fsck.cost;
   return rep;
 }
@@ -177,6 +180,9 @@ Kvfs::WalReplayReport Kvfs::replay_wal() {
         sim::Nanos c{};
         (void)replay_intent_record(store_->store(), *decoded, c);
         rep.cost += c;
+        // The record rewrote the raw store; later data records must not
+        // see attrs or pages cached before it.
+        drop_caches();
         ++rep.applied;
         break;
       }
@@ -319,14 +325,18 @@ Kvfs::CacheShard& Kvfs::attr_shard(Ino ino) {
                        cache_shard_mask_];
 }
 
-std::size_t Kvfs::cache_shard_cap() const {
-  return std::max<std::size_t>(1, kCacheEntries / cache_shards_.size());
+Kvfs::CacheShard& Kvfs::extent_shard(Ino ino, std::uint32_t page) {
+  return cache_shards_[(PageKeyHash{}({ino, page}) >> 32) & cache_shard_mask_];
+}
+
+std::size_t Kvfs::shard_cap(std::size_t total) const {
+  return std::max<std::size_t>(1, total / cache_shards_.size());
 }
 
 void Kvfs::cache_dentry(Ino parent, std::string_view name, Ino ino) {
   CacheShard& sh = dentry_shard(parent, name);
   sim::LockGuard lock(sh.mu);
-  if (sh.dentry.size() >= cache_shard_cap())
+  if (sh.dentry.size() >= shard_cap(kCacheEntries))
     sh.dentry.clear();  // wholesale per-shard drop: simple and rare
   sh.dentry[inode_key(parent, name)] = ino;
 }
@@ -348,7 +358,7 @@ std::optional<Ino> Kvfs::cached_dentry(Ino parent, std::string_view name) {
 void Kvfs::cache_attr(const Attr& a) {
   CacheShard& sh = attr_shard(a.ino);
   sim::LockGuard lock(sh.mu);
-  if (sh.attr.size() >= cache_shard_cap())
+  if (sh.attr.size() >= shard_cap(kCacheEntries))
     sh.attr.clear();
   sh.attr[a.ino] = a;
 }
@@ -367,11 +377,35 @@ std::optional<Attr> Kvfs::cached_attr(Ino ino) {
   return it->second;
 }
 
+void Kvfs::cache_page(Ino ino, std::uint32_t page, const ExtentPage& ids) {
+  CacheShard& sh = extent_shard(ino, page);
+  sim::LockGuard lock(sh.mu);
+  if (sh.extent.size() >= shard_cap(kExtentCachePages)) sh.extent.clear();
+  sh.extent.insert_or_assign({ino, page}, ids);
+}
+
+void Kvfs::uncache_page(Ino ino, std::uint32_t page) {
+  CacheShard& sh = extent_shard(ino, page);
+  sim::LockGuard lock(sh.mu);
+  sh.extent.erase({ino, page});
+}
+
+std::optional<std::uint64_t> Kvfs::cached_extent(Ino ino,
+                                                 std::uint64_t logical) {
+  const std::uint32_t page = page_of_block(logical);
+  CacheShard& sh = extent_shard(ino, page);
+  sim::SharedLockGuard lock(sh.mu);
+  const auto it = sh.extent.find({ino, page});
+  if (it == sh.extent.end()) return std::nullopt;
+  return it->second[slot_of_block(logical)];
+}
+
 void Kvfs::drop_caches() {
   for (CacheShard& sh : cache_shards_) {
     sim::LockGuard lock(sh.mu);
     sh.dentry.clear();
     sh.attr.clear();
+    sh.extent.clear();
   }
 }
 
@@ -595,7 +629,10 @@ void Kvfs::purge_data(const Attr& a, sim::Nanos& cost) {
   cost += scan.cost;
   for (const std::uint64_t id : blocks)
     cost += store_->erase(block_key(id)).cost;
-  for (const std::string& key : pages) cost += store_->erase(key).cost;
+  for (const std::string& key : pages) {
+    cost += store_->erase(key).cost;
+    uncache_page(a.ino, page_of_extent_key(key));
+  }
 }
 
 bool Kvfs::load_page(Ino ino, std::uint32_t page, ExtentPage& out,
@@ -608,6 +645,37 @@ bool Kvfs::load_page(Ino ino, std::uint32_t page, ExtentPage& out,
   } else {
     out.fill(0);  // never-written page: all holes
   }
+  return true;
+}
+
+std::optional<std::uint64_t> Kvfs::load_extent(Ino ino, std::uint64_t logical,
+                                               bool refetch, bool& fetched,
+                                               sim::Nanos& cost) {
+  fetched = false;
+  if (!refetch) {
+    if (const auto id = cached_extent(ino, logical)) {
+      stats_.extent_hits.fetch_add(1, std::memory_order_relaxed);
+      return id;
+    }
+    stats_.extent_misses.fetch_add(1, std::memory_order_relaxed);
+  }
+  ExtentPage page;
+  if (!load_page(ino, page_of_block(logical), page, cost)) return std::nullopt;
+  cache_page(ino, page_of_block(logical), page);
+  fetched = true;
+  return page[slot_of_block(logical)];
+}
+
+bool Kvfs::store_page(Ino ino, std::uint32_t page, const ExtentPage& ids,
+                      sim::Nanos& cost) {
+  auto put = store_->put(extent_page_key(ino, page), encode_extent_page(ids));
+  cost += put.cost;
+  if (!put.ok()) {
+    // As store_attr: never cache a version the backend does not hold.
+    uncache_page(ino, page);
+    return false;
+  }
+  cache_page(ino, page, ids);
   return true;
 }
 
@@ -977,10 +1045,9 @@ Result<std::uint32_t> Kvfs::read_impl(Ino ino, std::uint64_t offset,
     return res;
   }
 
-  // One index page per 4 MiB of the range: an 8 KiB read fetches one page
-  // whatever the file size.
-  ExtentPage page;
-  std::uint64_t loaded = ~std::uint64_t{0};
+  // Block ids come from the extent cache; a miss fetches one index page
+  // per 4 MiB of the range, whatever the file size.
+  std::uint64_t fetched_page = ~std::uint64_t{0};  // last page this op read
   std::uint32_t done = 0;
   while (done < n) {
     const std::uint64_t pos = offset + done;
@@ -988,27 +1055,31 @@ Result<std::uint32_t> Kvfs::read_impl(Ino ino, std::uint64_t offset,
     const std::uint32_t in_block = static_cast<std::uint32_t>(pos % kBigBlock);
     const std::uint32_t chunk =
         std::min<std::uint32_t>(n - done, kBigBlock - in_block);
-    if (page_of_block(logical) != loaded) {
-      loaded = page_of_block(logical);
-      if (!load_page(ino, page_of_block(logical), page, res.cost)) {
+    std::optional<std::size_t> got;  // nullopt: hole or absent block
+    for (bool refetch = false;; refetch = true) {
+      bool fetched = false;
+      const auto id = load_extent(ino, logical, refetch, fetched, res.cost);
+      if (!id) {
         res.err = EIO;
         return res;
       }
-    }
-    const std::uint64_t id = page[slot_of_block(logical)];
-    if (id == 0) {
-      std::memset(dst.data() + done, 0, chunk);  // hole
-    } else {
-      auto r = store_->read_sub(block_key(id), in_block,
-                                dst.subspan(done, chunk));
-      res.cost += r.cost;
-      if (!r.ok()) {
-        res.err = EIO;
-        return res;
+      if (fetched) fetched_page = page_of_block(logical);
+      if (*id != 0) {
+        auto r = store_->read_sub(block_key(*id), in_block,
+                                  dst.subspan(done, chunk));
+        res.cost += r.cost;
+        if (!r.ok()) {
+          res.err = EIO;
+          return res;
+        }
+        got = r.value;
       }
-      const std::size_t got = r.value.value_or(0);
-      if (got < chunk) std::memset(dst.data() + done + got, 0, chunk - got);
+      // A cached hole may have been filled, and a cached id whose block is
+      // gone truncated away, by another mount: re-read the page once.
+      if (got || fetched_page == page_of_block(logical)) break;
     }
+    const std::size_t have = got.value_or(0);
+    if (have < chunk) std::memset(dst.data() + done + have, 0, chunk - have);
     done += chunk;
   }
   res.value = n;
@@ -1055,15 +1126,149 @@ bool Kvfs::promote_to_big(Attr& a, sim::Nanos& cost,
     if (!blk.ok()) return false;
     fault::crash_point(opts_.fault, "kvfs.promote/crash_after_block");
   }
-  auto put = store_->put(extent_page_key(a.ino, 0), encode_extent_page(page0));
-  cost += put.cost;
-  if (!put.ok()) return false;
+  if (!store_page(a.ino, 0, page0, cost)) return false;
   fault::crash_point(opts_.fault, "kvfs.promote/crash_after_object");
   // A failed erase only leaves the (now shadowed) small KV as garbage; the
   // extent index is already authoritative, so the promotion stands.
   cost += store_->erase(small_key(a.ino)).cost;
   a.big_file = 1;
   stats_.promotions.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+Kvfs::CachedWrite Kvfs::overwrite_cached(Ino ino, std::uint64_t offset,
+                                         std::span<const std::byte> src,
+                                         sim::Nanos& cost) {
+  const auto n = static_cast<std::uint32_t>(src.size());
+  const std::uint64_t first = offset / kBigBlock;
+  const std::uint64_t last = (offset + n - 1) / kBigBlock;
+  for (std::uint64_t logical = first; logical <= last; ++logical) {
+    const auto id = cached_extent(ino, logical);
+    (id ? stats_.extent_hits : stats_.extent_misses)
+        .fetch_add(1, std::memory_order_relaxed);
+    if (!id || *id == 0) return CachedWrite::kMissed;
+  }
+  std::uint32_t done = 0;
+  while (done < n) {
+    const std::uint64_t pos = offset + done;
+    const std::uint64_t logical = pos / kBigBlock;
+    const auto in_block = static_cast<std::uint32_t>(pos % kBigBlock);
+    const std::uint32_t chunk =
+        std::min<std::uint32_t>(n - done, kBigBlock - in_block);
+    const auto id = cached_extent(ino, logical);
+    if (!id) return CachedWrite::kMissed;  // a concurrent shard drop
+    // Only into a block the store still holds: a cached id whose block is
+    // gone was truncated away by another mount (ids are never reused), and
+    // a plain write_sub would resurrect it as an orphan.
+    auto w = store_->write_sub_if_present(block_key(*id), in_block,
+                                          src.subspan(done, chunk));
+    cost += w.cost;
+    if (!w.ok()) return CachedWrite::kFailed;
+    if (!w.value) {
+      uncache_page(ino, page_of_block(logical));
+      return CachedWrite::kMissed;
+    }
+    stats_.big_inplace_writes.fetch_add(1, std::memory_order_relaxed);
+    done += chunk;
+  }
+  return CachedWrite::kDone;
+}
+
+bool Kvfs::write_allocating(Ino ino, std::uint64_t offset,
+                            std::span<const std::byte> src, sim::Nanos& cost,
+                            std::uint64_t& extent_rec) {
+  // Fetch each index page the range touches from the store (never the
+  // cache: another mount may have filled a hole since), allocate every
+  // block the range is missing, then journal the new (logical, id) pairs
+  // as one intent *before* any data lands. Replay treats the first page put
+  // below as the commit point: a page holding any new id rolls the whole
+  // update forward, otherwise the ids are reclaimed. (Data writes into
+  // pre-existing blocks are in-place and per-8 KB-block atomic — the
+  // documented crash granularity for overwrites.)
+  const auto n = static_cast<std::uint32_t>(src.size());
+  const std::uint64_t first = offset / kBigBlock;
+  const std::uint64_t last = (offset + n - 1) / kBigBlock;
+  const std::uint32_t first_page = page_of_block(first);
+  struct TouchedPage {
+    bool dirty = false;
+    ExtentPage ids;
+  };
+  std::vector<TouchedPage> pages(page_of_block(last) - first_page + 1);
+  for (std::uint32_t i = 0; i < pages.size(); ++i) {
+    if (!load_page(ino, first_page + i, pages[i].ids, cost)) return false;
+  }
+  const auto page_at = [&](std::uint64_t logical) -> TouchedPage& {
+    return pages[page_of_block(logical) - first_page];
+  };
+  std::vector<std::uint64_t> new_extents;  // flattened (logical, id) pairs
+  for (std::uint64_t logical = first; logical <= last; ++logical) {
+    TouchedPage& pg = page_at(logical);
+    std::uint64_t& slot = pg.ids[slot_of_block(logical)];
+    if (slot != 0) continue;
+    slot = alloc_block(cost);
+    if (slot == 0) return false;  // nothing mutated; burned ids are harmless
+    pg.dirty = true;
+    new_extents.push_back(logical);
+    new_extents.push_back(slot);
+  }
+  if (!new_extents.empty()) {
+    JournalRecord rec;
+    rec.op = JournalOp::kExtent;
+    rec.ino = ino;
+    rec.blocks = new_extents;
+    extent_rec = journal_.begin(rec, cost);
+    if (extent_rec == 0) return false;
+  }
+  const auto is_new = [&](std::uint64_t logical) {
+    for (std::size_t i = 0; i < new_extents.size(); i += 2)
+      if (new_extents[i] == logical) return true;
+    return false;
+  };
+
+  std::uint32_t done = 0;
+  while (done < n) {
+    const std::uint64_t pos = offset + done;
+    const std::uint64_t logical = pos / kBigBlock;
+    const auto in_block = static_cast<std::uint32_t>(pos % kBigBlock);
+    const std::uint32_t chunk =
+        std::min<std::uint32_t>(n - done, kBigBlock - in_block);
+    const std::uint64_t id = page_at(logical).ids[slot_of_block(logical)];
+    if (in_block != 0 && is_new(logical)) {
+      // Materialize the leading hole bytes of the fresh block.
+      const kv::Bytes zeros(in_block, std::byte{0});
+      auto z = store_->write_sub(block_key(id), 0, zeros);
+      cost += z.cost;
+      if (!z.ok()) return false;  // the record stays open; recovery reclaims
+    }
+    // "updates to large files are written in place to large file KVs at a
+    // granularity of 8K" — write_sub is the in-place primitive.
+    auto w =
+        store_->write_sub(block_key(id), in_block, src.subspan(done, chunk));
+    cost += w.cost;
+    if (!w.ok()) {
+      // Blocks already written stay (in-place overwrite is idempotent);
+      // the caller skips the size/mtime update, so a retry redoes the op.
+      return false;
+    }
+    stats_.big_inplace_writes.fetch_add(1, std::memory_order_relaxed);
+    done += chunk;
+  }
+  fault::crash_point(opts_.fault, "kvfs.write/crash_after_blocks");
+  bool committed = false;
+  for (std::uint32_t i = 0; i < pages.size(); ++i) {
+    if (!pages[i].dirty) {
+      cache_page(ino, first_page + i, pages[i].ids);  // as fetched
+      continue;
+    }
+    if (committed)
+      fault::crash_point(opts_.fault, "kvfs.write/crash_between_pages");
+    if (!store_page(ino, first_page + i, pages[i].ids, cost)) {
+      // Before the first put the fresh blocks leak until recovery
+      // reclaims them; after it, recovery installs the remaining pairs.
+      return false;
+    }
+    committed = true;
+  }
   return true;
 }
 
@@ -1128,112 +1333,15 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
       res.err = EIO;  // small KV still authoritative, nothing lost
       return res;
     }
-
-    // Fetch each index page the range touches, allocate every block the
-    // range is missing, then journal the new (logical, id) pairs as one
-    // intent *before* any data lands. Replay treats the first page put
-    // below as the commit point: a page holding any new id rolls the whole
-    // update forward, otherwise the ids are reclaimed. (Data writes into
-    // pre-existing blocks are in-place and per-8 KB-block atomic — the
-    // documented crash granularity for overwrites.) An overwrite thus costs
-    // one page get and no index put.
-    const auto n = static_cast<std::uint32_t>(src.size());
-    const std::uint64_t first = offset / kBigBlock;
-    const std::uint64_t last = (offset + n - 1) / kBigBlock;
-    const std::uint32_t first_page = page_of_block(first);
-    struct TouchedPage {
-      bool dirty = false;
-      ExtentPage ids;
-    };
-    std::vector<TouchedPage> pages(page_of_block(last) - first_page + 1);
-    for (std::uint32_t i = 0; i < pages.size(); ++i) {
-      if (!load_page(ino, first_page + i, pages[i].ids, res.cost)) {
-        res.err = EIO;
-        return res;
-      }
-    }
-    const auto page_at = [&](std::uint64_t logical) -> TouchedPage& {
-      return pages[page_of_block(logical) - first_page];
-    };
-    std::vector<std::uint64_t> new_extents;  // flattened (logical, id) pairs
-    for (std::uint64_t logical = first; logical <= last; ++logical) {
-      TouchedPage& pg = page_at(logical);
-      std::uint64_t& slot = pg.ids[slot_of_block(logical)];
-      if (slot != 0) continue;
-      slot = alloc_block(res.cost);
-      if (slot == 0) {
-        res.err = EIO;  // nothing mutated yet; burned ids are harmless
-        return res;
-      }
-      pg.dirty = true;
-      new_extents.push_back(logical);
-      new_extents.push_back(slot);
-    }
-    if (!new_extents.empty()) {
-      JournalRecord rec;
-      rec.op = JournalOp::kExtent;
-      rec.ino = ino;
-      rec.blocks = new_extents;
-      extent_rec = journal_.begin(rec, res.cost);
-      if (extent_rec == 0) {
-        res.err = EIO;
-        return res;
-      }
-    }
-    const auto is_new = [&](std::uint64_t logical) {
-      for (std::size_t i = 0; i < new_extents.size(); i += 2)
-        if (new_extents[i] == logical) return true;
-      return false;
-    };
-
-    std::uint32_t done = 0;
-    while (done < n) {
-      const std::uint64_t pos = offset + done;
-      const std::uint64_t logical = pos / kBigBlock;
-      const auto in_block = static_cast<std::uint32_t>(pos % kBigBlock);
-      const std::uint32_t chunk =
-          std::min<std::uint32_t>(n - done, kBigBlock - in_block);
-      const std::uint64_t id = page_at(logical).ids[slot_of_block(logical)];
-      if (in_block != 0 && is_new(logical)) {
-        // Materialize the leading hole bytes of the fresh block.
-        const kv::Bytes zeros(in_block, std::byte{0});
-        auto z = store_->write_sub(block_key(id), 0, zeros);
-        res.cost += z.cost;
-        if (!z.ok()) {
-          res.err = EIO;  // extent record stays open; recovery reclaims
-          return res;
-        }
-      }
-      // "updates to large files are written in place to large file KVs at a
-      // granularity of 8K" — write_sub is the in-place primitive.
-      auto w =
-          store_->write_sub(block_key(id), in_block, src.subspan(done, chunk));
-      res.cost += w.cost;
-      if (!w.ok()) {
-        // Blocks already written stay (in-place overwrite is idempotent);
-        // the size/mtime update below is skipped so a retry redoes the op.
-        res.err = EIO;
-        return res;
-      }
-      stats_.big_inplace_writes.fetch_add(1, std::memory_order_relaxed);
-      done += chunk;
-    }
-    fault::crash_point(opts_.fault, "kvfs.write/crash_after_blocks");
-    bool committed = false;
-    for (std::uint32_t i = 0; i < pages.size(); ++i) {
-      if (!pages[i].dirty) continue;
-      if (committed)
-        fault::crash_point(opts_.fault, "kvfs.write/crash_between_pages");
-      auto put = store_->put(extent_page_key(ino, first_page + i),
-                             encode_extent_page(pages[i].ids));
-      res.cost += put.cost;
-      if (!put.ok()) {
-        // Before the first put the fresh blocks leak until recovery
-        // reclaims them; after it, recovery installs the remaining pairs.
-        res.err = EIO;
-        return res;
-      }
-      committed = true;
+    // A warm overwrite writes its cached blocks in place; a miss, a hole
+    // or a block gone stale takes the allocating path, which re-reads the
+    // index from the store.
+    const CachedWrite warm = overwrite_cached(ino, offset, src, res.cost);
+    if (warm == CachedWrite::kFailed ||
+        (warm == CachedWrite::kMissed &&
+         !write_allocating(ino, offset, src, res.cost, extent_rec))) {
+      res.err = EIO;
+      return res;
     }
   }
 
@@ -1323,9 +1431,9 @@ Result<Unit> Kvfs::truncate(Ino ino, std::uint64_t new_size) {
       }
       if (p != 0 && base >= keep_blocks) {
         res.cost += store_->erase(extent_page_key(ino, p)).cost;
+        uncache_page(ino, p);
       } else if (changed) {
-        res.cost +=
-            store_->put(extent_page_key(ino, p), encode_extent_page(ids)).cost;
+        (void)store_page(ino, p, ids, res.cost);
       }
     }
     // POSIX: the tail of the boundary block must read as zeros if the file

@@ -7,9 +7,16 @@
 //   * files ≤ 8 KB live in a small-file KV rewritten whole on update;
 //   * larger files promote to a big-file KV: an extent index of fixed 4 KiB
 //     pages (512 block ids each) whose 8 KB blocks are updated in place, so
-//     a read or overwrite fetches one page whatever the file size;
+//     a read or overwrite touches one page whatever the file size;
 //   * directory listing is a prefix scan over the parent's inode-KV prefix;
-//   * an inode (attribute) cache and dentry cache accelerate lookups;
+//   * an inode (attribute) cache and dentry cache accelerate lookups, and a
+//     bounded extent-page cache (kExtentCachePages) serves the index, so a
+//     warm 8 KiB read is one KV op and a warm overwrite two (block + attr);
+//   * the extent cache never makes a `shared_store` mount staler than an
+//     uncached one: an allocating write re-reads its pages, a read that
+//     hits a cached hole re-reads the page before returning zeros, and a
+//     cached id whose block is gone (another mount truncated it; ids are
+//     never reused) drops the page and re-reads it once;
 //   * every multi-KV mutation (create/remove/rename/promote/extent update)
 //     logs a write-ahead intent record first (journal.hpp), and mount
 //     replays survivors. `truncate` and `link` are NOT journaled (documented
@@ -28,6 +35,7 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/thread_annotations.hpp"
@@ -87,7 +95,9 @@ struct KvfsStats {
         attr_misses(reg.counter("kvfs/attr_misses")),
         small_rewrites(reg.counter("kvfs/small_rewrites")),
         big_inplace_writes(reg.counter("kvfs/big_inplace_writes")),
-        promotions(reg.counter("kvfs/promotions")) {}
+        promotions(reg.counter("kvfs/promotions")),
+        extent_hits(reg.counter("kvfs/extent_hits")),
+        extent_misses(reg.counter("kvfs/extent_misses")) {}
 
   obs::Counter& dentry_hits;
   obs::Counter& dentry_misses;
@@ -96,6 +106,8 @@ struct KvfsStats {
   obs::Counter& small_rewrites;
   obs::Counter& big_inplace_writes;
   obs::Counter& promotions;
+  obs::Counter& extent_hits;    ///< block-id lookups whose page was cached
+  obs::Counter& extent_misses;  ///< block-id lookups whose page was not
 };
 
 class Kvfs {
@@ -209,10 +221,40 @@ class Kvfs {
   /// Deletes all data KVs of a regular file (its extent pages and blocks,
   /// or its small-file KV).
   void purge_data(const Attr& a, sim::Nanos& cost);
-  /// Fetches extent page `page` of `ino` into `out`; an absent page reads
-  /// as all holes. False only when the KV get failed.
+  /// Fetches extent page `page` of `ino` from the store into `out`; an
+  /// absent page reads as all holes. False only when the KV get failed.
   bool load_page(Ino ino, std::uint32_t page, ExtentPage& out,
                  sim::Nanos& cost);
+  /// Block id of logical block `logical` of `ino` (0 = hole): from the
+  /// extent cache unless `refetch` or its page is not cached, else fetched
+  /// with load_page and cached (`fetched` set). nullopt only when the KV
+  /// get failed.
+  std::optional<std::uint64_t> load_extent(Ino ino, std::uint64_t logical,
+                                           bool refetch, bool& fetched,
+                                           sim::Nanos& cost);
+  /// Puts page `page` of `ino` and mirrors the outcome in the extent cache:
+  /// cached on success, uncached when the put failed.
+  bool store_page(Ino ino, std::uint32_t page, const ExtentPage& ids,
+                  sim::Nanos& cost);
+  /// Outcome of overwrite_cached.
+  enum class CachedWrite : std::uint8_t {
+    kDone,    ///< every block of the range written in place
+    kMissed,  ///< a block uncached, a hole or gone: take write_allocating
+    kFailed,  ///< a KV op failed
+  };
+  /// Warm overwrite: when every block of the range is cached and allocated,
+  /// writes the range in place, only into blocks the store still holds
+  /// (a gone block uncaches its page).
+  CachedWrite overwrite_cached(Ino ino, std::uint64_t offset,
+                               std::span<const std::byte> src,
+                               sim::Nanos& cost);
+  /// The big-file write through the store's index: fetches the touched
+  /// pages, allocates and journals the missing blocks, writes the data and
+  /// puts the changed pages. `extent_rec` gets the open kExtent record (0 =
+  /// none) for the caller to commit after the attr store. False = EIO.
+  bool write_allocating(Ino ino, std::uint64_t offset,
+                        std::span<const std::byte> src, sim::Nanos& cost,
+                        std::uint64_t& extent_rec);
   /// Replays the NVM write-ahead log (recover() step 1; opts_.wal != null).
   WalReplayReport replay_wal();
   /// Moves a small file's bytes into a big-file KV (§3.4 promotion): one
@@ -231,6 +273,10 @@ class Kvfs {
   void cache_attr(const Attr& a);
   void uncache_attr(Ino ino);
   std::optional<Attr> cached_attr(Ino ino);
+  void cache_page(Ino ino, std::uint32_t page, const ExtentPage& ids);
+  void uncache_page(Ino ino, std::uint32_t page);
+  /// Block id at `logical` (0 = hole) if its page is cached.
+  std::optional<std::uint64_t> cached_extent(Ino ino, std::uint64_t logical);
 
   // ---- locking ----
   sim::AnnotatedMutex& inode_lock(Ino ino);
@@ -255,22 +301,37 @@ class Kvfs {
   };
   std::array<Stripe, kLockStripes> stripes_;
 
+  /// Extent-cache key: (ino, page).
+  using PageKey = std::pair<Ino, std::uint32_t>;
+  struct PageKeyHash {
+    std::size_t operator()(const PageKey& k) const {
+      return static_cast<std::size_t>(
+          (k.first * 0x9E3779B97F4A7C15ull ^ k.second) * 0xC2B2AE3D27D4EB4Full);
+    }
+  };
+
   /// Per-core sharded metadata caches: each shard owns its slice of the
-  /// dentry map (key = inode_key) and the attr map under its own shared
-  /// mutex (leaf rank: taken under a stripe on every cached lookup, never
-  /// holds anything itself). Cache-line aligned so hot shard locks on
-  /// neighbouring shards never false-share. Capacity caps and wholesale
-  /// drops apply per shard: each of the two caches holds up to
-  /// kCacheEntries in total.
+  /// dentry map (key = inode_key), the attr map and the extent-page map
+  /// under its own shared mutex (leaf rank: taken under a stripe on every
+  /// cached lookup, never holds anything itself). Cache-line aligned so hot
+  /// shard locks on neighbouring shards never false-share. Capacity caps
+  /// and wholesale drops apply per shard: the dentry and attr caches hold
+  /// up to kCacheEntries each in total, the extent cache kExtentCachePages.
   struct alignas(64) CacheShard {
     mutable sim::AnnotatedSharedMutex mu{"kvfs.cache", sim::LockRank::kLeaf};
     std::unordered_map<std::string, Ino> dentry GUARDED_BY(mu);
     std::unordered_map<Ino, Attr> attr GUARDED_BY(mu);
+    std::unordered_map<PageKey, ExtentPage, PageKeyHash> extent
+        GUARDED_BY(mu);
   };
   CacheShard& dentry_shard(Ino parent, std::string_view name);
   CacheShard& attr_shard(Ino ino);
+  CacheShard& extent_shard(Ino ino, std::uint32_t page);
   static constexpr std::size_t kCacheEntries = 8192;
-  std::size_t cache_shard_cap() const;
+  /// 1024 pages = 4 MiB of ids, indexing 4 GiB of file.
+  static constexpr std::size_t kExtentCachePages = 1024;
+  /// Per-shard share of a cache holding `total` entries.
+  std::size_t shard_cap(std::size_t total) const;
 
   std::vector<CacheShard> cache_shards_;
   std::size_t cache_shard_mask_ = 0;  ///< size - 1 (power-of-two count)

@@ -1,5 +1,5 @@
 // NVM write-ahead log — the one crash-proof durability spine in front of
-// the SSD/KV path (ROADMAP item 4; NVLog-style).
+// the SSD/KV path (NVLog-style).
 //
 // KVFS fsync acks at NVM persistence: the fsync path logs the inode's dirty
 // cache pages here (CRC32C-framed, data-before-commit-record ordering) and

@@ -29,7 +29,7 @@
 // PRP is the default (PSDT bits 0); this reproduction implements the PRP
 // path and rejects SGL.
 //
-// Tenancy extension (ROADMAP item 1 — one DPU fronting many mounts): every
+// Tenancy extension (one DPU fronting many mounts): every
 // nvme-fs command carries the issuing tenant's id in DW10[31:24] so the
 // DPU-side QoS layer (src/dpu/qos.*) can schedule, rate-limit, and shed per
 // tenant. Write_len shrinks to 24 bits — the per-command payload cap is

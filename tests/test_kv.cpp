@@ -56,6 +56,12 @@ TEST(KvStore, SubRangeReadWrite) {
   // Beyond-EOF read is empty, missing key is nullopt.
   EXPECT_EQ(kv.read_sub("big", 1000, out), 0u);
   EXPECT_FALSE(kv.read_sub("nope", 0, out).has_value());
+  // The only-if-present form updates in place but never creates.
+  EXPECT_TRUE(kv.write_sub_if_present("big", 100, b("hello")));
+  EXPECT_EQ(kv.read_sub("big", 100, out), 5u);
+  EXPECT_EQ(out, b("hello"));
+  EXPECT_FALSE(kv.write_sub_if_present("nope", 0, b("x")));
+  EXPECT_FALSE(kv.contains("nope"));
 }
 
 TEST(KvStore, PrefixScanOrdered) {
@@ -148,6 +154,10 @@ TEST(RemoteKv, FunctionalParityWithLocal) {
   EXPECT_EQ(out, b("123"));
   EXPECT_EQ(remote.value_size("a").value, 3u);
   EXPECT_TRUE(remote.erase("a").value);
+  const auto absent = remote.write_sub_if_present("a", 0, b("x"));
+  EXPECT_TRUE(absent.ok());
+  EXPECT_FALSE(absent.value);
+  EXPECT_FALSE(kv.contains("a"));
 }
 
 }  // namespace

@@ -6,6 +6,9 @@
 #include <cerrno>
 #include <thread>
 
+#include "core/dpc_system.hpp"
+#include "nvm/device.hpp"
+#include "nvm/wal.hpp"
 #include "sim/rng.hpp"
 
 namespace dpc::kvfs {
@@ -22,6 +25,19 @@ struct KvfsFixture : ::testing::Test {
     std::vector<std::byte> v(n);
     for (auto& b : v) b = static_cast<std::byte>(rng.next_below(256));
     return v;
+  }
+
+  /// This mount's view of [off, off + n) of `ino` — error, length and bytes
+  /// — equals that of a fresh mount over the same store, which has no
+  /// cache to be stale.
+  void expect_coherent(Ino ino, std::uint64_t off, std::size_t n) {
+    Kvfs fresh(remote);
+    std::vector<std::byte> ours(n), truth(n);
+    const auto a = fs.read(ino, off, ours);
+    const auto b = fresh.read(ino, off, truth);
+    EXPECT_EQ(a.err, b.err) << "ino " << ino << " off " << off;
+    EXPECT_EQ(a.value, b.value) << "ino " << ino << " off " << off;
+    EXPECT_TRUE(ours == truth) << "ino " << ino << " off " << off;
   }
 };
 
@@ -525,14 +541,18 @@ std::size_t count_prefix(const kv::KvStore& store, std::string_view prefix) {
 
 /// An 8 KiB read and an 8 KiB overwrite of an allocated block cost the same
 /// modelled time and the same number of KV ops on a 1 MiB file, a sparse
-/// 256 MiB file and a sparse 1 TiB file: one index page get each, whatever
-/// the size.
-TEST(KvfsSizeIndependence, ReadAndOverwriteCostIsFlat) {
+/// 256 MiB file and a sparse 1 TiB file, with the index page cold (one page
+/// get each) or cached (none), whatever the size.
+struct KvfsSizeIndependence : ::testing::Test {
   struct Probe {
     sim::Nanos read_cost, write_cost;
     std::uint64_t read_ops = 0, write_ops = 0;
   };
-  const auto probe = [](std::uint64_t file_bytes) {
+
+  /// Reads then overwrites the last block of a `file_bytes` file. Cold
+  /// drops the caches before each op and re-warms only the attr, so the
+  /// page is the one thing fetched.
+  static Probe probe(std::uint64_t file_bytes, bool cold) {
     kv::KvStore store;
     fault::FaultInjector fi(1);
     // A site that never fires: its draw counter counts remote KV ops.
@@ -556,34 +576,55 @@ TEST(KvfsSizeIndependence, ReadAndOverwriteCostIsFlat) {
           extent_page_key(ino, page_of_block(last / kBigBlock))));
     }
     EXPECT_EQ(fs.getattr(ino).value.size, file_bytes);
+    const auto cool = [&] {
+      if (!cold) return;
+      fs.drop_caches();
+      EXPECT_TRUE(fs.getattr(ino).ok());
+    };
 
     Probe p;
+    cool();
     const std::uint64_t ops0 = fi.draws(kv::RemoteKv::kFaultSite);
     const auto r = fs.read(ino, last, block);
     EXPECT_TRUE(r.ok() && r.value == kBigBlock);
     const std::uint64_t ops1 = fi.draws(kv::RemoteKv::kFaultSite);
+    cool();
+    const std::uint64_t ops2 = fi.draws(kv::RemoteKv::kFaultSite);
     const auto w = fs.write(ino, last, block);
     EXPECT_TRUE(w.ok());
-    const std::uint64_t ops2 = fi.draws(kv::RemoteKv::kFaultSite);
+    const std::uint64_t ops3 = fi.draws(kv::RemoteKv::kFaultSite);
     p.read_cost = r.cost;
     p.write_cost = w.cost;
     p.read_ops = ops1 - ops0;
-    p.write_ops = ops2 - ops1;
+    p.write_ops = ops3 - ops2;
     return p;
-  };
-
-  const Probe small = probe(kMiB);
-  // Read: page get + block read_sub. Overwrite: page get + block write_sub
-  // + attr put; no index put (attr comes from the cache both times).
-  EXPECT_EQ(small.read_ops, 2u);
-  EXPECT_EQ(small.write_ops, 3u);
-  for (const std::uint64_t size : {256 * kMiB, kMiB << 20}) {
-    const Probe big = probe(size);
-    EXPECT_EQ(big.read_cost.ns, small.read_cost.ns) << size;
-    EXPECT_EQ(big.write_cost.ns, small.write_cost.ns) << size;
-    EXPECT_EQ(big.read_ops, small.read_ops) << size;
-    EXPECT_EQ(big.write_ops, small.write_ops) << size;
   }
+
+  static void expect_flat(bool cold, std::uint64_t read_ops,
+                          std::uint64_t write_ops) {
+    const Probe small = probe(kMiB, cold);
+    EXPECT_EQ(small.read_ops, read_ops);
+    EXPECT_EQ(small.write_ops, write_ops);
+    for (const std::uint64_t size : {256 * kMiB, kMiB << 20}) {
+      const Probe big = probe(size, cold);
+      EXPECT_EQ(big.read_cost.ns, small.read_cost.ns) << size;
+      EXPECT_EQ(big.write_cost.ns, small.write_cost.ns) << size;
+      EXPECT_EQ(big.read_ops, small.read_ops) << size;
+      EXPECT_EQ(big.write_ops, small.write_ops) << size;
+    }
+  }
+};
+
+TEST_F(KvfsSizeIndependence, ColdReadAndOverwriteCostIsFlat) {
+  // Read: page get + block read_sub. Overwrite: page get + block write_sub
+  // + attr put; no index put (the attr comes from the cache both times).
+  expect_flat(/*cold=*/true, 2, 3);
+}
+
+TEST_F(KvfsSizeIndependence, WarmReadAndOverwriteCostIsFlat) {
+  // The cached page drops the page get: read = block read_sub; overwrite =
+  // block write_sub + attr put.
+  expect_flat(/*cold=*/false, 1, 2);
 }
 
 /// Shrinking a 256 MiB file drops every page past the cut (page 0 stays)
@@ -673,6 +714,236 @@ TEST_F(KvfsPageCrash, CrashBeforeFirstPagePutRollsBack) {
   EXPECT_EQ(count_prefix(store, "B"), 2u);  // the fresh ids were reclaimed
   EXPECT_FALSE(store.contains(extent_page_key(ino, 1)));
   EXPECT_TRUE(fsck(store).clean());
+}
+
+// ------------------------------------------------------- extent cache
+//
+// Each case warms the extent cache, mutates the index, and checks the
+// mount's bytes against a fresh mount's.
+
+/// Shrinking a cached 256 MiB file and regrowing it with truncate reads
+/// zeros past the cut, through every page the cache held.
+TEST_F(KvfsFixture, ExtentCacheFollowsShrinkAndRegrow) {
+  const Ino ino = fs.create(kRootIno, "t256", 0644).value;
+  const std::uint64_t page_bytes = kExtentPageSlots * kBigBlock;
+  for (std::uint64_t off = 0; off < 256 * kMiB; off += page_bytes)
+    ASSERT_TRUE(fs.write(ino, off, bytes(2 * kBigBlock, off)).ok());
+  for (std::uint64_t off = 0; off < 256 * kMiB; off += page_bytes)
+    expect_coherent(ino, off, 2 * kBigBlock);  // every page cached
+
+  const std::uint64_t cut = 3 * page_bytes + kBigBlock + 100;
+  ASSERT_TRUE(fs.truncate(ino, cut).ok());
+  ASSERT_TRUE(fs.truncate(ino, 256 * kMiB).ok());
+  // The erased pages left the cache: reading one is a miss.
+  const std::uint64_t misses = fs.stats().extent_misses.load();
+  std::vector<std::byte> out(2 * kBigBlock);
+  ASSERT_TRUE(fs.read(ino, 5 * page_bytes, out).ok());
+  EXPECT_EQ(fs.stats().extent_misses.load(), misses + 1);
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+  for (std::uint64_t off = 0; off < 256 * kMiB; off += page_bytes)
+    expect_coherent(ino, off, 2 * kBigBlock);
+  // An overwrite of a block the shrink dropped allocates afresh.
+  ASSERT_TRUE(fs.write(ino, 3 * page_bytes + kBigBlock, bytes(kBigBlock, 7))
+                  .ok());
+  expect_coherent(ino, 3 * page_bytes, 2 * kBigBlock);
+  EXPECT_TRUE(fsck(store).clean());
+}
+
+/// Unlink drops the file's pages; the recreated name is a new inode whose
+/// holes read as zeros.
+TEST_F(KvfsFixture, ExtentCacheFollowsUnlinkAndRecreate) {
+  const Ino old_ino = fs.create(kRootIno, "f", 0644).value;
+  ASSERT_TRUE(fs.write(old_ino, 0, bytes(8 * kBigBlock, 1)).ok());
+  expect_coherent(old_ino, 0, 8 * kBigBlock);
+  ASSERT_TRUE(fs.unlink(kRootIno, "f").ok());
+  std::vector<std::byte> out(kBigBlock);
+  EXPECT_EQ(fs.read(old_ino, 0, out).err, ENOENT);
+
+  const Ino ino = fs.create(kRootIno, "f", 0644).value;
+  ASSERT_NE(ino, old_ino);
+  ASSERT_TRUE(fs.write(ino, 4 * kBigBlock, bytes(4 * kBigBlock, 2)).ok());
+  expect_coherent(ino, 0, 8 * kBigBlock);
+  expect_coherent(old_ino, 0, kBigBlock);
+  EXPECT_TRUE(fsck(store).clean());
+}
+
+/// Rename over a big file purges the replaced file's pages; the name now
+/// reads the source's bytes.
+TEST_F(KvfsFixture, ExtentCacheFollowsRenameOverBigFile) {
+  const Ino src = fs.create(kRootIno, "src", 0644).value;
+  const Ino dst = fs.create(kRootIno, "dst", 0644).value;
+  const auto src_bytes = bytes(4 * kBigBlock, 3);
+  ASSERT_TRUE(fs.write(src, 0, src_bytes).ok());
+  ASSERT_TRUE(fs.write(dst, 0, bytes(6 * kBigBlock, 4)).ok());
+  expect_coherent(src, 0, 4 * kBigBlock);
+  expect_coherent(dst, 0, 6 * kBigBlock);
+
+  ASSERT_TRUE(fs.rename(kRootIno, "src", kRootIno, "dst").ok());
+  EXPECT_EQ(fs.lookup(kRootIno, "dst").value, src);
+  std::vector<std::byte> out(4 * kBigBlock);
+  ASSERT_TRUE(fs.read(src, 0, out).ok());
+  EXPECT_EQ(out, src_bytes);
+  expect_coherent(src, 0, 4 * kBigBlock);
+  expect_coherent(dst, 0, 6 * kBigBlock);
+  EXPECT_TRUE(fsck(store).clean());
+}
+
+/// An allocating write whose page put fails under remote-KV faults leaves
+/// no cached page the store lacks: the mount still reads the hole. Seeds
+/// are swept until one fails exactly at the page put (new block stored,
+/// page without it).
+TEST(KvfsExtentCache, FailedPagePutLeavesNothingCached) {
+  const std::uint64_t hole = 64 * kBigBlock;
+  int page_put_failures = 0;
+  for (std::uint64_t seed = 1; seed <= 400 && page_put_failures < 3;
+       ++seed) {
+    kv::KvStore store;
+    fault::FaultInjector fi(seed);
+    fi.arm(kv::RemoteKv::kFaultSite, 0.3);
+    fi.set_enabled(kv::RemoteKv::kFaultSite, false);
+    kv::RemoteKv remote(store, &fi, nullptr, fault::RetryPolicy{1});
+    Kvfs fs(remote);
+    const Ino ino = fs.create(kRootIno, "f", 0644).value;
+    ASSERT_TRUE(fs.write(ino, 0, std::vector<std::byte>(kBigBlock,
+                                                        std::byte{1}))
+                    .ok());
+    ASSERT_TRUE(fs.truncate(ino, 2 * hole).ok());
+    std::vector<std::byte> out(kBigBlock);
+    ASSERT_TRUE(fs.read(ino, hole, out).ok());  // caches page 0, hole here
+    const std::size_t blocks = count_prefix(store, "B");
+
+    fi.set_enabled(kv::RemoteKv::kFaultSite, true);
+    const auto w = fs.write(ino, hole, std::vector<std::byte>(kBigBlock,
+                                                               std::byte{2}));
+    fi.set_enabled(kv::RemoteKv::kFaultSite, false);
+    if (w.ok()) continue;
+    const auto page = store.get(extent_page_key(ino, 0));
+    ASSERT_TRUE(page.has_value());
+    if (count_prefix(store, "B") > blocks &&
+        decode_extent_page(*page)[slot_of_block(hole / kBigBlock)] == 0)
+      ++page_put_failures;
+
+    // Read before a fresh mount's replay reclaims the unreferenced block.
+    ASSERT_TRUE(fs.read(ino, hole, out).ok());
+    Kvfs fresh(remote);
+    std::vector<std::byte> truth(kBigBlock);
+    ASSERT_TRUE(fresh.read(ino, hole, truth).ok());
+    EXPECT_EQ(out, truth) << "seed " << seed;
+  }
+  EXPECT_GE(page_put_failures, 1);
+}
+
+/// A crash between the page puts of a straddling write, then a DPU
+/// restart: the rolled-forward index is what the mount reads.
+TEST(KvfsExtentCache, CrashBetweenPagesThenRestart) {
+  fault::FaultInjector fi(1);
+  core::DpcOptions o;
+  o.queues = 2;
+  o.queue_depth = 8;
+  o.max_io = 64 * 1024;
+  o.with_dfs = false;
+  o.fault = &fi;
+  core::DpcSystem sys(o);
+  const Ino ino = sys.create(kRootIno, "straddle").ino;
+  const std::uint64_t off = kExtentPageSlots * kBigBlock - kBigBlock;
+  ASSERT_TRUE(sys.write(ino, 0, std::vector<std::byte>(2 * kBigBlock,
+                                                       std::byte{1}),
+                        true)
+                  .ok());
+  ASSERT_TRUE(sys.truncate(ino, off + 2 * kBigBlock).ok());
+  std::vector<std::byte> out(2 * kBigBlock);
+  ASSERT_TRUE(sys.read(ino, off, out, true).ok());  // warm pages 0 and 1
+
+  fi.arm_crash("kvfs.write/crash_between_pages");
+  const std::vector<std::byte> data(2 * kBigBlock, std::byte{0x77});
+  (void)sys.write(ino, off, data, true);
+  ASSERT_TRUE(fi.crashed());
+  fi.disarm_crash("kvfs.write/crash_between_pages");
+  EXPECT_TRUE(sys.restart_dpu().clean());
+
+  kv::RemoteKv remote(sys.kv_store());
+  Kvfs fresh(remote);
+  std::vector<std::byte> truth(2 * kBigBlock);
+  ASSERT_TRUE(sys.read(ino, off, out, true).ok());
+  ASSERT_TRUE(fresh.read(ino, off, truth).ok());
+  EXPECT_EQ(out, truth);
+  EXPECT_EQ(out, data);  // the first page put committed the write
+  EXPECT_TRUE(fsck(sys.kv_store()).clean());
+}
+
+/// recover() runs intent replay and fsck on the raw store after the WAL
+/// replay's writes have refilled the caches; what it rewrote must be what
+/// the mount then serves.
+struct KvfsRecoverCaches : KvfsFixture {
+  obs::Registry reg;
+  nvm::NvmDevice dev{1 << 20, nullptr, &reg};
+  nvm::WriteAheadLog wal{dev, reg};
+  Kvfs walfs{remote, [&] {
+               KvfsOptions o;
+               o.wal = &wal;
+               return o;
+             }()};
+  sim::Nanos c{};
+
+  void expect_store_values(Ino ino) {
+    Kvfs fresh(remote);
+    const auto ours = walfs.getattr(ino);
+    const auto truth = fresh.getattr(ino);
+    EXPECT_EQ(ours.err, truth.err);
+    EXPECT_EQ(ours.value.size, truth.value.size);
+    EXPECT_EQ(ours.value.nlink, truth.value.nlink);
+    EXPECT_EQ(ours.value.big_file, truth.value.big_file);
+    std::vector<std::byte> a(2 * kBigBlock), b(2 * kBigBlock);
+    const auto ra = walfs.read(ino, 0, a);
+    const auto rb = fresh.read(ino, 0, b);
+    EXPECT_EQ(ra.err, rb.err);
+    EXPECT_EQ(ra.value, rb.value);
+    EXPECT_EQ(a, b);
+  }
+};
+
+TEST_F(KvfsRecoverCaches, IntentReplayRewritesWhatWalDataCached) {
+  const Ino ino = walfs.create(kRootIno, "x", 0644).value;
+  ASSERT_TRUE(walfs.write(ino, 0, bytes(2 * kBigBlock, 5)).ok());
+  // Logged: a page of x, then a removal of x that crashed after its
+  // dentry erase. Replaying the page caches x; the intent then purges it.
+  ASSERT_EQ(wal.append_data(ino, 0, bytes(4096, 6), c), nvm::AppendStatus::kOk);
+  JournalRecord rec;
+  rec.op = JournalOp::kRemove;
+  rec.ino = ino;
+  rec.parent = kRootIno;
+  rec.name = "x";
+  rec.nlink_before = 1;
+  rec.big_file = 1;
+  ASSERT_EQ(wal.append_intent(1, encode_journal_record(rec), c),
+            nvm::AppendStatus::kOk);
+  ASSERT_TRUE(store.erase(inode_key(kRootIno, "x")));
+
+  walfs.recover();
+  EXPECT_EQ(walfs.getattr(ino).err, ENOENT);
+  expect_store_values(ino);
+}
+
+TEST_F(KvfsRecoverCaches, FsckRewritesWhatWalDataCached) {
+  const Ino ino = walfs.create(kRootIno, "y", 0644).value;
+  ASSERT_TRUE(walfs.write(ino, 0, bytes(2 * kBigBlock, 7)).ok());
+  // Damage fsck repairs: a link count no dentry backs, and a lost block
+  // (its id is zeroed in the page). Replaying the logged page caches the
+  // attr and the page before fsck runs.
+  Attr a = decode_attr(*store.get(attr_key(ino)));
+  a.nlink = 2;
+  store.put(attr_key(ino), encode_attr(a));
+  const std::uint64_t lost = decode_extent_page(
+      *store.get(extent_page_key(ino, 0)))[1];
+  ASSERT_TRUE(store.erase(block_key(lost)));
+  ASSERT_EQ(wal.append_data(ino, 0, bytes(4096, 8), c), nvm::AppendStatus::kOk);
+
+  const auto rep = walfs.recover();
+  EXPECT_TRUE(rep.clean());
+  EXPECT_GE(rep.fsck.repairs, 2u);
+  EXPECT_EQ(walfs.getattr(ino).value.nlink, 1u);
+  expect_store_values(ino);
 }
 
 }  // namespace

@@ -126,5 +126,61 @@ TEST(MultiMount, DirectWritesVisibleWithoutFsync) {
   EXPECT_EQ(out, v2);
 }
 
+/// B caches a file's index with a hole in it, then A fills the hole. B's
+/// DIRECT read re-reads the page on the cached hole and returns A's bytes,
+/// with no drop_caches(): the extent cache adds no staleness.
+TEST(MultiMount, FilledHoleVisibleThroughCachedIndex) {
+  kv::KvStore store;
+  DpcSystem a(mount_opts(&store));
+  DpcSystem b(mount_opts(&store));
+  const auto f = a.create(kvfs::kRootIno, "holey");
+  ASSERT_TRUE(a.write(f.ino, 0, bytes(8192, 20), true).ok());
+  ASSERT_TRUE(a.write(f.ino, 2 * 8192, bytes(8192, 21), true).ok());
+  std::vector<std::byte> out(3 * 8192);
+  ASSERT_TRUE(b.read(f.ino, 0, out, true).ok());  // caches the hole
+
+  const auto filled = bytes(8192, 22);
+  ASSERT_TRUE(a.write(f.ino, 8192, filled, true).ok());
+  std::vector<std::byte> mid(8192);
+  ASSERT_TRUE(b.read(f.ino, 8192, mid, true).ok());
+  EXPECT_EQ(mid, filled);
+}
+
+/// A truncates away and regrows a file B has cached, then rewrites one
+/// block (a new block id). B's overwrite through its stale cached id must
+/// not resurrect the erased block, and B's reads return A's bytes.
+TEST(MultiMount, TruncateRegrowUnderCachedIndex) {
+  kv::KvStore store;
+  DpcSystem a(mount_opts(&store));
+  DpcSystem b(mount_opts(&store));
+  constexpr std::size_t kBlock = 8192;
+  const auto f = a.create(kvfs::kRootIno, "regrow");
+  ASSERT_TRUE(a.write(f.ino, 0, bytes(8 * kBlock, 30), true).ok());
+  std::vector<std::byte> out(8 * kBlock);
+  ASSERT_TRUE(b.read(f.ino, 0, out, true).ok());  // caches every id
+
+  ASSERT_TRUE(a.truncate(f.ino, 0).ok());
+  ASSERT_TRUE(a.truncate(f.ino, 8 * kBlock).ok());
+  const auto a3 = bytes(kBlock, 31);
+  ASSERT_TRUE(a.write(f.ino, 3 * kBlock, a3, true).ok());
+
+  const auto b5 = bytes(kBlock, 32);
+  ASSERT_TRUE(b.write(f.ino, 5 * kBlock, b5, true).ok());
+  std::vector<std::byte> expect(8 * kBlock, std::byte{0});
+  std::copy(a3.begin(), a3.end(), expect.begin() + 3 * kBlock);
+  std::copy(b5.begin(), b5.end(), expect.begin() + 5 * kBlock);
+  ASSERT_TRUE(b.read(f.ino, 0, out, true).ok());
+  EXPECT_EQ(out, expect);
+  ASSERT_TRUE(a.read(f.ino, 0, out, true).ok());
+  EXPECT_EQ(out, expect);
+
+  const auto report = kvfs::fsck(store);
+  EXPECT_TRUE(report.clean())
+      << (report.issues.empty()
+              ? ""
+              : std::string(kvfs::to_string(report.issues[0].kind)) + ": " +
+                    report.issues[0].detail);
+}
+
 }  // namespace
 }  // namespace dpc::core
