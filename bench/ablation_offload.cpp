@@ -2,14 +2,11 @@
 // the functional layer:
 //   1. redundancy: RS(4,2) delta-parity RMW vs full-stripe writes vs
 //      3-way replication — shard ops and bytes per user write;
-//   2. flush-path compression: wire bytes saved per page for different
-//      page contents, and where the compute runs (host vs DPU model);
-//   3. EC locus: host vs DPU encode cost for the Fig. 1/9 stripe sizes.
+//   2. EC locus: host vs DPU encode cost for the Fig. 1/9 stripe sizes.
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "dfs/client.hpp"
-#include "dpu/compress.hpp"
 #include "ec/reed_solomon.hpp"
 #include "sim/rng.hpp"
 
@@ -60,40 +57,6 @@ void redundancy_ablation(const bench::BenchArgs& args) {
   bench::print_table(t, args);
 }
 
-void compression_ablation(const bench::BenchArgs& args) {
-  std::cout << "-- flush-path compression: 4K pages --\n";
-  sim::Table t({"content", "packed bytes", "ratio", "DPU cost us",
-                "host cost us"});
-  struct Case {
-    const char* name;
-    std::vector<std::byte> page;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"zero page", std::vector<std::byte>(4096, std::byte{0})});
-  {
-    std::vector<std::byte> text(4096);
-    const char* phrase = "INFO request served in 12ms path=/api/v1/items ";
-    for (std::size_t i = 0; i < text.size(); ++i)
-      text[i] = static_cast<std::byte>(phrase[i % 47]);
-    cases.push_back({"log text", std::move(text)});
-  }
-  cases.push_back({"random", bytes(4096, 9)});
-
-  for (const auto& c : cases) {
-    std::vector<std::byte> packed;
-    const auto n = dpu::lz_compress(c.page, packed);
-    t.add_row({c.name, std::to_string(n),
-               sim::Table::fmt(static_cast<double>(c.page.size()) /
-                                   static_cast<double>(n),
-                               1) +
-                   "x",
-               sim::Table::fmt(dpu::dpu_compress_cost(c.page.size()).us(), 2),
-               sim::Table::fmt(dpu::host_compress_cost(c.page.size()).us(),
-                               2)});
-  }
-  bench::print_table(t, args);
-}
-
 void ec_locus_ablation(const bench::BenchArgs& args) {
   std::cout << "-- EC compute locus (RS(4,2) stripes) --\n";
   sim::Table t({"stripe", "host encode us", "DPU engine us", "speedup"});
@@ -114,10 +77,9 @@ void ec_locus_ablation(const bench::BenchArgs& args) {
 
 int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv);
-  bench::headline("Ablations — redundancy, compression, EC locus",
+  bench::headline("Ablations — redundancy, EC locus",
                   "the DESIGN.md §6 design-choice studies");
   redundancy_ablation(args);
-  compression_ablation(args);
   ec_locus_ablation(args);
   bench::emit_metrics_json(g_registry, "ablation_offload");
   return 0;

@@ -99,7 +99,9 @@ int main(int argc, char** argv) {
             << "x)\n";
 
   // Metrics trail: one harness, a batch of 8K ops, so the JSON carries the
-  // per-stage trace histograms (submit→fetch→dispatch→backend→cqe→reap).
+  // per-stage trace histograms (submit→fetch→dispatch→backend→cqe→reap),
+  // plus the 8K-write descriptor + data DMA totals above as counters, which
+  // bench/regress gates exactly.
   {
     core::NvmeRawHarness::Options o;
     o.queues = 1;
@@ -111,6 +113,8 @@ int main(int argc, char** argv) {
       h.do_write(0, buf);
       h.do_read(0, buf);
     }
+    h.metrics().counter("fig4/nvme_fs_write_8k_dmas").add(n8.total());
+    h.metrics().counter("fig4/virtio_fs_write_8k_dmas").add(v8.total());
     bench::emit_metrics_json(h.metrics(), "fig2_fig4_dma_count");
   }
   return 0;

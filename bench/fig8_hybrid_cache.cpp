@@ -72,8 +72,6 @@ Rates run_functional() {
         static_cast<double>(sys.control_stats()->pages_flushed) / kOps;
 
     // Buffered random reads over the same locality.
-    sys.host_cache();  // (stats reset happens on the plane)
-    sys.cache_stats();
     WorkloadGen rgen({Pattern::kRandRead, kIoSize, kFileSize, 1, 0.7, 0.9,
                       0.1, 8},
                      1);

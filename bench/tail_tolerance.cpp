@@ -1,5 +1,5 @@
 // Tail-tolerance bench: gray failure (fail-slow) sweeps across the DFS and
-// KV backends, hedging/health ON vs OFF (DESIGN.md §5l).
+// KV backends, hedging/health ON vs OFF (DESIGN.md §5.7).
 //
 // Two identically-seeded stacks run the same workload. The ON stack has the
 // full gray-failure machinery (per-peer health scoreboard, adaptive

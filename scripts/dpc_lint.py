@@ -53,7 +53,7 @@ they are conventions of this codebase, not of C++:
                     the constant under an explicit suppression.
 
 Invariants with a mechanism that executes elsewhere are not duplicated
-here (DESIGN.md §5f "Enforcement"): the lock-rank detector rejects a
+here (DESIGN.md §5.11 "Enforcement"): the lock-rank detector rejects a
 low-ranked lock held at an NVMe completion wait, `IniDriver::Request`
 cannot be built without a tenant, and dpc_check's wal_append scenario
 catches a WAL commit word published before its payload fence.

@@ -113,7 +113,7 @@ class HostCachePlane {
 
   // Seqlock generation word (CacheEntry::seq). Writers — always under the
   // entry write lock — wrap every entry mutation in begin/end; readers
-  // validate the word around lock-free copies (see DESIGN.md §"Hot paths").
+  // validate the word around lock-free copies (see DESIGN.md §5.3).
   void seq_write_begin(std::uint32_t entry);  // even → odd, release-fenced
   void seq_write_end(std::uint32_t entry);    // odd → even, release store
 

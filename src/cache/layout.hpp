@@ -25,7 +25,7 @@
 //   data area — `total` pages; entry i ↔ page i, so locating the entry
 //              locates the page.
 //
-// Engineering addition (documented in DESIGN.md): a per-bucket lock word
+// Engineering addition (DESIGN.md §5.3): a per-bucket lock word
 // between the header and the meta area serializes *structural* bucket
 // changes (insert / evict) between concurrent host threads and the DPU.
 // The paper's per-entry read/write locks (taken with PCIe atomics from the
@@ -58,7 +58,7 @@ enum class PageStatus : std::uint32_t {
 ///
 /// Grown from 32 to 64 bytes for the lock-free read path: `seq` is the
 /// entry's seqlock generation word (even = stable, odd = writer in flight;
-/// see DESIGN.md §"Hot paths & perf gate"), and padding the entry out to a
+/// see DESIGN.md §5.3), and padding the entry out to a
 /// full line keeps adjacent entries' hot lock/seq words off each other's
 /// cache lines (no false sharing between neighbouring buckets).
 struct CacheEntry {

@@ -235,7 +235,6 @@ class DpcSystem {
   /// set it once before their first call.
   static void set_thread_tenant(nvme::TenantId tenant);
   static nvme::TenantId thread_tenant();
-  cache::HostCachePlane* host_cache() { return host_cache_.get(); }
   const DpcOptions& options() const { return opts_; }
 
   /// The system-wide metrics registry: every subsystem's counters and

@@ -58,38 +58,6 @@ class Reader {
 constexpr std::uint8_t kHasAttr = 1;
 }  // namespace
 
-const char* to_string(FileOp op) {
-  switch (op) {
-    case FileOp::kLookup:
-      return "lookup";
-    case FileOp::kCreate:
-      return "create";
-    case FileOp::kMkdir:
-      return "mkdir";
-    case FileOp::kUnlink:
-      return "unlink";
-    case FileOp::kRmdir:
-      return "rmdir";
-    case FileOp::kRename:
-      return "rename";
-    case FileOp::kGetattr:
-      return "getattr";
-    case FileOp::kReaddir:
-      return "readdir";
-    case FileOp::kResolve:
-      return "resolve";
-    case FileOp::kOpen:
-      return "open";
-    case FileOp::kLink:
-      return "link";
-    case FileOp::kSymlink:
-      return "symlink";
-    case FileOp::kReadlink:
-      return "readlink";
-  }
-  return "?";
-}
-
 std::vector<std::byte> FileRequest::encode() const {
   std::vector<std::byte> buf;
   buf.reserve(32 + name.size() + name2.size());

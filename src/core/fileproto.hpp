@@ -1,10 +1,9 @@
-// File-semantic message protocol carried over nvme-fs (and, for the DPFS
-// baseline, over FUSE): the header-carrying metadata operations. Data-path
-// operations (read/write/fsync/truncate) ride inline in the SQE (§3.2 and
-// nvme/spec.hpp); everything with a name travels as a serialized
-// FileRequest in the write buffer's header area (WH_len bytes), and the
-// reply comes back as a FileResponse in the read buffer's header area
-// (RH_len bytes).
+// File-semantic message protocol carried over nvme-fs: the header-carrying
+// metadata operations. Data-path operations (read/write/fsync/truncate) ride
+// inline in the SQE (§3.2 and nvme/spec.hpp); everything with a name travels
+// as a serialized FileRequest in the write buffer's header area (WH_len
+// bytes), and the reply comes back as a FileResponse in the read buffer's
+// header area (RH_len bytes).
 #pragma once
 
 #include <cstdint>
@@ -32,8 +31,6 @@ enum class FileOp : std::uint8_t {
   kSymlink,  ///< parent=dir, name=link name, name2=target text
   kReadlink, ///< parent=ino; reply entries[0].name carries the target
 };
-
-const char* to_string(FileOp op);
 
 struct FileRequest {
   FileOp op = FileOp::kLookup;

@@ -20,8 +20,6 @@ std::vector<std::byte> make_pattern(std::size_t n) {
 }
 }  // namespace
 
-NvmeRawHarness::NvmeRawHarness() : NvmeRawHarness(Options{}) {}
-
 NvmeRawHarness::NvmeRawHarness(const Options& opts)
     : opts_(opts), pattern_(make_pattern(opts.max_io)) {
   const std::uint64_t slot = page_round(opts.max_io) * 2 + 2 * 4096;
@@ -149,8 +147,6 @@ int NvmeRawHarness::pump(int q) {
 }
 
 // ----------------------------------------------------------------- virtio
-
-VirtioRawHarness::VirtioRawHarness() : VirtioRawHarness(Options{}) {}
 
 VirtioRawHarness::VirtioRawHarness(const Options& opts)
     : opts_(opts), pattern_(make_pattern(opts.max_io)) {

@@ -33,7 +33,6 @@ class NvmeRawHarness {
     std::uint16_t depth = 32;
     std::uint32_t max_io = 1 << 20;
   };
-  NvmeRawHarness();  // default Options
   explicit NvmeRawHarness(const Options& opts);
 
   /// One synchronous raw write of `len` bytes on queue `q`; returns the
@@ -80,7 +79,6 @@ class VirtioRawHarness {
     std::uint16_t request_slots = 64;
     std::uint32_t max_io = 1 << 20;
   };
-  VirtioRawHarness();  // default Options
   explicit VirtioRawHarness(const Options& opts);
 
   bool do_write(std::span<const std::byte> payload);

@@ -364,11 +364,6 @@ void DataServers::heal_server(int server) {
       false, std::memory_order_release);
 }
 
-bool DataServers::server_failed(int server) const {
-  return servers_[static_cast<std::size_t>(server)].failed.load(
-      std::memory_order_acquire);
-}
-
 bool DataServers::access_fails(int server, std::string_view site,
                                bool is_read, std::size_t bytes,
                                OpProfile& prof, bool& fast_failed) {

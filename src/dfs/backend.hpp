@@ -236,7 +236,7 @@ bool replicated_read_any(DataServers& ds, const FileMeta& meta,
 
 // ------------------------------------------------------------ hedged reads
 //
-// Tail-tolerant read paths (DESIGN.md §5l). Both require an enabled
+// Tail-tolerant read paths (DESIGN.md §5.7). Both require an enabled
 // HealthBoard on `ds`. Per stripe, the needed data shards are issued as a
 // parallel primary wave; a shard lagging the board's hedge_delay() (or one
 // that failed / sits on a quarantined server) triggers extra reads of the
@@ -318,7 +318,6 @@ class DataServers {
   /// reads and writes against it fail until heal_server().
   void fail_server(int server);
   void heal_server(int server);
-  bool server_failed(int server) const;
 
   /// Rewrites a shard that verification proved damaged (reconstruct path /
   /// scrubber). Same motion as write_shard plus a repair counter tick.
@@ -340,7 +339,7 @@ class DataServers {
   /// Snapshot of every stored shard's identity (scrubber walk order).
   std::vector<ShardId> stored_shards() const;
 
-  // ---- gray-failure tolerance (DESIGN.md §5l) ---------------------------
+  // ---- gray-failure tolerance (DESIGN.md §5.7) --------------------------
 
   /// Creates the per-server health scoreboard ("ds" group). From then on
   /// every shard access records its observed latency, reads time out at the

@@ -21,8 +21,6 @@ HealthBoard::HealthBoard(std::string_view group, int peers, HealthConfig cfg,
   DPC_CHECK(peers >= 1);
   DPC_CHECK(cfg_.deadline_floor.ns <= cfg_.deadline_ceiling.ns);
   DPC_CHECK(cfg_.slow_strikes >= 1);
-  DPC_CHECK(cfg_.probe_interval >= 1);
-  DPC_CHECK(cfg_.reintegrate_successes >= 1);
   peers_v_.resize(static_cast<std::size_t>(peers));
   if (registry != nullptr) {
     score_gauges_.reserve(static_cast<std::size_t>(peers));
@@ -131,7 +129,7 @@ void HealthBoard::record(int peer, sim::Nanos observed, bool ok) {
     // Only probes reach a quarantined peer, so this observation is the
     // probe's verdict.
     p.probe_successes = ok ? p.probe_successes + 1 : 0;
-    if (p.probe_successes >= cfg_.reintegrate_successes) {
+    if (p.probe_successes >= kReintegrateSuccesses) {
       p.quarantined = false;
       p.strikes = 0;
       p.suppressed = 0;
@@ -215,7 +213,7 @@ bool HealthBoard::allow(int peer) {
   Peer& p = peers_v_[static_cast<std::size_t>(peer)];
   if (!p.quarantined) return true;
   const std::uint64_t n = ++p.suppressed;
-  if (n % static_cast<std::uint64_t>(cfg_.probe_interval) == 0) {
+  if (n % static_cast<std::uint64_t>(kProbeInterval) == 0) {
     if (probes_ctr_ != nullptr) probes_ctr_->add();
     return true;  // reintegration probe
   }

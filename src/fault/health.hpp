@@ -1,4 +1,4 @@
-// Per-peer gray-failure scoreboard (DESIGN.md §5l "Gray-failure model").
+// Per-peer gray-failure scoreboard (DESIGN.md §5.7).
 //
 // A HealthBoard watches one *group* of peers (the data servers, the MDS
 // cluster, a remote KV store) and keeps, per peer, an EWMA and a streaming
@@ -48,11 +48,6 @@ struct HealthConfig {
   /// quarantine the peer.
   double slow_ratio = 4.0;
   int slow_strikes = 6;
-  /// While quarantined, every probe_interval-th suppressed access is let
-  /// through as a probe (CircuitBreaker's op-count probing, slow-tier).
-  int probe_interval = 8;
-  /// Consecutive healthy probes required to reintegrate.
-  int reintegrate_successes = 3;
 
   /// Hedge token budget: each primary read earns `hedge_budget` tokens and
   /// each speculative read spends one, so speculation is capped at this
@@ -64,6 +59,12 @@ struct HealthConfig {
 
 class HealthBoard {
  public:
+  /// While quarantined, every kProbeInterval-th suppressed access is let
+  /// through as a probe (CircuitBreaker's op-count probing, slow-tier).
+  static constexpr int kProbeInterval = 8;
+  /// Consecutive healthy probes required to reintegrate.
+  static constexpr int kReintegrateSuccesses = 3;
+
   /// `group` prefixes the board's metrics ("health/<group><peer>/…"); the
   /// registry (optional) hosts per-peer score/EWMA gauges plus quarantine /
   /// reintegration / probe counters.
@@ -96,7 +97,7 @@ class HealthBoard {
   bool quarantined(int peer) const;
 
   /// Routing gate: true = use the peer. While quarantined, every
-  /// probe_interval-th call returns true as a reintegration probe.
+  /// kProbeInterval-th call returns true as a reintegration probe.
   bool allow(int peer);
 
   /// Peer indices ordered healthiest-first (quarantined peers last);

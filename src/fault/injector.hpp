@@ -1,5 +1,5 @@
 // Deterministic, centrally-configured fault injection (the failure model's
-// single knob — see DESIGN.md "Failure model").
+// single knob — see DESIGN.md §5.7).
 //
 // A FaultInjector is keyed by *site name* ("nvme.tgt/drop_cqe",
 // "kv.remote/op", …): each subsystem that can fail holds an optional

@@ -26,16 +26,6 @@ enum class Transient : std::uint8_t {
   kBusy,         // resource contention (e.g. delegation recall refused)
 };
 
-constexpr std::string_view to_string(Transient t) {
-  switch (t) {
-    case Transient::kNone: return "none";
-    case Transient::kTimeout: return "timeout";
-    case Transient::kUnavailable: return "unavailable";
-    case Transient::kBusy: return "busy";
-  }
-  return "?";
-}
-
 /// Deterministic jitter: scales `base` by uniform [1-j/2, 1+j/2] drawn from
 /// a pure hash of (step, salt). The one jitter derivation shared by every
 /// pacer — RetryPolicy::backoff and the scrubber's inter-pass spacing —

@@ -88,12 +88,11 @@ Ext4like::Ext4like(ssd::SsdModel& disk, const Ext4likeOptions& opts)
       opts_(opts),
       pcache_(opts.page_cache_pages, kBlockSize) {
   DPC_CHECK(opts.total_blocks >= 1024);
-  DPC_CHECK(opts.max_inodes >= 16);
 
   const std::uint64_t bitmap_blocks =
       div_ceil(opts.total_blocks, kBlockSize * 8);
   const std::uint64_t itable_blocks =
-      div_ceil(opts.max_inodes, kInodesPerBlock);
+      div_ceil(kMaxInodes, kInodesPerBlock);
   bitmap_start_ = 1;
   itable_start_ = bitmap_start_ + bitmap_blocks;
   journal_start_ = itable_start_ + itable_blocks;
@@ -101,23 +100,21 @@ Ext4like::Ext4like(ssd::SsdModel& disk, const Ext4likeOptions& opts)
   DPC_CHECK_MSG(data_start_ < opts.total_blocks, "device too small");
 
   block_bitmap_.assign(div_ceil(opts.total_blocks, 64), 0);
-  inode_used_.assign(opts.max_inodes, false);
+  inode_used_.assign(kMaxInodes, false);
   free_blocks_ = opts.total_blocks - data_start_;
 
   // Mount-time journal scan: count CRC-valid WAL records a previous
   // incarnation left on this device, and resume the sequence above the
   // highest survivor so new records always supersede old ones.
-  if (opts.journal_enabled) {
-    std::vector<std::byte> block(kBlockSize);
-    for (std::uint32_t j = 0; j < kJournalBlocks; ++j) {
-      disk_->read_block(journal_start_ + j, block);
-      const auto seq = check_journal_record(
-          std::span<const std::byte, kJournalRecSize>{block.data(),
-                                                      kJournalRecSize});
-      if (!seq.has_value()) continue;
-      ++journal_valid_on_mount_;
-      journal_seq_ = std::max(journal_seq_, *seq + 1);
-    }
+  std::vector<std::byte> block(kBlockSize);
+  for (std::uint32_t j = 0; j < kJournalBlocks; ++j) {
+    disk_->read_block(journal_start_ + j, block);
+    const auto seq = check_journal_record(
+        std::span<const std::byte, kJournalRecSize>{block.data(),
+                                                    kJournalRecSize});
+    if (!seq.has_value()) continue;
+    ++journal_valid_on_mount_;
+    journal_seq_ = std::max(journal_seq_, *seq + 1);
   }
 
   // mkfs: superblock + root inode + root (empty) directory.
@@ -188,7 +185,6 @@ void Ext4like::dev_write(std::uint64_t lba, std::span<const std::byte> src,
 }
 
 void Ext4like::journal(OpCost& c) {
-  if (!opts_.journal_enabled) return;
   std::array<std::byte, kJournalRecSize> rec{};  // WAL descriptor record
   seal_journal_record(std::span<std::byte, kJournalRecSize>{rec},
                       journal_seq_++);
@@ -251,7 +247,7 @@ void Ext4like::free_inode(Ino ino, OpCost& c) {
 // ------------------------------------------------------------- inode table
 
 Ext4like::DiskInode Ext4like::read_inode(Ino ino, OpCost& c) {
-  DPC_CHECK(ino != 0 && ino < opts_.max_inodes);
+  DPC_CHECK(ino != 0 && ino < kMaxInodes);
   const std::uint64_t lba = itable_start_ + ino / kInodesPerBlock;
   std::array<std::byte, kBlockSize> block{};
   dev_read(lba, block, c);
@@ -262,7 +258,7 @@ Ext4like::DiskInode Ext4like::read_inode(Ino ino, OpCost& c) {
 }
 
 void Ext4like::write_inode(Ino ino, const DiskInode& di, OpCost& c) {
-  DPC_CHECK(ino != 0 && ino < opts_.max_inodes);
+  DPC_CHECK(ino != 0 && ino < kMaxInodes);
   const std::uint64_t lba = itable_start_ + ino / kInodesPerBlock;
   std::array<std::byte, kBlockSize> block{};
   dev_read(lba, block, c);
@@ -539,7 +535,7 @@ FsResult<Ino> Ext4like::make_node(Ino parent, std::string_view name,
     return res;
   }
   sim::LockGuard lock(mu_);
-  if (parent == 0 || parent >= opts_.max_inodes || !inode_used_[parent]) {
+  if (parent == 0 || parent >= kMaxInodes || !inode_used_[parent]) {
     res.err = ENOENT;
     return res;
   }
@@ -586,7 +582,7 @@ FsResult<Ino> Ext4like::mkdir(Ino parent, std::string_view name,
 FsResult<Ino> Ext4like::lookup(Ino parent, std::string_view name) {
   FsResult<Ino> res;
   sim::LockGuard lock(mu_);
-  if (parent == 0 || parent >= opts_.max_inodes || !inode_used_[parent]) {
+  if (parent == 0 || parent >= kMaxInodes || !inode_used_[parent]) {
     res.err = ENOENT;
     return res;
   }
@@ -639,7 +635,7 @@ FsResult<FsUnit> Ext4like::remove_node(Ino parent, std::string_view name,
                                        bool dir) {
   FsResult<FsUnit> res;
   sim::LockGuard lock(mu_);
-  if (parent == 0 || parent >= opts_.max_inodes || !inode_used_[parent]) {
+  if (parent == 0 || parent >= kMaxInodes || !inode_used_[parent]) {
     res.err = ENOENT;
     return res;
   }
@@ -732,7 +728,7 @@ FsResult<FsUnit> Ext4like::rename(Ino old_parent, std::string_view old_name,
 FsResult<std::vector<DirEntry>> Ext4like::readdir(Ino dir) {
   FsResult<std::vector<DirEntry>> res;
   sim::LockGuard lock(mu_);
-  if (dir == 0 || dir >= opts_.max_inodes || !inode_used_[dir]) {
+  if (dir == 0 || dir >= kMaxInodes || !inode_used_[dir]) {
     res.err = ENOENT;
     return res;
   }
@@ -756,7 +752,7 @@ FsResult<std::vector<DirEntry>> Ext4like::readdir(Ino dir) {
 FsResult<Stat> Ext4like::getattr(Ino ino) {
   FsResult<Stat> res;
   sim::LockGuard lock(mu_);
-  if (ino == 0 || ino >= opts_.max_inodes || !inode_used_[ino]) {
+  if (ino == 0 || ino >= kMaxInodes || !inode_used_[ino]) {
     res.err = ENOENT;
     return res;
   }
@@ -782,7 +778,7 @@ FsResult<std::uint32_t> Ext4like::read(Ino ino, std::uint64_t offset,
                                        std::span<std::byte> dst, bool direct) {
   FsResult<std::uint32_t> res;
   sim::LockGuard lock(mu_);
-  if (ino == 0 || ino >= opts_.max_inodes || !inode_used_[ino]) {
+  if (ino == 0 || ino >= kMaxInodes || !inode_used_[ino]) {
     res.err = ENOENT;
     return res;
   }
@@ -831,7 +827,7 @@ FsResult<std::uint32_t> Ext4like::write(Ino ino, std::uint64_t offset,
                                         bool direct) {
   FsResult<std::uint32_t> res;
   sim::LockGuard lock(mu_);
-  if (ino == 0 || ino >= opts_.max_inodes || !inode_used_[ino]) {
+  if (ino == 0 || ino >= kMaxInodes || !inode_used_[ino]) {
     res.err = ENOENT;
     return res;
   }
@@ -892,7 +888,7 @@ FsResult<std::uint32_t> Ext4like::write(Ino ino, std::uint64_t offset,
 FsResult<FsUnit> Ext4like::truncate(Ino ino, std::uint64_t new_size) {
   FsResult<FsUnit> res;
   sim::LockGuard lock(mu_);
-  if (ino == 0 || ino >= opts_.max_inodes || !inode_used_[ino]) {
+  if (ino == 0 || ino >= kMaxInodes || !inode_used_[ino]) {
     res.err = ENOENT;
     return res;
   }
@@ -942,7 +938,7 @@ FsResult<FsUnit> Ext4like::truncate(Ino ino, std::uint64_t new_size) {
 FsResult<FsUnit> Ext4like::fsync(Ino ino) {
   FsResult<FsUnit> res;
   sim::LockGuard lock(mu_);
-  if (ino == 0 || ino >= opts_.max_inodes || !inode_used_[ino]) {
+  if (ino == 0 || ino >= kMaxInodes || !inode_used_[ino]) {
     res.err = ENOENT;
     return res;
   }

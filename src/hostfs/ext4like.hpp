@@ -36,6 +36,8 @@ using Ino = std::uint32_t;
 inline constexpr Ino kRootIno = 1;  // 0 = invalid, Ext tradition
 inline constexpr std::uint32_t kBlockSize = ssd::kBlockSize;
 inline constexpr std::size_t kMaxName = 254;
+/// Inode-table size: inode numbers run 1 .. kMaxInodes-1.
+inline constexpr std::uint32_t kMaxInodes = 1 << 16;
 
 enum class FileType : std::uint16_t { kRegular = 1, kDirectory = 2 };
 
@@ -55,9 +57,7 @@ struct DirEntry {
 
 struct Ext4likeOptions {
   std::uint64_t total_blocks = 1 << 20;  ///< 4 GiB device by default
-  std::uint32_t max_inodes = 1 << 16;
   std::uint32_t page_cache_pages = 16384;
-  bool journal_enabled = true;
 };
 
 /// Modelled cost + device-op accounting for one FS call.

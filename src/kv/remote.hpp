@@ -4,7 +4,7 @@
 // KVFS talks to the cluster through this wrapper, so every figure that
 // involves KVFS automatically includes realistic backend latency.
 //
-// Failure model (see DESIGN.md "Failure model"): with a FaultInjector
+// Failure model (see DESIGN.md §5.7): with a FaultInjector
 // attached, each op may suffer injectable transient failures at the
 // "kv.remote/op" site. Failed attempts are retried internally with
 // exponential backoff (cost folded into the op's Timed cost); a run of

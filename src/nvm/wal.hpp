@@ -148,7 +148,7 @@ class WriteAheadLog {
   /// The drain side: the flusher pushed (ino, lpn) to the backend. Appends
   /// a kDrained marker superseding the logged copies and drops the page
   /// from the pending set; when the marker append fails the page stays
-  /// pending (blocking checkpoint) and degraded latches — see DESIGN.md §5j
+  /// pending (blocking checkpoint) and degraded latches — see DESIGN.md §5.5
   /// for the (documented) stale-replay window this closes off.
   void note_drained(std::uint64_t ino, std::uint64_t lpn, sim::Nanos& cost);
 

@@ -4,22 +4,6 @@
 
 namespace dpc::pcie {
 
-const char* to_string(DmaClass c) {
-  switch (c) {
-    case DmaClass::kDescriptor:
-      return "descriptor";
-    case DmaClass::kData:
-      return "data";
-    case DmaClass::kDoorbell:
-      return "doorbell";
-    case DmaClass::kAtomic:
-      return "atomic";
-    case DmaClass::kCount_:
-      break;
-  }
-  return "?";
-}
-
 std::uint64_t DmaCounters::total_ops() const {
   std::uint64_t sum = 0;
   for (const auto& pc : per_class)

@@ -33,8 +33,6 @@ enum class DmaClass : std::uint8_t {
   kCount_,
 };
 
-const char* to_string(DmaClass c);
-
 struct DmaCounters {
   struct PerClass {
     std::atomic<std::uint64_t> ops{0};

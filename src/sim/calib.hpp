@@ -10,7 +10,7 @@
 // plus op counts *measured* from the functional layer (DMA counts, KV ops,
 // MDS hops). Changing a constant here consistently moves every experiment,
 // which is the point: the reproduction is one parameterized model, not a
-// per-figure curve fit. See DESIGN.md §5.
+// per-figure curve fit. See DESIGN.md §5.1.
 #pragma once
 
 #include "sim/time.hpp"
@@ -81,7 +81,6 @@ constexpr Nanos pcie_wire_demand(std::uint64_t bytes, bool host_to_dpu) {
 
 // -------------------------------------------------------------------- DPU
 inline constexpr int kDpuCores = 24;
-inline constexpr double kDpuDramGB = 32.0;
 
 /// DPU-side per-op cost for the *virtual client* used in the raw transmission
 /// test (parse SQE, touch in-memory data, post CQE).

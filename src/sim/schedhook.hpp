@@ -13,10 +13,10 @@
 // The seam also hosts the DPC_CHECK_MUTATE registry: protocol code asks
 // `mutate("rule")` whether a named fence/ordering mutation is armed and, if
 // so, deliberately reorders one step. The checker proves its own teeth by
-// arming each mutation and requiring a violation (see DESIGN.md §5k).
+// arming each mutation and requiring a violation (see DESIGN.md §5.11).
 //
 // Sites are identified by stable string literals; the inventory lives in
-// DESIGN.md §5k and is what the exhaustive tier's interleaving counts are
+// DESIGN.md §5.11 and is what the exhaustive tier's interleaving counts are
 // defined over.
 #pragma once
 

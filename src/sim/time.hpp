@@ -41,24 +41,4 @@ constexpr Nanos millis(double m) {
   return {static_cast<std::int64_t>(m * 1e6)};
 }
 
-/// Per-simulated-thread virtual clock. Operations advance it by their
-/// modelled cost; benches read the final value to compute latency and IOPS.
-class VirtualClock {
- public:
-  constexpr VirtualClock() = default;
-  explicit constexpr VirtualClock(Nanos start) : now_(start) {}
-
-  constexpr Nanos now() const { return now_; }
-  constexpr void advance(Nanos d) { now_ += d; }
-  /// Jump forward to `t` if it is in the future (used when waiting on a
-  /// shared resource that frees up at `t`).
-  constexpr void advance_to(Nanos t) {
-    if (t > now_) now_ = t;
-  }
-  constexpr void reset(Nanos t = Nanos{}) { now_ = t; }
-
- private:
-  Nanos now_{};
-};
-
 }  // namespace dpc::sim

@@ -4,36 +4,6 @@
 
 namespace dpc::sim {
 
-const char* to_string(OpType t) {
-  switch (t) {
-    case OpType::kRead:
-      return "read";
-    case OpType::kWrite:
-      return "write";
-    case OpType::kCreate:
-      return "create";
-  }
-  return "?";
-}
-
-const char* to_string(Pattern p) {
-  switch (p) {
-    case Pattern::kRandRead:
-      return "rand-read";
-    case Pattern::kRandWrite:
-      return "rand-write";
-    case Pattern::kSeqRead:
-      return "seq-read";
-    case Pattern::kSeqWrite:
-      return "seq-write";
-    case Pattern::kMixed:
-      return "mixed";
-    case Pattern::kCreate:
-      return "create";
-  }
-  return "?";
-}
-
 WorkloadGen::WorkloadGen(const WorkloadSpec& spec, std::uint64_t stream_id)
     : spec_(spec),
       rng_(spec.seed * 0x9e3779b97f4a7c15ULL + stream_id + 1),

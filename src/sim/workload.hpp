@@ -19,8 +19,6 @@ enum class OpType : std::uint8_t {
   kCreate,  ///< create + first write of a small file
 };
 
-const char* to_string(OpType t);
-
 /// One generated I/O.
 struct IoOp {
   OpType type = OpType::kRead;
@@ -37,8 +35,6 @@ enum class Pattern : std::uint8_t {
   kMixed,    ///< read_fraction of reads, rest writes, random offsets
   kCreate,   ///< stream of file creations (small-file workload)
 };
-
-const char* to_string(Pattern p);
 
 struct WorkloadSpec {
   Pattern pattern = Pattern::kRandRead;

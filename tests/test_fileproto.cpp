@@ -88,11 +88,41 @@ TEST(FileProto, ResponseCapacityCoversWorstCase) {
   EXPECT_LE(resp.encode().size(), response_capacity(100));
 }
 
-TEST(FileProto, OpNamesComplete) {
-  EXPECT_STREQ(to_string(FileOp::kCreate), "create");
-  EXPECT_STREQ(to_string(FileOp::kReaddir), "readdir");
-  EXPECT_STREQ(to_string(FileOp::kResolve), "resolve");
+// Every opcode the DPU dispatcher switches on survives the wire with all
+// of its fields, so no op is silently turned into another on the way.
+class FileOpRoundTrip : public ::testing::TestWithParam<FileOp> {};
+
+TEST_P(FileOpRoundTrip, KeepsOpAndFields) {
+  FileRequest req;
+  req.op = GetParam();
+  req.parent = 0x0123456789ABCDEFULL;
+  req.aux = static_cast<std::uint64_t>(GetParam()) << 32 | 7;
+  req.mode = 0100644;
+  req.name = "dir/name-" + std::to_string(static_cast<int>(GetParam()));
+  req.name2 = "target";
+  const auto enc = req.encode();
+  const auto back = FileRequest::decode(enc);
+  EXPECT_EQ(back.op, req.op);
+  EXPECT_EQ(back.parent, req.parent);
+  EXPECT_EQ(back.aux, req.aux);
+  EXPECT_EQ(back.mode, req.mode);
+  EXPECT_EQ(back.name, req.name);
+  EXPECT_EQ(back.name2, req.name2);
+  // Truncating the encoding anywhere is detected, never misparsed.
+  EXPECT_THROW(FileRequest::decode(std::span{enc}.first(enc.size() - 1)),
+               CheckFailure);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOps, FileOpRoundTrip,
+    ::testing::Values(FileOp::kLookup, FileOp::kCreate, FileOp::kMkdir,
+                      FileOp::kUnlink, FileOp::kRmdir, FileOp::kRename,
+                      FileOp::kGetattr, FileOp::kReaddir, FileOp::kResolve,
+                      FileOp::kOpen, FileOp::kLink, FileOp::kSymlink,
+                      FileOp::kReadlink),
+    [](const ::testing::TestParamInfo<FileOp>& info) {
+      return "op" + std::to_string(static_cast<int>(info.param));
+    });
 
 }  // namespace
 }  // namespace dpc::core

@@ -122,11 +122,61 @@ TEST(Workload, DefaultSweepIsPowersOfTwo) {
     EXPECT_EQ(sweep[i], sweep[i - 1] * 2);
 }
 
-TEST(Workload, ToStringCoverage) {
-  EXPECT_STREQ(to_string(OpType::kRead), "read");
-  EXPECT_STREQ(to_string(Pattern::kMixed), "mixed");
-  EXPECT_STREQ(to_string(Pattern::kCreate), "create");
+// The contract every bench relies on, per pattern: each op is one
+// io_size-aligned extent inside the file, of the type the pattern names.
+struct PatternCase {
+  const char* name;
+  Pattern pattern;
+  bool reads;
+  bool writes;
+  bool creates;
+};
+
+class WorkloadPattern : public ::testing::TestWithParam<PatternCase> {};
+
+TEST_P(WorkloadPattern, OpsStayInsideTheFileWithTheirType) {
+  const PatternCase& c = GetParam();
+  auto spec = base_spec(c.pattern);
+  spec.file_size = 64 * spec.io_size;  // small enough to wrap
+  spec.file_count = 4;
+  spec.locality = 0.5;
+  WorkloadGen gen(spec, 3);
+  std::set<OpType> seen;
+  std::set<std::uint64_t> created;
+  for (int i = 0; i < 1000; ++i) {
+    const IoOp op = gen.next();
+    seen.insert(op.type);
+    EXPECT_EQ(op.length, spec.io_size);
+    EXPECT_EQ(op.offset % spec.io_size, 0u);
+    EXPECT_LE(op.offset + op.length, spec.file_size);
+    if (op.type == OpType::kCreate) {
+      EXPECT_EQ(op.offset, 0u);
+      EXPECT_TRUE(created.insert(op.file_id).second) << op.file_id;
+    } else {
+      EXPECT_LT(op.file_id, spec.file_count);
+    }
+  }
+  EXPECT_EQ(seen.count(OpType::kRead) == 1, c.reads);
+  EXPECT_EQ(seen.count(OpType::kWrite) == 1, c.writes);
+  EXPECT_EQ(seen.count(OpType::kCreate) == 1, c.creates);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPatterns, WorkloadPattern,
+    ::testing::Values(PatternCase{"RandRead", Pattern::kRandRead, true, false,
+                                  false},
+                      PatternCase{"RandWrite", Pattern::kRandWrite, false,
+                                  true, false},
+                      PatternCase{"SeqRead", Pattern::kSeqRead, true, false,
+                                  false},
+                      PatternCase{"SeqWrite", Pattern::kSeqWrite, false, true,
+                                  false},
+                      PatternCase{"Mixed", Pattern::kMixed, true, true, false},
+                      PatternCase{"Create", Pattern::kCreate, false, false,
+                                  true}),
+    [](const ::testing::TestParamInfo<PatternCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace dpc::sim

@@ -1,4 +1,4 @@
-// Gray-failure tolerance unit tests (DESIGN.md §5l): fail-slow injection
+// Gray-failure tolerance unit tests (DESIGN.md §5.7): fail-slow injection
 // determinism, the per-peer health scoreboard (EWMA + streaming quantile +
 // adaptive deadline + quarantine round trip), hedged-read correctness
 // (cancelled losers charge nothing, reconstructs are bit-identical, the
@@ -141,9 +141,9 @@ TEST(TailQuarantine, RoundTrip) {
   obs::Registry reg;
   fault::HealthConfig cfg;
   cfg.slow_strikes = 3;
-  cfg.probe_interval = 4;
-  cfg.reintegrate_successes = 2;
   fault::HealthBoard hb("t", 2, cfg, &reg);
+  constexpr int kProbe = fault::HealthBoard::kProbeInterval;
+  constexpr int kHealthy = fault::HealthBoard::kReintegrateSuccesses;
   for (int p = 0; p < 2; ++p)
     for (int i = 0; i < 16; ++i) hb.record(p, sim::micros(10.0), true);
   EXPECT_GT(hb.score(0), 0.0);
@@ -154,20 +154,17 @@ TEST(TailQuarantine, RoundTrip) {
   EXPECT_EQ(hb.score(0), 0.0);
   EXPECT_EQ(hb.ranked().back(), 0);  // quarantined sorts last
 
-  // Every 4th suppressed access probes; the rest are routed around.
-  EXPECT_FALSE(hb.allow(0));
-  EXPECT_FALSE(hb.allow(0));
-  EXPECT_FALSE(hb.allow(0));
+  // Every kProbe-th suppressed access probes; the rest are routed around.
+  for (int i = 0; i < kProbe - 1; ++i) EXPECT_FALSE(hb.allow(0));
   EXPECT_TRUE(hb.allow(0));  // probe
   hb.record(0, sim::micros(150.0), false);  // probe failed: streak resets
 
-  for (int i = 0; i < 3; ++i) EXPECT_FALSE(hb.allow(0));
-  EXPECT_TRUE(hb.allow(0));
-  hb.record(0, sim::micros(12.0), true);  // healthy probe 1/2
-  EXPECT_TRUE(hb.quarantined(0));         // not yet
-  for (int i = 0; i < 3; ++i) EXPECT_FALSE(hb.allow(0));
-  EXPECT_TRUE(hb.allow(0));
-  hb.record(0, sim::micros(12.0), true);  // healthy probe 2/2 → back in
+  for (int probe = 1; probe <= kHealthy; ++probe) {
+    EXPECT_TRUE(hb.quarantined(0)) << "reintegrated after " << probe - 1;
+    for (int i = 0; i < kProbe - 1; ++i) EXPECT_FALSE(hb.allow(0));
+    EXPECT_TRUE(hb.allow(0));
+    hb.record(0, sim::micros(12.0), true);  // healthy probe `probe`/kHealthy
+  }
   EXPECT_FALSE(hb.quarantined(0));
   EXPECT_EQ(hb.reintegrations(), 1u);
   EXPECT_TRUE(hb.allow(0));
@@ -175,7 +172,8 @@ TEST(TailQuarantine, RoundTrip) {
   EXPECT_EQ(hb.p99(0).ns, sim::micros(12.0).ns);
   EXPECT_EQ(reg.counter("health/t/quarantines").value(), 1u);
   EXPECT_EQ(reg.counter("health/t/reintegrations").value(), 1u);
-  EXPECT_GE(reg.counter("health/t/probes").value(), 3u);
+  EXPECT_EQ(reg.counter("health/t/probes").value(),
+            static_cast<std::uint64_t>(1 + kHealthy));
 }
 
 // ------------------------------------------------------- hedged reads

@@ -85,6 +85,66 @@ TEST(VirtioFs, NvmeFsMovesFarFewerDmasThanVirtio) {
   EXPECT_GE(static_cast<double>(virtio_ops) / nvme_ops, 2.0);
 }
 
+// Fig. 4 counts link transactions per request, not per page: a multi-page
+// payload is one burst. So each transport's per-op count is the same at
+// every I/O size the harnesses carry.
+class TransportDmaCount : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  static std::uint64_t link_ops(pcie::DmaCounters& c) {
+    return c.ops(pcie::DmaClass::kDescriptor) + c.ops(pcie::DmaClass::kData);
+  }
+  static core::NvmeRawHarness::Options nvme_opts() {
+    core::NvmeRawHarness::Options o;
+    o.queues = 1;
+    o.depth = 8;
+    o.max_io = 128 * 1024;
+    return o;
+  }
+  static VirtioRawHarness::Options virtio_opts() {
+    auto o = small_opts();
+    o.max_io = 128 * 1024;
+    return o;
+  }
+};
+
+TEST_P(TransportDmaCount, VirtioWriteIsEleven) {
+  VirtioRawHarness h(virtio_opts());
+  std::vector<std::byte> data(GetParam(), std::byte{7});
+  h.counters().reset();
+  ASSERT_TRUE(h.do_write(data));
+  EXPECT_EQ(link_ops(h.counters()), 11u);
+  EXPECT_EQ(h.counters().ops(pcie::DmaClass::kData), 3u);
+}
+
+TEST_P(TransportDmaCount, VirtioReadIsEleven) {
+  VirtioRawHarness h(virtio_opts());
+  std::vector<std::byte> dst(GetParam());
+  h.counters().reset();
+  ASSERT_TRUE(h.do_read(dst));
+  EXPECT_EQ(link_ops(h.counters()), 11u);
+}
+
+TEST_P(TransportDmaCount, NvmeWriteIsFour) {
+  core::NvmeRawHarness h(nvme_opts());
+  std::vector<std::byte> data(GetParam(), std::byte{7});
+  h.counters().reset();
+  ASSERT_TRUE(h.do_write(0, data));
+  EXPECT_EQ(link_ops(h.counters()), 4u);
+  EXPECT_EQ(h.counters().ops(pcie::DmaClass::kData), 1u);
+}
+
+TEST_P(TransportDmaCount, NvmeReadIsFour) {
+  core::NvmeRawHarness h(nvme_opts());
+  std::vector<std::byte> dst(GetParam());
+  h.counters().reset();
+  ASSERT_TRUE(h.do_read(0, dst));
+  EXPECT_EQ(link_ops(h.counters()), 4u);
+  EXPECT_EQ(h.counters().ops(pcie::DmaClass::kData), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(IoSizes, TransportDmaCount,
+                         ::testing::Values(4096, 8192, 16384, 65536));
+
 TEST(VirtioFs, UnknownOpcodeReturnsEnosys) {
   VirtioRawHarness h(small_opts());
   auto& guest = h.guest();
