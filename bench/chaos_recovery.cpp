@@ -10,12 +10,11 @@
 //    null-pointer compare per op.
 //
 // 2. Crash-restart sweep — crashes the DPU mid-flush (after the backend
-//    write, before the clean-marking) with a growing intent-journal
-//    backlog and cached-page population, then runs the full restart path
-//    (controller reset → journal replay → fsck repair → cache
-//    control-plane rebuild + dirty re-flush) and reports the modelled
-//    recovery latency and its replay/fsck split. Emits
-//    BENCH_crash_recovery.json (recovery latency vs. journal size).
+//    write, before the clean-marking) with a growing cached-page
+//    population, then runs the full restart path (controller reset → fsck
+//    repair → cache control-plane rebuild + dirty re-flush) and reports the
+//    modelled recovery latency and its fsck share. Emits
+//    BENCH_crash_recovery.json (recovery latency vs. cached pages).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -25,7 +24,6 @@
 #include "dfs/client.hpp"
 #include "dpu/scrubber.hpp"
 #include "fault/injector.hpp"
-#include "kvfs/journal.hpp"
 #include "kvfs/types.hpp"
 #include "nvme/tgt.hpp"
 #include "sim/check.hpp"
@@ -123,17 +121,14 @@ RatePoint run_rate(double p, std::uint64_t seed) {
 // ---------------------------------------------------------------- crash
 
 struct CrashPoint {
-  int journal_records = 0;  ///< surviving intent records at crash time
-  int cached_pages = 0;     ///< cached pages at crash (one dirty mid-flush)
+  int cached_pages = 0;  ///< cached pages at crash (one dirty mid-flush)
   core::DpcSystem::RestartReport rep;
 };
 
-/// One crash-restart measurement: populate `cached_pages` buffered pages
-/// and `journal_records` surviving intent records (synthesized directly in
-/// the disaggregated store, as a crash with that many interrupted ops
-/// would leave behind), halt the DPU mid-flush, and time restart_dpu().
-CrashPoint run_crash(int journal_records, int cached_pages,
-                     std::uint64_t seed, obs::Registry& summary) {
+/// One crash-restart measurement: populate `cached_pages` buffered pages,
+/// halt the DPU mid-flush, and time restart_dpu().
+CrashPoint run_crash(int cached_pages, std::uint64_t seed,
+                     obs::Registry& summary) {
   obs::Registry fault_reg;
   fault::FaultInjector fi(seed, &fault_reg);
 
@@ -155,20 +150,6 @@ CrashPoint run_crash(int journal_records, int cached_pages,
     DPC_CHECK(w.ok());
   }
 
-  // Synthetic journal backlog: intent records for ops that never started
-  // mutating (replay probes each and rolls it back). Ids far above the ino
-  // counter so they cannot collide with live records.
-  for (int i = 0; i < journal_records; ++i) {
-    kvfs::JournalRecord rec;
-    rec.op = kvfs::JournalOp::kCreate;
-    rec.type = kvfs::FileType::kRegular;
-    rec.ino = 9'000'000 + static_cast<kvfs::Ino>(i);
-    rec.parent = kvfs::kRootIno;
-    rec.name = "ghost-" + std::to_string(i);
-    sys.kv_store().put(kvfs::journal_key(9'000'000 + i),
-                       kvfs::encode_journal_record(rec));
-  }
-
   // Crash the DPU inside a flush pass: one more buffered write dirties a
   // page, then the fsync-driven flush writes it to the backend and dies
   // before marking it clean — restart finds it dirty in the rebuilt meta
@@ -179,19 +160,12 @@ CrashPoint run_crash(int journal_records, int cached_pages,
   DPC_CHECK(fi.crashed());
 
   CrashPoint pt;
-  pt.journal_records = journal_records;
   pt.cached_pages = cached_pages;
   pt.rep = sys.restart_dpu();
   DPC_CHECK(pt.rep.clean());
 
   summary.histogram("recovery/restart_ns").record(pt.rep.cost);
   summary.counter("crash_recovery/restarts").add();
-  summary.counter("crash_recovery/journal_scanned")
-      .add(pt.rep.fs.journal.scanned);
-  summary.counter("crash_recovery/rolled_back")
-      .add(pt.rep.fs.journal.rolled_back);
-  summary.counter("crash_recovery/rolled_forward")
-      .add(pt.rep.fs.journal.rolled_forward);
   summary.counter("crash_recovery/fsck_repairs").add(pt.rep.fs.fsck.repairs);
   summary.counter("crash_recovery/rebuilt_pages").add(pt.rep.rebuilt_pages);
   summary.counter("crash_recovery/reflushed_pages")
@@ -328,27 +302,21 @@ int main(int argc, char** argv) {
   bench::print_table(t, args);
 
   bench::headline(
-      "Crash-restart recovery — latency vs. journal backlog / dirty pages",
-      "restart = controller reset + journal replay + fsck + cache rebuild; "
-      "replay cost scales with surviving intent records, re-flush with "
-      "dirty pages");
+      "Crash-restart recovery — latency vs. dirty pages",
+      "restart = controller reset + fsck + cache rebuild; every KVFS "
+      "mutation is one atomic batch, so no torn op is left to roll; "
+      "re-flush scales with dirty pages");
 
   obs::Registry summary;
-  sim::Table ct({"journal-recs", "cached-pages", "scanned", "rolled-back",
-                 "reflushed", "aborted-cids", "recover(us)", "replay(us)",
-                 "fsck(us)"});
-  const int kSweep[][2] = {{0, 0}, {16, 32}, {64, 64}, {256, 128},
-                           {1024, 256}};
-  for (const auto& [recs, pages] : kSweep) {
-    const auto pt = run_crash(recs, pages, seed, summary);
-    ct.add_row({std::to_string(pt.journal_records),
-                std::to_string(pt.cached_pages),
-                std::to_string(pt.rep.fs.journal.scanned),
-                std::to_string(pt.rep.fs.journal.rolled_back),
+  sim::Table ct({"cached-pages", "fsck-repairs", "reflushed", "aborted-cids",
+                 "recover(us)", "fsck(us)"});
+  for (const int pages : {0, 32, 64, 128, 256}) {
+    const auto pt = run_crash(pages, seed, summary);
+    ct.add_row({std::to_string(pt.cached_pages),
+                std::to_string(pt.rep.fs.fsck.repairs),
                 std::to_string(pt.rep.reflushed_pages),
                 std::to_string(pt.rep.aborted_cids),
                 sim::Table::fmt(pt.rep.cost.us()),
-                sim::Table::fmt(pt.rep.fs.journal.cost.us()),
                 sim::Table::fmt(pt.rep.fs.fsck.cost.us())});
   }
   bench::print_table(ct, args);

@@ -6,8 +6,8 @@
 //   * fsync-heavy — one hot file, a 4 KiB buffered write + fsync per op,
 //     the rotating 8-page working set keeping every fsync one dirty page;
 //   * mail-spool  — create + 4 KiB write + fsync per message, the classic
-//     durability-bound small-file pattern (each create's journal intent
-//     rides the same log on the ON arm).
+//     durability-bound small-file pattern (the create itself is one atomic
+//     KV batch; only the fsync'd page rides the log on the ON arm).
 //
 // A third scenario fills a deliberately tiny log to show the degradation
 // ladder: ring-full appends return typed backpressure, fsync falls back

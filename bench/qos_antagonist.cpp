@@ -48,7 +48,10 @@ constexpr nvme::TenantId kAntagonist = 2;
 constexpr std::uint32_t kIoSize = 8 * 1024;
 constexpr std::uint64_t kFileBytes = 64 * kIoSize;
 constexpr int kVictimOps = 320;
-constexpr int kAntagonistThreads = 12;
+// Enough storm threads that FIFO dispatch (isolation OFF) stages well over
+// 5x the victim's solo p99 ahead of it; a create costs one increment and
+// one KV batch, so the storm needs the threads, not expensive ops.
+constexpr int kAntagonistThreads = 20;
 
 enum class Isolation { kOn, kOff };
 enum class Antagonist { kNone, kMetaStorm, kScrubBitrot };

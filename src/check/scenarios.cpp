@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "core/dpc_system.hpp"
 #include "dpu/qos.hpp"
 #include "fault/injector.hpp"
+#include "kv/kv_store.hpp"
 #include "kvfs/kvfs.hpp"
 #include "nvm/device.hpp"
 #include "nvm/wal.hpp"
@@ -566,6 +568,56 @@ void scenario_dirty_publish(ModelSched& sched) {
       "the dirty bitmap and the DPU's dirty index");
 }
 
+// ---------------------------------------------------------------------------
+// batch_atomic — one KvStore::apply over keys on both shards of a two-shard
+// store races two readers: a scan_prefix (every shard under its shared lock
+// at once) and a get of each key in turn. Each must see the whole batch or
+// none of it; for the gets, once one key reads new, every later one must
+// too. Mutation `batch-per-shard-commit` locks and applies one shard at a
+// time, so a reader between the two shards sees half the batch.
+
+void scenario_batch_atomic(ModelSched& sched) {
+  kv::KvStore store(2);
+  // Eight keys: the hash spreads them over both shards (were they ever all
+  // on one, the mutation sweep would report the checker blind).
+  std::vector<std::string> keys;
+  for (int i = 0; i < 8; ++i) keys.push_back("k" + std::to_string(i));
+  const auto old_v = fill(16, 0xA0);
+  const auto new_v = fill(16, 0xB0);
+  for (const auto& k : keys) store.put(k, old_v);
+  kv::Batch batch;
+  for (const auto& k : keys) batch.put(k, new_v, kv::Batch::Guard::kPresent);
+
+  bool applied = false;
+  int scan_old = 0;
+  int scan_new = 0;
+  bool gets_regressed = false;
+  sched.spawn([&] { applied = store.apply(batch).applied(); });
+  sched.spawn([&] {
+    store.scan_prefix("k", [&](std::string_view, const kv::Bytes& v) {
+      ++(v == new_v ? scan_new : scan_old);
+      return true;
+    });
+  });
+  sched.spawn([&] {
+    bool seen_new = false;
+    for (const auto& k : keys) {
+      const bool is_new = store.get(k) == new_v;
+      gets_regressed = gets_regressed || (seen_new && !is_new);
+      seen_new = seen_new || is_new;
+    }
+  });
+  sched.run();
+
+  sched.require(applied, "batch_atomic: the guarded batch did not apply");
+  sched.require(scan_old == 0 || scan_new == 0,
+                "a scan saw half of an atomic KV batch: the batch was "
+                "applied shard by shard");
+  sched.require(!gets_regressed,
+                "a get read an old value after another get read the batch's "
+                "new one: the batch became visible shard by shard");
+}
+
 }  // namespace
 
 const std::vector<Scenario>& scenarios() {
@@ -604,11 +656,15 @@ const std::vector<Scenario>& scenarios() {
       {"idle_pass_loss",
        "worker-mode loss detection: only two idle TGT passes declare loss",
        "loss-one-idle-pass", /*exhaustive=*/false, /*max_steps=*/200000,
-       /*max_schedules=*/0, /*mutate_seeds=*/16, scenario_idle_pass_loss},
+       /*max_schedules=*/0, /*mutate_seeds=*/32, scenario_idle_pass_loss},
       {"dirty_publish",
        "host dirty mark + bit vs DPU bitmap drain: no dirty page is lost",
        "dirty-publish-order", /*exhaustive=*/false, /*max_steps=*/20000,
        /*max_schedules=*/0, /*mutate_seeds=*/64, scenario_dirty_publish},
+      {"batch_atomic",
+       "KV batch apply vs get/scan readers: all of a batch or none",
+       "batch-per-shard-commit", /*exhaustive=*/false, /*max_steps=*/20000,
+       /*max_schedules=*/0, /*mutate_seeds=*/64, scenario_batch_atomic},
   };
   return kScenarios;
 }

@@ -2,8 +2,9 @@
 // system around a protocol the paper's client depends on (the seqlock'd
 // cache entry, the NVM write-ahead log, the batched SQ/CQ pair, the DRR
 // dispatcher, restart-vs-pump, idle-pass loss detection, the dirty-bitmap
-// publish), runs 2–3 managed threads through it under ModelSched, and
-// asserts the protocol's invariants over every explored interleaving.
+// publish, the multi-shard KV batch), runs 2–3 managed threads through it
+// under ModelSched, and asserts the protocol's invariants over every
+// explored interleaving.
 //
 // Each scenario is paired with exactly one DPC_CHECK_MUTATE site in the
 // product code that deletes/reorders the fence or guard the protocol

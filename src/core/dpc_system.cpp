@@ -282,14 +282,14 @@ DpcSystem::RestartReport DpcSystem::restart_dpu() NO_THREAD_SAFETY_ANALYSIS {
     }
     // ② Lift the crash latch so the recovery passes below can run.
     if (opts_.fault != nullptr) opts_.fault->clear_crash();
-    // ③④ may themselves hit an armed crash point (crash *during* WAL/journal
+    // ③④ may themselves hit an armed crash point (crash *during* WAL
     // replay or during the post-recovery drain). The latch is set again;
     // report the cycle as interrupted and let the caller power-cycle once
     // more — replay is idempotent, so the retry converges.
     try {
-      // ③ Square the keyspace: NVM-log replay (data pages + journal
-      // intents), then the KV-resident intent journal, then fsck repair as
-      // the backstop for anything neither log could see.
+      // ③ Square the keyspace: NVM-log replay of acked-but-undrained
+      // pages, then fsck repair as the backstop for rot. (Every KVFS
+      // mutation is one atomic batch: no torn op is left to roll.)
       rep.fs = kvfs_->recover();
       rep.cost += rep.fs.cost;
       // ④ Rebuild the DPU-side cache control state from the surviving

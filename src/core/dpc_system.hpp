@@ -85,11 +85,11 @@ struct DpcOptions {
   dpu::ScrubberConfig scrub{};
 
   // ---- NVM write-ahead durability tier (§ robustness)
-  /// Stages every fsync'd dirty page (and the KVFS intent records) in a
-  /// byte-addressable on-DPU PMEM log before acking: fsync returns at NVM
-  /// persistence (~µs) instead of the synchronous KV flush (~100 µs), and
-  /// a DPU power-cycle replays the log. Off by default: the pre-WAL
-  /// behavior is bit-identical (no device, no log, no fast path).
+  /// Stages every fsync'd dirty page in a byte-addressable on-DPU PMEM log
+  /// before acking: fsync returns at NVM persistence (~µs) instead of the
+  /// synchronous KV flush (~100 µs), and a DPU power-cycle replays the log.
+  /// Off by default: the pre-WAL behavior is bit-identical (no device, no
+  /// log, no fast path).
   bool enable_nvm_wal = false;
   /// Capacity of the PMEM log ring (default: calibrated 16 MiB).
   std::uint64_t nvm_log_bytes = sim::calib::kNvmLogBytes;
@@ -130,7 +130,7 @@ class DpcSystem {
   struct RestartReport {
     int queues_reset = 0;           ///< nvme-fs queue pairs re-initialized
     std::uint16_t aborted_cids = 0; ///< in-flight commands aborted to host
-    kvfs::Kvfs::RecoveryReport fs;  ///< journal replay + fsck repair
+    kvfs::Kvfs::RecoveryReport fs;  ///< WAL replay + fsck repair
     std::uint32_t rebuilt_pages = 0;  ///< cache pages adopted from host DRAM
     int reflushed_pages = 0;          ///< dirty pages pushed down post-crash
     /// A crash point fired *during* recovery (e.g. mid WAL replay): the
@@ -144,8 +144,8 @@ class DpcSystem {
   /// Models a DPU power-cycle after a fault-injected crash (§ robustness):
   /// quiesces the workers, resets every nvme-fs controller pair (TGT rings
   /// rewound, in-flight host commands aborted so their waiters requeue),
-  /// clears the crash latch, rolls the KVFS keyspace forward (intent-journal
-  /// replay + fsck repair), rebuilds the DPU-side cache control state from
+  /// clears the crash latch, recovers the KVFS keyspace (WAL replay + fsck
+  /// repair), rebuilds the DPU-side cache control state from
   /// the surviving host-DRAM data plane and re-flushes dirty pages, then
   /// restarts the workers if they were running. The fs-adapter's size view
   /// survives deliberately — the host never crashed.

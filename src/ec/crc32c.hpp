@@ -2,7 +2,7 @@
 // computed on the cache flush path ("performs relevant computing operations
 // (e.g., compression, DIF, EC, etc.)", §3.3), the per-block / per-value /
 // per-shard stamps of the SSD, KV and DFS stores, the nvme-fs payload
-// trailer, and the KVFS intent journal's record checksum.
+// trailer, and the NVM write-ahead log's frames.
 //
 // Lives in src/ec/ for historical reasons but builds as its own tiny
 // library (`dpc_crc`) so stores that need a checksum do not have to link

@@ -7,6 +7,7 @@
 
 #include "ec/crc32c.hpp"
 #include "sim/check.hpp"
+#include "sim/schedhook.hpp"
 
 namespace dpc::kv {
 
@@ -21,7 +22,49 @@ std::uint32_t stamp_value_crc(std::string_view key,
       ec::crc32c(std::span<const std::byte>(kp, key.size()));
   return ec::crc32c(value, salt);
 }
+
+/// Flips the bit a bit_rot draw picked, after the stamp: rot at rest.
+void rot_bit(Bytes& data, bool rotted, std::uint64_t rot) {
+  if (!rotted || data.empty()) return;
+  const std::uint64_t bit = rot % (data.size() * 8);
+  data[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+}
 }  // namespace
+
+std::size_t Batch::put(std::string key, std::span<const std::byte> value,
+                       Guard guard) {
+  ops_.push_back({Kind::kPut, guard, std::move(key), 0, value, {}});
+  return ops_.size() - 1;
+}
+
+std::size_t Batch::put(std::string key, Bytes&& value, Guard guard) {
+  owned_.push_back(std::move(value));
+  return put(std::move(key), owned_.back(), guard);
+}
+
+std::size_t Batch::erase(std::string key, Guard guard) {
+  ops_.push_back({Kind::kErase, guard, std::move(key), 0, {}, {}});
+  return ops_.size() - 1;
+}
+
+std::size_t Batch::write_sub(std::string key, std::uint64_t offset,
+                             std::span<const std::byte> src, Guard guard) {
+  ops_.push_back({Kind::kWriteSub, guard, std::move(key), offset, src, {}});
+  return ops_.size() - 1;
+}
+
+void Batch::expect(std::size_t i, Bytes&& expect) {
+  owned_.push_back(std::move(expect));
+  ops_[i].guard = Guard::kEquals;
+  ops_[i].expect = owned_.back();
+}
+
+std::uint64_t Batch::wire_bytes() const {
+  std::uint64_t n = 0;
+  for (const Op& op : ops_)
+    n += op.key.size() + op.value.size() + op.expect.size();
+  return n;
+}
 
 Bytes to_bytes(std::string_view s) {
   const auto* p = reinterpret_cast<const std::byte*>(s.data());
@@ -52,12 +95,15 @@ KvStore::KvStore(int shards) : shards_storage_(pick_shard_count(shards)) {
   shard_mask_ = shards_storage_.size() - 1;
 }
 
-KvStore::Shard& KvStore::shard_for(std::string_view key) const {
+std::size_t KvStore::shard_index(std::string_view key) const {
   const std::size_t h = std::hash<std::string_view>{}(key);
   // Fibonacci remix before masking: std::hash for short strings can be
   // low-entropy in the bottom bits, and the mask only sees those.
-  return const_cast<Shard&>(
-      shards_storage_[(h * 0x9E3779B97F4A7C15ull >> 32) & shard_mask_]);
+  return (h * 0x9E3779B97F4A7C15ull >> 32) & shard_mask_;
+}
+
+KvStore::Shard& KvStore::shard_for(std::string_view key) const {
+  return const_cast<Shard&>(shards_storage_[shard_index(key)]);
 }
 
 void KvStore::put(std::string_view key, std::span<const std::byte> value) {
@@ -69,10 +115,7 @@ void KvStore::put(std::string_view key, std::span<const std::byte> value) {
   Value& v = sh.data[std::string(key)];
   v.data = to_bytes(value);
   v.crc = stamp_value_crc(key, v.data);
-  if (rotted && !v.data.empty()) {
-    const std::uint64_t bit = rot % (v.data.size() * 8);
-    v.data[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
-  }
+  rot_bit(v.data, rotted, rot);
 }
 
 bool KvStore::put_if_absent(std::string_view key,
@@ -173,15 +216,7 @@ bool KvStore::write_sub_if_present(std::string_view key, std::uint64_t offset,
 
 bool KvStore::write_sub_impl(std::string_view key, std::uint64_t offset,
                              std::span<const std::byte> src, bool create) {
-  std::uint64_t tear = 0;
-  std::size_t persisted = src.size();
-  if (fault_ != nullptr && !src.empty() &&
-      fault_->should_fail(kFaultKvTornWrite, &tear)) {
-    persisted = tear % src.size();  // prefix lands, tail is lost
-  }
-  std::uint64_t rot = 0;
-  const bool rotted =
-      fault_ != nullptr && fault_->should_fail(kFaultKvBitRot, &rot);
+  const SubWriteFaults f = draw_sub_write_faults(src.size());
   Shard& sh = shard_for(key);
   sim::LockGuard lock(sh.mu);
   auto it = sh.data.find(key);
@@ -189,22 +224,134 @@ bool KvStore::write_sub_impl(std::string_view key, std::uint64_t offset,
     if (!create) return false;
     it = sh.data.emplace(std::string(key), Value{}).first;
   }
-  Value& v = it->second;
+  sub_write(key, it->second, offset, src, f);
+  return true;
+}
+
+KvStore::SubWriteFaults KvStore::draw_sub_write_faults(std::size_t n) const {
+  SubWriteFaults f;
+  f.persisted = n;
+  std::uint64_t tear = 0;
+  if (fault_ != nullptr && n != 0 &&
+      fault_->should_fail(kFaultKvTornWrite, &tear)) {
+    f.persisted = tear % n;  // prefix lands, tail is lost
+  }
+  f.rotted = fault_ != nullptr && fault_->should_fail(kFaultKvBitRot, &f.rot);
+  return f;
+}
+
+void KvStore::sub_write(std::string_view key, Value& v, std::uint64_t offset,
+                        std::span<const std::byte> src,
+                        const SubWriteFaults& f) {
   if (v.data.size() < offset + src.size()) v.data.resize(offset + src.size());
   // The stamp covers the *intended* value; a torn write persists only a
   // prefix of the payload after the CRC was cut, so verification fails.
   std::memcpy(v.data.data() + offset, src.data(), src.size());
   v.crc = stamp_value_crc(key, v.data);
-  if (persisted < src.size()) {
+  if (f.persisted < src.size()) {
     // The lost tail reads back as zeroed cells, not the intended bytes.
-    std::memset(v.data.data() + offset + persisted, 0,
-                src.size() - persisted);
+    std::memset(v.data.data() + offset + f.persisted, 0,
+                src.size() - f.persisted);
   }
-  if (rotted && !v.data.empty()) {
-    const std::uint64_t bit = rot % (v.data.size() * 8);
-    v.data[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+  rot_bit(v.data, f.rotted, f.rot);
+}
+
+ApplyResult KvStore::apply(const Batch& batch) {
+  using Guard = Batch::Guard;
+  using Kind = Batch::Kind;
+  const auto& ops = batch.ops();
+  // Everything that needs no lock happens first: shard picks, the put
+  // stamps and the per-value fault draws (put: bit_rot; write_sub: torn
+  // then bit_rot, as the single-key ops draw them).
+  struct Prep {
+    std::size_t shard = 0;
+    std::uint32_t crc = 0;
+    SubWriteFaults faults;
+  };
+  std::vector<Prep> prep(ops.size());
+  std::vector<std::size_t> order;
+  order.reserve(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Batch::Op& op = ops[i];
+    Prep& p = prep[i];
+    p.shard = shard_index(op.key);
+    order.push_back(p.shard);
+    if (op.kind == Kind::kPut) {
+      p.crc = stamp_value_crc(op.key, op.value);
+      p.faults.rotted = fault_ != nullptr &&
+                        fault_->should_fail(kFaultKvBitRot, &p.faults.rot);
+    } else if (op.kind == Kind::kWriteSub) {
+      p.faults = draw_sub_write_faults(op.value.size());
+    }
   }
-  return true;
+  std::sort(order.begin(), order.end());
+  order.erase(std::unique(order.begin(), order.end()), order.end());
+
+  // DPC_CHECK_MUTATE batch-per-shard-commit: lock and apply one shard at a
+  // time. A reader between two shards then sees half the batch; dpc_check's
+  // batch_atomic scenario must catch it.
+  if (sim::schedhook::mutate("batch-per-shard-commit")) {
+    for (const std::size_t s : order) {
+      sim::LockGuard lock(shards_storage_[s].mu);
+      for (std::size_t i = 0; i < ops.size(); ++i)
+        if (prep[i].shard == s)
+          apply_op(ops[i], shards_storage_[s].data, prep[i].crc,
+                   prep[i].faults);
+    }
+    return {};
+  }
+
+  // Exclusive locks of every touched shard, released in reverse order.
+  struct Held {
+    std::vector<Shard*> shards;
+    ~Held() NO_THREAD_SAFETY_ANALYSIS {
+      for (auto it = shards.rbegin(); it != shards.rend(); ++it)
+        (*it)->mu.unlock();
+    }
+  } held;
+  held.shards.reserve(order.size());
+  for (const std::size_t s : order) {
+    shards_storage_[s].mu.lock();
+    held.shards.push_back(&shards_storage_[s]);
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Batch::Op& op = ops[i];
+    if (op.guard == Guard::kNone) continue;
+    const auto& data = shards_storage_[prep[i].shard].data;
+    const auto it = data.find(op.key);
+    const bool ok =
+        op.guard == Guard::kAbsent
+            ? it == data.end()
+            : it != data.end() &&
+                  (op.guard == Guard::kPresent ||
+                   std::equal(it->second.data.begin(), it->second.data.end(),
+                              op.expect.begin(), op.expect.end()));
+    if (!ok) return {i};
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i)
+    apply_op(ops[i], shards_storage_[prep[i].shard].data, prep[i].crc,
+             prep[i].faults);
+  return {};
+}
+
+void KvStore::apply_op(const Batch::Op& op,
+                       std::map<std::string, Value, std::less<>>& data,
+                       std::uint32_t crc, const SubWriteFaults& f) {
+  switch (op.kind) {
+    case Batch::Kind::kPut: {
+      Value& v = data[op.key];
+      v.data.assign(op.value.begin(), op.value.end());
+      v.crc = crc;
+      rot_bit(v.data, f.rotted, f.rot);
+      break;
+    }
+    case Batch::Kind::kErase:
+      data.erase(op.key);
+      break;
+    case Batch::Kind::kWriteSub:
+      sub_write(op.key, data[op.key], op.offset, op.value, f);
+      break;
+  }
 }
 
 ValueCheck KvStore::verify_value(std::string_view key) const {

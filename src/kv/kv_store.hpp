@@ -8,7 +8,9 @@
 //   * prefix scans (inode-KV directory listing uses the p_ino key prefix),
 //   * sub-object reads/writes (the 8 KB-granularity in-place updates the
 //     big-file KV needs),
-//   * compare-and-put (used by KVFS for atomic inode allocation).
+//   * compare-and-put (used by KVFS for atomic inode allocation),
+//   * apply(Batch): puts, erases and sub-writes across shards, each with an
+//     optional guard, applied all-or-nothing (one batch per KVFS mutation).
 // Every value carries a key-salted CRC32C stamped on mutation; checked
 // reads and the scrubber verify it so bit-rot and torn sub-writes surface
 // as typed corruption. Thread-safe; shards are hash-partitioned like a
@@ -41,6 +43,65 @@ inline constexpr std::string_view kFaultKvTornWrite = "kv.store/torn_write";
 
 /// Verification outcome of a checked value access.
 enum class ValueCheck : std::uint8_t { kOk, kAbsent, kCorrupt };
+
+/// A multi-key mutation for KvStore::apply: ops run in order, and each may
+/// carry a guard checked against the store *before* any op applies. The
+/// batch owns its keys but holds values as spans: the caller keeps them
+/// alive (or hands them over with the Bytes&& overloads) until apply
+/// returns, and the bytes are copied once, into the store.
+class Batch {
+ public:
+  enum class Kind : std::uint8_t { kPut, kErase, kWriteSub };
+  enum class Guard : std::uint8_t {
+    kNone,
+    kAbsent,   ///< the key must not exist
+    kPresent,  ///< the key must exist
+    kEquals,   ///< the key must exist and hold exactly `expect`
+  };
+  struct Op {
+    Kind kind = Kind::kPut;
+    Guard guard = Guard::kNone;
+    std::string key;
+    std::uint64_t offset = 0;  ///< kWriteSub only
+    std::span<const std::byte> value;
+    std::span<const std::byte> expect;  ///< kEquals only
+  };
+
+  /// Each adder returns the op's index (what ApplyResult names on a failed
+  /// guard).
+  std::size_t put(std::string key, std::span<const std::byte> value,
+                  Guard guard = Guard::kNone);
+  std::size_t put(std::string key, Bytes&& value, Guard guard = Guard::kNone);
+  std::size_t erase(std::string key, Guard guard = Guard::kNone);
+  /// In-place sub-range write; creates the key (zero-filled below `offset`)
+  /// unless a guard requires it present.
+  std::size_t write_sub(std::string key, std::uint64_t offset,
+                        std::span<const std::byte> src,
+                        Guard guard = Guard::kNone);
+  /// A temporary would dangle: the batch only holds a span of `src`.
+  std::size_t write_sub(std::string key, std::uint64_t offset, Bytes&& src,
+                        Guard guard = Guard::kNone) = delete;
+  /// Makes op `i` a kEquals guard on `expect` (moved into the batch).
+  void expect(std::size_t i, Bytes&& expect);
+
+  const std::vector<Op>& ops() const { return ops_; }
+  /// Serialized size on the wire: every key, value and guard operand.
+  std::uint64_t wire_bytes() const;
+
+ private:
+  std::vector<Op> ops_;
+  /// Values handed over by move; a moved vector keeps its heap buffer, so
+  /// spans into it stay valid as this grows.
+  std::vector<Bytes> owned_;
+};
+
+/// Outcome of KvStore::apply: everything applied, or nothing and the index
+/// of the first op whose guard failed.
+struct ApplyResult {
+  static constexpr std::size_t kApplied = static_cast<std::size_t>(-1);
+  std::size_t failed_guard = kApplied;
+  bool applied() const { return failed_guard == kApplied; }
+};
 
 class KvStore {
  public:
@@ -101,6 +162,14 @@ class KvStore {
   /// Snapshot of every stored key, unordered — the scrubber's walk list.
   std::vector<std::string> keys() const;
 
+  /// Applies `batch` atomically: takes the exclusive lock of every touched
+  /// shard in shard-index order (the order scan_prefix takes them), checks
+  /// every guard, then applies all ops or none. A reader — get() or
+  /// scan_prefix() — sees the whole batch or none of it. (Locks taken in a
+  /// loop are beyond the static analysis; the lock-rank detector still
+  /// checks every acquisition.)
+  ApplyResult apply(const Batch& batch) NO_THREAD_SAFETY_ANALYSIS;
+
   /// Returns the value size, or nullopt.
   std::optional<std::uint64_t> value_size(std::string_view key) const;
 
@@ -131,9 +200,25 @@ class KvStore {
                                          sim::LockRank::kStore};
     std::map<std::string, Value, std::less<>> data GUARDED_BY(mu);
   };
+  /// Fault draws of one value mutation, taken before any lock.
+  struct SubWriteFaults {
+    std::size_t persisted = 0;  ///< bytes of the payload that land
+    bool rotted = false;
+    std::uint64_t rot = 0;
+  };
+  std::size_t shard_index(std::string_view key) const;
   Shard& shard_for(std::string_view key) const;
   bool write_sub_impl(std::string_view key, std::uint64_t offset,
                       std::span<const std::byte> src, bool create);
+  SubWriteFaults draw_sub_write_faults(std::size_t n) const;
+  /// The write_sub mutation of one stored value (caller holds its shard).
+  static void sub_write(std::string_view key, Value& v, std::uint64_t offset,
+                        std::span<const std::byte> src,
+                        const SubWriteFaults& f);
+  /// One batch op against its shard's map (caller holds the shard).
+  static void apply_op(const Batch::Op& op,
+                       std::map<std::string, Value, std::less<>>& data,
+                       std::uint32_t crc, const SubWriteFaults& f);
 
   std::vector<Shard> shards_storage_;
   std::size_t shard_mask_ = 0;  ///< shards_storage_.size() - 1 (pow2 count)

@@ -25,6 +25,13 @@ sim::Nanos RemoteKv::op_cost(bool is_read, std::uint64_t payload) {
   return kNetHop * 2 + kKvServerOp + transfer;
 }
 
+sim::Nanos RemoteKv::batch_cost(const Batch& batch) {
+  using namespace sim::calib;
+  const std::int64_t rounds = batch.ops().size() > 1 ? 2 : 1;
+  return (kNetHop * 2 + kKvServerOp) * rounds +
+         kv_write_transfer(batch.wire_bytes());
+}
+
 RemoteErr RemoteKv::begin_op(bool is_read, sim::Nanos& cost) const {
   if (fault_ == nullptr) return RemoteErr::kOk;  // failure path disabled
   // Quarantine gate: a backend the health board has sidelined fast-fails
@@ -120,25 +127,6 @@ Timed<bool> RemoteKv::put(std::string_view key,
   return out;
 }
 
-Timed<bool> RemoteKv::put_if_absent(std::string_view key,
-                                    std::span<const std::byte> value) {
-  Timed<bool> out{false};
-  out.err = begin_op(false, out.cost);
-  if (!out.ok()) return out;
-  out.value = store_->put_if_absent(key, value);
-  out.cost += op_cost(false, value.size());
-  return out;
-}
-
-Timed<bool> RemoteKv::erase(std::string_view key) {
-  Timed<bool> out{false};
-  out.err = begin_op(false, out.cost);
-  if (!out.ok()) return out;
-  out.value = store_->erase(key);
-  out.cost += op_cost(false, 0);
-  return out;
-}
-
 Timed<std::optional<std::size_t>> RemoteKv::read_sub(
     std::string_view key, std::uint64_t offset,
     std::span<std::byte> dst) const {
@@ -184,6 +172,15 @@ Timed<std::uint64_t> RemoteKv::increment(std::string_view key,
   if (!out.ok()) return out;
   out.value = store_->increment(key, delta);
   out.cost += op_cost(false, 8);
+  return out;
+}
+
+Timed<ApplyResult> RemoteKv::apply(const Batch& batch) {
+  Timed<ApplyResult> out{};
+  out.err = begin_op(false, out.cost);
+  if (!out.ok()) return out;
+  out.value = store_->apply(batch);
+  out.cost += batch_cost(batch);
   return out;
 }
 

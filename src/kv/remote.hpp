@@ -71,9 +71,6 @@ class RemoteKv {
 
   Timed<std::optional<Bytes>> get(std::string_view key) const;
   Timed<bool> put(std::string_view key, std::span<const std::byte> value);
-  Timed<bool> put_if_absent(std::string_view key,
-                            std::span<const std::byte> value);
-  Timed<bool> erase(std::string_view key);
   Timed<std::optional<std::size_t>> read_sub(std::string_view key,
                                              std::uint64_t offset,
                                              std::span<std::byte> dst) const;
@@ -88,6 +85,12 @@ class RemoteKv {
   Timed<std::size_t> scan_prefix(
       std::string_view prefix,
       const std::function<bool(std::string_view, const Bytes&)>& fn) const;
+  /// KvStore::apply as one remote op: one injectable attempt sequence, so a
+  /// failure means nothing was applied. Costs one round trip for a one-op
+  /// batch and two (prepare + commit) for more, plus the serialized wire
+  /// bytes — never a function of how the keys land on shards, whose count
+  /// follows the host's core count.
+  Timed<ApplyResult> apply(const Batch& batch);
 
   KvStore& store() { return *store_; }
   const KvStore& store() const { return *store_; }
@@ -98,6 +101,8 @@ class RemoteKv {
   /// Round-trip cost of a KV op moving `payload` bytes in the given
   /// direction (read = server→client).
   static sim::Nanos op_cost(bool is_read, std::uint64_t payload);
+  /// Modelled cost of apply(batch) on a healthy backend.
+  static sim::Nanos batch_cost(const Batch& batch);
 
  private:
   /// Runs the injectable pre-flight of one op: breaker gate + failed

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -17,6 +16,8 @@
 namespace dpc::kvfs {
 
 namespace {
+using Guard = kv::Batch::Guard;
+
 bool valid_name(std::string_view name) {
   return !name.empty() && name.size() <= kMaxNameLen &&
          name.find('/') == std::string_view::npos && name != "." &&
@@ -39,17 +40,8 @@ Kvfs::Kvfs(kv::RemoteKv& store, const KvfsOptions& opts,
                                           : nullptr),
       registry_(registry != nullptr ? registry : owned_registry_.get()),
       stats_(*registry_),
-      journal_(store, *registry_, opts_.fault),
-      // Mount-time replay: roll any interrupted mutation (ours from a prior
-      // incarnation, or a crashed peer's) forward or backward before
-      // serving. The NVM log is node-local and freshly constructed at
-      // mount, so only the KV-resident records (degraded-mode appends,
-      // crashed peers) exist here; recover() handles the WAL after a DPU
-      // restart.
-      mount_replay_(IntentJournal::replay(store.store(), registry_)),
       cache_shards_(cache_shard_count()),
       cache_shard_mask_(cache_shards_.size() - 1) {
-  if (opts_.wal != nullptr) journal_.attach_wal(opts_.wal);
   // Install the root directory's attribute if this is a fresh store.
   sim::Nanos cost{};
   if (!load_attr(kRootIno, cost)) {
@@ -70,12 +62,11 @@ Kvfs::RecoveryReport Kvfs::recover() {
   // post-recovery read refetches truth.
   drop_caches();
   if (opts_.wal != nullptr) rep.wal = replay_wal();
-  // Journal replay and fsck rewrite attrs and extent pages straight in the
-  // raw store, behind the caches the WAL replay's writes refilled.
-  rep.journal = IntentJournal::replay(store_->store(), registry_, opts_.fault);
+  // fsck rewrites attrs and extent pages straight in the raw store, behind
+  // the caches the WAL replay's writes refilled.
   rep.fsck = fsck_repair(store_->store(), registry_);
   drop_caches();
-  rep.cost = rep.wal.cost + rep.journal.cost + rep.fsck.cost;
+  rep.cost = rep.wal.cost + rep.fsck.cost;
   return rep;
 }
 
@@ -90,8 +81,7 @@ Kvfs::WalReplayReport Kvfs::replay_wal() {
 
   // Pass 1: collect the markers. They sit later in the log than the
   // records they supersede (same mutex orders both), so one sweep finds
-  // every committed intent, the newest drain per page, and every shrink.
-  std::set<std::uint64_t> committed;
+  // the newest drain per page and every shrink.
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> drained;
   struct Shrink {
     std::uint64_t seq, ino, size;
@@ -99,9 +89,6 @@ Kvfs::WalReplayReport Kvfs::replay_wal() {
   std::vector<Shrink> shrinks;
   for (const auto& r : rec.records) {
     switch (r.kind) {
-      case nvm::RecordKind::kIntentCommit:
-        committed.insert(r.a);
-        break;
       case nvm::RecordKind::kDrained: {
         auto& newest = drained[{r.a, r.b}];
         newest = std::max(newest, r.seq);
@@ -115,8 +102,8 @@ Kvfs::WalReplayReport Kvfs::replay_wal() {
     }
   }
 
-  // Pass 2: apply in seq order through the regular (journaled, idempotent)
-  // KVFS paths. The crash point lets the chaos sweep kill the DPU with the
+  // Pass 2: apply in seq order through the regular (atomic, idempotent)
+  // KVFS write path. The crash point lets the chaos sweep kill the DPU with the
   // log half-applied; the second replay converges on the same end state.
   for (const auto& r : rec.records) {
     fault::crash_point(opts_.fault, nvm::kCrashWalMidReplay);
@@ -164,26 +151,6 @@ Kvfs::WalReplayReport Kvfs::replay_wal() {
         } else {
           ++rep.skipped;
         }
-        break;
-      }
-      case nvm::RecordKind::kIntent: {
-        if (committed.count(r.a) != 0) {
-          ++rep.skipped;  // the op finished; nothing to roll
-          break;
-        }
-        const kv::Bytes payload(r.data.begin(), r.data.end());
-        const auto decoded = decode_journal_record(payload);
-        if (!decoded) {
-          ++rep.corrupt;
-          break;
-        }
-        sim::Nanos c{};
-        (void)replay_intent_record(store_->store(), *decoded, c);
-        rep.cost += c;
-        // The record rewrote the raw store; later data records must not
-        // see attrs or pages cached before it.
-        drop_caches();
-        ++rep.applied;
         break;
       }
       default:
@@ -268,7 +235,7 @@ std::uint64_t Kvfs::alloc_block(sim::Nanos& cost) {
   return r.ok() ? r.value : 0;
 }
 
-std::optional<Attr> Kvfs::load_attr(Ino ino, sim::Nanos& cost) {
+std::optional<Attr> Kvfs::load_attr(Ino ino, sim::Nanos& cost, int* err) {
   if (auto a = cached_attr(ino)) {
     stats_.attr_hits.fetch_add(1, std::memory_order_relaxed);
     return a;
@@ -276,7 +243,10 @@ std::optional<Attr> Kvfs::load_attr(Ino ino, sim::Nanos& cost) {
   stats_.attr_misses.fetch_add(1, std::memory_order_relaxed);
   auto r = store_->get(attr_key(ino));
   cost += r.cost;
-  if (!r.value) return std::nullopt;
+  if (!r.value) {
+    if (err != nullptr) *err = r.ok() ? ENOENT : EIO;
+    return std::nullopt;
+  }
   Attr a = decode_attr(*r.value);
   cache_attr(a);
   return a;
@@ -296,7 +266,7 @@ void Kvfs::store_attr(const Attr& a, sim::Nanos& cost) {
 }
 
 std::optional<Ino> Kvfs::load_dentry(Ino parent, std::string_view name,
-                                     sim::Nanos& cost) {
+                                     sim::Nanos& cost, int* err) {
   if (auto ino = cached_dentry(parent, name)) {
     stats_.dentry_hits.fetch_add(1, std::memory_order_relaxed);
     return ino;
@@ -304,10 +274,26 @@ std::optional<Ino> Kvfs::load_dentry(Ino parent, std::string_view name,
   stats_.dentry_misses.fetch_add(1, std::memory_order_relaxed);
   auto r = store_->get(inode_key(parent, name));
   cost += r.cost;
-  if (!r.value) return std::nullopt;
+  if (!r.value) {
+    if (err != nullptr) *err = r.ok() ? ENOENT : EIO;
+    return std::nullopt;
+  }
   const Ino ino = decode_ino(*r.value);
   cache_dentry(parent, name, ino);
   return ino;
+}
+
+kv::Timed<kv::ApplyResult> Kvfs::commit(std::string_view op,
+                                        const kv::Batch& batch,
+                                        sim::Nanos& cost) {
+  // The site names are only built when crash points can fire.
+  if (opts_.fault != nullptr)
+    fault::crash_point(opts_.fault, std::string(op) + "/crash_before_commit");
+  auto r = store_->apply(batch);
+  cost += r.cost;
+  if (opts_.fault != nullptr && r.ok() && r.value.applied())
+    fault::crash_point(opts_.fault, std::string(op) + "/crash_after_commit");
+  return r;
 }
 
 // ------------------------------------------------------------------ caches
@@ -420,53 +406,17 @@ Result<Ino> Kvfs::make_node(Ino parent, std::string_view name, FileType type,
     return res;
   }
   sim::LockGuard lock(inode_lock(parent));
-  const auto pattr = load_attr(parent, res.cost);
-  if (!pattr) {
-    res.err = ENOENT;
-    return res;
-  }
+  const auto pattr = load_attr(parent, res.cost, &res.err);
+  if (!pattr) return res;
   if (pattr->type != FileType::kDirectory) {
     res.err = ENOTDIR;
     return res;
   }
-
   const Ino ino = alloc_ino(res.cost);
   if (ino == 0) {
     res.err = EIO;
     return res;
   }
-
-  // Write-ahead intent: if the record can't be made durable, abort before
-  // anything mutates.
-  JournalRecord rec;
-  rec.op = JournalOp::kCreate;
-  rec.type = type;
-  rec.ino = ino;
-  rec.parent = parent;
-  rec.name = name;
-  rec.name2 = symlink_target;
-  const std::uint64_t rec_id = journal_.begin(rec, res.cost);
-  if (rec_id == 0) {
-    res.err = EIO;
-    return res;
-  }
-  const auto commit = [&] { journal_.commit(rec_id, res.cost); };
-
-  // put_if_absent on the inode KV is the existence check and the insert in
-  // one atomic step.
-  auto put = store_->put_if_absent(inode_key(parent, name), encode_ino(ino));
-  res.cost += put.cost;
-  if (!put.ok()) {
-    commit();       // nothing mutated
-    res.err = EIO;  // transient KV failure, not a name collision
-    return res;
-  }
-  if (!put.value) {
-    commit();  // lost the name race; the winner's state is untouched
-    res.err = EEXIST;
-    return res;
-  }
-  fault::crash_point(opts_.fault, "kvfs.create/crash_after_dentry");
 
   Attr a;
   a.ino = ino;
@@ -475,32 +425,36 @@ Result<Ino> Kvfs::make_node(Ino parent, std::string_view name, FileType type,
   a.nlink = type == FileType::kDirectory ? 2 : 1;
   a.size = symlink_target.size();  // 0 except for symlinks
   a.ctime = a.mtime = a.atime = now();
-  store_attr(a, res.cost);
-  fault::crash_point(opts_.fault, "kvfs.create/crash_after_attr");
-  cache_dentry(parent, name, ino);
-
-  if (type == FileType::kSymlink) {
-    // The target rides in the small-file KV, inside the journaled atom
-    // (replay re-materializes it from the record's name2).
-    const auto* tp = reinterpret_cast<const std::byte*>(symlink_target.data());
-    auto tput = store_->put(
-        small_key(ino), std::span<const std::byte>(tp, symlink_target.size()));
-    res.cost += tput.cost;
-    if (!tput.ok()) {
-      // Leave the record open: the node dangles now (readlink EIO) but the
-      // next replay completes it.
-      res.err = EIO;
-      return res;
-    }
-    fault::crash_point(opts_.fault, "kvfs.symlink/crash_after_data");
-  }
-
   Attr p = *pattr;
   p.mtime = now();
   if (type == FileType::kDirectory) ++p.nlink;
-  store_attr(p, res.cost);
-  commit();
 
+  // One batch: the name (absent guard: the existence check and the insert
+  // in one step), the attr, a symlink's target, and the parent attr.
+  kv::Batch b;
+  const std::size_t dentry =
+      b.put(inode_key(parent, name), encode_ino(ino), Guard::kAbsent);
+  b.put(attr_key(ino), encode_attr(a));
+  if (type == FileType::kSymlink)
+    b.put(small_key(ino), std::as_bytes(std::span(symlink_target)));
+  b.put(attr_key(parent), encode_attr(p), Guard::kPresent);
+  const auto r = commit(type == FileType::kDirectory ? "kvfs.mkdir"
+                        : type == FileType::kSymlink ? "kvfs.symlink"
+                                                     : "kvfs.create",
+                        b, res.cost);
+  if (!r.ok()) {
+    res.err = EIO;  // transient KV failure, not a name collision
+    return res;
+  }
+  if (!r.value.applied()) {
+    // Lost the name race, or the parent went away under a stale cache.
+    if (r.value.failed_guard != dentry) uncache_attr(parent);
+    res.err = r.value.failed_guard == dentry ? EEXIST : ENOENT;
+    return res;
+  }
+  cache_dentry(parent, name, ino);
+  cache_attr(a);
+  cache_attr(p);
   res.value = ino;
   return res;
 }
@@ -595,7 +549,7 @@ Result<Ino> Kvfs::resolve(std::string_view path) {
   return res;
 }
 
-bool Kvfs::dir_empty(Ino dir, sim::Nanos& cost) {
+std::optional<bool> Kvfs::dir_empty(Ino dir, sim::Nanos& cost) {
   bool empty = true;
   auto scan = store_->scan_prefix(
       inode_key_prefix(dir), [&](std::string_view, const kv::Bytes&) {
@@ -603,36 +557,26 @@ bool Kvfs::dir_empty(Ino dir, sim::Nanos& cost) {
         return false;  // stop at the first entry
       });
   cost += scan.cost;
-  // If the scan failed we can't prove emptiness — answer "not empty" so
-  // rmdir/rename fail safe (ENOTEMPTY) instead of deleting a live tree.
-  if (!scan.ok()) return false;
+  if (!scan.ok()) return std::nullopt;
   return empty;
 }
 
-void Kvfs::purge_data(const Attr& a, sim::Nanos& cost) {
+bool Kvfs::stage_purge(const Attr& a, kv::Batch& b,
+                       std::vector<std::uint32_t>& pages, sim::Nanos& cost) {
   if (!a.big_file) {
-    cost += store_->erase(small_key(a.ino)).cost;
-    return;
+    b.erase(small_key(a.ino));
+    return true;
   }
-  // Snapshot the file's index pages first: scan_prefix holds shard locks
-  // during the visit. A failed scan leaves the pages for fsck to reap as
-  // orphan data once the attribute is gone.
-  std::vector<std::string> pages;
-  std::vector<std::uint64_t> blocks;
   auto scan = store_->scan_prefix(
       extent_page_prefix(a.ino), [&](std::string_view key, const kv::Bytes& v) {
-        pages.emplace_back(key);
+        pages.push_back(page_of_extent_key(key));
+        b.erase(std::string(key));
         for (const std::uint64_t id : decode_extent_page(v))
-          if (id != 0) blocks.push_back(id);
+          if (id != 0) b.erase(block_key(id));
         return true;
       });
   cost += scan.cost;
-  for (const std::uint64_t id : blocks)
-    cost += store_->erase(block_key(id)).cost;
-  for (const std::string& key : pages) {
-    cost += store_->erase(key).cost;
-    uncache_page(a.ino, page_of_extent_key(key));
-  }
+  return scan.ok();
 }
 
 bool Kvfs::load_page(Ino ino, std::uint32_t page, ExtentPage& out,
@@ -666,19 +610,6 @@ std::optional<std::uint64_t> Kvfs::load_extent(Ino ino, std::uint64_t logical,
   return page[slot_of_block(logical)];
 }
 
-bool Kvfs::store_page(Ino ino, std::uint32_t page, const ExtentPage& ids,
-                      sim::Nanos& cost) {
-  auto put = store_->put(extent_page_key(ino, page), encode_extent_page(ids));
-  cost += put.cost;
-  if (!put.ok()) {
-    // As store_attr: never cache a version the backend does not hold.
-    uncache_page(ino, page);
-    return false;
-  }
-  cache_page(ino, page, ids);
-  return true;
-}
-
 Result<Unit> Kvfs::remove_node(Ino parent, std::string_view name, bool dir) {
   Result<Unit> res;
   if (!valid_name(name)) {
@@ -686,11 +617,8 @@ Result<Unit> Kvfs::remove_node(Ino parent, std::string_view name, bool dir) {
     return res;
   }
   sim::LockGuard lock(inode_lock(parent));
-  const auto ino = load_dentry(parent, name, res.cost);
-  if (!ino) {
-    res.err = ENOENT;
-    return res;
-  }
+  const auto ino = load_dentry(parent, name, res.cost, &res.err);
+  if (!ino) return res;
   // Note: *ino's stripe may equal parent's; use a plain check, data ops on
   // the victim are excluded by the namespace entry being gone first.
   const auto attr = load_attr(*ino, res.cost);
@@ -703,71 +631,71 @@ Result<Unit> Kvfs::remove_node(Ino parent, std::string_view name, bool dir) {
       res.err = ENOTDIR;
       return res;
     }
-    if (!dir_empty(*ino, res.cost)) {
-      res.err = ENOTEMPTY;
+    const auto empty = dir_empty(*ino, res.cost);
+    if (!empty || !*empty) {
+      // A failed scan cannot prove emptiness: fail safe.
+      res.err = empty ? ENOTEMPTY : EIO;
       return res;
     }
   } else if (attr->type == FileType::kDirectory) {
     res.err = EISDIR;
     return res;
   }
+  const auto pattr = load_attr(parent, res.cost, &res.err);
+  if (!pattr) return res;
 
-  // Write-ahead intent: nlink_before and big_file let replay finish a
-  // half-done removal (decrement exactly once, or purge the right flavor).
-  JournalRecord rec;
-  rec.op = JournalOp::kRemove;
-  rec.type = attr->type;
-  rec.ino = *ino;
-  rec.parent = parent;
-  rec.name = name;
-  rec.nlink_before = attr->nlink;
-  rec.big_file = static_cast<std::uint8_t>(attr->big_file != 0);
-  const std::uint64_t rec_id = journal_.begin(rec, res.cost);
-  if (rec_id == 0) {
+  // One batch: the name (guard: it still names this inode), then either one
+  // link dropped or the attr and every data KV gone, and the parent attr.
+  kv::Batch b;
+  const std::size_t dentry = b.erase(inode_key(parent, name));
+  b.expect(dentry, encode_ino(*ino));
+  const bool last = attr->type == FileType::kDirectory || attr->nlink <= 1;
+  Attr a = *attr;
+  std::vector<std::uint32_t> purged_pages;
+  if (!last) {
+    --a.nlink;
+    a.ctime = now();
+    b.put(attr_key(a.ino), encode_attr(a));
+  } else {
+    if (attr->type != FileType::kDirectory &&
+        !stage_purge(*attr, b, purged_pages, res.cost)) {
+      res.err = EIO;
+      return res;
+    }
+    b.erase(attr_key(a.ino));
+  }
+  Attr p = *pattr;
+  p.mtime = now();
+  if (dir && p.nlink > 2) --p.nlink;
+  b.put(attr_key(parent), encode_attr(p), Guard::kPresent);
+  const auto r = commit(dir ? "kvfs.rmdir" : "kvfs.unlink", b, res.cost);
+  if (!r.ok()) {
     res.err = EIO;
     return res;
   }
-
-  // Remove the namespace entry first so concurrent lookups fail fast. If
-  // the erase itself fails, abort before touching the attr/data: deleting
-  // those while the dentry survives would leave a dangling name.
-  auto del = store_->erase(inode_key(parent, name));
-  res.cost += del.cost;
-  if (!del.ok()) {
-    journal_.commit(rec_id, res.cost);
-    res.err = EIO;
+  if (!r.value.applied()) {
+    // Another mount removed or replaced the name (or the parent) first.
+    uncache_dentry(parent, name);
+    uncache_attr(parent);
+    res.err = ENOENT;
     return res;
   }
   uncache_dentry(parent, name);
-  fault::crash_point(opts_.fault, "kvfs.remove/crash_after_dentry");
-  if (attr->type != FileType::kDirectory && attr->nlink > 1) {
-    // Other hard links remain: drop one reference, keep the data.
-    Attr a = *attr;
-    --a.nlink;
-    a.ctime = now();
-    store_attr(a, res.cost);
-  } else {
-    if (attr->type != FileType::kDirectory) purge_data(*attr, res.cost);
-    res.cost += store_->erase(attr_key(*ino)).cost;
-    uncache_attr(*ino);
-    if (opts_.wal != nullptr && attr->type == FileType::kRegular) {
-      // Size-zero marker in the durability spine: logged-but-undrained
-      // pages of the purged file stop blocking checkpoint, and replay
-      // skips them instead of probing a dead ino.
-      sim::Nanos c{};
-      (void)opts_.wal->append_truncate(*ino, 0, c);
-      res.cost += c;
-    }
+  cache_attr(p);
+  if (!last) {
+    cache_attr(a);
+    return res;
   }
-  fault::crash_point(opts_.fault, "kvfs.remove/crash_after_attr");
-
-  if (auto pattr = load_attr(parent, res.cost)) {
-    Attr p = *pattr;
-    p.mtime = now();
-    if (dir && p.nlink > 2) --p.nlink;
-    store_attr(p, res.cost);
+  uncache_attr(a.ino);
+  for (const std::uint32_t page : purged_pages) uncache_page(a.ino, page);
+  if (opts_.wal != nullptr && attr->type == FileType::kRegular) {
+    // Size-zero marker in the durability spine: logged-but-undrained
+    // pages of the purged file stop blocking checkpoint, and replay
+    // skips them instead of probing a dead ino.
+    sim::Nanos c{};
+    (void)opts_.wal->append_truncate(a.ino, 0, c);
+    res.cost += c;
   }
-  journal_.commit(rec_id, res.cost);
   return res;
 }
 
@@ -788,19 +716,22 @@ Result<Unit> Kvfs::rename(Ino old_parent, std::string_view old_name,
   }
   DualLock lock(*this, old_parent, new_parent);
 
-  const auto src = load_dentry(old_parent, old_name, res.cost);
-  if (!src) {
-    res.err = ENOENT;
-    return res;
-  }
+  const auto src = load_dentry(old_parent, old_name, res.cost, &res.err);
+  if (!src) return res;
   const auto src_attr = load_attr(*src, res.cost);
   if (!src_attr) {
     res.err = EIO;
     return res;
   }
 
+  int dst_err = 0;
+  const auto dst = load_dentry(new_parent, new_name, res.cost, &dst_err);
+  if (!dst && dst_err != ENOENT) {
+    res.err = dst_err;
+    return res;
+  }
   std::optional<Attr> dst_attr;
-  if (const auto dst = load_dentry(new_parent, new_name, res.cost)) {
+  if (dst) {
     if (*dst == *src) return res;  // rename onto itself: success, no-op
     dst_attr = load_attr(*dst, res.cost);
     if (!dst_attr) {
@@ -813,8 +744,9 @@ Result<Unit> Kvfs::rename(Ino old_parent, std::string_view old_name,
         res.err = EISDIR;
         return res;
       }
-      if (!dir_empty(*dst, res.cost)) {
-        res.err = ENOTEMPTY;
+      const auto empty = dir_empty(*dst, res.cost);
+      if (!empty || !*empty) {
+        res.err = empty ? ENOTEMPTY : EIO;
         return res;
       }
     } else if (src_attr->type == FileType::kDirectory) {
@@ -822,64 +754,71 @@ Result<Unit> Kvfs::rename(Ino old_parent, std::string_view old_name,
       return res;
     }
   }
-
-  // Write-ahead intent. Replay always rolls a rename *forward*: once the
-  // destination purge may have started, completing the move is the only
-  // consistent end state. On a mid-op transient failure below, the record
-  // is deliberately left open so the next recovery finishes the move.
-  JournalRecord rec;
-  rec.op = JournalOp::kRename;
-  rec.type = src_attr->type;
-  rec.ino = *src;
-  rec.parent = old_parent;
-  rec.name = old_name;
-  rec.new_parent = new_parent;
-  rec.name2 = new_name;
-  if (dst_attr) {
-    rec.replaced_ino = dst_attr->ino;
-    rec.replaced_big = static_cast<std::uint8_t>(dst_attr->big_file != 0);
+  // Moving a directory between parents shifts its ".." back-link; a
+  // replaced directory takes its own with it.
+  const bool moves_dir =
+      src_attr->type == FileType::kDirectory && old_parent != new_parent;
+  const bool replaces_dir =
+      dst_attr && dst_attr->type == FileType::kDirectory;
+  std::optional<Attr> op;
+  std::optional<Attr> np;
+  if (moves_dir) {
+    op = load_attr(old_parent, res.cost, &res.err);
+    if (!op) return res;
+    if (op->nlink > 2) --op->nlink;
+    op->mtime = now();
   }
-  const std::uint64_t rec_id = journal_.begin(rec, res.cost);
-  if (rec_id == 0) {
+  if (moves_dir || replaces_dir) {
+    np = load_attr(new_parent, res.cost, &res.err);
+    if (!np) return res;
+    if (moves_dir) ++np->nlink;
+    if (replaces_dir && np->nlink > 2) --np->nlink;
+    np->mtime = now();
+  }
+
+  // One batch: both names (guarded: the source still names this inode, the
+  // destination is still absent or still the inode being replaced), the
+  // replaced file's purge, and the parent attrs.
+  kv::Batch b;
+  const std::size_t from = b.erase(inode_key(old_parent, old_name));
+  b.expect(from, encode_ino(*src));
+  const std::size_t to = b.put(inode_key(new_parent, new_name),
+                               encode_ino(*src), Guard::kAbsent);
+  if (dst) b.expect(to, encode_ino(*dst));
+  std::vector<std::uint32_t> purged_pages;
+  if (dst_attr) {
+    if (dst_attr->type != FileType::kDirectory &&
+        !stage_purge(*dst_attr, b, purged_pages, res.cost)) {
+      res.err = EIO;
+      return res;
+    }
+    b.erase(attr_key(dst_attr->ino));
+  }
+  if (op) b.put(attr_key(old_parent), encode_attr(*op), Guard::kPresent);
+  if (np) b.put(attr_key(new_parent), encode_attr(*np), Guard::kPresent);
+  const auto r = commit("kvfs.rename", b, res.cost);
+  if (!r.ok()) {
     res.err = EIO;
     return res;
   }
-
-  if (dst_attr) {
-    if (dst_attr->type != FileType::kDirectory)
-      purge_data(*dst_attr, res.cost);
-    res.cost += store_->erase(attr_key(dst_attr->ino)).cost;
-    uncache_attr(dst_attr->ino);
-    fault::crash_point(opts_.fault, "kvfs.rename/crash_after_purge");
-  }
-
-  auto ins = store_->put(inode_key(new_parent, new_name), encode_ino(*src));
-  res.cost += ins.cost;
-  if (!ins.ok()) {
-    res.err = EIO;  // record stays open: recovery completes the move
+  if (!r.value.applied()) {
+    // Another mount moved one of the names first: forget what we cached.
+    uncache_dentry(old_parent, old_name);
+    uncache_dentry(new_parent, new_name);
+    uncache_attr(old_parent);
+    uncache_attr(new_parent);
+    res.err = r.value.failed_guard == from ? ENOENT : ESTALE;
     return res;
   }
-  fault::crash_point(opts_.fault, "kvfs.rename/crash_after_insert");
-  res.cost += store_->erase(inode_key(old_parent, old_name)).cost;
   uncache_dentry(old_parent, old_name);
   cache_dentry(new_parent, new_name, *src);
-
-  // Moving a directory between parents shifts the ".." back-link.
-  if (src_attr->type == FileType::kDirectory && old_parent != new_parent) {
-    if (auto op = load_attr(old_parent, res.cost)) {
-      Attr p = *op;
-      if (p.nlink > 2) --p.nlink;
-      p.mtime = now();
-      store_attr(p, res.cost);
-    }
-    if (auto np = load_attr(new_parent, res.cost)) {
-      Attr p = *np;
-      ++p.nlink;
-      p.mtime = now();
-      store_attr(p, res.cost);
-    }
+  if (dst_attr) {
+    uncache_attr(dst_attr->ino);
+    for (const std::uint32_t page : purged_pages)
+      uncache_page(dst_attr->ino, page);
   }
-  journal_.commit(rec_id, res.cost);
+  if (op) cache_attr(*op);
+  if (np) cache_attr(*np);
   return res;
 }
 
@@ -891,7 +830,7 @@ Result<Ino> Kvfs::symlink(std::string_view target, Ino parent,
     return res;
   }
   // Target storage happens inside make_node so the whole symlink (dentry +
-  // attr + target text) is one journaled atom.
+  // attr + target text) is one batch.
   return make_node(parent, name, FileType::kSymlink, 0777, target);
 }
 
@@ -924,38 +863,46 @@ Result<Unit> Kvfs::link(Ino ino, Ino new_parent, std::string_view name) {
     return res;
   }
   DualLock lock(*this, ino, new_parent);
-  auto attr = load_attr(ino, res.cost);
-  if (!attr) {
-    res.err = ENOENT;
-    return res;
-  }
+  auto attr = load_attr(ino, res.cost, &res.err);
+  if (!attr) return res;
   if (attr->type == FileType::kDirectory) {
     res.err = EPERM;  // no hard links to directories
     return res;
   }
-  const auto pattr = load_attr(new_parent, res.cost);
-  if (!pattr || pattr->type != FileType::kDirectory) {
-    res.err = pattr ? ENOTDIR : ENOENT;
+  const auto pattr = load_attr(new_parent, res.cost, &res.err);
+  if (!pattr) return res;
+  if (pattr->type != FileType::kDirectory) {
+    res.err = ENOTDIR;
     return res;
   }
-  auto put = store_->put_if_absent(inode_key(new_parent, name),
-                                   encode_ino(ino));
-  res.cost += put.cost;
-  if (!put.ok()) {
+  Attr a = *attr;
+  ++a.nlink;
+  a.ctime = now();
+  Attr p = *pattr;
+  p.mtime = now();
+
+  // One batch: the new name (absent guard), the link count, the parent.
+  kv::Batch b;
+  const std::size_t dentry =
+      b.put(inode_key(new_parent, name), encode_ino(ino), Guard::kAbsent);
+  b.put(attr_key(ino), encode_attr(a), Guard::kPresent);
+  b.put(attr_key(new_parent), encode_attr(p), Guard::kPresent);
+  const auto r = commit("kvfs.link", b, res.cost);
+  if (!r.ok()) {
     res.err = EIO;  // transient KV failure, not a name collision
     return res;
   }
-  if (!put.value) {
-    res.err = EEXIST;
+  if (!r.value.applied()) {
+    if (r.value.failed_guard != dentry) {
+      uncache_attr(ino);
+      uncache_attr(new_parent);
+    }
+    res.err = r.value.failed_guard == dentry ? EEXIST : ENOENT;
     return res;
   }
-  ++attr->nlink;
-  attr->ctime = now();
-  store_attr(*attr, res.cost);
   cache_dentry(new_parent, name, ino);
-  Attr p = *pattr;
-  p.mtime = now();
-  store_attr(p, res.cost);
+  cache_attr(a);
+  cache_attr(p);
   return res;
 }
 
@@ -1086,53 +1033,24 @@ Result<std::uint32_t> Kvfs::read_impl(Ino ino, std::uint64_t offset,
   return res;
 }
 
-bool Kvfs::promote_to_big(Attr& a, sim::Nanos& cost,
-                          std::uint64_t& journal_rec) {
+bool Kvfs::stage_promotion(Attr& a, kv::Batch& b, kv::Bytes& small,
+                           ExtentPage& page0, sim::Nanos& cost) {
   // §3.4: "When the file size grows bigger than 8KB, KVFS deletes the small
-  // file KV and creates a big file KV."
-  journal_rec = 0;
-  kv::Bytes small;
+  // file KV and creates a big file KV." The bytes move to a landing block
+  // that page 0 names; page 0 is written even for an empty file, so "big
+  // file <=> page 0 present" always holds.
   auto r = store_->get(small_key(a.ino));
   cost += r.cost;
   if (!r.ok()) return false;  // can't read the bytes we're about to move
   if (r.value) small = std::move(*r.value);
-
-  // Allocate the landing block first (a burned counter value is harmless),
-  // then journal the intent: replay treats the page-0 put as the commit
-  // point — page 0 present rolls forward (erase small, set the flag),
-  // absent rolls back (reclaim the block). Page 0 is written even for an
-  // empty file, so "big file <=> page 0 present" always holds.
-  ExtentPage page0{};
-  std::uint64_t block_id = 0;
+  page0.fill(0);
   if (!small.empty()) {
-    block_id = alloc_block(cost);
-    if (block_id == 0) return false;
-    page0[0] = block_id;
+    page0[0] = alloc_block(cost);
+    if (page0[0] == 0) return false;  // a burned id is harmless
+    b.put(block_key(page0[0]), small);
   }
-  JournalRecord rec;
-  rec.op = JournalOp::kPromote;
-  rec.ino = a.ino;
-  if (block_id != 0) rec.blocks.push_back(block_id);
-  journal_rec = journal_.begin(rec, cost);
-  if (journal_rec == 0) return false;
-  // Failures from here on return with the record still open; the next
-  // recovery rolls the half-promotion back (or forward past the page-0
-  // put). The caller commits `journal_rec` only after storing the attr
-  // with big_file set, so a crash before that still flips the flag.
-
-  if (block_id != 0) {
-    auto blk = store_->put(block_key(block_id), small);
-    cost += blk.cost;
-    if (!blk.ok()) return false;
-    fault::crash_point(opts_.fault, "kvfs.promote/crash_after_block");
-  }
-  if (!store_page(a.ino, 0, page0, cost)) return false;
-  fault::crash_point(opts_.fault, "kvfs.promote/crash_after_object");
-  // A failed erase only leaves the (now shadowed) small KV as garbage; the
-  // extent index is already authoritative, so the promotion stands.
-  cost += store_->erase(small_key(a.ino)).cost;
+  b.erase(small_key(a.ino));
   a.big_file = 1;
-  stats_.promotions.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -1174,17 +1092,13 @@ Kvfs::CachedWrite Kvfs::overwrite_cached(Ino ino, std::uint64_t offset,
   return CachedWrite::kDone;
 }
 
-bool Kvfs::write_allocating(Ino ino, std::uint64_t offset,
-                            std::span<const std::byte> src, sim::Nanos& cost,
-                            std::uint64_t& extent_rec) {
+int Kvfs::write_allocating(const Attr& attr, std::uint64_t offset,
+                           std::span<const std::byte> src, sim::Nanos& cost) {
   // Fetch each index page the range touches from the store (never the
-  // cache: another mount may have filled a hole since), allocate every
-  // block the range is missing, then journal the new (logical, id) pairs
-  // as one intent *before* any data lands. Replay treats the first page put
-  // below as the commit point: a page holding any new id rolls the whole
-  // update forward, otherwise the ids are reclaimed. (Data writes into
-  // pre-existing blocks are in-place and per-8 KB-block atomic — the
-  // documented crash granularity for overwrites.)
+  // cache: another mount may have filled a hole since) and allocate every
+  // block the range is missing. Then one batch carries the new blocks, the
+  // in-place updates of existing ones, the changed pages, a promotion's
+  // small-KV erase and the attr: the write lands whole or not at all.
   const auto n = static_cast<std::uint32_t>(src.size());
   const std::uint64_t first = offset / kBigBlock;
   const std::uint64_t last = (offset + n - 1) / kBigBlock;
@@ -1194,36 +1108,40 @@ bool Kvfs::write_allocating(Ino ino, std::uint64_t offset,
     ExtentPage ids;
   };
   std::vector<TouchedPage> pages(page_of_block(last) - first_page + 1);
-  for (std::uint32_t i = 0; i < pages.size(); ++i) {
-    if (!load_page(ino, first_page + i, pages[i].ids, cost)) return false;
-  }
   const auto page_at = [&](std::uint64_t logical) -> TouchedPage& {
     return pages[page_of_block(logical) - first_page];
   };
-  std::vector<std::uint64_t> new_extents;  // flattened (logical, id) pairs
+  Attr a = attr;
+  a.size = std::max<std::uint64_t>(a.size, offset + n);
+  a.mtime = now();
+  kv::Batch b;
+  kv::Bytes small;  // a promotion's bytes, alive until the batch is sent
+  ExtentPage page0{};
+  const bool promote = !attr.big_file;
+  if (promote) {
+    // A small file has no index: every touched page starts as holes.
+    if (!stage_promotion(a, b, small, page0, cost)) return EIO;
+    for (TouchedPage& pg : pages) pg.ids.fill(0);
+    if (first_page == 0) {
+      pages[0].ids = page0;
+      pages[0].dirty = true;
+    } else {
+      b.put(extent_page_key(a.ino, 0), encode_extent_page(page0));
+    }
+  } else {
+    for (std::uint32_t i = 0; i < pages.size(); ++i)
+      if (!load_page(a.ino, first_page + i, pages[i].ids, cost)) return EIO;
+  }
+  std::vector<bool> fresh(last - first + 1, false);
   for (std::uint64_t logical = first; logical <= last; ++logical) {
     TouchedPage& pg = page_at(logical);
     std::uint64_t& slot = pg.ids[slot_of_block(logical)];
     if (slot != 0) continue;
     slot = alloc_block(cost);
-    if (slot == 0) return false;  // nothing mutated; burned ids are harmless
+    if (slot == 0) return EIO;  // nothing mutated; burned ids are harmless
     pg.dirty = true;
-    new_extents.push_back(logical);
-    new_extents.push_back(slot);
+    fresh[logical - first] = true;
   }
-  if (!new_extents.empty()) {
-    JournalRecord rec;
-    rec.op = JournalOp::kExtent;
-    rec.ino = ino;
-    rec.blocks = new_extents;
-    extent_rec = journal_.begin(rec, cost);
-    if (extent_rec == 0) return false;
-  }
-  const auto is_new = [&](std::uint64_t logical) {
-    for (std::size_t i = 0; i < new_extents.size(); i += 2)
-      if (new_extents[i] == logical) return true;
-    return false;
-  };
 
   std::uint32_t done = 0;
   while (done < n) {
@@ -1233,43 +1151,46 @@ bool Kvfs::write_allocating(Ino ino, std::uint64_t offset,
     const std::uint32_t chunk =
         std::min<std::uint32_t>(n - done, kBigBlock - in_block);
     const std::uint64_t id = page_at(logical).ids[slot_of_block(logical)];
-    if (in_block != 0 && is_new(logical)) {
-      // Materialize the leading hole bytes of the fresh block.
-      const kv::Bytes zeros(in_block, std::byte{0});
-      auto z = store_->write_sub(block_key(id), 0, zeros);
-      cost += z.cost;
-      if (!z.ok()) return false;  // the record stays open; recovery reclaims
-    }
+    const auto data = src.subspan(done, chunk);
     // "updates to large files are written in place to large file KVs at a
-    // granularity of 8K" — write_sub is the in-place primitive.
-    auto w =
-        store_->write_sub(block_key(id), in_block, src.subspan(done, chunk));
-    cost += w.cost;
-    if (!w.ok()) {
-      // Blocks already written stay (in-place overwrite is idempotent);
-      // the caller skips the size/mtime update, so a retry redoes the op.
-      return false;
+    // granularity of 8K" — write_sub is the in-place primitive. A fresh
+    // block is created by its op (zero-filled below `in_block`); an old one
+    // must still exist, or a block another mount truncated away would come
+    // back as an orphan. The landing block was put above.
+    if (fresh[logical - first] && in_block == 0) {
+      b.put(block_key(id), data);
+    } else {
+      const bool old = !fresh[logical - first] && id != page0[0];
+      b.write_sub(block_key(id), in_block, data,
+                  old ? Guard::kPresent : Guard::kNone);
     }
-    stats_.big_inplace_writes.fetch_add(1, std::memory_order_relaxed);
     done += chunk;
   }
-  fault::crash_point(opts_.fault, "kvfs.write/crash_after_blocks");
-  bool committed = false;
   for (std::uint32_t i = 0; i < pages.size(); ++i) {
-    if (!pages[i].dirty) {
-      cache_page(ino, first_page + i, pages[i].ids);  // as fetched
-      continue;
-    }
-    if (committed)
-      fault::crash_point(opts_.fault, "kvfs.write/crash_between_pages");
-    if (!store_page(ino, first_page + i, pages[i].ids, cost)) {
-      // Before the first put the fresh blocks leak until recovery
-      // reclaims them; after it, recovery installs the remaining pairs.
-      return false;
-    }
-    committed = true;
+    if (pages[i].dirty)
+      b.put(extent_page_key(a.ino, first_page + i),
+            encode_extent_page(pages[i].ids));
   }
-  return true;
+  const std::size_t attr_op =
+      b.put(attr_key(a.ino), encode_attr(a), Guard::kPresent);
+  const auto r = commit("kvfs.write", b, cost);
+  if (!r.ok()) return EIO;
+  if (!r.value.applied()) {
+    // The file was removed, or one of its blocks truncated away, by
+    // another mount since the pages were read.
+    uncache_attr(a.ino);
+    return r.value.failed_guard == attr_op ? ENOENT : EIO;
+  }
+  for (std::uint32_t i = 0; i < pages.size(); ++i)
+    cache_page(a.ino, first_page + i, pages[i].ids);
+  if (promote) {
+    if (first_page != 0) cache_page(a.ino, 0, page0);
+    stats_.promotions.fetch_add(1, std::memory_order_relaxed);
+  }
+  stats_.big_inplace_writes.fetch_add((last - first) + 1,
+                                      std::memory_order_relaxed);
+  cache_attr(a);
+  return 0;
 }
 
 Result<std::uint32_t> Kvfs::write(Ino ino, std::uint64_t offset,
@@ -1285,11 +1206,8 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
                                        std::span<const std::byte> src) {
   Result<std::uint32_t> res;
   sim::LockGuard lock(inode_lock(ino));
-  auto attr = load_attr(ino, res.cost);
-  if (!attr) {
-    res.err = ENOENT;
-    return res;
-  }
+  auto attr = load_attr(ino, res.cost, &res.err);
+  if (!attr) return res;
   if (attr->type != FileType::kRegular) {
     res.err = EISDIR;
     return res;
@@ -1300,11 +1218,6 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
   }
   const std::uint64_t new_size = std::max<std::uint64_t>(
       attr->size, offset + src.size());
-
-  // Open intent records for this op (0 = none); committed after the final
-  // attr store so replay can finish whatever tail a crash cuts off.
-  std::uint64_t promote_rec = 0;
-  std::uint64_t extent_rec = 0;
 
   if (!attr->big_file && new_size <= kSmallFileMax) {
     // §3.4: "For small files … when updating the file data, we rewrite the
@@ -1321,82 +1234,89 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
     if (cur.value) buf = std::move(*cur.value);
     if (buf.size() < new_size) buf.resize(new_size, std::byte{0});
     std::memcpy(buf.data() + offset, src.data(), src.size());
-    auto put = store_->put(small_key(ino), buf);
-    res.cost += put.cost;
-    if (!put.ok()) {
-      res.err = EIO;
+    Attr a = *attr;
+    a.size = new_size;
+    a.mtime = now();
+    kv::Batch b;
+    b.put(small_key(ino), buf);
+    b.put(attr_key(ino), encode_attr(a), Guard::kPresent);
+    const auto r = commit("kvfs.write", b, res.cost);
+    if (!r.ok() || !r.value.applied()) {
+      if (r.ok()) uncache_attr(ino);  // removed by another mount
+      res.err = r.ok() ? ENOENT : EIO;
       return res;
     }
     stats_.small_rewrites.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    if (!attr->big_file && !promote_to_big(*attr, res.cost, promote_rec)) {
-      res.err = EIO;  // small KV still authoritative, nothing lost
-      return res;
-    }
+    cache_attr(a);
+    res.value = static_cast<std::uint32_t>(src.size());
+    return res;
+  }
+  if (attr->big_file) {
     // A warm overwrite writes its cached blocks in place; a miss, a hole
     // or a block gone stale takes the allocating path, which re-reads the
     // index from the store.
     const CachedWrite warm = overwrite_cached(ino, offset, src, res.cost);
-    if (warm == CachedWrite::kFailed ||
-        (warm == CachedWrite::kMissed &&
-         !write_allocating(ino, offset, src, res.cost, extent_rec))) {
+    if (warm == CachedWrite::kFailed) {
       res.err = EIO;
       return res;
     }
+    if (warm == CachedWrite::kDone) {
+      attr->size = new_size;
+      attr->mtime = now();
+      store_attr(*attr, res.cost);
+      res.value = static_cast<std::uint32_t>(src.size());
+      return res;
+    }
   }
-
-  attr->size = new_size;
-  attr->mtime = now();
-  store_attr(*attr, res.cost);
-  if (extent_rec != 0) journal_.commit(extent_rec, res.cost);
-  if (promote_rec != 0) journal_.commit(promote_rec, res.cost);
-  res.value = static_cast<std::uint32_t>(src.size());
+  res.err = write_allocating(*attr, offset, src, res.cost);
+  if (res.ok()) res.value = static_cast<std::uint32_t>(src.size());
   return res;
 }
 
 Result<Unit> Kvfs::truncate(Ino ino, std::uint64_t new_size) {
   Result<Unit> res;
   sim::LockGuard lock(inode_lock(ino));
-  auto attr = load_attr(ino, res.cost);
-  if (!attr) {
-    res.err = ENOENT;
-    return res;
-  }
+  const auto attr = load_attr(ino, res.cost, &res.err);
+  if (!attr) return res;
   if (attr->type != FileType::kRegular) {
     res.err = EISDIR;
     return res;
   }
   if (new_size == attr->size) return res;
 
-  // Truncate itself is not journaled (documented limitation — fsck repair
-  // normalizes a torn shrink), but a growth-triggered promotion still is.
-  std::uint64_t promote_rec = 0;
+  // One batch: the dropped blocks and pages, the rewritten boundary page,
+  // the boundary block's zeroed tail (or the small KV rewrite, or a growth
+  // promotion), and the attr.
+  Attr a = *attr;
+  a.size = new_size;
+  a.mtime = now();
+  kv::Batch b;
+  kv::Bytes small;  // the rewritten or promoted small-file bytes
+  kv::Bytes zeros;  // the boundary block's cut tail
+  std::vector<std::pair<std::uint32_t, ExtentPage>> kept_pages;
+  std::vector<std::uint32_t> gone_pages;
   if (!attr->big_file) {
     if (new_size > kSmallFileMax) {
-      if (!promote_to_big(*attr, res.cost, promote_rec)) {
+      // Growth beyond the old size is a hole; the promotion is the data.
+      ExtentPage page0;
+      if (!stage_promotion(a, b, small, page0, res.cost)) {
         res.err = EIO;
         return res;
       }
-      // Growth beyond the old size is a hole; nothing else to write.
+      b.put(extent_page_key(ino, 0), encode_extent_page(page0));
+      kept_pages.emplace_back(0, page0);
     } else {
-      kv::Bytes buf;
       auto cur = store_->get(small_key(ino));
       res.cost += cur.cost;
       if (!cur.ok()) {
         res.err = EIO;  // don't rewrite from bytes we couldn't fetch
         return res;
       }
-      if (cur.value) buf = std::move(*cur.value);
-      buf.resize(new_size, std::byte{0});
-      auto put = store_->put(small_key(ino), buf);
-      res.cost += put.cost;
-      if (!put.ok()) {
-        res.err = EIO;
-        return res;
-      }
+      if (cur.value) small = std::move(*cur.value);
+      small.resize(new_size, std::byte{0});
+      b.put(small_key(ino), small);
     }
-  }
-  if (attr->big_file && new_size < attr->size) {
+  } else if (new_size < attr->size) {
     // Drop whole blocks past the new end (a file once big stays big — the
     // paper defines promotion only; we document the asymmetry). Pages wholly
     // past the end are erased, except page 0, which marks the file big; the
@@ -1425,37 +1345,40 @@ Result<Unit> Kvfs::truncate(Ino ino, std::uint64_t new_size) {
         if (ids[s] == 0) continue;
         if (base + s + 1 == keep_blocks) boundary_id = ids[s];
         if (base + s < keep_blocks) continue;
-        res.cost += store_->erase(block_key(ids[s])).cost;
+        b.erase(block_key(ids[s]));
         ids[s] = 0;
         changed = true;
       }
       if (p != 0 && base >= keep_blocks) {
-        res.cost += store_->erase(extent_page_key(ino, p)).cost;
-        uncache_page(ino, p);
+        b.erase(extent_page_key(ino, p));
+        gone_pages.push_back(p);
       } else if (changed) {
-        (void)store_page(ino, p, ids, res.cost);
+        b.put(extent_page_key(ino, p), encode_extent_page(ids));
+        kept_pages.emplace_back(p, ids);
       }
     }
     // POSIX: the tail of the boundary block must read as zeros if the file
     // grows again later.
-    const auto tail = static_cast<std::uint32_t>(new_size % kBigBlock);
-    if (tail != 0 && boundary_id != 0) {
-      const kv::Bytes zeros(kBigBlock - tail, std::byte{0});
-      auto z = store_->write_sub(block_key(boundary_id), tail, zeros);
-      res.cost += z.cost;
-      if (!z.ok()) {
-        res.err = EIO;  // retrying the truncate re-zeroes the tail
-        return res;
-      }
+    if (new_size % kBigBlock != 0 && boundary_id != 0) {
+      zeros.assign(kBigBlock - new_size % kBigBlock, std::byte{0});
+      b.write_sub(block_key(boundary_id), new_size % kBigBlock, zeros,
+                  Guard::kPresent);
     }
   }
-
-  const std::uint64_t old_size = attr->size;
-  attr->size = new_size;
-  attr->mtime = now();
-  store_attr(*attr, res.cost);
-  if (promote_rec != 0) journal_.commit(promote_rec, res.cost);
-  if (opts_.wal != nullptr && new_size < old_size) {
+  const std::size_t attr_op =
+      b.put(attr_key(ino), encode_attr(a), Guard::kPresent);
+  const auto r = commit("kvfs.truncate", b, res.cost);
+  if (!r.ok() || !r.value.applied()) {
+    if (r.ok()) uncache_attr(ino);
+    res.err = r.ok() && r.value.failed_guard == attr_op ? ENOENT : EIO;
+    return res;
+  }
+  cache_attr(a);
+  for (const auto& [p, ids] : kept_pages) cache_page(ino, p, ids);
+  for (const std::uint32_t p : gone_pages) uncache_page(ino, p);
+  if (a.big_file != attr->big_file)
+    stats_.promotions.fetch_add(1, std::memory_order_relaxed);
+  if (opts_.wal != nullptr && new_size < attr->size) {
     // Shrink marker in the durability spine: replay must not resurrect
     // logged pages this truncate cut off. A failed append is tolerated —
     // replay clamps every page to the (durable) attr size anyway, the

@@ -17,10 +17,12 @@
 //     hits a cached hole re-reads the page before returning zeros, and a
 //     cached id whose block is gone (another mount truncated it; ids are
 //     never reused) drops the page and re-reads it once;
-//   * every multi-KV mutation (create/remove/rename/promote/extent update)
-//     logs a write-ahead intent record first (journal.hpp), and mount
-//     replays survivors. `truncate` and `link` are NOT journaled (documented
-//     limitation) — fsck repair normalizes what they can tear.
+//   * every mutation reads what it needs, then sends exactly one guarded,
+//     atomic KV batch (kv::Batch): create/mkdir/symlink, unlink/rmdir,
+//     rename, link, truncate and the allocating or small-file write land
+//     whole or not at all, with crash points `kvfs.<op>/crash_before_commit`
+//     and `kvfs.<op>/crash_after_commit` around the batch. Only the warm
+//     in-place overwrite (cached blocks + attr) is two separate KV ops.
 //
 // Thread safety: operations take a striped per-inode lock; name-space
 // operations (create/unlink/rename/...) additionally serialize on the
@@ -43,7 +45,6 @@
 #include "fault/injector.hpp"
 #include "kv/remote.hpp"
 #include "kvfs/fsck.hpp"
-#include "kvfs/journal.hpp"
 #include "kvfs/types.hpp"
 #include "nvme/spec.hpp"
 #include "obs/metrics.hpp"
@@ -77,11 +78,9 @@ struct KvfsOptions {
   /// Crash-point injector for the DPU-side mutation paths (null = no crash
   /// points, zero overhead).
   fault::FaultInjector* fault = nullptr;
-  /// NVM write-ahead log (nvm/wal.hpp): when set, intent records ride the
-  /// log instead of per-record KV puts, shrinking truncates append
-  /// superseding markers, and recover() replays the log (acked-but-undrained
-  /// pages + uncommitted intents) before the KV-side journal replay. Null =
-  /// pre-WAL behavior, bit-identical.
+  /// NVM write-ahead log (nvm/wal.hpp): when set, shrinking truncates and
+  /// removals append superseding markers, and recover() replays the log's
+  /// acked-but-undrained pages. Null = no WAL.
   nvm::WriteAheadLog* wal = nullptr;
 };
 
@@ -155,13 +154,13 @@ class Kvfs {
   Result<Unit> fsync(Ino ino);
 
   // ------------------------------------------------------------- recovery
-  /// Outcome of replaying the NVM write-ahead log: the data pages and
-  /// intent records that were acked at NVM persistence but not yet drained
-  /// to the KV path when the crash hit.
+  /// Outcome of replaying the NVM write-ahead log: the data pages that were
+  /// acked at NVM persistence but not yet drained to the KV path when the
+  /// crash hit.
   struct WalReplayReport {
     std::uint64_t scanned = 0;  ///< commit-verified records in the log
-    std::uint64_t applied = 0;  ///< pages re-written / intents rolled
-    std::uint64_t skipped = 0;  ///< superseded (drained/committed/truncated)
+    std::uint64_t applied = 0;  ///< pages re-written
+    std::uint64_t skipped = 0;  ///< superseded (drained/truncated)
     std::uint64_t corrupt = 0;  ///< frames dropped by CRC (rot in log)
     bool torn_tail = false;     ///< log ended in an unacked torn append
     sim::Nanos cost{};
@@ -169,26 +168,20 @@ class Kvfs {
 
   /// Outcome of a full recovery pass (DPU restart / explicit fsck-repair).
   struct RecoveryReport {
-    WalReplayReport wal;          ///< NVM log replay (when opts.wal set)
-    JournalReplayReport journal;  ///< intent-log replay
-    FsckRepairReport fsck;        ///< backstop repair pass
+    WalReplayReport wal;    ///< NVM log replay (when opts.wal set)
+    FsckRepairReport fsck;  ///< backstop repair pass
     sim::Nanos cost{};
 
     bool clean() const { return fsck.clean; }
   };
 
   /// Full recovery: drops volatile caches, replays the NVM write-ahead log
-  /// (acked fsync data + intents riding the spine), then the KV-side intent
-  /// journal (degraded-mode and peer records), then runs repairing fsck as
-  /// the backstop. Call with no concurrent mutating traffic — the DPU
-  /// restart path quiesces the queues first. Idempotent: a crash during
-  /// replay (kCrashWalMidReplay / kCrashMidReplay) leaves a state a second
-  /// recover() converges from.
+  /// (acked fsync data), then runs repairing fsck as the backstop for rot.
+  /// Every mutation is one atomic batch, so a crash leaves no torn op to
+  /// roll. Call with no concurrent mutating traffic — the DPU restart path
+  /// quiesces the queues first. Idempotent: a crash during WAL replay
+  /// (kCrashWalMidReplay) leaves a state a second recover() converges from.
   RecoveryReport recover();
-
-  /// What mount-time journal replay found (every ctor replays — a crashed
-  /// peer's records roll on our mount).
-  const JournalReplayReport& mount_replay() const { return mount_replay_; }
 
   const KvfsStats& stats() const { return stats_; }
   void drop_caches();
@@ -205,22 +198,32 @@ class Kvfs {
                                    std::span<const std::byte> src);
 
   // ---- KV helpers (each adds its remote cost to `cost`) ----
-  std::optional<Attr> load_attr(Ino ino, sim::Nanos& cost);
+  /// nullopt when the attr is absent (`*err` = ENOENT) or its get failed
+  /// (`*err` = EIO); load_dentry alike.
+  std::optional<Attr> load_attr(Ino ino, sim::Nanos& cost,
+                                int* err = nullptr);
   void store_attr(const Attr& a, sim::Nanos& cost);
   std::optional<Ino> load_dentry(Ino parent, std::string_view name,
-                                 sim::Nanos& cost);
+                                 sim::Nanos& cost, int* err = nullptr);
+  /// Sends `batch`, the one KV mutation of operation `op` ("kvfs.<op>"),
+  /// between the crash points `<op>/crash_before_commit` and
+  /// `<op>/crash_after_commit` (the latter only once it applied).
+  kv::Timed<kv::ApplyResult> commit(std::string_view op,
+                                    const kv::Batch& batch, sim::Nanos& cost);
   Ino alloc_ino(sim::Nanos& cost);
   std::uint64_t alloc_block(sim::Nanos& cost);
   std::uint64_t now();
 
-  /// `symlink_target` (symlinks only) rides in the intent record and the
-  /// small-file KV, making symlink creation one journaled atom.
+  /// `symlink_target` (symlinks only) rides in the small-file KV, inside
+  /// the node's one batch.
   Result<Ino> make_node(Ino parent, std::string_view name, FileType type,
                         std::uint32_t mode, std::string_view symlink_target);
   Result<Unit> remove_node(Ino parent, std::string_view name, bool dir);
-  /// Deletes all data KVs of a regular file (its extent pages and blocks,
-  /// or its small-file KV).
-  void purge_data(const Attr& a, sim::Nanos& cost);
+  /// Stages the erase of every data KV of `a` (its extent pages and blocks,
+  /// or its small-file KV) into `b`; `pages` gets the erased page numbers
+  /// to uncache once the batch applied. False when the page scan failed.
+  bool stage_purge(const Attr& a, kv::Batch& b,
+                   std::vector<std::uint32_t>& pages, sim::Nanos& cost);
   /// Fetches extent page `page` of `ino` from the store into `out`; an
   /// absent page reads as all holes. False only when the KV get failed.
   bool load_page(Ino ino, std::uint32_t page, ExtentPage& out,
@@ -232,10 +235,6 @@ class Kvfs {
   std::optional<std::uint64_t> load_extent(Ino ino, std::uint64_t logical,
                                            bool refetch, bool& fetched,
                                            sim::Nanos& cost);
-  /// Puts page `page` of `ino` and mirrors the outcome in the extent cache:
-  /// cached on success, uncached when the put failed.
-  bool store_page(Ino ino, std::uint32_t page, const ExtentPage& ids,
-                  sim::Nanos& cost);
   /// Outcome of overwrite_cached.
   enum class CachedWrite : std::uint8_t {
     kDone,    ///< every block of the range written in place
@@ -249,22 +248,21 @@ class Kvfs {
                                std::span<const std::byte> src,
                                sim::Nanos& cost);
   /// The big-file write through the store's index: fetches the touched
-  /// pages, allocates and journals the missing blocks, writes the data and
-  /// puts the changed pages. `extent_rec` gets the open kExtent record (0 =
-  /// none) for the caller to commit after the attr store. False = EIO.
-  bool write_allocating(Ino ino, std::uint64_t offset,
-                        std::span<const std::byte> src, sim::Nanos& cost,
-                        std::uint64_t& extent_rec);
+  /// pages (or promotes a small file), allocates the missing blocks, then
+  /// sends the data, the changed pages and the attr as one batch. Returns
+  /// 0 or an errno; nothing landed unless 0.
+  int write_allocating(const Attr& attr, std::uint64_t offset,
+                       std::span<const std::byte> src, sim::Nanos& cost);
   /// Replays the NVM write-ahead log (recover() step 1; opts_.wal != null).
   WalReplayReport replay_wal();
-  /// Moves a small file's bytes into a big-file KV (§3.4 promotion): one
-  /// block plus extent page 0. Returns false if a transient KV failure
-  /// aborted the promotion before page 0 existed (the small KV is still
-  /// authoritative). On success `journal_rec` holds the open kPromote
-  /// record id; the caller commits it after storing the attr with big_file
-  /// set, so replay can finish the flag flip.
-  bool promote_to_big(Attr& a, sim::Nanos& cost, std::uint64_t& journal_rec);
-  bool dir_empty(Ino dir, sim::Nanos& cost);
+  /// Stages the §3.4 small→big promotion of `a` into `b`: the small KV's
+  /// bytes (read into `small`, which must outlive the batch) move to a new
+  /// landing block, the small KV is erased and big_file set. `page0` gets
+  /// the ids page 0 must hold; the caller stages its put. False = EIO.
+  bool stage_promotion(Attr& a, kv::Batch& b, kv::Bytes& small,
+                       ExtentPage& page0, sim::Nanos& cost);
+  /// nullopt when the scan failed: emptiness is unproven.
+  std::optional<bool> dir_empty(Ino dir, sim::Nanos& cost);
 
   // ---- caches ----
   void cache_dentry(Ino parent, std::string_view name, Ino ino);
@@ -289,8 +287,6 @@ class Kvfs {
   obs::Registry* registry_;                        // whichever is active
   KvfsStats stats_;
   dpu::QosManager* qos_ = nullptr;  ///< per-tenant byte attribution
-  IntentJournal journal_;
-  JournalReplayReport mount_replay_;
 
   std::atomic<std::uint64_t> logical_time_{1};
 

@@ -91,10 +91,6 @@ std::uint32_t page_of_extent_key(std::string_view key) {
 std::string block_key(std::uint64_t block_id) {
   return tagged_key('B', block_id);
 }
-std::string journal_key(std::uint64_t record_id) {
-  return tagged_key('J', record_id);
-}
-std::string journal_key_prefix() { return "J"; }
 
 kv::Bytes encode_ino(Ino ino) {
   kv::Bytes v(sizeof(Ino));

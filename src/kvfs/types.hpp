@@ -89,11 +89,6 @@ std::string extent_page_prefix(Ino ino);
 std::uint32_t page_of_extent_key(std::string_view key);
 /// Physical 8 KB block key: tag 'B' + big-endian block id.
 std::string block_key(std::uint64_t block_id);
-/// Intent-journal record key: tag 'J' + big-endian record id. Record ids
-/// come from the ino counter, so several mounts sharing one store never
-/// collide and replay scans records in append order.
-std::string journal_key(std::uint64_t record_id);
-std::string journal_key_prefix();
 
 /// Cluster-wide allocation counters (tag 'C'): shared mounts draw inode
 /// and block ids from these via the store's atomic increment.

@@ -47,7 +47,6 @@ WriteAheadLog::WriteAheadLog(NvmDevice& dev, obs::Registry& registry,
       fault_(fault),
       appends_(registry.counter("wal/appends")),
       data_records_(registry.counter("wal/data_records")),
-      intent_records_(registry.counter("wal/intent_records")),
       drain_markers_(registry.counter("wal/drain_markers")),
       ring_full_(registry.counter("wal/ring_full")),
       append_io_errors_(registry.counter("wal/append_io_errors")),
@@ -75,30 +74,6 @@ AppendStatus WriteAheadLog::append_data(std::uint64_t ino, std::uint64_t lpn,
     pending_[{ino, lpn}] = next_seq_ - 1;
     data_records_.add();
   }
-  return st;
-}
-
-AppendStatus WriteAheadLog::append_intent(std::uint64_t id,
-                                          std::span<const std::byte> payload,
-                                          sim::Nanos& cost) {
-  std::array<std::byte, 8> head{};
-  put_u64(head, 0, id);
-  sim::LockGuard lock(mu_);
-  const auto st = append_locked(RecordKind::kIntent, head, payload, cost);
-  if (st == AppendStatus::kOk) {
-    open_intents_.insert(id);
-    intent_records_.add();
-  }
-  return st;
-}
-
-AppendStatus WriteAheadLog::append_intent_commit(std::uint64_t id,
-                                                 sim::Nanos& cost) {
-  std::array<std::byte, 8> head{};
-  put_u64(head, 0, id);
-  sim::LockGuard lock(mu_);
-  const auto st = append_locked(RecordKind::kIntentCommit, head, {}, cost);
-  if (st == AppendStatus::kOk) open_intents_.erase(id);
   return st;
 }
 
@@ -140,12 +115,12 @@ void WriteAheadLog::note_drained(std::uint64_t ino, std::uint64_t lpn,
 
 void WriteAheadLog::maybe_checkpoint(sim::Nanos& cost) {
   sim::LockGuard lock(mu_);
-  // DPC_CHECK_MUTATE wal-early-checkpoint: drop the pending/intent guard.
+  // DPC_CHECK_MUTATE wal-early-checkpoint: drop the pending guard.
   // A checkpoint then discards acked-but-undrained records — after a crash
   // the replay has nothing to re-apply and the ack was a lie. dpc_check
   // arms this and must see an acked write missing from recovery.
   if (!sim::schedhook::mutate("wal-early-checkpoint")) {
-    if (!pending_.empty() || !open_intents_.empty()) return;
+    if (!pending_.empty()) return;
   }
   if (tail_ == kDataStart && !degraded_.load(std::memory_order_acquire))
     return;
@@ -162,7 +137,6 @@ WalRecovery WriteAheadLog::recover() {
 void WriteAheadLog::mark_replayed(sim::Nanos& cost) {
   sim::LockGuard lock(mu_);
   pending_.clear();
-  open_intents_.clear();
   if (tail_ == kDataStart && !degraded_.load(std::memory_order_acquire))
     return;
   (void)checkpoint_locked(cost);
@@ -173,19 +147,9 @@ bool WriteAheadLog::has_pending(std::uint64_t ino, std::uint64_t lpn) const {
   return pending_.find({ino, lpn}) != pending_.end();
 }
 
-bool WriteAheadLog::intent_open(std::uint64_t id) const {
-  sim::LockGuard lock(mu_);
-  return open_intents_.find(id) != open_intents_.end();
-}
-
 std::size_t WriteAheadLog::pending_pages() const {
   sim::LockGuard lock(mu_);
   return pending_.size();
-}
-
-std::size_t WriteAheadLog::open_intents() const {
-  sim::LockGuard lock(mu_);
-  return open_intents_.size();
 }
 
 std::uint64_t WriteAheadLog::live_bytes() const {
@@ -199,12 +163,11 @@ AppendStatus WriteAheadLog::append_locked(RecordKind kind,
                                           sim::Nanos& cost) {
   const std::uint64_t len = a.size() + b.size();
   const std::uint64_t frame = kFrameHeaderBytes + len + kCommitBytes;
-  // Bulky records keep out of the reserve headroom so the tiny bookkeeping
-  // records that UNBLOCK checkpointing (drain markers, intent commits)
-  // cannot be starved into kFull by the records they supersede.
-  const bool bulky =
-      kind == RecordKind::kData || kind == RecordKind::kIntent;
-  const std::uint64_t limit = dev_->size() - (bulky ? kReserveBytes : 0);
+  // Data records keep out of the reserve headroom so the tiny bookkeeping
+  // records that UNBLOCK checkpointing (drain markers, truncates) cannot be
+  // starved into kFull by the records they supersede.
+  const std::uint64_t limit =
+      dev_->size() - (kind == RecordKind::kData ? kReserveBytes : 0);
   if (tail_ + frame > limit) {
     ring_full_.add();
     set_degraded(true);
@@ -282,7 +245,6 @@ WalRecovery WriteAheadLog::recover_locked() {
     (void)write_header(epoch_, start_seq_, out.cost);
   }
   pending_.clear();
-  open_intents_.clear();
 
   const std::uint64_t size = dev_->size();
   std::uint64_t pos = kDataStart;
@@ -317,7 +279,8 @@ WalRecovery WriteAheadLog::recover_locked() {
     }
     // A valid-looking frame with the wrong seq (or an unknown kind) is
     // residue from before the last checkpoint: clean end of log.
-    if (seq != expect || kind_raw < 1 || kind_raw > 5) break;
+    if (seq != expect || (kind_raw != 1 && kind_raw != 4 && kind_raw != 5))
+      break;
 
     std::vector<std::byte> payload(len);
     dev_->read(pos + kFrameHeaderBytes, payload, out.cost);
@@ -348,21 +311,12 @@ WalRecovery WriteAheadLog::recover_locked() {
         rec.b = get_u64(payload, 8);
         rec.data.assign(payload.begin() + 16, payload.end());
         break;
-      case RecordKind::kIntent:
-        if (len < 8) break;
-        rec.a = get_u64(payload, 0);
-        rec.data.assign(payload.begin() + 8, payload.end());
-        break;
-      case RecordKind::kIntentCommit:
+      case RecordKind::kDrained:
+      case RecordKind::kTruncate:
         // Defensive (like kData): a commit-verified frame can still carry a
         // shorter payload than its kind implies — e.g. a crafted or
         // bit-rotted zero-length marker. Parse what is there; never read
         // past the payload.
-        if (len < 8) break;
-        rec.a = get_u64(payload, 0);
-        break;
-      case RecordKind::kDrained:
-      case RecordKind::kTruncate:
         if (len < 16) break;
         rec.a = get_u64(payload, 0);
         rec.b = get_u64(payload, 8);
@@ -402,12 +356,6 @@ WalRecovery WriteAheadLog::recover_locked() {
                        pending_.lower_bound({rec.a + 1, 0}));
         break;
       }
-      case RecordKind::kIntent:
-        open_intents_.insert(rec.a);
-        break;
-      case RecordKind::kIntentCommit:
-        open_intents_.erase(rec.a);
-        break;
     }
   }
   return out;

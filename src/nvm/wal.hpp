@@ -5,10 +5,9 @@
 // cache pages here (CRC32C-framed, data-before-commit-record ordering) and
 // acks as soon as the log is persistent; the cache flusher — a background-
 // QoS WorkerPool poller — drains the pages to the SSD/KV path afterwards
-// and appends drain markers that supersede the logged copies. The KVFS
-// intent journal's records ride the same log (kIntent/kIntentCommit), so
-// replay-on-mount reads ONE spine instead of two mechanisms that must both
-// be right.
+// and appends drain markers that supersede the logged copies. The log
+// holds pages and their drain/truncate markers only: KVFS metadata needs no
+// log, because each mutation is one atomic KV batch.
 //
 // Frame format (all little-endian, `len` = payload bytes):
 //
@@ -28,10 +27,10 @@
 // The log region is bounded: appends that would overflow return kFull
 // (typed backpressure — the fsync path falls back to the synchronous flush
 // and the client keeps serving). Truncation is checkpoint-based rather than
-// a wrapping ring: once every logged page is drained and every intent
-// committed, the double-buffered device header advances (epoch+1, start_seq
-// = next_seq) and the tail rewinds — crash-atomic, because until the new
-// header is persistent the old header still replays the old frames.
+// a wrapping ring: once every logged page is drained, the double-buffered
+// device header advances (epoch+1, start_seq = next_seq) and the tail
+// rewinds — crash-atomic, because until the new header is persistent the
+// old header still replays the old frames.
 //
 // Degradation ladder (never lose an acked fsync):
 //   healthy   → fsync acks at NVM persist cost, drain is asynchronous;
@@ -45,7 +44,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -90,13 +88,11 @@ enum class AppendStatus : std::uint8_t {
 };
 
 enum class RecordKind : std::uint8_t {
-  kData = 1,          ///< one page: a=ino, b=lpn, data=page bytes
-  kIntent = 2,        ///< KVFS intent: a=record id, data=encoded record
-  kIntentCommit = 3,  ///< intent committed: a=record id
-  kDrained = 4,       ///< page drained to backend: a=ino, b=lpn (supersedes
-                      ///< every kData for that page with a lower seq)
-  kTruncate = 5,      ///< a=ino, b=new_size (stops replay resurrecting
-                      ///< pre-truncate page bytes)
+  kData = 1,      ///< one page: a=ino, b=lpn, data=page bytes
+  kDrained = 4,   ///< page drained to backend: a=ino, b=lpn (supersedes
+                  ///< every kData for that page with a lower seq)
+  kTruncate = 5,  ///< a=ino, b=new_size (stops replay resurrecting
+                  ///< pre-truncate page bytes)
 };
 
 /// One decoded, commit-verified record from a scan.
@@ -138,10 +134,6 @@ class WriteAheadLog {
   // ---- append side (write-ahead: callers ack only on kOk) ---------------
   AppendStatus append_data(std::uint64_t ino, std::uint64_t lpn,
                            std::span<const std::byte> page, sim::Nanos& cost);
-  AppendStatus append_intent(std::uint64_t id,
-                             std::span<const std::byte> payload,
-                             sim::Nanos& cost);
-  AppendStatus append_intent_commit(std::uint64_t id, sim::Nanos& cost);
   AppendStatus append_truncate(std::uint64_t ino, std::uint64_t new_size,
                                sim::Nanos& cost);
 
@@ -153,21 +145,21 @@ class WriteAheadLog {
   void note_drained(std::uint64_t ino, std::uint64_t lpn, sim::Nanos& cost);
 
   /// Checkpoint-truncates when nothing in the log is still needed (no
-  /// pending page, no open intent): advances the double-buffered header and
+  /// pending page): advances the double-buffered header and
   /// rewinds the tail. The header write doubles as a device probe — success
   /// clears the degraded latch. No-op otherwise.
   void maybe_checkpoint(sim::Nanos& cost);
 
   // ---- recovery side ----------------------------------------------------
   /// Scans the device (torn-tail detection, per-frame CRC verification),
-  /// resets the in-memory state — tail, seq, pending pages, open intents —
-  /// to what the medium actually holds, and returns the surviving records
-  /// in seq order for the KVFS replay loop. Idempotent: recover() twice
+  /// resets the in-memory state — tail, seq, pending pages — to what the
+  /// medium actually holds, and returns the surviving records in seq order
+  /// for the KVFS replay loop. Idempotent: recover() twice
   /// returns the same records.
   WalRecovery recover();
 
   /// Replay applied every surviving record durably to the backend: drop the
-  /// pending/intent state and checkpoint-truncate. Called at the END of a
+  /// pending state and checkpoint-truncate. Called at the END of a
   /// successful replay only — a crash mid-replay leaves the log intact for
   /// the (idempotent) second pass.
   void mark_replayed(sim::Nanos& cost);
@@ -177,11 +169,7 @@ class WriteAheadLog {
   /// NVM faulting). Mirrors the "wal/degraded" gauge.
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
   bool has_pending(std::uint64_t ino, std::uint64_t lpn) const;
-  /// True while intent `id` was logged here and its commit marker has not
-  /// landed yet (the journal commits through the WAL iff this holds).
-  bool intent_open(std::uint64_t id) const;
   std::size_t pending_pages() const;
-  std::size_t open_intents() const;
   std::uint64_t live_bytes() const;
   NvmDevice& device() { return *dev_; }
 
@@ -192,9 +180,9 @@ class WriteAheadLog {
   static constexpr std::uint64_t kDataStart = 2 * kHeaderSlotBytes;
   static constexpr std::uint64_t kFrameHeaderBytes = 20;
   static constexpr std::uint64_t kCommitBytes = 4;
-  /// Headroom kept out of reach of data/intent appends so the tiny
-  /// bookkeeping records (drain markers, intent commits, truncates) that
-  /// *unblock* checkpointing never hit kFull themselves.
+  /// Headroom kept out of reach of data appends so the tiny bookkeeping
+  /// records (drain markers, truncates) that *unblock* checkpointing never
+  /// hit kFull themselves.
   static constexpr std::uint64_t kReserveBytes = 4096;
 
  private:
@@ -229,13 +217,11 @@ class WriteAheadLog {
   /// drain marker. Non-empty pending blocks checkpointing.
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> pending_
       GUARDED_BY(mu_);
-  std::set<std::uint64_t> open_intents_ GUARDED_BY(mu_);
 
   std::atomic<bool> degraded_{false};
 
   obs::Counter& appends_;
   obs::Counter& data_records_;
-  obs::Counter& intent_records_;
   obs::Counter& drain_markers_;
   obs::Counter& ring_full_;
   obs::Counter& append_io_errors_;

@@ -317,7 +317,7 @@ TgtDriver::ProcessStats TgtDriver::execute_one(const dpu::StagedCmd& staged,
           // The DPU died inside the backend (a kvfs/cache crash point).
           // Whatever the handler durably applied before the crash point
           // stays applied; no CQE is ever posted, so the host sees only a
-          // lost completion. Recovery (journal replay + fsck) squares the
+          // lost completion. Recovery (WAL replay + fsck) squares the
           // keyspace when the DPU restarts.
           st.processed = 1;
           return st;

@@ -170,7 +170,7 @@ TEST(ChaosIntegration, KvfsSurvivesFaultsWorkerMode) {
   fi.arm(nvme::kFaultTgtErrorCqe, 0.02);
   fi.arm(kv::RemoteKv::kFaultSite, 0.02);
 
-  run_chaos_workload(sys, fi, chaos_seed(), 12);
+  run_chaos_workload(sys, fi, chaos_seed(), 24);
   sys.stop_dpu();
 
   EXPECT_GT(fault_reg.counter("fault/injected").value(), 0u);

@@ -161,7 +161,7 @@ TEST(ModelSched, PctFindsAndReplaysRace) {
 // The product scenario catalog.
 
 TEST(Scenarios, CatalogIsComplete) {
-  ASSERT_EQ(scenarios().size(), 9u);
+  ASSERT_EQ(scenarios().size(), 10u);
   for (const Scenario& s : scenarios()) {
     EXPECT_NE(find_scenario(s.name), nullptr);
     EXPECT_NE(s.mutation[0], '\0') << s.name << " has no paired mutation";
@@ -257,6 +257,14 @@ TEST(Scenarios, IdlePassLossCleanPct) {
 
 TEST(Scenarios, DirtyPublishCleanPct) {
   const Scenario* s = find_scenario("dirty_publish");
+  ASSERT_NE(s, nullptr);
+  const auto r = explore_pct(s->fn, nullptr, /*seed_base=*/1, s->mutate_seeds,
+                             3, s->max_steps);
+  EXPECT_FALSE(r.violation.has_value()) << r.violation->message;
+}
+
+TEST(Scenarios, BatchAtomicCleanPct) {
+  const Scenario* s = find_scenario("batch_atomic");
   ASSERT_NE(s, nullptr);
   const auto r = explore_pct(s->fn, nullptr, /*seed_base=*/1, s->mutate_seeds,
                              3, s->max_steps);

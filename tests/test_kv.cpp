@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <utility>
+
+#include "fault/injector.hpp"
+#include "sim/calib.hpp"
 
 namespace dpc::kv {
 namespace {
@@ -153,11 +158,131 @@ TEST(RemoteKv, FunctionalParityWithLocal) {
   EXPECT_EQ(remote.read_sub("a", 0, out).value, 3u);
   EXPECT_EQ(out, b("123"));
   EXPECT_EQ(remote.value_size("a").value, 3u);
-  EXPECT_TRUE(remote.erase("a").value);
+  Batch del;
+  del.erase("a", Batch::Guard::kPresent);
+  EXPECT_TRUE(remote.apply(del).value.applied());
   const auto absent = remote.write_sub_if_present("a", 0, b("x"));
   EXPECT_TRUE(absent.ok());
   EXPECT_FALSE(absent.value);
   EXPECT_FALSE(kv.contains("a"));
+}
+
+// ---------------------------------------------------------------- batches
+
+TEST(KvBatch, AppliesEveryOpInOrder) {
+  KvStore kv;
+  kv.put("gone", b("x"));
+  kv.put("grow", b("ab"));
+  // write_sub takes a span: its source must outlive the batch.
+  const Bytes xyz = b("XYZ");
+  const Bytes q = b("q");
+  const Bytes j = b("J");
+  Batch batch;
+  batch.put("new", b("hello"), Batch::Guard::kAbsent);
+  batch.erase("gone", Batch::Guard::kPresent);
+  batch.write_sub("grow", 1, xyz);
+  batch.write_sub("fresh", 2, q);  // created, zero-filled below 2
+  batch.write_sub("new", 0, j);    // sees the put before it
+  const std::size_t eq = batch.put("grow2", b("v"));
+  batch.expect(eq, Bytes{});  // kEquals on an absent key fails...
+  EXPECT_EQ(kv.apply(batch).failed_guard, eq);
+  EXPECT_TRUE(kv.contains("gone"));  // ...and nothing applied
+
+  Batch ok;
+  ok.put("new", b("hello"), Batch::Guard::kAbsent);
+  ok.erase("gone", Batch::Guard::kPresent);
+  ok.write_sub("grow", 1, xyz);
+  ok.write_sub("fresh", 2, q);
+  ok.write_sub("new", 0, j);
+  const std::size_t eq2 = ok.put("grow", b("final"));
+  ok.expect(eq2, b("ab"));  // guards see the store before the batch
+  ASSERT_TRUE(kv.apply(ok).applied());
+  EXPECT_EQ(kv.get("new"), b("Jello"));
+  EXPECT_FALSE(kv.contains("gone"));
+  EXPECT_EQ(kv.get("grow"), b("final"));
+  Bytes fresh(3, std::byte{0});
+  fresh[2] = std::byte{'q'};
+  EXPECT_EQ(kv.get("fresh"), fresh);
+  // Every value the batch wrote carries a valid stamp.
+  for (const char* k : {"new", "grow", "fresh"})
+    EXPECT_EQ(kv.verify_value(k), ValueCheck::kOk) << k;
+}
+
+TEST(KvBatch, FailedGuardAppliesNothingAndNamesTheOp) {
+  KvStore kv(4);
+  for (int i = 0; i < 16; ++i) kv.put("k" + std::to_string(i), b("old"));
+  const auto guarded = [&](Batch::Guard g, std::string_view key) {
+    Batch batch;
+    for (int i = 0; i < 16; ++i) batch.put("k" + std::to_string(i), b("new"));
+    return std::pair{batch.put(std::string(key), b("v"), g),
+                     kv.apply(batch)};
+  };
+  for (const auto& [g, key] :
+       {std::pair{Batch::Guard::kAbsent, "k3"},
+        std::pair{Batch::Guard::kPresent, "nope"}}) {
+    const auto [idx, r] = guarded(g, key);
+    EXPECT_FALSE(r.applied());
+    EXPECT_EQ(r.failed_guard, idx);
+  }
+  Batch batch;
+  batch.put("k1", b("new"));
+  batch.expect(batch.erase("k2"), b("not-old"));
+  EXPECT_EQ(kv.apply(batch).failed_guard, 1u);
+  for (int i = 0; i < 16; ++i)
+    EXPECT_EQ(kv.get("k" + std::to_string(i)), b("old")) << i;
+}
+
+TEST(KvBatch, KeepsThePerValueCorruptionDraws) {
+  KvStore kv;
+  fault::FaultInjector fi(7);
+  kv.attach_fault(&fi);
+  fi.arm(kFaultKvBitRot, 1.0);
+  Batch batch;
+  batch.put("rot", b("payload"));
+  ASSERT_TRUE(kv.apply(batch).applied());
+  EXPECT_EQ(kv.verify_value("rot"), ValueCheck::kCorrupt);
+  fi.disarm(kFaultKvBitRot);
+  fi.arm(kFaultKvTornWrite, 1.0);
+  kv.put("torn", b("abcdefgh"));
+  const Bytes upper = b("ABCDEFGH");
+  Batch sub;
+  sub.write_sub("torn", 0, upper);
+  ASSERT_TRUE(kv.apply(sub).applied());
+  EXPECT_EQ(kv.verify_value("torn"), ValueCheck::kCorrupt);
+}
+
+TEST(RemoteKv, BatchCostIsRoundTripsPlusWireBytes) {
+  using namespace sim::calib;
+  const sim::Nanos rt = kNetHop * 2 + kKvServerOp;
+  Batch one;
+  one.put("a", b("0123456789"));
+  EXPECT_EQ(RemoteKv::batch_cost(one).ns,
+            (rt + kv_write_transfer(one.wire_bytes())).ns);
+  Batch many;
+  for (int i = 0; i < 64; ++i) many.put("k" + std::to_string(i), b("v"));
+  EXPECT_EQ(RemoteKv::batch_cost(many).ns,
+            (rt * 2 + kv_write_transfer(many.wire_bytes())).ns);
+  // The shard count (which follows the host's cores) never moves the cost.
+  KvStore one_shard(1);
+  KvStore wide(64);
+  RemoteKv r1(one_shard);
+  RemoteKv r64(wide);
+  EXPECT_EQ(r1.apply(many).cost.ns, r64.apply(many).cost.ns);
+  EXPECT_EQ(r1.apply(many).cost.ns, RemoteKv::batch_cost(many).ns);
+}
+
+TEST(RemoteKv, FailedBatchAppliesNothing) {
+  KvStore kv;
+  fault::FaultInjector fi(3);
+  fi.arm(RemoteKv::kFaultSite, 1.0);
+  RemoteKv remote(kv, &fi, nullptr, fault::RetryPolicy{1});
+  Batch batch;
+  batch.put("a", b("1"));
+  batch.put("b", b("2"));
+  const auto r = remote.apply(batch);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(kv.size(), 0u);
+  EXPECT_EQ(fi.draws(RemoteKv::kFaultSite), 1u);  // one attempt per batch
 }
 
 }  // namespace

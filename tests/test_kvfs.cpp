@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstring>
+#include <functional>
+#include <map>
+#include <string>
 #include <thread>
 
 #include "core/dpc_system.hpp"
@@ -246,6 +250,26 @@ TEST_F(KvfsFixture, RenameMovesAndReplaces) {
   EXPECT_EQ(fs.rename(b, "zz", b, "yy").err, ENOENT);
 }
 
+/// Renaming a directory over an empty one drops the replaced directory's
+/// ".." link from the parent's count.
+TEST_F(KvfsFixture, RenameOverEmptyDirectoryDropsItsLink) {
+  const Ino a = fs.mkdir(kRootIno, "a", 0755).value;
+  ASSERT_TRUE(fs.mkdir(kRootIno, "b", 0755).ok());
+  const Ino d = fs.mkdir(kRootIno, "d", 0755).value;
+  ASSERT_TRUE(fs.mkdir(d, "e", 0755).ok());
+  ASSERT_EQ(fs.getattr(kRootIno).value.nlink, 5u);
+  ASSERT_TRUE(fs.rename(kRootIno, "a", kRootIno, "b").ok());
+  EXPECT_EQ(fs.lookup(kRootIno, "b").value, a);
+  EXPECT_EQ(fs.getattr(kRootIno).value.nlink, 4u);
+  // Across parents: d/e replaces the root's b (once a).
+  ASSERT_TRUE(fs.rename(d, "e", kRootIno, "b").ok());
+  EXPECT_EQ(fs.getattr(kRootIno).value.nlink, 4u);
+  EXPECT_EQ(fs.getattr(d).value.nlink, 2u);
+  const auto report = fsck(store);
+  EXPECT_TRUE(report.clean())
+      << (report.issues.empty() ? "" : report.issues[0].detail);
+}
+
 TEST_F(KvfsFixture, TruncateGrowShrink) {
   const auto ino = fs.create(kRootIno, "t", 0644).value;
   ASSERT_TRUE(fs.write(ino, 0, bytes(4 * kBigBlock, 12)).ok());
@@ -375,80 +399,6 @@ TEST_F(KvfsFixture, ExtentPageCodecRoundTrip) {
   EXPECT_EQ(page_of_block(kExtentPageSlots - 1), 0u);
   EXPECT_EQ(page_of_block(kExtentPageSlots), 1u);
   EXPECT_EQ(slot_of_block(kExtentPageSlots + 3), 3u);
-}
-
-TEST_F(KvfsFixture, JournalRecordCodecRoundTrip) {
-  JournalRecord rec;
-  rec.op = JournalOp::kRename;
-  rec.type = FileType::kDirectory;
-  rec.ino = 7;
-  rec.parent = 1;
-  rec.new_parent = 2;
-  rec.replaced_ino = 9;
-  rec.nlink_before = 3;
-  rec.big_file = 1;
-  rec.replaced_big = 1;
-  rec.name = "old";
-  rec.name2 = "new";
-  auto back = decode_journal_record(encode_journal_record(rec));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->op, rec.op);
-  EXPECT_EQ(back->type, rec.type);
-  EXPECT_EQ(back->ino, rec.ino);
-  EXPECT_EQ(back->parent, rec.parent);
-  EXPECT_EQ(back->new_parent, rec.new_parent);
-  EXPECT_EQ(back->replaced_ino, rec.replaced_ino);
-  EXPECT_EQ(back->nlink_before, rec.nlink_before);
-  EXPECT_EQ(back->big_file, rec.big_file);
-  EXPECT_EQ(back->replaced_big, rec.replaced_big);
-  EXPECT_EQ(back->name, rec.name);
-  EXPECT_EQ(back->name2, rec.name2);
-
-  // kExtent carries (logical block, block id) pairs, flattened.
-  JournalRecord ext;
-  ext.op = JournalOp::kExtent;
-  ext.ino = 7;
-  ext.blocks = {511, 40, 512, 41, std::uint64_t{1} << 27, 42};
-  back = decode_journal_record(encode_journal_record(ext));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->blocks, ext.blocks);
-  // An odd count is not a list of pairs: rejected, not half-parsed.
-  ext.blocks.pop_back();
-  EXPECT_FALSE(decode_journal_record(encode_journal_record(ext)).has_value());
-  // A flipped payload bit fails the CRC.
-  auto enc = encode_journal_record(rec);
-  enc.back() ^= std::byte{1};
-  EXPECT_FALSE(decode_journal_record(enc).has_value());
-}
-
-// The intent journal has no off switch: a Kvfs built with default options
-// logs one intent per name-space mutation and commits it, and no record
-// outlives its op.
-TEST(KvfsJournal, DefaultOptionsJournalEveryNamespaceMutation) {
-  kv::KvStore store;
-  kv::RemoteKv remote(store);
-  obs::Registry reg;
-  Kvfs fs(remote, {}, &reg);
-  const auto& appends = reg.counter("kvfs.journal/appends");
-  const auto& commits = reg.counter("kvfs.journal/commits");
-  const auto step = [&](auto&& op) {
-    const auto a = appends.value();
-    const auto c = commits.value();
-    ASSERT_TRUE(op().ok());
-    EXPECT_EQ(appends.value(), a + 1);
-    EXPECT_EQ(commits.value(), c + 1);
-  };
-  step([&] { return fs.mkdir(kRootIno, "d", 0755); });
-  const auto d = fs.lookup(kRootIno, "d").value;
-  step([&] { return fs.create(d, "f", 0644); });
-  step([&] { return fs.rename(d, "f", kRootIno, "g"); });
-  step([&] { return fs.unlink(kRootIno, "g"); });
-  step([&] { return fs.rmdir(kRootIno, "d"); });
-  EXPECT_EQ(store.scan_prefix(journal_key_prefix(),
-                              [](std::string_view, const kv::Bytes&) {
-                                return true;
-                              }),
-            0u);
 }
 
 TEST_F(KvfsFixture, HardLinkSharesData) {
@@ -616,9 +566,10 @@ struct KvfsSizeIndependence : ::testing::Test {
 };
 
 TEST_F(KvfsSizeIndependence, ColdReadAndOverwriteCostIsFlat) {
-  // Read: page get + block read_sub. Overwrite: page get + block write_sub
-  // + attr put; no index put (the attr comes from the cache both times).
-  expect_flat(/*cold=*/true, 2, 3);
+  // Read: page get + block read_sub. Overwrite: page get + one batch of
+  // block write_sub + attr put (two round trips); no index put (the attr
+  // comes from the cache both times).
+  expect_flat(/*cold=*/true, 2, 2);
 }
 
 TEST_F(KvfsSizeIndependence, WarmReadAndOverwriteCostIsFlat) {
@@ -660,60 +611,6 @@ TEST_F(KvfsFixture, TruncateBigFileDropsPagesAndZeroesPastTheCut) {
   // Page 0 and the boundary page remain, holding exactly the kept blocks.
   EXPECT_EQ(count_prefix(store, extent_page_prefix(ino)), 2u);
   EXPECT_EQ(count_prefix(store, "B"), (cut + kBigBlock - 1) / kBigBlock);
-}
-
-/// Crash atomicity across pages: an allocating write that straddles a page
-/// boundary puts two index pages, the first being the commit point.
-struct KvfsPageCrash : ::testing::Test {
-  kv::KvStore store;
-  kv::RemoteKv remote{store};
-  fault::FaultInjector fi{1};
-  /// The last block of page 0 and the first of page 1.
-  const std::uint64_t off = kExtentPageSlots * kBigBlock - kBigBlock;
-  const std::vector<std::byte> data = std::vector<std::byte>(2 * kBigBlock,
-                                                             std::byte{0x77});
-  Ino ino = 0;
-
-  /// Promotes a file, then crashes the straddling write at `site`.
-  void crash_write_at(std::string_view site) {
-    KvfsOptions opts;
-    opts.fault = &fi;
-    Kvfs fs(remote, opts);
-    ino = fs.create(kRootIno, "straddle", 0644).value;
-    ASSERT_TRUE(fs.write(ino, 0, std::vector<std::byte>(2 * kBigBlock)).ok());
-    fi.arm_crash(site);
-    EXPECT_THROW((void)fs.write(ino, off, data), fault::CrashException);
-    fi.disarm_crash(site);
-    fi.clear_crash();
-  }
-};
-
-TEST_F(KvfsPageCrash, CrashBetweenPagePutsRollsForward) {
-  crash_write_at("kvfs.write/crash_between_pages");
-  ASSERT_FALSE(store.contains(extent_page_key(ino, 1)));
-  Kvfs fs(remote);  // remount: the open kExtent record replays
-  EXPECT_EQ(fs.mount_replay().rolled_forward, 1u);
-  // Page 0 held a new id, so both new blocks are installed.
-  ASSERT_TRUE(store.contains(extent_page_key(ino, 1)));
-  EXPECT_NE(decode_extent_page(*store.get(extent_page_key(ino, 1)))[0], 0u);
-  EXPECT_TRUE(fsck(store).clean());
-  // The unacknowledged write's retry lands in place: no new blocks.
-  const auto blocks = count_prefix(store, "B");
-  ASSERT_TRUE(fs.write(ino, off, data).ok());
-  EXPECT_EQ(count_prefix(store, "B"), blocks);
-  std::vector<std::byte> out(data.size());
-  ASSERT_TRUE(fs.read(ino, off, out).ok());
-  EXPECT_EQ(out, data);
-}
-
-TEST_F(KvfsPageCrash, CrashBeforeFirstPagePutRollsBack) {
-  crash_write_at("kvfs.write/crash_after_blocks");
-  EXPECT_EQ(count_prefix(store, "B"), 4u);  // 2 promoted + 2 unreferenced
-  Kvfs fs(remote);
-  EXPECT_EQ(fs.mount_replay().rolled_back, 1u);
-  EXPECT_EQ(count_prefix(store, "B"), 2u);  // the fresh ids were reclaimed
-  EXPECT_FALSE(store.contains(extent_page_key(ino, 1)));
-  EXPECT_TRUE(fsck(store).clean());
 }
 
 // ------------------------------------------------------- extent cache
@@ -789,15 +686,13 @@ TEST_F(KvfsFixture, ExtentCacheFollowsRenameOverBigFile) {
   EXPECT_TRUE(fsck(store).clean());
 }
 
-/// An allocating write whose page put fails under remote-KV faults leaves
-/// no cached page the store lacks: the mount still reads the hole. Seeds
-/// are swept until one fails exactly at the page put (new block stored,
-/// page without it).
+/// An allocating write that fails under remote-KV faults leaves no cached
+/// page the store lacks: the mount still reads the hole. The new block and
+/// the page naming it ride one batch, so a failure stores neither.
 TEST(KvfsExtentCache, FailedPagePutLeavesNothingCached) {
   const std::uint64_t hole = 64 * kBigBlock;
-  int page_put_failures = 0;
-  for (std::uint64_t seed = 1; seed <= 400 && page_put_failures < 3;
-       ++seed) {
+  int failures = 0;
+  for (std::uint64_t seed = 1; seed <= 400 && failures < 3; ++seed) {
     kv::KvStore store;
     fault::FaultInjector fi(seed);
     fi.arm(kv::RemoteKv::kFaultSite, 0.3);
@@ -818,25 +713,23 @@ TEST(KvfsExtentCache, FailedPagePutLeavesNothingCached) {
                                                                std::byte{2}));
     fi.set_enabled(kv::RemoteKv::kFaultSite, false);
     if (w.ok()) continue;
-    const auto page = store.get(extent_page_key(ino, 0));
-    ASSERT_TRUE(page.has_value());
-    if (count_prefix(store, "B") > blocks &&
-        decode_extent_page(*page)[slot_of_block(hole / kBigBlock)] == 0)
-      ++page_put_failures;
+    ++failures;
+    EXPECT_EQ(w.err, EIO);
+    EXPECT_EQ(count_prefix(store, "B"), blocks) << "seed " << seed;
 
-    // Read before a fresh mount's replay reclaims the unreferenced block.
     ASSERT_TRUE(fs.read(ino, hole, out).ok());
     Kvfs fresh(remote);
     std::vector<std::byte> truth(kBigBlock);
     ASSERT_TRUE(fresh.read(ino, hole, truth).ok());
     EXPECT_EQ(out, truth) << "seed " << seed;
+    EXPECT_TRUE(fsck(store).clean()) << "seed " << seed;
   }
-  EXPECT_GE(page_put_failures, 1);
+  EXPECT_GE(failures, 1);
 }
 
-/// A crash between the page puts of a straddling write, then a DPU
-/// restart: the rolled-forward index is what the mount reads.
-TEST(KvfsExtentCache, CrashBetweenPagesThenRestart) {
+/// A crash right after a page-straddling write's batch, then a DPU
+/// restart: the write landed whole, and the index is what the mount reads.
+TEST(KvfsExtentCache, CrashAfterStraddlingCommitThenRestart) {
   fault::FaultInjector fi(1);
   core::DpcOptions o;
   o.queues = 2;
@@ -855,12 +748,14 @@ TEST(KvfsExtentCache, CrashBetweenPagesThenRestart) {
   std::vector<std::byte> out(2 * kBigBlock);
   ASSERT_TRUE(sys.read(ino, off, out, true).ok());  // warm pages 0 and 1
 
-  fi.arm_crash("kvfs.write/crash_between_pages");
+  fi.arm_crash("kvfs.write/crash_after_commit");
   const std::vector<std::byte> data(2 * kBigBlock, std::byte{0x77});
   (void)sys.write(ino, off, data, true);
   ASSERT_TRUE(fi.crashed());
-  fi.disarm_crash("kvfs.write/crash_between_pages");
-  EXPECT_TRUE(sys.restart_dpu().clean());
+  fi.disarm_crash("kvfs.write/crash_after_commit");
+  const auto rep = sys.restart_dpu();
+  EXPECT_TRUE(rep.clean());
+  EXPECT_EQ(rep.fs.fsck.repairs, 0u);
 
   kv::RemoteKv remote(sys.kv_store());
   Kvfs fresh(remote);
@@ -868,12 +763,12 @@ TEST(KvfsExtentCache, CrashBetweenPagesThenRestart) {
   ASSERT_TRUE(sys.read(ino, off, out, true).ok());
   ASSERT_TRUE(fresh.read(ino, off, truth).ok());
   EXPECT_EQ(out, truth);
-  EXPECT_EQ(out, data);  // the first page put committed the write
+  EXPECT_EQ(out, data);  // the batch carried both pages and both blocks
   EXPECT_TRUE(fsck(sys.kv_store()).clean());
 }
 
-/// recover() runs intent replay and fsck on the raw store after the WAL
-/// replay's writes have refilled the caches; what it rewrote must be what
+/// recover() runs fsck on the raw store after the WAL replay's writes have
+/// refilled the caches; what it rewrote must be what
 /// the mount then serves.
 struct KvfsRecoverCaches : KvfsFixture {
   obs::Registry reg;
@@ -903,28 +798,6 @@ struct KvfsRecoverCaches : KvfsFixture {
   }
 };
 
-TEST_F(KvfsRecoverCaches, IntentReplayRewritesWhatWalDataCached) {
-  const Ino ino = walfs.create(kRootIno, "x", 0644).value;
-  ASSERT_TRUE(walfs.write(ino, 0, bytes(2 * kBigBlock, 5)).ok());
-  // Logged: a page of x, then a removal of x that crashed after its
-  // dentry erase. Replaying the page caches x; the intent then purges it.
-  ASSERT_EQ(wal.append_data(ino, 0, bytes(4096, 6), c), nvm::AppendStatus::kOk);
-  JournalRecord rec;
-  rec.op = JournalOp::kRemove;
-  rec.ino = ino;
-  rec.parent = kRootIno;
-  rec.name = "x";
-  rec.nlink_before = 1;
-  rec.big_file = 1;
-  ASSERT_EQ(wal.append_intent(1, encode_journal_record(rec), c),
-            nvm::AppendStatus::kOk);
-  ASSERT_TRUE(store.erase(inode_key(kRootIno, "x")));
-
-  walfs.recover();
-  EXPECT_EQ(walfs.getattr(ino).err, ENOENT);
-  expect_store_values(ino);
-}
-
 TEST_F(KvfsRecoverCaches, FsckRewritesWhatWalDataCached) {
   const Ino ino = walfs.create(kRootIno, "y", 0644).value;
   ASSERT_TRUE(walfs.write(ino, 0, bytes(2 * kBigBlock, 7)).ok());
@@ -944,6 +817,235 @@ TEST_F(KvfsRecoverCaches, FsckRewritesWhatWalDataCached) {
   EXPECT_GE(rep.fsck.repairs, 2u);
   EXPECT_EQ(walfs.getattr(ino).value.nlink, 1u);
   expect_store_values(ino);
+}
+
+// ------------------------------------------------------ one batch per op
+
+/// Every key and value of `store` except the id counters ('C').
+std::map<std::string, kv::Bytes> keyspace(const kv::KvStore& store) {
+  std::map<std::string, kv::Bytes> out;
+  store.scan_prefix("", [&](std::string_view k, const kv::Bytes& v) {
+    if (k.substr(0, 1) != "C") out.emplace(std::string(k), v);
+    return true;
+  });
+  return out;
+}
+
+std::uint64_t decode_u64(const std::optional<kv::Bytes>& v) {
+  std::uint64_t x = 0;
+  if (v && v->size() == sizeof(x)) std::memcpy(&x, v->data(), sizeof(x));
+  return x;
+}
+
+/// One mutation under test: `run` performs it on a mount whose caches are
+/// warm, `landed` checks its effect through a fresh mount.
+struct BatchCase {
+  const char* name;
+  std::function<int(Kvfs&)> run;
+  std::function<void(Kvfs&)> landed;
+};
+
+/// The namespace every case starts from: d/f (4 KiB small file), big
+/// (24 KiB, promoted), sub (an empty directory), and their inos.
+struct BatchTree {
+  Ino d = 0, f = 0, big = 0;
+  explicit BatchTree(Kvfs& fs) {
+    d = fs.mkdir(kRootIno, "d", 0755).value;
+    f = fs.create(d, "f", 0644).value;
+    big = fs.create(kRootIno, "big", 0644).value;
+    EXPECT_TRUE(fs.write(f, 0, std::vector<std::byte>(4096, std::byte{1}))
+                    .ok());
+    EXPECT_TRUE(fs.write(big, 0, std::vector<std::byte>(3 * kBigBlock,
+                                                        std::byte{2}))
+                    .ok());
+    EXPECT_TRUE(fs.mkdir(kRootIno, "sub", 0755).ok());
+  }
+};
+
+std::vector<BatchCase> batch_cases(const BatchTree& t) {
+  const std::vector<std::byte> data(2 * kBigBlock, std::byte{3});
+  const auto named = [](Kvfs& fs, Ino parent, const char* name) {
+    return fs.lookup(parent, name);
+  };
+  return {
+      {"create", [](Kvfs& fs) { return fs.create(kRootIno, "new", 0644).err; },
+       [=](Kvfs& fs) {
+         const auto l = named(fs, kRootIno, "new");
+         ASSERT_TRUE(l.ok());
+         EXPECT_EQ(fs.getattr(l.value).value.type, FileType::kRegular);
+       }},
+      {"mkdir", [](Kvfs& fs) { return fs.mkdir(kRootIno, "nd", 0755).err; },
+       [=](Kvfs& fs) {
+         const auto l = named(fs, kRootIno, "nd");
+         ASSERT_TRUE(l.ok());
+         EXPECT_EQ(fs.getattr(l.value).value.type, FileType::kDirectory);
+         EXPECT_EQ(fs.getattr(kRootIno).value.nlink, 5u);
+       }},
+      {"symlink",
+       [](Kvfs& fs) { return fs.symlink("d/f", kRootIno, "ln").err; },
+       [=](Kvfs& fs) {
+         const auto l = named(fs, kRootIno, "ln");
+         ASSERT_TRUE(l.ok());
+         EXPECT_EQ(fs.readlink(l.value).value, "d/f");
+       }},
+      {"unlink", [t](Kvfs& fs) { return fs.unlink(t.d, "f").err; },
+       [=](Kvfs& fs) {
+         EXPECT_EQ(named(fs, t.d, "f").err, ENOENT);
+         EXPECT_EQ(fs.getattr(t.f).err, ENOENT);
+       }},
+      {"rmdir", [](Kvfs& fs) { return fs.rmdir(kRootIno, "sub").err; },
+       [=](Kvfs& fs) {
+         EXPECT_EQ(named(fs, kRootIno, "sub").err, ENOENT);
+         EXPECT_EQ(fs.getattr(kRootIno).value.nlink, 3u);
+       }},
+      {"rename",
+       [t](Kvfs& fs) { return fs.rename(t.d, "f", kRootIno, "moved").err; },
+       [=](Kvfs& fs) {
+         EXPECT_EQ(named(fs, kRootIno, "moved").value, t.f);
+         EXPECT_EQ(named(fs, t.d, "f").err, ENOENT);
+       }},
+      {"rename-replacing",
+       [t](Kvfs& fs) { return fs.rename(t.d, "f", kRootIno, "big").err; },
+       [=](Kvfs& fs) {
+         EXPECT_EQ(named(fs, kRootIno, "big").value, t.f);
+         EXPECT_EQ(fs.getattr(t.big).err, ENOENT);
+       }},
+      {"link", [t](Kvfs& fs) { return fs.link(t.f, kRootIno, "alias").err; },
+       [=](Kvfs& fs) {
+         EXPECT_EQ(named(fs, kRootIno, "alias").value, t.f);
+         EXPECT_EQ(fs.getattr(t.f).value.nlink, 2u);
+       }},
+      {"truncate-shrink",
+       [t](Kvfs& fs) { return fs.truncate(t.big, 10000).err; },
+       [=](Kvfs& fs) {
+         EXPECT_EQ(fs.getattr(t.big).value.size, 10000u);
+         std::vector<std::byte> out(kBigBlock);
+         ASSERT_TRUE(fs.read(t.big, kBigBlock, out).ok());
+         EXPECT_EQ(out[10000 - kBigBlock - 1], std::byte{2});
+       }},
+      {"truncate-grow",
+       [t](Kvfs& fs) { return fs.truncate(t.f, 100000).err; },
+       [=](Kvfs& fs) {
+         const auto a = fs.getattr(t.f).value;
+         EXPECT_EQ(a.size, 100000u);
+         EXPECT_EQ(a.big_file, 1u);  // the growth promoted the file
+       }},
+      {"allocating-write",
+       [t, data](Kvfs& fs) {
+         return fs.write(t.big, 8 * kBigBlock, data).err;
+       },
+       [=](Kvfs& fs) {
+         std::vector<std::byte> out(data.size());
+         ASSERT_TRUE(fs.read(t.big, 8 * kBigBlock, out).ok());
+         EXPECT_EQ(out, data);
+       }},
+  };
+}
+
+/// Under single-attempt remote-KV faults every mutation is all or nothing:
+/// it returns 0 with an fsck-clean keyspace a fresh mount sees, or EIO with
+/// the keyspace as it was (id counters aside: a failure burns ids).
+TEST(KvfsBatch, SingleKvFailureIsAllOrNothing) {
+  std::size_t kinds = 0;
+  {
+    kv::KvStore store;
+    kv::RemoteKv remote(store);
+    Kvfs fs(remote);
+    kinds = batch_cases(BatchTree(fs)).size();
+  }
+  for (std::size_t k = 0; k < kinds; ++k) {
+    int ok = 0;
+    int eio = 0;
+    std::string name;
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+      kv::KvStore store;
+      fault::FaultInjector fi(seed);
+      fi.arm(kv::RemoteKv::kFaultSite, 0.3);
+      fi.set_enabled(kv::RemoteKv::kFaultSite, false);
+      kv::RemoteKv remote(store, &fi, nullptr, fault::RetryPolicy{1});
+      Kvfs fs(remote);
+      const BatchTree tree(fs);
+      const BatchCase c = batch_cases(tree)[k];
+      name = c.name;
+      ASSERT_TRUE(fsck(store).clean()) << name;
+      const auto before = keyspace(store);
+
+      fi.set_enabled(kv::RemoteKv::kFaultSite, true);
+      const int err = c.run(fs);
+      fi.set_enabled(kv::RemoteKv::kFaultSite, false);
+      if (err == 0) {
+        ++ok;
+        const auto report = fsck(store);
+        EXPECT_TRUE(report.clean())
+            << name << " seed " << seed << ": "
+            << (report.issues.empty() ? "" : report.issues[0].detail);
+        Kvfs fresh(remote);
+        c.landed(fresh);
+      } else {
+        ++eio;
+        EXPECT_EQ(err, EIO) << name << " seed " << seed;
+        EXPECT_TRUE(keyspace(store) == before)
+            << name << " seed " << seed << ": a failed op changed the store";
+      }
+    }
+    EXPECT_GE(ok, 1) << name;
+    EXPECT_GE(eio, 1) << name;
+  }
+}
+
+/// With warm caches each mutation is its reads, its id increments, and
+/// exactly one apply — e.g. create = 1 increment + 1 apply.
+TEST(KvfsBatch, EachMutationIsOneBatch) {
+  struct Expect {
+    const char* name;
+    const char* op;  ///< crash-site prefix counting its commits
+    std::uint64_t reads, increments;
+  };
+  // rmdir scans the directory for emptiness; rename looks up the absent
+  // destination; replacing a big file and shrinking one scan its index
+  // pages; truncate-grow and the small write read the small KV (to
+  // move or rewrite it); the allocating write fetches its index page and
+  // allocates two blocks.
+  const Expect expect[] = {
+      {"create", "kvfs.create", 0, 1},
+      {"mkdir", "kvfs.mkdir", 0, 1},
+      {"symlink", "kvfs.symlink", 0, 1},
+      {"unlink", "kvfs.unlink", 0, 0},
+      {"rmdir", "kvfs.rmdir", 1, 0},
+      {"rename", "kvfs.rename", 1, 0},
+      {"rename-replacing", "kvfs.rename", 1, 0},
+      {"link", "kvfs.link", 0, 0},
+      {"truncate-shrink", "kvfs.truncate", 1, 0},
+      {"truncate-grow", "kvfs.truncate", 1, 1},
+      {"allocating-write", "kvfs.write", 1, 2},
+  };
+  for (std::size_t k = 0; k < std::size(expect); ++k) {
+    kv::KvStore store;
+    fault::FaultInjector fi(1);
+    fi.arm(kv::RemoteKv::kFaultSite, 1e-12);  // counts every remote op
+    KvfsOptions opts;
+    opts.fault = &fi;
+    kv::RemoteKv remote(store, &fi);
+    Kvfs fs(remote, opts);
+    const BatchTree tree(fs);
+    const BatchCase c = batch_cases(tree)[k];
+    ASSERT_STREQ(c.name, expect[k].name);
+    const std::string site = std::string(expect[k].op) + "/crash_before_commit";
+    fi.arm_crash(site, /*skip=*/1000);  // never fires; counts arrivals
+    const auto counters = [&] {
+      return decode_u64(store.get(ino_counter_key())) +
+             decode_u64(store.get(block_counter_key()));
+    };
+    const std::uint64_t ops0 = fi.draws(kv::RemoteKv::kFaultSite);
+    const std::uint64_t ids0 = counters();
+    ASSERT_EQ(c.run(fs), 0) << c.name;
+    const std::uint64_t ops = fi.draws(kv::RemoteKv::kFaultSite) - ops0;
+    const std::uint64_t increments = counters() - ids0;
+    const std::uint64_t applies = fi.crash_arrivals(site);
+    EXPECT_EQ(applies, 1u) << c.name;
+    EXPECT_EQ(increments, expect[k].increments) << c.name;
+    EXPECT_EQ(ops, expect[k].reads + increments + applies) << c.name;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // collide across mounts.
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <functional>
 #include <thread>
 
 #include "core/dpc_system.hpp"
@@ -71,6 +73,52 @@ TEST(MultiMount, AllocationNeverCollides) {
   std::sort(inos.begin(), inos.end());
   EXPECT_EQ(std::adjacent_find(inos.begin(), inos.end()), inos.end())
       << "duplicate inode numbers across mounts";
+}
+
+/// Two mounts race an unlink of one hard-linked name, then a rename of one
+/// source onto one target, both with every name and attr cached. Each op's
+/// batch guards the name it removes, so exactly one of each pair wins, the
+/// other gets ENOENT, and the link count drops once.
+TEST(MultiMount, GuardedUnlinkAndRenameHaveOneWinner) {
+  kv::KvStore store;
+  DpcSystem a(mount_opts(&store));
+  DpcSystem b(mount_opts(&store));
+  const auto f = a.create(kvfs::kRootIno, "f");
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(a.link(f.ino, kvfs::kRootIno, "g").ok());
+  const auto src = a.create(kvfs::kRootIno, "src");
+  const auto dst = a.create(kvfs::kRootIno, "dst");
+  ASSERT_TRUE(src.ok() && dst.ok());
+  for (DpcSystem* m : {&a, &b}) {
+    for (const char* name : {"g", "src", "dst"})
+      ASSERT_TRUE(m->lookup(kvfs::kRootIno, name).ok());
+    for (const auto ino : {f.ino, src.ino, dst.ino, kvfs::kRootIno})
+      ASSERT_TRUE(m->getattr(ino).ok());
+  }
+  const auto race = [&](const std::function<Io(DpcSystem&)>& op) {
+    Io ra, rb;
+    std::thread ta([&] { ra = op(a); });
+    std::thread tb([&] { rb = op(b); });
+    ta.join();
+    tb.join();
+    EXPECT_NE(ra.ok(), rb.ok()) << "errs " << ra.err << " / " << rb.err;
+    EXPECT_EQ((ra.ok() ? rb : ra).err, ENOENT);
+  };
+
+  race([](DpcSystem& m) { return m.unlink(kvfs::kRootIno, "g"); });
+  const auto attr = kvfs::decode_attr(*store.get(kvfs::attr_key(f.ino)));
+  EXPECT_EQ(attr.nlink, 1u);
+  EXPECT_FALSE(store.contains(kvfs::inode_key(kvfs::kRootIno, "g")));
+
+  race([](DpcSystem& m) {
+    return m.rename(kvfs::kRootIno, "src", kvfs::kRootIno, "dst");
+  });
+  const auto moved = store.get(kvfs::inode_key(kvfs::kRootIno, "dst"));
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_EQ(kvfs::decode_ino(*moved), src.ino);
+  EXPECT_FALSE(store.contains(kvfs::inode_key(kvfs::kRootIno, "src")));
+  EXPECT_FALSE(store.contains(kvfs::attr_key(dst.ino)));
+  EXPECT_TRUE(kvfs::fsck(store).clean());
 }
 
 TEST(MultiMount, ConcurrentMountsStayConsistent) {

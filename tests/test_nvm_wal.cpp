@@ -43,13 +43,8 @@ TEST(NvmWalUnit, AppendRecoverRoundtrip) {
 
   const auto p0 = page(4096, 1);
   const auto p1 = page(4096, 2);
-  const auto intent = page(64, 3);
   ASSERT_EQ(wal.append_data(7, 3, p0, c), AppendStatus::kOk);
   ASSERT_EQ(wal.append_data(9, 0, p1, c), AppendStatus::kOk);
-  ASSERT_EQ(wal.append_intent(11, intent, c), AppendStatus::kOk);
-  EXPECT_TRUE(wal.intent_open(11));
-  ASSERT_EQ(wal.append_intent_commit(11, c), AppendStatus::kOk);
-  EXPECT_FALSE(wal.intent_open(11));
   ASSERT_EQ(wal.append_truncate(7, 0, c), AppendStatus::kOk);
   // The truncate marker supersedes ino 7's logged page; ino 9's survives.
   EXPECT_FALSE(wal.has_pending(7, 3));
@@ -59,22 +54,19 @@ TEST(NvmWalUnit, AppendRecoverRoundtrip) {
   // Power cycle: a fresh WAL over the same media sees exactly the same log.
   WriteAheadLog wal2(dev, reg);
   auto rec = wal2.recover();
-  ASSERT_EQ(rec.records.size(), 5u);
+  ASSERT_EQ(rec.records.size(), 3u);
   EXPECT_EQ(rec.report.corrupt, 0u);
   EXPECT_FALSE(rec.report.torn_tail);
   EXPECT_EQ(rec.records[0].kind, RecordKind::kData);
   EXPECT_EQ(rec.records[0].a, 7u);
   EXPECT_EQ(rec.records[0].b, 3u);
   EXPECT_EQ(rec.records[0].data, p0);
-  EXPECT_EQ(rec.records[2].kind, RecordKind::kIntent);
-  EXPECT_EQ(rec.records[2].a, 11u);
-  EXPECT_EQ(rec.records[2].data, intent);
-  EXPECT_EQ(rec.records[4].kind, RecordKind::kTruncate);
+  EXPECT_EQ(rec.records[1].data, p1);
+  EXPECT_EQ(rec.records[2].kind, RecordKind::kTruncate);
   for (std::size_t i = 0; i < rec.records.size(); ++i)
     EXPECT_EQ(rec.records[i].seq, i + 1);
   EXPECT_TRUE(wal2.has_pending(9, 0));
   EXPECT_FALSE(wal2.has_pending(7, 3));
-  EXPECT_FALSE(wal2.intent_open(11));
 
   // recover() is idempotent: a second scan returns the same records.
   auto rec2 = wal2.recover();
@@ -384,7 +376,6 @@ TEST(NvmWalSystem, FsyncAcksAtNvmAndReplaysAfterPowerLoss) {
   EXPECT_EQ(out, d1);
   // Replay drained the log and checkpointed it empty.
   EXPECT_EQ(sys.wal()->pending_pages(), 0u);
-  EXPECT_EQ(sys.wal()->open_intents(), 0u);
   EXPECT_TRUE(kvfs::fsck(sys.kv_store()).clean());
 }
 
@@ -485,23 +476,6 @@ TEST(NvmWalSystem, NvmFaultFallsBackThenHeals) {
   std::vector<std::byte> out(4096);
   ASSERT_TRUE(sys.read(ino, 0, out, true).ok());
   EXPECT_EQ(out, d2);
-}
-
-/// The journal's intents ride the same log: a namespace op's intent record
-/// is WAL-resident, and mount-style recovery replays it from there.
-TEST(NvmWalSystem, JournalIntentsRideTheWal) {
-  obs::Registry freg;
-  fault::FaultInjector fi(0x10a, &freg);
-  core::DpcSystem sys(wal_system_opts(&fi));
-
-  const auto ino = sys.create(kvfs::kRootIno, "j").ino;
-  ASSERT_NE(ino, 0u);
-  EXPECT_GE(sys.metrics().counter("kvfs.journal/wal_appends").value(), 1u);
-  EXPECT_GE(sys.metrics().counter("wal/intent_records").value(), 1u);
-  // All intents committed: nothing left open, and a restart replays clean.
-  EXPECT_EQ(sys.wal()->open_intents(), 0u);
-  EXPECT_TRUE(sys.restart_dpu().clean());
-  EXPECT_TRUE(kvfs::fsck(sys.kv_store()).clean());
 }
 
 }  // namespace
