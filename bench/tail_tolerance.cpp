@@ -184,7 +184,7 @@ struct KvStack {
 int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv);
   bench::headline("Tail tolerance under gray failure",
-                  "DESIGN.md §5l (fail-slow model; hedged reads)");
+                  "DESIGN.md §5.7 (fail-slow model; hedged reads)");
   const std::uint64_t seed = fault::FaultInjector::seed_from_env(42);
   std::cout << "fault seed: " << seed << " (DPC_FAULT_SEED overrides)\n\n";
 

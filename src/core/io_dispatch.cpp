@@ -187,6 +187,7 @@ nvme::HandlerResult IoDispatch::handle_header(
 
   FileResponse resp;
   sim::Nanos backend{};
+  sim::Nanos dpu_cpu{};  // the offloaded DFS client's compute
   if (cmd.target == nvme::DispatchTarget::kDistributed) {
     // Path-based DFS namespace ops.
     dfs::IoResult io;
@@ -208,7 +209,8 @@ nvme::HandlerResult IoDispatch::handle_header(
       default:
         return fs_error(ENOSYS);
     }
-    backend = io.prof.mds + io.prof.ds + io.prof.net;
+    backend = io.prof.latency();
+    dpu_cpu = io.prof.dpu_cpu;
     resp.err = io.err;
     resp.ino = io.ino;
   } else {
@@ -313,7 +315,7 @@ nvme::HandlerResult IoDispatch::handle_header(
   nvme::HandlerResult r;
   r.read_bytes = static_cast<std::uint32_t>(enc.size());
   r.result = static_cast<std::uint32_t>(enc.size());
-  r.backend_cost = backend;
+  r.backend_cost = dpu_cpu + backend;
   return r;
 }
 
@@ -324,21 +326,19 @@ nvme::HandlerResult IoDispatch::handle_dfs_inline(
   switch (cmd.inline_op) {
     case nvme::InlineOp::kRead: {
       auto io = dfs_->read(cmd.inode, cmd.offset, rpayload);
-      charge(io.prof.mds + io.prof.ds + io.prof.net);
+      charge(io.prof.latency());
       if (!io.ok()) return fs_error(io.err);
       r.result = io.bytes;
       r.read_bytes = io.bytes;
-      r.backend_cost =
-          io.prof.dpu_cpu + io.prof.mds + io.prof.ds + io.prof.net;
+      r.backend_cost = io.prof.dpu_cpu + io.prof.latency();
       return r;
     }
     case nvme::InlineOp::kWrite: {
       auto io = dfs_->write(cmd.inode, cmd.offset, wpayload);
-      charge(io.prof.mds + io.prof.ds + io.prof.net);
+      charge(io.prof.latency());
       if (!io.ok()) return fs_error(io.err);
       r.result = io.bytes;
-      r.backend_cost =
-          io.prof.dpu_cpu + io.prof.mds + io.prof.ds + io.prof.net;
+      r.backend_cost = io.prof.dpu_cpu + io.prof.latency();
       return r;
     }
     default:

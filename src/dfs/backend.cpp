@@ -19,6 +19,7 @@ OpProfile& OpProfile::operator+=(const OpProfile& o) {
   ds += o.ds;
   net += o.net;
   crit += o.crit;
+  overlapped += o.overlapped;
   mds_ops += o.mds_ops;
   ds_ops += o.ds_ops;
   forwards += o.forwards;
@@ -613,6 +614,65 @@ std::vector<ShardId> DataServers::stored_shards() const {
 
 // --------------------------------------------------------------- striping
 
+namespace {
+
+/// One fan-out wave (DESIGN.md §5.6): shard I/Os to one stripe issued
+/// together, so the op waits for the slowest of them, not their sum. Each
+/// shard's charge lands in the op's demands as before; closing the wave
+/// moves the summed shard time into `overlapped` and adds the wave's
+/// critical path to `crit`. A wave closes at scope exit, so an early return
+/// still accounts the shards it issued.
+class Wave {
+ public:
+  Wave(DataServers& ds, Ino ino, std::uint64_t stripe, OpProfile& prof)
+      : ds_(ds), ino_(ino), stripe_(stripe), prof_(prof) {}
+  Wave(const Wave&) = delete;
+  Wave& operator=(const Wave&) = delete;
+  ~Wave() { close(slowest_); }
+
+  /// DataServers::read_shard as a shard of this wave.
+  bool read(std::uint32_t role, std::span<std::byte> dst,
+            bool* failed = nullptr, bool* corrupt = nullptr) {
+    OpProfile shard;
+    const bool ok = ds_.read_shard(ino_, stripe_, role, dst, shard, failed,
+                                   corrupt);
+    add(shard);
+    return ok;
+  }
+  /// DataServers::write_shard as a shard of this wave.
+  void write(std::uint32_t role, std::span<const std::byte> src) {
+    OpProfile shard;
+    ds_.write_shard(ino_, stripe_, role, src, shard);
+    add(shard);
+  }
+  /// Folds one shard I/O's charge into the op.
+  void add(const OpProfile& shard) {
+    prof_ += shard;
+    const sim::Nanos t = shard.ds + shard.net;
+    summed_ += t;
+    slowest_ = std::max(slowest_, t);
+  }
+  /// Closes on a critical path the caller timed itself (the hedged engines'
+  /// completion time) instead of the slowest shard.
+  void close(sim::Nanos crit) {
+    if (closed_) return;
+    closed_ = true;
+    prof_.overlapped += summed_;
+    prof_.crit += crit;
+  }
+
+ private:
+  DataServers& ds_;
+  Ino ino_;
+  std::uint64_t stripe_;
+  OpProfile& prof_;
+  sim::Nanos summed_{};
+  sim::Nanos slowest_{};
+  bool closed_ = false;
+};
+
+}  // namespace
+
 bool striped_write(DataServers& ds, const ec::ReedSolomon& rs,
                    const FileMeta& meta, std::uint64_t offset,
                    std::span<const std::byte> data, OpProfile& prof) {
@@ -642,12 +702,13 @@ bool striped_write(DataServers& ds, const ec::ReedSolomon& rs,
           static_cast<std::size_t>(m), std::vector<std::byte>(unit));
       std::vector<std::span<std::byte>> pviews(parity.begin(), parity.end());
       rs.encode(dviews, pviews);
+      Wave wave(ds, meta.ino, stripe, prof);
       for (int d2 = 0; d2 < k; ++d2)
-        ds.write_shard(meta.ino, stripe, static_cast<std::uint32_t>(d2),
-                       dviews[static_cast<std::size_t>(d2)], prof);
+        wave.write(static_cast<std::uint32_t>(d2),
+                   dviews[static_cast<std::size_t>(d2)]);
       for (int p = 0; p < m; ++p)
-        ds.write_shard(meta.ino, stripe, static_cast<std::uint32_t>(k + p),
-                       parity[static_cast<std::size_t>(p)], prof);
+        wave.write(static_cast<std::uint32_t>(k + p),
+                   parity[static_cast<std::size_t>(p)]);
       done += stripe_bytes;
       continue;
     }
@@ -660,18 +721,21 @@ bool striped_write(DataServers& ds, const ec::ReedSolomon& rs,
     // Delta-parity read-modify-write of one data shard. All reads happen
     // before any write: computing a delta against zeros from a *failed*
     // read (rather than the true old bytes) would silently corrupt parity,
-    // so a read failure aborts the op with the stripe untouched.
-    bool rfail = false;
+    // so a read failure aborts the op with the stripe untouched. The reads
+    // are one wave and the writes a second.
     std::vector<std::byte> old_shard(unit);
-    ds.read_shard(meta.ino, stripe, static_cast<std::uint32_t>(d), old_shard,
-                  prof, &rfail);
-    if (rfail) return false;
     std::vector<std::vector<std::byte>> parity(
         static_cast<std::size_t>(m), std::vector<std::byte>(unit));
-    for (int p = 0; p < m; ++p) {
-      ds.read_shard(meta.ino, stripe, static_cast<std::uint32_t>(k + p),
-                    parity[static_cast<std::size_t>(p)], prof, &rfail);
+    {
+      Wave reads(ds, meta.ino, stripe, prof);
+      bool rfail = false;
+      reads.read(static_cast<std::uint32_t>(d), old_shard, &rfail);
       if (rfail) return false;
+      for (int p = 0; p < m; ++p) {
+        reads.read(static_cast<std::uint32_t>(k + p),
+                   parity[static_cast<std::size_t>(p)], &rfail);
+        if (rfail) return false;
+      }
     }
 
     std::vector<std::byte> new_shard = old_shard;
@@ -681,12 +745,12 @@ bool striped_write(DataServers& ds, const ec::ReedSolomon& rs,
     for (std::uint32_t i = 0; i < unit; ++i)
       delta[i] = old_shard[i] ^ new_shard[i];
 
-    ds.write_shard(meta.ino, stripe, static_cast<std::uint32_t>(d), new_shard,
-                   prof);
+    Wave writes(ds, meta.ino, stripe, prof);
+    writes.write(static_cast<std::uint32_t>(d), new_shard);
     for (int p = 0; p < m; ++p) {
       rs.apply_delta(parity[static_cast<std::size_t>(p)], p, d, delta);
-      ds.write_shard(meta.ino, stripe, static_cast<std::uint32_t>(k + p),
-                     parity[static_cast<std::size_t>(p)], prof);
+      writes.write(static_cast<std::uint32_t>(k + p),
+                   parity[static_cast<std::size_t>(p)]);
     }
     done += chunk;
   }
@@ -700,18 +764,21 @@ bool striped_read(DataServers& ds, const FileMeta& meta, std::uint64_t offset,
   std::size_t done = 0;
   std::vector<std::byte> shard(unit);
   while (done < dst.size()) {
-    const std::uint64_t pos = offset + done;
-    const std::uint64_t stripe = pos / stripe_bytes;
-    const std::uint64_t in_stripe = pos % stripe_bytes;
-    const auto d = static_cast<std::uint32_t>(in_stripe / unit);
-    const auto in_shard = static_cast<std::uint32_t>(in_stripe % unit);
-    const auto chunk = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(dst.size() - done, unit - in_shard));
-    bool rfail = false;
-    ds.read_shard(meta.ino, stripe, d, shard, prof, &rfail);
-    if (rfail) return false;  // outage — caller falls back to degraded read
-    std::memcpy(dst.data() + done, shard.data() + in_shard, chunk);
-    done += chunk;
+    // The stripe's data shards go out as one wave.
+    const std::uint64_t stripe = (offset + done) / stripe_bytes;
+    Wave wave(ds, meta.ino, stripe, prof);
+    while (done < dst.size() && (offset + done) / stripe_bytes == stripe) {
+      const std::uint64_t in_stripe = (offset + done) % stripe_bytes;
+      const auto d = static_cast<std::uint32_t>(in_stripe / unit);
+      const auto in_shard = static_cast<std::uint32_t>(in_stripe % unit);
+      const auto chunk = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(dst.size() - done, unit - in_shard));
+      bool rfail = false;
+      wave.read(d, shard, &rfail);
+      if (rfail) return false;  // outage — caller falls back to degraded read
+      std::memcpy(dst.data() + done, shard.data() + in_shard, chunk);
+      done += chunk;
+    }
   }
   return true;
 }
@@ -753,15 +820,18 @@ bool striped_read_reconstruct(DataServers& ds, const ec::ReedSolomon& rs,
       std::unique_ptr<bool[]> rotted =
           std::make_unique<bool[]>(static_cast<std::size_t>(total));
       int have = 0;
-      for (int r = 0; r < total; ++r) {
-        bool shard_corrupt = false;
-        if (ds.read_shard(meta.ino, stripe, static_cast<std::uint32_t>(r),
-                          shards[static_cast<std::size_t>(r)], prof, &rfail,
+      {
+        Wave gather(ds, meta.ino, stripe, prof);
+        for (int r = 0; r < total; ++r) {
+          bool shard_corrupt = false;
+          if (gather.read(static_cast<std::uint32_t>(r),
+                          shards[static_cast<std::size_t>(r)], &rfail,
                           &shard_corrupt)) {
-          present[static_cast<std::size_t>(r)] = true;
-          ++have;
+            present[static_cast<std::size_t>(r)] = true;
+            ++have;
+          }
+          rotted[static_cast<std::size_t>(r)] = shard_corrupt;
         }
-        rotted[static_cast<std::size_t>(r)] = shard_corrupt;
       }
       if (have < k) return false;
       std::vector<std::span<std::byte>> views;
@@ -821,8 +891,8 @@ bool replicated_write(DataServers& ds, const FileMeta& meta,
       std::memcpy(shard.data() + in_unit, data.data() + done, chunk);
       payload = shard;
     }
-    for (std::uint32_t r = 0; r < meta.replicas; ++r)
-      ds.write_shard(meta.ino, stripe, r, payload, prof);
+    Wave copies(ds, meta.ino, stripe, prof);
+    for (std::uint32_t r = 0; r < meta.replicas; ++r) copies.write(r, payload);
     done += chunk;
   }
   return true;
@@ -1071,6 +1141,7 @@ bool hedged_striped_read(DataServers& ds, const ec::ReedSolomon& rs,
       return false;
     }
 
+    Wave wave(ds, meta.ino, stripe, prof);
     const bool via_t2 = t2 < t1_eff;
     std::vector<bool> winner(static_cast<std::size_t>(total), false);
     if (via_t2) {
@@ -1089,11 +1160,11 @@ bool hedged_striped_read(DataServers& ds, const ec::ReedSolomon& rs,
       const HedgedAttempt& at = atts[static_cast<std::size_t>(r)];
       if (!at.issued) continue;
       if (winner[static_cast<std::size_t>(r)]) {
-        DataServers::commit_attempt(at.a, prof);
+        wave.add(at.a.charge);
         if (via_t2 && at.speculative) hedge_won = true;
       } else if (done_at(at) <= finish) {
         // Completed (or failed) before the op finished: its cost is real.
-        DataServers::commit_attempt(at.a, prof);
+        wave.add(at.a.charge);
         if (at.speculative && hc.wasted != nullptr) hc.wasted->add();
       } else {
         // Still in flight at completion: cancelled, charges nothing.
@@ -1145,7 +1216,7 @@ bool hedged_striped_read(DataServers& ds, const ec::ReedSolomon& rs,
                       r_chunk[di]);
       }
     }
-    prof.crit += sim::Nanos{finish};
+    wave.close(sim::Nanos{finish});
     done = local;
   }
   return true;
@@ -1235,19 +1306,20 @@ bool hedged_replicated_read(DataServers& ds, const FileMeta& meta,
         DataServers::commit_attempt(at.a, prof);
       return false;  // no replica readable
     }
+    Wave wave(ds, meta.ino, stripe, prof);
     for (std::size_t i = 0; i < atts.size(); ++i) {
       const HedgedAttempt& at = atts[i];
       if (static_cast<int>(i) == win) {
-        DataServers::commit_attempt(at.a, prof);
+        wave.add(at.a.charge);
         if (at.speculative && hc.won != nullptr) hc.won->add();
       } else if (done_at(at) <= finish) {
-        DataServers::commit_attempt(at.a, prof);
+        wave.add(at.a.charge);
         if (at.speculative && hc.wasted != nullptr) hc.wasted->add();
       } else {
         if (hc.cancelled != nullptr) hc.cancelled->add();
       }
     }
-    prof.crit += sim::Nanos{finish};
+    wave.close(sim::Nanos{finish});
     std::memcpy(dst.data() + done, atts[static_cast<std::size_t>(win)].buf.data() + in_unit,
                 chunk);
     done += chunk;

@@ -67,6 +67,8 @@ struct FileMeta {
 
 /// Cost profile of one backend interaction, accumulated by clients so the
 /// figure benches can build their queueing models from measured hop counts.
+/// The station fields are *demands* (every shard I/O counted); latency()
+/// is the critical path, on which a fan-out wave of shard I/Os counts once.
 struct OpProfile {
   sim::Nanos host_cpu{};   ///< host CPU demand
   sim::Nanos dpu_cpu{};    ///< DPU CPU demand (zero for host-side clients)
@@ -74,16 +76,22 @@ struct OpProfile {
   sim::Nanos mds{};        ///< MDS service demand
   sim::Nanos ds{};         ///< data-server service demand
   sim::Nanos net{};        ///< pure network delay (propagation)
-  /// Critical-path completion latency of fan-out phases (hedged/parallel
-  /// shard reads): per stripe the *slowest winning* shard, summed across
-  /// stripes. Zero on the serial paths, which model latency as the demand
-  /// sums above. The tail-tolerance bench reads its per-op latency here.
+  /// Critical-path time of the fan-out waves (DESIGN.md §5.6): each wave of
+  /// shard I/Os issued together adds its slowest shard (on the hedged
+  /// paths, the time the stripe's winning shards arrived), summed across
+  /// waves. The tail-tolerance bench reads its per-op latency here.
   sim::Nanos crit{};
+  /// The shard demand (ds + net) those waves issued: it stays in `ds` and
+  /// `net` for the station models, and latency() takes it back out.
+  sim::Nanos overlapped{};
   std::uint32_t mds_ops = 0;
   std::uint32_t ds_ops = 0;
   std::uint32_t forwards = 0;  ///< entry→home forwarding hops
 
   OpProfile& operator+=(const OpProfile& o);
+  /// Completion latency of the backend interaction: serial steps (MDS RPCs,
+  /// retry backoffs, shard repairs) in full, each fan-out wave by `crit`.
+  sim::Nanos latency() const { return mds + ds + net - overlapped + crit; }
 };
 
 /// One metadata server.
@@ -194,7 +202,10 @@ class MdsCluster {
 //
 // These helpers move bytes and charge data-server/network demands into
 // `prof`; the *EC compute* cost is charged by the caller (host CPU, DPU, or
-// MDS — that locus is exactly what the paper's offloading changes).
+// MDS — that locus is exactly what the paper's offloading changes). The
+// shard I/Os of one stripe go out as one fan-out wave (a full-stripe write,
+// a read's data shards, an RMW's reads and then its writes, a degraded
+// gather), so prof.latency() counts each wave by its slowest shard.
 
 /// Returns false if a constituent shard *read* failed (server down /
 /// injected) before any write was issued — the stripe is left untouched so
@@ -245,9 +256,8 @@ bool replicated_read_any(DataServers& ds, const FileMeta& meta,
 // include every needed data shard, and losers are cancelled before payload
 // transfer so they charge nothing. Speculative hedges are capped by the
 // board's token budget; recovery of failed shards is not (correctness path,
-// accounted as a degraded read). prof.crit accumulates the per-stripe
-// completion time — the fan-out-aware latency the serial demand sums can't
-// express.
+// accounted as a degraded read). Each stripe is one wave whose critical
+// path, added to prof.crit, is the time its winning shards arrived.
 
 /// `reconstructed` (optional) reports that at least one stripe was served
 /// via RS reconstruction — the caller charges the decode compute to its own

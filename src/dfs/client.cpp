@@ -111,7 +111,7 @@ void DfsClient::account(obs::Counter& op_counter, const IoResult& io) {
   stats_.mds_ops.add(io.prof.mds_ops);
   stats_.ds_ops.add(io.prof.ds_ops);
   stats_.forwards.add(io.prof.forwards);
-  backend_ns_->record(io.prof.mds + io.prof.ds + io.prof.net);
+  backend_ns_->record(io.prof.latency());
 }
 
 IoResult DfsClient::create(const std::string& path,

@@ -206,26 +206,13 @@ std::optional<std::size_t> KvStore::read_sub_checked(std::string_view key,
 
 void KvStore::write_sub(std::string_view key, std::uint64_t offset,
                         std::span<const std::byte> src) {
-  (void)write_sub_impl(key, offset, src, /*create=*/true);
-}
-
-bool KvStore::write_sub_if_present(std::string_view key, std::uint64_t offset,
-                                   std::span<const std::byte> src) {
-  return write_sub_impl(key, offset, src, /*create=*/false);
-}
-
-bool KvStore::write_sub_impl(std::string_view key, std::uint64_t offset,
-                             std::span<const std::byte> src, bool create) {
   const SubWriteFaults f = draw_sub_write_faults(src.size());
   Shard& sh = shard_for(key);
   sim::LockGuard lock(sh.mu);
   auto it = sh.data.find(key);
-  if (it == sh.data.end()) {
-    if (!create) return false;
+  if (it == sh.data.end())
     it = sh.data.emplace(std::string(key), Value{}).first;
-  }
   sub_write(key, it->second, offset, src, f);
-  return true;
 }
 
 KvStore::SubWriteFaults KvStore::draw_sub_write_faults(std::size_t n) const {
@@ -264,9 +251,10 @@ ApplyResult KvStore::apply(const Batch& batch) {
   // stamps and the per-value fault draws (put: bit_rot; write_sub: torn
   // then bit_rot, as the single-key ops draw them).
   struct Prep {
-    std::size_t shard = 0;
+    std::uint32_t shard = 0;
     std::uint32_t crc = 0;
     SubWriteFaults faults;
+    Value* found = nullptr;  ///< what the op's guard looked up
   };
   std::vector<Prep> prep(ops.size());
   std::vector<std::size_t> order;
@@ -274,7 +262,7 @@ ApplyResult KvStore::apply(const Batch& batch) {
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Batch::Op& op = ops[i];
     Prep& p = prep[i];
-    p.shard = shard_index(op.key);
+    p.shard = static_cast<std::uint32_t>(shard_index(op.key));
     order.push_back(p.shard);
     if (op.kind == Kind::kPut) {
       p.crc = stamp_value_crc(op.key, op.value);
@@ -295,7 +283,7 @@ ApplyResult KvStore::apply(const Batch& batch) {
       sim::LockGuard lock(shards_storage_[s].mu);
       for (std::size_t i = 0; i < ops.size(); ++i)
         if (prep[i].shard == s)
-          apply_op(ops[i], shards_storage_[s].data, prep[i].crc,
+          apply_op(ops[i], shards_storage_[s].data, nullptr, prep[i].crc,
                    prep[i].faults);
     }
     return {};
@@ -314,10 +302,15 @@ ApplyResult KvStore::apply(const Batch& batch) {
     shards_storage_[s].mu.lock();
     held.shards.push_back(&shards_storage_[s]);
   }
+  // A map node stays put while others are inserted, so a guard's lookup
+  // can serve its op's apply unless the batch erases.
+  const bool reuse = std::none_of(ops.begin(), ops.end(), [](const auto& op) {
+    return op.kind == Kind::kErase;
+  });
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Batch::Op& op = ops[i];
     if (op.guard == Guard::kNone) continue;
-    const auto& data = shards_storage_[prep[i].shard].data;
+    auto& data = shards_storage_[prep[i].shard].data;
     const auto it = data.find(op.key);
     const bool ok =
         op.guard == Guard::kAbsent
@@ -327,19 +320,21 @@ ApplyResult KvStore::apply(const Batch& batch) {
                    std::equal(it->second.data.begin(), it->second.data.end(),
                               op.expect.begin(), op.expect.end()));
     if (!ok) return {i};
+    if (reuse && it != data.end()) prep[i].found = &it->second;
   }
   for (std::size_t i = 0; i < ops.size(); ++i)
-    apply_op(ops[i], shards_storage_[prep[i].shard].data, prep[i].crc,
-             prep[i].faults);
+    apply_op(ops[i], shards_storage_[prep[i].shard].data, prep[i].found,
+             prep[i].crc, prep[i].faults);
   return {};
 }
 
 void KvStore::apply_op(const Batch::Op& op,
                        std::map<std::string, Value, std::less<>>& data,
-                       std::uint32_t crc, const SubWriteFaults& f) {
+                       Value* found, std::uint32_t crc,
+                       const SubWriteFaults& f) {
   switch (op.kind) {
     case Batch::Kind::kPut: {
-      Value& v = data[op.key];
+      Value& v = found != nullptr ? *found : data[op.key];
       v.data.assign(op.value.begin(), op.value.end());
       v.crc = crc;
       rot_bit(v.data, f.rotted, f.rot);
@@ -349,7 +344,8 @@ void KvStore::apply_op(const Batch::Op& op,
       data.erase(op.key);
       break;
     case Batch::Kind::kWriteSub:
-      sub_write(op.key, data[op.key], op.offset, op.value, f);
+      sub_write(op.key, found != nullptr ? *found : data[op.key], op.offset,
+                op.value, f);
       break;
   }
 }

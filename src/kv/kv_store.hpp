@@ -137,11 +137,6 @@ class KvStore {
   /// if absent. This is the primitive behind big-file KV updates.
   void write_sub(std::string_view key, std::uint64_t offset,
                  std::span<const std::byte> src);
-  /// write_sub() that never creates: returns false, storing nothing, if
-  /// the key is absent. An in-place update through a possibly stale index
-  /// must not resurrect a block another client erased.
-  bool write_sub_if_present(std::string_view key, std::uint64_t offset,
-                            std::span<const std::byte> src);
 
   // ---- integrity ----------------------------------------------------
   /// get() + CRC verification under one lock. nullopt with
@@ -208,17 +203,18 @@ class KvStore {
   };
   std::size_t shard_index(std::string_view key) const;
   Shard& shard_for(std::string_view key) const;
-  bool write_sub_impl(std::string_view key, std::uint64_t offset,
-                      std::span<const std::byte> src, bool create);
   SubWriteFaults draw_sub_write_faults(std::size_t n) const;
   /// The write_sub mutation of one stored value (caller holds its shard).
   static void sub_write(std::string_view key, Value& v, std::uint64_t offset,
                         std::span<const std::byte> src,
                         const SubWriteFaults& f);
   /// One batch op against its shard's map (caller holds the shard).
+  /// `found` (optional) is the op's value as its guard already looked it
+  /// up, saving a second map walk.
   static void apply_op(const Batch::Op& op,
                        std::map<std::string, Value, std::less<>>& data,
-                       std::uint32_t crc, const SubWriteFaults& f);
+                       Value* found, std::uint32_t crc,
+                       const SubWriteFaults& f);
 
   std::vector<Shard> shards_storage_;
   std::size_t shard_mask_ = 0;  ///< shards_storage_.size() - 1 (pow2 count)

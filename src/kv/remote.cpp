@@ -154,17 +154,6 @@ Timed<bool> RemoteKv::write_sub(std::string_view key, std::uint64_t offset,
   return out;
 }
 
-Timed<bool> RemoteKv::write_sub_if_present(std::string_view key,
-                                           std::uint64_t offset,
-                                           std::span<const std::byte> src) {
-  Timed<bool> out{false};
-  out.err = begin_op(false, out.cost);
-  if (!out.ok()) return out;
-  out.value = store_->write_sub_if_present(key, offset, src);
-  out.cost += op_cost(false, src.size());
-  return out;
-}
-
 Timed<std::uint64_t> RemoteKv::increment(std::string_view key,
                                          std::uint64_t delta) {
   Timed<std::uint64_t> out{0};

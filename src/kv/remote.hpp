@@ -76,10 +76,6 @@ class RemoteKv {
                                              std::span<std::byte> dst) const;
   Timed<bool> write_sub(std::string_view key, std::uint64_t offset,
                         std::span<const std::byte> src);
-  /// KvStore::write_sub_if_present: `value` is false when the key was
-  /// absent and nothing was stored.
-  Timed<bool> write_sub_if_present(std::string_view key, std::uint64_t offset,
-                                   std::span<const std::byte> src);
   Timed<std::optional<std::uint64_t>> value_size(std::string_view key) const;
   Timed<std::uint64_t> increment(std::string_view key, std::uint64_t delta);
   Timed<std::size_t> scan_prefix(

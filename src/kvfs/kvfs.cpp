@@ -1054,41 +1054,52 @@ bool Kvfs::stage_promotion(Attr& a, kv::Batch& b, kv::Bytes& small,
   return true;
 }
 
-Kvfs::CachedWrite Kvfs::overwrite_cached(Ino ino, std::uint64_t offset,
+Kvfs::CachedWrite Kvfs::overwrite_cached(const Attr& attr,
+                                         std::uint64_t offset,
                                          std::span<const std::byte> src,
                                          sim::Nanos& cost) {
   const auto n = static_cast<std::uint32_t>(src.size());
   const std::uint64_t first = offset / kBigBlock;
   const std::uint64_t last = (offset + n - 1) / kBigBlock;
+  std::vector<std::uint64_t> ids;
+  ids.reserve(last - first + 1);
   for (std::uint64_t logical = first; logical <= last; ++logical) {
-    const auto id = cached_extent(ino, logical);
+    const auto id = cached_extent(attr.ino, logical);
     (id ? stats_.extent_hits : stats_.extent_misses)
         .fetch_add(1, std::memory_order_relaxed);
     if (!id || *id == 0) return CachedWrite::kMissed;
+    ids.push_back(*id);
   }
+  // Only into blocks the store still holds: a cached id whose block is
+  // gone was truncated away by another mount (ids are never reused), and
+  // an unguarded write_sub would resurrect it as an orphan.
+  kv::Batch b;
   std::uint32_t done = 0;
   while (done < n) {
     const std::uint64_t pos = offset + done;
-    const std::uint64_t logical = pos / kBigBlock;
     const auto in_block = static_cast<std::uint32_t>(pos % kBigBlock);
     const std::uint32_t chunk =
         std::min<std::uint32_t>(n - done, kBigBlock - in_block);
-    const auto id = cached_extent(ino, logical);
-    if (!id) return CachedWrite::kMissed;  // a concurrent shard drop
-    // Only into a block the store still holds: a cached id whose block is
-    // gone was truncated away by another mount (ids are never reused), and
-    // a plain write_sub would resurrect it as an orphan.
-    auto w = store_->write_sub_if_present(block_key(*id), in_block,
-                                          src.subspan(done, chunk));
-    cost += w.cost;
-    if (!w.ok()) return CachedWrite::kFailed;
-    if (!w.value) {
-      uncache_page(ino, page_of_block(logical));
-      return CachedWrite::kMissed;
-    }
-    stats_.big_inplace_writes.fetch_add(1, std::memory_order_relaxed);
+    b.write_sub(block_key(ids[pos / kBigBlock - first]), in_block,
+                src.subspan(done, chunk), Guard::kPresent);
     done += chunk;
   }
+  Attr a = attr;
+  a.size = std::max<std::uint64_t>(a.size, offset + n);
+  a.mtime = now();
+  const std::size_t attr_op =
+      b.put(attr_key(a.ino), encode_attr(a), Guard::kPresent);
+  const auto r = commit("kvfs.write", b, cost);
+  if (!r.ok()) return CachedWrite::kFailed;
+  if (!r.value.applied()) {
+    if (r.value.failed_guard == attr_op)
+      uncache_attr(a.ino);
+    else
+      uncache_page(a.ino, page_of_block(first + r.value.failed_guard));
+    return CachedWrite::kMissed;
+  }
+  stats_.big_inplace_writes.fetch_add(ids.size(), std::memory_order_relaxed);
+  cache_attr(a);
   return CachedWrite::kDone;
 }
 
@@ -1255,15 +1266,12 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
     // A warm overwrite writes its cached blocks in place; a miss, a hole
     // or a block gone stale takes the allocating path, which re-reads the
     // index from the store.
-    const CachedWrite warm = overwrite_cached(ino, offset, src, res.cost);
+    const CachedWrite warm = overwrite_cached(*attr, offset, src, res.cost);
     if (warm == CachedWrite::kFailed) {
       res.err = EIO;
       return res;
     }
     if (warm == CachedWrite::kDone) {
-      attr->size = new_size;
-      attr->mtime = now();
-      store_attr(*attr, res.cost);
       res.value = static_cast<std::uint32_t>(src.size());
       return res;
     }

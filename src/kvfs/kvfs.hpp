@@ -237,14 +237,16 @@ class Kvfs {
                                            sim::Nanos& cost);
   /// Outcome of overwrite_cached.
   enum class CachedWrite : std::uint8_t {
-    kDone,    ///< every block of the range written in place
-    kMissed,  ///< a block uncached, a hole or gone: take write_allocating
-    kFailed,  ///< a KV op failed
+    kDone,    ///< the range written in place and the attr updated
+    kMissed,  ///< a block uncached, a hole or gone, or the file gone:
+              ///< take write_allocating
+    kFailed,  ///< the batch failed; nothing landed
   };
   /// Warm overwrite: when every block of the range is cached and allocated,
-  /// writes the range in place, only into blocks the store still holds
-  /// (a gone block uncaches its page).
-  CachedWrite overwrite_cached(Ino ino, std::uint64_t offset,
+  /// sends one batch of in-place block writes and the updated `attr`, each
+  /// guarded present. A block another mount truncated away uncaches its
+  /// page, a file it removed uncaches the attr.
+  CachedWrite overwrite_cached(const Attr& attr, std::uint64_t offset,
                                std::span<const std::byte> src,
                                sim::Nanos& cost);
   /// The big-file write through the store's index: fetches the touched

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "fault/injector.hpp"
 #include "sim/rng.hpp"
 
 namespace dpc::dfs {
@@ -218,6 +221,113 @@ TEST(OpProfile, AccumulatesAllFields) {
   EXPECT_EQ(a.dpu_cpu.ns, 3000);
   EXPECT_EQ(a.mds_ops, 1u);
   EXPECT_EQ(a.forwards, 2u);
+}
+
+// ------------------------------------------------------ fan-out latency
+//
+// A wave of shard I/Os issued together adds only its slowest shard to the
+// critical path (OpProfile::latency()); the station demands still count
+// every shard (ds_ops, ds, net).
+
+/// One 8 KiB shard round trip: data-server service, the two hops, and the
+/// payload on the DFS fabric.
+sim::Nanos shard_trip(bool is_read) {
+  using namespace sim::calib;
+  const double gbps = is_read ? kDfsReadGBps : kDfsWriteGBps;
+  return kDataServerOp + kNetHop * 2 +
+         sim::Nanos{static_cast<std::int64_t>(8192.0 / (gbps * 1e9) * 1e9)};
+}
+
+struct DfsFanOut : StripeFixture {};
+
+TEST_F(DfsFanOut, SubStripeRmwIsTwoWaves) {
+  OpProfile full;
+  striped_write(ds, rs, meta, 0, bytes(32 * 1024, 10), full);
+  OpProfile prof;
+  ASSERT_TRUE(striped_write(ds, rs, meta, 5000, bytes(100, 11), prof));
+  // Reads: the data shard and both parities; writes: the same three.
+  EXPECT_EQ(prof.ds_ops, 6u);
+  EXPECT_EQ((prof.ds + prof.net).ns,
+            (shard_trip(true) * 3 + shard_trip(false) * 3).ns);
+  EXPECT_EQ(prof.crit.ns, (shard_trip(true) + shard_trip(false)).ns);
+  EXPECT_EQ(prof.latency().ns, (shard_trip(true) + shard_trip(false)).ns);
+}
+
+TEST_F(DfsFanOut, MultiStripeReadIsOneWavePerStripe) {
+  OpProfile wprof;
+  const auto data = bytes(64 * 1024, 12);
+  ASSERT_TRUE(striped_write(ds, rs, meta, 0, data, wprof));
+  EXPECT_EQ(wprof.ds_ops, 12u);
+  EXPECT_EQ(wprof.latency().ns, (shard_trip(false) * 2).ns);
+  OpProfile prof;
+  std::vector<std::byte> out(data.size());
+  ASSERT_TRUE(striped_read(ds, meta, 0, out, prof));
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(prof.ds_ops, 8u);
+  EXPECT_EQ(prof.latency().ns, (shard_trip(true) * 2).ns);
+}
+
+TEST_F(DfsFanOut, DegradedGatherIsOneWave) {
+  OpProfile wprof;
+  const auto data = bytes(32 * 1024, 13);
+  ASSERT_TRUE(striped_write(ds, rs, meta, 0, data, wprof));
+  ASSERT_TRUE(ds.drop_shard(meta.ino, 0, 1));
+  OpProfile prof;
+  std::vector<std::byte> out(8192);
+  ASSERT_TRUE(striped_read_reconstruct(ds, rs, meta, 8192, out, prof));
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin() + 8192));
+  // The lone data-shard read (a hole), then all k+m shards at once.
+  EXPECT_EQ(prof.ds_ops, 7u);
+  EXPECT_EQ(prof.latency().ns, (shard_trip(true) * 2).ns);
+}
+
+TEST_F(DfsFanOut, ReplicatedWriteIsOneWave) {
+  meta.redundancy = Redundancy::kReplication;
+  meta.replicas = 3;
+  OpProfile prof;
+  ASSERT_TRUE(replicated_write(ds, meta, 0, bytes(8192, 14), prof));
+  EXPECT_EQ(prof.ds_ops, 3u);
+  EXPECT_EQ((prof.ds + prof.net).ns, (shard_trip(false) * 3).ns);
+  EXPECT_EQ(prof.latency().ns, shard_trip(false).ns);
+}
+
+/// The hedged engines time their own waves: `crit` is the stripe's winning
+/// time, as before, and latency() counts the committed shards only there.
+TEST_F(DfsFanOut, HedgedReadKeepsItsCritAndCountsShardsOnce) {
+  obs::Registry reg;
+  fault::FaultInjector fi(7, &reg);
+  DataServers ds(sim::calib::kDataServers, &fi, &reg);
+  ds.enable_health();
+  meta.ino = 5;
+  const auto data = bytes(32 * 1024, 1);
+  OpProfile wp;
+  ASSERT_TRUE(striped_write(ds, rs, meta, 0, data, wp));
+  std::vector<std::byte> buf(data.size());
+  OpProfile healthy;
+  ASSERT_TRUE(hedged_striped_read(ds, rs, meta, 0, buf, healthy));
+  EXPECT_EQ(healthy.ds_ops, 4u);
+  EXPECT_EQ(healthy.crit.ns, shard_trip(true).ns);
+  EXPECT_EQ(healthy.latency().ns, shard_trip(true).ns);
+  for (int i = 0; i < 31; ++i)
+    ASSERT_TRUE(hedged_striped_read(ds, rs, meta, 0, buf, healthy));
+
+  // Data shard 0 stalls 80 µs: parity is hedged in and wins.
+  fault::FaultInjector::SlowSpec s;
+  s.stall = sim::micros(80.0);
+  s.stall_probability = 1.0;
+  s.peer = ds.server_of(meta.ino, 0, 0);
+  fi.arm_slow(kFaultDsSlow, s);
+  OpProfile prof;
+  bool reconstructed = false;
+  ASSERT_TRUE(hedged_striped_read(ds, rs, meta, 0, buf, prof, &reconstructed));
+  EXPECT_TRUE(reconstructed);
+  EXPECT_EQ(std::memcmp(buf.data(), data.data(), data.size()), 0);
+  EXPECT_EQ(prof.ds_ops, 4u);
+  // The stripe completes at the board's hedge delay (49 365 ns after the
+  // warm-up) plus one clean parity shard.
+  EXPECT_EQ(prof.crit.ns, 49'365 + shard_trip(true).ns);
+  EXPECT_EQ(prof.overlapped.ns, (prof.ds + prof.net).ns);
+  EXPECT_EQ(prof.latency().ns, prof.crit.ns);
 }
 
 }  // namespace

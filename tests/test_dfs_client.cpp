@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "sim/calib.hpp"
 #include "sim/rng.hpp"
 
 namespace dpc::dfs {
@@ -167,6 +168,78 @@ TEST_F(ClientFixture, ConcurrentClientsDisjointFiles) {
   }
   for (auto& t : ts) t.join();
   EXPECT_EQ(errors.load(), 0);
+}
+
+// ------------------------------------------------------ fan-out latency
+//
+// The offloaded client sends a stripe's shards out as one wave: a 32 KiB
+// full-stripe read or write costs one data-server round trip on the
+// critical path, while ds_ops and the station demands count every shard.
+
+struct DfsFanOut : ClientFixture {
+  static constexpr std::uint64_t kStripe = 32 * 1024;
+  /// One 8 KiB shard round trip: service, two hops, the payload.
+  static sim::Nanos shard_trip(bool is_read) {
+    using namespace sim::calib;
+    const double gbps = is_read ? kDfsReadGBps : kDfsWriteGBps;
+    return kDataServerOp + kNetHop * 2 +
+           sim::Nanos{static_cast<std::int64_t>(8192.0 / (gbps * 1e9) * 1e9)};
+  }
+};
+
+TEST_F(DfsFanOut, FullStripeReadIsOneWave) {
+  const auto c = dpc.create("/wave-r", 1 << 20);
+  ASSERT_TRUE(c.ok());
+  const auto data = bytes(kStripe, 20);
+  ASSERT_TRUE(dpc.write(c.ino, 0, data).ok());
+  std::vector<std::byte> out(kStripe);
+  const auto r = dpc.read(c.ino, 0, out);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(r.prof.ds_ops, 4u);
+  EXPECT_EQ(r.prof.mds_ops, 0u);  // the view came with the create
+  EXPECT_EQ((r.prof.ds + r.prof.net).ns, (shard_trip(true) * 4).ns);
+  EXPECT_EQ(r.prof.latency().ns, shard_trip(true).ns);
+  EXPECT_EQ(r.prof.latency().ns, 32'910);
+}
+
+TEST_F(DfsFanOut, FullStripeWriteIsOneWave) {
+  const auto c = dpc.create("/wave-w", 1 << 20);
+  ASSERT_TRUE(c.ok());
+  const auto w = dpc.write(c.ino, 0, bytes(kStripe, 21));
+  ASSERT_TRUE(w.ok());
+  EXPECT_EQ(w.prof.ds_ops, 6u);
+  EXPECT_EQ(w.prof.mds_ops, 0u);  // delegation granted with the create
+  EXPECT_EQ((w.prof.ds + w.prof.net).ns, (shard_trip(false) * 6).ns);
+  EXPECT_EQ(w.prof.latency().ns, shard_trip(false).ns);
+  EXPECT_EQ(w.prof.latency().ns, 33'260);
+}
+
+TEST_F(DfsFanOut, ColdViewStatIsSerial) {
+  const auto c = opt.create("/wave-s", 4096);
+  ASSERT_TRUE(c.ok());
+  const auto st = dpc.stat(c.ino);  // dpc has not cached this file's view
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.prof.mds_ops, 1u);
+  EXPECT_EQ(st.prof.ds_ops, 0u);
+  EXPECT_EQ(st.prof.crit.ns, 0);
+  EXPECT_EQ(st.prof.overlapped.ns, 0);
+  EXPECT_EQ(st.prof.latency().ns,
+            (st.prof.mds + st.prof.ds + st.prof.net).ns);
+}
+
+TEST_F(DfsFanOut, BackendHistogramRecordsLatency) {
+  obs::Registry reg;
+  DfsClient client(4, mds, ds, ClientConfig::dpc_offloaded(), &reg);
+  const auto c = client.create("/wave-h", 1 << 20);
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(client.write(c.ino, 0, bytes(kStripe, 22)).ok());
+  std::vector<std::byte> out(kStripe);
+  ASSERT_TRUE(client.read(c.ino, 0, out).ok());
+  const auto& h = reg.histogram("dfs.client/backend_ns");
+  // create, write, read: the read's one wave is the smallest of the three.
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.min().ns, shard_trip(true).ns);
 }
 
 }  // namespace

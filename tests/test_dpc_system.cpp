@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "cache/control_plane.hpp"
+#include "core/io_dispatch.hpp"
 #include "pcie/dma.hpp"
 #include "sim/calib.hpp"
 
@@ -453,6 +454,60 @@ TEST(DpcSystem, LatencyHistogramsRecordPerClass) {
   // Direct ops are far slower than buffered hits; sanity the magnitudes.
   EXPECT_GT(sys.latency(DpcSystem::OpClass::kRead).mean().us(), 50.0);
   EXPECT_FALSE(sys.latency_summary().empty());
+}
+
+// ------------------------------------------------------ DFS fan-out
+//
+// The offloaded DFS client sends a 32 KiB stripe's four data shards out as
+// one wave: the dispatcher charges one data-server round trip (kDataServerOp
+// + two hops + 8 KiB at kDfsReadGBps = 32 910 ns), not four.
+
+constexpr std::int64_t kStripeReadWaveNs = 32'910;
+
+TEST(DfsFanOut, WarmStripeReadChargesOneWave) {
+  DpcSystem sys(small_opts());
+  const auto c = sys.dfs_create("/dfs/wave", 1 << 20);
+  ASSERT_TRUE(c.ok());
+  const auto data = bytes(32 * 1024, 30);
+  ASSERT_TRUE(sys.dfs_write(c.ino, 0, data).ok());
+  std::vector<std::byte> out(data.size());
+  const std::uint64_t before = sys.dispatch_stats().backend_ns.load();
+  ASSERT_TRUE(sys.dfs_read(c.ino, 0, out).ok());
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(sys.dispatch_stats().backend_ns.load() - before,
+            static_cast<std::uint64_t>(kStripeReadWaveNs));
+}
+
+/// The handler's service time (CQE telemetry, the op's modelled latency)
+/// adds the DPU's DFS-client compute to the one wave.
+TEST(DfsFanOut, DispatchServiceIsDpuCpuPlusOneWave) {
+  kv::KvStore store;
+  kv::RemoteKv remote(store);
+  kvfs::Kvfs fs(remote);
+  dfs::MdsCluster mds;
+  dfs::DataServers ds;
+  dfs::DfsClient client(1, mds, ds, dfs::ClientConfig::dpc_offloaded());
+  IoDispatch dispatch(fs, &client, nullptr);
+  const auto handler = dispatch.handler();
+  const auto c = client.create("/wave", 1 << 20);
+  ASSERT_TRUE(c.ok());
+  const auto data = bytes(32 * 1024, 31);
+  ASSERT_TRUE(client.write(c.ino, 0, data).ok());
+  std::vector<std::byte> out(data.size());
+  const auto direct = client.read(c.ino, 0, out);  // the same read, undispatched
+  ASSERT_TRUE(direct.ok());
+
+  nvme::NvmeFsCmd cmd;
+  cmd.target = nvme::DispatchTarget::kDistributed;
+  cmd.inline_op = nvme::InlineOp::kRead;
+  cmd.inode = c.ino;
+  const auto r = handler(cmd, {}, out);
+  ASSERT_EQ(r.status, nvme::Status::kSuccess);
+  EXPECT_EQ(out, data);
+  EXPECT_GT(direct.prof.dpu_cpu.ns, 0);
+  EXPECT_EQ(r.backend_cost.ns, direct.prof.dpu_cpu.ns + kStripeReadWaveNs);
+  EXPECT_EQ(dispatch.stats().backend_ns.load(),
+            static_cast<std::uint64_t>(kStripeReadWaveNs));
 }
 
 }  // namespace

@@ -61,11 +61,16 @@ TEST(KvStore, SubRangeReadWrite) {
   // Beyond-EOF read is empty, missing key is nullopt.
   EXPECT_EQ(kv.read_sub("big", 1000, out), 0u);
   EXPECT_FALSE(kv.read_sub("nope", 0, out).has_value());
-  // The only-if-present form updates in place but never creates.
-  EXPECT_TRUE(kv.write_sub_if_present("big", 100, b("hello")));
+  // Guarded present, it updates in place but never creates.
+  const auto hello = b("hello");
+  Batch present;
+  present.write_sub("big", 100, hello, Batch::Guard::kPresent);
+  EXPECT_TRUE(kv.apply(present).applied());
   EXPECT_EQ(kv.read_sub("big", 100, out), 5u);
-  EXPECT_EQ(out, b("hello"));
-  EXPECT_FALSE(kv.write_sub_if_present("nope", 0, b("x")));
+  EXPECT_EQ(out, hello);
+  Batch absent;
+  absent.write_sub("nope", 0, hello, Batch::Guard::kPresent);
+  EXPECT_FALSE(kv.apply(absent).applied());
   EXPECT_FALSE(kv.contains("nope"));
 }
 
@@ -161,9 +166,12 @@ TEST(RemoteKv, FunctionalParityWithLocal) {
   Batch del;
   del.erase("a", Batch::Guard::kPresent);
   EXPECT_TRUE(remote.apply(del).value.applied());
-  const auto absent = remote.write_sub_if_present("a", 0, b("x"));
+  const auto x = b("x");
+  Batch sub;
+  sub.write_sub("a", 0, x, Batch::Guard::kPresent);
+  const auto absent = remote.apply(sub);
   EXPECT_TRUE(absent.ok());
-  EXPECT_FALSE(absent.value);
+  EXPECT_FALSE(absent.value.applied());
   EXPECT_FALSE(kv.contains("a"));
 }
 

@@ -13,6 +13,7 @@
 #include "core/dpc_system.hpp"
 #include "nvm/device.hpp"
 #include "nvm/wal.hpp"
+#include "sim/calib.hpp"
 #include "sim/rng.hpp"
 
 namespace dpc::kvfs {
@@ -574,8 +575,8 @@ TEST_F(KvfsSizeIndependence, ColdReadAndOverwriteCostIsFlat) {
 
 TEST_F(KvfsSizeIndependence, WarmReadAndOverwriteCostIsFlat) {
   // The cached page drops the page get: read = block read_sub; overwrite =
-  // block write_sub + attr put.
-  expect_flat(/*cold=*/false, 1, 2);
+  // one batch of the block write_sub and the attr put.
+  expect_flat(/*cold=*/false, 1, 1);
 }
 
 /// Shrinking a 256 MiB file drops every page past the cut (page 0 stays)
@@ -725,6 +726,79 @@ TEST(KvfsExtentCache, FailedPagePutLeavesNothingCached) {
     EXPECT_TRUE(fsck(store).clean()) << "seed " << seed;
   }
   EXPECT_GE(failures, 1);
+}
+
+/// A warm overwrite is one guarded batch of its block write_subs and the
+/// attr, costing two round trips like the write_sub + put it replaced.
+TEST(KvfsExtentCache, WarmOverwriteIsOneTwoRoundTripBatch) {
+  kv::KvStore store;
+  kv::RemoteKv remote(store);
+  Kvfs fs(remote);
+  const Ino ino = fs.create(kRootIno, "f", 0644).value;
+  ASSERT_TRUE(fs.write(ino, 0, std::vector<std::byte>(10000, std::byte{1}))
+                  .ok());
+  const auto page = decode_extent_page(*store.get(extent_page_key(ino, 0)));
+  const std::vector<std::byte> tail(2000, std::byte{2});
+  const std::uint64_t hits = fs.stats().extent_hits.load();
+  const auto w = fs.write(ino, 10000, tail);
+  ASSERT_TRUE(w.ok());
+  EXPECT_EQ(fs.stats().extent_hits.load(), hits + 1);  // took the warm path
+
+  Attr grown = fs.getattr(ino).value;
+  EXPECT_EQ(grown.size, 12000u);
+  kv::Batch b;
+  b.write_sub(block_key(page[1]), 10000 - kBigBlock, tail,
+              kv::Batch::Guard::kPresent);
+  b.put(attr_key(ino), encode_attr(grown), kv::Batch::Guard::kPresent);
+  EXPECT_EQ(w.cost.ns, kv::RemoteKv::batch_cost(b).ns);
+  const sim::Nanos rt = sim::calib::kNetHop * 2 + sim::calib::kKvServerOp;
+  EXPECT_EQ(w.cost.ns, (rt * 2 + sim::calib::kv_write_transfer(
+                                     b.wire_bytes()))
+                           .ns);
+}
+
+/// Under single-attempt remote-KV faults, a warm overwrite that grows a
+/// file is acked only when a fresh mount reads the new size and bytes; a
+/// failed one leaves the old size.
+TEST(KvfsExtentCache, AckedWarmGrowthReachesAFreshMount) {
+  int acked = 0;
+  int failed = 0;
+  for (std::uint64_t seed = 1; seed <= 90; ++seed) {
+    kv::KvStore store;
+    fault::FaultInjector fi(seed);
+    fi.arm(kv::RemoteKv::kFaultSite, 0.5);
+    fi.set_enabled(kv::RemoteKv::kFaultSite, false);
+    kv::RemoteKv remote(store, &fi, nullptr, fault::RetryPolicy{1});
+    Kvfs fs(remote);
+    const Ino ino = fs.create(kRootIno, "f", 0644).value;
+    ASSERT_TRUE(fs.write(ino, 0, std::vector<std::byte>(10000, std::byte{1}))
+                    .ok());
+    const std::vector<std::byte> tail(2000, std::byte{2});
+    const std::uint64_t hits = fs.stats().extent_hits.load();
+    fi.set_enabled(kv::RemoteKv::kFaultSite, true);
+    const auto w = fs.write(ino, 10000, tail);
+    fi.set_enabled(kv::RemoteKv::kFaultSite, false);
+    EXPECT_EQ(fs.stats().extent_hits.load(), hits + 1) << "seed " << seed;
+
+    Kvfs fresh(remote);
+    const auto a = fresh.getattr(ino);
+    ASSERT_TRUE(a.ok()) << "seed " << seed;
+    EXPECT_TRUE(fsck(store).clean()) << "seed " << seed;
+    if (!w.ok()) {
+      ++failed;
+      EXPECT_EQ(w.err, EIO) << "seed " << seed;
+      EXPECT_EQ(a.value.size, 10000u) << "seed " << seed;
+      continue;
+    }
+    ++acked;
+    EXPECT_EQ(a.value.size, 12000u) << "seed " << seed;
+    std::vector<std::byte> out(tail.size());
+    const auto r = fresh.read(ino, 10000, out);
+    EXPECT_TRUE(r.ok() && r.value == tail.size()) << "seed " << seed;
+    EXPECT_EQ(out, tail) << "seed " << seed;
+  }
+  EXPECT_GE(acked, 10);
+  EXPECT_GE(failed, 10);
 }
 
 /// A crash right after a page-straddling write's batch, then a DPU
@@ -930,6 +1004,13 @@ std::vector<BatchCase> batch_cases(const BatchTree& t) {
          EXPECT_EQ(a.size, 100000u);
          EXPECT_EQ(a.big_file, 1u);  // the growth promoted the file
        }},
+      {"warm-overwrite",
+       [t, data](Kvfs& fs) { return fs.write(t.big, 4096, data).err; },
+       [=](Kvfs& fs) {
+         std::vector<std::byte> out(data.size());
+         ASSERT_TRUE(fs.read(t.big, 4096, out).ok());
+         EXPECT_EQ(out, data);
+       }},
       {"allocating-write",
        [t, data](Kvfs& fs) {
          return fs.write(t.big, 8 * kBigBlock, data).err;
@@ -1004,7 +1085,8 @@ TEST(KvfsBatch, EachMutationIsOneBatch) {
   // rmdir scans the directory for emptiness; rename looks up the absent
   // destination; replacing a big file and shrinking one scan its index
   // pages; truncate-grow and the small write read the small KV (to
-  // move or rewrite it); the allocating write fetches its index page and
+  // move or rewrite it); the warm overwrite reads nothing (its page and
+  // attr are cached); the allocating write fetches its index page and
   // allocates two blocks.
   const Expect expect[] = {
       {"create", "kvfs.create", 0, 1},
@@ -1017,6 +1099,7 @@ TEST(KvfsBatch, EachMutationIsOneBatch) {
       {"link", "kvfs.link", 0, 0},
       {"truncate-shrink", "kvfs.truncate", 1, 0},
       {"truncate-grow", "kvfs.truncate", 1, 1},
+      {"warm-overwrite", "kvfs.write", 0, 0},
       {"allocating-write", "kvfs.write", 1, 2},
   };
   for (std::size_t k = 0; k < std::size(expect); ++k) {
