@@ -105,7 +105,8 @@ Profiles measure_client(dfs::MdsCluster& mds, dfs::DataServers& ds,
 const char* kClientNames[] = {"NFS", "NFS+opt-client", "NFS+DPC"};
 
 /// Gated by bench/regress: the critical-path latency (OpProfile::latency())
-/// of one 32 KiB full-stripe write and read by the offloaded client. It runs
+/// of one 32 KiB full-stripe write and read by the offloaded client, and the
+/// latency and shard reads of that read with a data server down. It runs
 /// on an MDS, data servers and registry of its own, so the figure's clients
 /// and their counters are untouched.
 void record_stripe_latency() {
@@ -123,6 +124,14 @@ void record_stripe_latency() {
       .add(static_cast<std::uint64_t>(w.prof.latency().ns));
   g_registry.counter("fig9/dpc_stripe_read_lat_ns")
       .add(static_cast<std::uint64_t>(r.prof.latency().ns));
+  // The recovery cost: the same read with data shard 1's server down.
+  ds.fail_server(ds.server_of(f.ino, 0, 1));
+  std::vector<std::byte> out(stripe.size());
+  const auto d = dpc.read(f.ino, 0, out);
+  DPC_CHECK(d.ok() && out == stripe);
+  g_registry.counter("fig9/dpc_degraded_read_lat_ns")
+      .add(static_cast<std::uint64_t>(d.prof.latency().ns));
+  g_registry.counter("fig9/dpc_degraded_read_ds_ops").add(d.prof.ds_ops);
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ struct DsStack {
       : fi(seed, &reg),
         mds(),
         ds(sim::calib::kDataServers, &fi, &reg),
-        client(1, mds, ds, hedged_cfg(), &reg) {
+        client(1, mds, ds, dfs::ClientConfig::dpc_offloaded(), &reg) {
     ds.enable_health(hc);
     mds.attach_fault(&fi);
     mds.enable_health(&reg, hc);
@@ -99,12 +99,6 @@ struct DsStack {
     DPC_CHECK(c.ok());
     ino = c.ino;
     DPC_CHECK(client.write(ino, 0, golden).ok());
-  }
-
-  static dfs::ClientConfig hedged_cfg() {
-    dfs::ClientConfig c = dfs::ClientConfig::dpc_offloaded();
-    c.hedged_reads = true;
-    return c;
   }
 
   /// One full-stripe read, verified against the golden image; returns the

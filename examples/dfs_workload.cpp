@@ -57,7 +57,7 @@ int main() {
             << (out == block ? "verified" : "CORRUPT!") << '\n';
 
   // Fault injection: lose two shards of stripe 0 (the RS(4,2) tolerance),
-  // then reconstruct through the client-side degraded path.
+  // then read again: the client's read engine reconstructs the stripe.
   dpc.data_servers()->drop_shard(f.ino, 0, 1);
   dpc.data_servers()->drop_shard(f.ino, 0, 4);
   std::cout << "\ndropped shard 1 (data) and shard 4 (parity) of stripe 0\n";
@@ -66,7 +66,7 @@ int main() {
                           dfs::ClientConfig::dpc_offloaded());
   const auto opened = recovery.open("/data/training.bin");
   std::fill(out.begin(), out.end(), std::byte{0});
-  const auto degraded = recovery.read_degraded(opened.ino, 0, out);
+  const auto degraded = recovery.read(opened.ino, 0, out);
   std::cout << "degraded read: " << (degraded.ok() ? "ok" : "FAILED") << ", "
             << (out == block ? "bytes verified after reconstruction"
                              : "CORRUPT!")

@@ -22,6 +22,29 @@ thread_local nvme::TenantId tl_tenant = 0;
 
 std::uint64_t page_round(std::uint64_t n) { return (n + 4095) / 4096 * 4096; }
 
+/// The fs-adapter segments I/O larger than one nvme-fs command: `one(at,
+/// piece)` runs each `max_io`-sized piece of `buf` in order. Costs add up;
+/// the first error or short piece (EOF) ends the walk.
+template <class Buf, class One>
+Io segmented(std::uint64_t ino, Buf buf, std::uint32_t max_io, One&& one) {
+  Io total;
+  total.ino = ino;
+  total.cache_hit = true;
+  for (std::uint64_t at = 0; at < buf.size(); at += max_io) {
+    const auto n = std::min<std::uint64_t>(max_io, buf.size() - at);
+    const Io part = one(at, buf.subspan(at, n));
+    total.cost += part.cost;
+    total.cache_hit = total.cache_hit && part.cache_hit;
+    if (!part.ok()) {
+      total.err = part.err;
+      return total;
+    }
+    total.bytes += part.bytes;
+    if (part.bytes < n) break;
+  }
+  return total;
+}
+
 /// Host memory needed for the queue slots, rings and the hybrid cache.
 std::size_t host_region_size(const DpcOptions& o) {
   // wbuf + rbuf (each max_write/max_read = max_io + header page, plus the
@@ -650,24 +673,11 @@ Io DpcSystem::readdir(std::uint64_t ino, std::vector<kvfs::DirEntry>* out) {
 
 Io DpcSystem::read(std::uint64_t ino, std::uint64_t offset,
                    std::span<std::byte> dst, bool direct) {
-  // The fs-adapter segments I/O larger than one nvme-fs command.
   if (dst.size() > opts_.max_io) {
-    Io total;
-    total.ino = ino;
-    total.cache_hit = true;
-    for (std::uint64_t at = 0; at < dst.size(); at += opts_.max_io) {
-      const auto n = std::min<std::uint64_t>(opts_.max_io, dst.size() - at);
-      Io part = read(ino, offset + at, dst.subspan(at, n), direct);
-      total.cost += part.cost;
-      total.cache_hit = total.cache_hit && part.cache_hit;
-      if (!part.ok()) {
-        total.err = part.err;
-        return total;
-      }
-      total.bytes += part.bytes;
-      if (part.bytes < n) break;  // EOF
-    }
-    return total;
+    return segmented(ino, dst, opts_.max_io,
+                     [&](std::uint64_t at, std::span<std::byte> piece) {
+                       return read(ino, offset + at, piece, direct);
+                     });
   }
   Io io;
   io.ino = ino;
@@ -776,21 +786,10 @@ Io DpcSystem::read(std::uint64_t ino, std::uint64_t offset,
 Io DpcSystem::write(std::uint64_t ino, std::uint64_t offset,
                     std::span<const std::byte> src, bool direct) {
   if (src.size() > opts_.max_io) {
-    Io total;
-    total.ino = ino;
-    total.cache_hit = true;
-    for (std::uint64_t at = 0; at < src.size(); at += opts_.max_io) {
-      const auto n = std::min<std::uint64_t>(opts_.max_io, src.size() - at);
-      Io part = write(ino, offset + at, src.subspan(at, n), direct);
-      total.cost += part.cost;
-      total.cache_hit = total.cache_hit && part.cache_hit;
-      if (!part.ok()) {
-        total.err = part.err;
-        return total;
-      }
-      total.bytes += part.bytes;
-    }
-    return total;
+    return segmented(ino, src, opts_.max_io,
+                     [&](std::uint64_t at, std::span<const std::byte> piece) {
+                       return write(ino, offset + at, piece, direct);
+                     });
   }
   Io io;
   io.ino = ino;
@@ -948,6 +947,12 @@ Io DpcSystem::dfs_open(const std::string& path) {
 
 Io DpcSystem::dfs_read(std::uint64_t ino, std::uint64_t offset,
                        std::span<std::byte> dst) {
+  if (dst.size() > opts_.max_io) {
+    return segmented(ino, dst, opts_.max_io,
+                     [&](std::uint64_t at, std::span<std::byte> piece) {
+                       return dfs_read(ino, offset + at, piece);
+                     });
+  }
   nvme::IniDriver::Request r(thread_tenant());
   r.target = nvme::DispatchTarget::kDistributed;
   r.inline_op = nvme::InlineOp::kRead;
@@ -978,6 +983,12 @@ Io DpcSystem::dfs_read(std::uint64_t ino, std::uint64_t offset,
 
 Io DpcSystem::dfs_write(std::uint64_t ino, std::uint64_t offset,
                         std::span<const std::byte> src) {
+  if (src.size() > opts_.max_io) {
+    return segmented(ino, src, opts_.max_io,
+                     [&](std::uint64_t at, std::span<const std::byte> piece) {
+                       return dfs_write(ino, offset + at, piece);
+                     });
+  }
   nvme::IniDriver::Request r(thread_tenant());
   r.target = nvme::DispatchTarget::kDistributed;
   r.inline_op = nvme::InlineOp::kWrite;

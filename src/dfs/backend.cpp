@@ -271,8 +271,8 @@ bool MdsCluster::server_side_write(DataServers& ds, const ec::ReedSolomon& rs,
   return true;
 }
 
-bool MdsCluster::server_side_read(DataServers& ds, Ino ino,
-                                  std::uint64_t offset,
+bool MdsCluster::server_side_read(DataServers& ds, const ec::ReedSolomon& rs,
+                                  Ino ino, std::uint64_t offset,
                                   std::span<std::byte> dst, int entry,
                                   bool direct, OpProfile& prof) {
   using namespace sim::calib;
@@ -283,18 +283,13 @@ bool MdsCluster::server_side_read(DataServers& ds, Ino ino,
   auto meta = find_meta(ino);
   if (!meta) return false;
   prof.mds += sim::calib::kMdsProxyPerOp;  // proxied data path
-  if (meta->redundancy == Redundancy::kReplication) {
-    if (!replicated_read(ds, *meta, offset, dst, prof) &&
-        !replicated_read_any(ds, *meta, offset, dst, prof))
-      return false;
-  } else if (!striped_read(ds, *meta, offset, dst, prof)) {
-    // Degraded path: the MDS reconstructs from surviving shards + parity
-    // and burns the decode cost server-side (it proxies this I/O).
-    prof.mds += ec::ReedSolomon::host_encode_cost(dst.size());
-    if (!striped_read_reconstruct(ds, ec::ReedSolomon(meta->k, meta->m),
-                                  *meta, offset, dst, prof))
-      return false;
-  }
+  if (meta->redundancy == Redundancy::kReplication)
+    return replicated_read(ds, *meta, offset, dst, prof);
+  bool reconstructed = false;
+  if (!striped_read(ds, rs, *meta, offset, dst, prof, &reconstructed))
+    return false;
+  // The MDS proxies this I/O, so a reconstruct's decode burns server-side.
+  if (reconstructed) prof.mds += ec::ReedSolomon::host_encode_cost(dst.size());
   return true;
 }
 
@@ -478,6 +473,14 @@ DataServers::ShardAttempt DataServers::probe_read_shard(
     std::memset(dst.data(), 0, dst.size());
     return a;
   }
+  if (it->second.lost) {
+    // The server knows it lost this shard's current version: a failure the
+    // read engines recover from, never a hole that reads back as zeros.
+    if (failed_reads_ != nullptr) failed_reads_->add();
+    a.failed = true;
+    std::memset(dst.data(), 0, dst.size());
+    return a;
+  }
   if (stamp_shard_crc(ino, stripe, role, it->second.data) !=
       it->second.crc) {
     // Damaged at rest. Report a *failure*, not a hole: zeros here would be
@@ -520,11 +523,11 @@ void DataServers::write_shard(Ino ino, std::uint64_t stripe,
                      src.size(), prof, fast)) {
       if (failed_writes_ != nullptr) failed_writes_->add();
       // The new version never reached the server, so its old copy is now a
-      // stale version. Invalidate it (models per-shard version checks):
-      // a degraded read must reconstruct the new bytes from the surviving
-      // shards, never serve the outdated ones.
+      // stale version. Mark the shard lost (models per-shard version
+      // checks): a read must reconstruct the new bytes from the surviving
+      // shards, never serve the outdated ones nor a hole's zeros.
       sim::LockGuard lock(sv.mu);
-      sv.shards.erase(Key{ino, stripe, role});
+      sv.shards[Key{ino, stripe, role}] = StoredShard{{}, 0, /*lost=*/true};
       return;
     }
   }
@@ -543,6 +546,7 @@ void DataServers::write_shard(Ino ino, std::uint64_t stripe,
   StoredShard& st = sv.shards[Key{ino, stripe, role}];
   st.data.assign(src.begin(), src.end());
   st.crc = stamp_shard_crc(ino, stripe, role, st.data);
+  st.lost = false;
 }
 
 void DataServers::repair_shard(Ino ino, std::uint64_t stripe,
@@ -566,7 +570,10 @@ bool DataServers::drop_shard(Ino ino, std::uint64_t stripe,
                              std::uint32_t role) {
   Server& sv = servers_[static_cast<std::size_t>(server_of(ino, stripe, role))];
   sim::LockGuard lock(sv.mu);
-  return sv.shards.erase(Key{ino, stripe, role}) > 0;
+  const auto it = sv.shards.find(Key{ino, stripe, role});
+  if (it == sv.shards.end() || it->second.lost) return false;
+  it->second = StoredShard{{}, 0, /*lost=*/true};
+  return true;
 }
 
 bool DataServers::has_shard(Ino ino, std::uint64_t stripe,
@@ -574,7 +581,8 @@ bool DataServers::has_shard(Ino ino, std::uint64_t stripe,
   const Server& sv =
       servers_[static_cast<std::size_t>(server_of(ino, stripe, role))];
   sim::SharedLockGuard lock(sv.mu);
-  return sv.shards.contains(Key{ino, stripe, role});
+  const auto it = sv.shards.find(Key{ino, stripe, role});
+  return it != sv.shards.end() && !it->second.lost;
 }
 
 bool DataServers::corrupt_shard(Ino ino, std::uint64_t stripe,
@@ -595,7 +603,7 @@ ShardState DataServers::verify_shard(Ino ino, std::uint64_t stripe,
       servers_[static_cast<std::size_t>(server_of(ino, stripe, role))];
   sim::SharedLockGuard lock(sv.mu);
   const auto it = sv.shards.find(Key{ino, stripe, role});
-  if (it == sv.shards.end()) return ShardState::kAbsent;
+  if (it == sv.shards.end() || it->second.lost) return ShardState::kAbsent;
   return stamp_shard_crc(ino, stripe, role, it->second.data) ==
                  it->second.crc
              ? ShardState::kOk
@@ -607,7 +615,7 @@ std::vector<ShardId> DataServers::stored_shards() const {
   for (const auto& sv : servers_) {
     sim::SharedLockGuard lock(sv.mu);
     for (const auto& [key, shard] : sv.shards)
-      out.push_back({key.ino, key.stripe, key.role});
+      if (!shard.lost) out.push_back({key.ino, key.stripe, key.role});
   }
   return out;
 }
@@ -652,7 +660,7 @@ class Wave {
     summed_ += t;
     slowest_ = std::max(slowest_, t);
   }
-  /// Closes on a critical path the caller timed itself (the hedged engines'
+  /// Closes on a critical path the caller timed itself (the read engines'
   /// completion time) instead of the slowest shard.
   void close(sim::Nanos crit) {
     if (closed_) return;
@@ -757,107 +765,6 @@ bool striped_write(DataServers& ds, const ec::ReedSolomon& rs,
   return true;
 }
 
-bool striped_read(DataServers& ds, const FileMeta& meta, std::uint64_t offset,
-                  std::span<std::byte> dst, OpProfile& prof) {
-  const std::uint32_t unit = meta.stripe_unit;
-  const std::uint64_t stripe_bytes = std::uint64_t{unit} * meta.k;
-  std::size_t done = 0;
-  std::vector<std::byte> shard(unit);
-  while (done < dst.size()) {
-    // The stripe's data shards go out as one wave.
-    const std::uint64_t stripe = (offset + done) / stripe_bytes;
-    Wave wave(ds, meta.ino, stripe, prof);
-    while (done < dst.size() && (offset + done) / stripe_bytes == stripe) {
-      const std::uint64_t in_stripe = (offset + done) % stripe_bytes;
-      const auto d = static_cast<std::uint32_t>(in_stripe / unit);
-      const auto in_shard = static_cast<std::uint32_t>(in_stripe % unit);
-      const auto chunk = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(dst.size() - done, unit - in_shard));
-      bool rfail = false;
-      wave.read(d, shard, &rfail);
-      if (rfail) return false;  // outage — caller falls back to degraded read
-      std::memcpy(dst.data() + done, shard.data() + in_shard, chunk);
-      done += chunk;
-    }
-  }
-  return true;
-}
-
-bool striped_read_reconstruct(DataServers& ds, const ec::ReedSolomon& rs,
-                              const FileMeta& meta, std::uint64_t offset,
-                              std::span<std::byte> dst, OpProfile& prof) {
-  const std::uint32_t unit = meta.stripe_unit;
-  const int k = meta.k;
-  const int m = meta.m;
-  const std::uint64_t stripe_bytes = std::uint64_t{unit} * k;
-  std::size_t done = 0;
-  while (done < dst.size()) {
-    const std::uint64_t pos = offset + done;
-    const std::uint64_t stripe = pos / stripe_bytes;
-    const std::uint64_t in_stripe = pos % stripe_bytes;
-    const auto d = static_cast<int>(in_stripe / unit);
-    const auto in_shard = static_cast<std::uint32_t>(in_stripe % unit);
-    const auto chunk = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(dst.size() - done, unit - in_shard));
-
-    bool rfail = false;
-    std::vector<std::byte> shard(unit);
-    if (ds.read_shard(meta.ino, stripe, static_cast<std::uint32_t>(d), shard,
-                      prof, &rfail)) {
-      std::memcpy(dst.data() + done, shard.data() + in_shard, chunk);
-    } else {
-      // Degraded: the shard is absent, corrupt, or its server is
-      // unreachable. Gather every shard that still *reads back clean* (an
-      // existing shard on a failed server counts as lost) and reconstruct
-      // the stripe.
-      const int total = k + m;
-      std::vector<std::vector<std::byte>> shards(
-          static_cast<std::size_t>(total), std::vector<std::byte>(unit));
-      // vector<bool> is not contiguous bools; use a plain buffer for the
-      // span<const bool> API.
-      std::unique_ptr<bool[]> present =
-          std::make_unique<bool[]>(static_cast<std::size_t>(total));
-      std::unique_ptr<bool[]> rotted =
-          std::make_unique<bool[]>(static_cast<std::size_t>(total));
-      int have = 0;
-      {
-        Wave gather(ds, meta.ino, stripe, prof);
-        for (int r = 0; r < total; ++r) {
-          bool shard_corrupt = false;
-          if (gather.read(static_cast<std::uint32_t>(r),
-                          shards[static_cast<std::size_t>(r)], &rfail,
-                          &shard_corrupt)) {
-            present[static_cast<std::size_t>(r)] = true;
-            ++have;
-          }
-          rotted[static_cast<std::size_t>(r)] = shard_corrupt;
-        }
-      }
-      if (have < k) return false;
-      std::vector<std::span<std::byte>> views;
-      views.reserve(static_cast<std::size_t>(total));
-      for (auto& s : shards) views.emplace_back(s);
-      rs.reconstruct(views,
-                     std::span<const bool>(present.get(),
-                                           static_cast<std::size_t>(total)));
-      // Repair-in-place: only shards that *provably* rotted are rewritten.
-      // Absent shards stay absent — materializing them would turn holes
-      // (and invalidated stale versions) into data behind the MDS's back.
-      for (int r = 0; r < total; ++r) {
-        if (rotted[static_cast<std::size_t>(r)]) {
-          ds.repair_shard(meta.ino, stripe, static_cast<std::uint32_t>(r),
-                          shards[static_cast<std::size_t>(r)], prof);
-        }
-      }
-      std::memcpy(dst.data() + done,
-                  shards[static_cast<std::size_t>(d)].data() + in_shard,
-                  chunk);
-    }
-    done += chunk;
-  }
-  return true;
-}
-
 // ------------------------------------------------------------ replication
 
 bool replicated_write(DataServers& ds, const FileMeta& meta,
@@ -877,17 +784,9 @@ bool replicated_write(DataServers& ds, const FileMeta& meta,
     if (chunk == unit) {
       payload = data.subspan(done, unit);
     } else {
-      // Partial unit: read-merge. Try every replica — merging into zeros
-      // from a failed read would wipe the rest of the unit.
-      bool merged = false;
-      for (std::uint32_t r = 0; r < meta.replicas && !merged; ++r) {
-        bool rfail = false;
-        if (ds.read_shard(meta.ino, stripe, r, shard, prof, &rfail))
-          merged = true;
-        else if (!rfail)
-          merged = true;  // genuinely absent everywhere ⇒ zeros are right
-      }
-      if (!merged) return false;
+      // Partial unit: read-merge through the read engine — merging into
+      // zeros from a failed read would wipe the rest of the unit.
+      if (!replicated_read(ds, meta, stripe * unit, shard, prof)) return false;
       std::memcpy(shard.data() + in_unit, data.data() + done, chunk);
       payload = shard;
     }
@@ -898,81 +797,36 @@ bool replicated_write(DataServers& ds, const FileMeta& meta,
   return true;
 }
 
-bool replicated_read(DataServers& ds, const FileMeta& meta,
-                     std::uint64_t offset, std::span<std::byte> dst,
-                     OpProfile& prof) {
-  DPC_CHECK(meta.redundancy == Redundancy::kReplication);
-  const std::uint32_t unit = meta.stripe_unit;
-  std::size_t done = 0;
-  std::vector<std::byte> shard(unit);
-  while (done < dst.size()) {
-    const std::uint64_t pos = offset + done;
-    const std::uint64_t stripe = pos / unit;
-    const auto in_unit = static_cast<std::uint32_t>(pos % unit);
-    const auto chunk = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(dst.size() - done, unit - in_unit));
-    bool rfail = false;
-    ds.read_shard(meta.ino, stripe, 0, shard, prof, &rfail);  // primary copy
-    if (rfail) return false;  // caller falls back to replicated_read_any
-    std::memcpy(dst.data() + done, shard.data() + in_unit, chunk);
-    done += chunk;
-  }
-  return true;
-}
-
-bool replicated_read_any(DataServers& ds, const FileMeta& meta,
-                         std::uint64_t offset, std::span<std::byte> dst,
-                         OpProfile& prof) {
-  DPC_CHECK(meta.redundancy == Redundancy::kReplication);
-  const std::uint32_t unit = meta.stripe_unit;
-  std::size_t done = 0;
-  std::vector<std::byte> shard(unit);
-  while (done < dst.size()) {
-    const std::uint64_t pos = offset + done;
-    const std::uint64_t stripe = pos / unit;
-    const auto in_unit = static_cast<std::uint32_t>(pos % unit);
-    const auto chunk = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(dst.size() - done, unit - in_unit));
-    // Prefer the first replica that *reads back* — a copy sitting on a
-    // failed server is as good as gone.
-    bool got = false;
-    for (std::uint32_t r = 0; r < meta.replicas && !got; ++r) {
-      bool rfail = false;
-      if (ds.read_shard(meta.ino, stripe, r, shard, prof, &rfail)) got = true;
-    }
-    if (!got) return false;
-    std::memcpy(dst.data() + done, shard.data() + in_unit, chunk);
-    done += chunk;
-  }
-  return true;
-}
-
-// ---------------------------------------------------------- hedged reads
+// ------------------------------------------------------------ read engines
 //
-// The hedged engines model each stripe (or replica group) as a fan-out on a
-// local timeline: every attempt is *staged* via probe_read_shard (outcome
-// and cost known, nothing charged), completion events are ordered, and only
-// the attempts that finished by the winning time commit their costs. An
-// attempt still in flight when the op completes is a cancelled loser — it
-// charges nothing, exactly like a real cancellation releasing the slot.
+// One engine per redundancy scheme (DESIGN.md §5.6). Each stripe (or
+// replica group) is a fan-out on a local timeline: every attempt is
+// *staged* via probe_read_shard (outcome and cost known, nothing charged),
+// completion events are ordered, and only the attempts that finished by the
+// winning time commit their costs. An attempt still in flight when the op
+// completes is a cancelled loser — it charges nothing, exactly like a real
+// cancellation releasing the slot. Without a health board, roles and
+// replicas are tried in index order and nothing is speculative; a board
+// ranks them by health and lets laggards be hedged (DESIGN.md §5.7).
 
 namespace {
 
 constexpr std::int64_t kInfNs = std::numeric_limits<std::int64_t>::max();
 
-/// A shard attempt staged on the fan-out timeline.
-struct HedgedAttempt {
+/// A shard read staged on the fan-out timeline.
+struct Attempt {
   bool issued = false;
   bool speculative = false;  ///< budgeted hedge (vs primary / mandatory)
+  bool winner = false;       ///< one of the shards the op completed with
   sim::Nanos start{};        ///< when the attempt launched
   DataServers::ShardAttempt a;
-  std::vector<std::byte> buf;
+  std::span<std::byte> buf;  ///< the whole shard: in dst, or in scratch
 };
 
 /// When the attempt's outcome is known: answers (clean, hole, corrupt) and
 /// deadline timeouts at start+latency; breaker/quarantine fast-fails
 /// immediately (latency is zero).
-std::int64_t done_at(const HedgedAttempt& at) {
+std::int64_t done_at(const Attempt& at) {
   return at.start.ns + at.a.latency.ns;
 }
 
@@ -985,16 +839,36 @@ std::vector<int> rank_by_health(const fault::HealthBoard& board, int servers) {
   return rank;
 }
 
+/// Stripe-unit buffers for shards that cannot land straight in the
+/// caller's dst (partial chunks, recovery reads), allocated on first use.
+class Scratch {
+ public:
+  Scratch(std::size_t slots, std::uint32_t unit) : slots_(slots), unit_(unit) {}
+  std::span<std::byte> slot(std::size_t i) {
+    if (!bytes_)
+      bytes_ = std::make_unique_for_overwrite<std::byte[]>(slots_ * unit_);
+    return {bytes_.get() + i * unit_, unit_};
+  }
+
+ private:
+  std::size_t slots_;
+  std::uint32_t unit_;
+  std::unique_ptr<std::byte[]> bytes_;
+};
+
+/// Without a board there is no hedging to count.
+const DataServers::HedgeCounters kNoHedgeCounters{};
+
 }  // namespace
 
-bool hedged_striped_read(DataServers& ds, const ec::ReedSolomon& rs,
-                         const FileMeta& meta, std::uint64_t offset,
-                         std::span<std::byte> dst, OpProfile& prof,
-                         bool* reconstructed) {
+bool striped_read(DataServers& ds, const ec::ReedSolomon& rs,
+                  const FileMeta& meta, std::uint64_t offset,
+                  std::span<std::byte> dst, OpProfile& prof,
+                  bool* reconstructed) {
   DPC_CHECK(meta.redundancy == Redundancy::kErasure);
   fault::HealthBoard* board = ds.health();
-  DPC_CHECK(board != nullptr);  // callers enable health before hedging
-  const DataServers::HedgeCounters& hc = ds.hedge_counters();
+  const DataServers::HedgeCounters& hc =
+      board != nullptr ? ds.hedge_counters() : kNoHedgeCounters;
   const std::uint32_t unit = meta.stripe_unit;
   const int k = meta.k;
   const int m = meta.m;
@@ -1003,27 +877,36 @@ bool hedged_striped_read(DataServers& ds, const ec::ReedSolomon& rs,
   const std::uint64_t stripe_bytes = std::uint64_t{unit} * k;
   if (reconstructed != nullptr) *reconstructed = false;
 
+  /// Per role: the stripe's attempt, and the chunk of dst it serves.
+  struct Role {
+    Attempt at;
+    bool needed = false;
+    std::uint32_t in_shard = 0;
+    std::uint32_t chunk = 0;
+    std::size_t dst_at = 0;
+  };
+  std::vector<Role> roles(static_cast<std::size_t>(total));
+  Scratch scratch(static_cast<std::size_t>(total), unit);
+
   std::size_t done = 0;
   while (done < dst.size()) {
     const std::uint64_t stripe = (offset + done) / stripe_bytes;
+    std::fill(roles.begin(), roles.end(), Role{});
 
-    // Which data roles this stripe contributes, and where each chunk lands.
-    std::vector<bool> needed(static_cast<std::size_t>(total), false);
-    std::vector<std::uint32_t> r_in(static_cast<std::size_t>(total), 0);
-    std::vector<std::uint32_t> r_chunk(static_cast<std::size_t>(total), 0);
-    std::vector<std::size_t> r_dst(static_cast<std::size_t>(total), 0);
+    // Which data roles this stripe contributes, and where each chunk lands:
+    // a whole unit straight into dst, a partial one via its scratch slot.
     std::size_t local = done;
     while (local < dst.size() && (offset + local) / stripe_bytes == stripe) {
       const std::uint64_t in_stripe = (offset + local) % stripe_bytes;
       const auto d = static_cast<std::size_t>(in_stripe / unit);
-      const auto in_shard = static_cast<std::uint32_t>(in_stripe % unit);
-      const auto chunk = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(dst.size() - local, unit - in_shard));
-      needed[d] = true;
-      r_in[d] = in_shard;
-      r_chunk[d] = chunk;
-      r_dst[d] = local;
-      local += chunk;
+      Role& r = roles[d];
+      r.needed = true;
+      r.in_shard = static_cast<std::uint32_t>(in_stripe % unit);
+      r.chunk = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(dst.size() - local, unit - r.in_shard));
+      r.dst_at = local;
+      r.at.buf = r.chunk == unit ? dst.subspan(local, unit) : scratch.slot(d);
+      local += r.chunk;
     }
 
     // Primary wave: the needed data shards, fanned out at t = 0. A primary
@@ -1031,17 +914,15 @@ bool hedged_striped_read(DataServers& ds, const ec::ReedSolomon& rs,
     // whether the gate skips it or lets a reintegration probe through, the
     // covering extras launch immediately (t = 0) and race the probe instead
     // of waiting out its deadline.
-    std::vector<HedgedAttempt> atts(static_cast<std::size_t>(total));
     bool any_primary_failed = false;
     bool any_suspect = false;
     sim::Nanos t1{};  // all-primaries completion: slowest usable arrival
     std::uint64_t primaries = 0;
     for (int d = 0; d < k; ++d) {
-      const auto di = static_cast<std::size_t>(d);
-      if (!needed[di]) continue;
-      HedgedAttempt& at = atts[di];
-      at.buf.resize(unit);
-      if (board->quarantined(
+      Attempt& at = roles[static_cast<std::size_t>(d)].at;
+      if (!roles[static_cast<std::size_t>(d)].needed) continue;
+      if (board != nullptr &&
+          board->quarantined(
               ds.server_of(meta.ino, stripe, static_cast<std::uint32_t>(d))))
         any_suspect = true;
       at.a = ds.probe_read_shard(meta.ino, stripe,
@@ -1053,58 +934,64 @@ bool hedged_striped_read(DataServers& ds, const ec::ReedSolomon& rs,
       else
         t1 = std::max(t1, at.a.latency);
     }
-    board->note_primary(static_cast<int>(primaries));
+    if (board != nullptr) board->note_primary(static_cast<int>(primaries));
     if (hc.primary != nullptr) hc.primary->add(primaries);
 
-    const sim::Nanos hedge_delay = board->hedge_delay();
-
-    // Hedge wave. Mandatory when a primary failed — degraded recovery needs
-    // parity regardless of budget. Speculative when every primary is alive
-    // but the slowest lags past the hedge delay: reconstruction from the
-    // healthiest k shards races the straggler, gated by the token budget.
+    // Extra wave. Mandatory when a primary failed — degraded recovery needs
+    // parity regardless of budget, issued once the failure is known.
+    // Speculative (board only) when every primary is alive but the slowest
+    // lags past the hedge delay: reconstruction from the healthiest k
+    // shards races the straggler, gated by the token budget.
     int extra_target = 0;
     bool speculative = false;
     sim::Nanos extra_start{};
     if (any_primary_failed) {
       int clean = 0;
       sim::Nanos known{kInfNs};  // first failure-known time starts recovery
-      for (const HedgedAttempt& at : atts) {
-        if (!at.issued) continue;
-        if (at.a.ok) ++clean;
-        if (at.a.failed) known = std::min(known, at.a.latency);
+      for (const Role& r : roles) {
+        if (!r.at.issued) continue;
+        if (r.at.a.ok) ++clean;
+        if (r.at.a.failed) known = std::min(known, r.at.a.latency);
       }
       extra_target = std::max(0, k - clean);
       extra_start = any_suspect ? sim::Nanos{} : known;
-    } else if (t1 > hedge_delay) {
-      int clean_fast = 0;
-      for (const HedgedAttempt& at : atts)
-        if (at.issued && at.a.ok && at.a.latency <= hedge_delay) ++clean_fast;
-      const int want = k - clean_fast;
-      if (want > 0 && board->try_hedge(want)) {
-        extra_target = want;
-        speculative = true;
-        extra_start = hedge_delay;
-      } else if (want > 0 && hc.denied != nullptr) {
-        hc.denied->add(static_cast<std::uint64_t>(want));
+    } else if (board != nullptr) {
+      const sim::Nanos hedge_delay = board->hedge_delay();
+      if (t1 > hedge_delay) {
+        int clean_fast = 0;
+        for (const Role& r : roles)
+          if (r.at.issued && r.at.a.ok && r.at.a.latency <= hedge_delay)
+            ++clean_fast;
+        const int want = k - clean_fast;
+        if (want > 0 && board->try_hedge(want)) {
+          extra_target = want;
+          speculative = true;
+          extra_start = hedge_delay;
+        } else if (want > 0 && hc.denied != nullptr) {
+          hc.denied->add(static_cast<std::uint64_t>(want));
+        }
       }
     }
 
+    int issued_extra = 0;
     if (extra_target > 0) {
-      const std::vector<int> rank = rank_by_health(*board, ds.servers());
       std::vector<int> cands;
       for (int r = 0; r < total; ++r)
-        if (!atts[static_cast<std::size_t>(r)].issued) cands.push_back(r);
-      std::stable_sort(cands.begin(), cands.end(), [&](int x, int y) {
-        return rank[static_cast<std::size_t>(ds.server_of(
-                   meta.ino, stripe, static_cast<std::uint32_t>(x)))] <
-               rank[static_cast<std::size_t>(ds.server_of(
-                   meta.ino, stripe, static_cast<std::uint32_t>(y)))];
-      });
-      int issued_extra = 0;
+        if (!roles[static_cast<std::size_t>(r)].at.issued) cands.push_back(r);
+      if (board != nullptr) {
+        const std::vector<int> rank = rank_by_health(*board, ds.servers());
+        std::stable_sort(cands.begin(), cands.end(), [&](int x, int y) {
+          return rank[static_cast<std::size_t>(ds.server_of(
+                     meta.ino, stripe, static_cast<std::uint32_t>(x)))] <
+                 rank[static_cast<std::size_t>(ds.server_of(
+                     meta.ino, stripe, static_cast<std::uint32_t>(y)))];
+        });
+      }
       for (std::size_t ci = 0;
            ci < cands.size() && issued_extra < extra_target; ++ci) {
-        HedgedAttempt& at = atts[static_cast<std::size_t>(cands[ci])];
-        at.buf.resize(unit);
+        const auto ri = static_cast<std::size_t>(cands[ci]);
+        Attempt& at = roles[ri].at;
+        at.buf = scratch.slot(ri);
         at.start = extra_start;
         at.speculative = speculative;
         at.a = ds.probe_read_shard(meta.ino, stripe,
@@ -1120,46 +1007,45 @@ bool hedged_striped_read(DataServers& ds, const ec::ReedSolomon& rs,
     }
 
     // Completion: T1 = all primaries arrive; T2 = k-th clean shard arrives
-    // (reconstruction possible). First to happen wins.
-    std::vector<std::pair<std::int64_t, int>> clean_arrivals;
-    for (int r = 0; r < total; ++r) {
-      const HedgedAttempt& at = atts[static_cast<std::size_t>(r)];
-      if (at.issued && at.a.ok) clean_arrivals.emplace_back(done_at(at), r);
-    }
-    std::sort(clean_arrivals.begin(), clean_arrivals.end());
+    // (reconstruction possible). First to happen wins. With no extras the
+    // clean shards are primaries only, which cannot beat T1.
     const std::int64_t t1_eff = any_primary_failed ? kInfNs : t1.ns;
-    const std::int64_t t2 =
-        static_cast<int>(clean_arrivals.size()) >= k
-            ? clean_arrivals[static_cast<std::size_t>(k) - 1].first
-            : kInfNs;
+    std::int64_t t2 = kInfNs;
+    std::vector<std::pair<std::int64_t, int>> clean_arrivals;
+    if (issued_extra > 0) {
+      for (int r = 0; r < total; ++r) {
+        const Attempt& at = roles[static_cast<std::size_t>(r)].at;
+        if (at.issued && at.a.ok) clean_arrivals.emplace_back(done_at(at), r);
+      }
+      std::sort(clean_arrivals.begin(), clean_arrivals.end());
+      if (static_cast<int>(clean_arrivals.size()) >= k)
+        t2 = clean_arrivals[static_cast<std::size_t>(k) - 1].first;
+    }
     const std::int64_t finish = std::min(t1_eff, t2);
     if (finish == kInfNs) {
       // Unrecoverable this pass: every attempt ran to completion, nothing
-      // won. Charge them all and let the caller fall back / fail the op.
-      for (const HedgedAttempt& at : atts)
-        if (at.issued) DataServers::commit_attempt(at.a, prof);
+      // won. Charge them all and let the caller retry / fail the op.
+      for (const Role& r : roles)
+        if (r.at.issued) DataServers::commit_attempt(r.at.a, prof);
       return false;
     }
 
     Wave wave(ds, meta.ino, stripe, prof);
     const bool via_t2 = t2 < t1_eff;
-    std::vector<bool> winner(static_cast<std::size_t>(total), false);
     if (via_t2) {
-      for (int i = 0; i < k; ++i)
-        winner[static_cast<std::size_t>(clean_arrivals
-                                            [static_cast<std::size_t>(i)]
-                                                .second)] = true;
+      for (int i = 0; i < k; ++i) {
+        const int r = clean_arrivals[static_cast<std::size_t>(i)].second;
+        roles[static_cast<std::size_t>(r)].at.winner = true;
+      }
     } else {
-      for (int d = 0; d < k; ++d)
-        if (needed[static_cast<std::size_t>(d)])
-          winner[static_cast<std::size_t>(d)] = true;
+      for (Role& r : roles) r.at.winner = r.needed;
     }
 
     bool hedge_won = false;
-    for (int r = 0; r < total; ++r) {
-      const HedgedAttempt& at = atts[static_cast<std::size_t>(r)];
+    for (const Role& r : roles) {
+      const Attempt& at = r.at;
       if (!at.issued) continue;
-      if (winner[static_cast<std::size_t>(r)]) {
+      if (at.winner) {
         wave.add(at.a.charge);
         if (via_t2 && at.speculative) hedge_won = true;
       } else if (done_at(at) <= finish) {
@@ -1173,63 +1059,56 @@ bool hedged_striped_read(DataServers& ds, const ec::ReedSolomon& rs,
     }
     if (hedge_won && hc.won != nullptr) hc.won->add();
 
-    if (!via_t2) {
-      for (int d = 0; d < k; ++d) {
-        const auto di = static_cast<std::size_t>(d);
-        if (needed[di])
-          std::memcpy(dst.data() + r_dst[di], atts[di].buf.data() + r_in[di],
-                      r_chunk[di]);
-      }
-    } else {
-      // Reconstruct the stripe from exactly the k winning clean shards.
-      std::vector<std::vector<std::byte>> shards(
-          static_cast<std::size_t>(total), std::vector<std::byte>(unit));
+    if (via_t2) {
+      // Reconstruct the stripe from exactly the k winning clean shards; the
+      // rebuilt needed roles land in their buffers (dst for whole units).
+      std::vector<std::span<std::byte>> views;
+      views.reserve(static_cast<std::size_t>(total));
       std::unique_ptr<bool[]> present =
           std::make_unique<bool[]>(static_cast<std::size_t>(total));
       for (int r = 0; r < total; ++r) {
         const auto ri = static_cast<std::size_t>(r);
-        if (winner[ri]) {
-          shards[ri] = std::move(atts[ri].buf);
-          present[ri] = true;
-        }
+        Attempt& at = roles[ri].at;
+        if (at.buf.empty()) at.buf = scratch.slot(ri);
+        views.push_back(at.buf);
+        present[ri] = at.winner;
       }
-      std::vector<std::span<std::byte>> views;
-      views.reserve(static_cast<std::size_t>(total));
-      for (auto& s : shards) views.emplace_back(s);
       rs.reconstruct(views,
                      std::span<const bool>(present.get(),
                                            static_cast<std::size_t>(total)));
       if (reconstructed != nullptr) *reconstructed = true;
       // Repair-in-place only shards that provably rotted *and* whose read
-      // completed before the op did (a cancelled read never saw the rot) —
-      // same policy as striped_read_reconstruct.
+      // completed before the op did (a cancelled read never saw the rot).
+      // Holes stay holes (materializing them would turn them into data
+      // behind the MDS's back), and lost shards stay lost.
       for (int r = 0; r < total; ++r) {
-        const HedgedAttempt& at = atts[static_cast<std::size_t>(r)];
+        const Attempt& at = roles[static_cast<std::size_t>(r)].at;
         if (at.issued && at.a.corrupt && done_at(at) <= finish)
           ds.repair_shard(meta.ino, stripe, static_cast<std::uint32_t>(r),
-                          shards[static_cast<std::size_t>(r)], prof);
-      }
-      for (int d = 0; d < k; ++d) {
-        const auto di = static_cast<std::size_t>(d);
-        if (needed[di])
-          std::memcpy(dst.data() + r_dst[di], shards[di].data() + r_in[di],
-                      r_chunk[di]);
+                          at.buf, prof);
       }
     }
+    for (const Role& r : roles)
+      if (r.needed && r.chunk != unit)
+        std::memcpy(dst.data() + r.dst_at, r.at.buf.data() + r.in_shard,
+                    r.chunk);
     wave.close(sim::Nanos{finish});
     done = local;
   }
   return true;
 }
 
-bool hedged_replicated_read(DataServers& ds, const FileMeta& meta,
-                            std::uint64_t offset, std::span<std::byte> dst,
-                            OpProfile& prof) {
+bool replicated_read(DataServers& ds, const FileMeta& meta,
+                     std::uint64_t offset, std::span<std::byte> dst,
+                     OpProfile& prof) {
   DPC_CHECK(meta.redundancy == Redundancy::kReplication);
   fault::HealthBoard* board = ds.health();
-  DPC_CHECK(board != nullptr);
-  const DataServers::HedgeCounters& hc = ds.hedge_counters();
+  const DataServers::HedgeCounters& hc =
+      board != nullptr ? ds.hedge_counters() : kNoHedgeCounters;
   const std::uint32_t unit = meta.stripe_unit;
+  std::vector<std::uint32_t> order(meta.replicas);
+  std::vector<Attempt> atts(meta.replicas);
+  Scratch scratch(meta.replicas, unit);
   std::size_t done = 0;
   while (done < dst.size()) {
     const std::uint64_t pos = offset + done;
@@ -1238,51 +1117,55 @@ bool hedged_replicated_read(DataServers& ds, const FileMeta& meta,
     const auto chunk = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(dst.size() - done, unit - in_unit));
 
-    // Replica copies ordered healthiest-first; the best one is the primary.
-    const std::vector<int> rank = rank_by_health(*board, ds.servers());
-    std::vector<std::uint32_t> order(meta.replicas);
+    // Replica copies in index order, or healthiest-first with a board; the
+    // first is the primary.
     for (std::uint32_t r = 0; r < meta.replicas; ++r) order[r] = r;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t x, std::uint32_t y) {
-                       return rank[static_cast<std::size_t>(
-                                  ds.server_of(meta.ino, stripe, x))] <
-                              rank[static_cast<std::size_t>(
-                                  ds.server_of(meta.ino, stripe, y))];
-                     });
+    sim::Nanos hedge_delay{kInfNs};
+    if (board != nullptr) {
+      const std::vector<int> rank = rank_by_health(*board, ds.servers());
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::uint32_t x, std::uint32_t y) {
+                         return rank[static_cast<std::size_t>(
+                                    ds.server_of(meta.ino, stripe, x))] <
+                                rank[static_cast<std::size_t>(
+                                    ds.server_of(meta.ino, stripe, y))];
+                       });
+      hedge_delay = board->hedge_delay();
+    }
 
-    const sim::Nanos hedge_delay = board->hedge_delay();
-    std::vector<HedgedAttempt> atts;
-    atts.reserve(order.size());
+    std::size_t issued = 0;
     sim::Nanos now{};
     bool next_speculative = false;
     for (std::size_t i = 0; i < order.size(); ++i) {
-      HedgedAttempt at;
-      at.buf.resize(unit);
+      Attempt& at = atts[i];
+      at = Attempt{};
+      // A whole unit from the primary lands straight in dst; every other
+      // attempt gets its own slot, since a loser must not clobber the winner.
+      at.buf = i == 0 && chunk == unit ? dst.subspan(done, unit)
+                                       : scratch.slot(i);
       at.start = now;
       at.speculative = next_speculative;
       if (i == 0) {
-        board->note_primary(1);
+        if (board != nullptr) board->note_primary(1);
         if (hc.primary != nullptr) hc.primary->add();
       } else if (next_speculative && hc.issued != nullptr) {
         hc.issued->add();
       }
       at.a = ds.probe_read_shard(meta.ino, stripe, order[i], at.buf);
-      atts.push_back(std::move(at));
-      const HedgedAttempt& cur = atts.back();
-      // A hole is usable here: the primary-copy semantics serve zeros for
-      // genuinely absent units (matching replicated_read).
-      const bool usable = cur.a.ok || cur.a.hole;
-      if (usable && cur.a.latency <= hedge_delay) break;  // fast enough
+      ++issued;
+      // A hole is usable: genuinely absent units read as zeros.
+      const bool usable = at.a.ok || at.a.hole;
+      if (usable && at.a.latency <= hedge_delay) break;  // fast enough
       if (i + 1 >= order.size()) break;
       if (!usable) {
         // Failure known: the next replica is mandatory, not budgeted.
-        now = cur.start + cur.a.latency;
+        now = at.start + at.a.latency;
         next_speculative = false;
         continue;
       }
       // Alive but lagging: hedge to the next-best replica if budget allows.
       if (board->try_hedge(1)) {
-        now = cur.start + hedge_delay;
+        now = at.start + hedge_delay;
         next_speculative = true;
         continue;
       }
@@ -1291,25 +1174,24 @@ bool hedged_replicated_read(DataServers& ds, const FileMeta& meta,
     }
 
     std::int64_t finish = kInfNs;
-    int win = -1;
-    for (std::size_t i = 0; i < atts.size(); ++i) {
-      const HedgedAttempt& at = atts[i];
+    std::size_t win = issued;
+    for (std::size_t i = 0; i < issued; ++i) {
+      const Attempt& at = atts[i];
       if (!(at.a.ok || at.a.hole)) continue;
-      const std::int64_t t = done_at(at);
-      if (t < finish) {
-        finish = t;
-        win = static_cast<int>(i);
+      if (done_at(at) < finish) {
+        finish = done_at(at);
+        win = i;
       }
     }
-    if (win < 0) {
-      for (const HedgedAttempt& at : atts)
-        DataServers::commit_attempt(at.a, prof);
+    if (win == issued) {
+      for (std::size_t i = 0; i < issued; ++i)
+        DataServers::commit_attempt(atts[i].a, prof);
       return false;  // no replica readable
     }
     Wave wave(ds, meta.ino, stripe, prof);
-    for (std::size_t i = 0; i < atts.size(); ++i) {
-      const HedgedAttempt& at = atts[i];
-      if (static_cast<int>(i) == win) {
+    for (std::size_t i = 0; i < issued; ++i) {
+      const Attempt& at = atts[i];
+      if (i == win) {
         wave.add(at.a.charge);
         if (at.speculative && hc.won != nullptr) hc.won->add();
       } else if (done_at(at) <= finish) {
@@ -1320,8 +1202,9 @@ bool hedged_replicated_read(DataServers& ds, const FileMeta& meta,
       }
     }
     wave.close(sim::Nanos{finish});
-    std::memcpy(dst.data() + done, atts[static_cast<std::size_t>(win)].buf.data() + in_unit,
-                chunk);
+    const std::span<std::byte> got = atts[win].buf;
+    if (got.data() != dst.data() + done)
+      std::memcpy(dst.data() + done, got.data() + in_unit, chunk);
     done += chunk;
   }
   return true;

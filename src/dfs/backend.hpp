@@ -77,8 +77,8 @@ struct OpProfile {
   sim::Nanos ds{};         ///< data-server service demand
   sim::Nanos net{};        ///< pure network delay (propagation)
   /// Critical-path time of the fan-out waves (DESIGN.md §5.6): each wave of
-  /// shard I/Os issued together adds its slowest shard (on the hedged
-  /// paths, the time the stripe's winning shards arrived), summed across
+  /// shard I/Os issued together adds the time the stripe's winning shards
+  /// arrived (its slowest shard when nothing failed), summed across
   /// waves. The tail-tolerance bench reads its per-op latency here.
   sim::Nanos crit{};
   /// The shard demand (ds + net) those waves issued: it stays in `ds` and
@@ -159,8 +159,10 @@ class MdsCluster {
                          Ino ino, std::uint64_t offset,
                          std::span<const std::byte> data, int entry,
                          bool direct, OpProfile& prof);
-  /// Server-side read through the MDS proxy.
-  bool server_side_read(class DataServers& ds, Ino ino, std::uint64_t offset,
+  /// Server-side read through the MDS proxy: the same read engines, with
+  /// any EC decode charged to the MDS.
+  bool server_side_read(class DataServers& ds, const ec::ReedSolomon& rs,
+                        Ino ino, std::uint64_t offset,
                         std::span<std::byte> dst, int entry, bool direct,
                         OpProfile& prof);
 
@@ -204,26 +206,34 @@ class MdsCluster {
 // `prof`; the *EC compute* cost is charged by the caller (host CPU, DPU, or
 // MDS — that locus is exactly what the paper's offloading changes). The
 // shard I/Os of one stripe go out as one fan-out wave (a full-stripe write,
-// a read's data shards, an RMW's reads and then its writes, a degraded
-// gather), so prof.latency() counts each wave by its slowest shard.
+// a read's data shards with any recovery reads, an RMW's reads and then its
+// writes), so prof.latency() counts each wave by its slowest shard.
 
 /// Returns false if a constituent shard *read* failed (server down /
 /// injected) before any write was issued — the stripe is left untouched so
-/// the caller can retry. Shard *writes* to a failed server invalidate that
-/// shard (see DataServers::write_shard), which degraded reads recover from.
+/// the caller can retry. Shard *writes* to a failed server mark that shard
+/// lost (see DataServers::write_shard), which striped_read recovers from.
 bool striped_write(DataServers& ds, const ec::ReedSolomon& rs,
                    const FileMeta& meta, std::uint64_t offset,
                    std::span<const std::byte> data, OpProfile& prof);
-/// Returns false if any shard read *failed* (absent shards still read as
-/// zeros and succeed — they are holes, not failures).
-bool striped_read(DataServers& ds, const FileMeta& meta, std::uint64_t offset,
-                  std::span<std::byte> dst, OpProfile& prof);
-/// Degraded read: reconstructs the requested range even when data shards
-/// are missing, as long as ≥ k shards of each touched stripe survive.
-/// Returns false if a stripe is unrecoverable.
-bool striped_read_reconstruct(DataServers& ds, const ec::ReedSolomon& rs,
-                              const FileMeta& meta, std::uint64_t offset,
-                              std::span<std::byte> dst, OpProfile& prof);
+/// Reads [offset, offset + dst.size()) through the one EC read engine
+/// (DESIGN.md §5.6). Per stripe, the needed data shards go out as one wave;
+/// a failed one (server down, timed out, rotted or lost) makes recovery
+/// reads of the remaining shards mandatory, issued when the failure is
+/// known, and the stripe is RS-reconstructed from the first k clean shards
+/// (rotted shards whose read completed are repaired in place). Absent
+/// shards are holes and read as zeros. Without a health board on `ds`,
+/// roles are tried in index order and nothing is speculative; with one,
+/// recovery reads go healthiest-first, a quarantined primary is covered
+/// from t = 0, and a lagging wave is hedged within the board's budget.
+/// Returns false if a touched stripe has fewer than k clean shards.
+/// `reconstructed` (optional) reports that at least one stripe was served
+/// via RS reconstruction — the caller charges the decode compute to its own
+/// locus (host CPU, DPU or MDS).
+bool striped_read(DataServers& ds, const ec::ReedSolomon& rs,
+                  const FileMeta& meta, std::uint64_t offset,
+                  std::span<std::byte> dst, OpProfile& prof,
+                  bool* reconstructed = nullptr);
 
 // ------------------------------------------------------------ replication
 //
@@ -235,43 +245,14 @@ bool striped_read_reconstruct(DataServers& ds, const ec::ReedSolomon& rs,
 bool replicated_write(DataServers& ds, const FileMeta& meta,
                       std::uint64_t offset, std::span<const std::byte> data,
                       OpProfile& prof);
-/// Returns false if the primary copy's read *failed*.
+/// The one replicated read engine: per unit, replicas are tried in index
+/// order (healthiest-first with a board, which may also hedge a lagging
+/// copy to the next one). A failed or lost copy makes the next one
+/// mandatory; the first copy that answers clean or as a hole wins. Returns
+/// false if no copy of a touched unit reads back.
 bool replicated_read(DataServers& ds, const FileMeta& meta,
                      std::uint64_t offset, std::span<std::byte> dst,
                      OpProfile& prof);
-/// Reads preferring the first *present* replica; false if all copies of a
-/// touched unit are gone.
-bool replicated_read_any(DataServers& ds, const FileMeta& meta,
-                         std::uint64_t offset, std::span<std::byte> dst,
-                         OpProfile& prof);
-
-// ------------------------------------------------------------ hedged reads
-//
-// Tail-tolerant read paths (DESIGN.md §5.7). Both require an enabled
-// HealthBoard on `ds`. Per stripe, the needed data shards are issued as a
-// parallel primary wave; a shard lagging the board's hedge_delay() (or one
-// that failed / sits on a quarantined server) triggers extra reads of the
-// stripe's remaining shards, healthiest servers first — first k of k+m
-// clean shards wins, the stripe is RS-reconstructed if the winners don't
-// include every needed data shard, and losers are cancelled before payload
-// transfer so they charge nothing. Speculative hedges are capped by the
-// board's token budget; recovery of failed shards is not (correctness path,
-// accounted as a degraded read). Each stripe is one wave whose critical
-// path, added to prof.crit, is the time its winning shards arrived.
-
-/// `reconstructed` (optional) reports that at least one stripe was served
-/// via RS reconstruction — the caller charges the decode compute to its own
-/// locus, exactly like the striped_read_reconstruct contract.
-bool hedged_striped_read(DataServers& ds, const ec::ReedSolomon& rs,
-                         const FileMeta& meta, std::uint64_t offset,
-                         std::span<std::byte> dst, OpProfile& prof,
-                         bool* reconstructed = nullptr);
-/// Replicated flavor: replicas ranked by server health score; the best is
-/// the primary, laggards are hedged to the next-best copy. First clean
-/// replica wins.
-bool hedged_replicated_read(DataServers& ds, const FileMeta& meta,
-                            std::uint64_t offset, std::span<std::byte> dst,
-                            OpProfile& prof);
 
 /// Identity of one stored shard (scrubber enumeration / targeted repair).
 struct ShardId {
@@ -291,7 +272,7 @@ enum class ShardState : std::uint8_t { kOk, kAbsent, kCorrupt };
 /// (ino, stripe, role), so a shard surfacing under the wrong identity is as
 /// detectable as rotted bytes. Reads verify before returning: a corrupt
 /// shard reads back as *failed* (never as silent data or a hole), which
-/// pushes the caller onto the degraded/reconstruct path.
+/// makes the read engines reconstruct it.
 class DataServers {
  public:
   /// With a FaultInjector, shard reads/writes can fail at the
@@ -312,13 +293,14 @@ class DataServers {
   /// set — pass `failed` wherever holes and outages must be told apart.
   /// A shard that fails its CRC also zero-fills with `*failed` set (it must
   /// not be mistaken for a hole) and additionally sets `*corrupt` — the
-  /// reconstruct path uses that to rewrite the damaged shard in place.
+  /// EC read engine uses that to rewrite the damaged shard in place. A
+  /// shard marked lost reads as failed.
   bool read_shard(Ino ino, std::uint64_t stripe, std::uint32_t role,
                   std::span<std::byte> dst, OpProfile& prof,
                   bool* failed = nullptr, bool* corrupt = nullptr);
   /// Writes a shard. On a failed server (or injected fault) the write is
-  /// lost AND the server's stale copy is invalidated — a later degraded
-  /// read must reconstruct the new version, never resurrect the old one.
+  /// lost AND the shard is marked lost — a later read must reconstruct the
+  /// new version, never resurrect the old one nor read a hole.
   void write_shard(Ino ino, std::uint64_t stripe, std::uint32_t role,
                    std::span<const std::byte> src, OpProfile& prof);
   /// Deletes every shard of a file (enumeration by stored keys).
@@ -329,24 +311,26 @@ class DataServers {
   void fail_server(int server);
   void heal_server(int server);
 
-  /// Rewrites a shard that verification proved damaged (reconstruct path /
+  /// Rewrites a shard that verification proved damaged (EC read engine /
   /// scrubber). Same motion as write_shard plus a repair counter tick.
   void repair_shard(Ino ino, std::uint64_t stripe, std::uint32_t role,
                     std::span<const std::byte> src, OpProfile& prof);
 
-  /// For tests: drop a shard to simulate a lost disk.
+  /// For tests: lose a stored shard, as a lost disk does — it is marked
+  /// lost like a missed write. False if there was no shard to lose.
   bool drop_shard(Ino ino, std::uint64_t stripe, std::uint32_t role);
-  /// For tests/fault injection: whether the shard exists.
+  /// For tests/fault injection: whether the shard exists (not lost).
   bool has_shard(Ino ino, std::uint64_t stripe, std::uint32_t role) const;
   /// For tests/chaos: flip one stored bit so the shard's CRC no longer
   /// matches (bit-rot at rest). False if the shard does not exist.
   bool corrupt_shard(Ino ino, std::uint64_t stripe, std::uint32_t role,
                      std::uint32_t bit = 0);
   /// Media-only CRC check of one shard — no network/server cost, no
-  /// breaker interaction (the scrubber's primitive).
+  /// breaker interaction (the scrubber's primitive). Lost reads kAbsent.
   ShardState verify_shard(Ino ino, std::uint64_t stripe,
                           std::uint32_t role) const;
-  /// Snapshot of every stored shard's identity (scrubber walk order).
+  /// Snapshot of every stored shard's identity, lost ones skipped
+  /// (scrubber walk order).
   std::vector<ShardId> stored_shards() const;
 
   // ---- gray-failure tolerance (DESIGN.md §5.7) --------------------------
@@ -360,7 +344,7 @@ class DataServers {
   fault::HealthBoard* health() const { return health_.get(); }
 
   /// One staged shard-read attempt: nothing is charged to any OpProfile
-  /// until commit_attempt(), which is how hedged reads cancel losers
+  /// until commit_attempt(), which is how the read engines cancel losers
   /// without double-charging DS bytes or DMA accounting. Breaker and
   /// health bookkeeping still happen at probe time (the attempt physically
   /// went to the wire).
@@ -382,7 +366,8 @@ class DataServers {
     prof += a.charge;
   }
 
-  /// Hedge counters for the hedged-read paths (null without a registry).
+  /// Hedge counters of the read engines with a health board (null without
+  /// a registry).
   struct HedgeCounters {
     obs::Counter* issued = nullptr;     ///< speculative shard reads launched
     obs::Counter* won = nullptr;        ///< stripes finished via a hedge
@@ -411,6 +396,9 @@ class DataServers {
   struct StoredShard {
     std::vector<std::byte> data;
     std::uint32_t crc = 0;  ///< CRC32C salted with (ino, stripe, role)
+    /// The shard's current version is gone (a write the server missed, a
+    /// lost disk): it reads as failed, and is absent to every other query.
+    bool lost = false;
   };
   struct Server {
     mutable sim::AnnotatedSharedMutex mu{"dfs.server",

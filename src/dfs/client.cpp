@@ -60,17 +60,22 @@ void DfsClient::charge_client_cpu(OpProfile& prof, bool data_op,
     if (data_op) prof.host_cpu += kHostDataPathOp + kNfsCompatShim;
     prof.pcie += nvme_fs_transport(data_op ? payload_bytes : 64);
     prof.dpu_cpu += (data_op && is_write) ? kDpuDfsWriteOp : kDpuDfsReadOp;
-    if (data_op && cfg_.client_ec)
-      prof.dpu_cpu += ec::ReedSolomon::dpu_encode_cost(payload_bytes);
   } else if (cfg_.client_ec || cfg_.view_routing || cfg_.direct_io ||
              cfg_.delegation_cache) {
     // Optimized host client: the "datacenter tax".
     prof.host_cpu += kSyscallVfs + kNfsClientOp + kOptClientExtraOp;
-    if (data_op && cfg_.client_ec)
-      prof.host_cpu += ec::ReedSolomon::host_encode_cost(payload_bytes);
   } else {
     prof.host_cpu += kSyscallVfs + kNfsClientOp;
   }
+  // A healthy read decodes nothing; read() charges a reconstruct's decode.
+  if (data_op && is_write && cfg_.client_ec) charge_ec(prof, payload_bytes);
+}
+
+void DfsClient::charge_ec(OpProfile& prof, std::uint64_t bytes) const {
+  if (cfg_.on_dpu)
+    prof.dpu_cpu += ec::ReedSolomon::dpu_encode_cost(bytes);
+  else
+    prof.host_cpu += ec::ReedSolomon::host_encode_cost(bytes);
 }
 
 std::optional<FileMeta> DfsClient::meta_of(Ino ino, OpProfile& prof) {
@@ -184,68 +189,44 @@ IoResult DfsClient::read(Ino ino, std::uint64_t offset,
   OpAccount acct{this, &stats_.reads, &res};
   res.ino = ino;
   charge_client_cpu(res.prof, true, static_cast<std::uint32_t>(dst.size()));
-  if (cfg_.direct_io) {
-    const auto meta = meta_of(ino, res.prof);
-    if (!meta) {
-      res.err = ENOENT;
-      return res;
-    }
-    bool done;
-    const bool hedge = cfg_.hedged_reads && ds_->health() != nullptr;
-    if (meta->redundancy == Redundancy::kReplication) {
-      done = hedge ? hedged_replicated_read(*ds_, *meta, offset, dst, res.prof)
-                   : (replicated_read(*ds_, *meta, offset, dst, res.prof) ||
-                      replicated_read_any(*ds_, *meta, offset, dst, res.prof));
-    } else {
-      if (hedge) {
-        bool reconstructed = false;
-        done = hedged_striped_read(*ds_, rs_, *meta, offset, dst, res.prof,
-                                   &reconstructed);
-        if (done && reconstructed) {
-          // The hedge won via degraded decode — charge it where the client
-          // runs, same as the serial reconstruct path below.
-          stats_.degraded_reads.add();
-          if (cfg_.on_dpu)
-            res.prof.dpu_cpu += ec::ReedSolomon::dpu_encode_cost(dst.size());
-          else
-            res.prof.host_cpu += ec::ReedSolomon::host_encode_cost(dst.size());
-        }
-      } else {
-        done = striped_read(*ds_, *meta, offset, dst, res.prof);
-      }
-      if (!done) {
-        // Degraded read: a data shard is unreachable — reconstruct it from
-        // the survivors (k of k+m shards) with a bounded retry budget.
-        stats_.degraded_reads.add();
-        const std::uint64_t salt =
-            op_seq_.fetch_add(1, std::memory_order_relaxed);
-        for (int attempt = 1; attempt <= cfg_.retry.max_attempts; ++attempt) {
-          done = striped_read_reconstruct(*ds_, rs_, *meta, offset, dst,
-                                          res.prof);
-          if (done) {
-            // Decode compute lands where the client runs.
-            if (cfg_.on_dpu)
-              res.prof.dpu_cpu += ec::ReedSolomon::dpu_encode_cost(dst.size());
-            else
-              res.prof.host_cpu +=
-                  ec::ReedSolomon::host_encode_cost(dst.size());
-            break;
-          }
-          res.prof.net += cfg_.retry.backoff(attempt, salt);
-        }
-      }
-    }
-    if (!done) {
-      res.err = EIO;
-      res.transient = fault::Transient::kTimeout;
-      return res;
-    }
-  } else {
-    if (!mds_->server_side_read(*ds_, ino, offset, dst, entry_mds_,
+  if (!cfg_.direct_io) {
+    if (!mds_->server_side_read(*ds_, rs_, ino, offset, dst, entry_mds_,
                                 cfg_.view_routing, res.prof)) {
       res.err = ENOENT;
       return res;
     }
+    res.bytes = static_cast<std::uint32_t>(dst.size());
+    return res;
+  }
+  const auto meta = meta_of(ino, res.prof);
+  if (!meta) {
+    res.err = ENOENT;
+    return res;
+  }
+  // One engine per scheme; it recovers failed shards itself, so it fails
+  // only when a stripe is short of k clean shards (or a unit of any clean
+  // copy) — worth a bounded retry with backoff.
+  bool reconstructed = false;
+  std::uint64_t salt = 0;
+  for (int attempt = 1;; ++attempt) {
+    const bool done =
+        meta->redundancy == Redundancy::kReplication
+            ? replicated_read(*ds_, *meta, offset, dst, res.prof)
+            : striped_read(*ds_, rs_, *meta, offset, dst, res.prof,
+                           &reconstructed);
+    if (done) break;
+    if (attempt >= cfg_.retry.max_attempts) {
+      res.err = EIO;
+      res.transient = fault::Transient::kTimeout;
+      return res;
+    }
+    if (attempt == 1) salt = op_seq_.fetch_add(1, std::memory_order_relaxed);
+    res.prof.net += cfg_.retry.backoff(attempt, salt);
+  }
+  if (reconstructed) {
+    // The decode compute lands where the client runs.
+    stats_.degraded_reads.add();
+    charge_ec(res.prof, dst.size());
   }
   res.bytes = static_cast<std::uint32_t>(dst.size());
   return res;
@@ -332,37 +313,6 @@ IoResult DfsClient::remove(const std::string& path) {
     meta_cache_.erase(*opened);
     delegations_.erase(*opened);
   }
-  return res;
-}
-
-IoResult DfsClient::read_degraded(Ino ino, std::uint64_t offset,
-                                  std::span<std::byte> dst) {
-  IoResult res;
-  res.ino = ino;
-  charge_client_cpu(res.prof, true, static_cast<std::uint32_t>(dst.size()));
-  const auto meta = meta_of(ino, res.prof);
-  if (!meta) {
-    res.err = ENOENT;
-    return res;
-  }
-  if (meta->redundancy != Redundancy::kReplication)
-    stats_.degraded_reads.add();
-  const bool recovered =
-      meta->redundancy == Redundancy::kReplication
-          ? replicated_read_any(*ds_, *meta, offset, dst, res.prof)
-          : striped_read_reconstruct(*ds_, rs_, *meta, offset, dst,
-                                     res.prof);
-  if (!recovered) {
-    res.err = EIO;
-    res.transient = fault::Transient::kTimeout;
-    return res;
-  }
-  // Reconstruction compute lands where the client runs.
-  if (cfg_.on_dpu)
-    res.prof.dpu_cpu += ec::ReedSolomon::dpu_encode_cost(dst.size());
-  else
-    res.prof.host_cpu += ec::ReedSolomon::host_encode_cost(dst.size());
-  res.bytes = static_cast<std::uint32_t>(dst.size());
   return res;
 }
 

@@ -45,13 +45,10 @@ struct ClientConfig {
   /// Participate in lease-style delegation recall: give delegations back
   /// when another client asks, instead of forcing it to fail with EAGAIN.
   bool delegation_recall = false;
-  /// Retry budget for transient failures (delegation contention, failed
-  /// shard reads); backoff is folded into the op's modelled net cost.
+  /// Retry budget for transient failures (delegation contention, reads
+  /// the engine could not serve); backoff is folded into the op's
+  /// modelled net cost.
   fault::RetryPolicy retry{};
-  /// Tail-tolerant reads: route direct-IO reads through the hedged engines
-  /// (health-ranked replica choice, speculative parity reads racing slow
-  /// shards). Requires DataServers::enable_health(); ignored without it.
-  bool hedged_reads = false;
 
   static ClientConfig standard_nfs() { return {}; }
   static ClientConfig optimized() {
@@ -130,10 +127,6 @@ class DfsClient {
                  std::span<const std::byte> src);
   IoResult remove(const std::string& path);
 
-  /// Degraded read for fault-injection tests (client-side reconstruct).
-  IoResult read_degraded(Ino ino, std::uint64_t offset,
-                         std::span<std::byte> dst);
-
   const DfsClientStats& stats() const { return stats_; }
 
  private:
@@ -147,10 +140,13 @@ class DfsClient {
     const IoResult* io;
     ~OpAccount() { c->account(*ctr, *io); }
   };
-  /// Charges the per-op client-stack CPU to the right place.
+  /// Charges the per-op client-stack CPU to the right place: EC encode on
+  /// client-EC writes only.
   void charge_client_cpu(OpProfile& prof, bool data_op,
                          std::uint32_t payload_bytes,
                          bool is_write = false) const;
+  /// Charges one EC encode/decode of `bytes` where the client runs.
+  void charge_ec(OpProfile& prof, std::uint64_t bytes) const;
   /// Cached metadata (optimized/DPC keep a meta cache; standard re-stats).
   std::optional<FileMeta> meta_of(Ino ino, OpProfile& prof);
   bool ensure_delegation(Ino ino, OpProfile& prof);

@@ -21,8 +21,9 @@
 //     atomic KV batch (kv::Batch): create/mkdir/symlink, unlink/rmdir,
 //     rename, link, truncate and the allocating or small-file write land
 //     whole or not at all, with crash points `kvfs.<op>/crash_before_commit`
-//     and `kvfs.<op>/crash_after_commit` around the batch. Only the warm
-//     in-place overwrite (cached blocks + attr) is two separate KV ops.
+//     and `kvfs.<op>/crash_after_commit` around the batch. The warm
+//     in-place overwrite (`overwrite_cached`: cached blocks + attr) is one
+//     such batch too.
 //
 // Thread safety: operations take a striped per-inode lock; name-space
 // operations (create/unlink/rename/...) additionally serialize on the

@@ -118,6 +118,31 @@ TEST(DataServers, ShardReadWriteAndDrop) {
   EXPECT_FALSE(ds.has_shard(1, 1, 2));
 }
 
+TEST(DataServers, DroppedShardIsLostNotAHole) {
+  DataServers ds(4);
+  OpProfile prof;
+  const auto data = bytes(8192, 1);
+  ds.write_shard(1, 0, 0, data, prof);
+  ASSERT_TRUE(ds.drop_shard(1, 0, 0));
+  EXPECT_FALSE(ds.drop_shard(1, 0, 0));  // already lost
+  EXPECT_FALSE(ds.drop_shard(1, 0, 1));  // nothing stored to lose
+  std::vector<std::byte> out(8192, std::byte{7});
+  bool failed = false;
+  EXPECT_FALSE(ds.read_shard(1, 0, 0, out, prof, &failed));
+  EXPECT_TRUE(failed);  // lost reads as failed…
+  EXPECT_EQ(out[0], std::byte{0});
+  EXPECT_FALSE(ds.read_shard(1, 0, 1, out, prof, &failed));
+  EXPECT_FALSE(failed);  // …while a hole is still a hole
+  // Absent to every other query, so the scrubber walks past it.
+  EXPECT_FALSE(ds.has_shard(1, 0, 0));
+  EXPECT_EQ(ds.verify_shard(1, 0, 0), ShardState::kAbsent);
+  EXPECT_FALSE(ds.corrupt_shard(1, 0, 0));
+  EXPECT_TRUE(ds.stored_shards().empty());
+  ds.write_shard(1, 0, 0, data, prof);  // a new version clears the mark
+  EXPECT_TRUE(ds.read_shard(1, 0, 0, out, prof));
+  EXPECT_EQ(out, data);
+}
+
 struct StripeFixture : ::testing::Test {
   StripeFixture() : ds(8), rs(4, 2) {
     meta.ino = 42;
@@ -135,7 +160,7 @@ TEST_F(StripeFixture, WriteReadRoundTrip) {
   const auto data = bytes(64 * 1024, 2);  // two full stripes
   striped_write(ds, rs, meta, 0, data, prof);
   std::vector<std::byte> out(64 * 1024);
-  striped_read(ds, meta, 0, out, prof);
+  striped_read(ds, rs, meta, 0, out, prof);
   EXPECT_EQ(out, data);
 }
 
@@ -145,7 +170,7 @@ TEST_F(StripeFixture, UnalignedWriteWithinShard) {
   const auto patch = bytes(100, 4);
   striped_write(ds, rs, meta, 5000, patch, prof);
   std::vector<std::byte> out(100);
-  striped_read(ds, meta, 5000, out, prof);
+  striped_read(ds, rs, meta, 5000, out, prof);
   EXPECT_EQ(out, patch);
 }
 
@@ -173,7 +198,7 @@ TEST_F(StripeFixture, DegradedReadReconstructs) {
   ASSERT_TRUE(ds.drop_shard(meta.ino, 0, 4));
 
   std::vector<std::byte> out(32 * 1024);
-  ASSERT_TRUE(striped_read_reconstruct(ds, rs, meta, 0, out, prof));
+  ASSERT_TRUE(striped_read(ds, rs, meta, 0, out, prof));
   EXPECT_EQ(out, data);
 }
 
@@ -184,7 +209,7 @@ TEST_F(StripeFixture, TooManyLossesFailCleanly) {
   ds.drop_shard(meta.ino, 0, 1);
   ds.drop_shard(meta.ino, 0, 2);
   std::vector<std::byte> out(8192);
-  EXPECT_FALSE(striped_read_reconstruct(ds, rs, meta, 0, out, prof));
+  EXPECT_FALSE(striped_read(ds, rs, meta, 0, out, prof));
 }
 
 TEST_F(StripeFixture, ServerSideWriteChargesMds) {
@@ -205,7 +230,7 @@ TEST_F(StripeFixture, ServerSideWriteChargesMds) {
   std::vector<std::byte> out(8192);
   OpProfile rprof;
   ASSERT_TRUE(
-      cluster.server_side_read(ds, created->ino, 0, out, 0, false, rprof));
+      cluster.server_side_read(ds, rs, created->ino, 0, out, 0, false, rprof));
   EXPECT_EQ(out, data);
 }
 
@@ -261,7 +286,7 @@ TEST_F(DfsFanOut, MultiStripeReadIsOneWavePerStripe) {
   EXPECT_EQ(wprof.latency().ns, (shard_trip(false) * 2).ns);
   OpProfile prof;
   std::vector<std::byte> out(data.size());
-  ASSERT_TRUE(striped_read(ds, meta, 0, out, prof));
+  ASSERT_TRUE(striped_read(ds, rs, meta, 0, out, prof));
   EXPECT_EQ(out, data);
   EXPECT_EQ(prof.ds_ops, 8u);
   EXPECT_EQ(prof.latency().ns, (shard_trip(true) * 2).ns);
@@ -274,10 +299,10 @@ TEST_F(DfsFanOut, DegradedGatherIsOneWave) {
   ASSERT_TRUE(ds.drop_shard(meta.ino, 0, 1));
   OpProfile prof;
   std::vector<std::byte> out(8192);
-  ASSERT_TRUE(striped_read_reconstruct(ds, rs, meta, 8192, out, prof));
+  ASSERT_TRUE(striped_read(ds, rs, meta, 8192, out, prof));
   EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin() + 8192));
-  // The lone data-shard read (a hole), then all k+m shards at once.
-  EXPECT_EQ(prof.ds_ops, 7u);
+  // The lost data shard, then k recovery reads once its failure is known.
+  EXPECT_EQ(prof.ds_ops, 5u);
   EXPECT_EQ(prof.latency().ns, (shard_trip(true) * 2).ns);
 }
 
@@ -304,12 +329,12 @@ TEST_F(DfsFanOut, HedgedReadKeepsItsCritAndCountsShardsOnce) {
   ASSERT_TRUE(striped_write(ds, rs, meta, 0, data, wp));
   std::vector<std::byte> buf(data.size());
   OpProfile healthy;
-  ASSERT_TRUE(hedged_striped_read(ds, rs, meta, 0, buf, healthy));
+  ASSERT_TRUE(striped_read(ds, rs, meta, 0, buf, healthy));
   EXPECT_EQ(healthy.ds_ops, 4u);
   EXPECT_EQ(healthy.crit.ns, shard_trip(true).ns);
   EXPECT_EQ(healthy.latency().ns, shard_trip(true).ns);
   for (int i = 0; i < 31; ++i)
-    ASSERT_TRUE(hedged_striped_read(ds, rs, meta, 0, buf, healthy));
+    ASSERT_TRUE(striped_read(ds, rs, meta, 0, buf, healthy));
 
   // Data shard 0 stalls 80 µs: parity is hedged in and wins.
   fault::FaultInjector::SlowSpec s;
@@ -319,7 +344,7 @@ TEST_F(DfsFanOut, HedgedReadKeepsItsCritAndCountsShardsOnce) {
   fi.arm_slow(kFaultDsSlow, s);
   OpProfile prof;
   bool reconstructed = false;
-  ASSERT_TRUE(hedged_striped_read(ds, rs, meta, 0, buf, prof, &reconstructed));
+  ASSERT_TRUE(striped_read(ds, rs, meta, 0, buf, prof, &reconstructed));
   EXPECT_TRUE(reconstructed);
   EXPECT_EQ(std::memcmp(buf.data(), data.data(), data.size()), 0);
   EXPECT_EQ(prof.ds_ops, 4u);

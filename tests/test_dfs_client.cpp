@@ -124,10 +124,76 @@ TEST_F(ClientFixture, DegradedReadReconstructsThroughClient) {
   ASSERT_TRUE(opt.write(c.ino, 0, data).ok());
   ASSERT_TRUE(ds.drop_shard(c.ino, 0, 0));
   std::vector<std::byte> out(32 * 1024);
-  const auto r = opt.read_degraded(c.ino, 0, out);
+  const auto r = opt.read(c.ino, 0, out);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(out, data);
   EXPECT_GT(r.prof.host_cpu.ns, 0);
+}
+
+TEST_F(ClientFixture, ShardWriteLostToDownServerIsNotAHole) {
+  // A full-stripe write while data shard 1's server is down, then the
+  // server comes back: the shard it missed must read as lost, not as a
+  // hole of zeros, so the read reconstructs it.
+  const auto c = dpc.create("/missed", 1 << 20);
+  const auto data = bytes(32 * 1024, 12);
+  const int victim = ds.server_of(c.ino, 0, 1);
+  ds.fail_server(victim);
+  ASSERT_TRUE(dpc.write(c.ino, 0, data).ok());
+  ds.heal_server(victim);
+  EXPECT_FALSE(ds.has_shard(c.ino, 0, 1));
+  EXPECT_EQ(ds.verify_shard(c.ino, 0, 1), ShardState::kAbsent);
+  std::vector<std::byte> out(data.size());
+  for (DfsClient* client : {&dpc, &nfs}) {  // direct and MDS-proxied reads
+    std::fill(out.begin(), out.end(), std::byte{0});
+    ASSERT_TRUE(client->read(c.ino, 0, out).ok());
+    EXPECT_EQ(out, data);
+  }
+}
+
+TEST_F(ClientFixture, EcComputeOnWritesAndReconstructsOnly) {
+  using namespace sim::calib;
+  const auto c = dpc.create("/ec-cpu", 1 << 20);
+  const auto data = bytes(32 * 1024, 13);
+  const auto w = dpc.write(c.ino, 0, data);
+  ASSERT_TRUE(w.ok());
+  EXPECT_EQ(w.prof.dpu_cpu.ns,
+            (kDpuDfsWriteOp + ec::ReedSolomon::dpu_encode_cost(data.size()))
+                .ns);
+  std::vector<std::byte> out(data.size());
+  const auto healthy = dpc.read(c.ino, 0, out);
+  ASSERT_TRUE(healthy.ok());
+  EXPECT_EQ(healthy.prof.dpu_cpu.ns, kDpuDfsReadOp.ns);  // nothing decoded
+  ASSERT_TRUE(ds.drop_shard(c.ino, 0, 2));
+  const auto degraded = dpc.read(c.ino, 0, out);
+  ASSERT_TRUE(degraded.ok());
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(degraded.prof.dpu_cpu.ns,
+            (kDpuDfsReadOp + ec::ReedSolomon::dpu_encode_cost(data.size()))
+                .ns);
+  // The optimized host client: the same rule on the host CPU.
+  const auto o = opt.read(c.ino, 0, out);
+  ASSERT_TRUE(o.ok());
+  EXPECT_EQ(o.prof.host_cpu.ns,
+            (kSyscallVfs + kNfsClientOp + kOptClientExtraOp +
+             ec::ReedSolomon::host_encode_cost(data.size()))
+                .ns);
+}
+
+/// A read with one data server down: the three live primaries, the failed
+/// one, and one parity read issued when the failure is known — five shard
+/// reads over two round trips, reconstructed once.
+TEST_F(ClientFixture, ReadWithServerDownIsTwoWaves) {
+  const auto c = dpc.create("/down", 1 << 20);
+  const auto data = bytes(32 * 1024, 14);
+  ASSERT_TRUE(dpc.write(c.ino, 0, data).ok());
+  ds.fail_server(ds.server_of(c.ino, 0, 1));
+  std::vector<std::byte> out(data.size());
+  const auto r = dpc.read(c.ino, 0, out);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(r.prof.ds_ops, 5u);
+  EXPECT_EQ(r.prof.latency().ns, 2 * 32'910);
+  EXPECT_EQ(dpc.stats().degraded_reads.value(), 1u);
 }
 
 TEST_F(ClientFixture, SmallFileCreateWriteWorkload) {

@@ -56,12 +56,35 @@ TEST_F(ReplFixture, SurvivesTwoLostReplicas) {
   ASSERT_TRUE(ds.drop_shard(c.ino, 0, 0));
   ASSERT_TRUE(ds.drop_shard(c.ino, 0, 1));
   std::vector<std::byte> out(data.size());
-  const auto r = client.read_degraded(c.ino, 0, out);
+  const auto r = client.read(c.ino, 0, out);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(out, data);
   // All three gone → unrecoverable.
   ASSERT_TRUE(ds.drop_shard(c.ino, 0, 2));
-  EXPECT_EQ(client.read_degraded(c.ino, 0, out).err, EIO);
+  EXPECT_EQ(client.read(c.ino, 0, out).err, EIO);
+}
+
+TEST_F(ReplFixture, CopyWriteLostToDownServerIsNotAHole) {
+  // The primary copy's server misses the write: once it is back, that copy
+  // must read as lost (the next replica serves), not as a hole of zeros.
+  DfsClient client(1, mds, ds, repl_cfg());
+  const auto c = client.create("/missed", 1 << 20);
+  const auto data = bytes(8192, 12);
+  const int victim = ds.server_of(c.ino, 0, 0);
+  ds.fail_server(victim);
+  ASSERT_TRUE(client.write(c.ino, 0, data).ok());
+  ds.heal_server(victim);
+  EXPECT_FALSE(ds.has_shard(c.ino, 0, 0));
+  std::vector<std::byte> out(data.size());
+  ASSERT_TRUE(client.read(c.ino, 0, out).ok());
+  EXPECT_EQ(out, data);
+  // A partial write's read-merge must not merge into those zeros either.
+  const auto patch = bytes(100, 13);
+  ASSERT_TRUE(client.write(c.ino, 100, patch).ok());
+  ASSERT_TRUE(client.read(c.ino, 0, out).ok());
+  auto want = data;
+  std::copy(patch.begin(), patch.end(), want.begin() + 100);
+  EXPECT_EQ(out, want);
 }
 
 TEST_F(ReplFixture, UnalignedReplicatedWrite) {
@@ -111,7 +134,7 @@ TEST_F(ReplFixture, FullStripeWriteSkipsRmwReads) {
   // consistent either way via a degraded read.
   ASSERT_TRUE(ds.drop_shard(c.ino, 0, 2));
   std::vector<std::byte> out(32 * 1024);
-  ASSERT_TRUE(client.read_degraded(c.ino, 0, out).ok());
+  ASSERT_TRUE(client.read(c.ino, 0, out).ok());
 }
 
 TEST_F(ReplFixture, FullStripeContentCorrect) {

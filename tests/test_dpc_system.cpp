@@ -456,6 +456,24 @@ TEST(DpcSystem, LatencyHistogramsRecordPerClass) {
   EXPECT_FALSE(sys.latency_summary().empty());
 }
 
+TEST(DpcSystem, DfsIoLargerThanMaxIoIsSegmented) {
+  // Like read/write, the DFS target splits I/O into max_io-sized commands.
+  DpcOptions o = small_opts();
+  o.max_io = 64 * 1024;
+  DpcSystem sys(o);
+  const auto c = sys.dfs_create("/dfs/big", 1 << 20);
+  ASSERT_TRUE(c.ok());
+  const auto data = bytes(128 * 1024, 60);
+  const auto w = sys.dfs_write(c.ino, 0, data);
+  ASSERT_TRUE(w.ok());
+  EXPECT_EQ(w.bytes, data.size());
+  std::vector<std::byte> out(data.size());
+  const auto r = sys.dfs_read(c.ino, 0, out);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.bytes, data.size());
+  EXPECT_EQ(out, data);
+}
+
 // ------------------------------------------------------ DFS fan-out
 //
 // The offloaded DFS client sends a 32 KiB stripe's four data shards out as

@@ -197,7 +197,7 @@ struct HedgeRig {
     std::vector<std::byte> buf(data.size());
     dfs::OpProfile warm;
     for (int i = 0; i < 32; ++i)
-      EXPECT_TRUE(dfs::hedged_striped_read(ds, rs, meta, 0, buf, warm));
+      EXPECT_TRUE(dfs::striped_read(ds, rs, meta, 0, buf, warm));
     EXPECT_EQ(std::memcmp(buf.data(), data.data(), data.size()), 0);
   }
 };
@@ -216,7 +216,7 @@ TEST(TailHedge, CancelledLosersChargeNothing) {
   std::vector<std::byte> buf(rig.data.size());
   dfs::OpProfile prof;
   bool reconstructed = false;
-  ASSERT_TRUE(dfs::hedged_striped_read(rig.ds, rig.rs, rig.meta, 0, buf,
+  ASSERT_TRUE(dfs::striped_read(rig.ds, rig.rs, rig.meta, 0, buf,
                                        prof, &reconstructed));
   // First k clean shards win (3 primaries + the hedged parity); the stripe
   // is served via RS reconstruction, bit-identical to the original.
@@ -248,7 +248,7 @@ TEST(TailHedge, QuarantineRoundTripServesBitIdentical) {
   const int strikes = rig.ds.health()->config().slow_strikes;
   for (int i = 0; i < strikes; ++i) {
     dfs::OpProfile p;
-    ASSERT_TRUE(dfs::hedged_striped_read(rig.ds, rig.rs, rig.meta, 0, buf, p));
+    ASSERT_TRUE(dfs::striped_read(rig.ds, rig.rs, rig.meta, 0, buf, p));
     EXPECT_EQ(std::memcmp(buf.data(), rig.data.data(), rig.data.size()), 0);
   }
   EXPECT_TRUE(rig.ds.health()->quarantined(victim));
@@ -257,7 +257,7 @@ TEST(TailHedge, QuarantineRoundTripServesBitIdentical) {
   // Quarantined: the victim is skipped outright (no deadline paid) and the
   // covering shards launch immediately — latency back at healthy levels.
   dfs::OpProfile q;
-  ASSERT_TRUE(dfs::hedged_striped_read(rig.ds, rig.rs, rig.meta, 0, buf, q));
+  ASSERT_TRUE(dfs::striped_read(rig.ds, rig.rs, rig.meta, 0, buf, q));
   EXPECT_EQ(std::memcmp(buf.data(), rig.data.data(), rig.data.size()), 0);
   EXPECT_LT(q.crit.ns, sim::micros(50.0).ns);
 
@@ -265,7 +265,7 @@ TEST(TailHedge, QuarantineRoundTripServesBitIdentical) {
   rig.fi.disarm_slow(dfs::kFaultDsSlow);
   for (int i = 0; i < 40 && rig.ds.health()->quarantined(victim); ++i) {
     dfs::OpProfile p;
-    ASSERT_TRUE(dfs::hedged_striped_read(rig.ds, rig.rs, rig.meta, 0, buf, p));
+    ASSERT_TRUE(dfs::striped_read(rig.ds, rig.rs, rig.meta, 0, buf, p));
     EXPECT_EQ(std::memcmp(buf.data(), rig.data.data(), rig.data.size()), 0);
   }
   EXPECT_FALSE(rig.ds.health()->quarantined(victim));
