@@ -17,7 +17,6 @@
 #include "bench_common.hpp"
 #include "core/dpc_system.hpp"
 #include "hostfs/ext4like.hpp"
-#include "sim/mva.hpp"
 #include "sim/rng.hpp"
 #include "sim/workload.hpp"
 
@@ -94,67 +93,12 @@ MeasuredProfiles run_functional() {
   return m;
 }
 
-struct Point {
-  double iops = 0;
-  double lat_us = 0;
-  double host_cpu_pct = 0;  // of all 52 hw threads
-  double dpu_cpu_pct = 0;
-};
-
-Point solve_ext4(bool write, const MeasuredProfiles& m, int threads) {
-  using namespace sim::calib;
-  ClosedNetwork net;
-  // Host kernel stack: per-op work plus the lock/run-queue contention term
-  // that grows with concurrency (the paper's "disk I/O contention and
-  // scheduling" at 256 threads).
-  const Nanos host =
-      kExt4KernelOp + (write ? kExt4WriteContentionPerThread
-                             : kExt4ReadContentionPerThread) *
-                          threads;
-  const int hcpu = net.add_queueing("host-cpu", kHostHwThreads, host);
-  // SSD: the measured per-op block count confirms the data spans two 4K
-  // blocks (plus journaled metadata for writes, which commits in batches);
-  // the block layer merges the contiguous data blocks into one device op.
-  (void)m;
-  net.add_queueing("ssd", ssd::SsdModel::channels(/*is_read=*/!write),
-                   ssd::SsdModel::random_service(!write, kIoSize));
-  const auto res = net.solve(threads);
-  Point p;
-  p.iops = res.throughput_ops;
-  p.lat_us = res.response.us();
-  p.host_cpu_pct = 100.0 * res.utilization[static_cast<std::size_t>(hcpu)];
-  return p;
-}
-
-Point solve_kvfs(bool write, const MeasuredProfiles& m, int threads) {
-  using namespace sim::calib;
-  ClosedNetwork net;
-  const Nanos host = kSyscallVfs + kFsAdapterOp + kHostNvmeCompletion +
-                     kHostDataPathOp;
-  const int hcpu = net.add_queueing("host-cpu", kHostHwThreads, host);
-  // nvme-fs transport: measured DMA transactions + wire bytes.
-  net.add_queueing("dma-engines", kPcieDmaEngines,
-                   Nanos{static_cast<std::int64_t>(
-                       static_cast<double>(kDmaSetup.ns) * m.dpc_dma_ops)});
-  net.add_queueing(
-      "pcie-wire", 1,
-      pcie_wire_demand(static_cast<std::uint64_t>(m.dpc_wire_bytes), write));
-  // DPU: IO_Dispatch + KVFS on 24 cores. (No per-thread scheduling penalty
-  // here: host threads park on their own queue pairs; the paper shows KVFS
-  // scaling to 128 threads and flat-lining at DPU saturation, not
-  // declining.)
-  const Nanos dpu_op = write ? kDpuKvfsWriteOp : kDpuKvfsReadOp;
-  const int dcpu = net.add_queueing("dpu-cores", kDpuCores, dpu_op);
-  // Disaggregated KV backend: high-latency, deeply parallel.
-  net.add_queueing("kv-servers", kKvServers, kKvServerOp);
-  net.add_delay("kv-access", write ? kKvWriteLatency : kKvReadLatency);
-  const auto res = net.solve(threads);
-  Point p;
-  p.iops = res.throughput_ops;
-  p.lat_us = res.response.us();
-  p.host_cpu_pct = 100.0 * res.utilization[static_cast<std::size_t>(hcpu)];
-  p.dpu_cpu_pct = 100.0 * res.utilization[static_cast<std::size_t>(dcpu)];
-  return p;
+/// The direct KVFS network over the measured link profile.
+bench::DirectPoint measured_kvfs(bool write, const MeasuredProfiles& m,
+                                 int threads) {
+  return bench::direct_kvfs(write, m.dpc_dma_ops,
+                            static_cast<std::uint64_t>(m.dpc_wire_bytes),
+                            threads);
 }
 
 }  // namespace
@@ -177,8 +121,8 @@ int main(int argc, char** argv) {
                   "kvfs IOPS", "ext4 host-cpu%", "kvfs host-cpu%",
                   "kvfs dpu-cpu%"});
     for (const int n : {1, 2, 4, 8, 16, 32, 64, 128, 256}) {
-      const auto e = solve_ext4(write, m, n);
-      const auto k = solve_kvfs(write, m, n);
+      const auto e = bench::direct_ext4(write, kIoSize, n);
+      const auto k = measured_kvfs(write, m, n);
       t.add_row({std::to_string(n), sim::Table::fmt(e.lat_us),
                  sim::Table::fmt(k.lat_us), sim::Table::fmt_si(e.iops),
                  sim::Table::fmt_si(k.iops), sim::Table::fmt(e.host_cpu_pct),
@@ -190,10 +134,10 @@ int main(int argc, char** argv) {
   }
 
   // Headline comparison at 256 threads.
-  const auto er = solve_ext4(false, m, 256);
-  const auto kr = solve_kvfs(false, m, 256);
-  const auto ew = solve_ext4(true, m, 256);
-  const auto kw = solve_kvfs(true, m, 256);
+  const auto er = bench::direct_ext4(false, kIoSize, 256);
+  const auto kr = measured_kvfs(false, m, 256);
+  const auto ew = bench::direct_ext4(true, kIoSize, 256);
+  const auto kw = measured_kvfs(true, m, 256);
   std::cout << "paper @256: ext4 779/1009 us, kvfs 363/410 us\n"
             << "model @256: ext4 " << sim::Table::fmt(er.lat_us, 0) << "/"
             << sim::Table::fmt(ew.lat_us, 0) << " us, kvfs "

@@ -151,33 +151,6 @@ Rates run_functional() {
 
 // ---- timing models -------------------------------------------------------
 
-double direct_kvfs_iops(bool write, int threads) {
-  using namespace sim::calib;
-  ClosedNetwork net;
-  net.add_queueing("host-cpu", kHostHwThreads,
-                   kSyscallVfs + kFsAdapterOp + kHostNvmeCompletion +
-                       kHostDataPathOp);
-  net.add_queueing("dma-engines", kPcieDmaEngines, kDmaSetup * 4);
-  net.add_queueing("pcie-wire", 1, pcie_wire_demand(kIoSize, write));
-  net.add_queueing("dpu-cores", kDpuCores,
-                   write ? kDpuKvfsWriteOp : kDpuKvfsReadOp);
-  net.add_queueing("kv-servers", kKvServers, kKvServerOp);
-  net.add_delay("kv-access", write ? kKvWriteLatency : kKvReadLatency);
-  return net.solve(threads).throughput_ops;
-}
-
-double direct_ext4_iops(bool write, int threads) {
-  using namespace sim::calib;
-  ClosedNetwork net;
-  net.add_queueing("host-cpu", kHostHwThreads,
-                   kExt4KernelOp + (write ? kExt4WriteContentionPerThread
-                                          : kExt4ReadContentionPerThread) *
-                                       threads);
-  net.add_queueing("ssd", ssd::SsdModel::channels(!write),
-                   ssd::SsdModel::random_service(!write, kIoSize));
-  return net.solve(threads).throughput_ops;
-}
-
 /// Buffered path: hit fraction h served by the host cache; misses pay the
 /// direct path. The prefetch-fill (reads) / flush-drain (writes) pipeline
 /// runs *asynchronously* on the DPU, so it never appears in the reader's
@@ -270,21 +243,21 @@ int main(int argc, char** argv) {
                 "buffered IOPS", "speedup"});
   for (const int n : {1, 32}) {
     {
-      const double d = direct_ext4_iops(false, n);
+      const double d = bench::direct_ext4(false, kIoSize, n).iops;
       const double b = buffered_ext4_iops(false, r.ext4_rand_read_hit, n);
       t.add_row({"ext4", "rand-read", std::to_string(n),
                  sim::Table::fmt_si(d), sim::Table::fmt_si(b),
                  sim::Table::fmt(b / d, 1) + "x"});
     }
     {
-      const double d = direct_ext4_iops(true, n);
+      const double d = bench::direct_ext4(true, kIoSize, n).iops;
       const double b = buffered_ext4_iops(true, r.ext4_write_absorb, n);
       t.add_row({"ext4", "rand-write", std::to_string(n),
                  sim::Table::fmt_si(d), sim::Table::fmt_si(b),
                  sim::Table::fmt(b / d, 1) + "x"});
     }
     {
-      const double d = direct_kvfs_iops(false, n);
+      const double d = bench::direct_kvfs(false, 4, kIoSize, n).iops;
       const double b = buffered_kvfs_iops(false, r.kvfs_rand_read_hit, 0,
                                           r.prefetch_overfetch, n);
       t.add_row({"kvfs", "rand-read", std::to_string(n),
@@ -292,7 +265,7 @@ int main(int argc, char** argv) {
                  sim::Table::fmt(b / d, 1) + "x"});
     }
     {
-      const double d = direct_kvfs_iops(true, n);
+      const double d = bench::direct_kvfs(true, 4, kIoSize, n).iops;
       const double b = buffered_kvfs_iops(true, r.kvfs_write_absorb,
                                           r.kvfs_flush_pages_per_op,
                                           r.prefetch_overfetch, n);
@@ -308,7 +281,7 @@ int main(int argc, char** argv) {
   sim::Table t2({"threads", "direct IOPS", "prefetched IOPS", "speedup",
                  "paper"});
   for (const int n : {1, 32}) {
-    const double d = direct_kvfs_iops(false, n);
+    const double d = bench::direct_kvfs(false, 4, kIoSize, n).iops;
     const double b = buffered_kvfs_iops(false, r.kvfs_seq_read_hit, 0,
                                         r.prefetch_overfetch, n);
     t2.add_row({std::to_string(n), sim::Table::fmt_si(d),

@@ -186,7 +186,7 @@ DpcSystem::DpcSystem(const DpcOptions& opts)
 
   // Dispatch + transport.
   dispatch_ = std::make_unique<IoDispatch>(*kvfs_, dfs_client_.get(),
-                                           cache_ctl_.get(), &registry_,
+                                           cache_ctl_.get(), registry_,
                                            qos_.get(), wal_.get());
   for (int q = 0; q < opts.queues; ++q) {
     nvme::QpConfig qc;
@@ -499,10 +499,34 @@ std::string DpcSystem::latency_summary() const {
   return out;
 }
 
-// ------------------------------------------------------- header-op helper
+// ------------------------------------------------------- completion rule
+
+bool DpcSystem::complete(Io& io, const CallResult& res,
+                         std::optional<OpClass> cls) {
+  io.cost += res.cost;
+  if (res.status == nvme::Status::kSuccess)
+    io.err = 0;
+  else if (res.status == nvme::Status::kFsError)
+    io.err = static_cast<int>(res.result);
+  else
+    io.err = EIO;
+  if (cls) latency_[static_cast<std::size_t>(*cls)]->record(io.cost);
+  return io.ok();
+}
+
+nvme::IniDriver::Request DpcSystem::inline_request(
+    nvme::DispatchTarget target, nvme::InlineOp op, std::uint64_t ino,
+    std::uint64_t offset) {
+  nvme::IniDriver::Request r(thread_tenant());
+  r.target = target;
+  r.inline_op = op;
+  r.inode = ino;
+  r.offset = offset;
+  return r;
+}
 
 Io DpcSystem::header_call(nvme::DispatchTarget target, const FileRequest& req,
-                          FileResponse* out) {
+                          FileResponse* out, std::optional<OpClass> cls) {
   const auto enc = req.encode();
   nvme::IniDriver::Request r(thread_tenant());
   r.target = target;
@@ -513,24 +537,30 @@ Io DpcSystem::header_call(nvme::DispatchTarget target, const FileRequest& req,
   // readdir replies can be large; give them data capacity too.
   r.read_data_cap = req.op == FileOp::kReaddir ? opts_.max_io : 0;
 
-  const auto call_res = call(r, r.read_hdr_cap + r.read_data_cap);
+  const auto res = call(r, r.read_hdr_cap + r.read_data_cap);
   Io io;
-  io.cost = call_res.cost;
-  if (call_res.status != nvme::Status::kSuccess &&
-      call_res.status != nvme::Status::kFsError) {
+  if (!complete(io, res, cls)) return io;
+  if (res.read_payload.empty()) {
     io.err = EIO;
     return io;
   }
-  if (call_res.read_payload.empty()) {
-    io.err = EIO;
-    return io;
-  }
-  FileResponse resp = FileResponse::decode(call_res.read_payload);
+  FileResponse resp = FileResponse::decode(res.read_payload);
   io.err = resp.err;
   io.ino = resp.ino;
   if (out) *out = std::move(resp);
-  latency_[static_cast<std::size_t>(OpClass::kMeta)]->record(io.cost);
   return io;
+}
+
+std::optional<std::uint64_t> DpcSystem::fetch_size(Io& io, std::uint64_t ino) {
+  FileRequest req;
+  req.op = FileOp::kGetattr;
+  req.parent = ino;
+  FileResponse resp;
+  const Io side = header_call(nvme::DispatchTarget::kStandalone, req, &resp,
+                              std::nullopt);
+  io.cost += side.cost;
+  if (!side.ok() || !resp.attr) return std::nullopt;
+  return resp.attr->size;
 }
 
 // ------------------------------------------------- standalone namespace
@@ -571,19 +601,20 @@ Io DpcSystem::resolve(const std::string& path) {
 }
 
 Io DpcSystem::unlink(std::uint64_t parent, const std::string& name) {
-  // Drop any cached pages of the victim before the namespace disappears.
-  if (host_cache_) {
-    if (Io found = lookup(parent, name); found.ok()) {
-      host_cache_->invalidate_above(found.ino, 0);
-      sim::LockGuard lock(size_mu_);
-      size_cache_.erase(found.ino);
-    }
-  }
   FileRequest req;
   req.op = FileOp::kUnlink;
   req.parent = parent;
   req.name = name;
-  return header_call(nvme::DispatchTarget::kStandalone, req, nullptr);
+  Io io = header_call(nvme::DispatchTarget::kStandalone, req, nullptr);
+  // The reply names the inode only when its last link went: then, and only
+  // then, are its cached pages (dirty ones included) and size view garbage.
+  // Another name may still reach it otherwise.
+  if (io.ok() && io.ino != 0) {
+    if (host_cache_) host_cache_->invalidate_above(io.ino, 0);
+    sim::LockGuard lock(size_mu_);
+    size_cache_.erase(io.ino);
+  }
+  return io;
 }
 
 Io DpcSystem::rmdir(std::uint64_t parent, const std::string& name) {
@@ -689,36 +720,27 @@ Io DpcSystem::read(std::uint64_t ino, std::uint64_t offset,
   // not hit" (§3.1). Hits are clamped to the adapter's size view so reads
   // past EOF come back short, exactly as the DPU path would return them.
   if (!direct && host_cache_ && page_aligned && !dst.empty()) {
-    std::uint64_t known_size = 0;
-    bool size_known = false;
+    std::optional<std::uint64_t> known;
     {
       sim::LockGuard lock(size_mu_);
       const auto it = size_cache_.find(ino);
-      if (it != size_cache_.end()) {
-        known_size = it->second;
-        size_known = true;
-      }
+      if (it != size_cache_.end()) known = it->second;
     }
-    if (!size_known) {
-      kvfs::Attr attr;
-      if (getattr(ino, &attr).ok()) {
-        known_size = attr.size;
-        size_known = true;
+    if (!known) {
+      known = fetch_size(io, ino);
+      if (known) {
         sim::LockGuard lock(size_mu_);
         auto& slot = size_cache_[ino];
-        slot = std::max(slot, known_size);
+        slot = std::max(slot, *known);
       }
     }
-    if (!size_known) {
-      // Unknown file: let the DPU path produce the proper errno.
-      known_size = 0;
-    }
-    const std::uint64_t readable =
-        offset >= known_size ? 0 : known_size - offset;
+    // Unknown file: let the DPU path produce the proper errno.
+    const std::uint64_t size = known.value_or(0);
+    const std::uint64_t readable = offset >= size ? 0 : size - offset;
     const auto want =
         static_cast<std::uint64_t>(std::min<std::uint64_t>(dst.size(),
                                                            readable));
-    bool all_hit = size_known && (want > 0 || readable == 0);
+    bool all_hit = known && (want > 0 || readable == 0);
     for (std::uint64_t at = 0; at < want; at += kCachePage) {
       const auto span = std::min<std::uint64_t>(kCachePage, want - at);
       if (span < kCachePage) {
@@ -738,29 +760,18 @@ Io DpcSystem::read(std::uint64_t ino, std::uint64_t offset,
     if (all_hit) {
       io.bytes = static_cast<std::uint32_t>(want);
       io.cache_hit = true;
-      io.cost = sim::calib::kSyscallVfs + sim::calib::kFsAdapterOp;
+      io.cost += sim::calib::kSyscallVfs + sim::calib::kFsAdapterOp;
       latency_[static_cast<std::size_t>(OpClass::kRead)]->record(io.cost);
       cache_hit_path_ns_->record(io.cost);
       return io;
     }
   }
 
-  nvme::IniDriver::Request r(thread_tenant());
-  r.target = nvme::DispatchTarget::kStandalone;
-  r.inline_op = nvme::InlineOp::kRead;
-  r.inode = ino;
-  r.offset = offset;
+  auto r = inline_request(nvme::DispatchTarget::kStandalone,
+                          nvme::InlineOp::kRead, ino, offset);
   r.read_data_cap = static_cast<std::uint32_t>(dst.size());
   const auto res = call(r, r.read_data_cap);
-  io.cost += res.cost;
-  if (res.status == nvme::Status::kFsError) {
-    io.err = static_cast<int>(res.result);
-    return io;
-  }
-  if (res.status != nvme::Status::kSuccess) {
-    io.err = EIO;
-    return io;
-  }
+  if (!complete(io, res, OpClass::kRead)) return io;
   io.bytes = res.result;
   // A read at/past EOF completes with an empty payload whose data() is
   // null; memcpy's nonnull contract forbids that even at length zero.
@@ -779,7 +790,6 @@ Io DpcSystem::read(std::uint64_t ino, std::uint64_t offset,
     }
     cache_miss_path_ns_->record(io.cost);
   }
-  latency_[static_cast<std::size_t>(OpClass::kRead)]->record(io.cost);
   return io;
 }
 
@@ -814,23 +824,25 @@ Io DpcSystem::write(std::uint64_t ino, std::uint64_t offset,
       io.cost = sim::calib::kSyscallVfs + sim::calib::kFsAdapterOp;
       // Writes absorbed by host memory still need the file size to grow so
       // getattr/read bounds stay correct before the flush lands. The
-      // fs-adapter tracks the size it has already published and issues one
-      // truncate only on actual growth.
+      // fs-adapter tracks the size it has already published and sends one
+      // truncate only on actual growth: a side command whose cost this
+      // write pays and whose status it ignores, as it ignores the getattr's.
       const std::uint64_t end = offset + src.size();
       bool grow = false;
       {
         sim::LockGuard lock(size_mu_);
         auto [it, fresh] = size_cache_.try_emplace(ino, 0);
-        if (fresh) {
-          kvfs::Attr attr;
-          if (getattr(ino, &attr).ok()) it->second = attr.size;
-        }
+        if (fresh) it->second = fetch_size(io, ino).value_or(0);
         if (end > it->second) {
           it->second = end;
           grow = true;
         }
       }
-      if (grow) (void)truncate(ino, end);
+      if (grow) {
+        const auto r = inline_request(nvme::DispatchTarget::kStandalone,
+                                      nvme::InlineOp::kTruncate, ino, end);
+        io.cost += call(r, 0).cost;
+      }
       latency_[static_cast<std::size_t>(OpClass::kWrite)]->record(io.cost);
       cache_hit_path_ns_->record(io.cost);
       return io;
@@ -838,22 +850,11 @@ Io DpcSystem::write(std::uint64_t ino, std::uint64_t offset,
     // Cache full — the DPU is evicting; fall through to write-through.
   }
 
-  nvme::IniDriver::Request r(thread_tenant());
-  r.target = nvme::DispatchTarget::kStandalone;
-  r.inline_op = nvme::InlineOp::kWrite;
-  r.inode = ino;
-  r.offset = offset;
+  auto r = inline_request(nvme::DispatchTarget::kStandalone,
+                          nvme::InlineOp::kWrite, ino, offset);
   r.write_data = src;
   const auto res = call(r, 0);
-  io.cost += res.cost;
-  if (res.status == nvme::Status::kFsError) {
-    io.err = static_cast<int>(res.result);
-    return io;
-  }
-  if (res.status != nvme::Status::kSuccess) {
-    io.err = EIO;
-    return io;
-  }
+  if (!complete(io, res, OpClass::kWrite)) return io;
   io.bytes = res.result;
   {
     // Write-through grew the file in KVFS directly; keep our size view in
@@ -876,7 +877,6 @@ Io DpcSystem::write(std::uint64_t ino, std::uint64_t offset,
     for (std::uint64_t at = 0; at < src.size(); at += kCachePage)
       host_cache_->invalidate(ino, (offset + at) / kCachePage);
   }
-  latency_[static_cast<std::size_t>(OpClass::kWrite)]->record(io.cost);
   return io;
 }
 
@@ -894,35 +894,23 @@ Io DpcSystem::truncate(std::uint64_t ino, std::uint64_t new_size) {
     sim::LockGuard lock(size_mu_);
     size_cache_[ino] = new_size;
   }
-  nvme::IniDriver::Request r(thread_tenant());
-  r.target = nvme::DispatchTarget::kStandalone;
-  r.inline_op = nvme::InlineOp::kTruncate;
-  r.inode = ino;
-  r.offset = new_size;
-  const auto res = call(r, 0);
+  const auto res = call(inline_request(nvme::DispatchTarget::kStandalone,
+                                      nvme::InlineOp::kTruncate, ino,
+                                      new_size),
+                       0);
   Io io;
   io.ino = ino;
-  io.cost = res.cost;
-  if (res.status == nvme::Status::kFsError)
-    io.err = static_cast<int>(res.result);
-  else if (res.status != nvme::Status::kSuccess)
-    io.err = EIO;
+  complete(io, res, OpClass::kMeta);
   return io;
 }
 
 Io DpcSystem::fsync(std::uint64_t ino) {
-  nvme::IniDriver::Request r(thread_tenant());
-  r.target = nvme::DispatchTarget::kStandalone;
-  r.inline_op = nvme::InlineOp::kFsync;
-  r.inode = ino;
-  const auto res = call(r, 0);
+  const auto res = call(inline_request(nvme::DispatchTarget::kStandalone,
+                                      nvme::InlineOp::kFsync, ino, 0),
+                       0);
   Io io;
   io.ino = ino;
-  io.cost = res.cost;
-  if (res.status == nvme::Status::kFsError)
-    io.err = static_cast<int>(res.result);
-  else if (res.status != nvme::Status::kSuccess)
-    io.err = EIO;
+  complete(io, res, OpClass::kMeta);
   return io;
 }
 
@@ -953,24 +941,13 @@ Io DpcSystem::dfs_read(std::uint64_t ino, std::uint64_t offset,
                        return dfs_read(ino, offset + at, piece);
                      });
   }
-  nvme::IniDriver::Request r(thread_tenant());
-  r.target = nvme::DispatchTarget::kDistributed;
-  r.inline_op = nvme::InlineOp::kRead;
-  r.inode = ino;
-  r.offset = offset;
+  auto r = inline_request(nvme::DispatchTarget::kDistributed,
+                          nvme::InlineOp::kRead, ino, offset);
   r.read_data_cap = static_cast<std::uint32_t>(dst.size());
   const auto res = call(r, r.read_data_cap);
   Io io;
   io.ino = ino;
-  io.cost = res.cost;
-  if (res.status == nvme::Status::kFsError) {
-    io.err = static_cast<int>(res.result);
-    return io;
-  }
-  if (res.status != nvme::Status::kSuccess) {
-    io.err = EIO;
-    return io;
-  }
+  if (!complete(io, res, OpClass::kRead)) return io;
   io.bytes = res.result;
   // A read at/past EOF completes with an empty payload whose data() is
   // null; memcpy's nonnull contract forbids that even at length zero.
@@ -989,25 +966,13 @@ Io DpcSystem::dfs_write(std::uint64_t ino, std::uint64_t offset,
                        return dfs_write(ino, offset + at, piece);
                      });
   }
-  nvme::IniDriver::Request r(thread_tenant());
-  r.target = nvme::DispatchTarget::kDistributed;
-  r.inline_op = nvme::InlineOp::kWrite;
-  r.inode = ino;
-  r.offset = offset;
+  auto r = inline_request(nvme::DispatchTarget::kDistributed,
+                          nvme::InlineOp::kWrite, ino, offset);
   r.write_data = src;
   const auto res = call(r, 0);
   Io io;
   io.ino = ino;
-  io.cost = res.cost;
-  if (res.status == nvme::Status::kFsError) {
-    io.err = static_cast<int>(res.result);
-    return io;
-  }
-  if (res.status != nvme::Status::kSuccess) {
-    io.err = EIO;
-    return io;
-  }
-  io.bytes = res.result;
+  if (complete(io, res, OpClass::kWrite)) io.bytes = res.result;
   return io;
 }
 

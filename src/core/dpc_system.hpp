@@ -105,10 +105,14 @@ struct DpcOptions {
 /// Result of one fs-adapter call.
 struct Io {
   int err = 0;  ///< 0 or positive errno
+  /// The op's inode. unlink: the removed inode when its last link went,
+  /// else 0.
   std::uint64_t ino = 0;
   std::uint32_t bytes = 0;
   bool cache_hit = false;
-  /// Modelled host-visible latency of this op (transport + backend).
+  /// Modelled host-visible latency of this op: host work, transport and
+  /// everything the DPU charged, for every nvme-fs command the adapter sent
+  /// on the op's behalf (side getattr/truncate included), failed or not.
   sim::Nanos cost{};
   bool ok() const { return err == 0; }
 };
@@ -243,7 +247,10 @@ class DpcSystem {
   obs::Registry& metrics() { return registry_; }
   const obs::Registry& metrics() const { return registry_; }
 
-  /// Modelled-latency distributions by op class, recorded per call.
+  /// Modelled-latency distributions by op class, recorded once per call
+  /// with its whole `Io::cost`, failed calls included. Data reads and
+  /// writes (standalone and DFS) are kRead/kWrite; everything else,
+  /// truncate and fsync included, is kMeta.
   enum class OpClass : std::uint8_t { kMeta = 0, kRead, kWrite, kCount_ };
   const sim::Histogram& latency(OpClass c) const {
     return *latency_[static_cast<std::size_t>(c)];
@@ -264,8 +271,24 @@ class DpcSystem {
   int queue_for_this_thread();
   int pump(int q);  // inline DPU processing; returns TGT commands processed
 
+  /// The one completion rule for an op's nvme-fs command: adds its cost to
+  /// `io` (which may already hold the op's side commands'), sets `io.err`
+  /// to 0, the errno a kFsError CQE carries, or EIO for any other failure,
+  /// and records the op's whole cost in latency class `cls`. A side
+  /// command (`cls` unset) is recorded with the op it serves. Returns
+  /// io.ok().
+  bool complete(Io& io, const CallResult& res, std::optional<OpClass> cls);
+  /// An SQE-only command on `ino` at `offset`, from this thread's tenant.
+  static nvme::IniDriver::Request inline_request(nvme::DispatchTarget target,
+                                                 nvme::InlineOp op,
+                                                 std::uint64_t ino,
+                                                 std::uint64_t offset);
   Io header_call(nvme::DispatchTarget target, const FileRequest& req,
-                 FileResponse* out);
+                 FileResponse* out,
+                 std::optional<OpClass> cls = OpClass::kMeta);
+  /// Side command: asks the DPU for `ino`'s size (nullopt if it cannot
+  /// say) and adds the getattr's cost to op `io`.
+  std::optional<std::uint64_t> fetch_size(Io& io, std::uint64_t ino);
 
   DpcOptions opts_;
 

@@ -46,6 +46,8 @@ struct FileRequest {
 
 struct FileResponse {
   std::int32_t err = 0;         ///< 0 or positive errno
+  /// The inode the op named or made. kUnlink: the removed inode when its
+  /// last link went (the host drops its cached pages), else 0.
   std::uint64_t ino = 0;
   std::optional<kvfs::Attr> attr;
   /// kReaddir: serialized entries.

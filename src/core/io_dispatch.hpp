@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "cache/control_plane.hpp"
 #include "core/fileproto.hpp"
@@ -57,16 +56,14 @@ class IoDispatch {
  public:
   /// `dfs_client` and `cache_ctl` may be null (standalone-only setups).
   /// `registry` hosts the dispatch counters and per-op-class backend
-  /// histograms; when null, a private registry is created. `qos` (optional)
-  /// scopes per-op counters to the command's tenant. `wal` (optional, with
-  /// `cache_ctl`) enables the fsync fast path: ack at NVM persistence and
-  /// let the background flusher drain — falling back to the synchronous
-  /// flush whenever the log is degraded or a page could not be logged.
+  /// histograms. `qos` (may be null) scopes per-op counters to the
+  /// command's tenant. `wal` (may be null; used with `cache_ctl`) enables
+  /// the fsync fast path: ack at NVM persistence and let the background
+  /// flusher drain — falling back to the synchronous flush whenever the log
+  /// is degraded or a page could not be logged.
   IoDispatch(kvfs::Kvfs& fs, dfs::DfsClient* dfs_client,
-             cache::DpuCacheControl* cache_ctl,
-             obs::Registry* registry = nullptr,
-             dpu::QosManager* qos = nullptr,
-             nvm::WriteAheadLog* wal = nullptr);
+             cache::DpuCacheControl* cache_ctl, obs::Registry& registry,
+             dpu::QosManager* qos, nvm::WriteAheadLog* wal);
 
   /// The nvme-fs command handler to register with the TGT driver.
   nvme::CommandHandler handler();
@@ -76,28 +73,37 @@ class IoDispatch {
   sim::Nanos mean_backend_cost() const;
 
  private:
+  /// What a handler decided about one command. `handle` turns it into the
+  /// CQE: a nonzero `err` travels in the reply when the handler produced
+  /// one (a header op's FileResponse), else as a kFsError CQE. `backend`
+  /// (KV / DFS round trips) is charged to "dispatch/backend_ns"; the
+  /// command's service time is `dpu + backend`, failed commands included.
+  struct Outcome {
+    int err = 0;
+    std::uint32_t result = 0;
+    std::uint32_t read_bytes = 0;
+    sim::Nanos backend{};
+    sim::Nanos dpu{};  ///< DPU compute: KVFS per-op work, DFS client CPU
+  };
+
   nvme::HandlerResult handle(const nvme::NvmeFsCmd& cmd,
                              std::span<const std::byte> wpayload,
                              std::span<std::byte> rpayload);
-  nvme::HandlerResult handle_standalone_inline(
-      const nvme::NvmeFsCmd& cmd, std::span<const std::byte> wpayload,
-      std::span<std::byte> rpayload);
-  nvme::HandlerResult handle_header(const nvme::NvmeFsCmd& cmd,
-                                    std::span<const std::byte> wpayload,
-                                    std::span<std::byte> rpayload);
-  nvme::HandlerResult handle_dfs_inline(const nvme::NvmeFsCmd& cmd,
-                                        std::span<const std::byte> wpayload,
-                                        std::span<std::byte> rpayload);
-
-  void charge(sim::Nanos backend_cost);
+  Outcome handle_standalone_inline(const nvme::NvmeFsCmd& cmd,
+                                   std::span<const std::byte> wpayload,
+                                   std::span<std::byte> rpayload);
+  Outcome handle_header(const nvme::NvmeFsCmd& cmd,
+                        std::span<const std::byte> wpayload,
+                        std::span<std::byte> rpayload);
+  Outcome handle_dfs_inline(const nvme::NvmeFsCmd& cmd,
+                            std::span<const std::byte> wpayload,
+                            std::span<std::byte> rpayload);
 
   kvfs::Kvfs* fs_;
   dfs::DfsClient* dfs_;
   cache::DpuCacheControl* cache_ctl_;
   dpu::QosManager* qos_;
   nvm::WriteAheadLog* wal_;
-  std::unique_ptr<obs::Registry> owned_registry_;  // when none was supplied
-  obs::Registry* registry_;
   DispatchStats stats_;
   /// Modelled backend cost distribution per dispatched op.
   sim::Histogram* backend_cost_hist_;

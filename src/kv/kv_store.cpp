@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <thread>
 
 #include "ec/crc32c.hpp"
 #include "sim/check.hpp"
@@ -76,22 +75,13 @@ Bytes to_bytes(std::span<const std::byte> s) {
 }
 
 namespace {
-std::size_t pick_shard_count(int shards) {
-  std::size_t want;
-  if (shards <= 0) {
-    // Per-core sharding: one shard per hardware thread keeps independent
-    // client threads on distinct locks; min 16 preserves spread on small
-    // machines and matches the pre-sharded default.
-    const unsigned hw = std::thread::hardware_concurrency();
-    want = std::max<std::size_t>(16, hw == 0 ? 16 : hw);
-  } else {
-    want = static_cast<std::size_t>(shards);
-  }
-  return std::bit_ceil(want);  // pow2 so shard_for is a mask, not a div
+std::size_t pow2_shards(int shards) {
+  DPC_CHECK(shards >= 1);
+  return std::bit_ceil(static_cast<std::size_t>(shards));
 }
 }  // namespace
 
-KvStore::KvStore(int shards) : shards_storage_(pick_shard_count(shards)) {
+KvStore::KvStore(int shards) : shards_storage_(pow2_shards(shards)) {
   shard_mask_ = shards_storage_.size() - 1;
 }
 

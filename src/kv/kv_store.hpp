@@ -105,11 +105,11 @@ struct ApplyResult {
 
 class KvStore {
  public:
-  /// `shards` ≤ 0 sizes the shard array per-core (hardware_concurrency
-  /// rounded up to a power of two, min 16) so independent client threads
-  /// land on distinct shard locks; explicit counts are rounded up to the
-  /// next power of two so shard selection is a mask, not a division.
-  explicit KvStore(int shards = 0);
+  /// Fixed, so a batch takes the same shard locks on every host.
+  static constexpr int kDefaultShards = 16;
+  /// `shards` (≥ 1) is rounded up to the next power of two so shard
+  /// selection is a mask, not a division.
+  explicit KvStore(int shards = kDefaultShards);
 
   /// Attaches the corruption injector (null = pristine store). Must outlive
   /// the store.

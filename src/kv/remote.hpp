@@ -84,8 +84,7 @@ class RemoteKv {
   /// KvStore::apply as one remote op: one injectable attempt sequence, so a
   /// failure means nothing was applied. Costs one round trip for a one-op
   /// batch and two (prepare + commit) for more, plus the serialized wire
-  /// bytes — never a function of how the keys land on shards, whose count
-  /// follows the host's core count.
+  /// bytes — never a function of how the keys land on shards.
   Timed<ApplyResult> apply(const Batch& batch);
 
   KvStore& store() { return *store_; }

@@ -1,12 +1,10 @@
 #include "kvfs/kvfs.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <map>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "dpu/qos.hpp"
@@ -23,13 +21,6 @@ bool valid_name(std::string_view name) {
          name.find('/') == std::string_view::npos && name != "." &&
          name != "..";
 }
-
-// Per-core metadata-cache sharding: one shard per hardware thread (pow2 so
-// shard selection is a mask), min 16 to keep spread on small machines.
-std::size_t cache_shard_count() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::bit_ceil(std::max<std::size_t>(16, hw == 0 ? 16 : hw));
-}
 }  // namespace
 
 Kvfs::Kvfs(kv::RemoteKv& store, const KvfsOptions& opts,
@@ -39,9 +30,7 @@ Kvfs::Kvfs(kv::RemoteKv& store, const KvfsOptions& opts,
       owned_registry_(registry == nullptr ? std::make_unique<obs::Registry>()
                                           : nullptr),
       registry_(registry != nullptr ? registry : owned_registry_.get()),
-      stats_(*registry_),
-      cache_shards_(cache_shard_count()),
-      cache_shard_mask_(cache_shards_.size() - 1) {
+      stats_(*registry_) {
   // Install the root directory's attribute if this is a fresh store.
   sim::Nanos cost{};
   if (!load_attr(kRootIno, cost)) {
@@ -303,20 +292,21 @@ Kvfs::CacheShard& Kvfs::dentry_shard(Ino parent, std::string_view name) {
   // entries across shards.
   std::uint64_t h = std::hash<std::string_view>{}(name);
   h ^= parent * 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  return cache_shards_[(h >> 32) & cache_shard_mask_];
+  return cache_shards_[(h >> 32) & (kCacheShards - 1)];
 }
 
 Kvfs::CacheShard& Kvfs::attr_shard(Ino ino) {
   return cache_shards_[(ino * 0x9E3779B97F4A7C15ull >> 32) &
-                       cache_shard_mask_];
+                       (kCacheShards - 1)];
 }
 
 Kvfs::CacheShard& Kvfs::extent_shard(Ino ino, std::uint32_t page) {
-  return cache_shards_[(PageKeyHash{}({ino, page}) >> 32) & cache_shard_mask_];
+  return cache_shards_[(PageKeyHash{}({ino, page}) >> 32) &
+                       (kCacheShards - 1)];
 }
 
 std::size_t Kvfs::shard_cap(std::size_t total) const {
-  return std::max<std::size_t>(1, total / cache_shards_.size());
+  return std::max<std::size_t>(1, total / kCacheShards);
 }
 
 void Kvfs::cache_dentry(Ino parent, std::string_view name, Ino ino) {
@@ -610,8 +600,8 @@ std::optional<std::uint64_t> Kvfs::load_extent(Ino ino, std::uint64_t logical,
   return page[slot_of_block(logical)];
 }
 
-Result<Unit> Kvfs::remove_node(Ino parent, std::string_view name, bool dir) {
-  Result<Unit> res;
+Result<Ino> Kvfs::remove_node(Ino parent, std::string_view name, bool dir) {
+  Result<Ino> res;
   if (!valid_name(name)) {
     res.err = EINVAL;
     return res;
@@ -686,6 +676,7 @@ Result<Unit> Kvfs::remove_node(Ino parent, std::string_view name, bool dir) {
     cache_attr(a);
     return res;
   }
+  res.value = a.ino;
   uncache_attr(a.ino);
   for (const std::uint32_t page : purged_pages) uncache_page(a.ino, page);
   if (opts_.wal != nullptr && attr->type == FileType::kRegular) {
@@ -699,11 +690,11 @@ Result<Unit> Kvfs::remove_node(Ino parent, std::string_view name, bool dir) {
   return res;
 }
 
-Result<Unit> Kvfs::unlink(Ino parent, std::string_view name) {
+Result<Ino> Kvfs::unlink(Ino parent, std::string_view name) {
   return remove_node(parent, name, /*dir=*/false);
 }
 
-Result<Unit> Kvfs::rmdir(Ino parent, std::string_view name) {
+Result<Ino> Kvfs::rmdir(Ino parent, std::string_view name) {
   return remove_node(parent, name, /*dir=*/true);
 }
 

@@ -11,7 +11,8 @@
 //   * directory listing is a prefix scan over the parent's inode-KV prefix;
 //   * an inode (attribute) cache and dentry cache accelerate lookups, and a
 //     bounded extent-page cache (kExtentCachePages) serves the index, so a
-//     warm 8 KiB read is one KV op and a warm overwrite two (block + attr);
+//     warm 8 KiB read is one KV op and a warm overwrite one batch of the
+//     blocks and the attr (two round trips);
 //   * the extent cache never makes a `shared_store` mount staler than an
 //     uncached one: an allocating write re-reads its pages, a read that
 //     hits a cached hole re-reads the page before returning zeros, and a
@@ -125,8 +126,10 @@ class Kvfs {
   /// symlinks (bounded at kMaxSymlinkFollows).
   Result<Ino> resolve(std::string_view path);
   static constexpr int kMaxSymlinkFollows = 40;
-  Result<Unit> unlink(Ino parent, std::string_view name);
-  Result<Unit> rmdir(Ino parent, std::string_view name);
+  /// Removes a name. `value` is the inode when its last link went (its
+  /// data is gone), else 0.
+  Result<Ino> unlink(Ino parent, std::string_view name);
+  Result<Ino> rmdir(Ino parent, std::string_view name);
   Result<Unit> rename(Ino old_parent, std::string_view old_name,
                       Ino new_parent, std::string_view new_name);
   /// Hard link: a second inode-KV entry naming the same regular file.
@@ -219,7 +222,7 @@ class Kvfs {
   /// the node's one batch.
   Result<Ino> make_node(Ino parent, std::string_view name, FileType type,
                         std::uint32_t mode, std::string_view symlink_target);
-  Result<Unit> remove_node(Ino parent, std::string_view name, bool dir);
+  Result<Ino> remove_node(Ino parent, std::string_view name, bool dir);
   /// Stages the erase of every data KV of `a` (its extent pages and blocks,
   /// or its small-file KV) into `b`; `pages` gets the erased page numbers
   /// to uncache once the batch applied. False when the page scan failed.
@@ -309,7 +312,7 @@ class Kvfs {
     }
   };
 
-  /// Per-core sharded metadata caches: each shard owns its slice of the
+  /// Sharded metadata caches (kCacheShards): each shard owns its slice of the
   /// dentry map (key = inode_key), the attr map and the extent-page map
   /// under its own shared mutex (leaf rank: taken under a stripe on every
   /// cached lookup, never holds anything itself). Cache-line aligned so hot
@@ -332,8 +335,11 @@ class Kvfs {
   /// Per-shard share of a cache holding `total` entries.
   std::size_t shard_cap(std::size_t total) const;
 
-  std::vector<CacheShard> cache_shards_;
-  std::size_t cache_shard_mask_ = 0;  ///< size - 1 (power-of-two count)
+  /// A power of two, so shard selection is a mask; fixed, so which entries
+  /// a wholesale drop evicts does not depend on the host.
+  static constexpr std::size_t kCacheShards = 16;
+
+  std::vector<CacheShard> cache_shards_{kCacheShards};
 };
 
 }  // namespace dpc::kvfs

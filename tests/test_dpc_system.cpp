@@ -505,7 +505,8 @@ TEST(DfsFanOut, DispatchServiceIsDpuCpuPlusOneWave) {
   dfs::MdsCluster mds;
   dfs::DataServers ds;
   dfs::DfsClient client(1, mds, ds, dfs::ClientConfig::dpc_offloaded());
-  IoDispatch dispatch(fs, &client, nullptr);
+  obs::Registry reg;
+  IoDispatch dispatch(fs, &client, nullptr, reg, nullptr, nullptr);
   const auto handler = dispatch.handler();
   const auto c = client.create("/wave", 1 << 20);
   ASSERT_TRUE(c.ok());
