@@ -58,7 +58,7 @@ DpuCacheControl::DpuCacheControl(pcie::DmaEngine& dma,
       flush_pass_ns_(&registry_->histogram("cache.ctl/flush_pass_ns")),
       prefetch_pass_ns_(&registry_->histogram("cache.ctl/prefetch_pass_ns")),
       prefetcher_(kPrefetchMaxWindow),
-      bitmap_(layout.dirty_words()),
+      bitmap_(layout.bitmap_words()),
       scratch_(kPageSize) {}
 
 CacheEntry DpuCacheControl::fetch_entry(std::uint32_t index,
@@ -434,16 +434,34 @@ DpuCacheControl::PassResult DpuCacheControl::evict(std::uint32_t target_free) {
   if (free_now >= target_free) return res;
 
   std::array<CacheEntry, ClockEviction::kChunk> chunk;
+  std::array<std::uint32_t, ClockEviction::kChunk / 32 + 2> accessed_buf;
   std::vector<std::uint32_t> victims;
   clock_.pick_victims(
       layout_->geometry().total_pages, target_free - free_now,
-      [&](std::uint32_t first, std::span<PageStatus> status) {
-        const std::span<CacheEntry> entries{chunk.data(), status.size()};
+      [&](std::uint32_t first, std::span<SweepSlot> slots) {
+        const std::span<CacheEntry> entries{chunk.data(), slots.size()};
         res.cost += dma_->read_host(layout_->entry_off(first),
                                     std::as_writable_bytes(entries),
                                     pcie::DmaClass::kDescriptor);
-        for (std::size_t k = 0; k < status.size(); ++k)
-          status[k] = static_cast<PageStatus>(entries[k].status);
+        const auto n = static_cast<std::uint32_t>(slots.size());
+        const AccessedWords accessed =
+            read_accessed(first, n, accessed_buf, res.cost);
+        for (std::uint32_t k = 0; k < n; ++k)
+          slots[k] = {static_cast<PageStatus>(entries[k].status),
+                      accessed.referenced(first + k)};
+      },
+      [&](std::span<const std::uint32_t> spared) {
+        // Clear exactly the spared entries' bits, one fetch-and per word; a
+        // hit meanwhile on an entry in the mask is spent on this chance.
+        for (std::size_t k = 0; k < spared.size();) {
+          const std::uint32_t w = spared[k] / 32;
+          std::uint32_t mask = 0;
+          for (; k < spared.size() && spared[k] / 32 == w; ++k)
+            mask |= 1u << (spared[k] % 32);
+          res.cost +=
+              dma_->atomic_and_host(layout_->accessed_word_off(w), ~mask).cost;
+        }
+        stats_.second_chances += spared.size();
       },
       victims);
   for (const std::uint32_t i : victims) {
@@ -481,31 +499,20 @@ DpuCacheControl::PassResult DpuCacheControl::prefetch(std::uint64_t inode,
     if (!lock_bucket(bucket, res.cost)) continue;  // busy; skip this page
 
     // Walk the bucket (one chunked DMA): skip if present, find a free slot.
+    const std::uint32_t head = layout_->bucket_head_entry(bucket);
     std::vector<CacheEntry> entries(epb);
-    res.cost += dma_->read_host(
-        layout_->entry_off(layout_->bucket_head_entry(bucket)),
-        std::as_writable_bytes(std::span{entries.data(), epb}),
-        pcie::DmaClass::kDescriptor);
+    res.cost += dma_->read_host(layout_->entry_off(head),
+                                std::as_writable_bytes(std::span{entries}),
+                                pcie::DmaClass::kDescriptor);
     bool present = false;
     std::uint32_t free_slot = kEndOfList;
-    std::uint32_t clean_victim = kEndOfList;
     for (std::uint32_t j = 0; j < epb; ++j) {
       const auto st = static_cast<PageStatus>(entries[j].status);
-      const std::uint32_t abs = layout_->bucket_head_entry(bucket) + j;
       if (st == PageStatus::kFree) {
-        if (free_slot == kEndOfList) free_slot = abs;
+        if (free_slot == kEndOfList) free_slot = head + j;
       } else if (entries[j].inode == inode && entries[j].lpn == lpn) {
         present = true;
         break;
-      } else if (st == PageStatus::kClean) {
-        // Prefer the oldest fill (entries the control plane stamped with
-        // its fill sequence; host-filled entries read 0 → evicted first).
-        if (clean_victim == kEndOfList ||
-            entries[j].fill <
-                entries[clean_victim - layout_->bucket_head_entry(bucket)]
-                    .fill) {
-          clean_victim = abs;
-        }
       }
     }
     if (present) {
@@ -517,6 +524,7 @@ DpuCacheControl::PassResult DpuCacheControl::prefetch(std::uint64_t inode,
     // offloaded control plane).
     bool reused = false;
     if (free_slot == kEndOfList) {
+      const std::uint32_t clean_victim = reuse_victim(head, entries, res.cost);
       if (clean_victim == kEndOfList ||
           !try_write_lock(clean_victim, res.cost)) {
         unlock_bucket(bucket, res.cost);
@@ -544,7 +552,7 @@ DpuCacheControl::PassResult DpuCacheControl::prefetch(std::uint64_t inode,
     // Fill the identity fields, push the page, publish as clean — all
     // inside the entry's seqlock window so a concurrent lock-free host
     // reader discards any half-filled view.
-    CacheEntry e = entries[free_slot - layout_->bucket_head_entry(bucket)];
+    CacheEntry e = entries[free_slot - head];
     e.inode = inode;
     e.lpn = lpn;
     e.fill = fill_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -561,6 +569,11 @@ DpuCacheControl::PassResult DpuCacheControl::prefetch(std::uint64_t inode,
     res.cost +=
         dma_->write_host(layout_->page_off(free_slot), scratch_,
                          pcie::DmaClass::kData);
+    // Published referenced: a page read ahead but not yet read is spared
+    // once by the sweep, not evicted first.
+    res.cost += dma_->atomic_or_host(layout_->accessed_word_off(free_slot / 32),
+                                     1u << (free_slot % 32))
+                    .cost;
     set_status(free_slot, PageStatus::kClean, res.cost);
     seq_write_end(free_slot, res.cost);
     if (!reused) bump_free(-1, res.cost);
@@ -571,6 +584,45 @@ DpuCacheControl::PassResult DpuCacheControl::prefetch(std::uint64_t inode,
   }
   if (res.pages > 0) prefetch_pass_ns_->record(res.cost);
   return res;
+}
+
+DpuCacheControl::AccessedWords DpuCacheControl::read_accessed(
+    std::uint32_t first, std::uint32_t n, std::span<std::uint32_t> buf,
+    sim::Nanos& cost) {
+  const std::uint32_t w0 = first / 32;
+  const std::span<std::uint32_t> words =
+      buf.first((first + n - 1) / 32 - w0 + 1);
+  cost += dma_->read_host(layout_->accessed_word_off(w0),
+                          std::as_writable_bytes(words),
+                          pcie::DmaClass::kDescriptor);
+  return {w0, words};
+}
+
+std::uint32_t DpuCacheControl::reuse_victim(
+    std::uint32_t head, std::span<const CacheEntry> entries,
+    sim::Nanos& cost) {
+  const auto clean = [](const CacheEntry& e) {
+    return static_cast<PageStatus>(e.status) == PageStatus::kClean;
+  };
+  if (std::none_of(entries.begin(), entries.end(), clean)) return kEndOfList;
+  const auto n = static_cast<std::uint32_t>(entries.size());
+  std::vector<std::uint32_t> buf(n / 32 + 2);
+  const AccessedWords accessed = read_accessed(head, n, buf, cost);
+  // Host-filled entries carry fill 0, so among the unreferenced they go
+  // first; a referenced page (a host hit, or a prefetch not yet read) is
+  // reused only when every clean entry is referenced.
+  std::uint32_t victim = kEndOfList;
+  std::pair<bool, std::uint32_t> victim_key{};
+  for (std::uint32_t j = 0; j < entries.size(); ++j) {
+    if (!clean(entries[j])) continue;
+    const std::pair<bool, std::uint32_t> key{accessed.referenced(head + j),
+                                             entries[j].fill};
+    if (victim == kEndOfList || key < victim_key) {
+      victim = head + j;
+      victim_key = key;
+    }
+  }
+  return victim;
 }
 
 DpuCacheControl::PassResult DpuCacheControl::on_read_miss(std::uint64_t inode,

@@ -13,11 +13,15 @@
 //     clean. A pass costs what its dirt costs, not what the cache size does;
 //   * replacement — reclaim clean pages when the host raises the
 //     need-evict flag (or free falls below the low-water mark), victims
-//     picked by the ClockEviction sweep, which DMAs meta chunks from its
-//     hand only until it has them;
+//     picked by the ClockEviction second-chance sweep, which DMAs meta
+//     chunks and the accessed-bitmap words covering them from its hand only
+//     until it has them, and clears the bits of the referenced pages it
+//     spares with one PCIe fetch-and per word;
 //   * prefetch — populate pages the SequentialPrefetcher predicts, claiming
 //     free entries through the same bucket/entry lock protocol the host
-//     uses (bucket locks taken with PCIe atomics from this side).
+//     uses (bucket locks taken with PCIe atomics from this side), and
+//     publishing them referenced. With no free entry in the bucket it
+//     reuses an unreferenced clean one before the oldest fill.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +89,7 @@ struct ControlPlaneStats {
         flush_fails(reg.counter("cache.ctl/flush_fails")),
         flush_integrity_fails(
             reg.counter("cache.ctl/flush_integrity_fails")),
+        second_chances(reg.counter("cache.ctl/second_chances")),
         rebuild_pages(reg.counter("cache.ctl/rebuild_pages")),
         wal_pages_logged(reg.counter("cache.ctl/wal_pages_logged")) {}
 
@@ -99,6 +104,9 @@ struct ControlPlaneStats {
   /// longer matches the checksum stamped at the pull, so the page is NOT
   /// written to the backend and stays dirty for a clean re-pull.
   obs::Counter& flush_integrity_fails;
+  /// Referenced clean pages the eviction sweep passed over, clearing their
+  /// accessed bits: the hot set a slot-order sweep would have evicted.
+  obs::Counter& second_chances;
   /// Pages adopted from the surviving host data plane during rebuild().
   obs::Counter& rebuild_pages;
   /// Dirty pages persisted to the NVM write-ahead log by wal_log_pass()
@@ -229,6 +237,26 @@ class DpuCacheControl {
   // 4-byte writes to the entry's seq word, counted as kAtomic traffic.
   void seq_write_begin(std::uint32_t index, sim::Nanos& cost);
   void seq_write_end(std::uint32_t index, sim::Nanos& cost);
+  /// The accessed-bitmap words covering a run of entries, as one
+  /// descriptor DMA read them into DPU DRAM.
+  struct AccessedWords {
+    std::uint32_t first_word = 0;
+    std::span<const std::uint32_t> words;
+    bool referenced(std::uint32_t entry) const {
+      return ((words[entry / 32 - first_word] >> (entry % 32)) & 1u) != 0;
+    }
+  };
+  /// Reads the words covering entries [first, first + n) into `buf`, which
+  /// must hold n / 32 + 2 words.
+  AccessedWords read_accessed(std::uint32_t first, std::uint32_t n,
+                              std::span<std::uint32_t> buf, sim::Nanos& cost);
+  /// Prefetch's in-bucket replacement: of the bucket's clean entries
+  /// (`entries`, read from `head`), the one to reuse — unreferenced before
+  /// referenced, then the oldest fill — or kEndOfList if none is clean. One
+  /// descriptor DMA of the accessed words covering the bucket.
+  std::uint32_t reuse_victim(std::uint32_t head,
+                             std::span<const CacheEntry> entries,
+                             sim::Nanos& cost);
   bool lock_bucket(std::uint32_t bucket, sim::Nanos& cost);
   void unlock_bucket(std::uint32_t bucket, sim::Nanos& cost);
   void bump_free(std::int32_t delta, sim::Nanos& cost);
@@ -265,8 +293,8 @@ class DpuCacheControl {
   std::vector<std::byte> scratch_ GUARDED_BY(pass_mu_);
   /// Last readahead-hint sequence consumed (hint loss is benign).
   std::atomic<std::uint32_t> last_ra_seq_{0};
-  /// Monotonic fill counter stamped into prefetched entries so replacement
-  /// can prefer the oldest fill.
+  /// Monotonic fill counter stamped into prefetched entries so prefetch's
+  /// in-bucket replacement can prefer the oldest fill.
   std::atomic<std::uint32_t> fill_seq_{1};
 };
 

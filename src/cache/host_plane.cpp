@@ -236,6 +236,23 @@ void HostCachePlane::publish_dirty(std::uint32_t entry) {
   sim::schedhook::point("cache.dirty_publish");
 }
 
+void HostCachePlane::mark_accessed(std::uint32_t entry) {
+  // Host-local, like the dirty bit. Relaxed: the sweep treats the bit as a
+  // recency hint, so a set the DPU misses only costs the page its second
+  // chance, never correctness.
+  auto word = host_->atomic_u32(layout_->accessed_word_off(entry / 32));
+  const std::uint32_t bit = 1u << (entry % 32);
+  if ((word.load(std::memory_order_relaxed) & bit) == 0)
+    word.fetch_or(bit, std::memory_order_relaxed);
+}
+
+void HostCachePlane::clear_accessed(std::uint32_t entry) {
+  auto word = host_->atomic_u32(layout_->accessed_word_off(entry / 32));
+  const std::uint32_t bit = 1u << (entry % 32);
+  if ((word.load(std::memory_order_relaxed) & bit) != 0)
+    word.fetch_and(~bit, std::memory_order_relaxed);
+}
+
 void HostCachePlane::post_readahead_hint(std::uint64_t inode,
                                          std::uint64_t lpn) {
   // Relaxed word stores — concurrent readers may interleave pairs; seq
@@ -288,6 +305,7 @@ HostCachePlane::FastRead HostCachePlane::try_read_lockfree(
       const std::uint32_t s2 =
           host_->atomic_u32(seq_off).load(std::memory_order_relaxed);
       if (s2 != s1) return FastRead::kRetry;  // torn copy — discard
+      mark_accessed(idx);
       return FastRead::kHit;
     }
     // Non-matching entry: the identity words may themselves have torn
@@ -354,6 +372,7 @@ bool HostCachePlane::read(std::uint64_t inode, std::uint64_t lpn,
     return false;
   }
   host_->read(layout_->page_off(entry), dst);
+  mark_accessed(entry);
   read_unlock(entry);
   stats_.read_hits.fetch_add(1, std::memory_order_relaxed);
   post_readahead_hint(inode, lpn);
@@ -371,6 +390,7 @@ HostCachePlane::WriteResult HostCachePlane::write(
   if (const auto found = find_locked(bucket, inode, lpn)) {
     entry = *found;
     write_lock(entry);  // §3.3: lock atomically before touching the page
+    mark_accessed(entry);
     seq_write_begin(entry);
   } else if (const auto free_entry = find_free_locked(bucket)) {
     entry = *free_entry;
@@ -383,6 +403,7 @@ HostCachePlane::WriteResult HostCachePlane::write(
       return write(inode, lpn, src);
     }
     fresh = true;
+    clear_accessed(entry);
     seq_write_begin(entry);
     host_->atomic_u64(
              layout_->entry_field_off(entry, CacheLayout::EntryField::kInode))
@@ -453,6 +474,7 @@ void HostCachePlane::fill_clean(std::uint64_t inode, std::uint64_t lpn,
   const auto free_entry = find_free_locked(bucket);
   if (!free_entry) {
     unlock_bucket(bucket);
+    stats_.fill_skips.fetch_add(1, std::memory_order_relaxed);
     return;  // opportunistic: no eviction pressure for clean fills
   }
   const std::uint32_t entry = *free_entry;
@@ -462,6 +484,7 @@ void HostCachePlane::fill_clean(std::uint64_t inode, std::uint64_t lpn,
     unlock_bucket(bucket);
     return;
   }
+  clear_accessed(entry);
   seq_write_begin(entry);
   host_->atomic_u64(
            layout_->entry_field_off(entry, CacheLayout::EntryField::kInode))

@@ -12,6 +12,11 @@
 // also sets the entry's dirty-bitmap bit for the DPU). If no free entry can be
 // claimed, the host "notifies the DPU to perform cache replacement" — here
 // by raising the header's need-evict flag and reporting kNoFreeEntry.
+//
+// Hits publish recency the same way: a read hit, or a write to a page already
+// cached, sets the entry's accessed-bitmap bit (a load first, so a page
+// already marked costs no store). The DPU's clock sweep spares a referenced
+// clean page once, so the hot set stays resident while hits stay host-local.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +40,8 @@ struct HostCacheStats {
         write_stalls(reg.counter("cache.host/write_stalls")),
         lockfree_hits(reg.counter("cache.host/lockfree_hits")),
         seqlock_retries(reg.counter("cache.host/seqlock_retries")),
-        locked_fallbacks(reg.counter("cache.host/locked_fallbacks")) {}
+        locked_fallbacks(reg.counter("cache.host/locked_fallbacks")),
+        fill_skips(reg.counter("cache.host/fill_skips")) {}
 
   obs::Counter& read_hits;
   obs::Counter& read_misses;
@@ -44,6 +50,9 @@ struct HostCacheStats {
   obs::Counter& lockfree_hits;     ///< hits served without any lock word
   obs::Counter& seqlock_retries;   ///< unstable-seq observations (retried)
   obs::Counter& locked_fallbacks;  ///< reads that fell back to the locks
+  /// Clean fills dropped because the page's bucket had no free entry: a
+  /// missed page that stays uncached and misses again on its next read.
+  obs::Counter& fill_skips;
 
   void reset() {
     read_hits = 0;
@@ -53,6 +62,7 @@ struct HostCacheStats {
     lockfree_hits = 0;
     seqlock_retries = 0;
     locked_fallbacks = 0;
+    fill_skips = 0;
   }
 };
 
@@ -78,8 +88,10 @@ class HostCachePlane {
                     std::span<const std::byte> src);
 
   /// Inserts a *clean* copy after a read miss was served by the DPU. Never
-  /// clobbers an existing (possibly dirty) entry; silently does nothing if
-  /// the bucket has no free slot (clean fills are opportunistic).
+  /// clobbers an existing (possibly dirty) entry; does nothing but count a
+  /// fill skip if the bucket has no free slot (clean fills are
+  /// opportunistic). The new entry starts unreferenced: a page read once is
+  /// the clock sweep's first choice.
   void fill_clean(std::uint64_t inode, std::uint64_t lpn,
                   std::span<const std::byte> src);
 
@@ -131,6 +143,13 @@ class HostCachePlane {
   /// drains into its dirty index. Called after the dirty mark, with the
   /// entry write lock held.
   void publish_dirty(std::uint32_t entry);
+
+  /// Sets the entry's accessed-bitmap bit after a hit on it, unless it is
+  /// already set. A hint for the DPU's sweep: no lock, no ordering.
+  void mark_accessed(std::uint32_t entry);
+  /// Clears the bit when the host claims a free entry, so a new page does
+  /// not inherit the previous occupant's reference.
+  void clear_accessed(std::uint32_t entry);
 
   /// Posts the consumed <inode,lpn> readahead hint for the DPU poller.
   void post_readahead_hint(std::uint64_t inode, std::uint64_t lpn);

@@ -26,7 +26,8 @@ constexpr std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
 struct AreaOffsets {
   std::uint64_t bucket_locks;
   std::uint64_t meta;
-  std::uint64_t bitmap;
+  std::uint64_t dirty_bitmap;
+  std::uint64_t accessed_bitmap;
   std::uint64_t data;
   std::uint64_t end;
 };
@@ -35,9 +36,11 @@ AreaOffsets areas_of(const CacheGeometry& geo) {
   AreaOffsets a{};
   a.bucket_locks = HeaderOffsets::kSize;
   a.meta = align_up(a.bucket_locks + std::uint64_t{geo.buckets} * 4, 64);
-  a.bitmap = a.meta + std::uint64_t{geo.total_pages} * sizeof(CacheEntry);
-  a.data = align_up(
-      a.bitmap + std::uint64_t{(geo.total_pages + 31) / 32} * 4, kPageSize);
+  const std::uint64_t bitmap_bytes =
+      std::uint64_t{(geo.total_pages + 31) / 32} * 4;
+  a.dirty_bitmap = a.meta + std::uint64_t{geo.total_pages} * sizeof(CacheEntry);
+  a.accessed_bitmap = a.dirty_bitmap + bitmap_bytes;
+  a.data = align_up(a.accessed_bitmap + bitmap_bytes, kPageSize);
   a.end = a.data + std::uint64_t{geo.total_pages} * kPageSize;
   return a;
 }
@@ -60,7 +63,8 @@ CacheLayout::CacheLayout(const CacheGeometry& geo,
   base_ = host_alloc.alloc(a.end, kPageSize);
   bucket_locks_ = base_ + a.bucket_locks;
   meta_ = base_ + a.meta;
-  bitmap_ = base_ + a.bitmap;
+  dirty_bitmap_ = base_ + a.dirty_bitmap;
+  accessed_bitmap_ = base_ + a.accessed_bitmap;
   data_ = base_ + a.data;
 
   format(host_alloc.region());
@@ -83,12 +87,14 @@ void CacheLayout::format(pcie::MemoryRegion& region) const {
   region.store<std::uint64_t>(header_field(HeaderOffsets::kRaInode), 0);
   region.store<std::uint64_t>(header_field(HeaderOffsets::kRaLpn), 0);
 
-  // Zero bucket locks and the dirty bitmap; link each bucket's entries
-  // into its list.
+  // Zero bucket locks and both bitmaps; link each bucket's entries into its
+  // list.
   for (std::uint32_t b = 0; b < geo_.buckets; ++b)
     region.store<std::uint32_t>(bucket_lock_off(b), 0);
-  for (std::uint32_t w = 0; w < dirty_words(); ++w)
+  for (std::uint32_t w = 0; w < bitmap_words(); ++w) {
     region.store<std::uint32_t>(dirty_word_off(w), 0);
+    region.store<std::uint32_t>(accessed_word_off(w), 0);
+  }
   for (std::uint32_t i = 0; i < geo_.total_pages; ++i) {
     CacheEntry e;
     const std::uint32_t in_bucket = i % epb_;
@@ -108,8 +114,13 @@ std::uint64_t CacheLayout::entry_off(std::uint32_t index) const {
 }
 
 std::uint64_t CacheLayout::dirty_word_off(std::uint32_t word) const {
-  DPC_CHECK(word < dirty_words());
-  return bitmap_ + std::uint64_t{word} * 4;
+  DPC_CHECK(word < bitmap_words());
+  return dirty_bitmap_ + std::uint64_t{word} * 4;
+}
+
+std::uint64_t CacheLayout::accessed_word_off(std::uint32_t word) const {
+  DPC_CHECK(word < bitmap_words());
+  return accessed_bitmap_ + std::uint64_t{word} * 4;
 }
 
 std::uint64_t CacheLayout::page_off(std::uint32_t index) const {

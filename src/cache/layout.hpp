@@ -4,7 +4,7 @@
 // DPU at mount time:
 //
 //   [ header | bucket locks | meta area (cache entries) | dirty bitmap |
-//     data area ]
+//     accessed bitmap | data area ]
 //
 // header     — pagesize, mode (the paper's 0 = read cache, 1 = write
 //              cache; always 1 here, and nothing reads it back), total
@@ -22,6 +22,15 @@
 //              the page dirty, after the dirty mark; the DPU control plane
 //              drains the words into its DPU-resident dirty index, so no
 //              pass has to scan the meta area to find dirt.
+//   accessed bitmap — same shape as the dirty bitmap. The host sets an
+//              entry's bit after a hit on it (a read hit, or a write to a
+//              page already cached); the DPU prefetcher publishes the pages
+//              it fills with their bit set, and a claim of a free entry by
+//              the host clears it. The DPU's clock sweep reads the words
+//              covering the chunk under its hand and clears exactly the bits
+//              of the clean entries it passes over, one PCIe fetch-and per
+//              word: a referenced page gets a second chance, and hits stay
+//              host-local.
 //   data area — `total` pages; entry i ↔ page i, so locating the entry
 //              locates the page.
 //
@@ -129,9 +138,11 @@ class CacheLayout {
   }
   std::uint64_t page_off(std::uint32_t index) const;
 
-  /// Dirty-bitmap words: entry i is bit (i % 32) of word (i / 32).
-  std::uint32_t dirty_words() const { return (geo_.total_pages + 31) / 32; }
+  /// Words in each per-entry bitmap: entry i is bit (i % 32) of word
+  /// (i / 32), in the dirty and in the accessed bitmap alike.
+  std::uint32_t bitmap_words() const { return (geo_.total_pages + 31) / 32; }
   std::uint64_t dirty_word_off(std::uint32_t word) const;
+  std::uint64_t accessed_word_off(std::uint32_t word) const;
 
   /// Entry-field byte offsets within a CacheEntry.
   struct EntryField {
@@ -147,14 +158,14 @@ class CacheLayout {
   std::uint32_t bucket_of(std::uint64_t inode, std::uint64_t lpn) const;
   std::uint32_t bucket_head_entry(std::uint32_t bucket) const;
 
-  /// Host bytes a cache of `geo` occupies, header through data area, bitmap
+  /// Host bytes a cache of `geo` occupies, header through data area, bitmaps
   /// included — the one sizing formula both the layout and the host-region
   /// budget use. The block itself is allocated page-aligned.
   static std::uint64_t footprint_for(const CacheGeometry& geo);
   std::uint64_t footprint() const { return footprint_for(geo_); }
 
   /// (Re-)initializes the region to an empty cache: header rewritten,
-  /// bucket locks and dirty bitmap zeroed, every entry free and relinked
+  /// bucket locks and both bitmaps zeroed, every entry free and relinked
   /// into its bucket list. The constructor calls this once; tests call it
   /// again to model a host power loss (all cached pages gone). Callers must
   /// quiesce both planes first.
@@ -166,7 +177,8 @@ class CacheLayout {
   std::uint64_t base_ = 0;
   std::uint64_t bucket_locks_ = 0;
   std::uint64_t meta_ = 0;
-  std::uint64_t bitmap_ = 0;
+  std::uint64_t dirty_bitmap_ = 0;
+  std::uint64_t accessed_bitmap_ = 0;
   std::uint64_t data_ = 0;
 };
 

@@ -1,7 +1,8 @@
 // Cache-management policies the DPU control plane runs (§3.3): the clock
 // sweep that picks eviction victims and the sequential prefetcher. §3.3
 // argues that offloading the control plane is what makes such policies
-// easy to customize; a second policy belongs here once a workload needs it.
+// easy to customize: replacement here runs on recency the host publishes
+// with one bit per hit, not on per-hit messages to the DPU.
 #pragma once
 
 #include <algorithm>
@@ -16,39 +17,72 @@
 
 namespace dpc::cache {
 
-/// Clock sweep: a rotating cursor over the meta area, reclaiming clean
-/// pages in scan order — approximates LRU without per-hit bookkeeping,
-/// which matters because hits happen on the host without DPU involvement.
-/// The statuses arrive a chunk at a time, so a sweep reads only as far past
-/// the hand as it needs to find its victims.
+/// What the sweep sees of one entry: its status, and whether its accessed
+/// bit is set (the host hit it, or the prefetcher filled it, since the hand
+/// last passed it).
+struct SweepSlot {
+  PageStatus status = PageStatus::kFree;
+  bool referenced = false;
+};
+
+/// CLOCK with second chance: a rotating cursor over the meta area. A clean
+/// entry whose accessed bit is set is spared once, and its bit is cleared; a
+/// clean entry with the bit clear is a victim; other entries are passed over
+/// with their bits untouched. Approximates LRU while hits stay on the host:
+/// they cost the DPU nothing until the hand comes round. The slots arrive a
+/// chunk at a time, so a sweep reads only as far past the hand as it needs to
+/// find its victims.
 class ClockEviction {
  public:
   /// Entries per status chunk (one 8 KiB descriptor DMA of the meta area).
   static constexpr std::uint32_t kChunk = 128;
 
-  /// Sweeps at most once around `total` entries from the hand, appending up
-  /// to `want` clean entry indices to `out` in hand order. Statuses come
-  /// from `read_chunk(first, status)`, which fills `status` for entries
-  /// [first, first + status.size()): at most kChunk of them, never wrapping
-  /// past the last entry. No chunk is read once `want` victims are found.
-  template <typename ReadChunk>
+  /// Sweeps once around `total` entries from the hand, appending up to
+  /// `want` distinct clean entry indices to `out` in hand order, and a
+  /// second time if the first lap spared any entry: the second lap finds
+  /// victims when every clean page was referenced. Slots come from
+  /// `read_chunk(first, slots)`, which fills `slots` for entries
+  /// [first, first + slots.size()): at most kChunk of them, never wrapping
+  /// past the last entry. After each chunk, `spare(entries)` receives the
+  /// referenced clean entries the hand passed in it, ascending, whose bits
+  /// the caller must clear before the next chunk is read; entries past the
+  /// point where the hand stopped keep theirs. No chunk is read once `want`
+  /// victims are found.
+  template <typename ReadChunk, typename Spare>
   void pick_victims(std::uint32_t total, std::uint32_t want,
-                    ReadChunk&& read_chunk, std::vector<std::uint32_t>& out) {
+                    ReadChunk&& read_chunk, Spare&& spare,
+                    std::vector<std::uint32_t>& out) {
     if (total == 0) return;
     if (hand_ >= total) hand_ = 0;
-    std::array<PageStatus, kChunk> status;
+    // The first lap's victims are still clean in the meta area when the
+    // second lap meets them, in the same order; `repeat` is the next one.
+    std::size_t repeat = out.size();
+    std::array<SweepSlot, kChunk> slot;
+    std::array<std::uint32_t, kChunk> spared;
     std::uint32_t scanned = 0;
-    while (want > 0 && scanned < total) {
+    std::uint32_t laps = 1;
+    while (want > 0 && scanned < laps * total) {
       const std::uint32_t n =
-          std::min({kChunk, total - hand_, total - scanned});
-      read_chunk(hand_, std::span<PageStatus>{status.data(), n});
+          std::min({kChunk, total - hand_, laps * total - scanned});
+      read_chunk(hand_, std::span<SweepSlot>{slot.data(), n});
+      std::uint32_t n_spared = 0;
       for (std::uint32_t k = 0; k < n && want > 0; ++k) {
-        if (status[k] == PageStatus::kClean) {
-          out.push_back(hand_);
-          --want;
+        if (scanned >= total && repeat < out.size() && out[repeat] == hand_) {
+          ++repeat;
+        } else if (slot[k].status == PageStatus::kClean) {
+          if (slot[k].referenced) {
+            spared[n_spared++] = hand_;
+          } else {
+            out.push_back(hand_);
+            --want;
+          }
         }
         hand_ = hand_ + 1 == total ? 0 : hand_ + 1;
         ++scanned;
+      }
+      if (n_spared > 0) {
+        spare(std::span<const std::uint32_t>{spared.data(), n_spared});
+        laps = 2;
       }
     }
   }

@@ -452,6 +452,7 @@ DpcSystem::CallResult DpcSystem::call(const nvme::IniDriver::Request& req,
 
     out.status = done.status;
     out.result = done.result;
+    out.attempts = attempt;
     // Device-reported service time (transport DMAs + backend) + host-side
     // completion handling complete the op's modelled latency.
     out.cost += sim::Nanos{done.service_ns} + sim::calib::kHostNvmeCompletion;
@@ -504,6 +505,8 @@ std::string DpcSystem::latency_summary() const {
 bool DpcSystem::complete(Io& io, const CallResult& res,
                          std::optional<OpClass> cls) {
   io.cost += res.cost;
+  io.status = res.status;
+  io.attempts = res.attempts;
   if (res.status == nvme::Status::kSuccess)
     io.err = 0;
   else if (res.status == nvme::Status::kFsError)

@@ -114,6 +114,11 @@ struct Io {
   /// everything the DPU charged, for every nvme-fs command the adapter sent
   /// on the op's behalf (side getattr/truncate included), failed or not.
   sim::Nanos cost{};
+  /// The op's own nvme-fs command, for saying why an op failed: the status
+  /// of its last completion and how many times it was submitted (0 for an
+  /// op the host cache served).
+  nvme::Status status = nvme::Status::kSuccess;
+  int attempts = 0;
   bool ok() const { return err == 0; }
 };
 
@@ -263,6 +268,7 @@ class DpcSystem {
   struct CallResult {
     nvme::Status status = nvme::Status::kSuccess;
     std::uint32_t result = 0;
+    int attempts = 0;
     std::vector<std::byte> read_payload;
     sim::Nanos cost{};
   };
@@ -274,7 +280,8 @@ class DpcSystem {
   /// The one completion rule for an op's nvme-fs command: adds its cost to
   /// `io` (which may already hold the op's side commands'), sets `io.err`
   /// to 0, the errno a kFsError CQE carries, or EIO for any other failure,
-  /// and records the op's whole cost in latency class `cls`. A side
+  /// copies the command's status and attempts into `io`, and records the
+  /// op's whole cost in latency class `cls`. A side
   /// command (`cls` unset) is recorded with the op it serves. Returns
   /// io.ok().
   bool complete(Io& io, const CallResult& res, std::optional<OpClass> cls);

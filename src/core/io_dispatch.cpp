@@ -119,12 +119,14 @@ IoDispatch::Outcome IoDispatch::handle_standalone_inline(
       // the synchronous flush below; an acked fsync is durable either way.
       if (wal_ != nullptr && cache_ctl_ != nullptr) {
         if (!wal_->degraded()) {
+          // The pass costs what it pulled and appended, finished or not.
           const auto logres = cache_ctl_->wal_log_pass(cmd.inode);
+          o.backend += logres.cost;
           if (logres.complete) {
             // Existence check (attr-cache cheap): fsync of a deleted ino
             // must still say ENOENT, fast path or not.
             const auto at = fs_->getattr(cmd.inode);
-            o.backend += logres.cost + at.cost;
+            o.backend += at.cost;
             if (at.err == ENOENT) {
               o.err = ENOENT;
               return o;

@@ -72,7 +72,8 @@ NvmeRawHarness::NvmeRawHarness(const Options& opts)
   }
 }
 
-bool NvmeRawHarness::do_write(int q, std::span<const std::byte> payload) {
+bool NvmeRawHarness::do_write(int q, std::span<const std::byte> payload,
+                              nvme::Completion* done) {
   nvme::IniDriver& ini = *inis_[static_cast<std::size_t>(q)];
   nvme::IniDriver::Request r(/*tenant=*/0);  // single-tenant harness
   r.inline_op = nvme::InlineOp::kWrite;
@@ -83,6 +84,7 @@ bool NvmeRawHarness::do_write(int q, std::span<const std::byte> payload) {
       const bool ok = c->status == nvme::Status::kSuccess &&
                       c->result == payload.size();
       ini.release(sub.cid);
+      if (done != nullptr) *done = *c;
       return ok;
     }
     pump(q);
@@ -90,7 +92,8 @@ bool NvmeRawHarness::do_write(int q, std::span<const std::byte> payload) {
   }
 }
 
-bool NvmeRawHarness::do_read(int q, std::span<std::byte> dst) {
+bool NvmeRawHarness::do_read(int q, std::span<std::byte> dst,
+                             nvme::Completion* done) {
   nvme::IniDriver& ini = *inis_[static_cast<std::size_t>(q)];
   nvme::IniDriver::Request r(/*tenant=*/0);  // single-tenant harness
   r.inline_op = nvme::InlineOp::kRead;
@@ -105,6 +108,7 @@ bool NvmeRawHarness::do_read(int q, std::span<std::byte> dst) {
         std::memcpy(dst.data(), payload.data(), dst.size());
       }
       ini.release(sub.cid);
+      if (done != nullptr) *done = *c;
       return ok;
     }
     pump(q);

@@ -37,9 +37,13 @@ class NvmeRawHarness {
 
   /// One synchronous raw write of `len` bytes on queue `q`; returns the
   /// DPU-visible payload echo correctness and accumulates DMA counters.
-  bool do_write(int q, std::span<const std::byte> payload);
+  /// `done`, when given, receives the command's completion (one submission,
+  /// never retried), so a caller can say why an op failed.
+  bool do_write(int q, std::span<const std::byte> payload,
+                nvme::Completion* done = nullptr);
   /// One synchronous raw read of `len` bytes on queue `q` into `dst`.
-  bool do_read(int q, std::span<std::byte> dst);
+  bool do_read(int q, std::span<std::byte> dst,
+               nvme::Completion* done = nullptr);
   /// Submits `n` copies of `payload` as ONE batch (single SQ doorbell via
   /// IniDriver::submit_batch), drains, and waits for every completion.
   /// The batched-hot-path entry benches and doorbell-coalescing tests use.

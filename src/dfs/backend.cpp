@@ -192,8 +192,9 @@ bool MdsCluster::update_size(Ino ino, std::uint64_t size, int entry,
   return false;
 }
 
-bool MdsCluster::acquire_delegation(Ino ino, ClientId client, int entry,
-                                    bool direct, OpProfile& prof) {
+MdsCluster::Grant MdsCluster::acquire_delegation(Ino ino, ClientId client,
+                                                 int entry, bool direct,
+                                                 OpProfile& prof) {
   const int home = home_of(ino);
   charge(home, entry, direct, prof);
   auto try_all = [&]() -> std::pair<bool, Mds*> {
@@ -206,8 +207,8 @@ bool MdsCluster::acquire_delegation(Ino ino, ClientId client, int entry,
     return {false, nullptr};
   };
   auto [ok, owner_mds] = try_all();
-  if (ok) return true;
-  if (owner_mds == nullptr) return false;  // ino unknown
+  if (ok) return Grant::kGranted;
+  if (owner_mds == nullptr) return Grant::kUnknownIno;
 
   // Lease recall: ask the current holder to give the delegation back
   // (NFSv4-style). Costs one extra server→holder round trip.
@@ -218,12 +219,13 @@ bool MdsCluster::acquire_delegation(Ino ino, ClientId client, int entry,
     const auto it = recalls_.find(holder);
     if (it != recalls_.end()) recall = it->second;
   }
-  if (!recall || !recall(ino)) return false;  // holder refused / no lease
+  if (!recall || !recall(ino)) return Grant::kBusy;  // holder refused
   owner_mds->release_delegation(ino, holder);
   prof.net += sim::calib::kNetHop * 2;
   prof.mds += sim::calib::kMdsOp;
   ++prof.mds_ops;
-  return owner_mds->acquire_delegation(ino, client);
+  return owner_mds->acquire_delegation(ino, client) ? Grant::kGranted
+                                                    : Grant::kBusy;
 }
 
 bool MdsCluster::remove(const std::string& path, int entry, bool direct,

@@ -148,8 +148,12 @@ class MdsCluster {
                                OpProfile& prof);
   bool update_size(Ino ino, std::uint64_t size, int entry, bool direct,
                    OpProfile& prof);
-  bool acquire_delegation(Ino ino, ClientId client, int entry, bool direct,
-                          OpProfile& prof);
+  /// A write delegation for `client`: granted, held by another client that
+  /// would not give it back (retry later), or refused because no MDS knows
+  /// `ino` (a final answer).
+  enum class Grant : std::uint8_t { kGranted, kBusy, kUnknownIno };
+  Grant acquire_delegation(Ino ino, ClientId client, int entry, bool direct,
+                           OpProfile& prof);
   bool remove(const std::string& path, int entry, bool direct,
               OpProfile& prof);
 

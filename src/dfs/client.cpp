@@ -92,18 +92,19 @@ std::optional<FileMeta> DfsClient::meta_of(Ino ino, OpProfile& prof) {
   return meta;
 }
 
-bool DfsClient::ensure_delegation(Ino ino, OpProfile& prof) {
+MdsCluster::Grant DfsClient::ensure_delegation(Ino ino, OpProfile& prof) {
+  using Grant = MdsCluster::Grant;
   if (cfg_.delegation_cache) {
     {
       sim::LockGuard lock(mu_);
-      if (delegations_.contains(ino)) return true;  // cached grant: free
+      if (delegations_.contains(ino)) return Grant::kGranted;  // cached: free
     }
-    if (!mds_->acquire_delegation(ino, id_, entry_mds_, cfg_.view_routing,
-                                  prof))
-      return false;
+    const Grant grant = mds_->acquire_delegation(ino, id_, entry_mds_,
+                                                 cfg_.view_routing, prof);
+    if (grant != Grant::kGranted) return grant;
     sim::LockGuard lock(mu_);
     delegations_.insert(ino);
-    return true;
+    return Grant::kGranted;
   }
   // Standard client: lock round trip on every write.
   return mds_->acquire_delegation(ino, id_, entry_mds_, cfg_.view_routing,
@@ -146,7 +147,8 @@ IoResult DfsClient::create(const std::string& path,
     // the grant costs no extra MDS round trip.
     OpProfile free_grant;
     if (mds_->acquire_delegation(meta->ino, id_, entry_mds_,
-                                 cfg_.view_routing, free_grant)) {
+                                 cfg_.view_routing, free_grant) ==
+        MdsCluster::Grant::kGranted) {
       sim::LockGuard lock(mu_);
       delegations_.insert(meta->ino);
     }
@@ -241,23 +243,27 @@ IoResult DfsClient::write(Ino ino, std::uint64_t offset,
                     /*is_write=*/true);
   // Delegation contention is transient by nature: the holder may release
   // (or be recalled) any moment. Retry with backoff instead of bouncing a
-  // hard EAGAIN straight to the application.
-  if (!ensure_delegation(ino, res.prof)) {
-    bool granted = false;
-    const std::uint64_t salt = op_seq_.fetch_add(1, std::memory_order_relaxed);
-    for (int attempt = 1; attempt < cfg_.retry.max_attempts; ++attempt) {
-      stats_.delegation_retries.add();
-      res.prof.net += cfg_.retry.backoff(attempt, salt);
-      if (ensure_delegation(ino, res.prof)) {
-        granted = true;
-        break;
-      }
-    }
-    if (!granted) {
-      res.err = EAGAIN;
-      res.transient = fault::Transient::kBusy;
-      return res;
-    }
+  // hard EAGAIN straight to the application. An ino no MDS knows is final.
+  using Grant = MdsCluster::Grant;
+  Grant grant = ensure_delegation(ino, res.prof);
+  const std::uint64_t salt =
+      grant == Grant::kBusy ? op_seq_.fetch_add(1, std::memory_order_relaxed)
+                            : 0;
+  for (int attempt = 1;
+       grant == Grant::kBusy && attempt < cfg_.retry.max_attempts;
+       ++attempt) {
+    stats_.delegation_retries.add();
+    res.prof.net += cfg_.retry.backoff(attempt, salt);
+    grant = ensure_delegation(ino, res.prof);
+  }
+  if (grant == Grant::kUnknownIno) {
+    res.err = ENOENT;
+    return res;
+  }
+  if (grant == Grant::kBusy) {
+    res.err = EAGAIN;
+    res.transient = fault::Transient::kBusy;
+    return res;
   }
   if (cfg_.direct_io && cfg_.client_ec) {
     const auto meta = meta_of(ino, res.prof);

@@ -149,7 +149,7 @@ class DfsClient {
   void charge_ec(OpProfile& prof, std::uint64_t bytes) const;
   /// Cached metadata (optimized/DPC keep a meta cache; standard re-stats).
   std::optional<FileMeta> meta_of(Ino ino, OpProfile& prof);
-  bool ensure_delegation(Ino ino, OpProfile& prof);
+  MdsCluster::Grant ensure_delegation(Ino ino, OpProfile& prof);
 
   ClientId id_;
   MdsCluster* mds_;

@@ -16,16 +16,23 @@ namespace dpc::ec {
 
 /// Computes CRC32C over `data`, seeded by `crc` (pass 0 to start; chain
 /// calls with the previous return value to checksum in pieces).
-/// Runtime-dispatched: uses the SSE4.2 `crc32` instruction when the CPU has
-/// it (detected once, at first use; three interleaved instruction chains
-/// over large inputs), else the slice-by-8 table fold. All backends produce
-/// bit-identical results.
+/// Runtime-dispatched, once, at first use: a carry-less-multiply fold on
+/// 512-bit registers when the CPU has AVX-512 and VPCLMULQDQ (inputs of
+/// 256 bytes and more; shorter ones take the next path), else the SSE4.2
+/// `crc32` instruction (three interleaved chains over large inputs), else
+/// the slice-by-8 table fold. All backends produce bit-identical results.
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t crc = 0);
 
-/// Name of the backend crc32c() dispatched to: "sse4.2" (hardware) or
-/// "slice8" (portable table fold). For logs, benches, and tests that want
+/// Name of the backend crc32c() dispatched to: "vpclmulqdq" (vector fold),
+/// "sse4.2" (crc32 instruction) or "slice8" (portable table fold). For logs, benches, and tests that want
 /// to know whether the hardware path is actually under test.
 const char* crc32c_backend();
+
+/// The SSE4.2 three-chain path, whatever crc32c() dispatched to; the
+/// slice-by-8 fold on a CPU without SSE4.2. Exposed so tests check it on
+/// CPUs whose dispatch picks the vector fold.
+std::uint32_t crc32c_sse42(std::span<const std::byte> data,
+                           std::uint32_t crc = 0);
 
 /// The portable slice-by-8 table fold — eight lookups consume eight input
 /// bytes per iteration. Always available regardless of dispatch; exposed so

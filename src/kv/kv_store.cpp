@@ -1,8 +1,10 @@
 #include "kv/kv_store.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
+#include <span>
 
 #include "ec/crc32c.hpp"
 #include "sim/check.hpp"
@@ -21,6 +23,24 @@ std::uint32_t stamp_value_crc(std::string_view key,
       ec::crc32c(std::span<const std::byte>(kp, key.size()));
   return ec::crc32c(value, salt);
 }
+
+/// Per-op scratch of one apply: in place for a batch of up to N ops (what
+/// every single-file KVFS mutation but a large allocating write sends), on
+/// the heap above that, so a small batch allocates nothing here.
+template <typename T, std::size_t N>
+class ApplyScratch {
+ public:
+  explicit ApplyScratch(std::size_t n) : n_(n) {
+    if (n > N) heap_.resize(n);
+  }
+  std::span<T> all() { return {n_ > N ? heap_.data() : local_.data(), n_}; }
+
+ private:
+  std::size_t n_;
+  std::array<T, N> local_{};
+  std::vector<T> heap_;
+};
+constexpr std::size_t kApplyInlineOps = 8;
 
 /// Flips the bit a bit_rot draw picked, after the stamp: rot at rest.
 void rot_bit(Bytes& data, bool rotted, std::uint64_t rot) {
@@ -246,14 +266,15 @@ ApplyResult KvStore::apply(const Batch& batch) {
     SubWriteFaults faults;
     Value* found = nullptr;  ///< what the op's guard looked up
   };
-  std::vector<Prep> prep(ops.size());
-  std::vector<std::size_t> order;
-  order.reserve(ops.size());
+  ApplyScratch<Prep, kApplyInlineOps> prep_store(ops.size());
+  ApplyScratch<std::uint32_t, kApplyInlineOps> order_store(ops.size());
+  const std::span<Prep> prep = prep_store.all();
+  std::span<std::uint32_t> order = order_store.all();
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Batch::Op& op = ops[i];
     Prep& p = prep[i];
     p.shard = static_cast<std::uint32_t>(shard_index(op.key));
-    order.push_back(p.shard);
+    order[i] = p.shard;
     if (op.kind == Kind::kPut) {
       p.crc = stamp_value_crc(op.key, op.value);
       p.faults.rotted = fault_ != nullptr &&
@@ -263,13 +284,14 @@ ApplyResult KvStore::apply(const Batch& batch) {
     }
   }
   std::sort(order.begin(), order.end());
-  order.erase(std::unique(order.begin(), order.end()), order.end());
+  order = order.first(static_cast<std::size_t>(
+      std::unique(order.begin(), order.end()) - order.begin()));
 
   // DPC_CHECK_MUTATE batch-per-shard-commit: lock and apply one shard at a
   // time. A reader between two shards then sees half the batch; dpc_check's
   // batch_atomic scenario must catch it.
   if (sim::schedhook::mutate("batch-per-shard-commit")) {
-    for (const std::size_t s : order) {
+    for (const std::uint32_t s : order) {
       sim::LockGuard lock(shards_storage_[s].mu);
       for (std::size_t i = 0; i < ops.size(); ++i)
         if (prep[i].shard == s)
@@ -281,16 +303,16 @@ ApplyResult KvStore::apply(const Batch& batch) {
 
   // Exclusive locks of every touched shard, released in reverse order.
   struct Held {
-    std::vector<Shard*> shards;
+    std::vector<Shard>& shards;
+    std::span<const std::uint32_t> order;
+    std::size_t locked = 0;
     ~Held() NO_THREAD_SAFETY_ANALYSIS {
-      for (auto it = shards.rbegin(); it != shards.rend(); ++it)
-        (*it)->mu.unlock();
+      while (locked > 0) shards[order[--locked]].mu.unlock();
     }
-  } held;
-  held.shards.reserve(order.size());
-  for (const std::size_t s : order) {
+  } held{shards_storage_, order};
+  for (const std::uint32_t s : order) {
     shards_storage_[s].mu.lock();
-    held.shards.push_back(&shards_storage_[s]);
+    ++held.locked;
   }
   // A map node stays put while others are inserted, so a guard's lookup
   // can serve its op's apply unless the batch erases.

@@ -119,4 +119,12 @@ DmaEngine::AtomicResult DmaEngine::atomic_and_host(std::uint64_t host_off,
   return {true, old, sim::calib::kPcieAtomic};
 }
 
+DmaEngine::AtomicResult DmaEngine::atomic_or_host(std::uint64_t host_off,
+                                                  std::uint32_t bits) {
+  auto word = host_->atomic_u32(host_off);
+  const std::uint32_t old = word.fetch_or(bits, std::memory_order_acq_rel);
+  count(DmaClass::kAtomic, sizeof(std::uint32_t));
+  return {true, old, sim::calib::kPcieAtomic};
+}
+
 }  // namespace dpc::pcie

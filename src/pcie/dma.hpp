@@ -98,6 +98,8 @@ class DmaEngine {
   std::uint32_t atomic_fadd_host(std::uint64_t host_off, std::uint32_t delta);
   /// PCIe atomic fetch-and; `observed` is the word before the AND.
   AtomicResult atomic_and_host(std::uint64_t host_off, std::uint32_t mask);
+  /// PCIe atomic fetch-or; `observed` is the word before the OR.
+  AtomicResult atomic_or_host(std::uint64_t host_off, std::uint32_t bits);
 
   const DmaCounters& counters() const { return counters_; }
   DmaCounters& counters() { return counters_; }

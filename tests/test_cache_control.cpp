@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <random>
 #include <thread>
 
 namespace dpc::cache {
@@ -307,8 +308,70 @@ TEST_F(ControlFixture, DirtyIndexFollowsEntryReuse) {
   EXPECT_FALSE(backend.first_byte(1, 0).has_value());
 }
 
+// A hot set smaller than the cache, read over and over while a cold stream
+// passes through once, stays resident: its hits mark it referenced, so the
+// sweep evicts the cold pages, which were read once, instead of the hot ones
+// in slot order. Each access is served the way the fs-adapter serves a
+// buffered read: a host hit, or a miss filled clean.
+TEST(ControlPlaneReplacement, HotSetSurvivesColdStream) {
+  const CacheGeometry geo{256, 16};
+  pcie::MemoryRegion host("host", CacheLayout::footprint_for(geo) + kPageSize);
+  pcie::RegionAllocator alloc(host);
+  pcie::MemoryRegion dpu("dpu", 1 << 20);
+  pcie::DmaEngine dma(host, dpu);
+  CacheLayout layout(geo, alloc);
+  HostCachePlane plane(host, layout);
+  MapBackend backend;
+  DpuCacheControl ctl(dma, layout, backend, ControlPlaneConfig{16, 32});
+  const std::vector<std::byte> data(4096, std::byte{7});
+  std::vector<std::byte> out(4096);
+  const auto access = [&](std::uint64_t ino, std::uint64_t lpn) {
+    if (plane.read(ino, lpn, out)) return true;
+    plane.fill_clean(ino, lpn, data);
+    return false;
+  };
+  constexpr std::uint64_t kHot = 64;
+  constexpr std::uint64_t kCold = 4096;  // 16 times the cache
+  for (std::uint64_t lpn = 0; lpn < kHot; ++lpn) access(1, lpn);
+  std::mt19937 rng(3);
+  int hot_reads = 0;
+  int hot_hits = 0;
+  for (std::uint64_t cold = 0; cold < kCold; cold += 2) {
+    access(2, cold);
+    access(2, cold + 1);
+    for (int k = 0; k < 2; ++k) {
+      ++hot_reads;
+      hot_hits += access(1, rng() % kHot) ? 1 : 0;
+    }
+    ctl.poll();
+  }
+  EXPECT_GE(hot_hits, hot_reads * 95 / 100)
+      << hot_hits << " of " << hot_reads << " hot reads hit";
+  EXPECT_GT(ctl.stats().pages_evicted, 0u);
+  EXPECT_GT(ctl.stats().second_chances, 0u);
+}
+
+// Pages the prefetcher read ahead are published referenced: the sweep
+// evicts the clean pages the host filled around them, and they are still
+// cached for the reader that comes after it.
+TEST_F(ControlFixture, PrefetchedUnreadPagesSurviveOneSweep) {
+  for (std::uint64_t lpn = 0; lpn < 8; ++lpn)
+    backend.preload(9, lpn, std::byte{0x42});
+  ASSERT_EQ(ctl.prefetch(9, 0, 8).pages, 8);
+  // Fill the rest of the cache with pages read once.
+  for (std::uint64_t lpn = 0; plane.free_pages() > 0; ++lpn)
+    plane.fill_clean(3, lpn, page(3));
+  EXPECT_EQ(ctl.evict(8).pages, 8);
+  std::vector<std::byte> out(4096);
+  for (std::uint64_t lpn = 0; lpn < 8; ++lpn) {
+    ASSERT_TRUE(plane.read(9, lpn, out)) << lpn;
+    EXPECT_EQ(out[0], std::byte{0x42});
+  }
+}
+
 // Eviction reads the meta area a chunk at a time from the clock hand: on a
-// cache full of clean pages, one batch of victims costs one chunk DMA plus
+// cache full of clean pages, one batch of victims costs one chunk DMA, one
+// DMA of the accessed-bitmap words covering the chunk (kChunk / 8 bytes) and
 // a probe per victim, whatever the cache size.
 TEST(ControlPlaneScaling, EvictReadsOneChunkAtEverySize) {
   constexpr std::uint32_t kBatch = 32;
@@ -338,10 +401,11 @@ TEST(ControlPlaneScaling, EvictReadsOneChunkAtEverySize) {
     const auto res = ctl.evict(kBatch);
     EXPECT_EQ(res.pages, static_cast<int>(kBatch)) << pages;
     EXPECT_EQ(dma.counters().ops(pcie::DmaClass::kDescriptor) - desc_ops,
-              1u + kBatch)
+              2u + kBatch)
         << pages;
     EXPECT_EQ(dma.counters().bytes(pcie::DmaClass::kDescriptor) - desc_bytes,
-              (ClockEviction::kChunk + kBatch) * sizeof(CacheEntry))
+              (ClockEviction::kChunk + kBatch) * sizeof(CacheEntry) +
+                  ClockEviction::kChunk / 8)
         << pages;
     if (!first_cost) first_cost = res.cost;
     EXPECT_EQ(res.cost.ns, first_cost->ns) << pages;

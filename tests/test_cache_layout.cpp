@@ -110,7 +110,8 @@ TEST(CacheLayout, FootprintAccounts) {
 }
 
 // One sizing formula: the layout occupies exactly footprint_for(geo), and
-// the dirty bitmap (one bit per entry) sits between the meta and data areas.
+// the dirty and accessed bitmaps (one bit per entry each) sit, in that
+// order, between the meta and data areas.
 TEST(CacheLayout, FootprintMatchesFormula) {
   for (const CacheGeometry geo : {CacheGeometry{1, 1}, CacheGeometry{64, 8},
                                   CacheGeometry{1000, 10}}) {
@@ -122,13 +123,17 @@ TEST(CacheLayout, FootprintMatchesFormula) {
     EXPECT_EQ(alloc.used(), layout.header_off() + layout.footprint());
     EXPECT_EQ(layout.page_off(geo.total_pages - 1) + kPageSize,
               alloc.used());
-    EXPECT_EQ(layout.dirty_words(), (geo.total_pages + 31) / 32);
+    const std::uint32_t words = layout.bitmap_words();
+    EXPECT_EQ(words, (geo.total_pages + 31) / 32);
     EXPECT_GE(layout.dirty_word_off(0),
               layout.entry_off(geo.total_pages - 1) + sizeof(CacheEntry));
-    EXPECT_LE(layout.dirty_word_off(layout.dirty_words() - 1) + 4,
-              layout.page_off(0));
-    for (std::uint32_t w = 0; w < layout.dirty_words(); ++w)
+    EXPECT_LE(layout.dirty_word_off(words - 1) + 4,
+              layout.accessed_word_off(0));
+    EXPECT_LE(layout.accessed_word_off(words - 1) + 4, layout.page_off(0));
+    for (std::uint32_t w = 0; w < words; ++w) {
       EXPECT_EQ(host.load<std::uint32_t>(layout.dirty_word_off(w)), 0u);
+      EXPECT_EQ(host.load<std::uint32_t>(layout.accessed_word_off(w)), 0u);
+    }
   }
 }
 

@@ -146,6 +146,61 @@ TEST(CostPath, EveryInlineAndHeaderOpCarriesItsBackendCost) {
   }
 }
 
+/// An fsync whose NVM-WAL log pass stops early (the ring fills) takes the
+/// synchronous flush, and its command carries both: what the unfinished log
+/// pass pulled and appended is charged like the flush after it. A twin
+/// system, driven alike, runs the same three passes by hand.
+TEST(CostPath, FsyncCarriesAnUnfinishedLogPass) {
+  DpcOptions o = opts();
+  o.enable_nvm_wal = true;
+  o.nvm_log_bytes = 24 * 1024;  // a handful of page records
+  const auto page = fill(4096, 9);
+  DpcSystem sys(o);
+  DpcSystem twin(o);
+  std::uint64_t ino = 0;
+  for (DpcSystem* s : {&sys, &twin}) {
+    const auto f = s->create(kvfs::kRootIno, "f");
+    ASSERT_TRUE(f.ok());
+    ino = f.ino;
+    for (std::uint64_t p = 0; p < 16; ++p)
+      ASSERT_TRUE(s->write(f.ino, p * 4096, page, false).ok());
+  }
+  const Measured m = measure(sys, [&] { return sys.fsync(ino); });
+  ASSERT_TRUE(m.io.ok());
+  EXPECT_EQ(m.commands, 1u);
+  EXPECT_EQ(sys.dispatch_stats().wal_fallbacks.load(), 1u);
+  expect_carried(m);
+
+  const auto log = twin.cache_control()->wal_log_pass(ino);
+  ASSERT_FALSE(log.complete);
+  ASSERT_GT(log.pages, 0);
+  const auto flush = twin.cache_control()->flush_inode(ino);
+  EXPECT_EQ(flush.pages, 16);
+  const auto synced = twin.kvfs().fsync(ino);
+  ASSERT_TRUE(synced.ok());
+  EXPECT_EQ(m.backend_ns, (log.cost + flush.cost + synced.cost).ns)
+      << "log pass " << log.cost.ns << " ns, flush " << flush.cost.ns
+      << " ns, kvfs fsync " << synced.cost.ns << " ns";
+}
+
+/// A DFS write to an inode no MDS knows is refused at once, as a read of it
+/// is: ENOENT after one metadata round trip, not EAGAIN after the retries
+/// meant for a delegation another client holds.
+TEST(CostPath, DfsWriteOfUnknownInoIsEnoentAtReadCost) {
+  DpcSystem sys(opts());
+  std::vector<std::byte> out(8192);
+  const Measured r =
+      measure(sys, [&] { return sys.dfs_read(kMissingIno, 0, out); });
+  const Measured w =
+      measure(sys, [&] { return sys.dfs_write(kMissingIno, 0, fill(8192, 3)); });
+  EXPECT_EQ(r.io.err, ENOENT);
+  EXPECT_EQ(w.io.err, ENOENT);
+  EXPECT_EQ(w.commands, 1u);
+  EXPECT_LE(w.backend_ns, 2 * r.backend_ns)
+      << "write " << w.backend_ns << " ns, read " << r.backend_ns << " ns";
+  expect_carried(w);
+}
+
 /// A truncate costs its transport plus exactly what the DPU charged, and
 /// neither depends on the file size.
 TEST(CostPath, TruncateCostIsTransportPlusBackendAtEverySize) {

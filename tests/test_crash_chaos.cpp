@@ -27,6 +27,7 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -572,6 +573,19 @@ void run_live_worker_callers(DpcSystem& sys,
   std::atomic<int> failed_ops{0};
   std::atomic<int> bad_reads{0};
   std::atomic<int> rounds{0};
+  // The first failed op, described: errno, last nvme status, submissions.
+  std::mutex first_mu;
+  std::string first_failure;
+  const auto failed = [&](int t, unsigned i, const char* what, const Io& io) {
+    failed_ops.fetch_add(1);
+    std::lock_guard lock(first_mu);
+    if (!first_failure.empty()) return;
+    first_failure = "caller " + std::to_string(t) + " round " +
+                    std::to_string(i) + ": " + what + " failed with errno " +
+                    std::to_string(io.err) + ", nvme status " +
+                    std::to_string(static_cast<int>(io.status)) + ", after " +
+                    std::to_string(io.attempts) + " attempt(s)";
+  };
   std::vector<std::thread> callers;
   for (int t = 0; t < 2; ++t) {
     callers.emplace_back([&, t] {
@@ -581,9 +595,13 @@ void run_live_worker_callers(DpcSystem& sys,
         for (std::size_t k = 0; k < data.size(); ++k)
           data[k] = static_cast<std::byte>((k * 131 + i * 7 + t * 97) & 0xFF);
         std::memcpy(data.data(), &i, sizeof(i));
-        if (!sys.write(inos[t], 0, data, /*direct=*/true).ok() ||
-            !sys.read(inos[t], 0, out, /*direct=*/true).ok()) {
-          failed_ops.fetch_add(1);
+        if (const Io w = sys.write(inos[t], 0, data, /*direct=*/true);
+            !w.ok()) {
+          failed(t, i, "write", w);
+          continue;
+        }
+        if (const Io r = sys.read(inos[t], 0, out, /*direct=*/true); !r.ok()) {
+          failed(t, i, "read", r);
           continue;
         }
         if (out != data) bad_reads.fetch_add(1);
@@ -600,7 +618,7 @@ void run_live_worker_callers(DpcSystem& sys,
   sys.stop_dpu();
 
   EXPECT_GT(rounds.load(), 0);
-  EXPECT_EQ(failed_ops.load(), 0);
+  EXPECT_EQ(failed_ops.load(), 0) << "first failure: " << first_failure;
   EXPECT_EQ(bad_reads.load(), 0) << "a read returned bytes other than the "
                                     "ones last written";
   EXPECT_EQ(sys.metrics().counter("nvme.ini/late_cqes").value(), 0u)

@@ -352,7 +352,8 @@ TEST(Crc32c, DetectsBitFlip) {
 
 TEST(Crc32c, BackendNameIsKnown) {
   const std::string name = crc32c_backend();
-  EXPECT_TRUE(name == "sse4.2" || name == "slice8") << name;
+  EXPECT_TRUE(name == "vpclmulqdq" || name == "sse4.2" || name == "slice8")
+      << name;
 }
 
 TEST(KernelBackends, VectorPathSelectedWhenCpuHasIt) {
@@ -362,7 +363,10 @@ TEST(KernelBackends, VectorPathSelectedWhenCpuHasIt) {
   if (__builtin_cpu_supports("avx2")) {
     EXPECT_STREQ(gf256_backend(), "avx2");
   }
-  if (__builtin_cpu_supports("sse4.2")) {
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("vpclmulqdq")) {
+    EXPECT_STREQ(crc32c_backend(), "vpclmulqdq");
+  } else if (__builtin_cpu_supports("sse4.2")) {
     EXPECT_STREQ(crc32c_backend(), "sse4.2");
   }
 #endif
@@ -371,17 +375,19 @@ TEST(KernelBackends, VectorPathSelectedWhenCpuHasIt) {
 }
 
 TEST(Crc32c, AllBackendsAgreeAcrossSizesAndSeeds) {
-  // Cross-check the dispatched backend (hardware when the CPU has SSE4.2)
-  // against both software paths, across every 8-byte-remainder class and
-  // around the hardware path's 3 x 256 and 3 x 2048-byte stream blocks,
-  // with unaligned starts and nonzero seeds.
+  // Cross-check the dispatched backend (the vector fold or the crc32
+  // instruction, as the CPU allows) and the SSE4.2 path against both
+  // software paths, across every 8-byte-remainder class, around the fold's
+  // 256-byte rounds and 16-byte lanes and the SSE4.2 path's 3 x 256 and
+  // 3 x 2048-byte stream blocks, with unaligned starts and nonzero seeds.
   sim::Rng rng(7);
   std::vector<std::byte> buf(16384 + 64);
   for (auto& b : buf) b = static_cast<std::byte>(rng.next_below(256));
-  const std::size_t sizes[] = {0,    1,    2,    3,    7,    8,    9,
-                               15,   16,   17,   63,   64,   65,   511,
-                               512,  767,  768,  769,  1000, 1535, 1536,
-                               4096, 6143, 6144, 6145, 8192, 8200, 16384};
+  const std::size_t sizes[] = {
+      0,    1,    2,    3,    7,    8,    9,    15,   16,   17,   63,
+      64,   65,   255,  256,  257,  271,  272,  273,  511,  512,  513,
+      767,  768,  769,  1000, 1535, 1536, 4095, 4096, 4097, 6143, 6144,
+      6145, 8192, 8200, 16384};
   for (const std::size_t size : sizes) {
     for (const std::size_t align : {std::size_t{0}, std::size_t{1},
                                     std::size_t{3}, std::size_t{5}}) {
@@ -390,6 +396,7 @@ TEST(Crc32c, AllBackendsAgreeAcrossSizesAndSeeds) {
       for (const std::uint32_t seed : {0u, 1u, 0xDEADBEEFu}) {
         const auto ref = crc32c_bytewise(s, seed);
         EXPECT_EQ(crc32c(s, seed), ref) << size << "+" << align;
+        EXPECT_EQ(crc32c_sse42(s, seed), ref) << size << "+" << align;
         EXPECT_EQ(crc32c_slice8(s, seed), ref) << size << "+" << align;
       }
     }

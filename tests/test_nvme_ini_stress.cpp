@@ -5,6 +5,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -164,18 +167,34 @@ TEST(NvmeIniStress, ThreadsHammerTinyQueue) {
   constexpr int kThreads = 8;
   constexpr int kOps = 200;  // write+read each → 3200 submissions total
   std::atomic<int> failures{0};
+  // The first failure, described: which op, and the completion it got.
+  std::mutex first_mu;
+  std::string first;
+  const auto fail = [&](int t, int i, const char* what,
+                        const nvme::Completion* c) {
+    ++failures;
+    std::ostringstream why;
+    why << "thread " << t << " op " << i << ": " << what;
+    if (c != nullptr)
+      why << " completed with nvme status " << static_cast<int>(c->status)
+          << ", result (bytes or errno) " << c->result
+          << ", after 1 submission (the raw harness never retries)";
+    std::lock_guard lock(first_mu);
+    if (first.empty()) first = why.str();
+  };
   std::vector<std::thread> ts;
   for (int t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&h, t, &failures] {
+    ts.emplace_back([&h, t, &fail] {
       std::vector<std::byte> data(4096, static_cast<std::byte>(t + 1));
       std::vector<std::byte> dst(4096);
       for (int i = 0; i < kOps; ++i) {
-        if (!h.do_write(0, data)) ++failures;
-        if (!h.do_read(0, dst)) ++failures;
+        nvme::Completion c;
+        if (!h.do_write(0, data, &c)) fail(t, i, "write", &c);
+        if (!h.do_read(0, dst, &c)) fail(t, i, "read", &c);
         // The virtual client serves reads from its pattern buffer.
         for (std::size_t b = 0; b < dst.size(); b += 509) {
           if (dst[b] != static_cast<std::byte>((b * 131) & 0xFF)) {
-            ++failures;
+            fail(t, i, "read returned bytes other than the pattern", nullptr);
             break;
           }
         }
@@ -183,7 +202,7 @@ TEST(NvmeIniStress, ThreadsHammerTinyQueue) {
     });
   }
   for (auto& t : ts) t.join();
-  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(failures.load(), 0) << "first failure: " << first;
 
   obs::Registry& reg = h.metrics();
   const std::uint64_t total = 2ULL * kThreads * kOps;
