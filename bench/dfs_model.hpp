@@ -54,7 +54,7 @@ inline DfsPoint solve_dfs(const dfs::ClientConfig& cfg, const MeanProfile& mp,
   const Nanos host = mp.mean(&dfs::OpProfile::host_cpu);
   const int hcpu = net.add_queueing("host-cpu", kHostHwThreads, host);
   int dcpu = -1;
-  if (cfg.on_dpu) {
+  if (cfg.on_dpu()) {
     dcpu = net.add_queueing("dpu-cores", kDpuCores,
                             mp.mean(&dfs::OpProfile::dpu_cpu));
     net.add_queueing("pcie-wire", 1,
@@ -67,12 +67,12 @@ inline DfsPoint solve_dfs(const dfs::ClientConfig& cfg, const MeanProfile& mp,
   // every payload twice (client -> MDS -> data servers).
   {
     const double gbps = is_write ? kDfsWriteGBps : kDfsReadGBps;
-    const double passes = cfg.direct_io ? 1.0 : 2.0;
+    const double passes = cfg.client_side() ? 1.0 : 2.0;
     net.add_queueing("dfs-wire", 1,
                      Nanos{static_cast<std::int64_t>(
                          passes * payload_bytes / (gbps * 1e9) * 1e9)});
   }
-  if (cfg.direct_io) {
+  if (cfg.client_side()) {
     // Parallel shard fan-out: one RTT + the payload transfer.
     const double gbps = is_write ? kDfsWriteGBps : kDfsReadGBps;
     net.add_delay("net", kNetHop * 2 +

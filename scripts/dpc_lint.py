@@ -51,6 +51,12 @@ they are conventions of this codebase, not of C++:
                     health-scored backends cut retries at
                     HealthBoard::deadline(); the no-board fallback keeps
                     the constant under an explicit suppression.
+  kvfs-commit       inside src/kvfs/: a single-key RemoteKv mutation
+                    (`store_->put(`, `->write_sub(`, `->erase(`). Every
+                    KVFS mutation is one guarded kv::Batch sent through
+                    Kvfs::commit (or the mount's guarded root install), so
+                    it lands whole or not at all between its crash points;
+                    a bare put beside a batch can tear from it.
 
 Invariants with a mechanism that executes elsewhere are not duplicated
 here (DESIGN.md §5.11 "Enforcement"): the lock-rank detector rejects a
@@ -142,6 +148,10 @@ LOCK_ACQUIRE_RE = re.compile(
 # constant under an explicit `// dpc-lint: ok(fixed-deadline)`.
 FIXED_DEADLINE_RE = re.compile(r"\bk(?:KvOp|NvmeCommand)Timeout\b")
 
+# kvfs-commit: KVFS mutates the store only through kv::Batch (commit()).
+KVFS_SINGLE_MUTATION_RE = re.compile(
+    r"\bstore_->put\(|->write_sub\(|->erase\(")
+
 ALL_RULES = (
     "raw-mutex",
     "raw-guard",
@@ -153,6 +163,7 @@ ALL_RULES = (
     "lockfree-mutex",
     "stale-suppression",
     "fixed-deadline",
+    "kvfs-commit",
 )
 
 
@@ -210,6 +221,7 @@ def lint_file(path: Path, findings: list[Finding]) -> None:
     in_sim = rel.startswith("src/sim/")
     deadline_scope = (rel.startswith("src/dfs/") or rel.startswith("src/kv/")
                       or in_fixtures(rel))
+    kvfs_scope = rel.startswith("src/kvfs/") or in_fixtures(rel)
     lockfree_tag: str | None = None
     lockfree_open_line = 0
 
@@ -308,6 +320,14 @@ def lint_file(path: Path, findings: list[Finding]) -> None:
                 "p99) so the wait tracks the peer's actual regime; keep "
                 "the calib constant only as the no-board fallback under an "
                 "explicit ok(fixed-deadline)"))
+
+        if (kvfs_scope and KVFS_SINGLE_MUTATION_RE.search(line)
+                and not ctx.suppressed(i, "kvfs-commit")):
+            findings.append(Finding(
+                path, n, "kvfs-commit",
+                "single-key KV mutation in KVFS — stage it into the op's "
+                "kv::Batch and send that through commit(), so the op "
+                "lands whole or not at all"))
 
         if rel in CHECKSUM_STORE_FILES:
             m = MEMCPY_CALL_RE.search(line)

@@ -380,7 +380,7 @@ int DpcSystem::pump(int q) {
 }
 
 DpcSystem::CallResult DpcSystem::call(const nvme::IniDriver::Request& req,
-                                      std::uint32_t read_copy_bytes) {
+                                      std::span<std::byte> payload) {
   const int q = queue_for_this_thread();
   nvme::IniDriver& ini = *inis_[static_cast<std::size_t>(q)];
   const nvme::TgtDriver& tgt = *tgts_[static_cast<std::size_t>(q)];
@@ -456,8 +456,9 @@ DpcSystem::CallResult DpcSystem::call(const nvme::IniDriver::Request& req,
     // Device-reported service time (transport DMAs + backend) + host-side
     // completion handling complete the op's modelled latency.
     out.cost += sim::Nanos{done.service_ns} + sim::calib::kHostNvmeCompletion;
-    if (read_copy_bytes > 0 && done.status == nvme::Status::kSuccess) {
-      const std::uint32_t n = std::min(read_copy_bytes, done.result);
+    if (!payload.empty() && done.status == nvme::Status::kSuccess) {
+      const auto n = static_cast<std::uint32_t>(
+          std::min<std::size_t>(payload.size(), done.result));
       if (n > 0) {
         // Host half of the integrity envelope: the TGT stamped a CRC32C
         // trailer right behind the payload (same data DMA). Verify it
@@ -475,8 +476,8 @@ DpcSystem::CallResult DpcSystem::call(const nvme::IniDriver::Request& req,
           out.status = nvme::Status::kDataIntegrityError;
           out.result = 0;
         } else {
-          out.read_payload.assign(wire.begin(),
-                                  wire.begin() + std::ptrdiff_t{n});
+          std::memcpy(payload.data(), wire.data(), n);
+          out.payload_bytes = n;
         }
       }
     }
@@ -540,14 +541,16 @@ Io DpcSystem::header_call(nvme::DispatchTarget target, const FileRequest& req,
   // readdir replies can be large; give them data capacity too.
   r.read_data_cap = req.op == FileOp::kReaddir ? opts_.max_io : 0;
 
-  const auto res = call(r, r.read_hdr_cap + r.read_data_cap);
+  const std::size_t cap = std::size_t{r.read_hdr_cap} + r.read_data_cap;
+  const auto buf = std::make_unique_for_overwrite<std::byte[]>(cap);
+  const auto res = call(r, {buf.get(), cap});
   Io io;
   if (!complete(io, res, cls)) return io;
-  if (res.read_payload.empty()) {
+  if (res.payload_bytes == 0) {
     io.err = EIO;
     return io;
   }
-  FileResponse resp = FileResponse::decode(res.read_payload);
+  FileResponse resp = FileResponse::decode({buf.get(), res.payload_bytes});
   io.err = resp.err;
   io.ino = resp.ino;
   if (out) *out = std::move(resp);
@@ -773,15 +776,9 @@ Io DpcSystem::read(std::uint64_t ino, std::uint64_t offset,
   auto r = inline_request(nvme::DispatchTarget::kStandalone,
                           nvme::InlineOp::kRead, ino, offset);
   r.read_data_cap = static_cast<std::uint32_t>(dst.size());
-  const auto res = call(r, r.read_data_cap);
+  const auto res = call(r, dst);
   if (!complete(io, res, OpClass::kRead)) return io;
   io.bytes = res.result;
-  // A read at/past EOF completes with an empty payload whose data() is
-  // null; memcpy's nonnull contract forbids that even at length zero.
-  if (const std::size_t got =
-          std::min<std::size_t>(dst.size(), res.read_payload.size());
-      got > 0)
-    std::memcpy(dst.data(), res.read_payload.data(), got);
   if (io.bytes < dst.size())
     std::memset(dst.data() + io.bytes, 0, dst.size() - io.bytes);
 
@@ -844,7 +841,7 @@ Io DpcSystem::write(std::uint64_t ino, std::uint64_t offset,
       if (grow) {
         const auto r = inline_request(nvme::DispatchTarget::kStandalone,
                                       nvme::InlineOp::kTruncate, ino, end);
-        io.cost += call(r, 0).cost;
+        io.cost += call(r).cost;
       }
       latency_[static_cast<std::size_t>(OpClass::kWrite)]->record(io.cost);
       cache_hit_path_ns_->record(io.cost);
@@ -856,7 +853,7 @@ Io DpcSystem::write(std::uint64_t ino, std::uint64_t offset,
   auto r = inline_request(nvme::DispatchTarget::kStandalone,
                           nvme::InlineOp::kWrite, ino, offset);
   r.write_data = src;
-  const auto res = call(r, 0);
+  const auto res = call(r);
   if (!complete(io, res, OpClass::kWrite)) return io;
   io.bytes = res.result;
   {
@@ -899,8 +896,7 @@ Io DpcSystem::truncate(std::uint64_t ino, std::uint64_t new_size) {
   }
   const auto res = call(inline_request(nvme::DispatchTarget::kStandalone,
                                       nvme::InlineOp::kTruncate, ino,
-                                      new_size),
-                       0);
+                                      new_size));
   Io io;
   io.ino = ino;
   complete(io, res, OpClass::kMeta);
@@ -909,8 +905,7 @@ Io DpcSystem::truncate(std::uint64_t ino, std::uint64_t new_size) {
 
 Io DpcSystem::fsync(std::uint64_t ino) {
   const auto res = call(inline_request(nvme::DispatchTarget::kStandalone,
-                                      nvme::InlineOp::kFsync, ino, 0),
-                       0);
+                                      nvme::InlineOp::kFsync, ino, 0));
   Io io;
   io.ino = ino;
   complete(io, res, OpClass::kMeta);
@@ -947,17 +942,10 @@ Io DpcSystem::dfs_read(std::uint64_t ino, std::uint64_t offset,
   auto r = inline_request(nvme::DispatchTarget::kDistributed,
                           nvme::InlineOp::kRead, ino, offset);
   r.read_data_cap = static_cast<std::uint32_t>(dst.size());
-  const auto res = call(r, r.read_data_cap);
+  const auto res = call(r, dst);
   Io io;
   io.ino = ino;
-  if (!complete(io, res, OpClass::kRead)) return io;
-  io.bytes = res.result;
-  // A read at/past EOF completes with an empty payload whose data() is
-  // null; memcpy's nonnull contract forbids that even at length zero.
-  if (const std::size_t got =
-          std::min<std::size_t>(dst.size(), res.read_payload.size());
-      got > 0)
-    std::memcpy(dst.data(), res.read_payload.data(), got);
+  if (complete(io, res, OpClass::kRead)) io.bytes = res.result;
   return io;
 }
 
@@ -972,7 +960,7 @@ Io DpcSystem::dfs_write(std::uint64_t ino, std::uint64_t offset,
   auto r = inline_request(nvme::DispatchTarget::kDistributed,
                           nvme::InlineOp::kWrite, ino, offset);
   r.write_data = src;
-  const auto res = call(r, 0);
+  const auto res = call(r);
   Io io;
   io.ino = ino;
   if (complete(io, res, OpClass::kWrite)) io.bytes = res.result;

@@ -264,16 +264,18 @@ class DpcSystem {
   std::string latency_summary() const;
 
  private:
-  // One synchronous nvme-fs round trip on this thread's queue.
+  // One synchronous nvme-fs round trip on this thread's queue. A successful
+  // reply's payload is CRC-verified in the INI's buffer and copied once,
+  // straight into `payload` (up to its size).
   struct CallResult {
     nvme::Status status = nvme::Status::kSuccess;
     std::uint32_t result = 0;
     int attempts = 0;
-    std::vector<std::byte> read_payload;
+    std::uint32_t payload_bytes = 0;  ///< bytes delivered into `payload`
     sim::Nanos cost{};
   };
   CallResult call(const nvme::IniDriver::Request& req,
-                  std::uint32_t read_copy_bytes);
+                  std::span<std::byte> payload = {});
   int queue_for_this_thread();
   int pump(int q);  // inline DPU processing; returns TGT commands processed
 

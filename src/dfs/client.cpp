@@ -30,7 +30,7 @@ DfsClient::DfsClient(ClientId id, MdsCluster& mds, DataServers& ds,
       backend_ns_(registry != nullptr
                       ? &registry->histogram("dfs.client/backend_ns")
                       : &owned_registry_->histogram("dfs.client/backend_ns")) {
-  if (cfg_.delegation_recall && cfg_.delegation_cache) {
+  if (cfg_.delegation_recall && cfg_.client_side()) {
     mds_->register_recall(id_, [this](Ino ino) {
       sim::LockGuard lock(mu_);
       delegations_.erase(ino);
@@ -40,7 +40,7 @@ DfsClient::DfsClient(ClientId id, MdsCluster& mds, DataServers& ds,
 }
 
 DfsClient::~DfsClient() {
-  if (cfg_.delegation_recall && cfg_.delegation_cache)
+  if (cfg_.delegation_recall && cfg_.client_side())
     mds_->register_recall(id_, nullptr);
 }
 
@@ -53,39 +53,39 @@ void DfsClient::charge_client_cpu(OpProfile& prof, bool data_op,
                                   std::uint32_t payload_bytes,
                                   bool is_write) const {
   using namespace sim::calib;
-  if (cfg_.on_dpu) {
+  if (cfg_.on_dpu()) {
     // DPC: host pays syscall + fs-adapter + data copy + completion + the
     // NFS-compat shim; the client stack runs on the DPU.
     prof.host_cpu += kSyscallVfs + kFsAdapterOp + kHostNvmeCompletion;
     if (data_op) prof.host_cpu += kHostDataPathOp + kNfsCompatShim;
     prof.pcie += nvme_fs_transport(data_op ? payload_bytes : 64);
     prof.dpu_cpu += (data_op && is_write) ? kDpuDfsWriteOp : kDpuDfsReadOp;
-  } else if (cfg_.client_ec || cfg_.view_routing || cfg_.direct_io ||
-             cfg_.delegation_cache) {
+  } else if (cfg_.client_side()) {
     // Optimized host client: the "datacenter tax".
     prof.host_cpu += kSyscallVfs + kNfsClientOp + kOptClientExtraOp;
   } else {
     prof.host_cpu += kSyscallVfs + kNfsClientOp;
   }
   // A healthy read decodes nothing; read() charges a reconstruct's decode.
-  if (data_op && is_write && cfg_.client_ec) charge_ec(prof, payload_bytes);
+  if (data_op && is_write && cfg_.client_side())
+    charge_ec(prof, payload_bytes);
 }
 
 void DfsClient::charge_ec(OpProfile& prof, std::uint64_t bytes) const {
-  if (cfg_.on_dpu)
+  if (cfg_.on_dpu())
     prof.dpu_cpu += ec::ReedSolomon::dpu_encode_cost(bytes);
   else
     prof.host_cpu += ec::ReedSolomon::host_encode_cost(bytes);
 }
 
 std::optional<FileMeta> DfsClient::meta_of(Ino ino, OpProfile& prof) {
-  if (cfg_.view_routing) {
+  if (cfg_.client_side()) {
     sim::LockGuard lock(mu_);
     const auto it = meta_cache_.find(ino);
     if (it != meta_cache_.end()) return it->second;
   }
-  auto meta = mds_->stat(ino, entry_mds_, cfg_.view_routing, prof);
-  if (meta && cfg_.view_routing) {
+  auto meta = mds_->stat(ino, entry_mds_, cfg_.client_side(), prof);
+  if (meta && cfg_.client_side()) {
     sim::LockGuard lock(mu_);
     meta_cache_[ino] = *meta;
   }
@@ -94,20 +94,20 @@ std::optional<FileMeta> DfsClient::meta_of(Ino ino, OpProfile& prof) {
 
 MdsCluster::Grant DfsClient::ensure_delegation(Ino ino, OpProfile& prof) {
   using Grant = MdsCluster::Grant;
-  if (cfg_.delegation_cache) {
+  if (cfg_.client_side()) {
     {
       sim::LockGuard lock(mu_);
       if (delegations_.contains(ino)) return Grant::kGranted;  // cached: free
     }
     const Grant grant = mds_->acquire_delegation(ino, id_, entry_mds_,
-                                                 cfg_.view_routing, prof);
+                                                 cfg_.client_side(), prof);
     if (grant != Grant::kGranted) return grant;
     sim::LockGuard lock(mu_);
     delegations_.insert(ino);
     return Grant::kGranted;
   }
   // Standard client: lock round trip on every write.
-  return mds_->acquire_delegation(ino, id_, entry_mds_, cfg_.view_routing,
+  return mds_->acquire_delegation(ino, id_, entry_mds_, cfg_.client_side(),
                                   prof);
 }
 
@@ -126,28 +126,25 @@ IoResult DfsClient::create(const std::string& path,
   OpAccount acct{this, &stats_.meta_ops, &res};
   charge_client_cpu(res.prof, false, 0);
   FileMeta templ;
-  if (cfg_.use_replication) {
-    templ.redundancy = Redundancy::kReplication;
-    templ.replicas = cfg_.replicas;
-  }
+  if (cfg_.use_replication) templ.redundancy = Redundancy::kReplication;
   auto meta = mds_->create(path, prealloc_size, entry_mds_,
-                           cfg_.view_routing, res.prof,
+                           cfg_.client_side(), res.prof,
                            cfg_.use_replication ? &templ : nullptr);
   if (!meta) {
     res.err = EEXIST;
     return res;
   }
-  if (cfg_.view_routing) {
+  if (cfg_.client_side()) {
     sim::LockGuard lock(mu_);
     meta_cache_[meta->ino] = *meta;
   }
-  if (cfg_.on_dpu && cfg_.delegation_cache) {
+  if (cfg_.on_dpu()) {
     // DPC packs the create and the creator's write delegation into one
     // metadata message (§2.1's small-I/O packing, applied to metadata), so
     // the grant costs no extra MDS round trip.
     OpProfile free_grant;
     if (mds_->acquire_delegation(meta->ino, id_, entry_mds_,
-                                 cfg_.view_routing, free_grant) ==
+                                 cfg_.client_side(), free_grant) ==
         MdsCluster::Grant::kGranted) {
       sim::LockGuard lock(mu_);
       delegations_.insert(meta->ino);
@@ -161,7 +158,7 @@ IoResult DfsClient::open(const std::string& path) {
   IoResult res;
   OpAccount acct{this, &stats_.meta_ops, &res};
   charge_client_cpu(res.prof, false, 0);
-  const auto ino = mds_->lookup(path, entry_mds_, cfg_.view_routing, res.prof);
+  const auto ino = mds_->lookup(path, entry_mds_, cfg_.client_side(), res.prof);
   if (!ino) {
     res.err = ENOENT;
     return res;
@@ -191,9 +188,9 @@ IoResult DfsClient::read(Ino ino, std::uint64_t offset,
   OpAccount acct{this, &stats_.reads, &res};
   res.ino = ino;
   charge_client_cpu(res.prof, true, static_cast<std::uint32_t>(dst.size()));
-  if (!cfg_.direct_io) {
+  if (!cfg_.client_side()) {
     if (!mds_->server_side_read(*ds_, rs_, ino, offset, dst, entry_mds_,
-                                cfg_.view_routing, res.prof)) {
+                                cfg_.client_side(), res.prof)) {
       res.err = ENOENT;
       return res;
     }
@@ -265,7 +262,7 @@ IoResult DfsClient::write(Ino ino, std::uint64_t offset,
     res.transient = fault::Transient::kBusy;
     return res;
   }
-  if (cfg_.direct_io && cfg_.client_ec) {
+  if (cfg_.client_side()) {
     const auto meta = meta_of(ino, res.prof);
     if (!meta) {
       res.err = ENOENT;
@@ -286,7 +283,7 @@ IoResult DfsClient::write(Ino ino, std::uint64_t offset,
     // the preallocated size.
     if (offset + src.size() > meta->size) {
       mds_->update_size(ino, offset + src.size(), entry_mds_,
-                        cfg_.view_routing, res.prof);
+                        cfg_.client_side(), res.prof);
       sim::LockGuard lock(mu_);
       auto it = meta_cache_.find(ino);
       if (it != meta_cache_.end())
@@ -294,7 +291,7 @@ IoResult DfsClient::write(Ino ino, std::uint64_t offset,
     }
   } else {
     if (!mds_->server_side_write(*ds_, rs_, ino, offset, src, entry_mds_,
-                                 cfg_.view_routing, res.prof)) {
+                                 cfg_.client_side(), res.prof)) {
       res.err = ENOENT;
       return res;
     }
@@ -307,12 +304,12 @@ IoResult DfsClient::remove(const std::string& path) {
   IoResult res;
   OpAccount acct{this, &stats_.meta_ops, &res};
   charge_client_cpu(res.prof, false, 0);
-  auto opened = mds_->lookup(path, entry_mds_, cfg_.view_routing, res.prof);
+  auto opened = mds_->lookup(path, entry_mds_, cfg_.client_side(), res.prof);
   if (!opened) {
     res.err = ENOENT;
     return res;
   }
-  mds_->remove(path, entry_mds_, cfg_.view_routing, res.prof);
+  mds_->remove(path, entry_mds_, cfg_.client_side(), res.prof);
   ds_->purge(*opened);
   {
     sim::LockGuard lock(mu_);

@@ -13,8 +13,9 @@
 //     runs on the DPU's engine. High performance, host CPU back to ~NFS
 //     levels (Fig. 9).
 //
-// One class, three configurations — the feature flags are exactly the
-// paper's list of client-side optimizations, so ablations fall out for free.
+// One class, three kinds (ClientConfig::Kind): the optimized and DPC
+// clients share the paper's list of client-side optimizations and differ
+// only in where that logic runs.
 #pragma once
 
 #include <atomic>
@@ -33,15 +34,15 @@
 namespace dpc::dfs {
 
 struct ClientConfig {
-  bool view_routing = false;     ///< client-cached metadata view (no forward)
-  bool client_ec = false;        ///< EC computed at the client
-  bool direct_io = false;        ///< data straight to data servers
-  bool delegation_cache = false; ///< cache write delegations
-  bool on_dpu = false;           ///< client logic runs on the DPU (DPC)
-  /// Store new files replicated instead of erasure-coded (§2.1: "EC or
-  /// replication is handled by the fs-client").
+  /// Which of the three clients this is. kOptimized and kDpcOffloaded both
+  /// cache the metadata view (no forward), compute EC at the client, write
+  /// data straight to the data servers and cache write delegations;
+  /// kDpcOffloaded runs that logic on the DPU.
+  enum class Kind : std::uint8_t { kStandardNfs, kOptimized, kDpcOffloaded };
+  Kind kind = Kind::kStandardNfs;
+  /// Store new files replicated (FileMeta::replicas copies) instead of
+  /// erasure-coded (§2.1: "EC or replication is handled by the fs-client").
   bool use_replication = false;
-  std::uint8_t replicas = 3;
   /// Participate in lease-style delegation recall: give delegations back
   /// when another client asks, instead of forcing it to fail with EAGAIN.
   bool delegation_recall = false;
@@ -50,16 +51,15 @@ struct ClientConfig {
   /// modelled net cost.
   fault::RetryPolicy retry{};
 
+  /// The paper's client-side optimizations all on: metadata-view routing,
+  /// client EC, data straight to the data servers, delegation caching.
+  bool client_side() const { return kind != Kind::kStandardNfs; }
+  bool on_dpu() const { return kind == Kind::kDpcOffloaded; }
+
   static ClientConfig standard_nfs() { return {}; }
-  static ClientConfig optimized() {
-    ClientConfig c;
-    c.view_routing = c.client_ec = c.direct_io = c.delegation_cache = true;
-    return c;
-  }
+  static ClientConfig optimized() { return {.kind = Kind::kOptimized}; }
   static ClientConfig dpc_offloaded() {
-    ClientConfig c = optimized();
-    c.on_dpu = true;
-    return c;
+    return {.kind = Kind::kDpcOffloaded};
   }
 };
 

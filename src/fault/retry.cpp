@@ -33,7 +33,6 @@ CircuitBreaker::CircuitBreaker(Config cfg, obs::Registry* registry,
                                std::string_view gauge_name)
     : cfg_(cfg) {
   DPC_CHECK(cfg_.failure_threshold >= 1);
-  DPC_CHECK(cfg_.probe_interval >= 1);
   if (registry != nullptr) {
     opens_ = &registry->counter("breaker/opens");
     closes_ = &registry->counter("breaker/closes");
@@ -50,10 +49,10 @@ bool CircuitBreaker::allow() {
     case State::kClosed:
       return true;
     case State::kOpen: {
-      // Let every probe_interval-th gated call through as a probe; the rest
+      // Let every kProbeInterval-th gated call through as a probe; the rest
       // fast-fail so a dead backend doesn't eat full timeouts per op.
       const std::uint64_t n = ++gated_calls_;
-      if (n % static_cast<std::uint64_t>(cfg_.probe_interval) == 0) {
+      if (n % kProbeInterval == 0) {
         state_ = State::kHalfOpen;
         probe_inflight_ = true;
         probe_owner_ = std::this_thread::get_id();
@@ -70,9 +69,7 @@ bool CircuitBreaker::allow() {
       // A probe is in flight; don't pile on. If its owner has gone quiet
       // for a full probe interval (crashed mid-attempt), take the probe
       // over — the original owner's late report becomes a straggler.
-      if (probe_inflight_ &&
-          ++halfopen_fast_fails_ >
-              static_cast<std::uint64_t>(cfg_.probe_interval)) {
+      if (probe_inflight_ && ++halfopen_fast_fails_ > kProbeInterval) {
         probe_owner_ = std::this_thread::get_id();
         halfopen_fast_fails_ = 0;
         if (probes_ != nullptr) probes_->add();

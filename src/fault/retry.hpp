@@ -48,7 +48,7 @@ struct RetryPolicy {
 };
 
 /// Per-backend circuit breaker: Closed → (threshold consecutive failures) →
-/// Open → (every probe_interval-th gated call probes) → HalfOpen →
+/// Open → (every kProbeInterval-th gated call probes) → HalfOpen →
 /// success closes / failure reopens. Probing is op-count based so the
 /// breaker works in modelled time.
 ///
@@ -60,7 +60,7 @@ struct RetryPolicy {
 /// re-arm the gated-call counter, admitting a second concurrent probe (and a
 /// straggler's success could close the breaker on evidence that predates the
 /// outage). A probe owner that never reports (crashed mid-attempt) would
-/// wedge the breaker half-open forever, so after probe_interval fast-fails
+/// wedge the breaker half-open forever, so after kProbeInterval fast-fails
 /// with no resolution the next gated call may take the probe over.
 class CircuitBreaker {
  public:
@@ -68,8 +68,9 @@ class CircuitBreaker {
 
   struct Config {
     int failure_threshold = 8;  // consecutive failures before opening
-    int probe_interval = 16;    // while open, let every Nth call through
   };
+  /// While open, every kProbeInterval-th gated call is let through.
+  static constexpr std::uint64_t kProbeInterval = 16;
 
   /// `gauge_name` is the registry gauge mirroring the breaker's state
   /// (0 = closed, 1 = open, 2 = half-open) so BENCH snapshots show where

@@ -116,26 +116,19 @@ KvStore::Shard& KvStore::shard_for(std::string_view key) const {
   return const_cast<Shard&>(shards_storage_[shard_index(key)]);
 }
 
+// The single-key mutations are one-op batches: apply() is the one place a
+// value is stamped and its faults drawn.
 void KvStore::put(std::string_view key, std::span<const std::byte> value) {
-  std::uint64_t rot = 0;
-  const bool rotted =
-      fault_ != nullptr && fault_->should_fail(kFaultKvBitRot, &rot);
-  Shard& sh = shard_for(key);
-  sim::LockGuard lock(sh.mu);
-  Value& v = sh.data[std::string(key)];
-  v.data = to_bytes(value);
-  v.crc = stamp_value_crc(key, v.data);
-  rot_bit(v.data, rotted, rot);
+  Batch b;
+  b.put(std::string(key), value);
+  apply(b);
 }
 
 bool KvStore::put_if_absent(std::string_view key,
                             std::span<const std::byte> value) {
-  Shard& sh = shard_for(key);
-  sim::LockGuard lock(sh.mu);
-  Value v;
-  v.data = to_bytes(value);
-  v.crc = stamp_value_crc(key, v.data);
-  return sh.data.try_emplace(std::string(key), std::move(v)).second;
+  Batch b;
+  b.put(std::string(key), value, Batch::Guard::kAbsent);
+  return apply(b).applied();
 }
 
 std::optional<Bytes> KvStore::get(std::string_view key) const {
@@ -171,9 +164,9 @@ bool KvStore::contains(std::string_view key) const {
 }
 
 bool KvStore::erase(std::string_view key) {
-  Shard& sh = shard_for(key);
-  sim::LockGuard lock(sh.mu);
-  return sh.data.erase(std::string(key)) > 0;
+  Batch b;
+  b.erase(std::string(key), Batch::Guard::kPresent);
+  return apply(b).applied();
 }
 
 std::optional<std::size_t> KvStore::read_sub(std::string_view key,
@@ -216,30 +209,29 @@ std::optional<std::size_t> KvStore::read_sub_checked(std::string_view key,
 
 void KvStore::write_sub(std::string_view key, std::uint64_t offset,
                         std::span<const std::byte> src) {
-  const SubWriteFaults f = draw_sub_write_faults(src.size());
-  Shard& sh = shard_for(key);
-  sim::LockGuard lock(sh.mu);
-  auto it = sh.data.find(key);
-  if (it == sh.data.end())
-    it = sh.data.emplace(std::string(key), Value{}).first;
-  sub_write(key, it->second, offset, src, f);
+  Batch b;
+  b.write_sub(std::string(key), offset, src);
+  apply(b);
 }
 
-KvStore::SubWriteFaults KvStore::draw_sub_write_faults(std::size_t n) const {
-  SubWriteFaults f;
-  f.persisted = n;
+KvStore::ValueFaults KvStore::draw_faults(const Batch::Op& op) const {
+  // A put draws bit_rot; a sub-write torn_write, then bit_rot; an erase
+  // leaves no value to damage.
+  ValueFaults f;
+  f.persisted = op.value.size();
+  if (fault_ == nullptr || op.kind == Batch::Kind::kErase) return f;
   std::uint64_t tear = 0;
-  if (fault_ != nullptr && n != 0 &&
+  if (op.kind == Batch::Kind::kWriteSub && !op.value.empty() &&
       fault_->should_fail(kFaultKvTornWrite, &tear)) {
-    f.persisted = tear % n;  // prefix lands, tail is lost
+    f.persisted = tear % op.value.size();  // prefix lands, tail is lost
   }
-  f.rotted = fault_ != nullptr && fault_->should_fail(kFaultKvBitRot, &f.rot);
+  f.rotted = fault_->should_fail(kFaultKvBitRot, &f.rot);
   return f;
 }
 
 void KvStore::sub_write(std::string_view key, Value& v, std::uint64_t offset,
                         std::span<const std::byte> src,
-                        const SubWriteFaults& f) {
+                        const ValueFaults& f) {
   if (v.data.size() < offset + src.size()) v.data.resize(offset + src.size());
   // The stamp covers the *intended* value; a torn write persists only a
   // prefix of the payload after the CRC was cut, so verification fails.
@@ -258,12 +250,11 @@ ApplyResult KvStore::apply(const Batch& batch) {
   using Kind = Batch::Kind;
   const auto& ops = batch.ops();
   // Everything that needs no lock happens first: shard picks, the put
-  // stamps and the per-value fault draws (put: bit_rot; write_sub: torn
-  // then bit_rot, as the single-key ops draw them).
+  // stamps and the per-value fault draws.
   struct Prep {
     std::uint32_t shard = 0;
     std::uint32_t crc = 0;
-    SubWriteFaults faults;
+    ValueFaults faults;
     Value* found = nullptr;  ///< what the op's guard looked up
   };
   ApplyScratch<Prep, kApplyInlineOps> prep_store(ops.size());
@@ -275,13 +266,8 @@ ApplyResult KvStore::apply(const Batch& batch) {
     Prep& p = prep[i];
     p.shard = static_cast<std::uint32_t>(shard_index(op.key));
     order[i] = p.shard;
-    if (op.kind == Kind::kPut) {
-      p.crc = stamp_value_crc(op.key, op.value);
-      p.faults.rotted = fault_ != nullptr &&
-                        fault_->should_fail(kFaultKvBitRot, &p.faults.rot);
-    } else if (op.kind == Kind::kWriteSub) {
-      p.faults = draw_sub_write_faults(op.value.size());
-    }
+    if (op.kind == Kind::kPut) p.crc = stamp_value_crc(op.key, op.value);
+    p.faults = draw_faults(op);
   }
   std::sort(order.begin(), order.end());
   order = order.first(static_cast<std::size_t>(
@@ -343,7 +329,7 @@ ApplyResult KvStore::apply(const Batch& batch) {
 void KvStore::apply_op(const Batch::Op& op,
                        std::map<std::string, Value, std::less<>>& data,
                        Value* found, std::uint32_t crc,
-                       const SubWriteFaults& f) {
+                       const ValueFaults& f) {
   switch (op.kind) {
     case Batch::Kind::kPut: {
       Value& v = found != nullptr ? *found : data[op.key];

@@ -8,13 +8,15 @@
 //   * prefix scans (inode-KV directory listing uses the p_ino key prefix),
 //   * sub-object reads/writes (the 8 KB-granularity in-place updates the
 //     big-file KV needs),
-//   * compare-and-put (used by KVFS for atomic inode allocation),
+//   * atomic counters (increment: KVFS's inode and block ids),
 //   * apply(Batch): puts, erases and sub-writes across shards, each with an
 //     optional guard, applied all-or-nothing (one batch per KVFS mutation).
-// Every value carries a key-salted CRC32C stamped on mutation; checked
-// reads and the scrubber verify it so bit-rot and torn sub-writes surface
-// as typed corruption. Thread-safe; shards are hash-partitioned like a
-// real KV cluster's partitions, and scans merge across shards in key order.
+//     The single-key put/put_if_absent/erase/write_sub are one-op batches.
+// Every value carries a key-salted CRC32C, stamped inside apply() where the
+// bit-rot and torn-write faults are drawn; checked reads and the scrubber
+// verify it so bit-rot and torn sub-writes surface as typed corruption.
+// Thread-safe; shards are hash-partitioned like a real KV cluster's
+// partitions, and scans merge across shards in key order.
 #pragma once
 
 #include <cstdint>
@@ -118,12 +120,13 @@ class KvStore {
   /// Inserts or overwrites.
   void put(std::string_view key, std::span<const std::byte> value);
 
-  /// Inserts only if absent; returns false (leaving the old value) if the
-  /// key exists.
+  /// Inserts only if absent (a kAbsent guard); returns false (leaving the
+  /// old value) if the key exists.
   bool put_if_absent(std::string_view key, std::span<const std::byte> value);
 
   std::optional<Bytes> get(std::string_view key) const;
   bool contains(std::string_view key) const;
+  /// Removes `key` (a kPresent guard); false if it was absent.
   bool erase(std::string_view key);
 
   /// Reads `dst.size()` bytes at `offset` within the value. Returns bytes
@@ -196,25 +199,25 @@ class KvStore {
     std::map<std::string, Value, std::less<>> data GUARDED_BY(mu);
   };
   /// Fault draws of one value mutation, taken before any lock.
-  struct SubWriteFaults {
+  struct ValueFaults {
     std::size_t persisted = 0;  ///< bytes of the payload that land
     bool rotted = false;
     std::uint64_t rot = 0;
   };
   std::size_t shard_index(std::string_view key) const;
   Shard& shard_for(std::string_view key) const;
-  SubWriteFaults draw_sub_write_faults(std::size_t n) const;
+  ValueFaults draw_faults(const Batch::Op& op) const;
   /// The write_sub mutation of one stored value (caller holds its shard).
   static void sub_write(std::string_view key, Value& v, std::uint64_t offset,
                         std::span<const std::byte> src,
-                        const SubWriteFaults& f);
+                        const ValueFaults& f);
   /// One batch op against its shard's map (caller holds the shard).
   /// `found` (optional) is the op's value as its guard already looked it
   /// up, saving a second map walk.
   static void apply_op(const Batch::Op& op,
                        std::map<std::string, Value, std::less<>>& data,
                        Value* found, std::uint32_t crc,
-                       const SubWriteFaults& f);
+                       const ValueFaults& f);
 
   std::vector<Shard> shards_storage_;
   std::size_t shard_mask_ = 0;  ///< shards_storage_.size() - 1 (pow2 count)

@@ -31,7 +31,9 @@ Kvfs::Kvfs(kv::RemoteKv& store, const KvfsOptions& opts,
                                           : nullptr),
       registry_(registry != nullptr ? registry : owned_registry_.get()),
       stats_(*registry_) {
-  // Install the root directory's attribute if this is a fresh store.
+  // Install the root directory's attribute if this is a fresh store. A
+  // failed probe does not prove the store fresh, so the put is guarded
+  // absent: over a shared store's live root it is a no-op.
   sim::Nanos cost{};
   if (!load_attr(kRootIno, cost)) {
     Attr root;
@@ -40,7 +42,10 @@ Kvfs::Kvfs(kv::RemoteKv& store, const KvfsOptions& opts,
     root.mode = 0755;
     root.nlink = 2;
     root.ctime = root.mtime = root.atime = now();
-    store_attr(root, cost);
+    kv::Batch b;
+    b.put(attr_key(kRootIno), encode_attr(root), Guard::kAbsent);
+    const auto r = store_->apply(b);
+    if (r.ok() && r.value.applied()) cache_attr(root);
   }
 }
 
@@ -239,19 +244,6 @@ std::optional<Attr> Kvfs::load_attr(Ino ino, sim::Nanos& cost, int* err) {
   Attr a = decode_attr(*r.value);
   cache_attr(a);
   return a;
-}
-
-void Kvfs::store_attr(const Attr& a, sim::Nanos& cost) {
-  const auto enc = encode_attr(a);
-  auto r = store_->put(attr_key(a.ino), enc);
-  cost += r.cost;
-  if (!r.ok()) {
-    // The put never reached the store: invalidate rather than cache a
-    // version the backend doesn't hold, so the next load re-fetches truth.
-    uncache_attr(a.ino);
-    return;
-  }
-  cache_attr(a);
 }
 
 std::optional<Ino> Kvfs::load_dentry(Ino parent, std::string_view name,
@@ -1045,154 +1037,135 @@ bool Kvfs::stage_promotion(Attr& a, kv::Batch& b, kv::Bytes& small,
   return true;
 }
 
-Kvfs::CachedWrite Kvfs::overwrite_cached(const Attr& attr,
-                                         std::uint64_t offset,
-                                         std::span<const std::byte> src,
-                                         sim::Nanos& cost) {
-  const auto n = static_cast<std::uint32_t>(src.size());
-  const std::uint64_t first = offset / kBigBlock;
-  const std::uint64_t last = (offset + n - 1) / kBigBlock;
-  std::vector<std::uint64_t> ids;
-  ids.reserve(last - first + 1);
-  for (std::uint64_t logical = first; logical <= last; ++logical) {
-    const auto id = cached_extent(attr.ino, logical);
-    (id ? stats_.extent_hits : stats_.extent_misses)
-        .fetch_add(1, std::memory_order_relaxed);
-    if (!id || *id == 0) return CachedWrite::kMissed;
-    ids.push_back(*id);
-  }
-  // Only into blocks the store still holds: a cached id whose block is
-  // gone was truncated away by another mount (ids are never reused), and
-  // an unguarded write_sub would resurrect it as an orphan.
-  kv::Batch b;
-  std::uint32_t done = 0;
-  while (done < n) {
-    const std::uint64_t pos = offset + done;
-    const auto in_block = static_cast<std::uint32_t>(pos % kBigBlock);
-    const std::uint32_t chunk =
-        std::min<std::uint32_t>(n - done, kBigBlock - in_block);
-    b.write_sub(block_key(ids[pos / kBigBlock - first]), in_block,
-                src.subspan(done, chunk), Guard::kPresent);
-    done += chunk;
-  }
-  Attr a = attr;
-  a.size = std::max<std::uint64_t>(a.size, offset + n);
-  a.mtime = now();
-  const std::size_t attr_op =
-      b.put(attr_key(a.ino), encode_attr(a), Guard::kPresent);
-  const auto r = commit("kvfs.write", b, cost);
-  if (!r.ok()) return CachedWrite::kFailed;
-  if (!r.value.applied()) {
-    if (r.value.failed_guard == attr_op)
-      uncache_attr(a.ino);
-    else
-      uncache_page(a.ino, page_of_block(first + r.value.failed_guard));
-    return CachedWrite::kMissed;
-  }
-  stats_.big_inplace_writes.fetch_add(ids.size(), std::memory_order_relaxed);
-  cache_attr(a);
-  return CachedWrite::kDone;
-}
-
-int Kvfs::write_allocating(const Attr& attr, std::uint64_t offset,
-                           std::span<const std::byte> src, sim::Nanos& cost) {
-  // Fetch each index page the range touches from the store (never the
-  // cache: another mount may have filled a hole since) and allocate every
-  // block the range is missing. Then one batch carries the new blocks, the
-  // in-place updates of existing ones, the changed pages, a promotion's
+int Kvfs::write_big(const Attr& attr, std::uint64_t offset,
+                    std::span<const std::byte> src, sim::Nanos& cost) {
+  // One batch carries the data, the changed index pages, a promotion's
   // small-KV erase and the attr: the write lands whole or not at all.
   const auto n = static_cast<std::uint32_t>(src.size());
   const std::uint64_t first = offset / kBigBlock;
   const std::uint64_t last = (offset + n - 1) / kBigBlock;
   const std::uint32_t first_page = page_of_block(first);
+  const bool promote = !attr.big_file;
+  struct TouchedBlock {
+    std::uint64_t id = 0;
+    bool fresh = false;  ///< allocated by this write
+  };
   struct TouchedPage {
     bool dirty = false;
     ExtentPage ids;
   };
-  std::vector<TouchedPage> pages(page_of_block(last) - first_page + 1);
-  const auto page_at = [&](std::uint64_t logical) -> TouchedPage& {
-    return pages[page_of_block(logical) - first_page];
-  };
-  Attr a = attr;
-  a.size = std::max<std::uint64_t>(a.size, offset + n);
-  a.mtime = now();
-  kv::Batch b;
-  kv::Bytes small;  // a promotion's bytes, alive until the batch is sent
-  ExtentPage page0{};
-  const bool promote = !attr.big_file;
-  if (promote) {
-    // A small file has no index: every touched page starts as holes.
-    if (!stage_promotion(a, b, small, page0, cost)) return EIO;
-    for (TouchedPage& pg : pages) pg.ids.fill(0);
-    if (first_page == 0) {
-      pages[0].ids = page0;
-      pages[0].dirty = true;
-    } else {
-      b.put(extent_page_key(a.ino, 0), encode_extent_page(page0));
+  std::vector<TouchedBlock> blocks(last - first + 1);
+  // Warm: every block's id comes from the extent cache, and no page
+  // changes. A cached hole, or a page not cached, takes the fetch.
+  bool warm = !promote;
+  for (std::uint64_t logical = first; warm && logical <= last; ++logical) {
+    const auto id = cached_extent(attr.ino, logical);
+    (id ? stats_.extent_hits : stats_.extent_misses)
+        .fetch_add(1, std::memory_order_relaxed);
+    warm = id && *id != 0;
+    if (warm) blocks[logical - first].id = *id;
+  }
+  for (;;) {
+    std::vector<TouchedPage> pages;  // fetched or promoted; none when warm
+    Attr a = attr;
+    a.size = std::max<std::uint64_t>(a.size, offset + n);
+    a.mtime = now();
+    kv::Batch b;
+    kv::Bytes small;  // a promotion's bytes, alive until the batch is sent
+    ExtentPage page0;  // a promotion's page 0, filled by stage_promotion
+    std::uint64_t landing = 0;  // the block a promotion's bytes moved to
+    if (!warm) {
+      // Fetch each index page the range touches from the store (never the
+      // cache: another mount may have filled a hole since), or promote a
+      // small file, whose pages all start as holes; then allocate every
+      // block the range is missing.
+      pages.resize(page_of_block(last) - first_page + 1);
+      if (promote) {
+        if (!stage_promotion(a, b, small, page0, cost)) return EIO;
+        landing = page0[0];
+        for (TouchedPage& pg : pages) pg.ids.fill(0);
+        if (first_page == 0) {
+          pages[0].ids = page0;
+          pages[0].dirty = true;
+        } else {
+          b.put(extent_page_key(a.ino, 0), encode_extent_page(page0));
+        }
+      } else {
+        for (std::uint32_t i = 0; i < pages.size(); ++i)
+          if (!load_page(a.ino, first_page + i, pages[i].ids, cost)) return EIO;
+      }
+      for (std::uint64_t logical = first; logical <= last; ++logical) {
+        TouchedPage& pg = pages[page_of_block(logical) - first_page];
+        std::uint64_t& slot = pg.ids[slot_of_block(logical)];
+        TouchedBlock& blk = blocks[logical - first];
+        blk.fresh = slot == 0;
+        if (blk.fresh) {
+          slot = alloc_block(cost);
+          if (slot == 0) return EIO;  // nothing mutated; burned ids are fine
+          pg.dirty = true;
+        }
+        blk.id = slot;
+      }
     }
-  } else {
+    std::uint32_t done = 0;
+    while (done < n) {
+      const std::uint64_t pos = offset + done;
+      const auto in_block = static_cast<std::uint32_t>(pos % kBigBlock);
+      const std::uint32_t chunk =
+          std::min<std::uint32_t>(n - done, kBigBlock - in_block);
+      const TouchedBlock& blk = blocks[pos / kBigBlock - first];
+      const auto data = src.subspan(done, chunk);
+      // "updates to large files are written in place to large file KVs at
+      // a granularity of 8K" — write_sub is the in-place primitive. A fresh
+      // block is created by its op (zero-filled below `in_block`); an old
+      // one must still exist, or a block another mount truncated away would
+      // come back as an orphan. The landing block was put above.
+      if (blk.fresh && in_block == 0) {
+        b.put(block_key(blk.id), data);
+      } else {
+        const bool old = !blk.fresh && blk.id != landing;
+        b.write_sub(block_key(blk.id), in_block, data,
+                    old ? Guard::kPresent : Guard::kNone);
+      }
+      done += chunk;
+    }
+    for (std::uint32_t i = 0; i < pages.size(); ++i) {
+      if (pages[i].dirty)
+        b.put(extent_page_key(a.ino, first_page + i),
+              encode_extent_page(pages[i].ids));
+    }
+    const std::size_t attr_op =
+        b.put(attr_key(a.ino), encode_attr(a), Guard::kPresent);
+    const auto r = commit("kvfs.write", b, cost);
+    if (!r.ok()) return EIO;
+    if (!r.value.applied()) {
+      if (warm) {
+        // Ops 0..attr_op-1 are the blocks, one each. A block another mount
+        // truncated away uncaches its page, a file it removed the attr;
+        // then once more through the store's index.
+        if (r.value.failed_guard == attr_op)
+          uncache_attr(a.ino);
+        else
+          uncache_page(a.ino, page_of_block(first + r.value.failed_guard));
+        warm = false;
+        continue;
+      }
+      // The file was removed, or one of its blocks truncated away, by
+      // another mount since the pages were read.
+      uncache_attr(a.ino);
+      return r.value.failed_guard == attr_op ? ENOENT : EIO;
+    }
     for (std::uint32_t i = 0; i < pages.size(); ++i)
-      if (!load_page(a.ino, first_page + i, pages[i].ids, cost)) return EIO;
-  }
-  std::vector<bool> fresh(last - first + 1, false);
-  for (std::uint64_t logical = first; logical <= last; ++logical) {
-    TouchedPage& pg = page_at(logical);
-    std::uint64_t& slot = pg.ids[slot_of_block(logical)];
-    if (slot != 0) continue;
-    slot = alloc_block(cost);
-    if (slot == 0) return EIO;  // nothing mutated; burned ids are harmless
-    pg.dirty = true;
-    fresh[logical - first] = true;
-  }
-
-  std::uint32_t done = 0;
-  while (done < n) {
-    const std::uint64_t pos = offset + done;
-    const std::uint64_t logical = pos / kBigBlock;
-    const auto in_block = static_cast<std::uint32_t>(pos % kBigBlock);
-    const std::uint32_t chunk =
-        std::min<std::uint32_t>(n - done, kBigBlock - in_block);
-    const std::uint64_t id = page_at(logical).ids[slot_of_block(logical)];
-    const auto data = src.subspan(done, chunk);
-    // "updates to large files are written in place to large file KVs at a
-    // granularity of 8K" — write_sub is the in-place primitive. A fresh
-    // block is created by its op (zero-filled below `in_block`); an old one
-    // must still exist, or a block another mount truncated away would come
-    // back as an orphan. The landing block was put above.
-    if (fresh[logical - first] && in_block == 0) {
-      b.put(block_key(id), data);
-    } else {
-      const bool old = !fresh[logical - first] && id != page0[0];
-      b.write_sub(block_key(id), in_block, data,
-                  old ? Guard::kPresent : Guard::kNone);
+      cache_page(a.ino, first_page + i, pages[i].ids);
+    if (promote) {
+      if (first_page != 0) cache_page(a.ino, 0, page0);
+      stats_.promotions.fetch_add(1, std::memory_order_relaxed);
     }
-    done += chunk;
+    stats_.big_inplace_writes.fetch_add(blocks.size(),
+                                        std::memory_order_relaxed);
+    cache_attr(a);
+    return 0;
   }
-  for (std::uint32_t i = 0; i < pages.size(); ++i) {
-    if (pages[i].dirty)
-      b.put(extent_page_key(a.ino, first_page + i),
-            encode_extent_page(pages[i].ids));
-  }
-  const std::size_t attr_op =
-      b.put(attr_key(a.ino), encode_attr(a), Guard::kPresent);
-  const auto r = commit("kvfs.write", b, cost);
-  if (!r.ok()) return EIO;
-  if (!r.value.applied()) {
-    // The file was removed, or one of its blocks truncated away, by
-    // another mount since the pages were read.
-    uncache_attr(a.ino);
-    return r.value.failed_guard == attr_op ? ENOENT : EIO;
-  }
-  for (std::uint32_t i = 0; i < pages.size(); ++i)
-    cache_page(a.ino, first_page + i, pages[i].ids);
-  if (promote) {
-    if (first_page != 0) cache_page(a.ino, 0, page0);
-    stats_.promotions.fetch_add(1, std::memory_order_relaxed);
-  }
-  stats_.big_inplace_writes.fetch_add((last - first) + 1,
-                                      std::memory_order_relaxed);
-  cache_attr(a);
-  return 0;
 }
 
 Result<std::uint32_t> Kvfs::write(Ino ino, std::uint64_t offset,
@@ -1253,21 +1226,7 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
     res.value = static_cast<std::uint32_t>(src.size());
     return res;
   }
-  if (attr->big_file) {
-    // A warm overwrite writes its cached blocks in place; a miss, a hole
-    // or a block gone stale takes the allocating path, which re-reads the
-    // index from the store.
-    const CachedWrite warm = overwrite_cached(*attr, offset, src, res.cost);
-    if (warm == CachedWrite::kFailed) {
-      res.err = EIO;
-      return res;
-    }
-    if (warm == CachedWrite::kDone) {
-      res.value = static_cast<std::uint32_t>(src.size());
-      return res;
-    }
-  }
-  res.err = write_allocating(*attr, offset, src, res.cost);
+  res.err = write_big(*attr, offset, src, res.cost);
   if (res.ok()) res.value = static_cast<std::uint32_t>(src.size());
   return res;
 }

@@ -19,12 +19,15 @@
 //     cached id whose block is gone (another mount truncated it; ids are
 //     never reused) drops the page and re-reads it once;
 //   * every mutation reads what it needs, then sends exactly one guarded,
-//     atomic KV batch (kv::Batch): create/mkdir/symlink, unlink/rmdir,
-//     rename, link, truncate and the allocating or small-file write land
-//     whole or not at all, with crash points `kvfs.<op>/crash_before_commit`
-//     and `kvfs.<op>/crash_after_commit` around the batch. The warm
-//     in-place overwrite (`overwrite_cached`: cached blocks + attr) is one
-//     such batch too.
+//     atomic KV batch (kv::Batch) through commit(): create/mkdir/symlink,
+//     unlink/rmdir, rename, link, truncate and the small-file or big-file
+//     write land whole or not at all, with crash points
+//     `kvfs.<op>/crash_before_commit` and `kvfs.<op>/crash_after_commit`
+//     around the batch. A big-file write is one function (write_big) for
+//     the warm overwrite, the hole fill and the promotion; a warm batch
+//     whose cached id went stale is retried once through the store's index.
+//     The mount's root install is a one-op batch guarded absent, so it can
+//     never overwrite a live root.
 //
 // Thread safety: operations take a striped per-inode lock; name-space
 // operations (create/unlink/rename/...) additionally serialize on the
@@ -206,7 +209,6 @@ class Kvfs {
   /// (`*err` = EIO); load_dentry alike.
   std::optional<Attr> load_attr(Ino ino, sim::Nanos& cost,
                                 int* err = nullptr);
-  void store_attr(const Attr& a, sim::Nanos& cost);
   std::optional<Ino> load_dentry(Ino parent, std::string_view name,
                                  sim::Nanos& cost, int* err = nullptr);
   /// Sends `batch`, the one KV mutation of operation `op` ("kvfs.<op>"),
@@ -239,26 +241,17 @@ class Kvfs {
   std::optional<std::uint64_t> load_extent(Ino ino, std::uint64_t logical,
                                            bool refetch, bool& fetched,
                                            sim::Nanos& cost);
-  /// Outcome of overwrite_cached.
-  enum class CachedWrite : std::uint8_t {
-    kDone,    ///< the range written in place and the attr updated
-    kMissed,  ///< a block uncached, a hole or gone, or the file gone:
-              ///< take write_allocating
-    kFailed,  ///< the batch failed; nothing landed
-  };
-  /// Warm overwrite: when every block of the range is cached and allocated,
-  /// sends one batch of in-place block writes and the updated `attr`, each
-  /// guarded present. A block another mount truncated away uncaches its
-  /// page, a file it removed uncaches the attr.
-  CachedWrite overwrite_cached(const Attr& attr, std::uint64_t offset,
-                               std::span<const std::byte> src,
-                               sim::Nanos& cost);
-  /// The big-file write through the store's index: fetches the touched
-  /// pages (or promotes a small file), allocates the missing blocks, then
-  /// sends the data, the changed pages and the attr as one batch. Returns
-  /// 0 or an errno; nothing landed unless 0.
-  int write_allocating(const Attr& attr, std::uint64_t offset,
-                       std::span<const std::byte> src, sim::Nanos& cost);
+  /// The big-file write (§3.4's in-place 8 KiB update), promoting a small
+  /// file first. When every block of the range is cached and allocated,
+  /// the ids come from the extent cache (warm); otherwise the touched pages
+  /// are fetched from the store and the holes allocated. Either way one
+  /// batch carries the blocks (present-guarded sub-writes into existing
+  /// ones, puts or sub-writes creating fresh ones), the changed pages and
+  /// the present-guarded attr. A warm guard that fails uncaches the block's
+  /// page or the attr and goes once more through the fetch. Returns 0 or
+  /// an errno; nothing landed unless 0.
+  int write_big(const Attr& attr, std::uint64_t offset,
+                std::span<const std::byte> src, sim::Nanos& cost);
   /// Replays the NVM write-ahead log (recover() step 1; opts_.wal != null).
   WalReplayReport replay_wal();
   /// Stages the §3.4 small→big promotion of `a` into `b`: the small KV's

@@ -301,7 +301,6 @@ TEST(ChaosIntegration, BreakerOpensUnderBlackoutAndRecovers) {
   kv::KvStore store(4);
   fault::CircuitBreaker::Config bcfg;
   bcfg.failure_threshold = 8;
-  bcfg.probe_interval = 16;
   kv::RemoteKv rkv(store, &fi, &reg, {}, bcfg);
 
   const auto payload = bytes(64, 1);

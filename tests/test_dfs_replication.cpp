@@ -23,7 +23,6 @@ struct ReplFixture : ::testing::Test {
   ClientConfig repl_cfg() {
     auto cfg = ClientConfig::optimized();
     cfg.use_replication = true;
-    cfg.replicas = 3;
     return cfg;
   }
 };

@@ -190,8 +190,8 @@ TEST(CircuitBreaker, OpensAfterThresholdAndProbes) {
   obs::Registry reg;
   CircuitBreaker::Config cfg;
   cfg.failure_threshold = 3;
-  cfg.probe_interval = 4;
   CircuitBreaker br(cfg, &reg);
+  constexpr auto kProbe = CircuitBreaker::kProbeInterval;
 
   EXPECT_EQ(br.state(), CircuitBreaker::State::kClosed);
   for (int i = 0; i < 3; ++i) {
@@ -201,13 +201,13 @@ TEST(CircuitBreaker, OpensAfterThresholdAndProbes) {
   EXPECT_EQ(br.state(), CircuitBreaker::State::kOpen);
   EXPECT_EQ(reg.counter("breaker/opens").value(), 1u);
 
-  // While open: fast-fail until the probe_interval-th gated call probes.
+  // While open: fast-fail until the kProbeInterval-th gated call probes.
   int allowed = 0;
-  for (int i = 0; i < 4; ++i) allowed += br.allow() ? 1 : 0;
+  for (std::uint64_t i = 0; i < kProbe; ++i) allowed += br.allow() ? 1 : 0;
   EXPECT_EQ(allowed, 1);  // exactly the probe
   EXPECT_EQ(br.state(), CircuitBreaker::State::kHalfOpen);
   EXPECT_EQ(reg.counter("breaker/probes").value(), 1u);
-  EXPECT_EQ(reg.counter("breaker/fast_fails").value(), 3u);
+  EXPECT_EQ(reg.counter("breaker/fast_fails").value(), kProbe - 1);
 
   // Failed probe → back to open.
   br.on_failure();
@@ -215,7 +215,7 @@ TEST(CircuitBreaker, OpensAfterThresholdAndProbes) {
 
   // Next probe succeeds → closed.
   allowed = 0;
-  for (int i = 0; i < 4; ++i) allowed += br.allow() ? 1 : 0;
+  for (std::uint64_t i = 0; i < kProbe; ++i) allowed += br.allow() ? 1 : 0;
   EXPECT_EQ(allowed, 1);
   br.on_success();
   EXPECT_EQ(br.state(), CircuitBreaker::State::kClosed);
@@ -230,7 +230,8 @@ void open_and_probe(CircuitBreaker& br, const CircuitBreaker::Config& cfg) {
     br.on_failure();
   }
   ASSERT_EQ(br.state(), CircuitBreaker::State::kOpen);
-  for (int i = 0; i < cfg.probe_interval - 1; ++i) ASSERT_FALSE(br.allow());
+  for (std::uint64_t i = 1; i < CircuitBreaker::kProbeInterval; ++i)
+    ASSERT_FALSE(br.allow());
   ASSERT_TRUE(br.allow());  // this thread owns the probe
   ASSERT_EQ(br.state(), CircuitBreaker::State::kHalfOpen);
 }
@@ -249,7 +250,6 @@ TEST(CircuitBreaker, HalfOpenStragglerFailureCannotReopen) {
   // through while the first was still in flight.
   CircuitBreaker::Config cfg;
   cfg.failure_threshold = 2;
-  cfg.probe_interval = 4;
   CircuitBreaker br(cfg);
   open_and_probe(br, cfg);
 
@@ -268,7 +268,6 @@ TEST(CircuitBreaker, HalfOpenStragglerSuccessCannotClose) {
   // not close the breaker out from under the in-flight probe.
   CircuitBreaker::Config cfg;
   cfg.failure_threshold = 2;
-  cfg.probe_interval = 4;
   CircuitBreaker br(cfg);
   open_and_probe(br, cfg);
 
@@ -285,11 +284,13 @@ TEST(CircuitBreaker, HalfOpenAdmitsExactlyOneConcurrentProbe) {
   for (int round = 0; round < 50; ++round) {
     CircuitBreaker::Config cfg;
     cfg.failure_threshold = 1;
-    cfg.probe_interval = 1;  // every gated call is probe-eligible
     CircuitBreaker br(cfg);
     ASSERT_TRUE(br.allow());
     br.on_failure();
     ASSERT_EQ(br.state(), CircuitBreaker::State::kOpen);
+    // Up to the boundary: the next gated call is the probe.
+    for (std::uint64_t i = 1; i < CircuitBreaker::kProbeInterval; ++i)
+      ASSERT_FALSE(br.allow());
 
     std::atomic<int> granted{0};
     std::vector<std::thread> ts;
@@ -309,20 +310,20 @@ TEST(CircuitBreaker, WedgedProbeIsTakenOver) {
   // probe over instead of wedging half-open forever.
   CircuitBreaker::Config cfg;
   cfg.failure_threshold = 2;
-  cfg.probe_interval = 4;
   CircuitBreaker br(cfg);
+  constexpr auto kProbe = CircuitBreaker::kProbeInterval;
   for (int i = 0; i < cfg.failure_threshold; ++i) {
     ASSERT_TRUE(br.allow());
     br.on_failure();
   }
   // Another thread wins the probe… and goes silent.
   on_other_thread([&] {
-    for (int i = 0; i < cfg.probe_interval - 1; ++i) ASSERT_FALSE(br.allow());
+    for (std::uint64_t i = 1; i < kProbe; ++i) ASSERT_FALSE(br.allow());
     ASSERT_TRUE(br.allow());
   });
   ASSERT_EQ(br.state(), CircuitBreaker::State::kHalfOpen);
 
-  for (int i = 0; i < cfg.probe_interval; ++i) EXPECT_FALSE(br.allow());
+  for (std::uint64_t i = 0; i < kProbe; ++i) EXPECT_FALSE(br.allow());
   EXPECT_TRUE(br.allow());  // takeover: this thread now owns the probe
   br.on_success();
   EXPECT_EQ(br.state(), CircuitBreaker::State::kClosed);

@@ -259,6 +259,25 @@ TEST(KvBatch, KeepsThePerValueCorruptionDraws) {
   EXPECT_EQ(kv.verify_value("torn"), ValueCheck::kCorrupt);
 }
 
+/// Every single-key mutation is a one-op batch, so put_if_absent draws the
+/// same bit_rot a put does (it drew none before) and a guarded erase
+/// answers whether the key was there.
+TEST(KvStore, SingleKeyMutationsShareTheBatchFaultDraws) {
+  KvStore kv;
+  fault::FaultInjector fi(7);
+  kv.attach_fault(&fi);
+  fi.arm(kFaultKvBitRot, 1.0);
+  kv.put("put", b("payload"));
+  ASSERT_TRUE(kv.put_if_absent("absent", b("payload")));
+  EXPECT_EQ(kv.verify_value("put"), ValueCheck::kCorrupt);
+  EXPECT_EQ(kv.verify_value("absent"), ValueCheck::kCorrupt);
+  EXPECT_EQ(fi.draws(kFaultKvBitRot), 2u);
+  EXPECT_FALSE(kv.put_if_absent("absent", b("other")));
+  EXPECT_TRUE(kv.erase("absent"));
+  EXPECT_FALSE(kv.erase("absent"));
+  EXPECT_EQ(fi.draws(kFaultKvBitRot), 3u);  // the refused put drew; erases not
+}
+
 TEST(RemoteKv, BatchCostIsRoundTripsPlusWireBytes) {
   using namespace sim::calib;
   const sim::Nanos rt = kNetHop * 2 + kKvServerOp;

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -1128,6 +1129,92 @@ TEST(KvfsBatch, EachMutationIsOneBatch) {
     EXPECT_EQ(applies, 1u) << c.name;
     EXPECT_EQ(increments, expect[k].increments) << c.name;
     EXPECT_EQ(ops, expect[k].reads + increments + applies) << c.name;
+  }
+}
+
+/// A mount over a shared store whose root probe fails (the get ran out of
+/// retries) must not reset the live root attr: the install is one batch
+/// guarded absent, never a blind put.
+TEST(KvfsMount, SecondMountNeverResetsALiveRoot) {
+  int probe_failed = 0;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    kv::KvStore store;
+    fault::FaultInjector fi(seed);
+    kv::RemoteKv remote(store, &fi);
+    Kvfs first(remote);
+    ASSERT_TRUE(first.mkdir(kRootIno, "d", 0755).ok());
+    const auto root = store.get(attr_key(kRootIno));
+    ASSERT_TRUE(root.has_value());
+    ASSERT_EQ(decode_attr(*root).nlink, 3u);
+
+    fi.arm(kv::RemoteKv::kFaultSite, 0.6);
+    Kvfs second(remote);
+    // More draws than one op's attempts: the probe ran dry.
+    probe_failed +=
+        fi.draws(kv::RemoteKv::kFaultSite) > fault::RetryPolicy{}.max_attempts;
+    fi.disarm(kv::RemoteKv::kFaultSite);
+    EXPECT_TRUE(store.get(attr_key(kRootIno)) == root) << "seed " << seed;
+    EXPECT_EQ(second.getattr(kRootIno).value.nlink, 3u) << "seed " << seed;
+  }
+  EXPECT_GT(probe_failed, 0);  // the failed-probe path ran
+}
+
+/// The modelled cost and the batches of five big-file writes, pinned to
+/// the values measured when the warm overwrite and the allocating write
+/// were two functions: the one write path sends the same ops. The
+/// truncated-away case is a warm batch refused by a block guard, then the
+/// write through the store's index; a promotion's small-KV erase draws no
+/// fault, so it is not among the values.
+TEST(KvfsWriteCost, OneWritePathKeepsEveryBatchAndCost) {
+  struct Case {
+    const char* name;
+    std::uint64_t small_size;  ///< file size before the write (0 = 16 KiB big)
+    std::uint64_t offset;
+    bool truncated_elsewhere;  ///< another mount cut the file to 8 KiB first
+    std::int64_t cost_ns;
+    std::uint64_t batches;  ///< kvfs.write batches sent
+    std::uint64_t values;   ///< puts and sub-writes across them
+    std::uint64_t subs;     ///< of which sub-writes
+  };
+  const Case cases[] = {
+      {"warm 8K overwrite", 0, 0, false, 51660, 1, 2, 1},
+      {"warm straddle", 0, 4096, false, 51661, 1, 3, 2},
+      {"hole", 0, 64 * 1024, false, 102997, 1, 3, 0},
+      {"8K->16K promotion", 8192, 8192, false, 130140, 1, 4, 0},
+      {"truncated away", 0, 8192, true, 154657, 2, 5, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    kv::KvStore store;
+    fault::FaultInjector fi(1);
+    store.attach_fault(&fi);
+    kv::RemoteKv remote(store);
+    Kvfs fs(remote, KvfsOptions{&fi, nullptr});
+    const Ino ino = fs.create(kRootIno, "f", 0644).value;
+    const std::vector<std::byte> old(c.small_size ? c.small_size : 16384,
+                                     std::byte{1});
+    ASSERT_TRUE(fs.write(ino, 0, old).ok());
+    if (c.truncated_elsewhere) {
+      Kvfs other(remote);
+      ASSERT_TRUE(other.truncate(ino, 8192).ok());
+    }
+    // From here on: every batch reaches the crash point (which never
+    // fires), and every value mutation draws at a probability only an
+    // exact-zero draw meets, so the draws count the ops.
+    constexpr std::string_view kBefore = "kvfs.write/crash_before_commit";
+    fi.arm_crash(kBefore, ~std::uint64_t{0});
+    fi.arm(kv::kFaultKvBitRot, std::numeric_limits<double>::denorm_min());
+    fi.arm(kv::kFaultKvTornWrite, std::numeric_limits<double>::denorm_min());
+    const auto w = fs.write(ino, c.offset, std::vector<std::byte>(8192,
+                                                                 std::byte{2}));
+    ASSERT_TRUE(w.ok());
+    EXPECT_EQ(w.cost.ns, c.cost_ns);
+    EXPECT_EQ(fi.crash_arrivals(kBefore), c.batches);
+    EXPECT_EQ(fi.draws(kv::kFaultKvBitRot), c.values);
+    EXPECT_EQ(fi.draws(kv::kFaultKvTornWrite), c.subs);
+    std::vector<std::byte> back(8192);
+    ASSERT_TRUE(fs.read(ino, c.offset, back).ok());
+    EXPECT_EQ(back, std::vector<std::byte>(8192, std::byte{2}));
   }
 }
 
