@@ -32,6 +32,11 @@ class CacheBackend {
   virtual bool write_page(std::uint64_t inode, std::uint64_t lpn,
                           std::span<const std::byte> src,
                           sim::Nanos& cost) = 0;
+
+  /// Called once at the end of every flush pass, after its last
+  /// write_page: a backend that defers per-file metadata across page writes
+  /// (KVFS's lazy mtime) makes it durable here, adding what that cost.
+  virtual void end_pass(sim::Nanos& cost) { (void)cost; }
 };
 
 }  // namespace dpc::cache

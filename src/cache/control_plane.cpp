@@ -357,6 +357,7 @@ bool DpuCacheControl::flush_entry(std::uint32_t i, PassResult& res) {
 }
 
 void DpuCacheControl::finish_flush(PassResult& res) {
+  backend_->end_pass(res.cost);
   if (wal_ != nullptr && (res.pages > 0 || wal_->degraded())) {
     // The pass may have drained the last pending page: checkpoint-truncate
     // (which doubles as the degraded-mode recovery probe).

@@ -1,8 +1,10 @@
 #include "core/dpc_system.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include "ec/crc32c.hpp"
 #include "sim/calib.hpp"
@@ -84,13 +86,28 @@ class KvfsCacheBackend final : public cache::CacheBackend {
     auto res = fs_->write(inode, lpn * kCachePage, src);
     cost += res.cost;
     if (res.err == ENOENT) return true;  // racing unlink: drop the page
+    if (res.ok() && (written_.empty() || written_.back() != inode))
+      written_.push_back(inode);
     // Transient KVFS failure (injected or real): report it so the flusher
     // keeps the page dirty and retries on a later pass.
     return res.ok();
   }
+  /// A page overwrite leaves its file's mtime in the KVFS attr cache: put
+  /// it once per file the pass wrote, not once per page.
+  void end_pass(sim::Nanos& cost) override {
+    std::sort(written_.begin(), written_.end());
+    written_.erase(std::unique(written_.begin(), written_.end()),
+                   written_.end());
+    for (const std::uint64_t inode : written_)
+      cost += fs_->sync_mtime(inode).cost;
+    written_.clear();
+  }
 
  private:
   kvfs::Kvfs* fs_;
+  /// Inodes the current pass wrote (passes are serialized by the
+  /// control plane's pass lock).
+  std::vector<std::uint64_t> written_;
 };
 
 }  // namespace

@@ -286,6 +286,35 @@ std::uint32_t crc32c_bytewise(std::span<const std::byte> data,
   return ~crc;
 }
 
+namespace {
+/// a * b mod P over GF(2), reflected: bit 31 is x^0.
+constexpr std::uint32_t mul_mod_p(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t p = 0;
+  for (std::uint32_t m = std::uint32_t{1} << 31; m != 0; m >>= 1) {
+    if (a & m) p ^= b;
+    b = (b & 1) ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return p;
+}
+
+/// kX2n[k] = x^(2^k) mod P, far enough for x^(8n) with any 64-bit n.
+constexpr std::array<std::uint32_t, 67> make_x2n() {
+  std::array<std::uint32_t, 67> t{};
+  t[0] = std::uint32_t{1} << 30;  // x^1
+  for (std::size_t k = 1; k < t.size(); ++k)
+    t[k] = mul_mod_p(t[k - 1], t[k - 1]);
+  return t;
+}
+constexpr auto kX2n = make_x2n();
+}  // namespace
+
+std::uint32_t crc32c_zeros(std::uint32_t reg, std::uint64_t n) {
+  std::uint32_t xn = std::uint32_t{1} << 31;  // x^0
+  for (std::size_t k = 3; n != 0; n >>= 1, ++k)
+    if (n & 1) xn = mul_mod_p(kX2n[k], xn);
+  return mul_mod_p(xn, reg);
+}
+
 std::uint32_t crc32c_u64(std::uint64_t v, std::uint32_t crc) {
   std::byte b[8];
   for (int i = 0; i < 8; ++i) {

@@ -45,6 +45,13 @@ std::uint32_t crc32c_slice8(std::span<const std::byte> data,
 std::uint32_t crc32c_bytewise(std::span<const std::byte> data,
                               std::uint32_t crc = 0);
 
+/// Advances a raw CRC32C register (the un-inverted state: ~crc32c(...) of
+/// a message with seed ~0u) past `n` zero bytes, in O(log n) carry-less
+/// multiplications by x^(8n) mod P. With it a stamp moves over bytes it
+/// never reads: the raw CRC of (range || 0^n) is crc32c_zeros(raw(range), n),
+/// and the standard CRC of (msg || 0^n) is ~crc32c_zeros(~crc(msg), n).
+std::uint32_t crc32c_zeros(std::uint32_t reg, std::uint64_t n);
+
 /// Folds a 64-bit value (little-endian byte order) into the checksum.
 /// Used as a location salt: seeding a block/value/shard checksum with its
 /// own address (LBA, key hash, shard identity) makes a *misdirected* write

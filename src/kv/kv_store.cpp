@@ -1,7 +1,6 @@
 #include "kv/kv_store.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstring>
 #include <span>
@@ -24,23 +23,18 @@ std::uint32_t stamp_value_crc(std::string_view key,
   return ec::crc32c(value, salt);
 }
 
-/// Per-op scratch of one apply: in place for a batch of up to N ops (what
-/// every single-file KVFS mutation but a large allocating write sends), on
-/// the heap above that, so a small batch allocates nothing here.
-template <typename T, std::size_t N>
-class ApplyScratch {
- public:
-  explicit ApplyScratch(std::size_t n) : n_(n) {
-    if (n > N) heap_.resize(n);
+/// dst ^= src, a word at a time.
+void xor_into(std::byte* dst, std::span<const std::byte> src) {
+  std::size_t i = 0;
+  for (; i + 8 <= src.size(); i += 8) {
+    std::uint64_t a, b;
+    std::memcpy(&a, dst + i, 8);
+    std::memcpy(&b, src.data() + i, 8);
+    a ^= b;
+    std::memcpy(dst + i, &a, 8);
   }
-  std::span<T> all() { return {n_ > N ? heap_.data() : local_.data(), n_}; }
-
- private:
-  std::size_t n_;
-  std::array<T, N> local_{};
-  std::vector<T> heap_;
-};
-constexpr std::size_t kApplyInlineOps = 8;
+  for (; i < src.size(); ++i) dst[i] ^= src[i];
+}
 
 /// Flips the bit a bit_rot draw picked, after the stamp: rot at rest.
 void rot_bit(Bytes& data, bool rotted, std::uint64_t rot) {
@@ -232,15 +226,33 @@ KvStore::ValueFaults KvStore::draw_faults(const Batch::Op& op) const {
 void KvStore::sub_write(std::string_view key, Value& v, std::uint64_t offset,
                         std::span<const std::byte> src,
                         const ValueFaults& f) {
-  if (v.data.size() < offset + src.size()) v.data.resize(offset + src.size());
+  const std::size_t old_size = v.data.size();
+  const std::size_t end = offset + src.size();
+  if (old_size < end) v.data.resize(end);  // zero-filled
+  std::byte* const dst = v.data.data() + offset;
   // The stamp covers the *intended* value; a torn write persists only a
   // prefix of the payload after the CRC was cut, so verification fails.
-  std::memcpy(v.data.data() + offset, src.data(), src.size());
-  v.crc = stamp_value_crc(key, v.data);
+  if (old_size == 0 || (offset == 0 && end >= old_size)) {
+    // Nothing of an old value survives (or there was none, the key just
+    // made): stamp the new one fresh.
+    std::memcpy(dst, src.data(), src.size());
+    v.crc = stamp_value_crc(key, v.data);
+  } else {
+    // Move the stamp by what changed, never re-stamp bytes the write does
+    // not cover: a CRC is affine in its input, so for equal lengths
+    // stamp(new) = stamp(old) ^ raw(old ^ new), and the raw CRC of a
+    // range followed by t zero bytes is the range's advanced past them.
+    // Growth first extends the old stamp over the zero fill.
+    if (end > old_size) v.crc = ~ec::crc32c_zeros(~v.crc, end - old_size);
+    xor_into(dst, src);
+    const std::uint32_t delta =
+        ~ec::crc32c(std::span<const std::byte>(dst, src.size()), ~0u);
+    v.crc ^= ec::crc32c_zeros(delta, v.data.size() - end);
+    std::memcpy(dst, src.data(), src.size());
+  }
   if (f.persisted < src.size()) {
     // The lost tail reads back as zeroed cells, not the intended bytes.
-    std::memset(v.data.data() + offset + f.persisted, 0,
-                src.size() - f.persisted);
+    std::memset(dst + f.persisted, 0, src.size() - f.persisted);
   }
   rot_bit(v.data, f.rotted, f.rot);
 }
@@ -257,10 +269,10 @@ ApplyResult KvStore::apply(const Batch& batch) {
     ValueFaults faults;
     Value* found = nullptr;  ///< what the op's guard looked up
   };
-  ApplyScratch<Prep, kApplyInlineOps> prep_store(ops.size());
-  ApplyScratch<std::uint32_t, kApplyInlineOps> order_store(ops.size());
-  const std::span<Prep> prep = prep_store.all();
-  std::span<std::uint32_t> order = order_store.all();
+  // In place for a batch of up to kInlineOps ops, like the batch's own.
+  InlineVec<Prep, Batch::kInlineOps> prep(ops.size());
+  InlineVec<std::uint32_t, Batch::kInlineOps> order_store(ops.size());
+  std::span<std::uint32_t> order(order_store.data(), order_store.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Batch::Op& op = ops[i];
     Prep& p = prep[i];

@@ -14,11 +14,16 @@
 //     The single-key put/put_if_absent/erase/write_sub are one-op batches.
 // Every value carries a key-salted CRC32C, stamped inside apply() where the
 // bit-rot and torn-write faults are drawn; checked reads and the scrubber
-// verify it so bit-rot and torn sub-writes surface as typed corruption.
+// verify it so bit-rot and torn sub-writes surface as typed corruption. A
+// put, or a sub-write covering the whole value, stamps it fresh; a partial
+// sub-write moves the stamp by the CRC of the bytes it changes and never
+// re-reads the rest, so damage it does not overwrite stays detectable.
 // Thread-safe; shards are hash-partitioned like a real KV cluster's
 // partitions, and scans merge across shards in key order.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -46,11 +51,50 @@ inline constexpr std::string_view kFaultKvTornWrite = "kv.store/torn_write";
 /// Verification outcome of a checked value access.
 enum class ValueCheck : std::uint8_t { kOk, kAbsent, kCorrupt };
 
+/// A vector whose first N elements live in place: built up to N long, it
+/// never touches the heap.
+template <typename T, std::size_t N>
+class InlineVec {
+ public:
+  InlineVec() = default;
+  /// `n` value-initialized elements.
+  explicit InlineVec(std::size_t n) : n_(n) {
+    if (n > N) heap_.resize(n);
+  }
+  void push_back(T&& v) {
+    if (n_ == capacity()) spill(n_ + 1);
+    data()[n_++] = std::move(v);
+  }
+  T* data() { return heap_.empty() ? local_.data() : heap_.data(); }
+  const T* data() const {
+    return heap_.empty() ? local_.data() : heap_.data();
+  }
+  std::size_t size() const { return n_; }
+  T& operator[](std::size_t i) { return data()[i]; }
+  const T& operator[](std::size_t i) const { return data()[i]; }
+  const T* begin() const { return data(); }
+  const T* end() const { return data() + n_; }
+
+ private:
+  std::size_t capacity() const { return heap_.empty() ? N : heap_.size(); }
+  /// Grows the heap storage (moving the in-place elements there first) to
+  /// hold at least `n`.
+  void spill(std::size_t n) {
+    const bool local = heap_.empty();
+    heap_.resize(std::max(n, 2 * capacity()));
+    if (local) std::move(local_.begin(), local_.begin() + n_, heap_.begin());
+  }
+  std::array<T, N> local_{};
+  std::vector<T> heap_;
+  std::size_t n_ = 0;
+};
+
 /// A multi-key mutation for KvStore::apply: ops run in order, and each may
 /// carry a guard checked against the store *before* any op applies. The
 /// batch owns its keys but holds values as spans: the caller keeps them
 /// alive (or hands them over with the Bytes&& overloads) until apply
-/// returns, and the bytes are copied once, into the store.
+/// returns, and the bytes are copied once, into the store. Up to
+/// kInlineOps ops with keys of at most 15 bytes build without allocating.
 class Batch {
  public:
   enum class Kind : std::uint8_t { kPut, kErase, kWriteSub };
@@ -86,12 +130,14 @@ class Batch {
   /// Makes op `i` a kEquals guard on `expect` (moved into the batch).
   void expect(std::size_t i, Bytes&& expect);
 
-  const std::vector<Op>& ops() const { return ops_; }
+  std::span<const Op> ops() const { return {ops_.data(), ops_.size()}; }
   /// Serialized size on the wire: every key, value and guard operand.
   std::uint64_t wire_bytes() const;
 
+  static constexpr std::size_t kInlineOps = 8;
+
  private:
-  std::vector<Op> ops_;
+  InlineVec<Op, kInlineOps> ops_;
   /// Values handed over by move; a moved vector keeps its heap buffer, so
   /// spans into it stay valid as this grows.
   std::vector<Bytes> owned_;

@@ -241,9 +241,7 @@ std::optional<Attr> Kvfs::load_attr(Ino ino, sim::Nanos& cost, int* err) {
     if (err != nullptr) *err = r.ok() ? ENOENT : EIO;
     return std::nullopt;
   }
-  Attr a = decode_attr(*r.value);
-  cache_attr(a);
-  return a;
+  return fill_attr(decode_attr(*r.value));
 }
 
 std::optional<Ino> Kvfs::load_dentry(Ino parent, std::string_view name,
@@ -326,15 +324,38 @@ std::optional<Ino> Kvfs::cached_dentry(Ino parent, std::string_view name) {
 void Kvfs::cache_attr(const Attr& a) {
   CacheShard& sh = attr_shard(a.ino);
   sim::LockGuard lock(sh.mu);
-  if (sh.attr.size() >= shard_cap(kCacheEntries))
-    sh.attr.clear();
-  sh.attr[a.ino] = a;
+  const auto it = sh.attr.find(a.ino);
+  if (it == sh.attr.end()) {
+    if (sh.attr.size() >= shard_cap(kCacheEntries)) {
+      // Per-shard drop, simple and rare: the clean entries only, so a
+      // dirty mtime is never lost (at most half the shard is dirty).
+      std::erase_if(sh.attr, [](const auto& e) { return !e.second.dirty(); });
+    }
+    sh.attr.emplace(a.ino, CachedAttr{a, a.mtime});
+    return;
+  }
+  if (it->second.dirty()) --sh.dirty_attrs;
+  it->second = CachedAttr{a, a.mtime};
+}
+
+Attr Kvfs::fill_attr(const Attr& loaded) {
+  {
+    CacheShard& sh = attr_shard(loaded.ino);
+    sim::SharedLockGuard lock(sh.mu);
+    const auto it = sh.attr.find(loaded.ino);
+    if (it != sh.attr.end()) return it->second.attr;
+  }
+  cache_attr(loaded);
+  return loaded;
 }
 
 void Kvfs::uncache_attr(Ino ino) {
   CacheShard& sh = attr_shard(ino);
   sim::LockGuard lock(sh.mu);
-  sh.attr.erase(ino);
+  const auto it = sh.attr.find(ino);
+  if (it == sh.attr.end()) return;
+  if (it->second.dirty()) --sh.dirty_attrs;
+  sh.attr.erase(it);
 }
 
 std::optional<Attr> Kvfs::cached_attr(Ino ino) {
@@ -342,7 +363,42 @@ std::optional<Attr> Kvfs::cached_attr(Ino ino) {
   sim::SharedLockGuard lock(sh.mu);
   const auto it = sh.attr.find(ino);
   if (it == sh.attr.end()) return std::nullopt;
-  return it->second;
+  return it->second.attr;
+}
+
+std::uint64_t Kvfs::durable_mtime(const Attr& a) {
+  CacheShard& sh = attr_shard(a.ino);
+  sim::SharedLockGuard lock(sh.mu);
+  const auto it = sh.attr.find(a.ino);
+  return it != sh.attr.end() && it->second.attr.mtime == a.mtime
+             ? it->second.durable_mtime
+             : a.mtime;
+}
+
+kv::Bytes Kvfs::durable_encoding(const Attr& a) {
+  Attr d = a;
+  d.mtime = durable_mtime(a);
+  return encode_attr(d);
+}
+
+bool Kvfs::may_defer_mtime(Ino ino) {
+  CacheShard& sh = attr_shard(ino);
+  sim::SharedLockGuard lock(sh.mu);
+  const auto it = sh.attr.find(ino);
+  return it != sh.attr.end() &&
+         (it->second.dirty() ||
+          sh.dirty_attrs < shard_cap(kCacheEntries) / 2);
+}
+
+void Kvfs::touch_mtime(const Attr& a, std::uint64_t mtime) {
+  CacheShard& sh = attr_shard(a.ino);
+  sim::LockGuard lock(sh.mu);
+  // `a` is clean if its entry went (a dirty one is never dropped for
+  // space), so it re-enters with its own mtime as the durable one.
+  CachedAttr& e = sh.attr.try_emplace(a.ino, CachedAttr{a, a.mtime})
+                      .first->second;
+  if (!e.dirty()) ++sh.dirty_attrs;
+  e.attr.mtime = mtime;
 }
 
 void Kvfs::cache_page(Ino ino, std::uint32_t page, const ExtentPage& ids) {
@@ -373,6 +429,7 @@ void Kvfs::drop_caches() {
     sim::LockGuard lock(sh.mu);
     sh.dentry.clear();
     sh.attr.clear();
+    sh.dirty_attrs = 0;
     sh.extent.clear();
   }
 }
@@ -1054,7 +1111,7 @@ int Kvfs::write_big(const Attr& attr, std::uint64_t offset,
     bool dirty = false;
     ExtentPage ids;
   };
-  std::vector<TouchedBlock> blocks(last - first + 1);
+  kv::InlineVec<TouchedBlock, 2> blocks(last - first + 1);
   // Warm: every block's id comes from the extent cache, and no page
   // changes. A cached hole, or a page not cached, takes the fetch.
   bool warm = !promote;
@@ -1065,107 +1122,137 @@ int Kvfs::write_big(const Attr& attr, std::uint64_t offset,
     warm = id && *id != 0;
     if (warm) blocks[logical - first].id = *id;
   }
-  for (;;) {
-    std::vector<TouchedPage> pages;  // fetched or promoted; none when warm
-    Attr a = attr;
-    a.size = std::max<std::uint64_t>(a.size, offset + n);
-    a.mtime = now();
-    kv::Batch b;
-    kv::Bytes small;  // a promotion's bytes, alive until the batch is sent
-    ExtentPage page0;  // a promotion's page 0, filled by stage_promotion
-    std::uint64_t landing = 0;  // the block a promotion's bytes moved to
-    if (!warm) {
-      // Fetch each index page the range touches from the store (never the
-      // cache: another mount may have filled a hole since), or promote a
-      // small file, whose pages all start as holes; then allocate every
-      // block the range is missing.
-      pages.resize(page_of_block(last) - first_page + 1);
-      if (promote) {
-        if (!stage_promotion(a, b, small, page0, cost)) return EIO;
-        landing = page0[0];
-        for (TouchedPage& pg : pages) pg.ids.fill(0);
-        if (first_page == 0) {
-          pages[0].ids = page0;
-          pages[0].dirty = true;
-        } else {
-          b.put(extent_page_key(a.ino, 0), encode_extent_page(page0));
-        }
-      } else {
-        for (std::uint32_t i = 0; i < pages.size(); ++i)
-          if (!load_page(a.ino, first_page + i, pages[i].ids, cost)) return EIO;
-      }
-      for (std::uint64_t logical = first; logical <= last; ++logical) {
-        TouchedPage& pg = pages[page_of_block(logical) - first_page];
-        std::uint64_t& slot = pg.ids[slot_of_block(logical)];
-        TouchedBlock& blk = blocks[logical - first];
-        blk.fresh = slot == 0;
-        if (blk.fresh) {
-          slot = alloc_block(cost);
-          if (slot == 0) return EIO;  // nothing mutated; burned ids are fine
-          pg.dirty = true;
-        }
-        blk.id = slot;
-      }
-    }
-    std::uint32_t done = 0;
-    while (done < n) {
-      const std::uint64_t pos = offset + done;
-      const auto in_block = static_cast<std::uint32_t>(pos % kBigBlock);
-      const std::uint32_t chunk =
-          std::min<std::uint32_t>(n - done, kBigBlock - in_block);
-      const TouchedBlock& blk = blocks[pos / kBigBlock - first];
-      const auto data = src.subspan(done, chunk);
-      // "updates to large files are written in place to large file KVs at
-      // a granularity of 8K" — write_sub is the in-place primitive. A fresh
-      // block is created by its op (zero-filled below `in_block`); an old
-      // one must still exist, or a block another mount truncated away would
-      // come back as an orphan. The landing block was put above.
-      if (blk.fresh && in_block == 0) {
-        b.put(block_key(blk.id), data);
-      } else {
-        const bool old = !blk.fresh && blk.id != landing;
-        b.write_sub(block_key(blk.id), in_block, data,
-                    old ? Guard::kPresent : Guard::kNone);
-      }
-      done += chunk;
-    }
-    for (std::uint32_t i = 0; i < pages.size(); ++i) {
-      if (pages[i].dirty)
-        b.put(extent_page_key(a.ino, first_page + i),
-              encode_extent_page(pages[i].ids));
-    }
-    const std::size_t attr_op =
-        b.put(attr_key(a.ino), encode_attr(a), Guard::kPresent);
-    const auto r = commit("kvfs.write", b, cost);
-    if (!r.ok()) return EIO;
-    if (!r.value.applied()) {
-      if (warm) {
-        // Ops 0..attr_op-1 are the blocks, one each. A block another mount
-        // truncated away uncaches its page, a file it removed the attr;
-        // then once more through the store's index.
-        if (r.value.failed_guard == attr_op)
-          uncache_attr(a.ino);
-        else
-          uncache_page(a.ino, page_of_block(first + r.value.failed_guard));
-        warm = false;
-        continue;
-      }
-      // The file was removed, or one of its blocks truncated away, by
-      // another mount since the pages were read.
-      uncache_attr(a.ino);
-      return r.value.failed_guard == attr_op ? ENOENT : EIO;
-    }
-    for (std::uint32_t i = 0; i < pages.size(); ++i)
-      cache_page(a.ino, first_page + i, pages[i].ids);
+  // A warm write inside the file changes only block bytes and mtime: its
+  // batch is the sub-writes alone, and the mtime stays in the cache.
+  const bool lazy =
+      warm && offset + n <= attr.size && may_defer_mtime(attr.ino);
+  std::vector<TouchedPage> pages;  // fetched or promoted; none when warm
+  Attr a = attr;
+  a.size = std::max<std::uint64_t>(a.size, offset + n);
+  a.mtime = now();
+  kv::Batch b;
+  kv::Bytes small;  // a promotion's bytes, alive until the batch is sent
+  ExtentPage page0;  // a promotion's page 0, filled by stage_promotion
+  std::uint64_t landing = 0;  // the block a promotion's bytes moved to
+  if (!warm) {
+    // Fetch each index page the range touches from the store (never the
+    // cache: another mount may have filled a hole since), or promote a
+    // small file, whose pages all start as holes; then allocate every
+    // block the range is missing.
+    pages.resize(page_of_block(last) - first_page + 1);
     if (promote) {
-      if (first_page != 0) cache_page(a.ino, 0, page0);
-      stats_.promotions.fetch_add(1, std::memory_order_relaxed);
+      if (!stage_promotion(a, b, small, page0, cost)) return EIO;
+      landing = page0[0];
+      for (TouchedPage& pg : pages) pg.ids.fill(0);
+      if (first_page == 0) {
+        pages[0].ids = page0;
+        pages[0].dirty = true;
+      } else {
+        b.put(extent_page_key(a.ino, 0), encode_extent_page(page0));
+      }
+    } else {
+      for (std::uint32_t i = 0; i < pages.size(); ++i)
+        if (!load_page(a.ino, first_page + i, pages[i].ids, cost)) return EIO;
     }
-    stats_.big_inplace_writes.fetch_add(blocks.size(),
-                                        std::memory_order_relaxed);
-    cache_attr(a);
-    return 0;
+    for (std::uint64_t logical = first; logical <= last; ++logical) {
+      TouchedPage& pg = pages[page_of_block(logical) - first_page];
+      std::uint64_t& slot = pg.ids[slot_of_block(logical)];
+      TouchedBlock& blk = blocks[logical - first];
+      blk.fresh = slot == 0;
+      if (blk.fresh) {
+        slot = alloc_block(cost);
+        if (slot == 0) return EIO;  // nothing mutated; burned ids are fine
+        pg.dirty = true;
+      }
+      blk.id = slot;
+    }
   }
+  std::uint32_t done = 0;
+  while (done < n) {
+    const std::uint64_t pos = offset + done;
+    const auto in_block = static_cast<std::uint32_t>(pos % kBigBlock);
+    const std::uint32_t chunk =
+        std::min<std::uint32_t>(n - done, kBigBlock - in_block);
+    const TouchedBlock& blk = blocks[pos / kBigBlock - first];
+    const auto data = src.subspan(done, chunk);
+    // "updates to large files are written in place to large file KVs at a
+    // granularity of 8K" — write_sub is the in-place primitive. A fresh
+    // block is created by its op (zero-filled below `in_block`); an old one
+    // must still exist, or a block another mount truncated away would come
+    // back as an orphan. The landing block was put above.
+    if (blk.fresh && in_block == 0) {
+      b.put(block_key(blk.id), data);
+    } else {
+      const bool old = !blk.fresh && blk.id != landing;
+      b.write_sub(block_key(blk.id), in_block, data,
+                  old ? Guard::kPresent : Guard::kNone);
+    }
+    done += chunk;
+  }
+  for (std::uint32_t i = 0; i < pages.size(); ++i) {
+    if (pages[i].dirty)
+      b.put(extent_page_key(a.ino, first_page + i),
+            encode_extent_page(pages[i].ids));
+  }
+  // Guarded equal to what this mount last loaded or committed, so a stale
+  // cached size never undoes another mount's truncate.
+  if (!lazy)
+    b.expect(b.put(attr_key(a.ino), encode_attr(a)), durable_encoding(attr));
+  const auto r = commit("kvfs.write", b, cost);
+  if (!r.ok()) return EIO;
+  if (!r.value.applied()) {
+    // A refused block guard means another mount truncated the block away
+    // (or removed the file) since this one cached its id or read its page,
+    // so the attr is stale as well. A warm write forgets the block's page;
+    // the caller reloads the attr and goes once more through the store's
+    // index.
+    if (warm && r.value.failed_guard < blocks.size())
+      uncache_page(a.ino, page_of_block(first + r.value.failed_guard));
+    return kStaleAttr;
+  }
+  for (std::uint32_t i = 0; i < pages.size(); ++i)
+    cache_page(a.ino, first_page + i, pages[i].ids);
+  if (promote) {
+    if (first_page != 0) cache_page(a.ino, 0, page0);
+    stats_.promotions.fetch_add(1, std::memory_order_relaxed);
+  }
+  stats_.big_inplace_writes.fetch_add(blocks.size(),
+                                      std::memory_order_relaxed);
+  if (lazy)
+    touch_mtime(attr, a.mtime);
+  else
+    cache_attr(a);
+  return 0;
+}
+
+int Kvfs::write_small(const Attr& attr, std::uint64_t offset,
+                      std::span<const std::byte> src, sim::Nanos& cost) {
+  // §3.4: "For small files … when updating the file data, we rewrite the
+  // entire KV."
+  const Ino ino = attr.ino;
+  const std::uint64_t new_size =
+      std::max<std::uint64_t>(attr.size, offset + src.size());
+  kv::Bytes buf;
+  auto cur = store_->get(small_key(ino));
+  cost += cur.cost;
+  // Rewriting the whole KV from a failed read would wipe the bytes we
+  // couldn't fetch — abort instead.
+  if (!cur.ok()) return EIO;
+  if (cur.value) buf = std::move(*cur.value);
+  if (buf.size() < new_size) buf.resize(new_size, std::byte{0});
+  std::memcpy(buf.data() + offset, src.data(), src.size());
+  Attr a = attr;
+  a.size = new_size;
+  a.mtime = now();
+  kv::Batch b;
+  b.put(small_key(ino), buf);
+  b.expect(b.put(attr_key(ino), encode_attr(a)), durable_encoding(attr));
+  const auto r = commit("kvfs.write", b, cost);
+  if (!r.ok()) return EIO;
+  if (!r.value.applied()) return kStaleAttr;  // the attr op is the only guard
+  stats_.small_rewrites.fetch_add(1, std::memory_order_relaxed);
+  cache_attr(a);
+  return 0;
 }
 
 Result<std::uint32_t> Kvfs::write(Ino ino, std::uint64_t offset,
@@ -1191,42 +1278,25 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
     res.value = 0;
     return res;
   }
-  const std::uint64_t new_size = std::max<std::uint64_t>(
-      attr->size, offset + src.size());
-
-  if (!attr->big_file && new_size <= kSmallFileMax) {
-    // §3.4: "For small files … when updating the file data, we rewrite the
-    // entire KV."
-    kv::Bytes buf;
-    auto cur = store_->get(small_key(ino));
-    res.cost += cur.cost;
-    if (!cur.ok()) {
-      // Rewriting the whole KV from a failed read would wipe the bytes we
-      // couldn't fetch — abort instead.
+  const auto write_once = [&](const Attr& a) {
+    const std::uint64_t end = offset + src.size();
+    return !a.big_file && std::max(a.size, end) <= kSmallFileMax
+               ? write_small(a, offset, src, res.cost)
+               : write_big(a, offset, src, res.cost);
+  };
+  res.err = write_once(*attr);
+  if (res.err == kStaleAttr) {
+    // Another mount changed the attr (a truncate, or removed the file):
+    // reload it through the store once and write on top of it.
+    uncache_attr(ino);
+    attr = load_attr(ino, res.cost, &res.err);
+    if (!attr) return res;
+    res.err = write_once(*attr);
+    if (res.err == kStaleAttr) {
+      uncache_attr(ino);
       res.err = EIO;
-      return res;
     }
-    if (cur.value) buf = std::move(*cur.value);
-    if (buf.size() < new_size) buf.resize(new_size, std::byte{0});
-    std::memcpy(buf.data() + offset, src.data(), src.size());
-    Attr a = *attr;
-    a.size = new_size;
-    a.mtime = now();
-    kv::Batch b;
-    b.put(small_key(ino), buf);
-    b.put(attr_key(ino), encode_attr(a), Guard::kPresent);
-    const auto r = commit("kvfs.write", b, res.cost);
-    if (!r.ok() || !r.value.applied()) {
-      if (r.ok()) uncache_attr(ino);  // removed by another mount
-      res.err = r.ok() ? ENOENT : EIO;
-      return res;
-    }
-    stats_.small_rewrites.fetch_add(1, std::memory_order_relaxed);
-    cache_attr(a);
-    res.value = static_cast<std::uint32_t>(src.size());
-    return res;
   }
-  res.err = write_big(*attr, offset, src, res.cost);
   if (res.ok()) res.value = static_cast<std::uint32_t>(src.size());
   return res;
 }
@@ -1350,14 +1420,42 @@ Result<Unit> Kvfs::truncate(Ino ino, std::uint64_t new_size) {
 
 Result<Unit> Kvfs::fsync(Ino ino) {
   Result<Unit> res;
-  const auto attr = load_attr(ino, res.cost);
-  if (!attr) {
+  sim::LockGuard lock(inode_lock(ino));
+  if (!load_attr(ino, res.cost)) {
     res.err = ENOENT;
     return res;
   }
-  // The KV store is durable on ack; fsync costs one barrier round trip.
-  res.cost += kv::RemoteKv::op_cost(false, 0);
+  // The KV store is durable on ack: fsync costs one barrier round trip,
+  // which carries the attr when its mtime is dirty.
+  bool sent = false;
+  res.err = persist_mtime(ino, sent, res.cost);
+  if (!sent) res.cost += kv::RemoteKv::op_cost(false, 0);
   return res;
+}
+
+Result<Unit> Kvfs::sync_mtime(Ino ino) {
+  Result<Unit> res;
+  sim::LockGuard lock(inode_lock(ino));
+  bool sent = false;
+  res.err = persist_mtime(ino, sent, res.cost);
+  return res;
+}
+
+int Kvfs::persist_mtime(Ino ino, bool& sent, sim::Nanos& cost) {
+  sent = false;
+  const auto a = cached_attr(ino);
+  if (!a || durable_mtime(*a) == a->mtime) return 0;
+  kv::Batch b;
+  b.expect(b.put(attr_key(ino), encode_attr(*a)), durable_encoding(*a));
+  const auto r = commit("kvfs.mtime", b, cost);
+  sent = true;
+  if (!r.ok()) return EIO;
+  if (r.value.applied()) {
+    cache_attr(*a);
+  } else {
+    uncache_attr(ino);  // another mount's later commit stands
+  }
+  return 0;
 }
 
 }  // namespace dpc::kvfs

@@ -11,8 +11,16 @@
 //   * directory listing is a prefix scan over the parent's inode-KV prefix;
 //   * an inode (attribute) cache and dentry cache accelerate lookups, and a
 //     bounded extent-page cache (kExtentCachePages) serves the index, so a
-//     warm 8 KiB read is one KV op and a warm overwrite one batch of the
-//     blocks and the attr (two round trips);
+//     warm 8 KiB read is one KV op and a warm 8 KiB overwrite that does not
+//     grow the file one present-guarded sub-write (one round trip);
+//   * mtime is lazy (like Linux `lazytime`): that overwrite bumps it in the
+//     cached attr only, which keeps the mtime last made durable beside it.
+//     A same-mount getattr sees the new mtime at once; the attr KV catches
+//     up in any batch that puts the attr anyway, in fsync, at the end of
+//     each cache flush pass (sync_mtime), and never drops for space (a
+//     shard holding half its share of kCacheEntries in dirty mtimes makes
+//     the next overwrite carry its attr). A DPU restart (or drop_caches()) may
+//     roll mtime back to its durable value; size and data never roll back;
 //   * the extent cache never makes a `shared_store` mount staler than an
 //     uncached one: an allocating write re-reads its pages, a read that
 //     hits a cached hole re-reads the page before returning zeros, and a
@@ -20,12 +28,15 @@
 //     never reused) drops the page and re-reads it once;
 //   * every mutation reads what it needs, then sends exactly one guarded,
 //     atomic KV batch (kv::Batch) through commit(): create/mkdir/symlink,
-//     unlink/rmdir, rename, link, truncate and the small-file or big-file
-//     write land whole or not at all, with crash points
-//     `kvfs.<op>/crash_before_commit` and `kvfs.<op>/crash_after_commit`
-//     around the batch. A big-file write is one function (write_big) for
-//     the warm overwrite, the hole fill and the promotion; a warm batch
-//     whose cached id went stale is retried once through the store's index.
+//     unlink/rmdir, rename, link, truncate, the small-file or big-file
+//     write and a lazy mtime's write-back (`kvfs.mtime`) land whole or not
+//     at all, with crash points `kvfs.<op>/crash_before_commit` and
+//     `kvfs.<op>/crash_after_commit` around the batch. A big-file write is
+//     one function (write_big) for the warm overwrite, the hole fill and
+//     the promotion; a warm batch whose cached id went stale is retried
+//     once through the store's index. A write's attr put is guarded equal
+//     to the attr this mount last loaded or committed: when another mount
+//     changed it (a truncate), the write reloads it once and goes again;
 //     The mount's root install is a one-op batch guarded absent, so it can
 //     never overwrite a live root.
 //
@@ -158,7 +169,13 @@ class Kvfs {
                               std::span<const std::byte> src,
                               nvme::TenantId tenant = 0);
   Result<Unit> truncate(Ino ino, std::uint64_t new_size);
+  /// Makes the file's attr durable: a dirty (lazy) mtime is put in a
+  /// one-op batch, otherwise one barrier round trip.
   Result<Unit> fsync(Ino ino);
+  /// Puts the file's attr when its cached mtime is dirty (one one-op
+  /// batch), else does nothing. The cache flusher calls it for every inode
+  /// a pass wrote, so a page drained there leaves no mtime behind.
+  Result<Unit> sync_mtime(Ino ino);
 
   // ------------------------------------------------------------- recovery
   /// Outcome of replaying the NVM write-ahead log: the data pages that were
@@ -191,6 +208,8 @@ class Kvfs {
   RecoveryReport recover();
 
   const KvfsStats& stats() const { return stats_; }
+  /// Forgets every cached dentry, attr and extent page, as a DPU restart
+  /// does: a dirty mtime rolls back to its durable value.
   void drop_caches();
 
   /// Attaches the DPU QoS manager so data-path backend bytes are scoped to
@@ -241,17 +260,32 @@ class Kvfs {
   std::optional<std::uint64_t> load_extent(Ino ino, std::uint64_t logical,
                                            bool refetch, bool& fetched,
                                            sim::Nanos& cost);
+  /// Returned by write_small and write_big when the attr put's guard was
+  /// refused: another mount changed the attr since this one loaded it.
+  static constexpr int kStaleAttr = -1;
+  /// The §3.4 small-file rewrite: the whole small KV and the attr in one
+  /// batch. Returns 0, an errno or kStaleAttr; nothing landed unless 0.
+  int write_small(const Attr& attr, std::uint64_t offset,
+                  std::span<const std::byte> src, sim::Nanos& cost);
   /// The big-file write (§3.4's in-place 8 KiB update), promoting a small
   /// file first. When every block of the range is cached and allocated,
   /// the ids come from the extent cache (warm); otherwise the touched pages
   /// are fetched from the store and the holes allocated. Either way one
   /// batch carries the blocks (present-guarded sub-writes into existing
   /// ones, puts or sub-writes creating fresh ones), the changed pages and
-  /// the present-guarded attr. A warm guard that fails uncaches the block's
-  /// page or the attr and goes once more through the fetch. Returns 0 or
-  /// an errno; nothing landed unless 0.
+  /// the attr, guarded equal to its durable encoding. A warm write that
+  /// does not grow the file sends the sub-writes alone and bumps the
+  /// cached mtime after the commit (lazy mtime). A warm block guard that
+  /// fails uncaches the block's page and goes once more through the fetch.
+  /// Returns 0, an errno or kStaleAttr; nothing landed unless 0.
   int write_big(const Attr& attr, std::uint64_t offset,
                 std::span<const std::byte> src, sim::Nanos& cost);
+  /// Puts `ino`'s attr when its cached mtime is dirty, guarded equal to the
+  /// durable encoding (the caller holds the inode's stripe). A refused
+  /// guard means another mount committed the attr since: its commit
+  /// stands and the dirty mtime is dropped. `sent` says whether a batch
+  /// went out. Returns 0 or EIO.
+  int persist_mtime(Ino ino, bool& sent, sim::Nanos& cost);
   /// Replays the NVM write-ahead log (recover() step 1; opts_.wal != null).
   WalReplayReport replay_wal();
   /// Stages the §3.4 small→big promotion of `a` into `b`: the small KV's
@@ -267,9 +301,27 @@ class Kvfs {
   void cache_dentry(Ino parent, std::string_view name, Ino ino);
   void uncache_dentry(Ino parent, std::string_view name);
   std::optional<Ino> cached_dentry(Ino parent, std::string_view name);
+  /// Caches `a` as durable (just loaded or committed): its mtime is clean.
   void cache_attr(const Attr& a);
+  /// cache_attr for an attr just loaded from the store, unless an entry is
+  /// there already (a concurrent load or commit): returns what is cached.
+  Attr fill_attr(const Attr& loaded);
   void uncache_attr(Ino ino);
   std::optional<Attr> cached_attr(Ino ino);
+  /// The mtime of `a` as last made durable: differs from a.mtime while the
+  /// cached attr holds a lazily bumped one.
+  std::uint64_t durable_mtime(const Attr& a);
+  /// `a` encoded with its durable mtime: what the attr KV holds, as far as
+  /// this mount knows — the operand of every write's attr guard.
+  kv::Bytes durable_encoding(const Attr& a);
+  /// Whether a warm overwrite of `ino` may leave its mtime dirty: its attr
+  /// is cached, and dirty already or its shard holds fewer dirty mtimes
+  /// than half its share of kCacheEntries (so dropping the clean entries
+  /// always frees the other half).
+  bool may_defer_mtime(Ino ino);
+  /// Bumps the cached mtime of `a` (just written under its stripe) without
+  /// making it durable.
+  void touch_mtime(const Attr& a, std::uint64_t mtime);
   void cache_page(Ino ino, std::uint32_t page, const ExtentPage& ids);
   void uncache_page(Ino ino, std::uint32_t page);
   /// Block id at `logical` (0 = hole) if its page is cached.
@@ -312,10 +364,20 @@ class Kvfs {
   /// shard locks on neighbouring shards never false-share. Capacity caps
   /// and wholesale drops apply per shard: the dentry and attr caches hold
   /// up to kCacheEntries each in total, the extent cache kExtentCachePages.
+  /// An attr cache entry: the attr getattr returns and the mtime last
+  /// made durable (they differ while a lazy mtime is dirty).
+  struct CachedAttr {
+    Attr attr;
+    std::uint64_t durable_mtime = 0;
+    bool dirty() const { return attr.mtime != durable_mtime; }
+  };
   struct alignas(64) CacheShard {
     mutable sim::AnnotatedSharedMutex mu{"kvfs.cache", sim::LockRank::kLeaf};
     std::unordered_map<std::string, Ino> dentry GUARDED_BY(mu);
-    std::unordered_map<Ino, Attr> attr GUARDED_BY(mu);
+    /// A full shard drops its clean attrs only; a dirty one stays until
+    /// its mtime is durable.
+    std::unordered_map<Ino, CachedAttr> attr GUARDED_BY(mu);
+    std::size_t dirty_attrs GUARDED_BY(mu) = 0;
     std::unordered_map<PageKey, ExtentPage, PageKeyHash> extent
         GUARDED_BY(mu);
   };

@@ -350,6 +350,25 @@ TEST(Crc32c, DetectsBitFlip) {
   EXPECT_NE(crc32c(buf), a);
 }
 
+/// Advancing a register past n zero bytes equals stepping the zeros
+/// through the CRC, for lengths around every power of two the square-and-
+/// multiply walks; and it moves a stamp over an untouched tail.
+TEST(Crc32c, ZerosOperatorMatchesAppendedZeroBytes) {
+  sim::Rng rng(11);
+  std::vector<std::byte> msg(777);
+  for (auto& b : msg) b = static_cast<std::byte>(rng.next_below(256));
+  const std::uint32_t c = crc32c(msg);
+  for (std::size_t n : {0, 1, 2, 3, 7, 8, 255, 256, 1000, 4096, 8191, 70000}) {
+    const std::vector<std::byte> zeros(n, std::byte{0});
+    EXPECT_EQ(~crc32c_zeros(~c, n), crc32c(zeros, c)) << n;
+    // The raw register: seed ~0u starts it at zero.
+    const std::uint32_t raw = ~crc32c(msg, ~0u);
+    std::vector<std::byte> padded = msg;
+    padded.resize(msg.size() + n);
+    EXPECT_EQ(crc32c_zeros(raw, n), ~crc32c(padded, ~0u)) << n;
+  }
+}
+
 TEST(Crc32c, BackendNameIsKnown) {
   const std::string name = crc32c_backend();
   EXPECT_TRUE(name == "vpclmulqdq" || name == "sse4.2" || name == "slice8")

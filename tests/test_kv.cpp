@@ -9,6 +9,7 @@
 
 #include "fault/injector.hpp"
 #include "sim/calib.hpp"
+#include "sim/rng.hpp"
 
 namespace dpc::kv {
 namespace {
@@ -276,6 +277,100 @@ TEST(KvStore, SingleKeyMutationsShareTheBatchFaultDraws) {
   EXPECT_TRUE(kv.erase("absent"));
   EXPECT_FALSE(kv.erase("absent"));
   EXPECT_EQ(fi.draws(kFaultKvBitRot), 3u);  // the refused put drew; erases not
+}
+
+// ------------------------------------------------- stamp granularity ---
+//
+// A sub-write moves the value's stamp by the CRC of the bytes it changes.
+// Damage in bytes it does not overwrite must stay detectable (a re-stamp
+// over the whole stored value would launder it), a write covering the
+// whole value stamps it fresh, and growth keeps the stamp exact. Seeded
+// from DPC_FAULT_SEED, so the scrub stage sweeps the damage positions.
+
+std::uint64_t stamp_seed() { return fault::FaultInjector::seed_from_env(29); }
+
+Bytes random_bytes(sim::Rng& rng, std::size_t n) {
+  Bytes v(n);
+  for (auto& x : v) x = static_cast<std::byte>(rng.next_below(256));
+  return v;
+}
+
+/// The reproduction: rot at byte 6000 of an 8 KiB value, then a 4 KiB
+/// page written at 0 (what the flusher sends into a big-file block).
+TEST(SilentCorruption, PageWriteKeepsRotInTheColdHalfDetectable) {
+  sim::Rng rng(stamp_seed());
+  KvStore kv;
+  kv.put("blk", random_bytes(rng, 8192));
+  ASSERT_TRUE(kv.corrupt_value("blk", 6000 * 8 + rng.next_below(8)));
+  ASSERT_EQ(kv.verify_value("blk"), ValueCheck::kCorrupt);
+  kv.write_sub("blk", 0, random_bytes(rng, 4096));
+  EXPECT_EQ(kv.verify_value("blk"), ValueCheck::kCorrupt);
+  Bytes tail(4096);
+  ValueCheck check = ValueCheck::kOk;
+  EXPECT_FALSE(kv.read_sub_checked("blk", 4096, tail, &check).has_value());
+  EXPECT_EQ(check, ValueCheck::kCorrupt);
+}
+
+/// Rot anywhere outside a partial write, at any offset and length.
+TEST(SilentCorruption, PartialSubWritesNeverLaunderRot) {
+  sim::Rng rng(stamp_seed() ^ 0x51);
+  for (int round = 0; round < 64; ++round) {
+    KvStore kv;
+    const std::size_t size = 1 + rng.next_below(9000);
+    kv.put("v", random_bytes(rng, size));
+    const std::size_t off = rng.next_below(size);
+    const std::size_t len = 1 + rng.next_below(size - off);
+    if (off == 0 && len == size) continue;  // a whole cover heals
+    // A bit outside [off, off + len).
+    std::uint64_t byte = rng.next_below(size - len);
+    if (byte >= off) byte += len;
+    ASSERT_TRUE(kv.corrupt_value("v", byte * 8 + rng.next_below(8)));
+    kv.write_sub("v", off, random_bytes(rng, len));
+    EXPECT_EQ(kv.verify_value("v"), ValueCheck::kCorrupt)
+        << "size " << size << " write [" << off << ", " << off + len
+        << ") rot at " << byte;
+  }
+}
+
+/// Undamaged values: every moved stamp equals a fresh one, through
+/// overwrites inside the value, growth that overlaps its end, and growth
+/// past it (a zero-filled gap).
+TEST(SilentCorruption, MovedStampsMatchFreshOnesThroughGrowth) {
+  sim::Rng rng(stamp_seed() ^ 0x52);
+  KvStore kv;
+  Bytes model = random_bytes(rng, 1 + rng.next_below(5000));
+  kv.put("v", model);
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t off = rng.next_below(model.size() + 600);
+    const Bytes src = random_bytes(rng, 1 + rng.next_below(3000));
+    kv.write_sub("v", off, src);
+    if (model.size() < off + src.size()) model.resize(off + src.size());
+    std::copy(src.begin(), src.end(), model.begin() + off);
+    ASSERT_EQ(kv.verify_value("v"), ValueCheck::kOk) << "round " << round;
+    ValueCheck check = ValueCheck::kCorrupt;
+    ASSERT_EQ(kv.get_checked("v", &check), model);
+  }
+}
+
+/// Growth carries old damage along; only a write covering the whole
+/// value, or a put, stamps it fresh and heals it.
+TEST(SilentCorruption, GrowthKeepsDamageAndAFullCoverHeals) {
+  sim::Rng rng(stamp_seed() ^ 0x53);
+  KvStore kv;
+  kv.put("v", random_bytes(rng, 4096));
+  ASSERT_TRUE(kv.corrupt_value("v", rng.next_below(4096 * 8)));
+  kv.write_sub("v", 4096 + rng.next_below(100), random_bytes(rng, 4096));
+  EXPECT_EQ(kv.verify_value("v"), ValueCheck::kCorrupt);
+  const std::size_t size = *kv.value_size("v");
+  kv.write_sub("v", 0, random_bytes(rng, size + rng.next_below(2)));
+  EXPECT_EQ(kv.verify_value("v"), ValueCheck::kOk);
+
+  ASSERT_TRUE(kv.corrupt_value("v", rng.next_below(size * 8)));
+  kv.put("v", random_bytes(rng, 100));
+  EXPECT_EQ(kv.verify_value("v"), ValueCheck::kOk);
+  // A sub-write creating its key (zero fill below the offset) is fresh.
+  kv.write_sub("new", rng.next_below(100), random_bytes(rng, 50));
+  EXPECT_EQ(kv.verify_value("new"), ValueCheck::kOk);
 }
 
 TEST(RemoteKv, BatchCostIsRoundTripsPlusWireBytes) {

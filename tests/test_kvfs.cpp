@@ -729,8 +729,9 @@ TEST(KvfsExtentCache, FailedPagePutLeavesNothingCached) {
   EXPECT_GE(failures, 1);
 }
 
-/// A warm overwrite is one guarded batch of its block write_subs and the
-/// attr, costing two round trips like the write_sub + put it replaced.
+/// A warm overwrite that grows the file is one guarded batch of its block
+/// write_subs and the attr (guarded equal to the attr it replaces), costing
+/// two round trips like the write_sub + put it replaced.
 TEST(KvfsExtentCache, WarmOverwriteIsOneTwoRoundTripBatch) {
   kv::KvStore store;
   kv::RemoteKv remote(store);
@@ -739,6 +740,7 @@ TEST(KvfsExtentCache, WarmOverwriteIsOneTwoRoundTripBatch) {
   ASSERT_TRUE(fs.write(ino, 0, std::vector<std::byte>(10000, std::byte{1}))
                   .ok());
   const auto page = decode_extent_page(*store.get(extent_page_key(ino, 0)));
+  const kv::Bytes before = *store.get(attr_key(ino));
   const std::vector<std::byte> tail(2000, std::byte{2});
   const std::uint64_t hits = fs.stats().extent_hits.load();
   const auto w = fs.write(ino, 10000, tail);
@@ -750,7 +752,7 @@ TEST(KvfsExtentCache, WarmOverwriteIsOneTwoRoundTripBatch) {
   kv::Batch b;
   b.write_sub(block_key(page[1]), 10000 - kBigBlock, tail,
               kv::Batch::Guard::kPresent);
-  b.put(attr_key(ino), encode_attr(grown), kv::Batch::Guard::kPresent);
+  b.expect(b.put(attr_key(ino), encode_attr(grown)), kv::Bytes(before));
   EXPECT_EQ(w.cost.ns, kv::RemoteKv::batch_cost(b).ns);
   const sim::Nanos rt = sim::calib::kNetHop * 2 + sim::calib::kKvServerOp;
   EXPECT_EQ(w.cost.ns, (rt * 2 + sim::calib::kv_write_transfer(
@@ -1159,12 +1161,13 @@ TEST(KvfsMount, SecondMountNeverResetsALiveRoot) {
   EXPECT_GT(probe_failed, 0);  // the failed-probe path ran
 }
 
-/// The modelled cost and the batches of five big-file writes, pinned to
-/// the values measured when the warm overwrite and the allocating write
-/// were two functions: the one write path sends the same ops. The
-/// truncated-away case is a warm batch refused by a block guard, then the
-/// write through the store's index; a promotion's small-KV erase draws no
-/// fault, so it is not among the values.
+/// The modelled cost and the batches of five big-file writes. A warm write
+/// that does not grow the file sends its sub-writes alone (lazy mtime);
+/// every other write's attr put carries a 256 B guard operand (the attr
+/// it replaces). The truncated-away case is a warm batch refused by a
+/// block guard, the attr reloaded, then the write through the store's
+/// index; a promotion's small-KV erase draws no fault, so it is not among
+/// the values.
 TEST(KvfsWriteCost, OneWritePathKeepsEveryBatchAndCost) {
   struct Case {
     const char* name;
@@ -1177,11 +1180,11 @@ TEST(KvfsWriteCost, OneWritePathKeepsEveryBatchAndCost) {
     std::uint64_t subs;     ///< of which sub-writes
   };
   const Case cases[] = {
-      {"warm 8K overwrite", 0, 0, false, 51660, 1, 2, 1},
-      {"warm straddle", 0, 4096, false, 51661, 1, 3, 2},
-      {"hole", 0, 64 * 1024, false, 102997, 1, 3, 0},
-      {"8K->16K promotion", 8192, 8192, false, 130140, 1, 4, 0},
-      {"truncated away", 0, 8192, true, 154657, 2, 5, 1},
+      {"warm 8K overwrite", 0, 0, false, 26608, 1, 1, 1},
+      {"warm straddle", 0, 4096, false, 51609, 1, 2, 2},
+      {"hole", 0, 64 * 1024, false, 103047, 1, 3, 0},
+      {"8K->16K promotion", 8192, 8192, false, 130190, 1, 4, 0},
+      {"truncated away", 0, 8192, true, 154688, 2, 4, 1},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -1216,6 +1219,212 @@ TEST(KvfsWriteCost, OneWritePathKeepsEveryBatchAndCost) {
     ASSERT_TRUE(fs.read(ino, c.offset, back).ok());
     EXPECT_EQ(back, std::vector<std::byte>(8192, std::byte{2}));
   }
+}
+
+// ------------------------------------------------------------ lazy mtime
+//
+// A warm overwrite that does not grow the file bumps mtime in the cached
+// attr only. A same-mount getattr sees it at once; the attr KV catches up
+// in any batch that puts the attr anyway, in fsync, at the end of a cache
+// flush pass, and never loses a dirty mtime for space.
+
+Attr stored_attr(const kv::KvStore& store, Ino ino) {
+  return decode_attr(*store.get(attr_key(ino)));
+}
+
+struct LazyMtime : KvfsFixture {
+  Ino big_file(const std::string& name) {
+    const Ino ino = fs.create(kRootIno, name, 0644).value;
+    EXPECT_TRUE(fs.write(ino, 0, bytes(16384, ino)).ok());
+    return ino;
+  }
+  std::uint64_t overwrite(Ino ino, std::uint64_t seed) {
+    EXPECT_TRUE(fs.write(ino, 0, bytes(8192, seed)).ok());
+    return fs.getattr(ino).value.mtime;
+  }
+};
+
+TEST_F(LazyMtime, SameMountGetattrSeesEachOverwrite) {
+  const Ino ino = big_file("f");
+  const Attr durable = stored_attr(store, ino);
+  std::uint64_t prev = durable.mtime;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    const std::uint64_t m = overwrite(ino, i);
+    EXPECT_GT(m, prev);
+    prev = m;
+    // Only the block changed in the store, and a fresh mount still reads
+    // the durable attr.
+    EXPECT_TRUE(store.get(attr_key(ino)) == encode_attr(durable));
+    Kvfs fresh(remote);
+    EXPECT_EQ(fresh.getattr(ino).value.mtime, durable.mtime);
+  }
+  EXPECT_EQ(fs.getattr(ino).value.size, 16384u);
+}
+
+TEST_F(LazyMtime, FsyncMakesItDurableInOneRoundTrip) {
+  const Ino ino = big_file("f");
+  const Attr durable = stored_attr(store, ino);
+  const std::uint64_t m = overwrite(ino, 1);
+  Attr now = durable;
+  now.mtime = m;
+  // The barrier round trip carries the attr, guarded equal to the durable
+  // one.
+  kv::Batch put;
+  put.expect(put.put(attr_key(ino), encode_attr(now)), encode_attr(durable));
+  const auto f = fs.fsync(ino);
+  ASSERT_TRUE(f.ok());
+  EXPECT_EQ(f.cost.ns, kv::RemoteKv::batch_cost(put).ns);
+  EXPECT_EQ(stored_attr(store, ino).mtime, m);
+  Kvfs fresh(remote);
+  EXPECT_EQ(fresh.getattr(ino).value.mtime, m);
+  // Clean now: the next fsync is the bare barrier.
+  EXPECT_EQ(fs.fsync(ino).cost.ns, kv::RemoteKv::op_cost(false, 0).ns);
+  EXPECT_EQ(fs.sync_mtime(ino).cost.ns, 0);
+}
+
+TEST_F(LazyMtime, GrowingWriteAndTruncatePersistIt) {
+  const Ino ino = big_file("f");
+  const std::uint64_t lazy = overwrite(ino, 1);
+  ASSERT_NE(stored_attr(store, ino).mtime, lazy);
+  ASSERT_TRUE(fs.write(ino, 16384, bytes(100, 2)).ok());  // grows
+  const Attr grown = fs.getattr(ino).value;
+  EXPECT_GT(grown.mtime, lazy);
+  EXPECT_TRUE(store.get(attr_key(ino)) == encode_attr(grown));
+
+  ASSERT_NE(stored_attr(store, ino).mtime, overwrite(ino, 3));
+  ASSERT_TRUE(fs.truncate(ino, 8192).ok());
+  EXPECT_TRUE(store.get(attr_key(ino)) == encode_attr(fs.getattr(ino).value));
+
+  // Any other attr batch (here a hard link's count) carries it too.
+  ASSERT_NE(stored_attr(store, ino).mtime, overwrite(ino, 4));
+  ASSERT_TRUE(fs.link(ino, kRootIno, "g").ok());
+  EXPECT_TRUE(store.get(attr_key(ino)) == encode_attr(fs.getattr(ino).value));
+}
+
+/// More files than the attr cache holds, each overwritten warm: every
+/// mtime a same-mount getattr saw survives, a bounded share stays lazy
+/// (the rest carried their attr), and fsync makes every one durable.
+TEST_F(LazyMtime, MoreFilesThanTheCacheNeverLoseOne) {
+  constexpr int kFiles = 9000;  // > Kvfs::kCacheEntries (8192)
+  std::vector<std::pair<Ino, std::uint64_t>> seen;
+  for (int i = 0; i < kFiles; ++i) {
+    const Ino ino = big_file("f" + std::to_string(i));
+    seen.emplace_back(ino, overwrite(ino, i));
+  }
+  int dirty = 0;
+  for (const auto& [ino, m] : seen) {
+    ASSERT_EQ(fs.getattr(ino).value.mtime, m) << "ino " << ino;
+    dirty += stored_attr(store, ino).mtime != m;
+  }
+  EXPECT_GT(dirty, 0);
+  EXPECT_LE(dirty, 8192 / 2);
+  for (const auto& [ino, m] : seen) ASSERT_TRUE(fs.fsync(ino).ok());
+  Kvfs fresh(remote);
+  for (const auto& [ino, m] : seen)
+    ASSERT_EQ(fresh.getattr(ino).value.mtime, m) << "ino " << ino;
+}
+
+/// A DPU restart may roll mtime back to its durable value; size and data
+/// never roll back.
+TEST(LazyMtimeRestart, RestartKeepsSizeAndData) {
+  core::DpcOptions o;
+  o.queues = 1;
+  o.queue_depth = 8;
+  o.with_dfs = false;
+  o.cache_geo = {64, 8};
+  core::DpcSystem sys(o);
+  const auto f = sys.create(kRootIno, "f");
+  ASSERT_TRUE(f.ok());
+  std::vector<std::byte> data(64 * 1024, std::byte{7});
+  ASSERT_TRUE(sys.write(f.ino, 0, data, /*direct=*/true).ok());
+  Attr before;
+  ASSERT_TRUE(sys.getattr(f.ino, &before).ok());
+  const std::vector<std::byte> mid(8192, std::byte{9});
+  ASSERT_TRUE(sys.write(f.ino, 8192, mid, /*direct=*/true).ok());
+  std::copy(mid.begin(), mid.end(), data.begin() + 8192);
+  Attr lazy;
+  ASSERT_TRUE(sys.getattr(f.ino, &lazy).ok());
+  ASSERT_GT(lazy.mtime, before.mtime);
+
+  sys.restart_dpu();
+  Attr after;
+  ASSERT_TRUE(sys.getattr(f.ino, &after).ok());
+  EXPECT_EQ(after.size, data.size());
+  EXPECT_GE(after.mtime, before.mtime);
+  EXPECT_LE(after.mtime, lazy.mtime);
+  std::vector<std::byte> back(data.size());
+  ASSERT_TRUE(sys.read(f.ino, 0, back, /*direct=*/true).ok());
+  EXPECT_EQ(back, data);
+}
+
+/// A crash on either side of fsync's attr put leaves a whole attr: after
+/// the restart the size and data are intact, fsck needs no repair, and
+/// mtime is the durable one or the fsynced one.
+TEST(LazyMtimeRestart, CrashAroundTheWriteBackLeavesAWholeAttr) {
+  for (const char* site :
+       {"kvfs.mtime/crash_before_commit", "kvfs.mtime/crash_after_commit"}) {
+    SCOPED_TRACE(site);
+    fault::FaultInjector fi(1);
+    core::DpcOptions o;
+    o.queues = 1;
+    o.queue_depth = 8;
+    o.with_dfs = false;
+    o.cache_geo = {64, 8};
+    o.fault = &fi;
+    core::DpcSystem sys(o);
+    const Ino ino = sys.create(kRootIno, "f").ino;
+    std::vector<std::byte> data(32768, std::byte{1});
+    ASSERT_TRUE(sys.write(ino, 0, data, true).ok());
+    const Attr durable = stored_attr(sys.kv_store(), ino);
+    const std::vector<std::byte> mid(8192, std::byte{2});
+    ASSERT_TRUE(sys.write(ino, 8192, mid, true).ok());
+    std::copy(mid.begin(), mid.end(), data.begin() + 8192);
+    Attr lazy;
+    ASSERT_TRUE(sys.getattr(ino, &lazy).ok());
+
+    fi.arm_crash(site);
+    (void)sys.fsync(ino);
+    ASSERT_TRUE(fi.crashed());
+    fi.disarm_crash(site);
+    const auto rep = sys.restart_dpu();
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.fs.fsck.repairs, 0u);
+    Attr after;
+    ASSERT_TRUE(sys.getattr(ino, &after).ok());
+    EXPECT_EQ(after.size, data.size());
+    EXPECT_TRUE(after.mtime == durable.mtime || after.mtime == lazy.mtime);
+    std::vector<std::byte> back(data.size());
+    ASSERT_TRUE(sys.read(ino, 0, back, true).ok());
+    EXPECT_EQ(back, data);
+  }
+}
+
+/// The cache flusher drains 4 KiB pages into a file's blocks: each is a
+/// warm overwrite, and the end of the pass makes the file's mtime durable
+/// with one attr put however many pages it wrote.
+TEST(LazyMtimeFlush, FlushPassMakesTheMtimeDurable) {
+  core::DpcOptions o;
+  o.queues = 1;
+  o.queue_depth = 8;
+  o.with_dfs = false;
+  o.cache_geo = {64, 8};
+  core::DpcSystem sys(o);
+  const auto f = sys.create(kRootIno, "f");
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(sys.write(f.ino, 0, std::vector<std::byte>(65536, std::byte{1}),
+                        /*direct=*/true)
+                  .ok());
+  const Attr durable = stored_attr(sys.kv_store(), f.ino);
+  ASSERT_TRUE(sys.write(f.ino, 0, std::vector<std::byte>(16384, std::byte{2}),
+                        /*direct=*/false)
+                  .ok());
+  const auto pass = sys.cache_control()->flush_pass();
+  ASSERT_EQ(pass.pages, 4);
+  Attr seen;
+  ASSERT_TRUE(sys.getattr(f.ino, &seen).ok());
+  EXPECT_GT(seen.mtime, durable.mtime);
+  EXPECT_EQ(stored_attr(sys.kv_store(), f.ino).mtime, seen.mtime);
+  EXPECT_EQ(seen.size, 65536u);
 }
 
 }  // namespace

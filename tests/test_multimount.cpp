@@ -230,5 +230,30 @@ TEST(MultiMount, TruncateRegrowUnderCachedIndex) {
                     report.issues[0].detail);
 }
 
+/// A writes 64 KiB, B truncates the file to 0, then A writes 4 KiB at 0
+/// through its stale cached attr (size 64 KiB). A's attr put is guarded
+/// equal to the attr it last saw, so the write reloads B's and lands on
+/// top of it: a fresh mount reads size 4 096 and A's bytes, not a
+/// resurrected 64 KiB.
+TEST(MultiMount, StaleCachedAttrNeverUndoesATruncate) {
+  kv::KvStore store;
+  DpcSystem a(mount_opts(&store));
+  DpcSystem b(mount_opts(&store));
+  const auto f = a.create(kvfs::kRootIno, "cut");
+  ASSERT_TRUE(a.write(f.ino, 0, bytes(64 * 1024, 40), true).ok());
+  ASSERT_TRUE(b.truncate(f.ino, 0).ok());
+  const auto mine = bytes(4096, 41);
+  ASSERT_TRUE(a.write(f.ino, 0, mine, true).ok());
+
+  DpcSystem fresh(mount_opts(&store));
+  kvfs::Attr attr;
+  ASSERT_TRUE(fresh.getattr(f.ino, &attr).ok());
+  EXPECT_EQ(attr.size, 4096u);
+  std::vector<std::byte> out(4096);
+  ASSERT_TRUE(fresh.read(f.ino, 0, out, true).ok());
+  EXPECT_EQ(out, mine);
+  EXPECT_TRUE(kvfs::fsck(store).clean());
+}
+
 }  // namespace
 }  // namespace dpc::core
