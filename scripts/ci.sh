@@ -19,7 +19,8 @@
 #            detector across every test.
 #   asan   — AddressSanitizer + UndefinedBehaviorSanitizer build + full
 #            test suite (UB stays fatal: -fno-sanitize-recover=all).
-#   chaos  — fault-injection tests swept over several seeds (plain + tsan).
+#   chaos  — fault-injection tests and the seeded KV index differential
+#            tests (KvIndex.*) swept over several seeds (plain + tsan).
 #   crash  — crash-point chaos over a wider seed set (plain + tsan), plus
 #            the crash-restart recovery bench (BENCH_crash_recovery.json).
 #   scrub  — data-corruption sweep: the integrity-envelope chaos tests and
@@ -105,10 +106,10 @@ echo "=== chaos stage ==="
 for seed in "${CHAOS_SEEDS[@]}"; do
   echo "--- chaos seed $seed (plain) ---"
   DPC_FAULT_SEED="$seed" ctest --test-dir build --output-on-failure \
-    -j "$JOBS" -R 'Chaos|Fault'
+    -j "$JOBS" -R 'Chaos|Fault|KvIndex'
   echo "--- chaos seed $seed (tsan) ---"
   DPC_FAULT_SEED="$seed" ctest --test-dir build-tsan --output-on-failure \
-    -j "$JOBS" -R 'Chaos|Fault'
+    -j "$JOBS" -R 'Chaos|Fault|KvIndex'
 done
 
 echo "=== crash stage ==="

@@ -90,24 +90,103 @@ Bytes to_bytes(std::span<const std::byte> s) {
 
 namespace {
 std::size_t pow2_shards(int shards) {
-  DPC_CHECK(shards >= 1);
+  DPC_CHECK(shards >= 1 && shards <= KvStore::kMaxShards);
   return std::bit_ceil(static_cast<std::size_t>(shards));
 }
+
+/// The smallest index, and the largest: 2^24 slots use hash bits 40..63,
+/// clear of the shard bits 32..39.
+constexpr std::size_t kMinSlots = 16;
+constexpr std::size_t kMaxSlots = std::size_t{1} << 24;
 }  // namespace
 
 KvStore::KvStore(int shards) : shards_storage_(pow2_shards(shards)) {
   shard_mask_ = shards_storage_.size() - 1;
 }
 
-std::size_t KvStore::shard_index(std::string_view key) const {
-  const std::size_t h = std::hash<std::string_view>{}(key);
-  // Fibonacci remix before masking: std::hash for short strings can be
-  // low-entropy in the bottom bits, and the mask only sees those.
-  return (h * 0x9E3779B97F4A7C15ull >> 32) & shard_mask_;
+std::uint64_t KvStore::key_hash(std::string_view key) {
+  // Fibonacci remix: std::hash for short strings can be low-entropy in the
+  // bottom bits, and the shard mask and the slot shift read higher ones.
+  return std::hash<std::string_view>{}(key) * 0x9E3779B97F4A7C15ull;
 }
 
-KvStore::Shard& KvStore::shard_for(std::string_view key) const {
-  return const_cast<Shard&>(shards_storage_[shard_index(key)]);
+std::size_t KvStore::shard_index(std::uint64_t h) const {
+  return (h >> 32) & shard_mask_;
+}
+
+KvStore::Shard& KvStore::shard_for(std::uint64_t h) const {
+  return const_cast<Shard&>(shards_storage_[shard_index(h)]);
+}
+
+std::size_t KvStore::Shard::home(std::uint64_t tag) const {
+  return tag >> std::countl_zero(slots.size() - 1);
+}
+
+std::size_t KvStore::Shard::probe(std::string_view key,
+                                  std::uint64_t tag) const {
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t i = home(tag);; i = (i + 1) & mask) {
+    const Slot& s = slots[i];
+    if (s.tag == 0 || (s.tag == tag && s.it->first == key)) return i;
+  }
+}
+
+KvStore::Value* KvStore::Shard::find(std::string_view key,
+                                     std::uint64_t h) const {
+  if (slots.empty()) return nullptr;
+  const Slot& s = slots[probe(key, h | 1)];
+  return s.tag != 0 ? &s.it->second : nullptr;
+}
+
+KvStore::Value& KvStore::Shard::emplace(std::string_view key,
+                                        std::uint64_t h) {
+  const std::uint64_t tag = h | 1;
+  std::size_t i = 0;
+  if (!slots.empty()) {
+    i = probe(key, tag);
+    if (slots[i].tag != 0) return slots[i].it->second;
+  }
+  if (2 * (used + 1) > slots.size()) {
+    grow();
+    i = probe(key, tag);
+  }
+  slots[i] = {tag, data.try_emplace(std::string(key)).first};
+  ++used;
+  return slots[i].it->second;
+}
+
+bool KvStore::Shard::erase(std::string_view key, std::uint64_t h) {
+  if (slots.empty()) return false;
+  std::size_t i = probe(key, h | 1);
+  if (slots[i].tag == 0) return false;
+  data.erase(slots[i].it);
+  --used;
+  // Backward shift: each later entry of the probe run moves into the hole
+  // when the hole lies on its path from its home slot, so no run ever has
+  // a gap and no tombstone is needed.
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t j = (i + 1) & mask; slots[j].tag != 0;
+       j = (j + 1) & mask) {
+    if (((j - home(slots[j].tag)) & mask) >= ((j - i) & mask)) {
+      slots[i] = slots[j];
+      i = j;
+    }
+  }
+  slots[i].tag = 0;
+  return true;
+}
+
+void KvStore::Shard::grow() {
+  std::vector<Slot> old(std::max(kMinSlots, 2 * slots.size()));
+  DPC_CHECK(old.size() <= kMaxSlots);
+  slots.swap(old);
+  const std::size_t mask = slots.size() - 1;
+  for (const Slot& s : old) {
+    if (s.tag == 0) continue;
+    std::size_t i = home(s.tag);
+    while (slots[i].tag != 0) i = (i + 1) & mask;
+    slots[i] = s;
+  }
 }
 
 // The single-key mutations are one-op batches: apply() is the one place a
@@ -126,23 +205,25 @@ bool KvStore::put_if_absent(std::string_view key,
 }
 
 std::optional<Bytes> KvStore::get(std::string_view key) const {
-  const Shard& sh = shard_for(key);
+  const std::uint64_t h = key_hash(key);
+  const Shard& sh = shard_for(h);
   sim::SharedLockGuard lock(sh.mu);
-  const auto it = sh.data.find(key);
-  if (it == sh.data.end()) return std::nullopt;
-  return it->second.data;
+  const Value* v = sh.find(key, h);
+  if (v == nullptr) return std::nullopt;
+  return v->data;
 }
 
 std::optional<Bytes> KvStore::get_checked(std::string_view key,
                                           ValueCheck* check) const {
-  const Shard& sh = shard_for(key);
+  const std::uint64_t h = key_hash(key);
+  const Shard& sh = shard_for(h);
   sim::SharedLockGuard lock(sh.mu);
-  const auto it = sh.data.find(key);
-  if (it == sh.data.end()) {
+  const Value* found = sh.find(key, h);
+  if (found == nullptr) {
     if (check != nullptr) *check = ValueCheck::kAbsent;
     return std::nullopt;
   }
-  const Value& v = it->second;
+  const Value& v = *found;
   if (stamp_value_crc(key, v.data) != v.crc) {
     if (check != nullptr) *check = ValueCheck::kCorrupt;
     return std::nullopt;
@@ -152,9 +233,10 @@ std::optional<Bytes> KvStore::get_checked(std::string_view key,
 }
 
 bool KvStore::contains(std::string_view key) const {
-  const Shard& sh = shard_for(key);
+  const std::uint64_t h = key_hash(key);
+  const Shard& sh = shard_for(h);
   sim::SharedLockGuard lock(sh.mu);
-  return sh.data.find(key) != sh.data.end();
+  return sh.find(key, h) != nullptr;
 }
 
 bool KvStore::erase(std::string_view key) {
@@ -166,11 +248,12 @@ bool KvStore::erase(std::string_view key) {
 std::optional<std::size_t> KvStore::read_sub(std::string_view key,
                                              std::uint64_t offset,
                                              std::span<std::byte> dst) const {
-  const Shard& sh = shard_for(key);
+  const std::uint64_t h = key_hash(key);
+  const Shard& sh = shard_for(h);
   sim::SharedLockGuard lock(sh.mu);
-  const auto it = sh.data.find(key);
-  if (it == sh.data.end()) return std::nullopt;
-  const Bytes& v = it->second.data;
+  const Value* found = sh.find(key, h);
+  if (found == nullptr) return std::nullopt;
+  const Bytes& v = found->data;
   if (offset >= v.size()) return 0;
   const std::size_t n = std::min<std::size_t>(dst.size(), v.size() - offset);
   std::memcpy(dst.data(), v.data() + offset, n);
@@ -181,14 +264,15 @@ std::optional<std::size_t> KvStore::read_sub_checked(std::string_view key,
                                                      std::uint64_t offset,
                                                      std::span<std::byte> dst,
                                                      ValueCheck* check) const {
-  const Shard& sh = shard_for(key);
+  const std::uint64_t h = key_hash(key);
+  const Shard& sh = shard_for(h);
   sim::SharedLockGuard lock(sh.mu);
-  const auto it = sh.data.find(key);
-  if (it == sh.data.end()) {
+  const Value* found = sh.find(key, h);
+  if (found == nullptr) {
     if (check != nullptr) *check = ValueCheck::kAbsent;
     return std::nullopt;
   }
-  const Value& v = it->second;
+  const Value& v = *found;
   if (stamp_value_crc(key, v.data) != v.crc) {
     if (check != nullptr) *check = ValueCheck::kCorrupt;
     return std::nullopt;
@@ -229,13 +313,15 @@ void KvStore::sub_write(std::string_view key, Value& v, std::uint64_t offset,
   const std::size_t old_size = v.data.size();
   const std::size_t end = offset + src.size();
   if (old_size < end) v.data.resize(end);  // zero-filled
+  // Copies below use std::copy: an empty write into an empty value has
+  // null pointers on both sides, which memcpy must never be given.
   std::byte* const dst = v.data.data() + offset;
   // The stamp covers the *intended* value; a torn write persists only a
   // prefix of the payload after the CRC was cut, so verification fails.
   if (old_size == 0 || (offset == 0 && end >= old_size)) {
     // Nothing of an old value survives (or there was none, the key just
     // made): stamp the new one fresh.
-    std::memcpy(dst, src.data(), src.size());
+    std::copy(src.begin(), src.end(), dst);
     v.crc = stamp_value_crc(key, v.data);
   } else {
     // Move the stamp by what changed, never re-stamp bytes the write does
@@ -248,7 +334,7 @@ void KvStore::sub_write(std::string_view key, Value& v, std::uint64_t offset,
     const std::uint32_t delta =
         ~ec::crc32c(std::span<const std::byte>(dst, src.size()), ~0u);
     v.crc ^= ec::crc32c_zeros(delta, v.data.size() - end);
-    std::memcpy(dst, src.data(), src.size());
+    std::copy(src.begin(), src.end(), dst);
   }
   if (f.persisted < src.size()) {
     // The lost tail reads back as zeroed cells, not the intended bytes.
@@ -264,10 +350,10 @@ ApplyResult KvStore::apply(const Batch& batch) {
   // Everything that needs no lock happens first: shard picks, the put
   // stamps and the per-value fault draws.
   struct Prep {
+    std::uint64_t hash = 0;
     std::uint32_t shard = 0;
     std::uint32_t crc = 0;
     ValueFaults faults;
-    Value* found = nullptr;  ///< what the op's guard looked up
   };
   // In place for a batch of up to kInlineOps ops, like the batch's own.
   InlineVec<Prep, Batch::kInlineOps> prep(ops.size());
@@ -276,7 +362,8 @@ ApplyResult KvStore::apply(const Batch& batch) {
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Batch::Op& op = ops[i];
     Prep& p = prep[i];
-    p.shard = static_cast<std::uint32_t>(shard_index(op.key));
+    p.hash = key_hash(op.key);
+    p.shard = static_cast<std::uint32_t>(shard_index(p.hash));
     order[i] = p.shard;
     if (op.kind == Kind::kPut) p.crc = stamp_value_crc(op.key, op.value);
     p.faults = draw_faults(op);
@@ -290,11 +377,11 @@ ApplyResult KvStore::apply(const Batch& batch) {
   // batch_atomic scenario must catch it.
   if (sim::schedhook::mutate("batch-per-shard-commit")) {
     for (const std::uint32_t s : order) {
-      sim::LockGuard lock(shards_storage_[s].mu);
+      Shard& sh = shards_storage_[s];
+      sim::LockGuard lock(sh.mu);
       for (std::size_t i = 0; i < ops.size(); ++i)
         if (prep[i].shard == s)
-          apply_op(ops[i], shards_storage_[s].data, nullptr, prep[i].crc,
-                   prep[i].faults);
+          apply_op(ops[i], prep[i].hash, sh, prep[i].crc, prep[i].faults);
     }
     return {};
   }
@@ -312,70 +399,61 @@ ApplyResult KvStore::apply(const Batch& batch) {
     shards_storage_[s].mu.lock();
     ++held.locked;
   }
-  // A map node stays put while others are inserted, so a guard's lookup
-  // can serve its op's apply unless the batch erases.
-  const bool reuse = std::none_of(ops.begin(), ops.end(), [](const auto& op) {
-    return op.kind == Kind::kErase;
-  });
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Batch::Op& op = ops[i];
     if (op.guard == Guard::kNone) continue;
-    auto& data = shards_storage_[prep[i].shard].data;
-    const auto it = data.find(op.key);
+    const Value* v = shards_storage_[prep[i].shard].find(op.key, prep[i].hash);
     const bool ok =
         op.guard == Guard::kAbsent
-            ? it == data.end()
-            : it != data.end() &&
+            ? v == nullptr
+            : v != nullptr &&
                   (op.guard == Guard::kPresent ||
-                   std::equal(it->second.data.begin(), it->second.data.end(),
+                   std::equal(v->data.begin(), v->data.end(),
                               op.expect.begin(), op.expect.end()));
     if (!ok) return {i};
-    if (reuse && it != data.end()) prep[i].found = &it->second;
   }
   for (std::size_t i = 0; i < ops.size(); ++i)
-    apply_op(ops[i], shards_storage_[prep[i].shard].data, prep[i].found,
+    apply_op(ops[i], prep[i].hash, shards_storage_[prep[i].shard],
              prep[i].crc, prep[i].faults);
   return {};
 }
 
-void KvStore::apply_op(const Batch::Op& op,
-                       std::map<std::string, Value, std::less<>>& data,
-                       Value* found, std::uint32_t crc,
-                       const ValueFaults& f) {
+void KvStore::apply_op(const Batch::Op& op, std::uint64_t h, Shard& sh,
+                       std::uint32_t crc, const ValueFaults& f) {
   switch (op.kind) {
     case Batch::Kind::kPut: {
-      Value& v = found != nullptr ? *found : data[op.key];
+      Value& v = sh.emplace(op.key, h);
       v.data.assign(op.value.begin(), op.value.end());
       v.crc = crc;
       rot_bit(v.data, f.rotted, f.rot);
       break;
     }
     case Batch::Kind::kErase:
-      data.erase(op.key);
+      sh.erase(op.key, h);
       break;
     case Batch::Kind::kWriteSub:
-      sub_write(op.key, found != nullptr ? *found : data[op.key], op.offset,
-                op.value, f);
+      sub_write(op.key, sh.emplace(op.key, h), op.offset, op.value, f);
       break;
   }
 }
 
 ValueCheck KvStore::verify_value(std::string_view key) const {
-  const Shard& sh = shard_for(key);
+  const std::uint64_t h = key_hash(key);
+  const Shard& sh = shard_for(h);
   sim::SharedLockGuard lock(sh.mu);
-  const auto it = sh.data.find(key);
-  if (it == sh.data.end()) return ValueCheck::kAbsent;
-  const Value& v = it->second;
-  return stamp_value_crc(key, v.data) == v.crc ? ValueCheck::kOk
-                                               : ValueCheck::kCorrupt;
+  const Value* v = sh.find(key, h);
+  if (v == nullptr) return ValueCheck::kAbsent;
+  return stamp_value_crc(key, v->data) == v->crc ? ValueCheck::kOk
+                                                 : ValueCheck::kCorrupt;
 }
 
 bool KvStore::corrupt_value(std::string_view key, std::uint64_t bit) {
-  Shard& sh = shard_for(key);
+  const std::uint64_t h = key_hash(key);
+  Shard& sh = shard_for(h);
   sim::LockGuard lock(sh.mu);
-  const auto it = sh.data.find(key);
-  if (it == sh.data.end() || it->second.data.empty()) return false;
-  Bytes& d = it->second.data;
+  Value* v = sh.find(key, h);
+  if (v == nullptr || v->data.empty()) return false;
+  Bytes& d = v->data;
   bit %= d.size() * 8;
   d[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
   return true;
@@ -391,9 +469,10 @@ std::vector<std::string> KvStore::keys() const {
 }
 
 std::uint64_t KvStore::increment(std::string_view key, std::uint64_t delta) {
-  Shard& sh = shard_for(key);
+  const std::uint64_t h = key_hash(key);
+  Shard& sh = shard_for(h);
   sim::LockGuard lock(sh.mu);
-  Value& v = sh.data[std::string(key)];
+  Value& v = sh.emplace(key, h);
   if (v.data.size() != sizeof(std::uint64_t))
     v.data.assign(sizeof(std::uint64_t), std::byte{0});
   std::uint64_t cur;
@@ -405,19 +484,21 @@ std::uint64_t KvStore::increment(std::string_view key, std::uint64_t delta) {
 }
 
 std::optional<std::uint64_t> KvStore::value_size(std::string_view key) const {
-  const Shard& sh = shard_for(key);
+  const std::uint64_t h = key_hash(key);
+  const Shard& sh = shard_for(h);
   sim::SharedLockGuard lock(sh.mu);
-  const auto it = sh.data.find(key);
-  if (it == sh.data.end()) return std::nullopt;
-  return it->second.data.size();
+  const Value* v = sh.find(key, h);
+  if (v == nullptr) return std::nullopt;
+  return v->data.size();
 }
 
 std::size_t KvStore::scan_prefix(
     std::string_view prefix,
     const std::function<bool(std::string_view, const Bytes&)>& fn) const {
   // Gather matching (key, value) pairs per shard, then merge in key order —
-  // the client-side merge a partitioned KV cluster's scan performs.
-  std::vector<std::pair<std::string, const Bytes*>> hits;
+  // the client-side merge a partitioned KV cluster's scan performs. Every
+  // shard stays locked until the visits end, so the hits are views.
+  std::vector<std::pair<std::string_view, const Bytes*>> hits;
   std::vector<sim::SharedLock<sim::AnnotatedSharedMutex>> locks;
   locks.reserve(shards_storage_.size());
   for (const auto& sh : shards_storage_) {

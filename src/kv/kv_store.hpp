@@ -19,7 +19,10 @@
 // sub-write moves the stamp by the CRC of the bytes it changes and never
 // re-reads the rest, so damage it does not overwrite stays detectable.
 // Thread-safe; shards are hash-partitioned like a real KV cluster's
-// partitions, and scans merge across shards in key order.
+// partitions, and scans merge across shards in key order. Each shard's
+// ordered map owns its keys and values and serves the scans; a flat
+// open-addressing index beside it serves every point operation in one
+// probe, so a lookup's work does not grow with the store.
 #pragma once
 
 #include <algorithm>
@@ -155,8 +158,11 @@ class KvStore {
  public:
   /// Fixed, so a batch takes the same shard locks on every host.
   static constexpr int kDefaultShards = 16;
-  /// `shards` (≥ 1) is rounded up to the next power of two so shard
-  /// selection is a mask, not a division.
+  /// Shard selection uses hash bits 32..39 at most; the index slots use
+  /// the bits above them.
+  static constexpr int kMaxShards = 256;
+  /// `shards` (1..kMaxShards) is rounded up to the next power of two so
+  /// shard selection is a mask, not a division.
   explicit KvStore(int shards = kDefaultShards);
 
   /// Attaches the corruption injector (null = pristine store). Must outlive
@@ -237,12 +243,42 @@ class KvStore {
     Bytes data;
     std::uint32_t crc = 0;  ///< CRC32C of data, seeded with the key's CRC
   };
+  using Map = std::map<std::string, Value, std::less<>>;
+  /// One index slot: its key's hash with bit 0 set (0 marks an empty
+  /// slot) and the map entry it points at.
+  struct Slot {
+    std::uint64_t tag = 0;
+    Map::iterator it;
+  };
   // Cache-line aligned so neighbouring shards' mutexes and map headers
   // never share a line (false sharing on the hot shard locks).
   struct alignas(64) Shard {
     mutable sim::AnnotatedSharedMutex mu{"kv.shard",
                                          sim::LockRank::kStore};
-    std::map<std::string, Value, std::less<>> data GUARDED_BY(mu);
+    /// The one owner of keys and values, in key order for the scans.
+    Map data GUARDED_BY(mu);
+    /// The point-lookup index over `data`: a power-of-two slot array with
+    /// linear probing from the hash's top bits, at most half full. Flat,
+    /// so a key costs the map node and nothing more on the heap.
+    std::vector<Slot> slots GUARDED_BY(mu);
+    std::size_t used GUARDED_BY(mu) = 0;
+
+    /// The value of `key` (hash `h`), or null. Never writes the index.
+    Value* find(std::string_view key, std::uint64_t h) const
+        REQUIRES_SHARED(mu);
+    /// The value of `key`, inserted empty if absent. Only an insertion may
+    /// grow the index.
+    Value& emplace(std::string_view key, std::uint64_t h) REQUIRES(mu);
+    /// Removes `key`; false if it was absent.
+    bool erase(std::string_view key, std::uint64_t h) REQUIRES(mu);
+
+   private:
+    /// The slot holding `key`, or the empty slot that ends its probe run
+    /// (`slots` must not be empty).
+    std::size_t probe(std::string_view key, std::uint64_t tag) const
+        REQUIRES_SHARED(mu);
+    std::size_t home(std::uint64_t tag) const REQUIRES_SHARED(mu);
+    void grow() REQUIRES(mu);
   };
   /// Fault draws of one value mutation, taken before any lock.
   struct ValueFaults {
@@ -250,20 +286,20 @@ class KvStore {
     bool rotted = false;
     std::uint64_t rot = 0;
   };
-  std::size_t shard_index(std::string_view key) const;
-  Shard& shard_for(std::string_view key) const;
+  /// The key's one hash per operation: bits 32.. pick its shard, the top
+  /// bits its index slot.
+  static std::uint64_t key_hash(std::string_view key);
+  std::size_t shard_index(std::uint64_t h) const;
+  Shard& shard_for(std::uint64_t h) const;
   ValueFaults draw_faults(const Batch::Op& op) const;
   /// The write_sub mutation of one stored value (caller holds its shard).
   static void sub_write(std::string_view key, Value& v, std::uint64_t offset,
                         std::span<const std::byte> src,
                         const ValueFaults& f);
-  /// One batch op against its shard's map (caller holds the shard).
-  /// `found` (optional) is the op's value as its guard already looked it
-  /// up, saving a second map walk.
-  static void apply_op(const Batch::Op& op,
-                       std::map<std::string, Value, std::less<>>& data,
-                       Value* found, std::uint32_t crc,
-                       const ValueFaults& f);
+  /// One batch op, its key hashed to `h`, against its shard.
+  static void apply_op(const Batch::Op& op, std::uint64_t h, Shard& sh,
+                       std::uint32_t crc, const ValueFaults& f)
+      REQUIRES(sh.mu);
 
   std::vector<Shard> shards_storage_;
   std::size_t shard_mask_ = 0;  ///< shards_storage_.size() - 1 (pow2 count)

@@ -229,9 +229,11 @@ std::uint64_t Kvfs::alloc_block(sim::Nanos& cost) {
   return r.ok() ? r.value : 0;
 }
 
-std::optional<Attr> Kvfs::load_attr(Ino ino, sim::Nanos& cost, int* err) {
+std::optional<Attr> Kvfs::load_attr(Ino ino, sim::Nanos& cost, int* err,
+                                    bool* hit) {
   if (auto a = cached_attr(ino)) {
     stats_.attr_hits.fetch_add(1, std::memory_order_relaxed);
+    if (hit != nullptr) *hit = true;
     return a;
   }
   stats_.attr_misses.fetch_add(1, std::memory_order_relaxed);
@@ -1264,11 +1266,25 @@ Result<std::uint32_t> Kvfs::write(Ino ino, std::uint64_t offset,
   return res;
 }
 
+template <typename Once>
+int Kvfs::retry_if_stale(Ino ino, int err, sim::Nanos& cost, Once&& once) {
+  if (err != kStaleAttr) return err;
+  // Another mount changed the attr (a truncate, or removed the file):
+  // reload it through the store once and go again on top of it.
+  uncache_attr(ino);
+  const auto attr = load_attr(ino, cost, &err);
+  if (!attr) return err;
+  err = once(*attr);
+  if (err != kStaleAttr) return err;
+  uncache_attr(ino);
+  return EIO;
+}
+
 Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
                                        std::span<const std::byte> src) {
   Result<std::uint32_t> res;
   sim::LockGuard lock(inode_lock(ino));
-  auto attr = load_attr(ino, res.cost, &res.err);
+  const auto attr = load_attr(ino, res.cost, &res.err);
   if (!attr) return res;
   if (attr->type != FileType::kRegular) {
     res.err = EISDIR;
@@ -1284,19 +1300,7 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
                ? write_small(a, offset, src, res.cost)
                : write_big(a, offset, src, res.cost);
   };
-  res.err = write_once(*attr);
-  if (res.err == kStaleAttr) {
-    // Another mount changed the attr (a truncate, or removed the file):
-    // reload it through the store once and write on top of it.
-    uncache_attr(ino);
-    attr = load_attr(ino, res.cost, &res.err);
-    if (!attr) return res;
-    res.err = write_once(*attr);
-    if (res.err == kStaleAttr) {
-      uncache_attr(ino);
-      res.err = EIO;
-    }
-  }
+  res.err = retry_if_stale(ino, write_once(*attr), res.cost, write_once);
   if (res.ok()) res.value = static_cast<std::uint32_t>(src.size());
   return res;
 }
@@ -1304,18 +1308,32 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
 Result<Unit> Kvfs::truncate(Ino ino, std::uint64_t new_size) {
   Result<Unit> res;
   sim::LockGuard lock(inode_lock(ino));
-  const auto attr = load_attr(ino, res.cost, &res.err);
+  bool hit = false;
+  const auto attr = load_attr(ino, res.cost, &res.err, &hit);
   if (!attr) return res;
   if (attr->type != FileType::kRegular) {
     res.err = EISDIR;
     return res;
   }
-  if (new_size == attr->size) return res;
+  res.err = retry_if_stale(ino, truncate_once(*attr, new_size, hit, res.cost),
+                           res.cost, [&](const Attr& a) {
+                             return truncate_once(a, new_size, false,
+                                                  res.cost);
+                           });
+  return res;
+}
+
+int Kvfs::truncate_once(const Attr& attr, std::uint64_t new_size,
+                        bool cached, sim::Nanos& cost) {
+  const Ino ino = attr.ino;
+  // A size just read from the store needs no change; a cached one may be
+  // stale, so the attr put below verifies it.
+  if (new_size == attr.size && !cached) return 0;
 
   // One batch: the dropped blocks and pages, the rewritten boundary page,
   // the boundary block's zeroed tail (or the small KV rewrite, or a growth
-  // promotion), and the attr.
-  Attr a = *attr;
+  // promotion), and the attr, which a same-size truncate sends alone.
+  Attr a = attr;
   a.size = new_size;
   a.mtime = now();
   kv::Batch b;
@@ -1323,28 +1341,23 @@ Result<Unit> Kvfs::truncate(Ino ino, std::uint64_t new_size) {
   kv::Bytes zeros;  // the boundary block's cut tail
   std::vector<std::pair<std::uint32_t, ExtentPage>> kept_pages;
   std::vector<std::uint32_t> gone_pages;
-  if (!attr->big_file) {
+  if (!attr.big_file && new_size != attr.size) {
     if (new_size > kSmallFileMax) {
       // Growth beyond the old size is a hole; the promotion is the data.
       ExtentPage page0;
-      if (!stage_promotion(a, b, small, page0, res.cost)) {
-        res.err = EIO;
-        return res;
-      }
+      if (!stage_promotion(a, b, small, page0, cost)) return EIO;
       b.put(extent_page_key(ino, 0), encode_extent_page(page0));
       kept_pages.emplace_back(0, page0);
     } else {
       auto cur = store_->get(small_key(ino));
-      res.cost += cur.cost;
-      if (!cur.ok()) {
-        res.err = EIO;  // don't rewrite from bytes we couldn't fetch
-        return res;
-      }
+      cost += cur.cost;
+      // Don't rewrite from bytes we couldn't fetch.
+      if (!cur.ok()) return EIO;
       if (cur.value) small = std::move(*cur.value);
       small.resize(new_size, std::byte{0});
       b.put(small_key(ino), small);
     }
-  } else if (new_size < attr->size) {
+  } else if (new_size < attr.size) {
     // Drop whole blocks past the new end (a file once big stays big — the
     // paper defines promotion only; we document the asymmetry). Pages wholly
     // past the end are erased, except page 0, which marks the file big; the
@@ -1360,11 +1373,9 @@ Result<Unit> Kvfs::truncate(Ino ino, std::uint64_t new_size) {
           if (p >= from) tail_pages.emplace_back(p, decode_extent_page(v));
           return true;
         });
-    res.cost += scan.cost;
-    if (!scan.ok()) {
-      res.err = EIO;  // don't record the shrink without dropping blocks
-      return res;
-    }
+    cost += scan.cost;
+    // Don't record the shrink without dropping blocks.
+    if (!scan.ok()) return EIO;
     std::uint64_t boundary_id = 0;
     for (auto& [p, ids] : tail_pages) {
       const std::uint64_t base = std::uint64_t{p} * kExtentPageSlots;
@@ -1393,29 +1404,29 @@ Result<Unit> Kvfs::truncate(Ino ino, std::uint64_t new_size) {
                   Guard::kPresent);
     }
   }
-  const std::size_t attr_op =
-      b.put(attr_key(ino), encode_attr(a), Guard::kPresent);
-  const auto r = commit("kvfs.truncate", b, res.cost);
-  if (!r.ok() || !r.value.applied()) {
-    if (r.ok()) uncache_attr(ino);
-    res.err = r.ok() && r.value.failed_guard == attr_op ? ENOENT : EIO;
-    return res;
-  }
+  // Guarded equal to what this mount last loaded or committed, so a stale
+  // cached size never picks the blocks to drop or hides another mount's
+  // truncate. A refused boundary guard means another mount cut the block
+  // away: the attr is stale as well.
+  b.expect(b.put(attr_key(ino), encode_attr(a)), durable_encoding(attr));
+  const auto r = commit("kvfs.truncate", b, cost);
+  if (!r.ok()) return EIO;
+  if (!r.value.applied()) return kStaleAttr;
   cache_attr(a);
   for (const auto& [p, ids] : kept_pages) cache_page(ino, p, ids);
   for (const std::uint32_t p : gone_pages) uncache_page(ino, p);
-  if (a.big_file != attr->big_file)
+  if (a.big_file != attr.big_file)
     stats_.promotions.fetch_add(1, std::memory_order_relaxed);
-  if (opts_.wal != nullptr && new_size < attr->size) {
+  if (opts_.wal != nullptr && new_size < attr.size) {
     // Shrink marker in the durability spine: replay must not resurrect
     // logged pages this truncate cut off. A failed append is tolerated —
     // replay clamps every page to the (durable) attr size anyway, the
     // marker just unblocks checkpointing and skips dead pages early.
     sim::Nanos c{};
     (void)opts_.wal->append_truncate(ino, new_size, c);
-    res.cost += c;
+    cost += c;
   }
-  return res;
+  return 0;
 }
 
 Result<Unit> Kvfs::fsync(Ino ino) {

@@ -225,9 +225,10 @@ class Kvfs {
 
   // ---- KV helpers (each adds its remote cost to `cost`) ----
   /// nullopt when the attr is absent (`*err` = ENOENT) or its get failed
-  /// (`*err` = EIO); load_dentry alike.
+  /// (`*err` = EIO); load_dentry alike. `*hit` (optional) is set when the
+  /// attr came from the cache rather than the store.
   std::optional<Attr> load_attr(Ino ino, sim::Nanos& cost,
-                                int* err = nullptr);
+                                int* err = nullptr, bool* hit = nullptr);
   std::optional<Ino> load_dentry(Ino parent, std::string_view name,
                                  sim::Nanos& cost, int* err = nullptr);
   /// Sends `batch`, the one KV mutation of operation `op` ("kvfs.<op>"),
@@ -260,7 +261,7 @@ class Kvfs {
   std::optional<std::uint64_t> load_extent(Ino ino, std::uint64_t logical,
                                            bool refetch, bool& fetched,
                                            sim::Nanos& cost);
-  /// Returned by write_small and write_big when the attr put's guard was
+  /// Returned by write_small, write_big and truncate_once when a guard was
   /// refused: another mount changed the attr since this one loaded it.
   static constexpr int kStaleAttr = -1;
   /// The §3.4 small-file rewrite: the whole small KV and the attr in one
@@ -280,6 +281,17 @@ class Kvfs {
   /// Returns 0, an errno or kStaleAttr; nothing landed unless 0.
   int write_big(const Attr& attr, std::uint64_t offset,
                 std::span<const std::byte> src, sim::Nanos& cost);
+  /// Hands back `err` unless it is kStaleAttr; then `once` runs again on
+  /// the attr reloaded through the store, and a second kStaleAttr is EIO.
+  template <typename Once>
+  int retry_if_stale(Ino ino, int err, sim::Nanos& cost, Once&& once);
+  /// One truncate of `attr`'s file to `new_size` in one batch, its attr
+  /// put guarded equal to the durable encoding. A same-size truncate sends
+  /// nothing when `cached` is false (the attr was just read from the
+  /// store), else the attr put alone, which verifies the cached size.
+  /// Returns 0, an errno or kStaleAttr; nothing landed unless 0.
+  int truncate_once(const Attr& attr, std::uint64_t new_size, bool cached,
+                    sim::Nanos& cost);
   /// Puts `ino`'s attr when its cached mtime is dirty, guarded equal to the
   /// durable encoding (the caller holds the inode's stripe). A refused
   /// guard means another mount committed the attr since: its commit

@@ -1,12 +1,14 @@
-// Heap allocations on the warm write path, counted by a replaced global
+// Heap allocations on the warm paths, counted by a replaced global
 // operator new. A warm 8 KiB overwrite through KVFS over the remote KV (no
-// fault injector) and a KvStore::apply of a small batch must allocate
-// nothing once their caches are warm.
+// fault injector), a KvStore::apply of a small batch and the store's point
+// reads of a present key must allocate nothing once their caches are warm;
+// only inserting a new key may grow the store's index.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -111,6 +113,65 @@ TEST(AllocFree, SmallBatchApplyAllocatesNothing) {
   }
   // The counter is live: a long key is a heap string.
   EXPECT_GT(allocations([&] { keys.push_back(std::string(64, 'k')); }), 0u);
+}
+
+TEST(AllocFree, PointReadsOfAPresentKeyAllocateNothing) {
+  kv::KvStore store;
+  // Enough keys that every shard's index has doubled a few times.
+  for (int i = 0; i < 2000; ++i)
+    store.put("blk" + std::to_string(i), std::vector<std::byte>(64));
+  const std::string key = "blk1234";
+  std::vector<std::byte> dst(32);
+  kv::ValueCheck check = kv::ValueCheck::kAbsent;
+  bool present = false;
+  std::optional<std::uint64_t> size;
+  std::optional<std::size_t> got;
+  std::optional<kv::Bytes> value;
+  const auto read_sub = [&] {
+    got = store.read_sub_checked(key, 16, dst, &check);
+  };
+  const auto contains = [&] { present = store.contains(key); };
+  const auto value_size = [&] { size = store.value_size(key); };
+  const auto get = [&] { value = store.get_checked(key, &check); };
+  // Warm up: in builds with the lock-rank detector, the first shared
+  // acquisition records its lock.
+  read_sub();
+  EXPECT_EQ(allocations(read_sub), 0u);
+  EXPECT_EQ(got, 32u);
+  EXPECT_EQ(check, kv::ValueCheck::kOk);
+  EXPECT_EQ(allocations(contains), 0u);
+  EXPECT_TRUE(present);
+  EXPECT_EQ(allocations(value_size), 0u);
+  EXPECT_EQ(size, 64u);
+  // The returned copy of the value is its one allocation.
+  EXPECT_EQ(allocations(get), 1u);
+  ASSERT_TRUE(value.has_value());
+  EXPECT_EQ(value->size(), 64u);
+}
+
+TEST(AllocFree, GuardedOverwriteBatchAllocatesNothingAndOnlyAnInsertGrows) {
+  kv::KvStore store;
+  for (int i = 0; i < 2000; ++i)
+    store.put("blk" + std::to_string(i), std::vector<std::byte>(64));
+  const std::vector<std::byte> value(64, std::byte{7});
+  const std::vector<std::byte> sub(16, std::byte{9});
+  kv::Batch b;
+  b.put("blk7", value, kv::Batch::Guard::kPresent);
+  b.write_sub("blk8", 8, sub, kv::Batch::Guard::kPresent);
+  b.expect(b.put("blk9", value), std::vector<std::byte>(64));
+  b.erase("absent", kv::Batch::Guard::kAbsent);
+  kv::Batch again;  // blk9 now holds `value`
+  again.put("blk7", value, kv::Batch::Guard::kPresent);
+  again.write_sub("blk8", 8, sub, kv::Batch::Guard::kPresent);
+  again.expect(again.put("blk9", value), std::vector<std::byte>(value));
+  again.erase("absent", kv::Batch::Guard::kAbsent);
+  kv::ApplyResult r;
+  EXPECT_TRUE(store.apply(b).applied());  // warm-up
+  EXPECT_EQ(allocations([&] { r = store.apply(again); }), 0u);
+  EXPECT_TRUE(r.applied());
+  // A new key allocates (its map node, its key, its value).
+  EXPECT_GT(allocations([&] { store.put("new", value); }), 0u);
+  EXPECT_EQ(store.size(), 2001u);
 }
 
 }  // namespace

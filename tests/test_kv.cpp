@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -371,6 +374,221 @@ TEST(SilentCorruption, GrowthKeepsDamageAndAFullCoverHeals) {
   // A sub-write creating its key (zero fill below the offset) is fresh.
   kv.write_sub("new", rng.next_below(100), random_bytes(rng, 50));
   EXPECT_EQ(kv.verify_value("new"), ValueCheck::kOk);
+}
+
+// ---- the point-lookup index against an ordered reference ----------------
+
+using Reference = std::map<std::string, Bytes, std::less<>>;
+
+/// Key `n` of the churn's key space: eight prefixes, some keys long enough
+/// to be heap strings, a few with binary bytes.
+std::string churn_key(std::uint64_t n) {
+  std::string k = "p" + std::to_string(n % 8) + "/" + std::to_string(n);
+  if (n % 5 == 0) k += std::string(20, 'x');
+  if (n % 11 == 0) k += std::string("\x00\xff", 2);
+  return k;
+}
+
+/// Every point accessor agrees with `ref` on `key`.
+void expect_point(const KvStore& kv, const Reference& ref,
+                  std::string_view key) {
+  const auto it = ref.find(key);
+  const bool present = it != ref.end();
+  ASSERT_EQ(kv.contains(key), present) << key;
+  ASSERT_EQ(kv.get(key).has_value(), present) << key;
+  if (present) {
+    ASSERT_EQ(*kv.get(key), it->second) << key;
+    ASSERT_EQ(kv.value_size(key), it->second.size()) << key;
+    ASSERT_EQ(kv.verify_value(key), ValueCheck::kOk) << key;
+  } else {
+    ASSERT_FALSE(kv.value_size(key).has_value()) << key;
+  }
+}
+
+/// The scan of `prefix` visits `ref`'s keys under it in order, and the
+/// sizes agree.
+void expect_scan(const KvStore& kv, const Reference& ref,
+                 std::string_view prefix) {
+  std::vector<std::pair<std::string, Bytes>> scanned;
+  kv.scan_prefix(prefix, [&](std::string_view k, const Bytes& v) {
+    scanned.emplace_back(k, v);
+    return true;
+  });
+  std::vector<std::pair<std::string, Bytes>> expected;
+  for (auto r = ref.lower_bound(prefix);
+       r != ref.end() && r->first.starts_with(prefix); ++r)
+    expected.emplace_back(r->first, r->second);
+  ASSERT_EQ(scanned, expected) << "prefix " << prefix;
+  ASSERT_EQ(kv.size(), ref.size());
+}
+
+/// A seeded op sequence over a churning key space — grow past several
+/// index doublings, erase most keys, grow again — checked against an
+/// ordered reference after every step: the touched key, a random key, a
+/// random prefix scan and the size; every key at each phase's end.
+TEST(KvIndex, MatchesAnOrderedReferenceThroughChurn) {
+  const std::uint64_t seed = fault::FaultInjector::seed_from_env(30);
+  SCOPED_TRACE(seed);
+  sim::Rng rng(seed);
+  KvStore kv(2);  // few shards: each index doubles up to 1 024+ slots
+  Reference ref;
+  constexpr std::uint64_t kSpace = 2048;
+  const auto value = [&] { return random_bytes(rng, rng.next_below(40)); };
+  // Per phase: steps, and the share of steps that erase.
+  const std::pair<int, double> phases[] = {
+      {2000, 0.1}, {2000, 0.8}, {1500, 0.05}, {2000, 0.9}};
+  for (const auto& [steps, erase_share] : phases) {
+    for (int step = 0; step < steps; ++step) {
+      const std::string key = churn_key(rng.next_below(kSpace));
+      const bool erase = rng.next_bool(erase_share);
+      switch (erase ? 0 : 1 + rng.next_below(5)) {
+        case 0: {
+          ASSERT_EQ(kv.erase(key), ref.erase(key) == 1) << key;
+          break;
+        }
+        case 1: {
+          const Bytes v = value();
+          kv.put(key, v);
+          ref[key] = v;
+          break;
+        }
+        case 2: {
+          const Bytes v = value();
+          ASSERT_EQ(kv.put_if_absent(key, v), ref.try_emplace(key, v).second)
+              << key;
+          break;
+        }
+        case 3: {
+          const std::uint64_t off = rng.next_below(32);
+          const Bytes src = random_bytes(rng, 1 + rng.next_below(16));
+          kv.write_sub(key, off, src);
+          Bytes& r = ref[key];
+          if (r.size() < off + src.size()) r.resize(off + src.size());
+          std::copy(src.begin(), src.end(), r.begin() + off);
+          break;
+        }
+        case 4: {
+          const std::uint64_t delta = 1 + rng.next_below(1000);
+          Bytes& r = ref[key];
+          if (r.size() != 8) r.assign(8, std::byte{0});
+          std::uint64_t cur;
+          std::memcpy(&cur, r.data(), 8);
+          cur += delta;
+          std::memcpy(r.data(), &cur, 8);
+          ASSERT_EQ(kv.increment(key, delta), cur) << key;
+          break;
+        }
+        default: {
+          // A guarded batch of 2..6 ops; guards are checked against the
+          // store before any op applies, and a refusal applies nothing.
+          Batch batch;
+          std::vector<Bytes> held(6);  // the batch holds spans of these
+          const std::size_t n = 2 + rng.next_below(5);
+          std::size_t first_refused = ApplyResult::kApplied;
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::string k = churn_key(rng.next_below(kSpace));
+            const auto r = ref.find(k);
+            const bool present = r != ref.end();
+            const auto guard = static_cast<Batch::Guard>(rng.next_below(4));
+            const Batch::Guard plain =
+                guard == Batch::Guard::kEquals ? Batch::Guard::kNone : guard;
+            held[i] = value();
+            std::size_t op = 0;
+            switch (rng.next_below(3)) {
+              case 0: op = batch.put(k, held[i], plain); break;
+              case 1: op = batch.erase(k, plain); break;
+              default:
+                op = batch.write_sub(k, rng.next_below(16), held[i], plain);
+            }
+            bool ok = guard == Batch::Guard::kNone ||
+                      (guard == Batch::Guard::kAbsent ? !present : present);
+            if (guard == Batch::Guard::kEquals) {
+              // Half the time the expected bytes are the stored ones.
+              Bytes expect =
+                  present && rng.next_bool(0.5) ? r->second : value();
+              ok = present && expect == r->second;
+              batch.expect(op, std::move(expect));
+            }
+            if (!ok && first_refused == ApplyResult::kApplied)
+              first_refused = i;
+          }
+          const ApplyResult res = kv.apply(batch);
+          ASSERT_EQ(res.failed_guard, first_refused);
+          if (res.applied()) {
+            for (const Batch::Op& op : batch.ops()) {
+              if (op.kind == Batch::Kind::kPut) {
+                ref[op.key] = Bytes(op.value.begin(), op.value.end());
+              } else if (op.kind == Batch::Kind::kErase) {
+                ref.erase(op.key);
+              } else {
+                Bytes& r = ref[op.key];
+                if (r.size() < op.offset + op.value.size())
+                  r.resize(op.offset + op.value.size());
+                std::copy(op.value.begin(), op.value.end(),
+                          r.begin() + op.offset);
+              }
+            }
+          }
+          break;
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_point(kv, ref, key));
+      ASSERT_NO_FATAL_FAILURE(
+          expect_point(kv, ref, churn_key(rng.next_below(kSpace))));
+      ASSERT_NO_FATAL_FAILURE(expect_scan(
+          kv, ref, "p" + std::to_string(rng.next_below(8)) + "/"));
+    }
+    for (std::uint64_t n = 0; n < kSpace; ++n)
+      ASSERT_NO_FATAL_FAILURE(expect_point(kv, ref, churn_key(n)));
+    ASSERT_NO_FATAL_FAILURE(expect_scan(kv, ref, ""));
+  }
+}
+
+/// Readers get and scan while a writer churns keys through index
+/// doublings and backward-shift erases: a lookup under the shared lock
+/// never writes the index (the TSan build checks it), and the readers'
+/// own keys stay visible throughout.
+TEST(KvIndex, ReadersSeeAStableIndexWhileAWriterChurns) {
+  KvStore kv(2);
+  constexpr int kStable = 64;
+  for (int i = 0; i < kStable; ++i)
+    kv.put("s/" + std::to_string(i), b(std::to_string(i)));
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&kv, &done, t] {
+      sim::Rng rng(fault::FaultInjector::seed_from_env(30) + 1 + t);
+      do {
+        const auto i = rng.next_below(kStable);
+        const auto v = kv.get("s/" + std::to_string(i));
+        ASSERT_TRUE(v.has_value()) << i;
+        ASSERT_EQ(*v, b(std::to_string(i)));
+        std::string last;
+        std::size_t seen = 0;
+        kv.scan_prefix("s/", [&](std::string_view k, const Bytes&) {
+          EXPECT_LT(last, k);
+          last = k;
+          ++seen;
+          return true;
+        });
+        ASSERT_EQ(seen, static_cast<std::size_t>(kStable));
+        kv.scan_prefix("w/0/12", [](std::string_view, const Bytes&) {
+          return true;
+        });
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  sim::Rng rng(fault::FaultInjector::seed_from_env(30));
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 1500; ++i)
+      kv.put("w/" + std::to_string(round) + "/" + std::to_string(i), b("v"));
+    for (int i = 0; i < 1500; ++i) {
+      if (!rng.next_bool(0.9)) continue;
+      kv.erase("w/" + std::to_string(round) + "/" + std::to_string(i));
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
 }
 
 TEST(RemoteKv, BatchCostIsRoundTripsPlusWireBytes) {

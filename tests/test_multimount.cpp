@@ -255,5 +255,29 @@ TEST(MultiMount, StaleCachedAttrNeverUndoesATruncate) {
   EXPECT_TRUE(kvfs::fsck(store).clean());
 }
 
+/// Mount A caches a 64 KiB size; mount B truncates the file to 0. A's
+/// truncate to 65 536 equals its stale cached size, yet must not return
+/// success without sending anything: its attr put is guarded equal to the
+/// attr A last saw, is refused, and the truncate reloads and lands.
+TEST(MultiMount, SameSizeTruncateOnAStaleCachedAttrLands) {
+  kv::KvStore store;
+  DpcSystem a(mount_opts(&store));
+  DpcSystem b(mount_opts(&store));
+  const auto f = a.create(kvfs::kRootIno, "same");
+  ASSERT_TRUE(a.write(f.ino, 0, bytes(64 * 1024, 42), true).ok());
+  ASSERT_TRUE(b.truncate(f.ino, 0).ok());
+  ASSERT_TRUE(a.truncate(f.ino, 65536).ok());
+
+  DpcSystem fresh(mount_opts(&store));
+  kvfs::Attr attr;
+  ASSERT_TRUE(fresh.getattr(f.ino, &attr).ok());
+  EXPECT_EQ(attr.size, 65536u);
+  // B's cut stands: the regrown range reads as a hole.
+  std::vector<std::byte> out(4096, std::byte{1});
+  ASSERT_TRUE(fresh.read(f.ino, 0, out, true).ok());
+  EXPECT_EQ(out, std::vector<std::byte>(4096));
+  EXPECT_TRUE(kvfs::fsck(store).clean());
+}
+
 }  // namespace
 }  // namespace dpc::core
