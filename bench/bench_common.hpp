@@ -1,7 +1,7 @@
 // Shared plumbing for the figure/table reproduction binaries: flag parsing
-// (--csv emits machine-readable rows), headline printing, the sample
-// quantile, the demand helpers that turn measured op counts into MVA
-// station demands, and the direct-path networks Figs. 7 and 8 share.
+// (--csv emits machine-readable rows), headline printing, the demand
+// helpers that turn measured op counts into MVA station demands, and the
+// direct-path networks Figs. 7 and 8 share.
 #pragma once
 
 #include <algorithm>
@@ -61,19 +61,6 @@ inline void emit_metrics_json(const obs::Registry& reg,
   reg.to_json(out);
   out << '\n';
   std::cout << "[metrics] wrote " << path << '\n';
-}
-
-/// Exact floor-rank quantile of a sample: the element of rank
-/// floor(q * (n - 1)) in sorted order, q in [0, 1]. Benches that keep raw
-/// per-op samples use this; sim::Histogram's bucketed percentile is for
-/// registry instruments.
-inline std::int64_t quantile(std::vector<std::int64_t> v, double q) {
-  DPC_CHECK(!v.empty() && q >= 0.0 && q <= 1.0);
-  const auto rank =
-      static_cast<std::size_t>(static_cast<double>(v.size() - 1) * q);
-  const auto nth = v.begin() + static_cast<std::ptrdiff_t>(rank);
-  std::nth_element(v.begin(), nth, v.end());
-  return *nth;
 }
 
 /// Modelled cost of `dma_ops` link transactions moving `bytes` of payload:

@@ -71,8 +71,8 @@ struct ArmResult {
 
 ArmResult finish_arm(core::DpcSystem& sys, std::vector<std::int64_t>& lat) {
   ArmResult r;
-  r.p50_ns = bench::quantile(lat, 0.50);
-  r.p99_ns = bench::quantile(lat, 0.99);
+  r.p50_ns = sim::quantile(lat, 0.50);
+  r.p99_ns = sim::quantile(lat, 0.99);
   r.wal_appends = sys.metrics().counter("wal/appends").value();
   r.fast_acks = sys.dispatch_stats().wal_fast_acks.load();
   r.fallbacks = sys.dispatch_stats().wal_fallbacks.load();

@@ -203,8 +203,8 @@ ArmResult run_arm(Isolation iso, Antagonist antagonist) {
   sys.stop_dpu();
 
   ArmResult r;
-  r.p99_ns = bench::quantile(costs, 0.99);
-  r.p50_ns = bench::quantile(costs, 0.50);
+  r.p99_ns = sim::quantile(costs, 0.99);
+  r.p50_ns = sim::quantile(costs, 0.50);
   r.throttled = sys.metrics().counter("qos/throttled").load();
   r.shed = sys.metrics().counter("qos/shed").load();
   r.scrub_yields = sys.metrics().counter("scrub/yields").load();

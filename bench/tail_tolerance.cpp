@@ -196,11 +196,11 @@ int main(int argc, char** argv) {
   // ---- phase 1: healthy baseline --------------------------------------
   const auto on_healthy = on.run_reads(400, seed ^ 1);
   const auto off_healthy = off.run_reads(400, seed ^ 1);
-  const std::int64_t on_healthy_p99 = bench::quantile(on_healthy, 0.99);
-  const std::int64_t off_healthy_p99 = bench::quantile(off_healthy, 0.99);
-  row("ds healthy", "on", on_healthy.size(), bench::quantile(on_healthy, 0.5),
+  const std::int64_t on_healthy_p99 = sim::quantile(on_healthy, 0.99);
+  const std::int64_t off_healthy_p99 = sim::quantile(off_healthy, 0.99);
+  row("ds healthy", "on", on_healthy.size(), sim::quantile(on_healthy, 0.5),
       on_healthy_p99, "");
-  row("ds healthy", "off", off_healthy.size(), bench::quantile(off_healthy, 0.5),
+  row("ds healthy", "off", off_healthy.size(), sim::quantile(off_healthy, 0.5),
       off_healthy_p99, "");
 
   // ---- phase 2: limping data server (sustained ×10) -------------------
@@ -211,11 +211,11 @@ int main(int argc, char** argv) {
   off.fi.arm_slow(dfs::kFaultDsSlow, limp);
   const auto on_limp = on.run_reads(1600, seed ^ 2);
   const auto off_limp = off.run_reads(400, seed ^ 2);
-  const std::int64_t on_limp_p99 = bench::quantile(on_limp, 0.99);
-  const std::int64_t off_limp_p99 = bench::quantile(off_limp, 0.99);
-  row("ds limp x10", "on", on_limp.size(), bench::quantile(on_limp, 0.5), on_limp_p99,
+  const std::int64_t on_limp_p99 = sim::quantile(on_limp, 0.99);
+  const std::int64_t off_limp_p99 = sim::quantile(off_limp, 0.99);
+  row("ds limp x10", "on", on_limp.size(), sim::quantile(on_limp, 0.5), on_limp_p99,
       "quarantined=" + std::to_string(on.ds.health()->quarantines()));
-  row("ds limp x10", "off", off_limp.size(), bench::quantile(off_limp, 0.5),
+  row("ds limp x10", "off", off_limp.size(), sim::quantile(off_limp, 0.5),
       off_limp_p99, "waits out the limp");
 
   // The tentpole SLO: hedging/quarantine holds read p99 at ≤ 2× healthy
@@ -231,8 +231,8 @@ int main(int argc, char** argv) {
   on.fi.disarm_slow(dfs::kFaultDsSlow);
   off.fi.disarm_slow(dfs::kFaultDsSlow);
   const auto on_heal = on.run_reads(400, seed ^ 3);
-  row("ds heal", "on", on_heal.size(), bench::quantile(on_heal, 0.5),
-      bench::quantile(on_heal, 0.99),
+  row("ds heal", "on", on_heal.size(), sim::quantile(on_heal, 0.5),
+      sim::quantile(on_heal, 0.99),
       "reintegrations=" + std::to_string(on.ds.health()->reintegrations()));
   DPC_CHECK(on.ds.health()->reintegrations() >= 1);
   DPC_CHECK(!on.ds.health()->quarantined(kLimpServer));
@@ -247,14 +247,14 @@ int main(int argc, char** argv) {
   const auto off_stall = off.run_reads(800, seed ^ 4);
   on.fi.disarm_slow(dfs::kFaultDsSlow);
   off.fi.disarm_slow(dfs::kFaultDsSlow);
-  const std::int64_t on_stall_p99 = bench::quantile(on_stall, 0.99);
-  const std::int64_t off_stall_p99 = bench::quantile(off_stall, 0.99);
+  const std::int64_t on_stall_p99 = sim::quantile(on_stall, 0.99);
+  const std::int64_t off_stall_p99 = sim::quantile(off_stall, 0.99);
   const auto& hc = on.ds.hedge_counters();
-  row("ds stall 80us", "on", on_stall.size(), bench::quantile(on_stall, 0.5),
+  row("ds stall 80us", "on", on_stall.size(), sim::quantile(on_stall, 0.5),
       on_stall_p99,
       "hedges=" + std::to_string(hc.issued->value()) + " won=" +
           std::to_string(hc.won->value()));
-  row("ds stall 80us", "off", off_stall.size(), bench::quantile(off_stall, 0.5),
+  row("ds stall 80us", "off", off_stall.size(), sim::quantile(off_stall, 0.5),
       off_stall_p99, "denied=" +
           std::to_string(off.ds.hedge_counters().denied->value()));
   DPC_CHECK(hc.issued->value() >= 1);
@@ -305,10 +305,10 @@ int main(int argc, char** argv) {
 
   const auto kv_on_healthy = kv_on.run_gets(512);
   const auto kv_off_healthy = kv_off.run_gets(512);
-  row("kv healthy", "on", kv_on_healthy.size(), bench::quantile(kv_on_healthy, 0.5),
-      bench::quantile(kv_on_healthy, 0.99), "");
-  row("kv healthy", "off", kv_off_healthy.size(), bench::quantile(kv_off_healthy, 0.5),
-      bench::quantile(kv_off_healthy, 0.99), "");
+  row("kv healthy", "on", kv_on_healthy.size(), sim::quantile(kv_on_healthy, 0.5),
+      sim::quantile(kv_on_healthy, 0.99), "");
+  row("kv healthy", "off", kv_off_healthy.size(), sim::quantile(kv_off_healthy, 0.5),
+      sim::quantile(kv_off_healthy, 0.99), "");
 
   // ---- phase 6: KV stalls — adaptive deadline cuts them ---------------
   fault::FaultInjector::SlowSpec kstall;
@@ -320,11 +320,11 @@ int main(int argc, char** argv) {
   const auto kv_off_stall = kv_off.run_gets(512);
   kv_on.fi.disarm_slow(kv::RemoteKv::kSlowSite);
   kv_off.fi.disarm_slow(kv::RemoteKv::kSlowSite);
-  const std::int64_t kv_on_stall_p99 = bench::quantile(kv_on_stall, 0.99);
-  const std::int64_t kv_off_stall_p99 = bench::quantile(kv_off_stall, 0.99);
-  row("kv stall 2ms", "on", kv_on_stall.size(), bench::quantile(kv_on_stall, 0.5),
+  const std::int64_t kv_on_stall_p99 = sim::quantile(kv_on_stall, 0.99);
+  const std::int64_t kv_off_stall_p99 = sim::quantile(kv_off_stall, 0.99);
+  row("kv stall 2ms", "on", kv_on_stall.size(), sim::quantile(kv_on_stall, 0.5),
       kv_on_stall_p99, "deadline cuts + retry");
-  row("kv stall 2ms", "off", kv_off_stall.size(), bench::quantile(kv_off_stall, 0.5),
+  row("kv stall 2ms", "off", kv_off_stall.size(), sim::quantile(kv_off_stall, 0.5),
       kv_off_stall_p99, "waits out each stall");
   DPC_CHECK(static_cast<double>(kv_on_stall_p99) <=
             0.5 * static_cast<double>(kv_off_stall_p99));
@@ -348,12 +348,12 @@ int main(int argc, char** argv) {
     kv_off_outage.push_back(kv_off.get_one(i));
   }
   // Quarantined: the median outage op is a free fast-fail, not a retry run.
-  DPC_CHECK(bench::quantile(kv_on_outage, 0.5) == 0);
-  row("kv outage", "on", kv_on_outage.size() + 1, bench::quantile(kv_on_outage, 0.5),
-      bench::quantile(kv_on_outage, 0.99),
+  DPC_CHECK(sim::quantile(kv_on_outage, 0.5) == 0);
+  row("kv outage", "on", kv_on_outage.size() + 1, sim::quantile(kv_on_outage, 0.5),
+      sim::quantile(kv_on_outage, 0.99),
       "first_op_us=" + sim::Table::fmt(us(kv_on_first)));
-  row("kv outage", "off", kv_off_outage.size() + 1, bench::quantile(kv_off_outage, 0.5),
-      bench::quantile(kv_off_outage, 0.99),
+  row("kv outage", "off", kv_off_outage.size() + 1, sim::quantile(kv_off_outage, 0.5),
+      sim::quantile(kv_off_outage, 0.99),
       "first_op_us=" + sim::Table::fmt(us(kv_off_first)));
 
   // ---- phase 8: KV heals — probes reintegrate, breaker closes ---------

@@ -168,8 +168,8 @@ void scenario_wal_fsync_flush(ModelSched& sched) {
 // ---------------------------------------------------------------------------
 // sq_submit_abort — one submitter and one TGT pump over a depth-4 queue
 // pair. Phase 1: a single submit must complete with its own payload-derived
-// result. Phase 2: a full-width batch, every completion accounted for
-// exactly once. Phase 3: abort vs the in-flight CQE — whichever wins, the
+// result. Phase 2: three submits fill the queue, every completion accounted
+// for exactly once. Phase 3: abort vs the in-flight CQE — whichever wins, the
 // recorded completion for that cid must never be clobbered afterwards, and
 // the reclaimed cid must carry the *next* command's result untainted.
 // Mutation `doorbell-publish` rings the doorbell before the SQE store, so
@@ -231,23 +231,23 @@ void scenario_sq_submit_abort(ModelSched& sched) {
                   "single submit completed with the wrong command's result");
     ini.release(s0.cid);
 
-    // Phase 2: full-width batch (3 usable cids on a depth-4 queue), one
-    // doorbell for the run.
-    std::array<nvme::IniDriver::Request, 3> batch = {req(10), req(11),
-                                                     req(12)};
-    const auto bs = ini.submit_batch(batch);
+    // Phase 2: fill the queue (3 usable cids on a depth-4 queue) with
+    // three submits before reaping any of them.
+    std::array<std::uint16_t, 3> cids{};
+    for (std::uint64_t i = 0; i < cids.size(); ++i)
+      cids[i] = ini.submit(req(10 + i)).cid;
     std::vector<std::uint32_t> got;
-    for (const std::uint16_t cid : bs.cids) {
+    for (const std::uint16_t cid : cids) {
       const auto c = ini.wait(cid);
       sched.require(c.status == nvme::Status::kSuccess,
-                    "batched submit completed with an error status");
+                    "queue-filling submit completed with an error status");
       got.push_back(c.result);
       ini.release(cid);
     }
     std::sort(got.begin(), got.end());
     sched.require(got == std::vector<std::uint32_t>({1010, 1011, 1012}),
-                  "batched submit: completions lost, duplicated or "
-                  "cross-wired across cids");
+                  "full queue: completions lost, duplicated or cross-wired "
+                  "across cids");
 
     // Phase 3: abort racing the CQE, then cid reuse.
     const auto sp = ini.submit(req(77));
@@ -637,7 +637,7 @@ const std::vector<Scenario>& scenarios() {
        /*max_schedules=*/2'000'000, /*mutate_seeds=*/64,
        scenario_wal_fsync_flush},
       {"sq_submit_abort",
-       "batched SQ submit + abort vs TGT pump: no clobbered or orphan cids",
+       "SQ submit + abort vs TGT pump: no clobbered or orphan cids",
        "doorbell-publish", /*exhaustive=*/false, /*max_steps=*/20000,
        /*max_schedules=*/0, /*mutate_seeds=*/64, scenario_sq_submit_abort},
       {"drr_dispatch",

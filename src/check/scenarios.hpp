@@ -1,6 +1,6 @@
 // The model-checked scenario catalog: each entry builds one small bounded
 // system around a protocol the paper's client depends on (the seqlock'd
-// cache entry, the NVM write-ahead log, the batched SQ/CQ pair, the DRR
+// cache entry, the NVM write-ahead log, the SQ/CQ pair, the DRR
 // dispatcher, restart-vs-pump, idle-pass loss detection, the dirty-bitmap
 // publish, the multi-shard KV batch), runs 2–3 managed threads through it
 // under ModelSched, and asserts the protocol's invariants over every

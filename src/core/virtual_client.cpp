@@ -116,35 +116,6 @@ bool NvmeRawHarness::do_read(int q, std::span<std::byte> dst,
   }
 }
 
-bool NvmeRawHarness::do_write_batch(int q, int n,
-                                    std::span<const std::byte> payload) {
-  nvme::IniDriver& ini = *inis_[static_cast<std::size_t>(q)];
-  // This helper submits then drains on one thread: a batch wider than the
-  // queue's depth-1 cid pool would park submit_batch on free_cv_ with
-  // nobody left to pump.
-  DPC_CHECK(n < static_cast<int>(opts_.depth));
-  nvme::IniDriver::Request r(/*tenant=*/0);  // single-tenant harness
-  r.inline_op = nvme::InlineOp::kWrite;
-  r.write_data = payload;
-  const std::vector<nvme::IniDriver::Request> reqs(
-      static_cast<std::size_t>(n), r);
-  const auto sub = ini.submit_batch(reqs);
-  bool ok = true;
-  for (const std::uint16_t cid : sub.cids) {
-    for (;;) {
-      if (auto c = ini.try_take(cid)) {
-        ok = ok && c->status == nvme::Status::kSuccess &&
-             c->result == payload.size();
-        ini.release(cid);
-        break;
-      }
-      pump(q);
-      std::this_thread::yield();
-    }
-  }
-  return ok;
-}
-
 int NvmeRawHarness::pump(int q) {
   sim::LockGuard lock(*pump_mu_[static_cast<std::size_t>(q)]);
   return tgts_[static_cast<std::size_t>(q)]->process_available(64).processed;

@@ -44,10 +44,6 @@ class NvmeRawHarness {
   /// One synchronous raw read of `len` bytes on queue `q` into `dst`.
   bool do_read(int q, std::span<std::byte> dst,
                nvme::Completion* done = nullptr);
-  /// Submits `n` copies of `payload` as ONE batch (single SQ doorbell via
-  /// IniDriver::submit_batch), drains, and waits for every completion.
-  /// The batched-hot-path entry benches and doorbell-coalescing tests use.
-  bool do_write_batch(int q, int n, std::span<const std::byte> payload);
 
   /// Drains queue `q` on the "DPU" (call from a DPU worker or inline).
   int pump(int q);

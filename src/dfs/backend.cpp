@@ -35,24 +35,29 @@ std::optional<Ino> Mds::lookup(const std::string& path) const {
   return it->second;
 }
 
-std::optional<FileMeta> Mds::create(const std::string& path, Ino ino,
-                                    std::uint64_t size,
-                                    const FileMeta* templ) {
+bool Mds::add_name(const std::string& path, Ino ino) {
   sim::LockGuard lock(mu_);
-  if (!names_.try_emplace(path, ino).second) return std::nullopt;
+  return names_.try_emplace(path, ino).second;
+}
+
+std::optional<Ino> Mds::remove_name(const std::string& path) {
+  sim::LockGuard lock(mu_);
+  const auto it = names_.find(path);
+  if (it == names_.end()) return std::nullopt;
+  const Ino ino = it->second;
+  names_.erase(it);
+  return ino;
+}
+
+FileMeta Mds::add_file(Ino ino, std::uint64_t size, const FileMeta* templ) {
   FileMeta meta;
   if (templ != nullptr) meta = *templ;
   meta.ino = ino;
   meta.size = size;
   meta.delegation = 0;
+  sim::LockGuard lock(mu_);
   files_[ino] = meta;
   return meta;
-}
-
-ClientId Mds::delegation_holder(Ino ino) const {
-  sim::SharedLockGuard lock(mu_);
-  const auto it = files_.find(ino);
-  return it == files_.end() ? 0 : it->second.delegation;
 }
 
 std::optional<FileMeta> Mds::stat(Ino ino) const {
@@ -70,30 +75,19 @@ bool Mds::update_size(Ino ino, std::uint64_t size) {
   return true;
 }
 
-bool Mds::acquire_delegation(Ino ino, ClientId client) {
+Grant Mds::acquire_delegation(Ino ino, ClientId client) {
   sim::LockGuard lock(mu_);
   const auto it = files_.find(ino);
-  if (it == files_.end()) return false;
+  if (it == files_.end()) return Grant::kUnknownIno;
   if (it->second.delegation != 0 && it->second.delegation != client)
-    return false;
+    return Grant::kBusy;
   it->second.delegation = client;
-  return true;
+  return Grant::kGranted;
 }
 
-void Mds::release_delegation(Ino ino, ClientId client) {
+void Mds::remove_file(Ino ino) {
   sim::LockGuard lock(mu_);
-  const auto it = files_.find(ino);
-  if (it != files_.end() && it->second.delegation == client)
-    it->second.delegation = 0;
-}
-
-bool Mds::remove(const std::string& path) {
-  sim::LockGuard lock(mu_);
-  const auto it = names_.find(path);
-  if (it == names_.end()) return false;
-  files_.erase(it->second);
-  names_.erase(it);
-  return true;
+  files_.erase(ino);
 }
 
 // ------------------------------------------------------------ MdsCluster
@@ -136,15 +130,6 @@ void MdsCluster::charge(int home, int entry, bool direct,
   if (health_ != nullptr) health_->record(home, net + svc, true);
 }
 
-void MdsCluster::register_recall(ClientId client, RecallFn fn) {
-  sim::LockGuard lock(recall_mu_);
-  if (fn) {
-    recalls_[client] = std::move(fn);
-  } else {
-    recalls_.erase(client);
-  }
-}
-
 std::optional<FileMeta> MdsCluster::create(const std::string& path,
                                            std::uint64_t size, int entry,
                                            bool direct, OpProfile& prof,
@@ -152,12 +137,16 @@ std::optional<FileMeta> MdsCluster::create(const std::string& path,
   const int home = home_of(path);
   charge(home, entry, direct, prof);
   const Ino ino = next_ino_.fetch_add(1, std::memory_order_relaxed);
-  auto meta =
-      mds_[static_cast<std::size_t>(home)].create(path, ino, size, templ);
-  if (!meta) return std::nullopt;
-  // The file's metadata lives with its path's home MDS; ino-keyed requests
-  // that land elsewhere locate it with one extra internal hop (handled by
-  // the scan fallback in stat/update/acquire).
+  // The FileMeta goes on the ino's home before the name publishes it, so a
+  // lookup never finds an ino without metadata.
+  Mds& file_home = mds_[static_cast<std::size_t>(home_of(ino))];
+  const FileMeta meta = file_home.add_file(ino, size, templ);
+  if (!mds_[static_cast<std::size_t>(home)].add_name(path, ino)) {
+    file_home.remove_file(ino);
+    return std::nullopt;
+  }
+  // The path's home installs the FileMeta on the ino's home: one extra
+  // internal hop when the two differ.
   if (home_of(ino) != home) prof.net += sim::calib::kNetHop;
   return meta;
 }
@@ -173,74 +162,33 @@ std::optional<FileMeta> MdsCluster::stat(Ino ino, int entry, bool direct,
                                          OpProfile& prof) {
   const int home = home_of(ino);
   charge(home, entry, direct, prof);
-  auto meta = mds_[static_cast<std::size_t>(home)].stat(ino);
-  if (meta) return meta;
-  // Fall back to scanning (metadata created under the path home).
-  for (const auto& m : mds_) {
-    if (auto got = m.stat(ino)) return got;
-  }
-  return std::nullopt;
+  return mds_[static_cast<std::size_t>(home)].stat(ino);
 }
 
 bool MdsCluster::update_size(Ino ino, std::uint64_t size, int entry,
                              bool direct, OpProfile& prof) {
   const int home = home_of(ino);
   charge(home, entry, direct, prof);
-  if (mds_[static_cast<std::size_t>(home)].update_size(ino, size)) return true;
-  for (auto& m : mds_)
-    if (m.update_size(ino, size)) return true;
-  return false;
+  return mds_[static_cast<std::size_t>(home)].update_size(ino, size);
 }
 
-MdsCluster::Grant MdsCluster::acquire_delegation(Ino ino, ClientId client,
-                                                 int entry, bool direct,
-                                                 OpProfile& prof) {
+Grant MdsCluster::acquire_delegation(Ino ino, ClientId client, int entry,
+                                     bool direct, OpProfile& prof) {
   const int home = home_of(ino);
   charge(home, entry, direct, prof);
-  auto try_all = [&]() -> std::pair<bool, Mds*> {
-    if (mds_[static_cast<std::size_t>(home)].acquire_delegation(ino, client))
-      return {true, nullptr};
-    for (auto& m : mds_) {
-      if (m.acquire_delegation(ino, client)) return {true, nullptr};
-      if (m.delegation_holder(ino) != 0) return {false, &m};
-    }
-    return {false, nullptr};
-  };
-  auto [ok, owner_mds] = try_all();
-  if (ok) return Grant::kGranted;
-  if (owner_mds == nullptr) return Grant::kUnknownIno;
-
-  // Lease recall: ask the current holder to give the delegation back
-  // (NFSv4-style). Costs one extra server→holder round trip.
-  const ClientId holder = owner_mds->delegation_holder(ino);
-  RecallFn recall;
-  {
-    sim::LockGuard lock(recall_mu_);
-    const auto it = recalls_.find(holder);
-    if (it != recalls_.end()) recall = it->second;
-  }
-  if (!recall || !recall(ino)) return Grant::kBusy;  // holder refused
-  owner_mds->release_delegation(ino, holder);
-  prof.net += sim::calib::kNetHop * 2;
-  prof.mds += sim::calib::kMdsOp;
-  ++prof.mds_ops;
-  return owner_mds->acquire_delegation(ino, client) ? Grant::kGranted
-                                                    : Grant::kBusy;
+  return mds_[static_cast<std::size_t>(home)].acquire_delegation(ino, client);
 }
 
 bool MdsCluster::remove(const std::string& path, int entry, bool direct,
                         OpProfile& prof) {
   const int home = home_of(path);
   charge(home, entry, direct, prof);
-  return mds_[static_cast<std::size_t>(home)].remove(path);
-}
-
-std::optional<FileMeta> MdsCluster::find_meta(Ino ino) const {
-  const int home = home_of(ino);
-  if (auto meta = mds_[static_cast<std::size_t>(home)].stat(ino)) return meta;
-  for (const auto& m : mds_)
-    if (auto meta = m.stat(ino)) return meta;
-  return std::nullopt;
+  const auto ino = mds_[static_cast<std::size_t>(home)].remove_name(path);
+  if (!ino) return false;
+  // Dropping the FileMeta is the same internal hop create() pays.
+  if (home_of(*ino) != home) prof.net += sim::calib::kNetHop;
+  mds_[static_cast<std::size_t>(home_of(*ino))].remove_file(*ino);
+  return true;
 }
 
 bool MdsCluster::server_side_write(DataServers& ds, const ec::ReedSolomon& rs,
@@ -267,9 +215,7 @@ bool MdsCluster::server_side_write(DataServers& ds, const ec::ReedSolomon& rs,
     if (!striped_write(ds, rs, *meta, offset, data, prof)) return false;
   }
   // …and lazily updates the size.
-  for (auto& m : mds_) {
-    if (m.update_size(ino, offset + data.size())) break;
-  }
+  mds_[static_cast<std::size_t>(home)].update_size(ino, offset + data.size());
   return true;
 }
 
@@ -320,14 +266,13 @@ std::uint32_t stamp_shard_crc(Ino ino, std::uint64_t stripe,
 }  // namespace
 
 DataServers::DataServers(int servers, fault::FaultInjector* fault,
-                         obs::Registry* registry,
-                         fault::CircuitBreaker::Config breaker_cfg)
+                         obs::Registry* registry)
     : servers_(static_cast<std::size_t>(servers)), fault_(fault) {
   DPC_CHECK(servers >= 1);
   breakers_.reserve(static_cast<std::size_t>(servers));
   for (int s = 0; s < servers; ++s) {
-    breakers_.push_back(
-        std::make_unique<fault::CircuitBreaker>(breaker_cfg, registry));
+    breakers_.push_back(std::make_unique<fault::CircuitBreaker>(
+        fault::CircuitBreaker::Config{}, registry));
   }
   registry_ = registry;
   if (registry != nullptr) {

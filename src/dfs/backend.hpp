@@ -2,10 +2,12 @@
 // servers (§2.1's architecture: "metadata server (MDS), data server, and
 // fs-client").
 //
-// Metadata is hash-partitioned across MDSes. A client that has not cached
-// the metadata view sends every request to its *entry* MDS, which forwards
-// to the *home* MDS — the forwarding the optimized client eliminates with
-// client-side routing ("Client-side I/O forwarding", §2.1).
+// Metadata is hash-partitioned across MDSes: each name lives on its path's
+// home MDS and each FileMeta on its ino's home, the MDS every ino-keyed op
+// is charged to. A client that has not cached the metadata view sends every
+// request to its *entry* MDS, which forwards to the *home* MDS — the
+// forwarding the optimized client eliminates with client-side routing
+// ("Client-side I/O forwarding", §2.1).
 //
 // File data is striped RS(k,m) across the data servers; erasure coding is
 // computed either by the home MDS (standard path) or by the client /
@@ -13,7 +15,6 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -94,24 +95,30 @@ struct OpProfile {
   sim::Nanos latency() const { return mds + ds + net - overlapped + crit; }
 };
 
-/// One metadata server.
+/// A write delegation for a client: granted, held by another client (retry
+/// later), or refused because the ino is unknown (a final answer).
+enum class Grant : std::uint8_t { kGranted, kBusy, kUnknownIno };
+
+/// One metadata server. It is the home (MdsCluster::home_of) of two kinds
+/// of record: the names whose path hashes to it, and the FileMeta of the
+/// inos that hash to it. A file's two records may live on different MDSes.
 class Mds {
  public:
   std::optional<Ino> lookup(const std::string& path) const;
-  /// Creates the name; returns nullopt if it already exists. `templ`
-  /// optionally supplies the layout (stripe geometry, redundancy scheme).
-  std::optional<FileMeta> create(const std::string& path, Ino ino,
-                                 std::uint64_t size,
-                                 const FileMeta* templ = nullptr);
-  /// Current delegation holder (0 = none / unknown ino).
-  ClientId delegation_holder(Ino ino) const;
+  /// Adds the name; false if it already exists.
+  bool add_name(const std::string& path, Ino ino);
+  /// Removes the name and returns the ino it named.
+  std::optional<Ino> remove_name(const std::string& path);
+
+  /// Installs `ino`'s metadata. `templ` optionally supplies the layout
+  /// (stripe geometry, redundancy scheme).
+  FileMeta add_file(Ino ino, std::uint64_t size,
+                    const FileMeta* templ = nullptr);
   std::optional<FileMeta> stat(Ino ino) const;
   bool update_size(Ino ino, std::uint64_t size);
   /// Grants (or confirms) the exclusive write delegation to `client`.
-  /// Returns false while another client holds it.
-  bool acquire_delegation(Ino ino, ClientId client);
-  void release_delegation(Ino ino, ClientId client);
-  bool remove(const std::string& path);
+  Grant acquire_delegation(Ino ino, ClientId client);
+  void remove_file(Ino ino);
 
  private:
   mutable sim::AnnotatedSharedMutex mu_{"mds.meta", sim::LockRank::kShard};
@@ -131,14 +138,10 @@ class MdsCluster {
   int home_of(const std::string& path) const;
   int home_of(Ino ino) const;
 
-  /// A client's promise to give a delegation back when another client
-  /// wants it. Return true to release.
-  using RecallFn = std::function<bool(Ino)>;
-  /// Registers `client`'s recall handler (lease-style delegations).
-  void register_recall(ClientId client, RecallFn fn);
-
-  /// Namespace & metadata ops. `entry` is the caller's entry MDS index;
-  /// `direct` true = caller routed to the home MDS itself.
+  /// Namespace & metadata ops, each one RPC to one home: create, lookup
+  /// and remove to the path's, the rest to the ino's. `entry` is the
+  /// caller's entry MDS index; `direct` true = caller routed to the home
+  /// MDS itself.
   std::optional<FileMeta> create(const std::string& path, std::uint64_t size,
                                  int entry, bool direct, OpProfile& prof,
                                  const FileMeta* templ = nullptr);
@@ -148,10 +151,6 @@ class MdsCluster {
                                OpProfile& prof);
   bool update_size(Ino ino, std::uint64_t size, int entry, bool direct,
                    OpProfile& prof);
-  /// A write delegation for `client`: granted, held by another client that
-  /// would not give it back (retry later), or refused because no MDS knows
-  /// `ino` (a final answer).
-  enum class Grant : std::uint8_t { kGranted, kBusy, kUnknownIno };
   Grant acquire_delegation(Ino ino, ClientId client, int entry, bool direct,
                            OpProfile& prof);
   bool remove(const std::string& path, int entry, bool direct,
@@ -171,7 +170,9 @@ class MdsCluster {
                         OpProfile& prof);
 
   /// Metadata lookup without charging an RPC (internal plumbing).
-  std::optional<FileMeta> find_meta(Ino ino) const;
+  std::optional<FileMeta> find_meta(Ino ino) const {
+    return mds_[static_cast<std::size_t>(home_of(ino))].stat(ino);
+  }
 
   /// Attaches the fail-slow plumbing: with an injector, each metadata RPC's
   /// MDS service time can stretch at the kFaultMdsSlow site (limping-peer
@@ -192,9 +193,6 @@ class MdsCluster {
   /// mutable: charge() is const but records observations.
   mutable std::unique_ptr<fault::HealthBoard> health_;
   std::atomic<Ino> next_ino_{1};
-  mutable sim::AnnotatedMutex recall_mu_{"mds.recall",
-                                         sim::LockRank::kShard};
-  std::unordered_map<ClientId, RecallFn> recalls_ GUARDED_BY(recall_mu_);
 };
 
 // --------------------------------------------------------------- striping
@@ -285,8 +283,7 @@ class DataServers {
   /// timing out. Both optional — defaults behave exactly as before.
   explicit DataServers(int servers = sim::calib::kDataServers,
                        fault::FaultInjector* fault = nullptr,
-                       obs::Registry* registry = nullptr,
-                       fault::CircuitBreaker::Config breaker_cfg = {});
+                       obs::Registry* registry = nullptr);
 
   int servers() const { return static_cast<int>(servers_.size()); }
   int server_of(Ino ino, std::uint64_t stripe, std::uint32_t role) const;

@@ -29,20 +29,7 @@ DfsClient::DfsClient(ClientId id, MdsCluster& mds, DataServers& ds,
       stats_(registry != nullptr ? *registry : *owned_registry_),
       backend_ns_(registry != nullptr
                       ? &registry->histogram("dfs.client/backend_ns")
-                      : &owned_registry_->histogram("dfs.client/backend_ns")) {
-  if (cfg_.delegation_recall && cfg_.client_side()) {
-    mds_->register_recall(id_, [this](Ino ino) {
-      sim::LockGuard lock(mu_);
-      delegations_.erase(ino);
-      return true;  // lease-abiding client: always give it back
-    });
-  }
-}
-
-DfsClient::~DfsClient() {
-  if (cfg_.delegation_recall && cfg_.client_side())
-    mds_->register_recall(id_, nullptr);
-}
+                      : &owned_registry_->histogram("dfs.client/backend_ns")) {}
 
 bool DfsClient::holds_delegation(Ino ino) const {
   sim::LockGuard lock(mu_);
@@ -92,8 +79,7 @@ std::optional<FileMeta> DfsClient::meta_of(Ino ino, OpProfile& prof) {
   return meta;
 }
 
-MdsCluster::Grant DfsClient::ensure_delegation(Ino ino, OpProfile& prof) {
-  using Grant = MdsCluster::Grant;
+Grant DfsClient::ensure_delegation(Ino ino, OpProfile& prof) {
   if (cfg_.client_side()) {
     {
       sim::LockGuard lock(mu_);
@@ -145,7 +131,7 @@ IoResult DfsClient::create(const std::string& path,
     OpProfile free_grant;
     if (mds_->acquire_delegation(meta->ino, id_, entry_mds_,
                                  cfg_.client_side(), free_grant) ==
-        MdsCluster::Grant::kGranted) {
+        Grant::kGranted) {
       sim::LockGuard lock(mu_);
       delegations_.insert(meta->ino);
     }
@@ -214,13 +200,13 @@ IoResult DfsClient::read(Ino ino, std::uint64_t offset,
             : striped_read(*ds_, rs_, *meta, offset, dst, res.prof,
                            &reconstructed);
     if (done) break;
-    if (attempt >= cfg_.retry.max_attempts) {
+    if (attempt >= ClientConfig::kRetry.max_attempts) {
       res.err = EIO;
       res.transient = fault::Transient::kTimeout;
       return res;
     }
     if (attempt == 1) salt = op_seq_.fetch_add(1, std::memory_order_relaxed);
-    res.prof.net += cfg_.retry.backoff(attempt, salt);
+    res.prof.net += ClientConfig::kRetry.backoff(attempt, salt);
   }
   if (reconstructed) {
     // The decode compute lands where the client runs.
@@ -238,19 +224,18 @@ IoResult DfsClient::write(Ino ino, std::uint64_t offset,
   res.ino = ino;
   charge_client_cpu(res.prof, true, static_cast<std::uint32_t>(src.size()),
                     /*is_write=*/true);
-  // Delegation contention is transient by nature: the holder may release
-  // (or be recalled) any moment. Retry with backoff instead of bouncing a
-  // hard EAGAIN straight to the application. An ino no MDS knows is final.
-  using Grant = MdsCluster::Grant;
+  // Delegation contention is transient by nature: the holder may let go at
+  // any moment. Retry with backoff instead of bouncing a hard EAGAIN
+  // straight to the application. An ino no MDS knows is final.
   Grant grant = ensure_delegation(ino, res.prof);
   const std::uint64_t salt =
       grant == Grant::kBusy ? op_seq_.fetch_add(1, std::memory_order_relaxed)
                             : 0;
   for (int attempt = 1;
-       grant == Grant::kBusy && attempt < cfg_.retry.max_attempts;
+       grant == Grant::kBusy && attempt < ClientConfig::kRetry.max_attempts;
        ++attempt) {
     stats_.delegation_retries.add();
-    res.prof.net += cfg_.retry.backoff(attempt, salt);
+    res.prof.net += ClientConfig::kRetry.backoff(attempt, salt);
     grant = ensure_delegation(ino, res.prof);
   }
   if (grant == Grant::kUnknownIno) {

@@ -43,13 +43,11 @@ struct ClientConfig {
   /// Store new files replicated (FileMeta::replicas copies) instead of
   /// erasure-coded (§2.1: "EC or replication is handled by the fs-client").
   bool use_replication = false;
-  /// Participate in lease-style delegation recall: give delegations back
-  /// when another client asks, instead of forcing it to fail with EAGAIN.
-  bool delegation_recall = false;
+
   /// Retry budget for transient failures (delegation contention, reads
   /// the engine could not serve); backoff is folded into the op's
   /// modelled net cost.
-  fault::RetryPolicy retry{};
+  static constexpr fault::RetryPolicy kRetry{};
 
   /// The paper's client-side optimizations all on: metadata-view routing,
   /// client EC, data straight to the data servers, delegation caching.
@@ -108,7 +106,6 @@ class DfsClient {
   /// histogram; when null a private registry is created.
   DfsClient(ClientId id, MdsCluster& mds, DataServers& ds,
             const ClientConfig& cfg, obs::Registry* registry = nullptr);
-  ~DfsClient();
   DfsClient(const DfsClient&) = delete;
   DfsClient& operator=(const DfsClient&) = delete;
 
@@ -149,7 +146,7 @@ class DfsClient {
   void charge_ec(OpProfile& prof, std::uint64_t bytes) const;
   /// Cached metadata (optimized/DPC keep a meta cache; standard re-stats).
   std::optional<FileMeta> meta_of(Ino ino, OpProfile& prof);
-  MdsCluster::Grant ensure_delegation(Ino ino, OpProfile& prof);
+  Grant ensure_delegation(Ino ino, OpProfile& prof);
 
   ClientId id_;
   MdsCluster* mds_;

@@ -29,41 +29,22 @@ QosManager::QosManager(const QosConfig& cfg, obs::Registry& registry)
     ti.prefetch_pages =
         &registry.counter(obs::tenant_metric(id, "prefetch_pages"));
     ti.latency_ns = &registry.histogram(obs::tenant_metric(id, "latency_ns"));
-    // Buckets start full: a tenant's first burst is its configured burst.
-    if (cfg_.tenants[t].rate_bytes_per_sec > 0)
-      tokens_[t] = static_cast<double>(cfg_.tenants[t].burst_bytes);
   }
 }
 
 QosManager::Admit QosManager::admit(nvme::TenantId tenant,
                                     std::uint32_t charge) {
   const std::size_t t = slot(tenant);
-  const TenantQosConfig& tc = cfg_.tenants[t];
   sim::LockGuard lock(mu_);
   // Global staging caps. Guaranteed tenants bypass them: the caps exist to
   // bound how far behind *they* can be pushed.
-  if (tc.cls != TenantClass::kGuaranteed) {
-    if (queued_ >= static_cast<std::int64_t>(cfg_.max_queued_cmds) ||
-        inflight_bytes_ + charge >
-            static_cast<std::int64_t>(cfg_.max_inflight_bytes)) {
-      throttled_->add();
-      tenant_[t].throttled->add();
-      return {false, cfg_.min_retry_after};
-    }
-  }
-  // Per-tenant token bucket (modelled-time refill via advance()).
-  if (tc.rate_bytes_per_sec > 0) {
-    if (tokens_[t] < static_cast<double>(charge)) {
-      const double deficit = static_cast<double>(charge) - tokens_[t];
-      const double hint_ns =
-          deficit * 1e9 / static_cast<double>(tc.rate_bytes_per_sec);
-      sim::Nanos retry{static_cast<std::int64_t>(hint_ns)};
-      if (retry.ns < cfg_.min_retry_after.ns) retry = cfg_.min_retry_after;
-      throttled_->add();
-      tenant_[t].throttled->add();
-      return {false, retry};
-    }
-    tokens_[t] -= static_cast<double>(charge);
+  if (cfg_.tenants[t].cls != TenantClass::kGuaranteed &&
+      (queued_ >= static_cast<std::int64_t>(cfg_.max_queued_cmds) ||
+       inflight_bytes_ + charge >
+           static_cast<std::int64_t>(cfg_.max_inflight_bytes))) {
+    throttled_->add();
+    tenant_[t].throttled->add();
+    return {false, kMinRetryAfter};
   }
   ++queued_;
   inflight_bytes_ += charge;
@@ -104,20 +85,6 @@ void QosManager::on_reset_drop(nvme::TenantId tenant, std::uint32_t charge) {
   const std::size_t t = slot(tenant);
   sim::LockGuard lock(mu_);
   unstage_locked(t, charge);
-}
-
-void QosManager::advance(sim::Nanos d) {
-  if (d.ns <= 0) return;
-  sim::LockGuard lock(mu_);
-  vt_.ns += d.ns;
-  const double sec = static_cast<double>(d.ns) * 1e-9;
-  for (std::size_t t = 0; t < nvme::kMaxTenants; ++t) {
-    const TenantQosConfig& tc = cfg_.tenants[t];
-    if (tc.rate_bytes_per_sec == 0) continue;
-    tokens_[t] = std::min(
-        tokens_[t] + sec * static_cast<double>(tc.rate_bytes_per_sec),
-        static_cast<double>(tc.burst_bytes));
-  }
 }
 
 void QosManager::record_latency(nvme::TenantId tenant, sim::Nanos cost) {
@@ -165,7 +132,6 @@ std::optional<StagedCmd> DrrScheduler::pop() {
     --size_;
     return cmd;
   }
-  const QosConfig& cfg = qos_->config();
   // Strict class priority: the DRR weights share bandwidth only *within*
   // the strongest class that has staged work — a guaranteed tenant's
   // command never waits behind best-effort or background dispatches, no
@@ -209,7 +175,7 @@ std::optional<StagedCmd> DrrScheduler::pop() {
       if (tq.q.empty()) deactivate(t);
       return cmd;
     }
-    tq.deficit += static_cast<std::int64_t>(cfg.quantum_bytes) *
+    tq.deficit += static_cast<std::int64_t>(kQuantumBytes) *
                   qos_->weight(static_cast<nvme::TenantId>(t));
     ring_.pop_front();
     ring_.push_back(t);

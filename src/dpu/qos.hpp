@@ -5,20 +5,16 @@
 // Three cooperating mechanisms, all keyed on the tenant id every SQE now
 // carries in DW10[31:24]:
 //
-//   * Admission control (QosManager::admit, called at TGT ingest): a
-//     per-tenant token bucket refilled in MODELLED time (the TGT's virtual
-//     clock advances by each dispatched command's service cost, so refill
-//     is deterministic — no wall clocks), plus global caps on staged
-//     command count and staged bytes. Over-budget commands complete
-//     immediately with the retryable nvme::Status::kThrottled whose CQE
-//     result dword carries a retry-after hint in nanoseconds.
-//     kGuaranteed tenants are exempt from the *global* caps (their
-//     protection is the point of the caps) but still honor their own
-//     bucket when one is configured.
+//   * Admission control (QosManager::admit, called at TGT ingest): global
+//     caps on staged command count and staged bytes. Over-budget commands
+//     complete immediately with the retryable nvme::Status::kThrottled
+//     whose CQE result dword carries a retry-after hint of
+//     kMinRetryAfter nanoseconds. kGuaranteed tenants are exempt (their
+//     protection is the point of the caps).
 //
 //   * Weighted fair scheduling (DrrScheduler, owned by each TgtDriver):
 //     deficit round robin across per-tenant staging queues. Each visit
-//     grants a tenant quantum_bytes × weight of deficit; commands are
+//     grants a tenant kQuantumBytes × weight of deficit; commands are
 //     charged max(payload bytes, one page) so metadata storms can't ride
 //     for free. Work-conserving: an idle tenant's share flows to the
 //     active ones (max-min fairness). Classes are strict priorities:
@@ -61,11 +57,13 @@ enum class TenantClass : std::uint8_t {
 struct TenantQosConfig {
   std::uint32_t weight = 1;  ///< DRR share (≥ 1)
   TenantClass cls = TenantClass::kBestEffort;
-  /// Token-bucket rate in bytes of charge per modelled second; 0 = no
-  /// bucket (unlimited). Metadata ops charge one page (see qos_charge).
-  std::uint64_t rate_bytes_per_sec = 0;
-  std::uint32_t burst_bytes = 256 * 1024;  ///< bucket depth
 };
+
+/// DRR deficit granted per visit, per weight unit.
+inline constexpr std::uint32_t kQuantumBytes = 16 * 1024;
+/// The retry-after hint carried in kThrottled completions (admission and
+/// shedding alike).
+inline constexpr sim::Nanos kMinRetryAfter = sim::micros(100.0);
 
 struct QosConfig {
   bool enabled = false;
@@ -85,14 +83,10 @@ struct QosConfig {
   /// Modelled staging wait beyond which a non-guaranteed command is shed
   /// (only while overloaded).
   sim::Nanos max_queue_delay = sim::millis(2.0);
-  /// DRR deficit granted per visit, per weight unit.
-  std::uint32_t quantum_bytes = 16 * 1024;
-  /// Floor for the retry-after hint carried in kThrottled completions.
-  sim::Nanos min_retry_after = sim::micros(100.0);
 };
 
 /// Charge-weight of one command: payload bytes with a one-page floor, so a
-/// metadata storm is as visible to the bucket/scheduler as a data stream.
+/// metadata storm is as visible to the caps/scheduler as a data stream.
 inline std::uint32_t qos_charge(std::uint32_t write_len,
                                 std::uint32_t read_len) {
   const std::uint32_t bytes = write_len + read_len;
@@ -123,10 +117,6 @@ class QosManager {
   /// Staged command dropped by a controller reset — uncounts staging
   /// without scoring a shed against the tenant.
   void on_reset_drop(nvme::TenantId tenant, std::uint32_t charge);
-
-  /// Advances the modelled clock (each dispatched command's service cost);
-  /// refills every configured token bucket deterministically.
-  void advance(sim::Nanos d);
 
   /// Lock-free overload probe: staged depth at/over the high-water mark.
   /// The scrubber and flush-pass gates poll this on every pass.
@@ -177,10 +167,8 @@ class QosManager {
   /// (count_backend_bytes); never holds anything itself — counters are
   /// plain atomics resolved at construction.
   mutable sim::AnnotatedMutex mu_{"dpu.qos", sim::LockRank::kLeaf};
-  sim::Nanos vt_ GUARDED_BY(mu_){};       ///< modelled clock (sum of service)
   std::int64_t queued_ GUARDED_BY(mu_) = 0;
   std::int64_t inflight_bytes_ GUARDED_BY(mu_) = 0;
-  std::array<double, nvme::kMaxTenants> tokens_ GUARDED_BY(mu_){};
 
   /// Mirror of queued_ for the lock-free overload probe.
   std::atomic<std::int64_t> queued_now_{0};

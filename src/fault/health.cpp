@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/check.hpp"
+#include "sim/histogram.hpp"
 
 namespace dpc::fault {
 
@@ -45,13 +46,8 @@ void HealthBoard::refresh_p99_locked(Peer& p) {
   // "Streaming quantile": bounded ring of recent observations, p99 read by
   // selection. Deterministic and windowed — exactly what an adaptive
   // deadline wants (old regimes age out as the window slides).
-  std::vector<std::int64_t> tmp(p.ring.begin(),
-                                p.ring.begin() + p.ring_count);
-  const auto idx = static_cast<std::size_t>(
-      static_cast<double>(p.ring_count - 1) * 0.99);
-  std::nth_element(tmp.begin(), tmp.begin() + static_cast<std::ptrdiff_t>(idx),
-                   tmp.end());
-  p.cached_p99_ns = tmp[idx];
+  p.cached_p99_ns = sim::quantile(
+      {p.ring.begin(), p.ring.begin() + p.ring_count}, 0.99);
 }
 
 double HealthBoard::median_healthy_ewma_locked() const {

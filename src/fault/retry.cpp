@@ -24,9 +24,9 @@ sim::Nanos jittered(sim::Nanos base, double jitter, int step,
 sim::Nanos RetryPolicy::backoff(int attempt, std::uint64_t salt) const {
   DPC_CHECK(attempt >= 1);
   double b = static_cast<double>(base_backoff.ns);
-  for (int i = 1; i < attempt; ++i) b *= multiplier;
-  return jittered(sim::Nanos{static_cast<std::int64_t>(b)}, jitter, attempt,
-                  salt);
+  for (int i = 1; i < attempt; ++i) b *= kBackoffMultiplier;
+  return jittered(sim::Nanos{static_cast<std::int64_t>(b)}, kBackoffJitter,
+                  attempt, salt);
 }
 
 CircuitBreaker::CircuitBreaker(Config cfg, obs::Registry* registry,

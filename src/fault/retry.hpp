@@ -23,7 +23,7 @@ enum class Transient : std::uint8_t {
   kNone = 0,     // not a transient failure
   kTimeout,      // deadline expired (possibly after retries)
   kUnavailable,  // backend fast-failed (circuit open)
-  kBusy,         // resource contention (e.g. delegation recall refused)
+  kBusy,         // contention (a write delegation another client holds)
 };
 
 /// Deterministic jitter: scales `base` by uniform [1-j/2, 1+j/2] drawn from
@@ -35,12 +35,14 @@ sim::Nanos jittered(sim::Nanos base, double jitter, int step,
 
 /// Bounded exponential backoff with deterministic jitter. Stateless: the
 /// jitter for (attempt, salt) is a pure hash, so identical runs charge
-/// identical backoff costs.
+/// identical backoff costs. Each failed try doubles the wait
+/// (kBackoffMultiplier), scaled by uniform [0.75, 1.25] (kBackoffJitter).
 struct RetryPolicy {
+  static constexpr double kBackoffMultiplier = 2.0;
+  static constexpr double kBackoffJitter = 0.5;
+
   int max_attempts = 4;                      // total tries, not re-tries
   sim::Nanos base_backoff = sim::micros(50.0);
-  double multiplier = 2.0;
-  double jitter = 0.5;  // backoff scaled by uniform [1-j/2, 1+j/2]
 
   /// Modelled wait before try `attempt` (1-based count of *failed* tries so
   /// far). `salt` decorrelates concurrent retriers (use a cid, ino, …).

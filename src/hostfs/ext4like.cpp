@@ -4,7 +4,6 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
-#include <unordered_map>
 
 #include "ec/crc32c.hpp"
 #include "sim/check.hpp"
@@ -46,40 +45,6 @@ std::optional<std::uint64_t> check_journal_record(
 
 std::uint64_t div_ceil(std::uint64_t a, std::uint64_t b) {
   return (a + b - 1) / b;
-}
-}  // namespace
-
-// A small write-through cache of metadata blocks (inode table, bitmap,
-// indirect, directory and journal blocks). File data does NOT come through
-// here — buffered data uses the page cache, direct data goes to the device.
-// It lives in the .cpp as an implementation detail keyed by LBA.
-struct MetaBlockCache {
-  std::unordered_map<std::uint64_t, std::vector<std::byte>> blocks;
-
-  std::vector<std::byte>* find(std::uint64_t lba) {
-    const auto it = blocks.find(lba);
-    return it == blocks.end() ? nullptr : &it->second;
-  }
-  std::vector<std::byte>& insert(std::uint64_t lba,
-                                 std::span<const std::byte> data) {
-    auto& b = blocks[lba];
-    b.assign(data.begin(), data.end());
-    return b;
-  }
-};
-
-// The cache is per-filesystem; stash it in a map keyed by `this` to avoid
-// widening the header. (One Ext4like per test/bench; trivial contention.)
-namespace {
-// Taken under pcache shard locks on the writeback path; pure leaf
-// (momentary map lookup, never acquires anything while held).
-dpc::sim::AnnotatedMutex g_meta_mu{"ext4like.meta_cache",
-                                  dpc::sim::LockRank::kLeaf};
-std::unordered_map<const Ext4like*, MetaBlockCache> g_meta_caches;
-
-MetaBlockCache& meta_cache_of(const Ext4like* fs) {
-  dpc::sim::LockGuard lock(g_meta_mu);
-  return g_meta_caches[fs];
 }
 }  // namespace
 
@@ -136,25 +101,19 @@ Ext4like::Ext4like(ssd::SsdModel& disk, const Ext4likeOptions& opts)
   write_inode(root, ri, mkfs_cost);
 }
 
-Ext4like::~Ext4like() {
-  dpc::sim::LockGuard lock(g_meta_mu);
-  g_meta_caches.erase(this);
-}
-
 // ----------------------------------------------------------- device access
 
 void Ext4like::dev_read(std::uint64_t lba, std::span<std::byte> dst,
                         OpCost& c) {
   // Metadata path: write-through cached.
-  MetaBlockCache& mc = meta_cache_of(this);
-  if (auto* b = mc.find(lba)) {
-    std::memcpy(dst.data(), b->data(), dst.size());
+  if (const auto it = meta_cache_.find(lba); it != meta_cache_.end()) {
+    std::memcpy(dst.data(), it->second.data(), dst.size());
     return;
   }
-  std::vector<std::byte> block(kBlockSize);
+  std::vector<std::byte>& block = meta_cache_[lba];
+  block.resize(kBlockSize);
   disk_->read_block(lba, block);
   std::memcpy(dst.data(), block.data(), dst.size());
-  mc.insert(lba, block);
   ++c.dev_reads;
   c.total += ssd::SsdModel::random_service(true, kBlockSize);
 }
@@ -162,24 +121,21 @@ void Ext4like::dev_read(std::uint64_t lba, std::span<std::byte> dst,
 void Ext4like::dev_write(std::uint64_t lba, std::span<const std::byte> src,
                          OpCost& c) {
   DPC_CHECK(src.size() <= kBlockSize);
+  const auto [it, cold] = meta_cache_.try_emplace(lba);
+  std::vector<std::byte>& block = it->second;
   if (src.size() == kBlockSize) {
-    disk_->write_block(lba, src);
-    meta_cache_of(this).insert(lba, src);
+    block.assign(src.begin(), src.end());
   } else {
     // Partial metadata update: read-modify-write through the cache.
-    std::vector<std::byte> block(kBlockSize);
-    MetaBlockCache& mc = meta_cache_of(this);
-    if (auto* b = mc.find(lba)) {
-      block = *b;
-    } else {
+    block.resize(kBlockSize);
+    if (cold) {
       disk_->read_block(lba, block);
       ++c.dev_reads;
       c.total += ssd::SsdModel::random_service(true, kBlockSize);
     }
     std::memcpy(block.data(), src.data(), src.size());
-    disk_->write_block(lba, block);
-    mc.insert(lba, block);
   }
+  disk_->write_block(lba, block);
   ++c.dev_writes;
   c.total += ssd::SsdModel::random_service(false, kBlockSize);
 }

@@ -23,6 +23,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/page_cache.hpp"
@@ -81,7 +82,6 @@ class Ext4like {
  public:
   /// mkfs + mount on a fresh SSD model.
   explicit Ext4like(ssd::SsdModel& disk, const Ext4likeOptions& opts = {});
-  ~Ext4like();
   Ext4like(const Ext4like&) = delete;
   Ext4like& operator=(const Ext4like&) = delete;
 
@@ -212,6 +212,11 @@ class Ext4like {
   std::uint64_t journal_seq_ = 1;
   std::uint32_t journal_valid_on_mount_ = 0;
   std::uint64_t time_ = 1;
+  /// Write-through cache of metadata blocks by LBA (inode table, bitmap,
+  /// indirect, directory and journal blocks); guarded by mu_, like the
+  /// mirrors above. File data never comes through here: buffered data
+  /// uses the page cache, direct data goes to the device.
+  std::unordered_map<std::uint64_t, std::vector<std::byte>> meta_cache_;
 };
 
 }  // namespace dpc::hostfs

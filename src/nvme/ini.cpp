@@ -52,14 +52,36 @@ void IniDriver::build_prp(std::uint64_t buf_off, std::uint32_t len,
   }
 }
 
-std::uint16_t IniDriver::enqueue_locked(const Request& req,
-                                        sim::Nanos& cost) {
+IniDriver::Submitted IniDriver::submit(const Request& req) {
   const std::uint32_t wlen = static_cast<std::uint32_t>(
       req.write_hdr.size() + req.write_data.size());
   const std::uint32_t rlen = req.read_hdr_cap + req.read_data_cap;
   DPC_CHECK(wlen <= qp_->config().max_write);
   DPC_CHECK(rlen <= qp_->config().max_read);
   DPC_CHECK(req.write_hdr.size() <= 0xFFFF);
+
+  sim::Nanos cost{};
+  sim::UniqueLock lock(mu_);
+  if (free_cids_.empty()) {
+    // Queue full: completed-but-unreleased cids belong to other threads.
+    // Sleep on the cv until release() frees a slot — deterministic wakeup,
+    // and no yield() spin that could starve pollers of the core.
+    if (queue_full_waits_ != nullptr) queue_full_waits_->add();
+    sim::schedhook::coop_cv_wait(free_cv_, lock,
+                                 [this] { return !free_cids_.empty(); },
+                                 "nvme.ini.cv");
+  }
+  // DPC_CHECK_MUTATE doorbell-publish: ring the doorbell *before* the SQE
+  // store — the TGT may then fetch a stale descriptor from the slot. The
+  // checker arms this and must observe the stale fetch.
+  const bool mutate_db = sim::schedhook::mutate("doorbell-publish");
+  if (mutate_db) {
+    cost += dma_->doorbell(  // dpc-lint: ok(doorbell-fence) armed mutation: rings before the publish on purpose
+        qp_->sq_tail_db_off(),
+        static_cast<std::uint16_t>((sq_tail_ + 1) % qp_->depth()));
+    if (sq_doorbells_ != nullptr) sq_doorbells_->add();
+    sim::schedhook::point("nvme.sqe_store");
+  }
 
   const std::uint16_t cid = alloc_cid_locked();
   if (traces_ != nullptr) traces_->stamp(cid, obs::Stage::kHostSubmit);
@@ -98,80 +120,15 @@ std::uint16_t IniDriver::enqueue_locked(const Request& req,
               qp_->read_prp_list_off(cid), cmd.prp_read1, cmd.prp_read2);
   }
 
-  // Produce the SQE at the SQ tail (host-local store, no PCIe traffic).
-  // Doorbell policy belongs to the caller.
+  // Produce the SQE at the SQ tail (host-local store, no PCIe traffic),
+  // then ring the doorbell: one posted MMIO write.
   host.store(qp_->sqe_off(sq_tail_), encode_nvme_fs(cmd));
   sq_tail_ = static_cast<std::uint16_t>((sq_tail_ + 1) % qp_->depth());
-  (void)cost;
-  return cid;
-}
-
-IniDriver::Submitted IniDriver::submit(const Request& req) {
-  sim::Nanos cost{};
-  sim::UniqueLock lock(mu_);
-  if (free_cids_.empty()) {
-    // Queue full: completed-but-unreleased cids belong to other threads.
-    // Sleep on the cv until release() frees a slot — deterministic wakeup,
-    // and no yield() spin that could starve pollers of the core.
-    if (queue_full_waits_ != nullptr) queue_full_waits_->add();
-    sim::schedhook::coop_cv_wait(free_cv_, lock,
-                                 [this] { return !free_cids_.empty(); },
-                                 "nvme.ini.cv");
-  }
-  // DPC_CHECK_MUTATE doorbell-publish: ring the doorbell *before* the SQE
-  // store — the TGT may then fetch a stale descriptor from the slot. The
-  // checker arms this and must observe the stale fetch.
-  const bool mutate_db = sim::schedhook::mutate("doorbell-publish");
-  if (mutate_db) {
-    cost += dma_->doorbell(  // dpc-lint: ok(doorbell-fence) armed mutation: rings before the publish on purpose
-        qp_->sq_tail_db_off(),
-        static_cast<std::uint16_t>((sq_tail_ + 1) % qp_->depth()));
-    if (sq_doorbells_ != nullptr) sq_doorbells_->add();
-    sim::schedhook::point("nvme.sqe_store");
-  }
-  const std::uint16_t cid = enqueue_locked(req, cost);
   if (!mutate_db) {
-    // Ring the doorbell (one posted MMIO write). The SQE publish (release
-    // store of the encoded descriptor) happened inside enqueue_locked.
-    // dpc-lint: ok(doorbell-fence) SQE release-stored in enqueue_locked
     cost += dma_->doorbell(qp_->sq_tail_db_off(), sq_tail_);
     if (sq_doorbells_ != nullptr) sq_doorbells_->add();
   }
   return {cid, cost};
-}
-
-IniDriver::BatchSubmitted IniDriver::submit_batch(
-    std::span<const Request> reqs) {
-  BatchSubmitted out;
-  out.cids.reserve(reqs.size());
-  sim::UniqueLock lock(mu_);
-  std::size_t unpublished = 0;  // SQEs produced since the last doorbell
-  for (const Request& req : reqs) {
-    if (free_cids_.empty()) {
-      // Publish what is enqueued so the TGT can drain while we block —
-      // otherwise a batch wider than the queue deadlocks against itself.
-      if (unpublished > 0) {
-        // dpc-lint: ok(doorbell-fence) SQEs release-stored in enqueue_locked
-        out.cost += dma_->doorbell(qp_->sq_tail_db_off(), sq_tail_);
-        if (sq_doorbells_ != nullptr) sq_doorbells_->add();
-        unpublished = 0;
-      }
-      if (queue_full_waits_ != nullptr) queue_full_waits_->add();
-      sim::schedhook::coop_cv_wait(free_cv_, lock,
-                                   [this] { return !free_cids_.empty(); },
-                                   "nvme.ini.cv");
-    }
-    out.cids.push_back(enqueue_locked(req, out.cost));
-    ++unpublished;
-  }
-  if (unpublished > 0) {
-    // One posted MMIO publishes the whole run of SQEs release-stored in
-    // enqueue_locked above.
-    // dpc-lint: ok(doorbell-fence) SQEs release-stored in enqueue_locked
-    out.cost += dma_->doorbell(qp_->sq_tail_db_off(), sq_tail_);
-    if (sq_doorbells_ != nullptr) sq_doorbells_->add();
-  }
-  return out;
 }
 
 std::optional<Completion> IniDriver::drain_locked() {

@@ -66,19 +66,6 @@ class IniDriver {
   /// release()) only if all cids are in flight.
   Submitted submit(const Request& req);
 
-  struct BatchSubmitted {
-    std::vector<std::uint16_t> cids;  ///< one per request, submission order
-    sim::Nanos cost{};                ///< host-side cost (doorbell DMAs)
-  };
-  /// Enqueues a run of commands and rings the SQ tail doorbell ONCE for the
-  /// whole run — one posted MMIO per drain cycle instead of one per
-  /// command, the producer-side twin of drain_locked()'s CQ-head
-  /// coalescing. If the queue fills mid-batch, the enqueued prefix is
-  /// published (doorbell) before blocking on a free cid, so the TGT can
-  /// drain it and liveness is preserved even for batches wider than the
-  /// queue.
-  BatchSubmitted submit_batch(std::span<const Request> reqs);
-
   /// Non-blocking completion reap. Drains every ready CQE into the per-cid
   /// completion buffer and rings the CQ-head doorbell once per drained
   /// batch; returns the first reaped completion, or std::nullopt if the CQ
@@ -132,11 +119,6 @@ class IniDriver {
   void build_prp(std::uint64_t buf_off, std::uint32_t len,
                  std::uint64_t list_off, std::uint64_t& prp1,
                  std::uint64_t& prp2);
-  /// Produces one SQE at the SQ tail (cid allocation, payload copy, CRC
-  /// trailer, PRP lists) WITHOUT ringing the doorbell — submit() and
-  /// submit_batch() own doorbell policy.
-  std::uint16_t enqueue_locked(const Request& req, sim::Nanos& cost)
-      REQUIRES(mu_);
   std::optional<Completion> drain_locked() REQUIRES(mu_);
 
   pcie::DmaEngine* dma_;

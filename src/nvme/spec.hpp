@@ -101,8 +101,8 @@ enum class Status : std::uint16_t {
   /// the same damage — recovery goes through redundancy (EC reconstruct)
   /// or surfaces EIO.
   kDataIntegrityError = 8,
-  /// Admission control rejected the command (tenant over its token-bucket
-  /// budget, or the DPU over its global queue/in-flight caps). Retryable:
+  /// Admission control rejected the command (the DPU over its global
+  /// queue/in-flight caps). Retryable:
   /// nothing was applied and the condition is transient by construction.
   /// The CQE result dword carries a modelled retry-after hint in
   /// nanoseconds that RetryPolicy-driven resubmitters honor as a backoff

@@ -18,8 +18,8 @@ void flip_bit(std::span<std::byte> buf, std::uint64_t entropy) {
 }  // namespace
 
 /// Modelled DPU compute to reject a command at admission (no DMA beyond the
-/// batched SQE fetch, no handler) — advances the virtual clock so a pure
-/// throttle storm still refills token buckets.
+/// batched SQE fetch, no handler) — advances the virtual clock like any
+/// dispatched command.
 constexpr sim::Nanos kThrottleCost{500};
 
 TgtDriver::TgtDriver(pcie::DmaEngine& dma, const QueuePair& qp,
@@ -130,7 +130,6 @@ TgtDriver::ProcessStats TgtDriver::process_available(int max) {
                  /*dw1=*/static_cast<std::uint32_t>(kThrottleCost.ns),
                  posted);
         vt_now_.ns += kThrottleCost.ns;
-        if (qos_ != nullptr) qos_->advance(kThrottleCost);
         ++total.processed;
         progressed = true;
         continue;
@@ -144,13 +143,11 @@ TgtDriver::ProcessStats TgtDriver::process_available(int max) {
         if (auto stale = sched_.shed_stale(vt_now_,
                                            qos_->config().max_queue_delay)) {
           qos_->on_shed(stale->tenant, stale->charge);
-          const auto hint = static_cast<std::uint32_t>(std::min<std::int64_t>(
-              qos_->config().min_retry_after.ns, UINT32_MAX));
-          post_cqe(cid_of(stale->sqe), Status::kThrottled, hint,
+          post_cqe(cid_of(stale->sqe), Status::kThrottled,
+                   static_cast<std::uint32_t>(dpu::kMinRetryAfter.ns),
                    /*dw1=*/static_cast<std::uint32_t>(kThrottleCost.ns),
                    posted);
           vt_now_.ns += kThrottleCost.ns;
-          qos_->advance(kThrottleCost);
           ++total.processed;
           progressed = true;
           continue;
@@ -376,10 +373,7 @@ TgtDriver::ProcessStats TgtDriver::execute_one(const dpu::StagedCmd& staged,
   // (transport DMAs + backend) plus, under QoS, the modelled staging wait —
   // saturated to u32 nanoseconds.
   const std::int64_t service_ns = st.cost.ns + hres.backend_cost.ns;
-  if (qos_ != nullptr) {
-    vt_now_.ns += service_ns;
-    qos_->advance(sim::Nanos{service_ns});
-  }
+  if (qos_ != nullptr) vt_now_.ns += service_ns;
   const auto dw1 = static_cast<std::uint32_t>(
       std::min<std::int64_t>(service_ns + wait.ns, UINT32_MAX));
   post_cqe(cid_of(sqe), hres.status, hres.result, dw1, cqes_posted);

@@ -1,16 +1,34 @@
-// Log-bucketed latency histogram with percentile queries.
+// Log-bucketed latency histogram with percentile queries, and the exact
+// quantile of a raw sample.
 //
 // Thread-safe recording via per-bucket atomics so concurrent simulated
 // threads can record without a lock on the hot path.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
+#include "sim/check.hpp"
 #include "sim/time.hpp"
 
 namespace dpc::sim {
+
+/// Exact floor-rank quantile of a sample: the element of rank
+/// floor(q * (n - 1)) in sorted order, q in [0, 1]. Code that keeps raw
+/// samples uses this; Histogram's bucketed percentile is for registry
+/// instruments.
+inline std::int64_t quantile(std::vector<std::int64_t> v, double q) {
+  DPC_CHECK(!v.empty() && q >= 0.0 && q <= 1.0);
+  const auto rank =
+      static_cast<std::size_t>(static_cast<double>(v.size() - 1) * q);
+  const auto nth = v.begin() + static_cast<std::ptrdiff_t>(rank);
+  std::nth_element(v.begin(), nth, v.end());
+  return *nth;
+}
 
 /// Latency histogram with ~4% relative bucket resolution covering
 /// [1 ns, ~18 hours]. Buckets are (base-2 exponent, 1/16 sub-bucket) pairs.

@@ -405,15 +405,10 @@ TEST(ChaosIntegration, DelegationContentionRetriesThenYieldsBusy) {
   dfs::MdsCluster mds;
   dfs::DataServers ds(sim::calib::kDataServers, nullptr, &reg);
 
-  // Holder refuses recall (delegation_recall = false): the writer's retry
-  // loop runs dry and surfaces a *typed* transient EAGAIN.
-  auto holder_cfg = dfs::ClientConfig::optimized();
-  holder_cfg.delegation_recall = false;
-  dfs::DfsClient holder(1, mds, ds, holder_cfg, &reg);
-
-  auto writer_cfg = dfs::ClientConfig::optimized();
-  writer_cfg.retry.max_attempts = 3;
-  dfs::DfsClient writer(2, mds, ds, writer_cfg, &reg);
+  // The holder keeps its delegation: the writer's retry loop runs dry and
+  // surfaces a *typed* transient EAGAIN.
+  dfs::DfsClient holder(1, mds, ds, dfs::ClientConfig::optimized(), &reg);
+  dfs::DfsClient writer(2, mds, ds, dfs::ClientConfig::optimized(), &reg);
 
   const auto c = holder.create("/contended", 16 * 1024);
   ASSERT_TRUE(c.ok());
@@ -425,18 +420,9 @@ TEST(ChaosIntegration, DelegationContentionRetriesThenYieldsBusy) {
   EXPECT_EQ(w.err, EAGAIN);
   EXPECT_EQ(w.transient, fault::Transient::kBusy);
   EXPECT_TRUE(w.retryable());
-  EXPECT_GT(reg.counter("dfs.client/delegation_retries").value(), 0u);
-
-  // A lease-abiding holder hands the delegation back on recall: the same
-  // contended write now succeeds within the retry budget.
-  auto polite_cfg = dfs::ClientConfig::optimized();
-  polite_cfg.delegation_recall = true;
-  dfs::DfsClient polite(3, mds, ds, polite_cfg, &reg);
-  const auto c2 = polite.create("/recallable", 16 * 1024);
-  ASSERT_TRUE(c2.ok());
-  ASSERT_TRUE(polite.write(c2.ino, 0, data).ok());
-  ASSERT_TRUE(polite.holds_delegation(c2.ino));
-  EXPECT_TRUE(writer.write(c2.ino, 0, data).ok());
+  EXPECT_EQ(reg.counter("dfs.client/delegation_retries").value(),
+            static_cast<std::uint64_t>(
+                dfs::ClientConfig::kRetry.max_attempts - 1));
 }
 
 }  // namespace

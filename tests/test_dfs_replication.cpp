@@ -1,4 +1,4 @@
-// Replication mode, delegation recall and the full-stripe write fast path —
+// Replication mode and the full-stripe write fast path —
 // the DFS features beyond the Fig. 9 core.
 #include <gtest/gtest.h>
 
@@ -150,52 +150,6 @@ TEST_F(ReplFixture, FullStripeContentCorrect) {
   std::vector<std::byte> out2(mixed.size());
   ASSERT_TRUE(client.read(c.ino, 16 * 1024, out2).ok());
   EXPECT_EQ(out2, mixed);
-}
-
-TEST_F(ReplFixture, DelegationRecallHandsOver) {
-  auto cfg = ClientConfig::optimized();
-  cfg.delegation_recall = true;
-  DfsClient a(1, mds, ds, cfg);
-  DfsClient b(2, mds, ds, cfg);
-  const auto c = a.create("/lease", 1 << 20);
-  const auto data = bytes(8192, 11);
-  ASSERT_TRUE(a.write(c.ino, 0, data).ok());
-  EXPECT_TRUE(a.holds_delegation(c.ino));
-
-  // b's write triggers a recall; a releases; b proceeds.
-  const auto wb = b.write(c.ino, 0, data);
-  EXPECT_TRUE(wb.ok());
-  EXPECT_TRUE(b.holds_delegation(c.ino));
-  EXPECT_FALSE(a.holds_delegation(c.ino));
-
-  // And back again.
-  EXPECT_TRUE(a.write(c.ino, 8192, data).ok());
-  EXPECT_TRUE(a.holds_delegation(c.ino));
-  EXPECT_FALSE(b.holds_delegation(c.ino));
-}
-
-TEST_F(ReplFixture, NoRecallWithoutOptIn) {
-  DfsClient a(1, mds, ds, ClientConfig::optimized());  // no recall handler
-  DfsClient b(2, mds, ds, ClientConfig::optimized());
-  const auto c = a.create("/stubborn", 1 << 20);
-  const auto data = bytes(8192, 12);
-  ASSERT_TRUE(a.write(c.ino, 0, data).ok());
-  EXPECT_EQ(b.write(c.ino, 0, data).err, EAGAIN);
-}
-
-TEST_F(ReplFixture, RecallChargesExtraRoundTrip) {
-  auto cfg = ClientConfig::optimized();
-  cfg.delegation_recall = true;
-  DfsClient a(1, mds, ds, cfg);
-  DfsClient b(2, mds, ds, cfg);
-  const auto c = a.create("/charged", 1 << 20);
-  const auto data = bytes(8192, 13);
-  ASSERT_TRUE(a.write(c.ino, 0, data).ok());
-  const auto contested = b.write(c.ino, 0, data);
-  ASSERT_TRUE(contested.ok());
-  const auto held = b.write(c.ino, 0, data);
-  // The recall-acquiring write paid more MDS ops than a held-lease write.
-  EXPECT_GT(contested.prof.mds_ops, held.prof.mds_ops);
 }
 
 TEST_F(ReplFixture, NfsClientInteroperatesWithReplicatedFiles) {

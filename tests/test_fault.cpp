@@ -144,22 +144,26 @@ TEST(FaultInjector, SeedFromEnv) {
 
 TEST(RetryPolicy, BackoffGrowsExponentially) {
   RetryPolicy p;
-  p.jitter = 0.0;  // isolate the exponential part
-  const auto b1 = p.backoff(1, 0);
-  const auto b2 = p.backoff(2, 0);
-  const auto b3 = p.backoff(3, 0);
-  EXPECT_EQ(b1, p.base_backoff);
-  EXPECT_EQ(b2.ns, b1.ns * 2);
-  EXPECT_EQ(b3.ns, b1.ns * 4);
+  // Each failed try doubles the unjittered wait; the jitter is the shared
+  // jittered() draw for (attempt, salt).
+  for (std::uint64_t salt : {0u, 7u}) {
+    for (int attempt = 1; attempt <= 3; ++attempt) {
+      const sim::Nanos base =
+          p.base_backoff * (std::int64_t{1} << (attempt - 1));
+      EXPECT_EQ(p.backoff(attempt, salt),
+                jittered(base, RetryPolicy::kBackoffJitter, attempt, salt));
+    }
+  }
 }
 
 TEST(RetryPolicy, JitterBoundedAndDeterministic) {
-  RetryPolicy p;  // jitter = 0.5 → scale in [0.75, 1.25]
+  RetryPolicy p;  // jitter 0.5 → scale in [0.75, 1.25]
   for (int attempt = 1; attempt <= 4; ++attempt) {
     for (std::uint64_t salt = 0; salt < 50; ++salt) {
       const auto b = p.backoff(attempt, salt);
       const double base = static_cast<double>(p.base_backoff.ns);
-      const double exp = base * std::pow(p.multiplier, attempt - 1);
+      const double exp =
+          base * std::pow(RetryPolicy::kBackoffMultiplier, attempt - 1);
       EXPECT_GE(static_cast<double>(b.ns), exp * 0.749);
       EXPECT_LE(static_cast<double>(b.ns), exp * 1.251);
       EXPECT_EQ(b, p.backoff(attempt, salt)) << "not deterministic";

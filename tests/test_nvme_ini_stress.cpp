@@ -219,12 +219,12 @@ TEST(NvmeIniStress, ThreadsHammerTinyQueue) {
   EXPECT_EQ(reg.histogram("trace/submit_to_reap_ns").count(), total);
 }
 
-/// submit_batch racing abort(): a batch wider than the free-cid pool parks
-/// on free_cv_; an abort + release of an older command hands its cid to the
-/// batch mid-flight. The aborted command's synthetic completion must not be
-/// clobbered, a CQE that lands after an abort is discarded (late_cqes), and
-/// every cid stays reusable afterwards.
-TEST(NvmeIniStress, BatchSubmitRacesAbortKeepsCidsClean) {
+/// submit() racing abort(): a submit on an empty cid pool parks on
+/// free_cv_ while another thread aborts a timed-out command and releases
+/// its cid, which the parked submit then takes. The aborted command's
+/// synthetic completion must not be clobbered, a CQE that lands after an
+/// abort is discarded (late_cqes), and every cid stays reusable afterwards.
+TEST(NvmeIniStress, SubmitParkedOnEmptyPoolRacesAbortKeepsCidsClean) {
   pcie::MemoryRegion host("host", 8 << 20);
   pcie::RegionAllocator halloc(host);
   pcie::MemoryRegion dpu("dpu", 1 << 20);
@@ -254,19 +254,18 @@ TEST(NvmeIniStress, BatchSubmitRacesAbortKeepsCidsClean) {
   const auto s1 = ini.submit(req);
   tgt.process_available(1);
   fi.disarm(nvme::kFaultTgtDropCqe);
-  // Fill the remaining cids so the batch below starts with zero free.
+  // Fill the remaining cids so the submit below starts with zero free.
   const auto s2 = ini.submit(req);
   const auto s3 = ini.submit(req);
   ASSERT_EQ(ini.inflight(), 3);
 
   obs::Counter& waits = reg.counter("nvme.ini/queue_full_waits");
   const std::uint64_t waits_before = waits.load();
-  nvme::IniDriver::BatchSubmitted batch;
-  std::atomic<bool> batch_done{false};
-  std::thread batcher([&] {
-    const std::vector<nvme::IniDriver::Request> reqs(2, req);
-    batch = ini.submit_batch(reqs);  // no free cid: parks on free_cv_
-    batch_done.store(true, std::memory_order_release);
+  nvme::IniDriver::Submitted parked;
+  std::atomic<bool> parked_done{false};
+  std::thread submitter([&] {
+    parked = ini.submit(req);  // no free cid: parks on free_cv_
+    parked_done.store(true, std::memory_order_release);
   });
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -274,11 +273,11 @@ TEST(NvmeIniStress, BatchSubmitRacesAbortKeepsCidsClean) {
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
-  ASSERT_GT(waits.load(), waits_before) << "batch never hit queue-full";
-  EXPECT_FALSE(batch_done.load(std::memory_order_acquire));
+  ASSERT_GT(waits.load(), waits_before) << "submit never hit queue-full";
+  EXPECT_FALSE(parked_done.load(std::memory_order_acquire));
 
-  // Abort the timed-out s1 while the batch is parked. Its cid flows to the
-  // batch's first request via release(); the batch still needs one more.
+  // Abort the timed-out s1 while the submit is parked; release() hands its
+  // cid to the parked submit, the only cid free.
   const auto aborted = ini.abort(s1.cid);
   EXPECT_EQ(aborted.status, nvme::Status::kAbortedByRequest);
   EXPECT_TRUE(nvme::is_retryable(aborted.status));
@@ -287,28 +286,19 @@ TEST(NvmeIniStress, BatchSubmitRacesAbortKeepsCidsClean) {
   EXPECT_EQ(still->status, nvme::Status::kAbortedByRequest)
       << "abort record clobbered before release";
   ini.release(s1.cid);
+  submitter.join();
+  EXPECT_TRUE(parked_done.load());
+  EXPECT_EQ(parked.cid, s1.cid) << "aborted cid never reissued";
 
-  // Complete s2/s3; releasing s2 frees the batch's second cid.
+  // Complete s2, s3 and the parked command on the recycled cid.
   tgt.process_available();
   EXPECT_EQ(ini.wait(s2.cid).status, nvme::Status::kSuccess);
   ini.release(s2.cid);
-  batcher.join();
-  EXPECT_TRUE(batch_done.load());
-  ASSERT_EQ(batch.cids.size(), 2u);
-  // The free list is LIFO and s2's release may land before the parked
-  // batcher wakes, so cid order is interleaving-dependent — what matters
-  // is that the aborted cid was reissued to the batch at all.
-  EXPECT_TRUE(batch.cids[0] == s1.cid || batch.cids[1] == s1.cid)
-      << "aborted cid never reissued to the batch";
-
   EXPECT_EQ(ini.wait(s3.cid).status, nvme::Status::kSuccess);
   ini.release(s3.cid);
-  tgt.process_available();
-  for (const std::uint16_t cid : batch.cids) {
-    EXPECT_EQ(ini.wait(cid).status, nvme::Status::kSuccess)
-        << "batch command on recycled cid " << cid;
-    ini.release(cid);
-  }
+  EXPECT_EQ(ini.wait(parked.cid).status, nvme::Status::kSuccess)
+      << "parked command on recycled cid " << parked.cid;
+  ini.release(parked.cid);
   EXPECT_EQ(ini.inflight(), 0);
   EXPECT_EQ(reg.counter("nvme.ini/late_cqes").load(), 0u)
       << "dropped CQE can never arrive late";

@@ -1,4 +1,4 @@
-// Per-tenant QoS: wire-format tenant id, token-bucket admission, DRR
+// Per-tenant QoS: wire-format tenant id, global-cap admission, DRR
 // weighted fair scheduling, class-ordered shedding, scrubber demotion
 // under overload, and the end-to-end kThrottled retry path through
 // DpcSystem (admission rejection honored with the device's retry-after
@@ -61,34 +61,6 @@ TEST(QosSpec, ThrottledIsRetryable) {
 
 // -------------------------------------------------------------- admission
 
-TEST(QosAdmission, TokenBucketThrottlesThenRefillsInModelledTime) {
-  obs::Registry reg;
-  QosConfig cfg;
-  cfg.enabled = true;
-  cfg.tenants[1].rate_bytes_per_sec = 1'000'000;  // 1 MB/s
-  cfg.tenants[1].burst_bytes = 8192;
-  QosManager qos(cfg, reg);
-
-  // Buckets start full: the first burst is the configured burst.
-  EXPECT_TRUE(qos.admit(1, 8192).ok);
-  const auto denied = qos.admit(1, 4096);
-  EXPECT_FALSE(denied.ok);
-  // Hint covers the deficit at the configured rate: 4096 B at 1 MB/s is
-  // ~4.1 ms, well above the floor.
-  EXPECT_GE(denied.retry_after.ns, cfg.min_retry_after.ns);
-  EXPECT_NEAR(static_cast<double>(denied.retry_after.ns), 4.096e6, 1e5);
-  EXPECT_EQ(reg.counter("qos/throttled").load(), 1u);
-  EXPECT_EQ(reg.counter("qos/t1/throttled").load(), 1u);
-
-  // Refill happens via advance() — modelled time, no wall clock.
-  qos.advance(sim::millis(5.0));
-  EXPECT_TRUE(qos.admit(1, 4096).ok);
-  // ...but never above the burst cap.
-  qos.advance(sim::millis(10'000.0));
-  EXPECT_TRUE(qos.admit(1, 8192).ok);
-  EXPECT_FALSE(qos.admit(1, 8192).ok);
-}
-
 TEST(QosAdmission, GlobalCapsRejectBestEffortButExemptGuaranteed) {
   obs::Registry reg;
   QosConfig cfg;
@@ -103,7 +75,7 @@ TEST(QosAdmission, GlobalCapsRejectBestEffortButExemptGuaranteed) {
   EXPECT_FALSE(qos.overloaded());
   const auto denied = qos.admit(0, 4096);
   EXPECT_FALSE(denied.ok);
-  EXPECT_EQ(denied.retry_after.ns, cfg.min_retry_after.ns);
+  EXPECT_EQ(denied.retry_after, kMinRetryAfter);
 
   // The guaranteed tenant sails past the global cap — the cap exists to
   // protect it — and its staging still counts toward overload.
@@ -128,7 +100,6 @@ TEST(QosScheduler, DrrSharesDispatchByWeight) {
   obs::Registry reg;
   QosConfig cfg;
   cfg.enabled = true;
-  cfg.quantum_bytes = 16 * 1024;
   cfg.tenants[1].weight = 3;
   cfg.tenants[2].weight = 1;
   QosManager qos(cfg, reg);
@@ -280,44 +251,38 @@ core::DpcOptions qos_opts() {
 
 TEST(QosSystem, ThrottledOpRetriesWithDeviceHintThenFails) {
   core::DpcOptions o = qos_opts();
-  // Tenant 0 gets a bucket sized for a handful of commands: the first ops
-  // drain it, and refill (4096 B per modelled second, advanced only by
-  // dispatched service costs) is far slower than the retry loop, so once
-  // throttled the attempts exhaust deterministically.
-  o.qos.tenants[0].rate_bytes_per_sec = 4096;
-  o.qos.tenants[0].burst_bytes = 64 * 1024;
-  // A large hint floor makes the honored backoff unmistakable next to the
-  // policy's µs-scale exponential backoff.
-  o.qos.min_retry_after = sim::millis(50.0);
+  // No staging room at all: every best-effort command is throttled at
+  // admission. Tenant 1 is guaranteed, exempt from the cap, and creates the
+  // file the throttled tenant 0 then writes.
+  o.qos.max_queued_cmds = 0;
+  o.qos.tenants[1].cls = TenantClass::kGuaranteed;
+  // A 1 ns policy backoff leaves the device's retry-after hint as the whole
+  // wait, so the failed op's cost shows that hint was honoured.
+  o.nvme_retry.base_backoff = sim::nanos(1);
   core::DpcSystem sys(o);
-  core::DpcSystem::set_thread_tenant(0);
 
+  core::DpcSystem::set_thread_tenant(1);
   const auto c = sys.create(kvfs::kRootIno, "f");
+  core::DpcSystem::set_thread_tenant(0);
   ASSERT_TRUE(c.ok());
-  const auto data = bytes(8192, 0xB);
 
-  core::Io failed{};
-  bool saw_success = false;
-  for (int i = 0; i < 20 && failed.err == 0; ++i) {
-    const auto w = sys.write(c.ino, 0, data, /*direct=*/true);
-    if (w.ok())
-      saw_success = true;
-    else
-      failed = w;
-  }
-  EXPECT_TRUE(saw_success) << "bucket admits at least the first write";
-  ASSERT_NE(failed.err, 0) << "bucket never throttled in 20 writes";
+  const auto data = bytes(8192, 0xB);
+  const auto failed = sys.write(c.ino, 0, data, /*direct=*/true);
+  ASSERT_NE(failed.err, 0);
+  EXPECT_EQ(failed.status, nvme::Status::kThrottled);
+  const int attempts = o.nvme_retry.max_attempts;
+  EXPECT_EQ(failed.attempts, attempts);
 
   obs::Registry& reg = sys.metrics();
-  EXPECT_GT(reg.counter("qos/throttled").load(), 0u);
-  EXPECT_GT(reg.counter("qos/t0/throttled").load(), 0u);
-  EXPECT_GT(reg.counter("retry/throttled").load(), 0u);
-  // The retry-after hint is a backoff *floor*: every throttled attempt
-  // waits ≥ min_retry_after (50 ms here), so the failed op's three
-  // inter-attempt backoffs dwarf the policy's µs-scale exponential curve —
-  // the cost proves the device hint was honored.
-  EXPECT_GE(failed.cost.ns, sim::millis(120.0).ns);
-  core::DpcSystem::set_thread_tenant(0);
+  EXPECT_EQ(reg.counter("qos/t0/throttled").load(),
+            static_cast<std::uint64_t>(attempts));
+  EXPECT_EQ(reg.counter("qos/t1/throttled").load(), 0u);
+  EXPECT_EQ(reg.counter("retry/throttled").load(),
+            static_cast<std::uint64_t>(attempts - 1));
+  // Every wait between attempts is the kMinRetryAfter floor, and nothing
+  // else in the op comes near another one.
+  EXPECT_GE(failed.cost.ns, kMinRetryAfter.ns * (attempts - 1));
+  EXPECT_LT(failed.cost.ns, kMinRetryAfter.ns * attempts);
 }
 
 TEST(QosSystem, PerTenantMetricScopingFollowsThreadTenant) {
